@@ -53,7 +53,7 @@ print(f"  Var B = {variance_matrix(b, mixed):.12f}  vs |b|^2 = {b.norm2:.12f}")
 print("  equality verdict margin:", f"{check_mixed_limit(a, b, mixed).margin:.2e}")
 
 # --- saturation: coplanar states make it an equality ------------------------
-print("\nsaturation search (golden section in-plane + Nelder-Mead sphere check):")
+print("\nsaturation search (golden section in-plane + compass search over the sphere):")
 for radius in (1.0, 0.6, 0.25):
     rng = Xoshiro256pp(7)
     a = draw_observable(rng, basis)

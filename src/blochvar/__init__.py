@@ -27,22 +27,10 @@ from .errors import (
     UndefinedAngle,
     UnphysicalState,
 )
-from .linalg import (
-    ComplexMatrix,
-    HermitianMatrix,
-    anticommutator,
-    commutator,
-    dagger,
-    eigh,
-    identity,
-    matmul,
-    trace,
-)
+from .linalg import HermitianMatrix
 from .regions import RegionScan, SaturationResult, find_saturating_state, scan_pair, scan_triple
 from .relations import (
-    RELATION_IDS,
     RelationVerdict,
-    TradeoffCheck,
     check_appendix_b,
     check_appendix_c,
     check_mixed_limit,

@@ -5,8 +5,8 @@ Subcommands
 basis (alias: structure-consts)
     Serialize the su(N) generators and sparse f/d tensors as JSON or CSV.
 verify
-    Fuzz one relation over seeded random draws; exit 0 iff every check
-    holds at the relation's tolerance.
+    Fuzz one relation over seeded random draws (N <= 10); exit 0 iff
+    every check holds at the relation's tolerance.
 region
     Monte-Carlo scan of a variance region (pair or axis triple) with CSV
     and JSON artifacts plus slice summaries.
@@ -17,9 +17,8 @@ compare
 Exit codes: 0 success/holds, 1 relation violated beyond tolerance,
 2 usage error.  Every report echoes its fully resolved configuration,
 seed included; re-running an echoed configuration reproduces the
-numbers bit for bit.  The environment variable ``UR_THREADS`` sets the
-worker count, which affects wall time only, never results: sample i is
-always drawn from RNG stream i.
+numbers bit for bit.  Sample i is always drawn from RNG stream i, so a
+report does not depend on how many samples precede or follow it.
 """
 
 from __future__ import annotations
@@ -28,10 +27,8 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -73,38 +70,21 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
-# Relations exposed on the CLI and the dimensions each is defined for
-# (None = any dimension >= 2).
-_RELATION_DIMS: dict[str, tuple[int, ...] | None] = {
-    "triangle": (2,),
-    "theorem1": (2,),
-    "mixed-limit": (2,),
-    "pure-limit": (2,),
-    "unit-vector": (2,),
-    "three-obs-equality": (2,),
-    "appendix-b": (2,),
-    "appendix-c": None,
-    "robertson": None,
-    "state-dependent": (2,),
-}
+# Largest --dim per subcommand: basis serializes dense tensors; verify
+# stops before the dense su(N) build outgrows memory.
+BASIS_MAX_DIM = 8
+VERIFY_MAX_DIM = 10
 
 
-def _threads() -> int:
-    raw = os.environ.get("UR_THREADS", "1")
+def _seed(text: str) -> int:
+    """argparse type for seeds: an unsigned 64-bit integer."""
     try:
-        return max(1, int(raw))
+        value = int(text)
     except ValueError:
-        return 1
-
-
-def _map_chunks(total: int, threads: int, worker):
-    if threads <= 1 or total < 2:
-        return [worker(0, total)]
-    n_chunks = min(threads, total)
-    step = -(-total // n_chunks)
-    bounds = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-    with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-        return list(pool.map(lambda span: worker(*span), bounds))
+        raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from None
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"seed must lie in [0, 2**64), got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +96,28 @@ def _mixture_state(rng: Xoshiro256pp, basis, index: int) -> QuantumState:
     if index % 2 == 0:
         return draw_pure(rng, basis)
     return draw_mixed(rng, basis)
+
+
+def _pure_state(rng: Xoshiro256pp, basis, index: int) -> QuantumState:
+    return draw_pure(rng, basis)
+
+
+def _pair(check):
+    """Checker that draws A, then B, and returns check(a, b, state)."""
+
+    def checker(rng: Xoshiro256pp, basis, state: QuantumState, theta_ab: float):
+        a = draw_observable(rng, basis)
+        b = draw_observable(rng, basis)
+        return check(a, b, state)
+
+    return checker
+
+
+def _unit_vector(a: Observable, b: Observable, state: QuantumState):
+    da2 = max(1.0 - float(a.a @ state.p) ** 2, 0.0)
+    db2 = max(1.0 - float(b.a @ state.p) ** 2, 0.0)
+    theta = effective_axis_angle(a, b, state)
+    return [check_unit_vector_relation(theta, da2, db2)]
 
 
 def _project_orthogonal(p: np.ndarray, vecs: list[np.ndarray]) -> np.ndarray:
@@ -131,59 +133,6 @@ def _project_orthogonal(p: np.ndarray, vecs: list[np.ndarray]) -> np.ndarray:
     for u in frame:
         out = out - float(out @ u) * u
     return out
-
-
-def _verdicts_for(relation: str, basis, rng: Xoshiro256pp, index: int, theta_ab: float):
-    if relation == "triangle":
-        state = _mixture_state(rng, basis, index)
-        a = draw_observable(rng, basis)
-        b = draw_observable(rng, basis)
-        return [check_triangle(a, b, state)]
-    if relation == "theorem1":
-        state = _mixture_state(rng, basis, index)
-        a = draw_observable(rng, basis)
-        b = draw_observable(rng, basis)
-        return [check_theorem1(a, b, state)]
-    if relation == "mixed-limit":
-        state = completely_mixed(basis)
-        a = draw_observable(rng, basis)
-        b = draw_observable(rng, basis)
-        return [check_mixed_limit(a, b, state)]
-    if relation == "pure-limit":
-        state = draw_pure(rng, basis)
-        a = draw_observable(rng, basis)
-        b = draw_observable(rng, basis)
-        return [check_pure_limit(a, b, state)]
-    if relation == "unit-vector":
-        state = draw_pure(rng, basis)
-        a = draw_observable(rng, basis)
-        b = draw_observable(rng, basis)
-        da2 = max(1.0 - float(a.a @ state.p) ** 2, 0.0)
-        db2 = max(1.0 - float(b.a @ state.p) ** 2, 0.0)
-        theta = effective_axis_angle(a, b, state)
-        return [check_unit_vector_relation(theta, da2, db2)]
-    if relation == "three-obs-equality":
-        state = draw_pure(rng, basis)
-        return [check_three_observable_equality(theta_ab, state)]
-    if relation == "appendix-b":
-        state = draw_mixed(rng, basis)
-        return [check_appendix_b(state)]
-    if relation == "appendix-c":
-        return [_appendix_c_sample(basis, rng)]
-    if relation == "robertson":
-        state = _mixture_state(rng, basis, index)
-        a = draw_observable(rng, basis)
-        b = draw_observable(rng, basis)
-        return [robertson_bound(a, b, state)]
-    if relation == "state-dependent":
-        state = draw_pure(rng, basis)
-        a = draw_observable(rng, basis)
-        b = draw_observable(rng, basis)
-        return [
-            state_dependent_bound(a, b, state, 1),
-            state_dependent_bound(a, b, state, -1),
-        ]
-    raise ValueError(f"unknown relation {relation!r}")
 
 
 def _appendix_c_sample(basis, rng: Xoshiro256pp, max_tries: int = 200):
@@ -205,31 +154,62 @@ def _appendix_c_sample(basis, rng: Xoshiro256pp, max_tries: int = 200):
     raise RuntimeError("no valid zero-mean sample found; ensemble looks pathological")
 
 
-def _fuzz(relation: str, dim: int, samples: int, seed: int, theta_ab: float, threads: int) -> dict:
+# relation -> (dims it is defined for, None = any N >= 2; state recipe;
+# checker).  A sample runs the recipe, then the checker, on its own RNG
+# stream, so the state is drawn before A and B (appendix-c draws all three
+# inside its rejection loop).  Entries reach the draw and check functions
+# through lambdas, which look the names up at call time, so a wrapper put
+# on this module's names (as bench/tracer.py does) sees every call.
+_RELATIONS = {
+    "triangle": ((2,), _mixture_state, _pair(lambda a, b, s: [check_triangle(a, b, s)])),
+    "theorem1": ((2,), _mixture_state, _pair(lambda a, b, s: [check_theorem1(a, b, s)])),
+    "mixed-limit": (
+        (2,),
+        lambda rng, basis, i: completely_mixed(basis),
+        _pair(lambda a, b, s: [check_mixed_limit(a, b, s)]),
+    ),
+    "pure-limit": ((2,), _pure_state, _pair(lambda a, b, s: [check_pure_limit(a, b, s)])),
+    "unit-vector": ((2,), _pure_state, _pair(_unit_vector)),
+    "three-obs-equality": (
+        (2,),
+        _pure_state,
+        lambda rng, basis, s, theta_ab: [check_three_observable_equality(theta_ab, s)],
+    ),
+    "appendix-b": (
+        (2,),
+        lambda rng, basis, i: draw_mixed(rng, basis),
+        lambda rng, basis, s, theta_ab: [check_appendix_b(s)],
+    ),
+    "appendix-c": (
+        None,
+        lambda rng, basis, i: None,
+        lambda rng, basis, s, theta_ab: [_appendix_c_sample(basis, rng)],
+    ),
+    "robertson": (None, _mixture_state, _pair(lambda a, b, s: [robertson_bound(a, b, s)])),
+    "state-dependent": (
+        (2,),
+        _pure_state,
+        _pair(lambda a, b, s: [state_dependent_bound(a, b, s, 1), state_dependent_bound(a, b, s, -1)]),
+    ),
+}
+
+
+def _fuzz(relation: str, dim: int, samples: int, seed: int, theta_ab: float) -> dict:
+    _, recipe, checker = _RELATIONS[relation]
     basis = basis_for(dim)
-
-    def worker(lo: int, hi: int):
-        worst = math.inf
-        worst_abs = 0.0
-        holds = True
-        saturated = 0
-        checks = 0
-        for i in range(lo, hi):
-            rng = Xoshiro256pp(seed, stream=i)
-            for verdict in _verdicts_for(relation, basis, rng, i, theta_ab):
-                checks += 1
-                worst = min(worst, verdict.margin)
-                worst_abs = max(worst_abs, abs(verdict.margin))
-                holds = holds and verdict.holds
-                saturated += int(verdict.saturated)
-        return worst, worst_abs, holds, saturated, checks
-
-    parts = _map_chunks(samples, threads, worker)
-    worst = min(part[0] for part in parts)
-    worst_abs = max(part[1] for part in parts)
-    holds = all(part[2] for part in parts)
-    saturated = sum(part[3] for part in parts)
-    checks = sum(part[4] for part in parts)
+    worst = math.inf
+    worst_abs = 0.0
+    holds = True
+    saturated = 0
+    checks = 0
+    for i in range(samples):
+        rng = Xoshiro256pp(seed, stream=i)
+        for verdict in checker(rng, basis, recipe(rng, basis, i), theta_ab):
+            checks += 1
+            worst = min(worst, verdict.margin)
+            worst_abs = max(worst_abs, abs(verdict.margin))
+            holds = holds and verdict.holds
+            saturated += int(verdict.saturated)
     return {
         "relation": relation,
         "checks": checks,
@@ -371,8 +351,8 @@ def _scan_json(scan: RegionScan, config: dict) -> dict:
 
 
 def _cmd_basis(args, parser) -> tuple[int, dict]:
-    if not 2 <= args.dim <= 8:
-        parser.error(f"--dim must be in 2..8, got {args.dim}")
+    if not 2 <= args.dim <= BASIS_MAX_DIM:
+        parser.error(f"--dim must be in 2..{BASIS_MAX_DIM}, got {args.dim}")
     start = time.perf_counter()
     basis = basis_for(args.dim)
     residual = max_algebra_residual(basis)
@@ -413,19 +393,18 @@ def _cmd_basis(args, parser) -> tuple[int, dict]:
 
 
 def _cmd_verify(args, parser) -> tuple[int, dict]:
-    dims = _RELATION_DIMS[args.relation]
+    dims = _RELATIONS[args.relation][0]
     if dims is not None and args.dim not in dims:
         parser.error(
             f"relation {args.relation} is not defined for dim {args.dim} "
             f"(allowed: {', '.join(map(str, dims))})"
         )
-    if args.dim < 2:
-        parser.error("--dim must be at least 2")
+    if not 2 <= args.dim <= VERIFY_MAX_DIM:
+        parser.error(f"--dim must be in 2..{VERIFY_MAX_DIM}, got {args.dim}")
     if args.samples < 1:
         parser.error("--samples must be positive")
-    threads = _threads()
     start = time.perf_counter()
-    summary = _fuzz(args.relation, args.dim, args.samples, args.seed, args.theta_ab, threads)
+    summary = _fuzz(args.relation, args.dim, args.samples, args.seed, args.theta_ab)
     wall = time.perf_counter() - start
     report = {
         "schema": SCHEMA_VERSION,
@@ -436,7 +415,7 @@ def _cmd_verify(args, parser) -> tuple[int, dict]:
             "samples": args.samples,
             "seed": args.seed,
             "theta_ab": args.theta_ab,
-            "threads": threads,
+            "threads": 1,  # schema-1 key: samples run on one thread
         },
         "results": [summary],
         "worst_margin": summary["worst_margin"],
@@ -444,10 +423,7 @@ def _cmd_verify(args, parser) -> tuple[int, dict]:
     }
     _write_report(report, args.out)
     status = "PASS" if summary["holds"] else "FAIL"
-    print(
-        f"verify {args.relation} dim={args.dim} samples={args.samples} "
-        f"seed={args.seed} threads={threads}"
-    )
+    print(f"verify {args.relation} dim={args.dim} samples={args.samples} seed={args.seed}")
     print(
         f"  checks={summary['checks']} worst_margin={summary['worst_margin']:.3e} "
         f"max_abs_margin={summary['max_abs_margin']:.3e} "
@@ -485,7 +461,7 @@ def _cmd_region(args, parser) -> tuple[int, dict]:
         "grid": args.grid,
         "seed": args.seed,
         "ensemble": args.ensemble,
-        "threads": _threads(),
+        "threads": 1,  # schema-1 key: samples run on one thread
     }
     finite = scan.margins[np.isfinite(scan.margins)]
     worst = float(finite.min()) if finite.size else None
@@ -663,15 +639,17 @@ def build_parser() -> argparse.ArgumentParser:
         aliases=["structure-consts"],
         help="serialize su(N) generators and structure tensors",
     )
-    p_basis.add_argument("--dim", type=int, required=True, help="Hilbert-space dimension (2..8)")
+    p_basis.add_argument(
+        "--dim", type=int, required=True, help=f"Hilbert-space dimension (2..{BASIS_MAX_DIM})"
+    )
     p_basis.add_argument("--format", choices=("json", "csv"), default="json")
     p_basis.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p_verify = sub.add_parser("verify", help="fuzz one relation over seeded random draws")
-    p_verify.add_argument("relation", choices=sorted(_RELATION_DIMS))
+    p_verify.add_argument("relation", choices=sorted(_RELATIONS))
     p_verify.add_argument("--dim", type=int, default=2)
     p_verify.add_argument("--samples", type=int, default=1000)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_seed, default=0)
     p_verify.add_argument(
         "--theta-ab",
         type=float,
@@ -685,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_region.add_argument("--theta-ab", type=float, required=True, help="axis angle in radians")
     p_region.add_argument("--samples", type=int, default=20000)
     p_region.add_argument("--grid", type=float, default=0.01)
-    p_region.add_argument("--seed", type=int, default=0)
+    p_region.add_argument("--seed", type=_seed, default=0)
     p_region.add_argument("--ensemble", choices=("pure", "mixed"), default="pure")
     p_region.add_argument("--slice-da2", type=float, default=None, help="report the dB span at this dA2")
     p_region.add_argument("--csv", default=None, help="write per-sample CSV here")
@@ -694,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compare = sub.add_parser("compare", help="compare bounds for one (state, A, B) triple")
     p_compare.add_argument("--state", default=None, help="mixed | pure:(x,y,z) | bloch:(x,y,z) | seed:K | @file | {json}")
-    p_compare.add_argument("--state-seed", type=int, default=None, help="Haar-random pure state from this seed")
+    p_compare.add_argument("--state-seed", type=_seed, default=None, help="Haar-random pure state from this seed")
     p_compare.add_argument("--A", dest="obs_a", required=True, help="sigma1|sigma2|sigma3 | n:(x,y,z) | @file | {json}")
     p_compare.add_argument("--B", dest="obs_b", required=True)
     p_compare.add_argument("--da2", type=float, default=None, help="hypothetical dA2 for the span column")

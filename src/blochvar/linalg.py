@@ -1,13 +1,10 @@
-"""Validated dense complex-matrix primitives.
+"""The validated Hermitian matrix that states, observables and generators wrap.
 
 Everything downstream works with small (dim <= ~10) complex Hermitian
-matrices, so these wrappers favour strict validation over raw speed:
-construction rejects non-finite entries, Hermitian construction stores
-the symmetrized (M + M†)/2 after checking the asymmetry is round-off
-sized, and stored arrays are frozen so instances are safe to share
-between threads.  Eigensolving delegates to LAPACK through
-``numpy.linalg.eigh``, which returns ascending eigenvalues and
-orthonormal eigenvectors.
+matrices, so construction favours strict validation over raw speed: it
+rejects non-square and non-finite input, checks the asymmetry is
+round-off sized, stores the symmetrized (M + M†)/2, and freezes the
+stored array so instances are safe to share.
 """
 
 from __future__ import annotations
@@ -16,40 +13,35 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
-__all__ = [
-    "ComplexMatrix",
-    "HermitianMatrix",
-    "matmul",
-    "trace",
-    "commutator",
-    "anticommutator",
-    "dagger",
-    "identity",
-    "eigh",
-    "HERMITICITY_ATOL",
-]
+__all__ = ["HermitianMatrix", "HERMITICITY_ATOL"]
 
 HERMITICITY_ATOL = 1e-12
 
 
-def _validated(entries) -> np.ndarray:
-    arr = np.array(entries, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-        raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("matrix entries must be finite")
-    return arr
+class HermitianMatrix:
+    """Immutable complex matrix equal to its conjugate transpose within round-off.
 
-
-class ComplexMatrix:
-    """Immutable square complex matrix."""
+    Asymmetry up to ``HERMITICITY_ATOL`` per entry is absorbed by storing
+    (M + M†)/2; anything larger is rejected as a genuine error rather
+    than silently repaired.
+    """
 
     __slots__ = ("_arr",)
 
     def __init__(self, entries):
-        arr = _validated(entries)
-        arr.setflags(write=False)
-        self._arr = arr
+        arr = np.array(entries, dtype=np.complex128)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+            raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("matrix entries must be finite")
+        asym = float(np.abs(arr - arr.conj().T).max())
+        if asym > HERMITICITY_ATOL:
+            raise ValueError(
+                f"matrix is not Hermitian: asymmetry {asym:.3e} exceeds {HERMITICITY_ATOL:g}"
+            )
+        sym = (arr + arr.conj().T) / 2.0
+        sym.setflags(write=False)
+        self._arr = sym
 
     @property
     def dim(self) -> int:
@@ -62,74 +54,3 @@ class ComplexMatrix:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim})"
-
-
-class HermitianMatrix(ComplexMatrix):
-    """Complex matrix equal to its conjugate transpose within round-off.
-
-    Asymmetry up to ``HERMITICITY_ATOL`` per entry is absorbed by storing
-    (M + M†)/2; anything larger is rejected as a genuine error rather
-    than silently repaired.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, entries):
-        arr = _validated(entries)
-        asym = float(np.abs(arr - arr.conj().T).max())
-        if asym > HERMITICITY_ATOL:
-            raise ValueError(
-                f"matrix is not Hermitian: asymmetry {asym:.3e} exceeds {HERMITICITY_ATOL:g}"
-            )
-        super().__init__((arr + arr.conj().T) / 2.0)
-
-
-def _check_same_dim(a: ComplexMatrix, b: ComplexMatrix) -> None:
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
-
-
-def matmul(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
-    """Matrix product a @ b."""
-    _check_same_dim(a, b)
-    return ComplexMatrix(a.array @ b.array)
-
-
-def trace(a: ComplexMatrix) -> complex:
-    """Sum of diagonal entries."""
-    return complex(np.trace(a.array))
-
-
-def commutator(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
-    """AB - BA."""
-    _check_same_dim(a, b)
-    return ComplexMatrix(a.array @ b.array - b.array @ a.array)
-
-
-def anticommutator(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
-    """AB + BA.  For Hermitian inputs the result is Hermitian, which the
-    constructor re-verifies."""
-    _check_same_dim(a, b)
-    return HermitianMatrix(a.array @ b.array + b.array @ a.array)
-
-
-def dagger(a: ComplexMatrix) -> ComplexMatrix:
-    """Conjugate transpose."""
-    return ComplexMatrix(a.array.conj().T)
-
-
-def identity(dim: int) -> HermitianMatrix:
-    return HermitianMatrix(np.eye(dim, dtype=np.complex128))
-
-
-def eigh(a: HermitianMatrix) -> tuple[np.ndarray, ComplexMatrix]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(w, V)`` with eigenvalues ``w`` ascending and the columns of
-    ``V`` the matching orthonormal eigenvectors.  Convergence failure on
-    pathological input surfaces as ``numpy.linalg.LinAlgError``.
-    """
-    w, v = np.linalg.eigh(a.array)
-    w = np.asarray(w, dtype=np.float64)
-    w.setflags(write=False)
-    return w, ComplexMatrix(v)

@@ -4,8 +4,7 @@ Scans draw an ensemble, record tuples of squared variances, and mark an
 occupancy grid over [0, 1]^d (cell size in squared-variance units,
 default 0.01 to match figure-level precision).  Sample i always comes
 from RNG stream i, so occupancy grows monotonically with the sample
-count for a fixed seed and results do not depend on how work is split
-across workers.
+count for a fixed seed.
 
 For qubit pair scans with unit observables the analytic boundary of the
 scalar bound is attached: with the axis angle θ_ab it is traced by
@@ -16,8 +15,8 @@ boundary form is available there.
 ``find_saturating_state`` looks for states that make the qubit bound an
 equality at fixed |p|: a golden-section search over the angle inside the
 plane spanned by the two coefficient vectors (where coplanarity predicts
-exact saturation), cross-checked by a full-sphere Nelder-Mead refinement
-that should find nothing lower.
+exact saturation), cross-checked by a deterministic compass search over
+the whole sphere that should find nothing lower.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bloch import Observable, QuantumState, state_to_matrix
 from .errors import DimensionMismatch, NumericsError
@@ -46,6 +44,7 @@ __all__ = [
 _GRID_RANGE = (1e-3, 0.1)
 _SCAN_MARGIN_FLOOR = -1e-9
 _GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0
+_COMPASS_STEPS = (0.25, 1e-10)  # first and smallest step of the sphere search, radians
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,13 +260,36 @@ def _golden_min(f, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, flo
     return d, fd, evals
 
 
+def _compass_min(f, x: tuple[float, float], fx: float) -> tuple[tuple[float, float], float, int]:
+    """Compass search of f over two coordinates from x, where f(x) = fx.
+
+    Polls the four axis moves at the current step, moves to the best one
+    if it is strictly lower, and halves the step otherwise, from
+    ``_COMPASS_STEPS[0]`` until it falls below ``_COMPASS_STEPS[1]``.
+    Returns (x, f(x), evals).
+    """
+    step, smallest = _COMPASS_STEPS
+    evals = 0
+    while step >= smallest:
+        th, ph = x
+        moves = [(th + step, ph), (th - step, ph), (th, ph + step), (th, ph - step)]
+        values = [f(m) for m in moves]
+        evals += 4
+        k = min(range(4), key=values.__getitem__)
+        if values[k] < fx:
+            x, fx = moves[k], values[k]
+        else:
+            step /= 2.0
+    return x, fx, evals
+
+
 def find_saturating_state(a: Observable, b: Observable, p_norm: float) -> SaturationResult:
     """Minimize the qubit bound margin over states with |p| = p_norm.
 
     Coplanar states are predicted to reach margin 0 for every |p|; the
     golden-section stage searches the in-plane angle to 1e-12, then a
-    Nelder-Mead pass over the whole sphere (budget 500 iterations)
-    cross-checks that nothing off-plane does better.  Parallel
+    compass search over the spherical angles (θ, φ), started at that
+    optimum, cross-checks that nothing off-plane does better.  Parallel
     coefficient vectors degenerate the plane; the search then falls back
     to the common axis.
     """
@@ -299,32 +321,21 @@ def find_saturating_state(a: Observable, b: Observable, p_norm: float) -> Satura
     phi_best, margin_best, evals = _golden_min(in_plane, 0.0, 2.0 * math.pi)
     best_p = p_norm * (math.cos(phi_best) * a_hat + math.sin(phi_best) * e_hat)
 
-    def spherical(x: np.ndarray) -> float:
-        th, ph = x
-        vec = p_norm * np.array(
-            [
-                math.sin(th) * math.cos(ph),
-                math.sin(th) * math.sin(ph),
-                math.cos(th),
-            ]
+    def on_sphere(angles: tuple[float, float]) -> np.ndarray:
+        th, ph = angles
+        return p_norm * np.array(
+            [math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)]
         )
-        return margin_at(vec)
 
     th0 = math.acos(min(1.0, max(-1.0, best_p[2] / p_norm)))
     ph0 = math.atan2(best_p[1], best_p[0])
-    result = minimize(
-        spherical,
-        x0=np.array([th0, ph0]),
-        method="Nelder-Mead",
-        options={"maxiter": 500, "xatol": 1e-10, "fatol": 1e-14},
+    angles, margin, compass_evals = _compass_min(
+        lambda x: margin_at(on_sphere(x)), (th0, ph0), margin_best
     )
-    evals += int(result.nfev)
-    if result.fun < margin_best:
-        margin_best = float(result.fun)
-        th, ph = result.x
-        best_p = p_norm * np.array(
-            [math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)]
-        )
+    evals += compass_evals
+    if margin < margin_best:
+        margin_best = margin
+        best_p = on_sphere(angles)
     return SaturationResult(
         best_state=state_to_matrix(best_p, basis),
         achieved_margin=margin_best,

@@ -64,8 +64,6 @@ from .variance import angles, variance_matrix
 
 __all__ = [
     "RelationVerdict",
-    "TradeoffCheck",
-    "RELATION_IDS",
     "check_triangle",
     "check_theorem1",
     "check_mixed_limit",
@@ -80,19 +78,6 @@ __all__ = [
     "db_span_given_da2",
     "db_span_any_state",
 ]
-
-RELATION_IDS = (
-    "triangle",
-    "theorem1",
-    "mixed_limit",
-    "pure_limit",
-    "unit_vector",
-    "three_obs_equality",
-    "appendix_b",
-    "appendix_c",
-    "robertson",
-    "state_dependent",
-)
 
 HOLDS_TOL = 1e-10
 SATURATION_TOL = 1e-9
@@ -110,18 +95,6 @@ class RelationVerdict:
     holds: bool
     saturated: bool
     tolerance: float = HOLDS_TOL
-
-
-@dataclass(frozen=True)
-class TradeoffCheck:
-    """Shifted variances and geometry entering the N-dimensional trade-off."""
-
-    x: float
-    y: float
-    a_prime2: float
-    b_prime2: float
-    g_prime: float
-    p2: float
 
 
 def _verdict(relation_id: str, lhs: float, rhs: float, tol: float = HOLDS_TOL) -> RelationVerdict:
@@ -324,21 +297,14 @@ def check_appendix_c(
             f"shifted variances disagree between routes: {x!r} vs {x_vec!r}, "
             f"{y!r} vs {y_vec!r}"
         )
-    check = TradeoffCheck(
-        x=x,
-        y=y,
-        a_prime2=a.prime_norm2,
-        b_prime2=b.prime_norm2,
-        g_prime=float(a.a_prime @ b.a_prime),
-        p2=rho.purity,
-    )
+    g_prime = float(a.a_prime @ b.a_prime)
     # a'^2 p^2 - x^2 with x = a'.p is again a wedge norm; guaranteed
     # nonnegative and cancellation-free.  The matrix-route x, y feed the
     # right-hand side as stated.
     lhs = _sqrt_checked(_wedge_norm2(a.a_prime, rho.p), "a'") * _sqrt_checked(
         _wedge_norm2(b.a_prime, rho.p), "b'"
     )
-    rhs = abs(x * y - check.g_prime * check.p2)
+    rhs = abs(x * y - g_prime * rho.purity)
     return _verdict("appendix_c", lhs, rhs, tol=1e-9)
 
 

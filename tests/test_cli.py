@@ -2,10 +2,13 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import blochvar
 from blochvar.cli import run
 
 
@@ -52,28 +55,46 @@ def test_basis_dim_out_of_range_exits_2():
     assert err.value.code == 2
 
 
+# Each case's last entry is (checks, saturated, repr(worst_margin),
+# repr(max_abs_margin)) at --samples 60 --seed 11: the equivalence oracle
+# that pins every relation's report bit for bit.
+_VERIFY_CASES = [
+    ("triangle", [], (60, 0, "0.0001263849203851919", "1.6689901015814201")),
+    ("theorem1", [], (60, 0, "1.876137637973896e-05", "0.8509320311150705")),
+    ("mixed-limit", [], (60, 60, "-4.440892098500626e-16", "4.440892098500626e-16")),
+    ("pure-limit", [], (60, 0, "2.152736703724123e-05", "0.9147899634357856")),
+    ("unit-vector", [], (60, 0, "2.1527367038531864e-05", "0.9147899634357851")),
+    (
+        "three-obs-equality",
+        ["--theta-ab", "0.7853981633974483"],
+        (60, 60, "-6.661338147750939e-16", "8.881784197001252e-16"),
+    ),
+    ("appendix-b", [], (60, 60, "-8.881784197001252e-16", "8.881784197001252e-16")),
+    ("appendix-c", ["--dim", "3"], (60, 0, "0.013823437363337939", "0.24872894013263963")),
+    ("robertson", [], (60, 0, "2.2305296556668353e-05", "0.8715808448041095")),
+    ("state-dependent", [], (120, 120, "-1.9984014443252818e-15", "1.9984014443252818e-15")),
+]
+
+
 @pytest.mark.parametrize(
-    "relation,extra",
-    [
-        ("triangle", []),
-        ("theorem1", []),
-        ("mixed-limit", []),
-        ("pure-limit", []),
-        ("unit-vector", []),
-        ("three-obs-equality", ["--theta-ab", "0.7853981633974483"]),
-        ("appendix-b", []),
-        ("appendix-c", ["--dim", "3"]),
-        ("robertson", []),
-        ("state-dependent", []),
-    ],
+    "relation,extra,expected",
+    _VERIFY_CASES,
+    ids=[f"{case[0]}-extra{i}" for i, case in enumerate(_VERIFY_CASES)],
 )
-def test_verify_relations_hold(relation, extra):
+def test_verify_relations_hold(relation, extra, expected):
     code, report = _run(["verify", relation, "--samples", "60", "--seed", "11"] + extra)
     assert code == 0
     summary = report["results"][0]
     assert summary["holds"]
     assert summary["checks"] >= 60
     assert report["config"]["seed"] == 11
+    got = (
+        summary["checks"],
+        summary["saturated"],
+        repr(summary["worst_margin"]),
+        repr(summary["max_abs_margin"]),
+    )
+    assert got == expected
 
 
 def test_verify_appendix_b_residuals():
@@ -94,6 +115,48 @@ def test_verify_unknown_relation_exits_2():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("dim", ["11", "40"])
+def test_verify_dim_above_cap_exits_2(dim):
+    with pytest.raises(SystemExit) as err:
+        _run(["verify", "appendix-c", "--dim", dim, "--samples", "1"])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "theorem1", "--seed", "-1"],
+        ["verify", "theorem1", "--seed", "18446744073709551616"],
+        ["verify", "theorem1", "--seed", "x"],
+        ["region", "pair", "--theta-ab", "0.5", "--seed", "-1"],
+        ["compare", "--state-seed", "-1", "--A", "sigma1", "--B", "sigma2"],
+    ],
+)
+def test_bad_seed_exits_2(args):
+    with pytest.raises(SystemExit) as err:
+        _run(args)
+    assert err.value.code == 2
+
+
+def test_largest_seed_is_accepted():
+    code, report = _run(["verify", "theorem1", "--samples", "2", "--seed", str(2**64 - 1)])
+    assert code == 0
+    assert report["config"]["seed"] == 2**64 - 1
+
+
+def test_cli_import_loads_no_scipy():
+    probe = (
+        "import sys, blochvar.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = os.path.dirname(os.path.dirname(blochvar.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "[]"
+
+
 def test_verify_report_is_reproducible(tmp_path):
     args = ["verify", "theorem1", "--samples", "400", "--seed", "123"]
     _, first = _run(args)
@@ -110,8 +173,9 @@ def test_verify_threads_do_not_change_results():
         _, threaded = _run(args)
     finally:
         del os.environ["UR_THREADS"]
-    assert base["worst_margin"] == threaded["worst_margin"]
-    assert threaded["config"]["threads"] == 4
+    assert base["results"] == threaded["results"]
+    assert base["config"] == threaded["config"]
+    assert threaded["config"]["threads"] == 1
 
 
 def test_region_pair_slice_and_artifacts(tmp_path):

@@ -1,129 +1,9 @@
 import numpy as np
 import pytest
 
-from blochvar import (
-    ComplexMatrix,
-    DimensionMismatch,
-    HermitianMatrix,
-    anticommutator,
-    commutator,
-    eigh,
-    identity,
-    matmul,
-    trace,
-)
-from conftest import random_density, random_hermitian
+from blochvar import DimensionMismatch, HermitianMatrix
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def matmul_oracle(a, b):
-    """Naive triple loop, the reference for the fast product."""
-    n = a.shape[0]
-    out = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            acc = 0.0 + 0.0j
-            for k in range(n):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
-def test_matmul_identity():
-    eye = identity(2)
-    assert np.allclose(matmul(eye, eye).array, np.eye(2))
-
-
-def test_matmul_pauli_algebra():
-    prod = matmul(ComplexMatrix(SIGMA1), ComplexMatrix(SIGMA2))
-    assert np.allclose(prod.array, 1j * SIGMA3, atol=1e-15)
-
-
-def test_matmul_matches_triple_loop_oracle(np_rng):
-    a = np_rng.normal(size=(3, 3)) + 1j * np_rng.normal(size=(3, 3))
-    b = np_rng.normal(size=(3, 3)) + 1j * np_rng.normal(size=(3, 3))
-    got = matmul(ComplexMatrix(a), ComplexMatrix(b)).array
-    assert np.abs(got - matmul_oracle(a, b)).max() < 1e-14
-
-
-def test_matmul_dim_mismatch():
-    with pytest.raises(DimensionMismatch):
-        matmul(identity(2), identity(3))
-
-
-def test_trace_cases(np_rng):
-    assert trace(identity(3)) == pytest.approx(3.0)
-    assert trace(ComplexMatrix(SIGMA1)) == pytest.approx(0.0)
-    for n in (2, 3, 5):
-        rho = HermitianMatrix(random_density(np_rng, n))
-        assert trace(rho).real == pytest.approx(1.0, abs=1e-13)
-        assert abs(trace(rho).imag) < 1e-13
-
-
-def test_trace_real_for_hermitian(np_rng):
-    for n in (2, 4, 6):
-        h = HermitianMatrix(random_hermitian(np_rng, n))
-        assert abs(trace(h).imag) < 1e-13
-
-
-def test_commutator_pauli():
-    got = commutator(HermitianMatrix(SIGMA1), HermitianMatrix(SIGMA2))
-    assert np.allclose(got.array, 2j * SIGMA3, atol=1e-15)
-
-
-def test_anticommutator_pauli():
-    got = anticommutator(HermitianMatrix(SIGMA1), HermitianMatrix(SIGMA1))
-    assert np.allclose(got.array, 2 * np.eye(2), atol=1e-15)
-
-
-def test_self_commutator_vanishes(np_rng):
-    h = HermitianMatrix(random_hermitian(np_rng, 4))
-    assert np.abs(commutator(h, h).array).max() < 1e-14
-
-
-def test_matmul_associativity(np_rng):
-    for _ in range(20):
-        mats = [ComplexMatrix(np_rng.normal(size=(4, 4)) + 1j * np_rng.normal(size=(4, 4)))
-                for _ in range(3)]
-        left = matmul(matmul(mats[0], mats[1]), mats[2]).array
-        right = matmul(mats[0], matmul(mats[1], mats[2])).array
-        scale = max(np.abs(m.array).max() for m in mats) ** 3
-        assert np.abs(left - right).max() < 1e-12 * max(scale, 1.0)
-
-
-def test_eigh_sigma3():
-    w, _ = eigh(HermitianMatrix(SIGMA3))
-    assert np.allclose(w, [-1.0, 1.0])
-
-
-def test_eigh_maximally_mixed():
-    w, _ = eigh(HermitianMatrix(np.eye(2) / 2))
-    assert np.allclose(w, [0.5, 0.5])
-
-
-def test_eigh_reconstruction_is_its_own_oracle(np_rng):
-    h = HermitianMatrix(random_hermitian(np_rng, 5))
-    w, v = eigh(h)
-    va = v.array
-    assert np.abs(va @ np.diag(w) @ va.conj().T - h.array).max() < 1e-9
-    # orthonormal eigenvectors, residual per pair
-    assert np.abs(va.conj().T @ va - np.eye(5)).max() < 1e-10
-    for k in range(5):
-        assert np.linalg.norm(h.array @ va[:, k] - w[k] * va[:, k]) < 1e-10
-
-
-def test_eigh_invariants(np_rng):
-    for n in (2, 3, 6):
-        h = HermitianMatrix(random_hermitian(np_rng, n))
-        w, _ = eigh(h)
-        assert np.all(np.diff(w) >= -1e-14)
-        assert sum(w) == pytest.approx(trace(h).real, abs=1e-10)
-    rho = HermitianMatrix(random_density(np_rng, 4))
-    w, _ = eigh(rho)
-    assert w[0] >= -1e-10 and w[-1] <= 1.0 + 1e-10
 
 
 def test_hermitian_symmetrizes_small_drift():
@@ -140,12 +20,12 @@ def test_hermitian_rejects_large_asymmetry():
 
 def test_rejects_nonfinite_and_nonsquare():
     with pytest.raises(ValueError, match="finite"):
-        ComplexMatrix([[np.nan, 0], [0, 1]])
+        HermitianMatrix([[np.nan, 0], [0, 1]])
     with pytest.raises(DimensionMismatch):
-        ComplexMatrix(np.zeros((2, 3)))
+        HermitianMatrix(np.zeros((2, 3)))
 
 
 def test_arrays_are_immutable():
-    m = identity(2)
+    m = HermitianMatrix(np.eye(2))
     with pytest.raises(ValueError):
         m.array[0, 0] = 5.0
