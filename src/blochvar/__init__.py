@@ -16,7 +16,6 @@ from .bloch import (
     matrix_from_json,
     observable_from_bloch,
     observable_from_matrix,
-    purity,
     state_from_matrix,
     state_to_matrix,
 )
@@ -48,14 +47,10 @@ from .relations import (
 from .sampling import (
     SampleConfig,
     Xoshiro256pp,
-    draw_bloch_shell,
     draw_mixed,
     draw_observable,
     draw_pure,
     iter_states,
-    sample_mixed,
-    sample_observable,
-    sample_pure,
 )
 from .sun_basis import (
     GeneratorBasis,

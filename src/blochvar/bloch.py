@@ -32,7 +32,6 @@ __all__ = [
     "state_to_matrix",
     "observable_from_matrix",
     "observable_from_bloch",
-    "purity",
     "completely_mixed",
     "matrix_from_json",
     "PSD_EIGENVALUE_FLOOR",
@@ -217,11 +216,6 @@ def _check_prime(arr: np.ndarray, a_prime: np.ndarray, basis: GeneratorBasis) ->
         raise ValueError(
             f"contracted vector disagrees with the A^2 decomposition by {err:.3e}"
         )
-
-
-def purity(state: QuantumState) -> float:
-    """Squared Bloch-vector norm |p|² of a state."""
-    return state.purity
 
 
 def completely_mixed(basis: GeneratorBasis) -> QuantumState:

@@ -87,6 +87,17 @@ def _seed(text: str) -> int:
     return value
 
 
+def _theta_ab(text: str) -> float:
+    """argparse type for axis angles: a number in [0, pi]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid angle {text!r}") from None
+    if not 0.0 <= value <= math.pi:  # also rejects NaN
+        raise argparse.ArgumentTypeError(f"must lie in [0, pi], got {text}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # fuzzing recipes
 
@@ -433,8 +444,6 @@ def _cmd_verify(args, parser) -> tuple[int, dict]:
 
 
 def _cmd_region(args, parser) -> tuple[int, dict]:
-    if not 0.0 <= args.theta_ab <= math.pi:
-        parser.error(f"--theta-ab must lie in [0, pi], got {args.theta_ab}")
     if not 1e-3 <= args.grid <= 0.1:
         parser.error(f"--grid must lie in [1e-3, 0.1], got {args.grid}")
     if args.samples < 1:
@@ -516,6 +525,8 @@ def _cmd_region(args, parser) -> tuple[int, dict]:
 
 
 def _cmd_compare(args, parser) -> tuple[int, dict]:
+    if args.da2 is not None and math.isnan(args.da2):
+        parser.error("--da2 must be a number, got nan")
     basis = basis_for(2)
     a = _parse_observable(args.obs_a, basis, parser)
     b = _parse_observable(args.obs_b, basis, parser)
@@ -652,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=_seed, default=0)
     p_verify.add_argument(
         "--theta-ab",
-        type=float,
+        type=_theta_ab,
         default=math.pi / 4.0,
         help="axis angle in radians (three-obs-equality only)",
     )
@@ -660,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_region = sub.add_parser("region", help="Monte-Carlo scan of a variance region")
     p_region.add_argument("mode", choices=("pair", "triple"))
-    p_region.add_argument("--theta-ab", type=float, required=True, help="axis angle in radians")
+    p_region.add_argument("--theta-ab", type=_theta_ab, required=True, help="axis angle in radians")
     p_region.add_argument("--samples", type=int, default=20000)
     p_region.add_argument("--grid", type=float, default=0.01)
     p_region.add_argument("--seed", type=_seed, default=0)

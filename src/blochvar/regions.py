@@ -29,7 +29,7 @@ import numpy as np
 from .bloch import Observable, QuantumState, state_to_matrix
 from .errors import DimensionMismatch, NumericsError
 from .relations import check_theorem1, check_three_observable_equality
-from .sampling import SampleConfig, Xoshiro256pp, _draw_for
+from .sampling import SampleConfig, iter_states
 from .sun_basis import basis_for
 from .variance import variance_bloch
 
@@ -60,8 +60,6 @@ class RegionScan:
     axes: tuple[str, ...]
     theta_ab: float
     grid: float
-    seed: int
-    kind: str
     samples: np.ndarray = field(repr=False)
     purities: np.ndarray = field(repr=False)
     margins: np.ndarray = field(repr=False)
@@ -140,8 +138,7 @@ def scan_pair(a: Observable, b: Observable, ensemble: SampleConfig, grid: float)
     purities = np.empty(count)
     margins = np.full(count, math.nan)
     qubit = ensemble.dim == 2
-    for i in range(count):
-        state = _draw_for(ensemble, Xoshiro256pp(ensemble.seed, stream=i), basis)
+    for i, state in enumerate(iter_states(ensemble)):
         samples[i, 0] = variance_bloch(a, state, basis)
         samples[i, 1] = variance_bloch(b, state, basis)
         purities[i] = state.purity
@@ -159,8 +156,6 @@ def scan_pair(a: Observable, b: Observable, ensemble: SampleConfig, grid: float)
         axes=("dA2", "dB2"),
         theta_ab=theta_ab,
         grid=grid,
-        seed=ensemble.seed,
-        kind=ensemble.kind,
         samples=samples,
         purities=purities,
         margins=margins,
@@ -192,15 +187,13 @@ def scan_triple(theta_ab: float, ensemble: SampleConfig, grid: float) -> RegionS
         raise ValueError("triple scans are defined for pure qubit ensembles only")
     if not -1e-12 <= theta_ab <= math.pi + 1e-12:
         raise ValueError(f"theta_ab = {theta_ab!r} outside [0, pi]")
-    basis = basis_for(2)
     cos_t = math.cos(theta_ab)
     sin_t = math.sin(theta_ab)
     count = ensemble.count
     samples = np.empty((count, 3))
     purities = np.empty(count)
     margins = np.empty(count)
-    for i in range(count):
-        state = _draw_for(ensemble, Xoshiro256pp(ensemble.seed, stream=i), basis)
+    for i, state in enumerate(iter_states(ensemble)):
         p = state.p
         u = p[0]
         v = p[0] * cos_t + p[1] * sin_t
@@ -216,8 +209,6 @@ def scan_triple(theta_ab: float, ensemble: SampleConfig, grid: float) -> RegionS
         axes=("dA2", "dB2", "dC2"),
         theta_ab=theta_ab,
         grid=grid,
-        seed=ensemble.seed,
-        kind=ensemble.kind,
         samples=samples,
         purities=purities,
         margins=margins,

@@ -26,7 +26,7 @@ reproducible independently of batch sizes or worker counts.
 Measures: pure states are Haar-distributed (first column of the unitary
 QR factor of a square complex Gaussian matrix, diagonal phases
 corrected); mixed states follow the Hilbert-Schmidt (Ginibre) measure
-rho = GG† / Tr[GG†], optionally rank-limited.
+rho = GG† / Tr[GG†] with G a square complex Gaussian matrix.
 """
 
 from __future__ import annotations
@@ -37,21 +37,16 @@ from typing import Iterator
 
 import numpy as np
 
-from .bloch import Observable, QuantumState, observable_from_bloch, state_from_matrix, state_to_matrix
-from .errors import UnphysicalState
+from .bloch import Observable, QuantumState, observable_from_bloch, state_from_matrix
 from .linalg import HermitianMatrix
 from .sun_basis import GeneratorBasis, basis_for
 
 __all__ = [
     "Xoshiro256pp",
     "SampleConfig",
-    "sample_pure",
-    "sample_mixed",
-    "sample_observable",
     "iter_states",
     "draw_pure",
     "draw_mixed",
-    "draw_bloch_shell",
     "draw_observable",
 ]
 
@@ -111,9 +106,6 @@ class Xoshiro256pp:
         """Uniform double in [0, 1)."""
         return (self.next_u64() >> 11) * 2.0**-53
 
-    def uniforms(self, n: int) -> np.ndarray:
-        return np.array([self.uniform() for _ in range(n)])
-
     def gaussians(self, n: int) -> np.ndarray:
         """n standard normals via Box-Muller (whole pairs consumed)."""
         out = np.empty(2 * ((n + 1) // 2))
@@ -131,7 +123,7 @@ class Xoshiro256pp:
         return (g[0::2] + 1j * g[1::2]) / math.sqrt(2.0)
 
 
-_KINDS = ("haar_pure", "hs_mixed", "rank_k_mixed", "bloch_shell")
+_KINDS = ("haar_pure", "hs_mixed")
 
 
 @dataclass(frozen=True)
@@ -142,8 +134,6 @@ class SampleConfig:
     dim: int
     count: int
     kind: str
-    rank: int | None = None
-    radius: float | None = None
 
     def __post_init__(self):
         if not 0 <= self.seed < 1 << 64:
@@ -154,13 +144,6 @@ class SampleConfig:
             raise ValueError("count must be positive")
         if self.kind not in _KINDS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
-        if self.kind == "rank_k_mixed":
-            if self.rank is None or not 1 <= self.rank <= self.dim:
-                raise ValueError("rank_k_mixed requires 1 <= rank <= dim")
-        if self.kind == "bloch_shell":
-            cap = math.sqrt(2.0 * (1.0 - 1.0 / self.dim))
-            if self.radius is None or not 0.0 <= self.radius <= cap + 1e-12:
-                raise ValueError(f"bloch_shell requires radius in [0, {cap:.6f}]")
 
 
 def draw_pure(rng: Xoshiro256pp, basis: GeneratorBasis) -> QuantumState:
@@ -175,37 +158,13 @@ def draw_pure(rng: Xoshiro256pp, basis: GeneratorBasis) -> QuantumState:
     return state_from_matrix(HermitianMatrix(rho), basis)
 
 
-def draw_mixed(rng: Xoshiro256pp, basis: GeneratorBasis, rank: int | None = None) -> QuantumState:
-    """One Hilbert-Schmidt (Ginibre) mixed state, optionally rank-limited."""
+def draw_mixed(rng: Xoshiro256pp, basis: GeneratorBasis) -> QuantumState:
+    """One Hilbert-Schmidt (Ginibre) mixed state."""
     n = basis.dim
-    k = n if rank is None else rank
-    g = rng.complex_gaussians(n * k).reshape(n, k)
+    g = rng.complex_gaussians(n * n).reshape(n, n)
     m = g @ g.conj().T
     rho = m / np.trace(m).real
     return state_from_matrix(HermitianMatrix(rho), basis)
-
-
-def draw_bloch_shell(
-    rng: Xoshiro256pp, basis: GeneratorBasis, radius: float, max_tries: int = 1000
-) -> QuantumState:
-    """One state with |p| = radius, direction isotropic.
-
-    For N > 2 the shell can poke outside the physical body, so non-PSD
-    reconstructions are rejected and redrawn.
-    """
-    n = basis.n_generators
-    for _ in range(max_tries):
-        g = rng.gaussians(n)
-        norm = float(np.linalg.norm(g))
-        if norm < 1e-12:
-            continue
-        try:
-            return state_to_matrix(radius / norm * g, basis)
-        except UnphysicalState:
-            continue
-    raise RuntimeError(
-        f"no physical state found on shell radius {radius} after {max_tries} tries"
-    )
 
 
 def draw_observable(rng: Xoshiro256pp, basis: GeneratorBasis, unit: bool = True) -> Observable:
@@ -225,41 +184,9 @@ def draw_observable(rng: Xoshiro256pp, basis: GeneratorBasis, unit: bool = True)
     return observable_from_bloch(g, basis)
 
 
-def _draw_for(cfg: SampleConfig, rng: Xoshiro256pp, basis: GeneratorBasis) -> QuantumState:
-    if cfg.kind == "haar_pure":
-        return draw_pure(rng, basis)
-    if cfg.kind == "hs_mixed":
-        return draw_mixed(rng, basis)
-    if cfg.kind == "rank_k_mixed":
-        return draw_mixed(rng, basis, rank=cfg.rank)
-    return draw_bloch_shell(rng, basis, cfg.radius)
-
-
 def iter_states(cfg: SampleConfig) -> Iterator[QuantumState]:
     """Yield the configured states one by one; sample i uses stream i."""
+    draw = draw_pure if cfg.kind == "haar_pure" else draw_mixed
     basis = basis_for(cfg.dim)
     for i in range(cfg.count):
-        yield _draw_for(cfg, Xoshiro256pp(cfg.seed, stream=i), basis)
-
-
-def sample_pure(cfg: SampleConfig) -> list[QuantumState]:
-    """Haar-random pure states per the config (kind must be haar_pure)."""
-    if cfg.kind != "haar_pure":
-        raise ValueError(f"sample_pure requires kind 'haar_pure', got {cfg.kind!r}")
-    return list(iter_states(cfg))
-
-
-def sample_mixed(cfg: SampleConfig) -> list[QuantumState]:
-    """Hilbert-Schmidt or rank-limited mixed states per the config."""
-    if cfg.kind not in ("hs_mixed", "rank_k_mixed"):
-        raise ValueError(
-            f"sample_mixed requires kind 'hs_mixed' or 'rank_k_mixed', got {cfg.kind!r}"
-        )
-    return list(iter_states(cfg))
-
-
-def sample_observable(seed: int, dim: int, basis: GeneratorBasis, unit: bool = True) -> Observable:
-    """One reproducible random observable for the given seed."""
-    if basis.dim != dim:
-        raise ValueError("basis dimension disagrees with requested dimension")
-    return draw_observable(Xoshiro256pp(seed), basis, unit=unit)
+        yield draw(Xoshiro256pp(cfg.seed, stream=i), basis)

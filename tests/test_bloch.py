@@ -10,7 +10,6 @@ from blochvar import (
     matrix_from_json,
     observable_from_bloch,
     observable_from_matrix,
-    purity,
     state_from_matrix,
     state_to_matrix,
 )
@@ -122,16 +121,16 @@ def test_expectation_equals_dot_product(basis3, np_rng):
 
 
 def test_purity_examples(basis2, basis3):
-    assert purity(completely_mixed(basis2)) == pytest.approx(0.0, abs=1e-15)
-    assert purity(completely_mixed(basis3)) == pytest.approx(0.0, abs=1e-15)
+    assert completely_mixed(basis2).purity == pytest.approx(0.0, abs=1e-15)
+    assert completely_mixed(basis3).purity == pytest.approx(0.0, abs=1e-15)
     pure3 = np.zeros((3, 3), dtype=complex)
     pure3[0, 0] = 1.0
-    assert purity(state_from_matrix(HermitianMatrix(pure3), basis3)) == pytest.approx(
+    assert state_from_matrix(HermitianMatrix(pure3), basis3).purity == pytest.approx(
         4.0 / 3.0, abs=1e-12
     )
     # 2 (Tr[rho^2] - 1/2) = 2 (0.625 - 0.5) = 0.25
     rho = HermitianMatrix(np.diag([0.75, 0.25]).astype(complex))
-    assert purity(state_from_matrix(rho, basis2)) == pytest.approx(0.25, abs=1e-14)
+    assert state_from_matrix(rho, basis2).purity == pytest.approx(0.25, abs=1e-14)
 
 
 def test_matrix_from_json(basis2):

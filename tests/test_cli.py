@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -254,11 +255,59 @@ def test_region_usage_errors():
         _run(["region", "pair", "--theta-ab", "1.0", "--grid", "0.5"])
     assert err.value.code == 2
     with pytest.raises(SystemExit) as err:
-        _run(["region", "pair", "--theta-ab", "7.0"])
-    assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
         _run(["region", "triple", "--theta-ab", "1.0", "--ensemble", "mixed"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("theta", ["7", "-0.1", "nan"])
+@pytest.mark.parametrize(
+    "args",
+    [["verify", "three-obs-equality", "--samples", "2"], ["region", "pair", "--samples", "2"]],
+    ids=["verify", "region"],
+)
+def test_theta_ab_out_of_range_exits_2(args, theta):
+    with pytest.raises(SystemExit) as err:
+        _run(args + ["--theta-ab", theta])
+    assert err.value.code == 2
+
+
+# Each case's last entry is (occupied_cells, repr(worst_margin),
+# repr(max_abs_margin), SHA-256 of the --csv file): the equivalence oracle
+# that pins every region scan bit for bit.
+_REGION_CASES = [
+    (
+        ["pair", "--ensemble", "pure", "--theta-ab", "1.0", "--samples", "400", "--seed", "21"],
+        (367, "4.879722848016854e-09", "0.4596947791187995",
+         "d8dde78106f97ec8cc39e3a8af98c3d90a2427e58108d758da7df8b0ec2e39f9"),
+    ),
+    (
+        ["pair", "--ensemble", "mixed", "--theta-ab", "1.0", "--samples", "400", "--seed", "22"],
+        (325, "2.31327271412278e-05", "0.4542258021714687",
+         "0f4b8d117c222cc43c736f4f1646871b86f5a77600e979d8a7c60e739696da9d"),
+    ),
+    (
+        ["triple", "--theta-ab", "0.7853981633974483", "--samples", "300", "--seed", "23"],
+        (296, "-8.881784197001252e-16", "8.881784197001252e-16",
+         "359b96e25ac304df1db4cd51e5ba040715921f4b49568054f2ac311e0e47b9fb"),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args,expected", _REGION_CASES, ids=["pair-pure", "pair-mixed", "triple"]
+)
+def test_region_scans_are_pinned(tmp_path, args, expected):
+    csv_path = tmp_path / "scan.csv"
+    code, report = _run(["region"] + args + ["--csv", str(csv_path)])
+    assert code == 0
+    summary = report["results"][0]
+    got = (
+        summary["occupied_cells"],
+        repr(summary["worst_margin"]),
+        repr(summary["max_abs_margin"]),
+        hashlib.sha256(csv_path.read_bytes()).hexdigest(),
+    )
+    assert got == expected
 
 
 def test_region_reports_reproduce():
@@ -327,6 +376,9 @@ def test_compare_usage_errors():
     assert err.value.code == 2
     with pytest.raises(SystemExit) as err:
         _run(["compare", "--state", "mixed", "--A", "sigma9", "--B", "sigma2"])
+    assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        _run(["compare", "--state", "mixed", "--A", "sigma1", "--B", "sigma2", "--da2", "nan"])
     assert err.value.code == 2
 
 

@@ -7,12 +7,12 @@ from blochvar import (
     SampleConfig,
     Xoshiro256pp,
     check_unit_vector_relation,
-    draw_bloch_shell,
     draw_observable,
     find_saturating_state,
     observable_from_bloch,
     scan_pair,
     scan_triple,
+    state_to_matrix,
 )
 
 
@@ -152,7 +152,8 @@ def test_in_plane_beats_random_off_plane(basis2):
     from blochvar import check_theorem1
 
     for _ in range(10000):
-        state = draw_bloch_shell(rng, basis2, radius=0.5)
+        g = rng.gaussians(3)
+        state = state_to_matrix(0.5 / np.linalg.norm(g) * g, basis2)
         best_random = min(best_random, check_theorem1(a, b, state).margin)
     assert result.achieved_margin <= best_random
 
