@@ -71,9 +71,11 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 # Largest --dim per subcommand: basis serializes dense tensors; verify
-# stops before the dense su(N) build outgrows memory.
+# stops at the largest N its sparse su(N) build and per-sample
+# eigensolves are tested at (N = 16: about 0.7 s and 50 MB for 20
+# appendix-c samples).
 BASIS_MAX_DIM = 8
-VERIFY_MAX_DIM = 10
+VERIFY_MAX_DIM = 16
 
 
 def _seed(text: str) -> int:
@@ -87,15 +89,23 @@ def _seed(text: str) -> int:
     return value
 
 
-def _theta_ab(text: str) -> float:
-    """argparse type for axis angles: a number in [0, pi]."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid angle {text!r}") from None
-    if not 0.0 <= value <= math.pi:  # also rejects NaN
-        raise argparse.ArgumentTypeError(f"must lie in [0, pi], got {text}")
-    return value
+def _closed_interval(lo: float, hi: float, hi_name: str):
+    """argparse type for a number in [lo, hi]; NaN is rejected."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+        if not lo <= value <= hi:  # also rejects NaN
+            raise argparse.ArgumentTypeError(f"must lie in [{lo:g}, {hi_name}], got {text}")
+        return value
+
+    return parse
+
+
+_theta_ab = _closed_interval(0.0, math.pi, "pi")  # axis angles
+_unit_fraction = _closed_interval(0.0, 1.0, "1")  # squared variances of unit observables
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +516,8 @@ def _cmd_region(args, parser) -> tuple[int, dict]:
             "db_max": hi,
             "count": count,
         }
-        print(f"  slice dA2={args.slice_da2}: dB range [{lo:.4f}, {hi:.4f}] ({count} samples)")
+        span = f"dB range [{lo:.4f}, {hi:.4f}] ({count} samples)" if count else "no samples"
+        print(f"  slice dA2={args.slice_da2}: {span}")
     if scan.theta_ab <= 1e-12:
         diff = np.abs(np.sqrt(scan.samples[:, 1]) - np.sqrt(scan.samples[:, 0])).max()
         report["results"][0]["degenerate_line"] = float(diff)
@@ -676,7 +687,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_region.add_argument("--grid", type=float, default=0.01)
     p_region.add_argument("--seed", type=_seed, default=0)
     p_region.add_argument("--ensemble", choices=("pure", "mixed"), default="pure")
-    p_region.add_argument("--slice-da2", type=float, default=None, help="report the dB span at this dA2")
+    p_region.add_argument(
+        "--slice-da2", type=_unit_fraction, default=None, help="report the dB span at this dA2 in [0, 1]"
+    )
     p_region.add_argument("--csv", default=None, help="write per-sample CSV here")
     p_region.add_argument("--json", default=None, help="write occupancy JSON here")
     p_region.add_argument("--out", default=None, help="write the JSON report here")

@@ -23,6 +23,24 @@ d_jkl = Tr({g_j, g_k} g_l) / 4.  Both tensors are stored sparsely, keyed
 on ascending 1-based index triples: f on its strictly increasing triples
 (a permutation carries the parity sign), d on its non-decreasing triples
 (all permutations equal).  Entries below 1e-12 in magnitude are dropped.
+
+Construction
+------------
+No dense (N²-1)³ array is built.  Every generator has at most one nonzero
+per row, so T[j, k, l] = Tr[g_j g_k g_l] = Σ_a (g_j g_k)[a, c] g_l[c, a]
+has at most N terms, one per row a: a closed path a -> b -> c -> a
+through one nonzero of each generator.  The paths are found by joining
+the generators' nonzero entries on their row and (row, column) keys, so
+the work grows with the number of paths, not with (N²-1)³.  Each term is
+(g_j[a, b] g_k[b, c]) g_l[c, a], and each T[j, k, l] sums its terms in
+ascending row a, starting from zero, one elementwise complex addition at
+a time.  That is the order of the dense einsum product, so f, d and the
+key order are bit-identical to it; tests/test_sun_basis.py keeps the
+dense build as the oracle.  A BLAS matmul route is avoided on purpose:
+it changes the summation order and moves d by 1 ulp for N >= 5.  f and d
+follow elementwise as (T[j,k,l] ∓ T[k,j,l]) / (4i or 4), and the
+"not real" residual is taken over every (j, k, l) where T has a term;
+everywhere else both tensors are exactly zero.
 """
 
 from __future__ import annotations
@@ -122,6 +140,59 @@ def _generator_arrays(n: int) -> list[np.ndarray]:
     return mats
 
 
+def _join(keys: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All pairs (i, e) with keys[e] == wanted[i]: i ascending, then e ascending."""
+    order = np.argsort(keys, kind="stable")
+    start = np.searchsorted(keys[order], wanted, side="left")
+    count = np.searchsorted(keys[order], wanted, side="right") - start
+    owner = np.repeat(np.arange(wanted.size), count)
+    offset = np.arange(owner.size) - (np.cumsum(count) - count)[owner]
+    return owner, order[start[owner] + offset]
+
+
+def _sparse_tensors(gen, row, col, val, n: int) -> tuple[dict, dict]:
+    """f and d maps from the generators' nonzero entries g[gen][row, col] = val,
+    built as described in the module docstring."""
+    ngen = n * n - 1
+    # Every closed path a -> b -> c -> a through g_j[a, b], g_k[b, c] and
+    # g_l[c, a] is one term of T[j, k, l] = Tr[g_j g_k g_l].
+    e1, e2 = _join(row, col)
+    path, e3 = _join(row * n + col, col[e2] * n + row[e1])
+    e1, e2 = e1[path], e2[path]
+    terms = val[e1] * val[e2] * val[e3]
+    code = (gen[e1] * ngen + gen[e2]) * ngen + gen[e3]
+    order = np.argsort(code * n + row[e1], kind="stable")
+    code, terms = code[order], terms[order]
+
+    # Sum each triple's terms from zero in ascending row a: np.add.at adds
+    # in index order, and the terms are sorted by (triple, a).
+    first = np.ones(code.size, dtype=bool)
+    first[1:] = code[1:] != code[:-1]
+    t_codes = code[first]
+    t = np.zeros(t_codes.size, dtype=np.complex128)
+    np.add.at(t, np.cumsum(first) - 1, terms)
+
+    # The generators are Hermitian, so the reversed path c -> b -> a -> c
+    # is one for T[k, j, l]: t_codes holds the partner (k, j, l) of each of
+    # its triples, and every structurally nonzero f or d entry.
+    j, k, l = t_codes // (ngen * ngen), t_codes // ngen % ngen, t_codes % ngen
+    swapped = (k * ngen + j) * ngen + l
+    partner = np.searchsorted(t_codes, swapped)
+    assert np.array_equal(t_codes[partner], swapped)
+    f_all = (t - t[partner]) / 4.0j
+    d_all = (t + t[partner]) / 4.0
+    worst_imag = max(np.abs(f_all.imag).max(), np.abs(d_all.imag).max())
+    if worst_imag > 1e-12:
+        raise NumericsError(f"structure constants not real: residual {worst_imag:.3e}")
+
+    keys = np.stack([j + 1, k + 1, l + 1], axis=1)
+    keep_d = (j <= k) & (k <= l) & (np.abs(d_all.real) >= _SPARSE_CUTOFF)
+    keep_f = (j < k) & (k < l) & (np.abs(f_all.real) >= _SPARSE_CUTOFF)
+    d_tensor = dict(zip(map(tuple, keys[keep_d].tolist()), d_all.real[keep_d].tolist()))
+    f_tensor = dict(zip(map(tuple, keys[keep_f].tolist()), f_all.real[keep_f].tolist()))
+    return f_tensor, d_tensor
+
+
 def build_basis(n: int) -> GeneratorBasis:
     """Construct the canonical su(N) generator basis with its tensors.
 
@@ -139,52 +210,21 @@ def build_basis(n: int) -> GeneratorBasis:
     traces = np.abs(np.einsum("jaa->j", stack))
     if traces.max() > 1e-13:
         raise NumericsError(f"generator trace residual {traces.max():.3e}")
-    gram = np.einsum("jab,kba->jk", stack, stack)
+    gen, row, col = np.nonzero(stack)
+    val = stack[gen, row, col]
+    e1, e2 = _join(row * n + col, col * n + row)  # pairs g_j[a, b] g_k[b, a]
+    gram = np.zeros((ngen, ngen), dtype=np.complex128)
+    np.add.at(gram, (gen[e1], gen[e2]), val[e1] * val[e2])
     if np.abs(gram - 2.0 * np.eye(ngen)).max() > 1e-12:
         raise NumericsError("generator orthogonality residual exceeds 1e-12")
 
-    # T[j,k,l] = Tr[g_j g_k g_l]; commutator/anticommutator traces follow
-    # from its antisymmetric/symmetric parts in (j, k).
-    prod = np.einsum("jab,kbc->jkac", stack, stack)
-    t = np.einsum("jkab,lba->jkl", prod, stack)
-    f_dense = (t - t.transpose(1, 0, 2)) / 4.0j
-    d_dense = (t + t.transpose(1, 0, 2)) / 4.0
-    worst_imag = max(np.abs(f_dense.imag).max(), np.abs(d_dense.imag).max())
-    if worst_imag > 1e-12:
-        raise NumericsError(f"structure constants not real: residual {worst_imag:.3e}")
-    f_dense = f_dense.real
-    d_dense = d_dense.real
-
-    f_tensor: dict[tuple[int, int, int], float] = {}
-    d_tensor: dict[tuple[int, int, int], float] = {}
-    for j in range(ngen):
-        for k in range(j, ngen):
-            for l in range(k, ngen):
-                dv = d_dense[j, k, l]
-                if abs(dv) >= _SPARSE_CUTOFF:
-                    d_tensor[(j + 1, k + 1, l + 1)] = float(dv)
-                if j < k < l:
-                    fv = f_dense[j, k, l]
-                    if abs(fv) >= _SPARSE_CUTOFF:
-                        f_tensor[(j + 1, k + 1, l + 1)] = float(fv)
+    f_tensor, d_tensor = _sparse_tensors(gen, row, col, val, n)
 
     # Ordered expansion of the d entries for fast a' contraction.
-    jj: list[int] = []
-    kk: list[int] = []
-    ll: list[int] = []
-    vv: list[float] = []
-    for (a, b, c), value in d_tensor.items():
-        for pa, pb, pc in set(permutations((a, b, c))):
-            jj.append(pa - 1)
-            kk.append(pb - 1)
-            ll.append(pc - 1)
-            vv.append(value)
-    d_ordered = (
-        np.array(jj, dtype=np.intp),
-        np.array(kk, dtype=np.intp),
-        np.array(ll, dtype=np.intp),
-        np.array(vv, dtype=np.float64),
-    )
+    expanded = [(p, v) for key, v in d_tensor.items() for p in set(permutations(key))]
+    index = np.array([p for p, _ in expanded], dtype=np.intp).reshape(-1, 3) - 1
+    values = np.array([v for _, v in expanded], dtype=np.float64)
+    d_ordered = (*np.ascontiguousarray(index.T), values)
 
     stack.setflags(write=False)
     generators = tuple(HermitianMatrix(m) for m in mats)

@@ -116,11 +116,18 @@ def test_verify_unknown_relation_exits_2():
     assert err.value.code == 2
 
 
-@pytest.mark.parametrize("dim", ["11", "40"])
+@pytest.mark.parametrize("dim", ["17", "40"])
 def test_verify_dim_above_cap_exits_2(dim):
     with pytest.raises(SystemExit) as err:
         _run(["verify", "appendix-c", "--dim", dim, "--samples", "1"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("relation", ["appendix-c", "robertson"])
+def test_verify_runs_at_dim_cap(relation):
+    code, report = _run(["verify", relation, "--dim", "16", "--samples", "2"])
+    assert code == 0
+    assert report["results"][0]["checks"] >= 2
 
 
 @pytest.mark.parametrize(
@@ -145,17 +152,30 @@ def test_largest_seed_is_accepted():
     assert report["config"]["seed"] == 2**64 - 1
 
 
+def _fresh_python(probe):
+    """stdout of ``probe`` run in a new interpreter that imports this blochvar."""
+    src = os.path.dirname(os.path.dirname(blochvar.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+    ).stdout
+
+
 def test_cli_import_loads_no_scipy():
     probe = (
         "import sys, blochvar.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    src = os.path.dirname(os.path.dirname(blochvar.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
-    ).stdout
-    assert out.strip() == "[]"
+    assert _fresh_python(probe).strip() == "[]"
+
+
+def test_basis_build_loads_no_numpy_ma():
+    # np.unique imports numpy.ma on first use: about 13 ms of set-up on a 2 vCPU Xeon.
+    probe = (
+        "import sys, blochvar.cli; from blochvar import basis_for; "
+        "basis_for(2); basis_for(10); print('numpy.ma' in sys.modules)"
+    )
+    assert _fresh_python(probe).strip() == "False"
 
 
 def test_verify_report_is_reproducible(tmp_path):
@@ -257,6 +277,22 @@ def test_region_usage_errors():
     with pytest.raises(SystemExit) as err:
         _run(["region", "triple", "--theta-ab", "1.0", "--ensemble", "mixed"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "1.5", "-0.1", "x"])
+def test_slice_da2_out_of_range_exits_2(value):
+    with pytest.raises(SystemExit) as err:
+        _run(["region", "pair", "--theta-ab", "1.0", "--samples", "2", "--slice-da2", value])
+    assert err.value.code == 2
+
+
+def test_empty_slice_says_no_samples(capsys):
+    code, report = _run(
+        ["region", "pair", "--theta-ab", "1.0", "--samples", "10", "--slice-da2", "0.5"]
+    )
+    assert code == 0
+    assert report["results"][0]["slice"]["count"] == 0
+    assert "slice dA2=0.5: no samples" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("theta", ["7", "-0.1", "nan"])

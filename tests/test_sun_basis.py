@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,57 @@ def f_oracle(gens, j, k, l):
 def d_oracle(gens, j, k, l):
     a, b, c = gens[j - 1].array, gens[k - 1].array, gens[l - 1].array
     return float((np.trace((a @ b + b @ a) @ c) / 4).real)
+
+
+def dense_reference(stack):
+    """The dense build: f, d and the ordered d expansion from the full
+    (N²-1)³ tensor Tr[g_j g_k g_l], filtered in a triple loop."""
+    ngen = stack.shape[0]
+    prod = np.einsum("jab,kbc->jkac", stack, stack)
+    t = np.einsum("jkab,lba->jkl", prod, stack)
+    f_dense = ((t - t.transpose(1, 0, 2)) / 4.0j).real
+    d_dense = ((t + t.transpose(1, 0, 2)) / 4.0).real
+    f_tensor, d_tensor = {}, {}
+    for j in range(ngen):
+        for k in range(j, ngen):
+            for l in range(k, ngen):
+                if abs(d_dense[j, k, l]) >= 1e-12:
+                    d_tensor[(j + 1, k + 1, l + 1)] = float(d_dense[j, k, l])
+                if j < k < l and abs(f_dense[j, k, l]) >= 1e-12:
+                    f_tensor[(j + 1, k + 1, l + 1)] = float(f_dense[j, k, l])
+    expanded = [(p, v) for key, v in d_tensor.items() for p in set(permutations(key))]
+    d_ordered = (
+        np.array([p[0] - 1 for p, _ in expanded], dtype=np.intp),
+        np.array([p[1] - 1 for p, _ in expanded], dtype=np.intp),
+        np.array([p[2] - 1 for p, _ in expanded], dtype=np.intp),
+        np.array([v for _, v in expanded], dtype=np.float64),
+    )
+    return f_tensor, d_tensor, d_ordered
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_sparse_build_is_bit_identical_to_dense(n):
+    basis = build_basis(n)
+    f_ref, d_ref, ordered_ref = dense_reference(basis.stacked())
+    for got, ref in ((basis.f_tensor, f_ref), (basis.d_tensor, d_ref)):
+        assert list(got) == list(ref)
+        assert [v.hex() for v in got.values()] == [v.hex() for v in ref.values()]
+    for got, ref in zip(basis._d_ordered, ordered_ref, strict=True):
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_large_dims_match_trace_oracle(n):
+    basis = basis_for(n)
+    gens = basis.generators
+    rng = np.random.default_rng(n)
+    stored = list(basis.d_tensor) + list(basis.f_tensor)
+    triples = [tuple(rng.integers(1, basis.n_generators + 1, size=3)) for _ in range(100)]
+    triples += [tuple(rng.permutation(stored[i])) for i in rng.integers(len(stored), size=100)]
+    for j, k, l in triples:
+        assert structure_f(basis, j, k, l) == pytest.approx(f_oracle(gens, j, k, l), abs=1e-12)
+        assert structure_d(basis, j, k, l) == pytest.approx(d_oracle(gens, j, k, l), abs=1e-12)
 
 
 def test_qubit_basis_is_the_pauli_triple(basis2):
