@@ -12,22 +12,37 @@ Positivity is verified, never assumed: reconstructing a matrix from a
 Bloch vector checks the smallest eigenvalue, because for N > 2 the
 physical Bloch body is a proper subset of the norm ball and silently
 clipping would corrupt boundary searches downstream.
+
+``StateBatch`` and ``ObservableBatch`` are the struct-of-arrays forms
+the batched qubit engine uses: row i is the state or observable of RNG
+stream i.  ``state_from_matrix_batch`` and ``observable_from_bloch_batch``
+run every check of the scalar constructors in array form, at the same
+tolerance, and mark the rows that fail in ``bad`` instead of raising;
+the caller replays the first bad row on the scalar path, which raises
+the scalar exception.  Rows that pass are bit-identical to the scalar
+objects.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, UnphysicalState
-from .linalg import HermitianMatrix
+from .linalg import HermitianMatrix, hermitian_batch, per_element, row_dot
 from .sun_basis import GeneratorBasis
 
 __all__ = [
     "QuantumState",
     "Observable",
+    "StateBatch",
+    "ObservableBatch",
+    "state_from_matrix_batch",
+    "repeat_state",
+    "observable_from_bloch_batch",
     "state_from_matrix",
     "state_to_matrix",
     "observable_from_matrix",
@@ -216,6 +231,86 @@ def _check_prime(arr: np.ndarray, a_prime: np.ndarray, basis: GeneratorBasis) ->
         raise ValueError(
             f"contracted vector disagrees with the A^2 decomposition by {err:.3e}"
         )
+
+
+class StateBatch(NamedTuple):
+    """Qubit states, one per row: ``rho`` (n, 2, 2), ``p`` (n, 3) and
+    ``purity`` (n,) as ``QuantumState`` holds them; ``bad`` (n,) marks
+    rows that failed a check (their other fields are unspecified)."""
+
+    rho: np.ndarray
+    p: np.ndarray
+    purity: np.ndarray
+    bad: np.ndarray
+
+
+class ObservableBatch(NamedTuple):
+    """Qubit observables, one per row: ``matrix`` (n, 2, 2), ``a`` (n, 3)
+    and ``norm2`` (n,) as ``Observable`` holds them (``a_prime`` vanishes
+    for su(2)); ``bad`` as in ``StateBatch``."""
+
+    matrix: np.ndarray
+    a: np.ndarray
+    norm2: np.ndarray
+    bad: np.ndarray
+
+
+def _require_qubit_basis(basis: GeneratorBasis) -> None:
+    # The lanes forms are pinned bit for bit at N = 2 only (the stacked
+    # wedge einsum already sums in another order at N = 10).
+    if basis.dim != 2:
+        raise DimensionMismatch(f"batched forms are defined for qubits only, got dim {basis.dim}")
+
+
+def state_from_matrix_batch(rho: np.ndarray, basis: GeneratorBasis) -> StateBatch:
+    """Lanes form of ``state_from_matrix(HermitianMatrix(rho[i]), basis)``."""
+    _require_qubit_basis(basis)
+    rho, bad = hermitian_batch(rho)
+    coeffs = np.einsum("nab,jba->nj", rho, basis.stacked())
+    bad |= np.abs(coeffs.imag).max(axis=1) > 1e-12
+    # QuantumState.__post_init__, row by row; it sees the strided view
+    # coeffs.real and stores a contiguous copy, and the BLAS dot of each
+    # can round differently, so both are kept.
+    tr = np.trace(rho, axis1=1, axis2=2).real
+    bad |= np.abs(tr - 1.0) > _TRACE_ATOL
+    d0 = rho[:, 0, 0].real
+    d1 = rho[:, 1, 1].real
+    radius = per_element(math.hypot, 0.5 * (d0 - d1), per_element(abs, rho[:, 0, 1]))
+    bad |= 0.5 * (d0 + d1) - radius < PSD_EIGENVALUE_FLOOR
+    p2 = row_dot(coeffs.real, coeffs.real)
+    ref = 2.0 * (np.einsum("nab,nba->n", rho, rho).real - 1.0 / basis.dim)
+    bad |= np.abs(p2 - ref) > _CONSISTENCY_ATOL
+    bad |= p2 > 2.0 * (1.0 - 1.0 / basis.dim) + 1e-10
+    p = np.ascontiguousarray(coeffs.real)
+    return StateBatch(rho, p, row_dot(p, p), bad)
+
+
+def repeat_state(state: QuantumState, count: int) -> StateBatch:
+    """``count`` rows of one validated state."""
+    rho = np.repeat(state.rho.array[None], count, axis=0)
+    p = np.repeat(state.p[None], count, axis=0)
+    return StateBatch(rho, p, np.full(count, state.purity), np.zeros(count, dtype=bool))
+
+
+def observable_from_bloch_batch(vec: np.ndarray, basis: GeneratorBasis) -> ObservableBatch:
+    """Lanes form of ``observable_from_bloch(vec[i], basis)``."""
+    _require_qubit_basis(basis)
+    vec = np.asarray(vec, dtype=np.float64)
+    arr = np.einsum("nj,jab->nab", vec, basis.stacked())
+    a_prime = np.zeros_like(vec)  # d_jkl vanishes for su(2)
+    # _check_prime, row by row.
+    sq = arr @ arr
+    sq = sq - (np.trace(sq, axis1=1, axis2=2).real / basis.dim)[:, None, None] * np.eye(basis.dim)
+    ref = 0.5 * np.einsum("nab,jba->nj", sq, basis.stacked()).real
+    bad = np.abs(a_prime - ref).max(axis=1, initial=0.0) > _CONSISTENCY_ATOL
+    matrix, bad_h = hermitian_batch(arr)
+    bad |= bad_h
+    # Observable.__post_init__, row by row.
+    bad |= per_element(abs, np.trace(matrix, axis1=1, axis2=2)) > _TRACE_ATOL
+    norm2 = row_dot(vec, vec)
+    ref = 0.5 * np.einsum("nab,nba->n", matrix, matrix).real
+    bad |= np.abs(norm2 - ref) > _CONSISTENCY_ATOL
+    return ObservableBatch(matrix, vec, norm2, bad)
 
 
 def completely_mixed(basis: GeneratorBasis) -> QuantumState:

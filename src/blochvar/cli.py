@@ -5,8 +5,10 @@ Subcommands
 basis (alias: structure-consts)
     Serialize the su(N) generators and sparse f/d tensors as JSON or CSV.
 verify
-    Fuzz one relation over seeded random draws (N <= 10); exit 0 iff
-    every check holds at the relation's tolerance.
+    Fuzz one relation over seeded random draws (N <= 16); exit 0 iff
+    every check holds at the relation's tolerance.  At N = 2 every
+    relation but appendix-c runs on the batched engine, whose reports are
+    bit-identical to the per-stream loop's.
 region
     Monte-Carlo scan of a variance region (pair or axis triple) with CSV
     and JSON artifacts plus slice summaries.
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -39,27 +42,50 @@ from .bloch import (
     matrix_from_json,
     observable_from_bloch,
     observable_from_matrix,
+    repeat_state,
     state_from_matrix,
     state_to_matrix,
 )
-from .errors import NotApplicable, UnphysicalState
+from .errors import NotApplicable, NumericsError, UnphysicalState
+from .linalg import per_element, py_max, row_dot
 from .regions import RegionScan, scan_pair, scan_triple
 from .relations import (
+    HOLDS_TOL,
+    SATURATION_TOL,
     check_appendix_b,
+    check_appendix_b_batch,
     check_appendix_c,
     check_mixed_limit,
+    check_mixed_limit_batch,
     check_pure_limit,
+    check_pure_limit_batch,
     check_theorem1,
+    check_theorem1_batch,
     check_three_observable_equality,
+    check_three_observable_equality_batch,
     check_triangle,
+    check_triangle_batch,
     check_unit_vector_relation,
+    check_unit_vector_relation_batch,
     db_span_any_state,
     db_span_given_da2,
     effective_axis_angle,
+    effective_axis_angle_batch,
     robertson_bound,
+    robertson_bound_batch,
     state_dependent_bound,
+    state_dependent_bound_batch,
 )
-from .sampling import SampleConfig, Xoshiro256pp, draw_mixed, draw_observable, draw_pure
+from .sampling import (
+    SampleConfig,
+    Xoshiro256pp,
+    XoshiroLanes,
+    draw_mixed,
+    draw_observable,
+    draw_observable_batch,
+    draw_pure,
+    draw_states_batch,
+)
 from .sun_basis import basis_for, max_algebra_residual
 from .variance import variance_matrix
 
@@ -76,6 +102,10 @@ EXIT_USAGE = 2
 # appendix-c samples).
 BASIS_MAX_DIM = 8
 VERIFY_MAX_DIM = 16
+
+# Streams per chunk of the batched engine: it holds a few dozen arrays of
+# this many rows at a time, so its memory is bounded at any --samples.
+ENGINE_CHUNK = 2048
 
 
 def _seed(text: str) -> int:
@@ -141,6 +171,47 @@ def _unit_vector(a: Observable, b: Observable, state: QuantumState):
     return [check_unit_vector_relation(theta, da2, db2)]
 
 
+def _mixture_lanes(rng: XoshiroLanes, basis, streams: np.ndarray):
+    return draw_states_batch(rng, basis, streams % 2 == 0)
+
+
+def _pure_lanes(rng: XoshiroLanes, basis, streams: np.ndarray):
+    return draw_states_batch(rng, basis, np.ones(streams.size, dtype=bool))
+
+
+def _mixed_lanes(rng: XoshiroLanes, basis, streams: np.ndarray):
+    return draw_states_batch(rng, basis, np.zeros(streams.size, dtype=bool))
+
+
+def _pair_lanes(check):
+    """Lanes form of ``_pair``: every lane draws A, then B."""
+
+    def checker(rng: XoshiroLanes, basis, state, theta_ab: float):
+        a = draw_observable_batch(rng, basis)
+        b = draw_observable_batch(rng, basis)
+        return check(a, b, state)
+
+    return checker
+
+
+def _squared(x: float) -> float:
+    return x**2  # libm pow, as the scalar path evaluates it
+
+
+def _unit_vector_lanes(a, b, state):
+    da2 = py_max(1.0 - per_element(_squared, row_dot(a.a, state.p)), 0.0)
+    db2 = py_max(1.0 - per_element(_squared, row_dot(b.a, state.p)), 0.0)
+    theta = effective_axis_angle_batch(a, b, state)
+    margins, bad = check_unit_vector_relation_batch(theta, da2, db2)
+    return margins, bad | a.bad | b.bad | state.bad
+
+
+def _state_dependent_lanes(a, b, state):
+    plus, bad_plus = state_dependent_bound_batch(a, b, state, 1)
+    minus, bad_minus = state_dependent_bound_batch(a, b, state, -1)
+    return np.stack([plus, minus], axis=1), bad_plus | bad_minus
+
+
 def _project_orthogonal(p: np.ndarray, vecs: list[np.ndarray]) -> np.ndarray:
     out = p.astype(np.float64).copy()
     frame: list[np.ndarray] = []
@@ -176,61 +247,136 @@ def _appendix_c_sample(basis, rng: Xoshiro256pp, max_tries: int = 200):
 
 
 # relation -> (dims it is defined for, None = any N >= 2; state recipe;
-# checker).  A sample runs the recipe, then the checker, on its own RNG
-# stream, so the state is drawn before A and B (appendix-c draws all three
-# inside its rejection loop).  Entries reach the draw and check functions
-# through lambdas, which look the names up at call time, so a wrapper put
-# on this module's names (as bench/tracer.py does) sees every call.
+# checker; lanes form or None).  A sample runs the recipe, then the
+# checker, on its own RNG stream, so the state is drawn before A and B
+# (appendix-c draws all three inside its rejection loop).
+#
+# The lanes form is the same (recipe, checker) pair on the batched
+# engine: the recipe takes an XoshiroLanes over a chunk of streams and
+# returns a StateBatch, the checker draws ObservableBatch rows in the
+# same order and returns (margins, bad), one row per stream and one
+# column per verdict.  `_verdicts` runs it at N = 2, where every margin
+# is bit-identical to the per-stream loop's; appendix-c (rejection
+# sampling) and N > 2 run the loop.
+#
+# Entries reach the draw and check functions through lambdas or helpers
+# that look the names up at call time, so a wrapper put on this module's
+# names (as bench/tracer.py does) sees every call.
 _RELATIONS = {
-    "triangle": ((2,), _mixture_state, _pair(lambda a, b, s: [check_triangle(a, b, s)])),
-    "theorem1": ((2,), _mixture_state, _pair(lambda a, b, s: [check_theorem1(a, b, s)])),
+    "triangle": (
+        (2,),
+        _mixture_state,
+        _pair(lambda a, b, s: [check_triangle(a, b, s)]),
+        (_mixture_lanes, _pair_lanes(lambda a, b, s: check_triangle_batch(a, b, s))),
+    ),
+    "theorem1": (
+        (2,),
+        _mixture_state,
+        _pair(lambda a, b, s: [check_theorem1(a, b, s)]),
+        (_mixture_lanes, _pair_lanes(lambda a, b, s: check_theorem1_batch(a, b, s))),
+    ),
     "mixed-limit": (
         (2,),
         lambda rng, basis, i: completely_mixed(basis),
         _pair(lambda a, b, s: [check_mixed_limit(a, b, s)]),
+        (
+            lambda rng, basis, streams: repeat_state(completely_mixed(basis), streams.size),
+            _pair_lanes(lambda a, b, s: check_mixed_limit_batch(a, b, s)),
+        ),
     ),
-    "pure-limit": ((2,), _pure_state, _pair(lambda a, b, s: [check_pure_limit(a, b, s)])),
-    "unit-vector": ((2,), _pure_state, _pair(_unit_vector)),
+    "pure-limit": (
+        (2,),
+        _pure_state,
+        _pair(lambda a, b, s: [check_pure_limit(a, b, s)]),
+        (_pure_lanes, _pair_lanes(lambda a, b, s: check_pure_limit_batch(a, b, s))),
+    ),
+    "unit-vector": (
+        (2,),
+        _pure_state,
+        _pair(_unit_vector),
+        (_pure_lanes, _pair_lanes(_unit_vector_lanes)),
+    ),
     "three-obs-equality": (
         (2,),
         _pure_state,
         lambda rng, basis, s, theta_ab: [check_three_observable_equality(theta_ab, s)],
+        (
+            _pure_lanes,
+            lambda rng, basis, s, theta_ab: check_three_observable_equality_batch(theta_ab, s),
+        ),
     ),
     "appendix-b": (
         (2,),
         lambda rng, basis, i: draw_mixed(rng, basis),
         lambda rng, basis, s, theta_ab: [check_appendix_b(s)],
+        (_mixed_lanes, lambda rng, basis, s, theta_ab: check_appendix_b_batch(s)),
     ),
     "appendix-c": (
         None,
         lambda rng, basis, i: None,
         lambda rng, basis, s, theta_ab: [_appendix_c_sample(basis, rng)],
+        None,
     ),
-    "robertson": (None, _mixture_state, _pair(lambda a, b, s: [robertson_bound(a, b, s)])),
+    "robertson": (
+        None,
+        _mixture_state,
+        _pair(lambda a, b, s: [robertson_bound(a, b, s)]),
+        (_mixture_lanes, _pair_lanes(lambda a, b, s: robertson_bound_batch(a, b, s))),
+    ),
     "state-dependent": (
         (2,),
         _pure_state,
         _pair(lambda a, b, s: [state_dependent_bound(a, b, s, 1), state_dependent_bound(a, b, s, -1)]),
+        (_pure_lanes, _pair_lanes(_state_dependent_lanes)),
     ),
 }
 
 
-def _fuzz(relation: str, dim: int, samples: int, seed: int, theta_ab: float) -> dict:
-    _, recipe, checker = _RELATIONS[relation]
+def _sample(relation: str, basis, seed: int, index: int, theta_ab: float) -> list:
+    """The verdicts of sample ``index``, drawn from stream ``index``."""
+    _, recipe, checker, _ = _RELATIONS[relation]
+    rng = Xoshiro256pp(seed, stream=index)
+    return checker(rng, basis, recipe(rng, basis, index), theta_ab)
+
+
+def _verdicts(relation: str, dim: int, samples: int, seed: int, theta_ab: float):
+    """Yield (margin, holds, saturated) for every check, in stream order."""
+    lanes = _RELATIONS[relation][3]
     basis = basis_for(dim)
+    if lanes is None or dim != 2:
+        for i in range(samples):
+            for verdict in _sample(relation, basis, seed, i, theta_ab):
+                yield verdict.margin, verdict.holds, verdict.saturated
+        return
+    recipe, checker = lanes
+    for start in range(0, samples, ENGINE_CHUNK):
+        streams = np.arange(start, min(start + ENGINE_CHUNK, samples))
+        rng = XoshiroLanes(seed, streams)
+        with np.errstate(divide="ignore", invalid="ignore"):  # only bad rows divide by 0
+            margins, bad = checker(rng, basis, recipe(rng, basis, streams), theta_ab)
+        if bad.any():
+            # Replay the first failing stream on the scalar path, which
+            # raises that stream's exception.
+            first = int(streams[bad.argmax()])
+            _sample(relation, basis, seed, first, theta_ab)
+            raise NumericsError(f"stream {first}: a lane check failed that the scalar checks pass")
+        # Lanes relations all use the default tolerance (see relations).
+        for margin in margins.ravel().tolist():
+            yield margin, margin >= -HOLDS_TOL, abs(margin) <= SATURATION_TOL
+
+
+def _fuzz(relation: str, dim: int, samples: int, seed: int, theta_ab: float) -> dict:
     worst = math.inf
     worst_abs = 0.0
     holds = True
     saturated = 0
     checks = 0
-    for i in range(samples):
-        rng = Xoshiro256pp(seed, stream=i)
-        for verdict in checker(rng, basis, recipe(rng, basis, i), theta_ab):
-            checks += 1
-            worst = min(worst, verdict.margin)
-            worst_abs = max(worst_abs, abs(verdict.margin))
-            holds = holds and verdict.holds
-            saturated += int(verdict.saturated)
+    for margin, ok, sat in _verdicts(relation, dim, samples, seed, theta_ab):
+        checks += 1
+        worst = min(worst, margin)
+        worst_abs = max(worst_abs, abs(margin))
+        holds = holds and ok
+        saturated += int(sat)
     return {
         "relation": relation,
         "checks": checks,
@@ -704,12 +850,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # One parser per process: building it costs about 1 ms a call.
+    return build_parser()
+
+
 def run(argv=None) -> tuple[int, dict]:
     """Parse and execute; returns (exit_code, report).
 
     Usage errors raise SystemExit(2) via argparse.
     """
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command in ("basis", "structure-consts"):
         return _cmd_basis(args, parser)

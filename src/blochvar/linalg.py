@@ -5,6 +5,15 @@ matrices, so construction favours strict validation over raw speed: it
 rejects non-square and non-finite input, checks the asymmetry is
 round-off sized, stores the symmetrized (M + M†)/2, and freezes the
 stored array so instances are safe to share.
+
+The batched qubit engine works on stacks of such matrices, one per RNG
+stream (a lane).  ``hermitian_batch`` is the lanes form of the
+constructor; ``row_dot``, ``per_element``, ``py_max`` and ``py_min``
+are the primitives that keep lanes bit-identical to the scalar path:
+numpy's own ``log``, ``arccos``, ``hypot`` and complex ``abs`` (and
+``x ** 2`` against libm's ``pow``) differ from Python's in the last bit
+on a fraction of inputs, and an elementwise or ``einsum`` dot product
+sums in another order than the BLAS dot of a 1-D ``u @ v``.
 """
 
 from __future__ import annotations
@@ -13,7 +22,15 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
-__all__ = ["HermitianMatrix", "HERMITICITY_ATOL"]
+__all__ = [
+    "HermitianMatrix",
+    "HERMITICITY_ATOL",
+    "hermitian_batch",
+    "row_dot",
+    "per_element",
+    "py_max",
+    "py_min",
+]
 
 HERMITICITY_ATOL = 1e-12
 
@@ -54,3 +71,45 @@ class HermitianMatrix:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim})"
+
+
+def hermitian_batch(entries) -> tuple[np.ndarray, np.ndarray]:
+    """Lanes form of ``HermitianMatrix``: ``entries`` is an (n, N, N) stack.
+
+    Returns ``(sym, bad)``: the symmetrized stack and a mask of the rows
+    the constructor would reject (non-finite, or asymmetry above
+    ``HERMITICITY_ATOL``).
+    """
+    arr = np.asarray(entries, dtype=np.complex128)
+    adj = arr.conj().swapaxes(1, 2)
+    bad = ~np.isfinite(arr).all(axis=(1, 2))
+    bad |= np.abs(arr - adj).max(axis=(1, 2)) > HERMITICITY_ATOL
+    return (arr + adj) / 2.0, bad
+
+
+def row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``u[i] @ v[i]`` for every row: a stacked matmul runs the same BLAS
+    dot per row as a 1-D ``u @ v`` (real or complex), so it is
+    bit-identical to it, which ``einsum("ij,ij->i")`` is not."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def per_element(fn, *arrays) -> np.ndarray:
+    """``fn`` on each element as Python scalars, for the operations whose
+    numpy form differs from the scalar path's (``math.log``,
+    ``math.acos``, ``math.hypot``, ``abs`` of a complex, ``x ** 2``)."""
+    shape = np.shape(arrays[0])
+    flat = (np.ravel(a).tolist() for a in arrays)
+    return np.array(list(map(fn, *flat)), dtype=np.float64).reshape(shape)
+
+
+def py_max(x, y) -> np.ndarray:
+    """Elementwise ``max(x, y)`` as Python evaluates it: ``y`` where
+    ``y > x``, else ``x`` (argument order decides NaN and -0.0)."""
+    return np.where(y > x, y, x)
+
+
+def py_min(x, y) -> np.ndarray:
+    """Elementwise ``min(x, y)`` as Python evaluates it: ``y`` where
+    ``y < x``, else ``x``."""
+    return np.where(y < x, y, x)

@@ -48,6 +48,15 @@ cosines are nonnegative (angles folded into [0, π/2]).  Evaluating the
 product of square roots with the sign of (a·p)(b·p) attached is exactly
 equivalent to folding and works for every input, so that is what the
 checkers do.
+
+Lanes forms
+-----------
+Each qubit checker the CLI fuzzes has a ``*_batch`` form over
+``StateBatch``/``ObservableBatch`` rows.  It returns ``(margins, bad)``:
+the margin of row i equals, bit for bit, the scalar verdict's margin on
+row i's objects, and ``bad`` marks rows where an input was bad or where
+a check of the scalar checker fails (at the same tolerance).  Their
+verdicts use ``HOLDS_TOL`` and ``SATURATION_TOL`` as ``_verdict`` does.
 """
 
 from __future__ import annotations
@@ -57,10 +66,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import Observable, QuantumState, observable_from_bloch
+from .bloch import Observable, ObservableBatch, QuantumState, StateBatch, observable_from_bloch
 from .errors import DimensionMismatch, NotApplicable, NumericsError
+from .linalg import per_element, py_max, py_min, row_dot
 from .sun_basis import GeneratorBasis, basis_for
-from .variance import angles, variance_matrix
+from .variance import angles, angles_batch, variance_matrix, variance_matrix_batch
 
 __all__ = [
     "RelationVerdict",
@@ -77,6 +87,16 @@ __all__ = [
     "effective_axis_angle",
     "db_span_given_da2",
     "db_span_any_state",
+    "check_triangle_batch",
+    "check_theorem1_batch",
+    "check_mixed_limit_batch",
+    "check_pure_limit_batch",
+    "check_unit_vector_relation_batch",
+    "check_three_observable_equality_batch",
+    "check_appendix_b_batch",
+    "robertson_bound_batch",
+    "state_dependent_bound_batch",
+    "effective_axis_angle_batch",
 ]
 
 HOLDS_TOL = 1e-10
@@ -410,3 +430,151 @@ def db_span_any_state(theta_ab: float, n_grid: int = 2001) -> tuple[float, float
         lo = min(lo, a)
         hi = max(hi, b)
     return lo, hi
+
+
+# ---------------------------------------------------------------------------
+# lanes forms (see the module docstring)
+
+
+_LaneVerdicts = tuple[np.ndarray, np.ndarray]  # (margins, bad)
+
+
+def _wedge_norm2_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    outer = u[:, :, None] * v[:, None, :]
+    diff = outer - outer.swapaxes(1, 2)
+    return 0.5 * np.einsum("nij,nij->n", diff, diff)
+
+
+def _sqrt_checked_batch(value: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    bad |= value < _RADICAND_FLOOR
+    return np.sqrt(py_max(value, 0.0))
+
+
+def _outside(value, lo: float, hi: float) -> np.ndarray:
+    # The negation of lo <= value <= hi, so NaN counts as outside.
+    return ~((lo <= value) & (value <= hi))
+
+
+def check_triangle_batch(a: ObservableBatch, b: ObservableBatch, rho: StateBatch) -> _LaneVerdicts:
+    """Lanes form of ``check_triangle``."""
+    theta_pa, theta_pb, theta_ab, bad = angles_batch(a, b, rho)
+    upper_slack = theta_pa + theta_pb - theta_ab
+    lower_slack = theta_ab - np.abs(theta_pa - theta_pb)
+    margins = np.where(upper_slack <= lower_slack, upper_slack, lower_slack)
+    return margins, bad | a.bad | b.bad | rho.bad
+
+
+def check_theorem1_batch(a: ObservableBatch, b: ObservableBatch, rho: StateBatch) -> _LaneVerdicts:
+    """Lanes form of ``check_theorem1``."""
+    bad = a.bad | b.bad | rho.bad
+    p2 = rho.purity
+    sa = row_dot(a.a, rho.p)
+    sb = row_dot(b.a, rho.p)
+    bad |= (sa * sa > a.norm2 * p2 + 1e-10) | (sb * sb > b.norm2 * p2 + 1e-10)
+    lhs = _sqrt_checked_batch(_wedge_norm2_batch(a.a, rho.p), bad)
+    lhs = lhs * _sqrt_checked_batch(_wedge_norm2_batch(b.a, rho.p), bad)
+    rhs = np.abs(sa * sb - row_dot(a.a, b.a) * p2)
+    return lhs - rhs, bad
+
+
+def check_mixed_limit_batch(
+    a: ObservableBatch, b: ObservableBatch, rho: StateBatch
+) -> _LaneVerdicts:
+    """Lanes form of ``check_mixed_limit``."""
+    va, bad_a = variance_matrix_batch(a.matrix, rho.rho)
+    vb, bad_b = variance_matrix_batch(b.matrix, rho.rho)
+    bad = a.bad | b.bad | rho.bad | (rho.purity > 1e-12) | bad_a | bad_b
+    return (va + vb) - (a.norm2 + b.norm2), bad
+
+
+def check_pure_limit_batch(
+    a: ObservableBatch, b: ObservableBatch, rho: StateBatch
+) -> _LaneVerdicts:
+    """Lanes form of ``check_pure_limit``."""
+    bad = a.bad | b.bad | rho.bad | (np.abs(rho.purity - 1.0) > 1e-9)
+    sa = row_dot(a.a, rho.p)
+    sb = row_dot(b.a, rho.p)
+    lhs = np.sqrt(_wedge_norm2_batch(a.a, rho.p)) * np.sqrt(_wedge_norm2_batch(b.a, rho.p))
+    rhs = np.abs(sa * sb - row_dot(a.a, b.a))
+    return lhs - rhs, bad
+
+
+def check_unit_vector_relation_batch(
+    theta_ab: np.ndarray, da2: np.ndarray, db2: np.ndarray
+) -> _LaneVerdicts:
+    """Lanes form of ``check_unit_vector_relation``."""
+    bad = _outside(theta_ab, -1e-12, math.pi + 1e-12)
+    bad |= _outside(da2, -1e-12, 1.0 + 1e-12) | _outside(db2, -1e-12, 1.0 + 1e-12)
+    da2 = py_min(py_max(da2, 0.0), 1.0)
+    db2 = py_min(py_max(db2, 0.0), 1.0)
+    lhs = np.sqrt(da2 * db2)
+    rhs = np.abs(np.sqrt((1.0 - da2) * (1.0 - db2)) - np.cos(theta_ab))
+    return lhs - rhs, bad
+
+
+def check_three_observable_equality_batch(theta_ab: float, rho: StateBatch) -> _LaneVerdicts:
+    """Lanes form of ``check_three_observable_equality``."""
+    bad = rho.bad | (np.abs(rho.purity - 1.0) > 1e-9)
+    if not -1e-12 <= theta_ab <= math.pi + 1e-12:
+        bad[:] = True
+    p = rho.p
+    u = p[:, 0]
+    v = p[:, 0] * math.cos(theta_ab) + p[:, 1] * math.sin(theta_ab)
+    w = p[:, 2]
+    da2 = py_max(1.0 - u * u, 0.0)
+    db2 = py_max(1.0 - v * v, 0.0)
+    dc2 = py_max(1.0 - w * w, 0.0)
+    sin2 = math.sin(theta_ab) ** 2
+    lhs = da2 + db2 + dc2 * sin2 + 2.0 * math.cos(theta_ab) * u * v
+    return lhs - 2.0, bad
+
+
+def check_appendix_b_batch(rho: StateBatch) -> _LaneVerdicts:
+    """Lanes form of ``check_appendix_b``."""
+    (vx, bad_x), (vy, bad_y), (vz, bad_z) = (
+        variance_matrix_batch(np.broadcast_to(axis.matrix.array, rho.rho.shape), rho.rho)
+        for axis in _qubit_axes()
+    )
+    return vx + vy + vz - (3.0 - rho.purity), rho.bad | bad_x | bad_y | bad_z
+
+
+def robertson_bound_batch(a: ObservableBatch, b: ObservableBatch, rho: StateBatch) -> _LaneVerdicts:
+    """Lanes form of ``robertson_bound`` at N = 2."""
+    va, bad_a = variance_matrix_batch(a.matrix, rho.rho)
+    vb, bad_b = variance_matrix_batch(b.matrix, rho.rho)
+    lhs = np.sqrt(va * vb)
+    comm = a.matrix @ b.matrix - b.matrix @ a.matrix
+    rhs = 0.5 * per_element(abs, np.einsum("nab,nba->n", comm, rho.rho))
+    return lhs - rhs, a.bad | b.bad | rho.bad | bad_a | bad_b
+
+
+def state_dependent_bound_batch(
+    a: ObservableBatch, b: ObservableBatch, psi: StateBatch, sign: int
+) -> _LaneVerdicts:
+    """Lanes form of ``state_dependent_bound``."""
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+    bad = a.bad | b.bad | psi.bad | (np.abs(psi.purity - 1.0) > 1e-9)
+    vecs = np.linalg.eigh(psi.rho)[1]
+    ket = vecs[:, :, -1:]
+    bra = ket.conj().swapaxes(1, 2)
+    am = a.matrix
+    bm = b.matrix
+    comm_expect = (bra @ ((am @ bm - bm @ am) @ ket))[:, 0, 0]
+    bad |= np.abs(comm_expect.real) > 1e-10
+    term1 = per_element(lambda c: (sign * 1j * c).real, comm_expect)
+    amp = (bra @ ((am + sign * 1j * bm) @ vecs[:, :, :1]))[:, 0, 0]
+    va, bad_a = variance_matrix_batch(am, psi.rho)
+    vb, bad_b = variance_matrix_batch(bm, psi.rho)
+    rhs = term1 + per_element(lambda c: abs(c) ** 2, amp)
+    return (va + vb) - rhs, bad | bad_a | bad_b
+
+
+def effective_axis_angle_batch(
+    a: ObservableBatch, b: ObservableBatch, rho: StateBatch
+) -> np.ndarray:
+    """Lanes form of ``effective_axis_angle``."""
+    cos_ab = row_dot(a.a, b.a) / (np.sqrt(a.norm2) * np.sqrt(b.norm2))
+    cos_ab = py_min(1.0, py_max(-1.0, cos_ab))
+    product = row_dot(a.a, rho.p) * row_dot(b.a, rho.p)
+    return per_element(math.acos, np.where(product < 0.0, -cos_ab, cos_ab))

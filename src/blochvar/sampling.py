@@ -23,6 +23,13 @@ bit:
 Samplers draw sample ``i`` from stream ``i``, so prefixes of a run are
 reproducible independently of batch sizes or worker counts.
 
+``XoshiroLanes`` runs many streams at once as numpy ``uint64`` lanes,
+one lane per stream, and draws exactly what ``Xoshiro256pp`` draws on
+each; its ``math.log`` goes through Python per element because numpy's
+``log`` differs from libm's in the last bit.  ``draw_states_batch`` and
+``draw_observable_batch`` are the lanes forms of the draws; the zero-norm
+re-draw of an observable advances only the lanes that need it.
+
 Measures: pure states are Haar-distributed (first column of the unitary
 QR factor of a square complex Gaussian matrix, diagonal phases
 corrected); mixed states follow the Hilbert-Schmidt (Ginibre) measure
@@ -37,12 +44,24 @@ from typing import Iterator
 
 import numpy as np
 
-from .bloch import Observable, QuantumState, observable_from_bloch, state_from_matrix
-from .linalg import HermitianMatrix
+from .bloch import (
+    Observable,
+    ObservableBatch,
+    QuantumState,
+    StateBatch,
+    observable_from_bloch,
+    observable_from_bloch_batch,
+    state_from_matrix,
+    state_from_matrix_batch,
+)
+from .linalg import HermitianMatrix, per_element, row_dot
 from .sun_basis import GeneratorBasis, basis_for
 
 __all__ = [
     "Xoshiro256pp",
+    "XoshiroLanes",
+    "draw_states_batch",
+    "draw_observable_batch",
     "SampleConfig",
     "iter_states",
     "draw_pure",
@@ -51,6 +70,7 @@ __all__ = [
 ]
 
 _M64 = (1 << 64) - 1
+_MIN_NORM = 1e-12  # observable draws below this norm are drawn again
 _SM_GAMMA = 0x9E3779B97F4A7C15
 _TWO_PI = 2.0 * math.pi
 
@@ -123,6 +143,70 @@ class Xoshiro256pp:
         return (g[0::2] + 1j * g[1::2]) / math.sqrt(2.0)
 
 
+class XoshiroLanes:
+    """Streams ``streams`` of one seed as uint64 lanes (see module docs).
+
+    Lane k draws exactly what ``Xoshiro256pp(seed, stream=streams[k])``
+    draws.  Each method returns one row per lane; given ``lanes`` (an
+    index array) it advances only those lanes and returns their rows.
+    """
+
+    __slots__ = ("_s",)
+
+    def __init__(self, seed: int, streams):
+        if not 0 <= seed < 1 << 64:
+            raise ValueError("seed must be an unsigned 64-bit integer")
+        streams = np.asarray(streams, dtype=np.int64)
+        if streams.size and streams.min() < 0:
+            raise ValueError("stream index must be nonnegative")
+        # splitmix64 state seed + 4 k GAMMA, in wrapping uint64 arithmetic.
+        state = np.uint64(seed) + streams.astype(np.uint64) * np.uint64(4 * _SM_GAMMA & _M64)
+        words = []
+        for _ in range(4):
+            state = state + _SM_GAMMA
+            z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9
+            z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+            words.append(z ^ (z >> 31))
+        self._s = np.stack(words)
+        self._s[0, ~self._s.any(axis=0)] = _SM_GAMMA  # the all-zero state is invalid
+
+    def next_u64(self, lanes=None) -> np.ndarray:
+        s = self._s if lanes is None else self._s[:, lanes]
+        s0, s1, s2, s3 = s  # views: the in-place updates below advance s
+        x = s0 + s3
+        result = ((x << 23) | (x >> 41)) + s0
+        t = s1 << 17
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3[:] = (s3 << 45) | (s3 >> 19)
+        if lanes is not None:
+            self._s[:, lanes] = s
+        return result
+
+    def uniforms(self, k: int, lanes=None) -> np.ndarray:
+        """k uniform doubles in [0, 1) per lane, in draw order."""
+        x = np.stack([self.next_u64(lanes) for _ in range(k)], axis=1)
+        return (x >> 11).astype(np.float64) * 2.0**-53
+
+    def gaussians(self, n: int, lanes=None) -> np.ndarray:
+        """n standard normals per lane via Box-Muller (whole pairs consumed)."""
+        u = self.uniforms(2 * ((n + 1) // 2), lanes)
+        r = np.sqrt(-2.0 * per_element(math.log, 1.0 - u[:, 0::2]))
+        angle = _TWO_PI * u[:, 1::2]
+        out = np.empty(u.shape)
+        out[:, 0::2] = r * np.cos(angle)
+        out[:, 1::2] = r * np.sin(angle)
+        return out[:, :n]
+
+    def complex_gaussians(self, n: int) -> np.ndarray:
+        """n standard complex normals per lane."""
+        g = self.gaussians(2 * n)
+        return (g[:, 0::2] + 1j * g[:, 1::2]) / math.sqrt(2.0)
+
+
 _KINDS = ("haar_pure", "hs_mixed")
 
 
@@ -146,25 +230,44 @@ class SampleConfig:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
 
 
+def _pure_rho(g: np.ndarray) -> np.ndarray:
+    # Stacked (k, n, n) Gaussian matrices -> Haar pure density matrices.
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r, axis1=1, axis2=2).copy()
+    diag[diag == 0] = 1.0  # measure-zero guard
+    psi = (q * (diag / np.abs(diag))[:, None, :])[:, :, 0]
+    return psi[:, :, None] * psi.conj()[:, None, :]
+
+
+def _mixed_rho(g: np.ndarray) -> np.ndarray:
+    # Stacked (k, n, n) Gaussian matrices -> Hilbert-Schmidt mixed states.
+    m = g @ g.conj().swapaxes(1, 2)
+    return m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+
+
 def draw_pure(rng: Xoshiro256pp, basis: GeneratorBasis) -> QuantumState:
     """One Haar-random pure state as a density matrix."""
     n = basis.dim
-    g = rng.complex_gaussians(n * n).reshape(n, n)
-    q, r = np.linalg.qr(g)
-    diag = np.diagonal(r).copy()
-    diag[diag == 0] = 1.0  # measure-zero guard
-    psi = (q * (diag / np.abs(diag)))[:, 0]
-    rho = np.outer(psi, psi.conj())
-    return state_from_matrix(HermitianMatrix(rho), basis)
+    g = rng.complex_gaussians(n * n).reshape(1, n, n)
+    return state_from_matrix(HermitianMatrix(_pure_rho(g)[0]), basis)
 
 
 def draw_mixed(rng: Xoshiro256pp, basis: GeneratorBasis) -> QuantumState:
     """One Hilbert-Schmidt (Ginibre) mixed state."""
     n = basis.dim
-    g = rng.complex_gaussians(n * n).reshape(n, n)
-    m = g @ g.conj().T
-    rho = m / np.trace(m).real
-    return state_from_matrix(HermitianMatrix(rho), basis)
+    g = rng.complex_gaussians(n * n).reshape(1, n, n)
+    return state_from_matrix(HermitianMatrix(_mixed_rho(g)[0]), basis)
+
+
+def draw_states_batch(rng: XoshiroLanes, basis: GeneratorBasis, pure: np.ndarray) -> StateBatch:
+    """Lanes form of ``draw_pure`` on the lanes where ``pure`` is set and
+    ``draw_mixed`` on the others; both consume N² complex Gaussians."""
+    n = basis.dim
+    g = rng.complex_gaussians(n * n).reshape(-1, n, n)
+    rho = np.empty_like(g)
+    rho[pure] = _pure_rho(g[pure])
+    rho[~pure] = _mixed_rho(g[~pure])
+    return state_from_matrix_batch(rho, basis)
 
 
 def draw_observable(rng: Xoshiro256pp, basis: GeneratorBasis, unit: bool = True) -> Observable:
@@ -177,11 +280,25 @@ def draw_observable(rng: Xoshiro256pp, basis: GeneratorBasis, unit: bool = True)
     while True:
         g = rng.gaussians(n)
         norm = float(np.linalg.norm(g))
-        if norm >= 1e-12:
+        if norm >= _MIN_NORM:
             break
     if unit:
         g = g / norm
     return observable_from_bloch(g, basis)
+
+
+def draw_observable_batch(rng: XoshiroLanes, basis: GeneratorBasis) -> ObservableBatch:
+    """Lanes form of ``draw_observable(rng, basis)``: a lane whose draw
+    has norm below ``_MIN_NORM`` draws again, and only that lane advances."""
+    n = basis.n_generators
+    g = rng.gaussians(n)
+    norm = np.sqrt(row_dot(g, g))
+    redraw = np.flatnonzero(~(norm >= _MIN_NORM))
+    while redraw.size:
+        g[redraw] = rng.gaussians(n, redraw)
+        norm[redraw] = np.sqrt(row_dot(g[redraw], g[redraw]))
+        redraw = redraw[~(norm[redraw] >= _MIN_NORM)]
+    return observable_from_bloch_batch(g / norm[:, None], basis)
 
 
 def iter_states(cfg: SampleConfig) -> Iterator[QuantumState]:

@@ -17,6 +17,10 @@ variance.
 traces (a · b = Tr[AB]/2, a · b' = Tr[AB²]/2, a' · b' =
 (Tr[A²B²] - Tr[A²]Tr[B²]/N)/2, ...) and insists the two agree, which
 makes it a basis-corruption detector as much as a convenience.
+
+``variance_matrix_batch`` and ``angles_batch`` are the lanes forms the
+batched qubit engine uses: every check runs per row and marks failing
+rows in a returned ``bad`` mask instead of raising.
 """
 
 from __future__ import annotations
@@ -26,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import Observable, QuantumState
+from .bloch import Observable, ObservableBatch, QuantumState, StateBatch
 from .errors import DimensionMismatch, NumericsError, UndefinedAngle
+from .linalg import per_element, py_max, py_min, row_dot
 from .sun_basis import GeneratorBasis
 
 __all__ = [
@@ -35,9 +40,11 @@ __all__ = [
     "AngleSet",
     "PairGeometry",
     "variance_matrix",
+    "variance_matrix_batch",
     "variance_bloch",
     "variance_report",
     "angles",
+    "angles_batch",
     "vector_angle",
     "pair_geometry",
 ]
@@ -148,6 +155,15 @@ def variance_matrix(a: Observable, rho: QuantumState) -> float:
     return _finalize(float(second - mean * mean))
 
 
+def variance_matrix_batch(am: np.ndarray, rm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lanes form of ``variance_matrix`` on (n, N, N) observable and state
+    matrices; returns ``(variances, bad)``."""
+    second = np.einsum("nab,nbc,nca->n", am, am, rm).real
+    mean = np.einsum("nab,nba->n", am, rm).real
+    value = second - mean * mean
+    return py_max(value, 0.0), value < _NEGATIVE_VARIANCE_FLOOR
+
+
 def variance_bloch(a: Observable, rho: QuantumState, basis: GeneratorBasis) -> float:
     """ΔA² from Bloch vectors: (2/N)|a|² + a'·p - (a·p)²."""
     _check_dims(a, rho)
@@ -234,6 +250,31 @@ def angles(
         folded_ab=f_ab,
         folded_pc=f_pc,
     )
+
+
+def _vector_angle_batch(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Lanes form of vector_angle(u[i], v[i]) with _checked_cos.
+    nu = np.sqrt(row_dot(u, u))
+    nv = np.sqrt(row_dot(v, v))
+    bad = (nu < _ZERO_NORM) | (nv < _ZERO_NORM)
+    c = row_dot(u, v) / (nu * nv)
+    bad |= np.abs(c) > 1.0 + _COS_EXCESS
+    return per_element(math.acos, py_min(1.0, py_max(-1.0, c))), bad
+
+
+def angles_batch(
+    a: ObservableBatch, b: ObservableBatch, rho: StateBatch
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Lanes form of ``angles(a, b, rho)`` (unfolded, no third observable):
+    returns ``(theta_pa, theta_pb, theta_ab, bad)``."""
+    bad = np.sqrt(rho.purity) < _ZERO_NORM
+    theta_pa, bad_pa = _vector_angle_batch(rho.p, a.a)
+    theta_pb, bad_pb = _vector_angle_batch(rho.p, b.a)
+    theta_ab, bad_ab = _vector_angle_batch(a.a, b.a)
+    bad |= bad_pa | bad_pb | bad_ab
+    for theta in (theta_pa, theta_pb, theta_ab):  # AngleSet.__post_init__
+        bad |= ~((-1e-12 <= theta) & (theta <= math.pi + 1e-12))
+    return theta_pa, theta_pb, theta_ab, bad
 
 
 def pair_geometry(a: Observable, b: Observable, basis: GeneratorBasis) -> PairGeometry:

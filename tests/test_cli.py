@@ -152,6 +152,21 @@ def test_largest_seed_is_accepted():
     assert report["config"]["seed"] == 2**64 - 1
 
 
+def test_parser_is_reused_and_usage_errors_still_exit_2(capsys):
+    from blochvar.cli import build_parser
+
+    assert build_parser() is not build_parser()  # each call still returns a new parser
+    code, _ = _run(["verify", "theorem1", "--samples", "2"])
+    assert code == 0
+    for bad in (["verify", "theorem1", "--samples", "x"], ["verify", "nonsense"], ["basis"]):
+        with pytest.raises(SystemExit) as err:
+            _run(bad)
+        assert err.value.code == 2
+    code, report = _run(["verify", "appendix-b", "--samples", "3", "--seed", "4"])
+    assert code == 0 and report["config"]["samples"] == 3 and report["config"]["seed"] == 4
+    assert "usage: blochvar" in capsys.readouterr().err
+
+
 def _fresh_python(probe):
     """stdout of ``probe`` run in a new interpreter that imports this blochvar."""
     src = os.path.dirname(os.path.dirname(blochvar.__file__))
