@@ -5,16 +5,18 @@ Subcommands
 basis (alias: structure-consts)
     Serialize the su(N) generators and sparse f/d tensors as JSON or CSV.
 verify
-    Fuzz one relation over seeded random draws (N <= 16); exit 0 iff
+    Fuzz one relation over seeded random draws; exit 0 iff
     every check holds at the relation's tolerance.  At N = 2 every
     relation but appendix-c runs on the batched engine, whose reports are
     bit-identical to the per-stream loop's.
 region
-    Monte-Carlo scan of a variance region (pair or axis triple) with CSV
-    and JSON artifacts plus slice summaries.
+    Monte-Carlo scan of a qubit variance region (pair or axis triple)
+    with CSV and JSON artifacts plus slice summaries.
 compare
     Tabulate the commutator baseline, both signs of the state-dependent
     bound, and the state-independent span for one (state, A, B) triple.
+
+``basis`` and ``verify`` share one --dim range, 2..MAX_DIM (16).
 
 Exit codes: 0 success/holds, 1 relation violated beyond tolerance,
 2 usage error.  Every report echoes its fully resolved configuration,
@@ -48,7 +50,7 @@ from .bloch import (
 )
 from .errors import NotApplicable, NumericsError, UnphysicalState
 from .linalg import per_element, py_max, row_dot
-from .regions import RegionScan, scan_pair, scan_triple
+from .regions import GRID_RANGE, RegionScan, scan_pair, scan_triple
 from .relations import (
     HOLDS_TOL,
     SATURATION_TOL,
@@ -96,12 +98,10 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
-# Largest --dim per subcommand: basis serializes dense tensors; verify
-# stops at the largest N its sparse su(N) build and per-sample
-# eigensolves are tested at (N = 16: about 0.7 s and 50 MB for 20
-# appendix-c samples).
-BASIS_MAX_DIM = 8
-VERIFY_MAX_DIM = 16
+# Largest --dim of basis and verify: the largest N the sparse su(N) build,
+# its sparse closure check and verify's per-sample eigensolves are tested
+# at (N = 16: about 0.7 s and 50 MB for 20 appendix-c samples).
+MAX_DIM = 16
 
 # Streams per chunk of the batched engine: it holds a few dozen arrays of
 # this many rows at a time, so its memory is bounded at any --samples.
@@ -136,6 +136,7 @@ def _closed_interval(lo: float, hi: float, hi_name: str):
 
 _theta_ab = _closed_interval(0.0, math.pi, "pi")  # axis angles
 _unit_fraction = _closed_interval(0.0, 1.0, "1")  # squared variances of unit observables
+_grid = _closed_interval(*GRID_RANGE, f"{GRID_RANGE[1]:g}")  # region cell sizes
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +519,8 @@ def _scan_json(scan: RegionScan, config: dict) -> dict:
 
 
 def _cmd_basis(args, parser) -> tuple[int, dict]:
-    if not 2 <= args.dim <= BASIS_MAX_DIM:
-        parser.error(f"--dim must be in 2..{BASIS_MAX_DIM}, got {args.dim}")
+    if not 2 <= args.dim <= MAX_DIM:
+        parser.error(f"--dim must be in 2..{MAX_DIM}, got {args.dim}")
     start = time.perf_counter()
     basis = basis_for(args.dim)
     residual = max_algebra_residual(basis)
@@ -566,8 +567,8 @@ def _cmd_verify(args, parser) -> tuple[int, dict]:
             f"relation {args.relation} is not defined for dim {args.dim} "
             f"(allowed: {', '.join(map(str, dims))})"
         )
-    if not 2 <= args.dim <= VERIFY_MAX_DIM:
-        parser.error(f"--dim must be in 2..{VERIFY_MAX_DIM}, got {args.dim}")
+    if not 2 <= args.dim <= MAX_DIM:
+        parser.error(f"--dim must be in 2..{MAX_DIM}, got {args.dim}")
     if args.samples < 1:
         parser.error("--samples must be positive")
     start = time.perf_counter()
@@ -600,8 +601,6 @@ def _cmd_verify(args, parser) -> tuple[int, dict]:
 
 
 def _cmd_region(args, parser) -> tuple[int, dict]:
-    if not 1e-3 <= args.grid <= 0.1:
-        parser.error(f"--grid must lie in [1e-3, 0.1], got {args.grid}")
     if args.samples < 1:
         parser.error("--samples must be positive")
     if args.mode == "triple" and args.ensemble != "pure":
@@ -628,8 +627,7 @@ def _cmd_region(args, parser) -> tuple[int, dict]:
         "ensemble": args.ensemble,
         "threads": 1,  # schema-1 key: samples run on one thread
     }
-    finite = scan.margins[np.isfinite(scan.margins)]
-    worst = float(finite.min()) if finite.size else None
+    worst = float(scan.margins.min())
     report = {
         "schema": SCHEMA_VERSION,
         "command": "region",
@@ -640,7 +638,7 @@ def _cmd_region(args, parser) -> tuple[int, dict]:
                 "count": int(scan.samples.shape[0]),
                 "occupied_cells": int(scan.occupancy.sum()),
                 "worst_margin": worst,
-                "max_abs_margin": float(np.abs(finite).max()) if finite.size else None,
+                "max_abs_margin": float(np.abs(scan.margins).max()),
             }
         ],
         "worst_margin": worst,
@@ -652,7 +650,7 @@ def _cmd_region(args, parser) -> tuple[int, dict]:
     )
     print(
         f"  occupied_cells={report['results'][0]['occupied_cells']} "
-        f"worst_margin={worst if worst is None else format(worst, '.3e')}"
+        f"worst_margin={worst:.3e}"
     )
     if args.slice_da2 is not None:
         lo, hi, count = scan.slice_span(0, args.slice_da2)
@@ -677,7 +675,7 @@ def _cmd_region(args, parser) -> tuple[int, dict]:
             fh.write("\n")
         print(f"occupancy written to {args.json}")
     _write_report(report, args.out)
-    code = EXIT_OK if worst is None or worst >= -1e-9 else EXIT_VIOLATION
+    code = EXIT_OK if worst >= -1e-9 else EXIT_VIOLATION
     return code, report
 
 
@@ -808,7 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="serialize su(N) generators and structure tensors",
     )
     p_basis.add_argument(
-        "--dim", type=int, required=True, help=f"Hilbert-space dimension (2..{BASIS_MAX_DIM})"
+        "--dim", type=int, required=True, help=f"Hilbert-space dimension (2..{MAX_DIM})"
     )
     p_basis.add_argument("--format", choices=("json", "csv"), default="json")
     p_basis.add_argument("--out", default=None, help="output path (default: stdout)")
@@ -830,7 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_region.add_argument("mode", choices=("pair", "triple"))
     p_region.add_argument("--theta-ab", type=_theta_ab, required=True, help="axis angle in radians")
     p_region.add_argument("--samples", type=int, default=20000)
-    p_region.add_argument("--grid", type=float, default=0.01)
+    p_region.add_argument("--grid", type=_grid, default=0.01)
     p_region.add_argument("--seed", type=_seed, default=0)
     p_region.add_argument("--ensemble", choices=("pure", "mixed"), default="pure")
     p_region.add_argument(

@@ -6,11 +6,10 @@ default 0.01 to match figure-level precision).  Sample i always comes
 from RNG stream i, so occupancy grows monotonically with the sample
 count for a fixed seed.
 
-For qubit pair scans with unit observables the analytic boundary of the
-scalar bound is attached: with the axis angle θ_ab it is traced by
-coplanar states as (sin²θ, sin²(θ_ab ∓ θ)) for θ in [0, π/2].
-Higher-dimensional scans report scatter and occupancy only; no closed
-boundary form is available there.
+Both scans are qubit-only.  For pair scans with unit observables the
+analytic boundary of the scalar bound is attached: with the axis angle
+θ_ab it is traced by coplanar states as (sin²θ, sin²(θ_ab ∓ θ)) for θ in
+[0, π/2].
 
 ``find_saturating_state`` looks for states that make the qubit bound an
 equality at fixed |p|: a golden-section search over the angle inside the
@@ -41,7 +40,7 @@ __all__ = [
     "find_saturating_state",
 ]
 
-_GRID_RANGE = (1e-3, 0.1)
+GRID_RANGE = (1e-3, 0.1)
 _SCAN_MARGIN_FLOOR = -1e-9
 _GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0
 _COMPASS_STEPS = (0.25, 1e-10)  # first and smallest step of the sphere search, radians
@@ -52,9 +51,9 @@ class RegionScan:
     """Scatter of variance tuples with its occupancy grid.
 
     ``samples`` holds squared variances, shape (count, d); ``margins``
-    holds each sample's governing-relation margin (NaN when no relation
-    governs, i.e. pair scans beyond the qubit case).  ``boundary`` is an
-    array of analytic boundary points or None.
+    holds each sample's governing-relation margin, never NaN: a scan
+    raises on a margin that fails its floor, NaN included.  ``boundary``
+    is an array of analytic boundary points or None.
     """
 
     axes: tuple[str, ...]
@@ -93,7 +92,7 @@ class SaturationResult:
 
 
 def _check_grid(grid: float) -> int:
-    lo, hi = _GRID_RANGE
+    lo, hi = GRID_RANGE
     if not lo <= grid <= hi:
         raise ValueError(f"grid {grid!r} outside [{lo}, {hi}]")
     return int(math.ceil(1.0 / grid - 1e-12))
@@ -121,36 +120,34 @@ def _validate_samples(samples: np.ndarray, norms: list[float]) -> None:
 
 
 def scan_pair(a: Observable, b: Observable, ensemble: SampleConfig, grid: float) -> RegionScan:
-    """Scatter (ΔA², ΔB²) over the ensemble.
+    """Scatter (ΔA², ΔB²) over a qubit ensemble.
 
-    For qubit ensembles every sample's bound margin is recorded and must
-    stay above -1e-9.  Pure qubit ensembles with unit observables also
-    get the analytic boundary attached.
+    Every sample's bound margin is recorded and must stay above -1e-9.
+    Pure ensembles with unit observables also get the analytic boundary
+    attached.
     """
     n_cells = _check_grid(grid)
-    if a.dim != b.dim or a.dim != ensemble.dim:
-        raise DimensionMismatch("observables and ensemble must share one dimension")
+    if a.dim != 2 or b.dim != 2 or ensemble.dim != 2:
+        raise DimensionMismatch("pair scans are defined for qubit observables and ensembles only")
     if max(a.norm2, b.norm2) > 1.0 + 1e-12:
         raise ValueError("occupancy grid covers [0, 1]; use |a| <= 1 observables")
-    basis = basis_for(ensemble.dim)
+    basis = basis_for(2)
     count = ensemble.count
     samples = np.empty((count, 2))
     purities = np.empty(count)
-    margins = np.full(count, math.nan)
-    qubit = ensemble.dim == 2
+    margins = np.empty(count)
     for i, state in enumerate(iter_states(ensemble)):
         samples[i, 0] = variance_bloch(a, state, basis)
         samples[i, 1] = variance_bloch(b, state, basis)
         purities[i] = state.purity
-        if qubit:
-            margin = check_theorem1(a, b, state).margin
-            if margin < _SCAN_MARGIN_FLOOR:
-                raise NumericsError(f"sample {i} violates the qubit bound: {margin!r}")
-            margins[i] = margin
+        margin = check_theorem1(a, b, state).margin
+        if not margin >= _SCAN_MARGIN_FLOOR:  # also rejects NaN
+            raise NumericsError(f"sample {i} violates the qubit bound: {margin!r}")
+        margins[i] = margin
     _validate_samples(samples, [a.norm2, b.norm2])
     theta_ab = _axis_angle(a, b)
     boundary = None
-    if qubit and ensemble.kind == "haar_pure" and abs(a.norm2 - 1.0) < 1e-9 and abs(b.norm2 - 1.0) < 1e-9:
+    if ensemble.kind == "haar_pure" and abs(a.norm2 - 1.0) < 1e-9 and abs(b.norm2 - 1.0) < 1e-9:
         boundary = _pair_boundary(theta_ab)
     return RegionScan(
         axes=("dA2", "dB2"),
@@ -201,7 +198,7 @@ def scan_triple(theta_ab: float, ensemble: SampleConfig, grid: float) -> RegionS
         samples[i] = (max(1.0 - u * u, 0.0), max(1.0 - v * v, 0.0), max(1.0 - w * w, 0.0))
         purities[i] = state.purity
         residual = check_three_observable_equality(theta_ab, state).margin
-        if abs(residual) > 1e-9:
+        if not abs(residual) <= 1e-9:  # also rejects NaN
             raise NumericsError(f"sample {i} misses the certainty surface: {residual!r}")
         margins[i] = residual
     _validate_samples(samples, [1.0, 1.0, 1.0])

@@ -41,6 +41,10 @@ it changes the summation order and moves d by 1 ulp for N >= 5.  f and d
 follow elementwise as (T[j,k,l] ∓ T[k,j,l]) / (4i or 4), and the
 "not real" residual is taken over every (j, k, l) where T has a term;
 everywhere else both tensors are exactly zero.
+
+The closure check in ``max_algebra_residual`` is sparse too: it joins the
+same nonzero entries for the products g_j g_k, and the stored f and d
+maps, expanded over orderings, for the side rebuilt from them.
 """
 
 from __future__ import annotations
@@ -273,38 +277,34 @@ def structure_d(basis: GeneratorBasis, j: int, k: int, l: int) -> float:
     return basis.d_tensor.get(key, 0.0)
 
 
-def _dense_tensors(basis: GeneratorBasis) -> tuple[np.ndarray, np.ndarray]:
-    ngen = basis.n_generators
-    f = np.zeros((ngen, ngen, ngen))
-    d = np.zeros((ngen, ngen, ngen))
-    signed_orders = [
-        ((0, 1, 2), 1.0),
-        ((1, 2, 0), 1.0),
-        ((2, 0, 1), 1.0),
-        ((0, 2, 1), -1.0),
-        ((2, 1, 0), -1.0),
-        ((1, 0, 2), -1.0),
-    ]
-    for (a, b, c), value in basis.f_tensor.items():
-        triple = (a - 1, b - 1, c - 1)
-        for order, sign in signed_orders:
-            f[triple[order[0]], triple[order[1]], triple[order[2]]] = sign * value
-    for (a, b, c), value in basis.d_tensor.items():
-        for pa, pb, pc in set(permutations((a - 1, b - 1, c - 1))):
-            d[pa, pb, pc] = value
-    return f, d
-
-
 def max_algebra_residual(basis: GeneratorBasis) -> float:
     """Worst entrywise error when products g_j g_k are rebuilt from the
-    stored tensors via g_j g_k = (2/N) δ_jk I + Σ_l (i f_jkl + d_jkl) g_l."""
+    stored tensors via g_j g_k = (2/N) δ_jk I + Σ_l (i f_jkl + d_jkl) g_l,
+    over the entries (j, k, a, c) where either side has a term."""
+    n, ngen = basis.dim, basis.n_generators
     stack = basis.stacked()
-    ngen = basis.n_generators
-    f, d = _dense_tensors(basis)
-    recon = np.einsum("jkl,lab->jkab", d + 1.0j * f, stack)
-    recon[np.arange(ngen), np.arange(ngen)] += (2.0 / basis.dim) * np.eye(basis.dim)
-    prod = np.einsum("jab,kbc->jkac", stack, stack)
-    return float(np.abs(prod - recon).max())
+    gen, row, col = np.nonzero(stack)
+    val = stack[gen, row, col]
+    ordered = [(p, v) for key, v in basis.d_tensor.items() for p in set(permutations(key))]
+    ordered += [
+        (tuple(key[o] for o in order), (1.0j if order in _EVEN_ORDERS else -1.0j) * v)
+        for key, v in basis.f_tensor.items()
+        for order in permutations(range(3))
+    ]
+    index = np.array([p for p, _ in ordered], dtype=np.intp).reshape(-1, 3) - 1
+    coef = np.array([v for _, v in ordered], dtype=np.complex128)
+    e1, e2 = _join(row, col)  # products g_j[a, b] g_k[b, c]
+    t, e = _join(gen, index[:, 2])  # rebuilt terms (d + i f)_jkl g_l[a, c]
+    jj, aa = np.divmod(np.arange(ngen * n), n)  # identity terms (2/N) δ_jk δ_ac
+    j = np.concatenate([gen[e1], index[t, 0], jj])
+    k = np.concatenate([gen[e2], index[t, 1], jj])
+    a = np.concatenate([row[e1], row[e], aa])
+    c = np.concatenate([col[e2], col[e], aa])
+    terms = np.concatenate([val[e1] * val[e2], -coef[t] * val[e], np.full(jj.size, -2.0 / n)])
+    _, slot = np.unique(((j * ngen + k) * n + a) * n + c, return_inverse=True)
+    diff = np.zeros(slot.max() + 1, dtype=np.complex128)
+    np.add.at(diff, slot, terms)
+    return float(np.abs(diff).max())
 
 
 def verify_algebra(basis: GeneratorBasis, tol: float = 1e-11) -> bool:

@@ -52,8 +52,16 @@ def test_basis_dim_out_of_range_exits_2():
         _run(["basis", "--dim", "1"])
     assert err.value.code == 2
     with pytest.raises(SystemExit) as err:
-        _run(["basis", "--dim", "9"])
+        _run(["basis", "--dim", "17"])
     assert err.value.code == 2
+
+
+def test_basis_runs_at_dim_cap(tmp_path):
+    out = tmp_path / "b16.csv"
+    code, report = _run(["basis", "--dim", "16", "--format", "csv", "--out", str(out)])
+    assert code == 0
+    assert report["n_generators"] == 255
+    assert report["algebra_residual"] < 1e-11
 
 
 # Each case's last entry is (checks, saturated, repr(worst_margin),
@@ -286,9 +294,10 @@ def test_region_triple_residuals():
 
 
 def test_region_usage_errors():
-    with pytest.raises(SystemExit) as err:
-        _run(["region", "pair", "--theta-ab", "1.0", "--grid", "0.5"])
-    assert err.value.code == 2
+    for grid in ["0.5", "nan", "inf", "1e-4"]:
+        with pytest.raises(SystemExit) as err:
+            _run(["region", "pair", "--theta-ab", "1.0", "--grid", grid])
+        assert err.value.code == 2
     with pytest.raises(SystemExit) as err:
         _run(["region", "triple", "--theta-ab", "1.0", "--ensemble", "mixed"])
     assert err.value.code == 2

@@ -1,9 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from blochvar import (
+    DimensionMismatch,
+    NumericsError,
     SampleConfig,
     Xoshiro256pp,
     check_unit_vector_relation,
@@ -14,6 +17,7 @@ from blochvar import (
     scan_triple,
     state_to_matrix,
 )
+from blochvar import regions
 
 
 def _axis_pair(basis2, theta):
@@ -73,6 +77,29 @@ def test_pair_scan_rejects_bad_grid_and_norms(basis2):
         scan_pair(a, b, cfg, grid=0.5)
     with pytest.raises(ValueError):
         scan_pair(observable_from_bloch([2.0, 0, 0], basis2), b, cfg, grid=0.01)
+
+
+def test_pair_scan_is_qubit_only(basis2, basis3):
+    qubit = _axis_pair(basis2, 1.0)
+    qutrit = (
+        observable_from_bloch([1.0] + [0.0] * 7, basis3),
+        observable_from_bloch([0.0, 1.0] + [0.0] * 6, basis3),
+    )
+    for (a, b), dim in ((qubit, 3), (qutrit, 3), (qutrit, 2)):
+        cfg = SampleConfig(seed=1, dim=dim, count=10, kind="haar_pure")
+        with pytest.raises(DimensionMismatch):
+            scan_pair(a, b, cfg, grid=0.01)
+
+
+@pytest.mark.parametrize("checker", ["check_theorem1", "check_three_observable_equality"])
+def test_scans_reject_nan_margins(basis2, monkeypatch, checker):
+    monkeypatch.setattr(regions, checker, lambda *args: SimpleNamespace(margin=math.nan))
+    cfg = SampleConfig(seed=1, dim=2, count=10, kind="haar_pure")
+    with pytest.raises(NumericsError, match="sample 0"):
+        if checker == "check_theorem1":
+            scan_pair(*_axis_pair(basis2, 1.0), cfg, grid=0.01)
+        else:
+            scan_triple(1.0, cfg, grid=0.01)
 
 
 def test_triple_scan_on_certainty_surface(basis2):

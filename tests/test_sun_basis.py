@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -56,6 +57,29 @@ def dense_reference(stack):
         np.array([v for _, v in expanded], dtype=np.float64),
     )
     return f_tensor, d_tensor, d_ordered
+
+
+def dense_residual(basis):
+    """The dense closure check: the full (N²-1)³ f and d tensors expanded
+    from the stored maps, then the worst entry of
+    g_j g_k - (2/N) δ_jk I - Σ_l (d_jkl + i f_jkl) g_l."""
+    ngen = basis.n_generators
+    f = np.zeros((ngen, ngen, ngen))
+    d = np.zeros((ngen, ngen, ngen))
+    for (a, b, c), v in basis.f_tensor.items():
+        for (x, y, z), sign in (
+            ((a, b, c), 1.0), ((b, c, a), 1.0), ((c, a, b), 1.0),
+            ((b, a, c), -1.0), ((a, c, b), -1.0), ((c, b, a), -1.0),
+        ):
+            f[x - 1, y - 1, z - 1] = sign * v
+    for key, v in basis.d_tensor.items():
+        for x, y, z in permutations(key):
+            d[x - 1, y - 1, z - 1] = v
+    stack = basis.stacked()
+    recon = np.einsum("jkl,lab->jkab", d + 1.0j * f, stack)
+    recon[np.arange(ngen), np.arange(ngen)] += (2.0 / basis.dim) * np.eye(basis.dim)
+    prod = np.einsum("jab,kbc->jkac", stack, stack)
+    return float(np.abs(prod - recon).max())
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -171,6 +195,40 @@ def test_corrupted_basis_detected(basis3):
     )
     assert not verify_algebra(corrupted)
     assert max_algebra_residual(corrupted) > 1e-3
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["exact", "corrupted"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_sparse_residual_matches_dense_check(n, corrupt):
+    basis = basis_for(n)
+    if corrupt:
+        # Scale one generator and shift one f entry, so that both sides of
+        # the check carry an O(1e-2) error, not just round-off.
+        gens = list(basis.generators)
+        gens[n - 1] = HermitianMatrix(1.01 * gens[n - 1].array)
+        f_tensor = dict(basis.f_tensor)
+        f_tensor[(1, 2, 3)] += 0.003
+        basis = GeneratorBasis(
+            n, tuple(gens), f_tensor, dict(basis.d_tensor),
+            np.stack([g.array for g in gens]), basis._d_ordered,
+        )
+    residual = max_algebra_residual(basis)
+    assert abs(residual - dense_residual(basis)) <= 1e-15
+    assert (residual > 1e-3) == corrupt
+
+
+def test_sparse_residual_memory_at_dim_cap():
+    basis = basis_for(16)
+    tracemalloc.start()
+    try:
+        residual = max_algebra_residual(basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residual < 1e-11
+    # The dense check needs over 1 GB here: its (255, 255, 16, 16) complex
+    # products and (255, 255, 255) tensors are about 265 MB each.
+    assert peak < 64e6
 
 
 def test_build_basis_rejects_small_dims():
