@@ -42,6 +42,7 @@ __all__ = [
     "ObservableBatch",
     "state_from_matrix_batch",
     "repeat_state",
+    "repeat_observable",
     "observable_from_bloch_batch",
     "state_from_matrix",
     "state_to_matrix",
@@ -290,6 +291,15 @@ def repeat_state(state: QuantumState, count: int) -> StateBatch:
     rho = np.repeat(state.rho.array[None], count, axis=0)
     p = np.repeat(state.p[None], count, axis=0)
     return StateBatch(rho, p, np.full(count, state.purity), np.zeros(count, dtype=bool))
+
+
+def repeat_observable(obs: Observable, count: int) -> ObservableBatch:
+    """``count`` rows of one validated qubit observable."""
+    if obs.dim != 2:
+        raise DimensionMismatch(f"batched forms are defined for qubits only, got dim {obs.dim}")
+    matrix = np.repeat(obs.matrix.array[None], count, axis=0)
+    a = np.repeat(obs.a[None], count, axis=0)
+    return ObservableBatch(matrix, a, np.full(count, obs.norm2), np.zeros(count, dtype=bool))
 
 
 def observable_from_bloch_batch(vec: np.ndarray, basis: GeneratorBasis) -> ObservableBatch:

@@ -6,10 +6,19 @@ default 0.01 to match figure-level precision).  Sample i always comes
 from RNG stream i, so occupancy grows monotonically with the sample
 count for a fixed seed.
 
-Both scans are qubit-only.  For pair scans with unit observables the
-analytic boundary of the scalar bound is attached: with the axis angle
-θ_ab it is traced by coplanar states as (sin²θ, sin²(θ_ab ∓ θ)) for θ in
-[0, π/2].
+Both scans are qubit-only and run on the batched engine: each chunk of
+``ENGINE_CHUNK`` streams is drawn on ``XoshiroLanes`` lanes as one
+``StateBatch``, and its variances, margins and every check of the scalar
+constructors and checkers are array operations, bit-identical to the
+per-state path (``iter_states``, ``variance_bloch``, the scalar
+checkers).  A row that fails a check, or whose margin fails its floor
+(NaN included), is replayed on that path for its own stream, which
+raises the stream's own exception; if the replay passes, the scan raises
+``NumericsError`` naming the sample.
+
+For pair scans with unit observables the analytic boundary of the
+scalar bound is attached: with the axis angle θ_ab it is traced by
+coplanar states as (sin²θ, sin²(θ_ab ∓ θ)) for θ in [0, π/2].
 
 ``find_saturating_state`` looks for states that make the qubit bound an
 equality at fixed |p|: a golden-section search over the angle inside the
@@ -25,12 +34,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import Observable, QuantumState, state_to_matrix
+from .bloch import Observable, QuantumState, StateBatch, repeat_observable, state_to_matrix
 from .errors import DimensionMismatch, NumericsError
-from .relations import check_theorem1, check_three_observable_equality
-from .sampling import SampleConfig, iter_states
-from .sun_basis import basis_for
-from .variance import variance_bloch
+from .linalg import py_max
+from .relations import (
+    check_theorem1,
+    check_theorem1_batch,
+    check_three_observable_equality,
+    check_three_observable_equality_batch,
+)
+from .sampling import (
+    SampleConfig,
+    Xoshiro256pp,
+    XoshiroLanes,
+    draw_mixed,
+    draw_pure,
+    draw_states_batch,
+    lane_chunks,
+    replay_first_bad,
+)
+from .sun_basis import GeneratorBasis, basis_for
+from .variance import variance_bloch, variance_bloch_batch
 
 __all__ = [
     "RegionScan",
@@ -42,6 +66,7 @@ __all__ = [
 
 GRID_RANGE = (1e-3, 0.1)
 _SCAN_MARGIN_FLOOR = -1e-9
+_SURFACE_TOL = 1e-9  # largest |residual| of a triple sample off the certainty surface
 _GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0
 _COMPASS_STEPS = (0.25, 1e-10)  # first and smallest step of the sphere search, radians
 
@@ -119,11 +144,27 @@ def _validate_samples(samples: np.ndarray, norms: list[float]) -> None:
             )
 
 
+def _scalar_state(ensemble: SampleConfig, basis: GeneratorBasis, index: int) -> QuantumState:
+    # Sample ``index`` as ``iter_states(ensemble)`` yields it.
+    draw = draw_pure if ensemble.kind == "haar_pure" else draw_mixed
+    return draw(Xoshiro256pp(ensemble.seed, stream=index), basis)
+
+
+def _lane_states(ensemble: SampleConfig, basis: GeneratorBasis, streams: np.ndarray) -> StateBatch:
+    # Lanes form of _scalar_state over one chunk of streams.
+    pure = np.full(streams.size, ensemble.kind == "haar_pure")
+    return draw_states_batch(XoshiroLanes(ensemble.seed, streams), basis, pure)
+
+
 def scan_pair(a: Observable, b: Observable, ensemble: SampleConfig, grid: float) -> RegionScan:
     """Scatter (ΔA², ΔB²) over a qubit ensemble.
 
     Every sample's bound margin is recorded and must stay above -1e-9.
-    Pure ensembles with unit observables also get the analytic boundary
+    Each chunk of streams runs on lanes: ``variance_bloch_batch`` for the
+    two variances and ``check_theorem1_batch``, with A and B repeated
+    per row, for the margins.  The first failing row of a chunk is
+    replayed on the scalar path (see the module docstring).  Pure
+    ensembles with unit observables also get the analytic boundary
     attached.
     """
     n_cells = _check_grid(grid)
@@ -136,14 +177,29 @@ def scan_pair(a: Observable, b: Observable, ensemble: SampleConfig, grid: float)
     samples = np.empty((count, 2))
     purities = np.empty(count)
     margins = np.empty(count)
-    for i, state in enumerate(iter_states(ensemble)):
-        samples[i, 0] = variance_bloch(a, state, basis)
-        samples[i, 1] = variance_bloch(b, state, basis)
-        purities[i] = state.purity
+
+    def replay(index: int) -> None:
+        state = _scalar_state(ensemble, basis, index)
+        variance_bloch(a, state, basis)
+        variance_bloch(b, state, basis)
         margin = check_theorem1(a, b, state).margin
         if not margin >= _SCAN_MARGIN_FLOOR:  # also rejects NaN
-            raise NumericsError(f"sample {i} violates the qubit bound: {margin!r}")
-        margins[i] = margin
+            raise NumericsError(f"sample {index} violates the qubit bound: {margin!r}")
+
+    for streams in lane_chunks(count):
+        state = _lane_states(ensemble, basis, streams)
+        ra = repeat_observable(a, streams.size)
+        rb = repeat_observable(b, streams.size)
+        da2, bad_a = variance_bloch_batch(ra, state)
+        db2, bad_b = variance_bloch_batch(rb, state)
+        margin, bad = check_theorem1_batch(ra, rb, state)
+        bad |= bad_a | bad_b | ~(margin >= _SCAN_MARGIN_FLOOR)
+        replay_first_bad(bad, streams, replay)
+        rows = slice(streams[0], streams[-1] + 1)
+        samples[rows, 0] = da2
+        samples[rows, 1] = db2
+        purities[rows] = state.purity
+        margins[rows] = margin
     _validate_samples(samples, [a.norm2, b.norm2])
     theta_ab = _axis_angle(a, b)
     boundary = None
@@ -176,31 +232,46 @@ def scan_triple(theta_ab: float, ensemble: SampleConfig, grid: float) -> RegionS
 
     Pure qubit ensembles only: the three variances of a pure state sit
     exactly on the certainty surface, and every sample is checked to
-    satisfy it within 1e-9.  ``boundary`` carries a parametric grid of
-    that surface.
+    satisfy it within 1e-9.  Each chunk of streams runs on lanes: the
+    variances (1-u², 1-v², 1-w²) are array arithmetic on the Bloch rows
+    and the residuals come from ``check_three_observable_equality_batch``;
+    the first failing row of a chunk is replayed on the scalar path (see
+    the module docstring).  ``boundary`` carries a parametric grid of the
+    surface.
     """
     n_cells = _check_grid(grid)
     if ensemble.dim != 2 or ensemble.kind != "haar_pure":
         raise ValueError("triple scans are defined for pure qubit ensembles only")
     if not -1e-12 <= theta_ab <= math.pi + 1e-12:
         raise ValueError(f"theta_ab = {theta_ab!r} outside [0, pi]")
+    basis = basis_for(2)
     cos_t = math.cos(theta_ab)
     sin_t = math.sin(theta_ab)
     count = ensemble.count
     samples = np.empty((count, 3))
     purities = np.empty(count)
     margins = np.empty(count)
-    for i, state in enumerate(iter_states(ensemble)):
-        p = state.p
-        u = p[0]
-        v = p[0] * cos_t + p[1] * sin_t
-        w = p[2]
-        samples[i] = (max(1.0 - u * u, 0.0), max(1.0 - v * v, 0.0), max(1.0 - w * w, 0.0))
-        purities[i] = state.purity
+
+    def replay(index: int) -> None:
+        state = _scalar_state(ensemble, basis, index)
         residual = check_three_observable_equality(theta_ab, state).margin
-        if not abs(residual) <= 1e-9:  # also rejects NaN
-            raise NumericsError(f"sample {i} misses the certainty surface: {residual!r}")
-        margins[i] = residual
+        if not abs(residual) <= _SURFACE_TOL:  # also rejects NaN
+            raise NumericsError(f"sample {index} misses the certainty surface: {residual!r}")
+
+    for streams in lane_chunks(count):
+        state = _lane_states(ensemble, basis, streams)
+        residual, bad = check_three_observable_equality_batch(theta_ab, state)
+        bad |= ~(np.abs(residual) <= _SURFACE_TOL)
+        replay_first_bad(bad, streams, replay)
+        p = state.p
+        u = p[:, 0]
+        v = p[:, 0] * cos_t + p[:, 1] * sin_t
+        w = p[:, 2]
+        rows = slice(streams[0], streams[-1] + 1)
+        for k, x in enumerate((u, v, w)):
+            samples[rows, k] = py_max(1.0 - x * x, 0.0)
+        purities[rows] = state.purity
+        margins[rows] = residual
     _validate_samples(samples, [1.0, 1.0, 1.0])
     return RegionScan(
         axes=("dA2", "dB2", "dC2"),

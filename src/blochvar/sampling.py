@@ -29,6 +29,9 @@ each; its ``math.log`` goes through Python per element because numpy's
 ``log`` differs from libm's in the last bit.  ``draw_states_batch`` and
 ``draw_observable_batch`` are the lanes forms of the draws; the zero-norm
 re-draw of an observable advances only the lanes that need it.
+``lane_chunks`` splits a run into chunks of ``ENGINE_CHUNK`` streams,
+and ``replay_first_bad`` sends the first failing lane of a chunk back to
+the scalar path, which raises that stream's own exception.
 
 Measures: pure states are Haar-distributed (first column of the unitary
 QR factor of a square complex Gaussian matrix, diagonal phases
@@ -54,12 +57,16 @@ from .bloch import (
     state_from_matrix,
     state_from_matrix_batch,
 )
+from .errors import NumericsError
 from .linalg import HermitianMatrix, per_element, row_dot
 from .sun_basis import GeneratorBasis, basis_for
 
 __all__ = [
     "Xoshiro256pp",
     "XoshiroLanes",
+    "ENGINE_CHUNK",
+    "lane_chunks",
+    "replay_first_bad",
     "draw_states_batch",
     "draw_observable_batch",
     "SampleConfig",
@@ -73,6 +80,10 @@ _M64 = (1 << 64) - 1
 _MIN_NORM = 1e-12  # observable draws below this norm are drawn again
 _SM_GAMMA = 0x9E3779B97F4A7C15
 _TWO_PI = 2.0 * math.pi
+
+# Streams per chunk of the batched engine: it holds a few dozen arrays of
+# this many rows at a time, so its memory is bounded at any sample count.
+ENGINE_CHUNK = 2048
 
 
 def _sm64(state: int) -> tuple[int, int]:
@@ -205,6 +216,27 @@ class XoshiroLanes:
         """n standard complex normals per lane."""
         g = self.gaussians(2 * n)
         return (g[:, 0::2] + 1j * g[:, 1::2]) / math.sqrt(2.0)
+
+
+def lane_chunks(count: int) -> Iterator[np.ndarray]:
+    """Streams 0 .. count - 1 in consecutive chunks of ``ENGINE_CHUNK``."""
+    for start in range(0, count, ENGINE_CHUNK):
+        yield np.arange(start, min(start + ENGINE_CHUNK, count))
+
+
+def replay_first_bad(bad: np.ndarray, streams: np.ndarray, replay) -> None:
+    """Raise for the first of ``streams`` whose lane is ``bad``, if any.
+
+    ``replay(stream)`` runs that sample on the scalar path, which raises
+    the stream's own exception; if it passes instead, lanes and scalar
+    checks disagree, and this raises ``NumericsError`` naming the sample.
+    """
+    if bad.any():
+        first = int(streams[bad.argmax()])
+        replay(first)
+        raise NumericsError(
+            f"sample {first} (stream {first}): a lane check failed that the scalar checks pass"
+        )
 
 
 _KINDS = ("haar_pure", "hs_mixed")

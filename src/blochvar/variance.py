@@ -18,9 +18,9 @@ traces (a · b = Tr[AB]/2, a · b' = Tr[AB²]/2, a' · b' =
 (Tr[A²B²] - Tr[A²]Tr[B²]/N)/2, ...) and insists the two agree, which
 makes it a basis-corruption detector as much as a convenience.
 
-``variance_matrix_batch`` and ``angles_batch`` are the lanes forms the
-batched qubit engine uses: every check runs per row and marks failing
-rows in a returned ``bad`` mask instead of raising.
+``variance_matrix_batch``, ``variance_bloch_batch`` and ``angles_batch``
+are the lanes forms the batched qubit engine uses: every check runs per
+row and marks failing rows in a returned ``bad`` mask instead of raising.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ __all__ = [
     "variance_matrix",
     "variance_matrix_batch",
     "variance_bloch",
+    "variance_bloch_batch",
     "variance_report",
     "angles",
     "angles_batch",
@@ -172,6 +173,15 @@ def variance_bloch(a: Observable, rho: QuantumState, basis: GeneratorBasis) -> f
     mean = float(a.a @ rho.p)
     value = (2.0 / a.dim) * a.norm2 + float(a.a_prime @ rho.p) - mean * mean
     return _finalize(value)
+
+
+def variance_bloch_batch(a: ObservableBatch, rho: StateBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Lanes form of ``variance_bloch`` on qubit rows; returns
+    ``(variances, bad)``.  At N = 2, (2/N)|a|² is |a|² and a' vanishes,
+    so adding a' · p (a signed zero) leaves every value as it is."""
+    mean = row_dot(a.a, rho.p)
+    value = a.norm2 - mean * mean
+    return py_max(value, 0.0), value < _NEGATIVE_VARIANCE_FLOOR
 
 
 def variance_report(a: Observable, rho: QuantumState, basis: GeneratorBasis) -> VarianceReport:

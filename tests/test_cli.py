@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import blochvar
+from blochvar import regions
 from blochvar.cli import run
+from blochvar.errors import NumericsError
 
 
 def _run(args):
@@ -301,6 +303,9 @@ def test_region_usage_errors():
     with pytest.raises(SystemExit) as err:
         _run(["region", "triple", "--theta-ab", "1.0", "--ensemble", "mixed"])
     assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        _run(["region", "triple", "--theta-ab", "1.5", "--samples", "800", "--slice-da2", "0.3"])
+    assert err.value.code == 2
 
 
 @pytest.mark.parametrize("value", ["nan", "1.5", "-0.1", "x"])
@@ -332,23 +337,30 @@ def test_theta_ab_out_of_range_exits_2(args, theta):
 
 
 # Each case's last entry is (occupied_cells, repr(worst_margin),
-# repr(max_abs_margin), SHA-256 of the --csv file): the equivalence oracle
-# that pins every region scan bit for bit.
+# repr(max_abs_margin), SHA-256 of the --csv file, of the --json file and
+# of the --out report less its wall_time_s line): the equivalence oracle
+# that pins every region scan and artifact bit for bit.
 _REGION_CASES = [
     (
         ["pair", "--ensemble", "pure", "--theta-ab", "1.0", "--samples", "400", "--seed", "21"],
         (367, "4.879722848016854e-09", "0.4596947791187995",
-         "d8dde78106f97ec8cc39e3a8af98c3d90a2427e58108d758da7df8b0ec2e39f9"),
+         "d8dde78106f97ec8cc39e3a8af98c3d90a2427e58108d758da7df8b0ec2e39f9",
+         "ac08600a150c868f2a718b130844e8bd855a58fdf08ac25b6e516c892e3454ee",
+         "0d3ba8a13d1b2d0d5307594d3461a3256080dfa4f54f8963c6cdabd969382711"),
     ),
     (
         ["pair", "--ensemble", "mixed", "--theta-ab", "1.0", "--samples", "400", "--seed", "22"],
         (325, "2.31327271412278e-05", "0.4542258021714687",
-         "0f4b8d117c222cc43c736f4f1646871b86f5a77600e979d8a7c60e739696da9d"),
+         "0f4b8d117c222cc43c736f4f1646871b86f5a77600e979d8a7c60e739696da9d",
+         "2be87995fd0cf086846e8bbaf035ca6c64e897cda257301e76a49b53331f3b6b",
+         "db6cd11170103155a3090cbeca767738626c48c5f3ebd8d24524219cd8ab829d"),
     ),
     (
         ["triple", "--theta-ab", "0.7853981633974483", "--samples", "300", "--seed", "23"],
         (296, "-8.881784197001252e-16", "8.881784197001252e-16",
-         "359b96e25ac304df1db4cd51e5ba040715921f4b49568054f2ac311e0e47b9fb"),
+         "359b96e25ac304df1db4cd51e5ba040715921f4b49568054f2ac311e0e47b9fb",
+         "0dcd8e2f2ccd8420ed8b70eb20437d74e4ee0131d9b91302a238602dfb3d2052",
+         "30786eab82dc9e6aa72a8c0821193bcc86140ce2aefb335bd638661b3c153c81"),
     ),
 ]
 
@@ -357,17 +369,39 @@ _REGION_CASES = [
     "args,expected", _REGION_CASES, ids=["pair-pure", "pair-mixed", "triple"]
 )
 def test_region_scans_are_pinned(tmp_path, args, expected):
-    csv_path = tmp_path / "scan.csv"
-    code, report = _run(["region"] + args + ["--csv", str(csv_path)])
+    paths = [tmp_path / name for name in ("scan.csv", "scan.json", "report.json")]
+    flags = ["--csv", "--json", "--out"]
+    code, report = _run(["region"] + args + [x for pair in zip(flags, map(str, paths)) for x in pair])
     assert code == 0
     summary = report["results"][0]
+    report_lines = paths[2].read_bytes().splitlines(keepends=True)
+    kept = b"".join(line for line in report_lines if not line.startswith(b'  "wall_time_s": '))
+    assert len(kept) < sum(map(len, report_lines))
     got = (
         summary["occupied_cells"],
         repr(summary["worst_margin"]),
         repr(summary["max_abs_margin"]),
-        hashlib.sha256(csv_path.read_bytes()).hexdigest(),
+        hashlib.sha256(paths[0].read_bytes()).hexdigest(),
+        hashlib.sha256(paths[1].read_bytes()).hexdigest(),
+        hashlib.sha256(kept).hexdigest(),
     )
     assert got == expected
+
+
+def test_region_margin_below_floor_raises_and_writes_nothing(tmp_path, monkeypatch):
+    # The scans raise for any margin below -1e-9, so the CLI writes no
+    # report: here the lanes checker reports -1e-6 for sample 5 alone.
+    checker = regions.check_theorem1_batch
+
+    def low_at_5(a, b, state):
+        margins, bad = checker(a, b, state)
+        return np.where(np.arange(margins.size) == 5, -1e-6, margins), bad
+
+    monkeypatch.setattr(regions, "check_theorem1_batch", low_at_5)
+    out = tmp_path / "report.json"
+    with pytest.raises(NumericsError, match=r"sample 5 \(stream 5\)"):
+        _run(["region", "pair", "--theta-ab", "1.0", "--samples", "40", "--out", str(out)])
+    assert not out.exists()
 
 
 def test_region_reports_reproduce():

@@ -53,7 +53,7 @@ def test_engine_covers_the_qubit_catalogue():
 @example(seed=0, samples=33, chunk=8)
 @example(seed=2**64 - 1, samples=17, chunk=16)
 def test_engine_matches_scalar_loop(relation, seed, samples, chunk):
-    with mock.patch.object(cli, "ENGINE_CHUNK", chunk):
+    with mock.patch.object(sampling, "ENGINE_CHUNK", chunk):
         lanes = _margins(relation, samples, seed)
         summary = cli._fuzz(relation, 2, samples, seed, math.pi / 4.0)
     with _scalar_only(relation):
@@ -74,7 +74,7 @@ def test_three_obs_engine_matches_at_any_angle(seed, theta_ab):
 
 @pytest.mark.parametrize("relation", ["theorem1", "state-dependent", "unit-vector"])
 def test_default_chunk_boundary(relation):
-    samples = cli.ENGINE_CHUNK + 3
+    samples = sampling.ENGINE_CHUNK + 3
     with _scalar_only(relation):
         scalar = _margins(relation, samples, 20150223)
     assert np.array_equal(_margins(relation, samples, 20150223), scalar)
@@ -168,7 +168,7 @@ def test_first_failing_stream_raises_scalar_error(module, name, value, relation)
         failing = _failing_streams(relation, 200, 3)
         with _scalar_only(relation), pytest.raises(Exception) as scalar:
             cli._fuzz(relation, 2, 200, 3, math.pi / 4.0)
-        with mock.patch.object(cli, "ENGINE_CHUNK", 16), pytest.raises(Exception) as lanes:
+        with mock.patch.object(sampling, "ENGINE_CHUNK", 16), pytest.raises(Exception) as lanes:
             cli._fuzz(relation, 2, 200, 3, math.pi / 4.0)
     assert type(lanes.value) is type(scalar.value)
     assert str(lanes.value) == str(scalar.value)

@@ -1,5 +1,5 @@
 import math
-from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,15 +9,22 @@ from blochvar import (
     NumericsError,
     SampleConfig,
     Xoshiro256pp,
+    basis_for,
+    check_theorem1,
+    check_three_observable_equality,
     check_unit_vector_relation,
+    draw_mixed,
     draw_observable,
+    draw_pure,
     find_saturating_state,
+    iter_states,
     observable_from_bloch,
     scan_pair,
     scan_triple,
     state_to_matrix,
+    variance_bloch,
 )
-from blochvar import regions
+from blochvar import bloch, regions, sampling, variance
 
 
 def _axis_pair(basis2, theta):
@@ -91,15 +98,48 @@ def test_pair_scan_is_qubit_only(basis2, basis3):
             scan_pair(a, b, cfg, grid=0.01)
 
 
-@pytest.mark.parametrize("checker", ["check_theorem1", "check_three_observable_equality"])
-def test_scans_reject_nan_margins(basis2, monkeypatch, checker):
-    monkeypatch.setattr(regions, checker, lambda *args: SimpleNamespace(margin=math.nan))
+def _nan_at(checker, row):
+    """``checker`` with the margin of chunk row ``row`` replaced by NaN."""
+
+    def patched(*args):
+        margins, bad = checker(*args)
+        margins = margins.copy()
+        margins[row] = math.nan
+        return margins, bad
+
+    return patched
+
+
+def _scan_with(checker, basis2):
     cfg = SampleConfig(seed=1, dim=2, count=10, kind="haar_pure")
-    with pytest.raises(NumericsError, match="sample 0"):
-        if checker == "check_theorem1":
-            scan_pair(*_axis_pair(basis2, 1.0), cfg, grid=0.01)
-        else:
-            scan_triple(1.0, cfg, grid=0.01)
+    if checker == "check_theorem1":
+        return scan_pair(*_axis_pair(basis2, 1.0), cfg, grid=0.01)
+    return scan_triple(1.0, cfg, grid=0.01)
+
+
+_CHECKERS = ["check_theorem1", "check_three_observable_equality"]
+
+
+@pytest.mark.parametrize("checker", _CHECKERS)
+def test_scans_reject_nan_margins(basis2, monkeypatch, checker):
+    # NaN on lanes and on the scalar path: the replay of sample 0 raises
+    # the floor's own error.
+    lanes = f"{checker}_batch"
+    monkeypatch.setattr(regions, lanes, _nan_at(getattr(regions, lanes), 0))
+    nan_verdict = mock.Mock(margin=math.nan)
+    monkeypatch.setattr(regions, checker, lambda *args: nan_verdict)
+    with pytest.raises(NumericsError, match="sample 0 (violates|misses).*nan"):
+        _scan_with(checker, basis2)
+
+
+@pytest.mark.parametrize("checker", _CHECKERS)
+def test_scans_reject_lane_only_nan_margins(basis2, monkeypatch, checker):
+    # NaN on lanes alone: the replay passes, and the scan still raises
+    # for that sample.
+    lanes = f"{checker}_batch"
+    monkeypatch.setattr(regions, lanes, _nan_at(getattr(regions, lanes), 0))
+    with pytest.raises(NumericsError, match=r"sample 0 \(stream 0\): a lane check failed"):
+        _scan_with(checker, basis2)
 
 
 def test_triple_scan_on_certainty_surface(basis2):
@@ -156,6 +196,133 @@ def test_slice_span_matches_direct_selection(basis2):
 
 
 # ---------------------------------------------------------------------------
+# the lanes scans against the per-state loop
+
+
+_ORACLE_THETA = 0.9
+
+
+def _oracle_pair(basis):
+    # A unit and a non-unit observable off the coordinate axes.
+    return (
+        observable_from_bloch([0.48, -0.6, 0.64], basis),
+        observable_from_bloch([0.1, 0.7, -0.5], basis),
+    )
+
+
+_ORACLE_MODES = {"pair-pure": ("pair", "haar_pure"), "pair-mixed": ("pair", "hs_mixed"),
+                 "triple": ("triple", "haar_pure")}
+
+
+def scalar_scan(mode, cfg, grid=0.01):
+    """The per-state loop the scans ran before the batched engine: the
+    oracle of the lanes scans, as ``dense_reference`` is of the basis.
+
+    ``mode`` is "pair" (the ``_oracle_pair`` observables) or "triple"
+    (θ_ab = ``_ORACLE_THETA``).  Returns (samples, purities, margins,
+    occupancy).
+    """
+    basis = basis_for(2)
+    rows = [_scalar_row(mode, basis, i, state) for i, state in enumerate(iter_states(cfg))]
+    table = np.array(rows)
+    samples = table[:, :-2]
+    n_cells = int(math.ceil(1.0 / grid - 1e-12))
+    occupancy = np.zeros((n_cells,) * samples.shape[1], dtype=bool)
+    occupancy[tuple(np.clip((samples / grid).astype(np.intp), 0, n_cells - 1).T)] = True
+    return samples, table[:, -2], table[:, -1], occupancy
+
+
+def _scalar_row(mode, basis, i, state):
+    # One sample of scalar_scan: its variances, purity and margin.
+    if mode == "pair":
+        a, b = _oracle_pair(basis)
+        da2 = variance_bloch(a, state, basis)
+        db2 = variance_bloch(b, state, basis)
+        margin = check_theorem1(a, b, state).margin
+        if not margin >= regions._SCAN_MARGIN_FLOOR:
+            raise NumericsError(f"sample {i} violates the qubit bound: {margin!r}")
+        return da2, db2, state.purity, margin
+    p = state.p
+    u = p[0]
+    v = p[0] * math.cos(_ORACLE_THETA) + p[1] * math.sin(_ORACLE_THETA)
+    w = p[2]
+    residual = check_three_observable_equality(_ORACLE_THETA, state).margin
+    if not abs(residual) <= regions._SURFACE_TOL:
+        raise NumericsError(f"sample {i} misses the certainty surface: {residual!r}")
+    variances = (max(1.0 - u * u, 0.0), max(1.0 - v * v, 0.0), max(1.0 - w * w, 0.0))
+    return variances + (state.purity, residual)
+
+
+def _lanes_scan(mode, cfg):
+    if mode == "pair":
+        scan = scan_pair(*_oracle_pair(basis_for(2)), cfg, grid=0.01)
+    else:
+        scan = scan_triple(_ORACLE_THETA, cfg, grid=0.01)
+    return scan.samples, scan.purities, scan.margins, scan.occupancy
+
+
+def _assert_scans_equal(name, seed, count):
+    mode, kind = _ORACLE_MODES[name]
+    cfg = SampleConfig(seed=seed, dim=2, count=count, kind=kind)
+    for got, expected in zip(_lanes_scan(mode, cfg), scalar_scan(mode, cfg), strict=True):
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_MODES))
+@pytest.mark.parametrize("seed", [0, 1729, 2**64 - 1])
+@pytest.mark.parametrize("chunk", [1, 7, 16])
+def test_lanes_scans_match_scalar_loop(name, seed, chunk):
+    with mock.patch.object(sampling, "ENGINE_CHUNK", chunk):
+        _assert_scans_equal(name, seed, 40)
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_MODES))
+@pytest.mark.parametrize("seed", [0, 1729, 2**64 - 1])
+def test_lanes_scans_match_past_default_chunk(name, seed):
+    _assert_scans_equal(name, seed, sampling.ENGINE_CHUNK + 5)
+
+
+# Tightened tolerances make some samples fail: the lanes scan must raise
+# what the per-state loop raises, for the same first failing sample.
+_SCAN_FAILURES = [
+    (bloch, "PSD_EIGENVALUE_FLOOR", 0.05, "pair-mixed"),
+    (variance, "_NEGATIVE_VARIANCE_FLOOR", 0.2, "pair-pure"),
+    (regions, "_SCAN_MARGIN_FLOOR", 0.01, "pair-mixed"),
+    (regions, "_SURFACE_TOL", 2e-16, "triple"),
+]
+
+
+def _failing_samples(name, seed, count):
+    mode, kind = _ORACLE_MODES[name]
+    basis = basis_for(2)
+    draw = draw_pure if kind == "haar_pure" else draw_mixed
+    failing = []
+    for i in range(count):
+        try:
+            _scalar_row(mode, basis, i, draw(Xoshiro256pp(seed, stream=i), basis))
+        except (ValueError, ArithmeticError):
+            failing.append(i)
+    return failing
+
+
+@pytest.mark.parametrize("module,attr,value,name", _SCAN_FAILURES)
+def test_first_failing_sample_raises_scalar_error(module, attr, value, name):
+    cfg = SampleConfig(seed=4, dim=2, count=64, kind=_ORACLE_MODES[name][1])
+    with mock.patch.object(module, attr, value):
+        failing = _failing_samples(name, 4, 64)
+        with pytest.raises(Exception) as scalar:
+            scalar_scan(_ORACLE_MODES[name][0], cfg)
+        with mock.patch.object(sampling, "ENGINE_CHUNK", 32), pytest.raises(Exception) as lanes:
+            _lanes_scan(_ORACLE_MODES[name][0], cfg)
+    assert type(lanes.value) is type(scalar.value)
+    assert str(lanes.value) == str(scalar.value)
+    # The first failing sample is not the first of its chunk, and a later
+    # one in the same chunk fails too.
+    assert 0 < failing[0] and failing[1] < 32
+
+
+# ---------------------------------------------------------------------------
 # saturation search
 
 
@@ -176,8 +343,6 @@ def test_in_plane_beats_random_off_plane(basis2):
     result = find_saturating_state(a, b, 0.5)
     rng = Xoshiro256pp(901)
     best_random = math.inf
-    from blochvar import check_theorem1
-
     for _ in range(10000):
         g = rng.gaussians(3)
         state = state_to_matrix(0.5 / np.linalg.norm(g) * g, basis2)
