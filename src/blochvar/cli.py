@@ -37,6 +37,7 @@ import json
 import math
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,7 +48,6 @@ from .bloch import (
     matrix_from_json,
     observable_from_bloch,
     observable_from_matrix,
-    repeat_state,
     state_from_matrix,
     state_to_matrix,
 )
@@ -90,7 +90,8 @@ from .sampling import (
     draw_observable,
     draw_observable_batch,
     draw_pure,
-    draw_states_batch,
+    draw_state,
+    draw_state_batch,
     lane_chunks,
     replay_first_bad,
 )
@@ -145,56 +146,11 @@ _grid = _closed_interval(*GRID_RANGE, f"{GRID_RANGE[1]:g}")  # region cell sizes
 # fuzzing recipes
 
 
-def _mixture_state(rng: Xoshiro256pp, basis, index: int) -> QuantumState:
-    # Alternate pure and full-rank mixed draws so both regimes are hit.
-    if index % 2 == 0:
-        return draw_pure(rng, basis)
-    return draw_mixed(rng, basis)
-
-
-def _pure_state(rng: Xoshiro256pp, basis, index: int) -> QuantumState:
-    return draw_pure(rng, basis)
-
-
-def _pair(check):
-    """Checker that draws A, then B, and returns check(a, b, state)."""
-
-    def checker(rng: Xoshiro256pp, basis, state: QuantumState, theta_ab: float):
-        a = draw_observable(rng, basis)
-        b = draw_observable(rng, basis)
-        return check(a, b, state)
-
-    return checker
-
-
 def _unit_vector(a: Observable, b: Observable, state: QuantumState):
     da2 = max(1.0 - float(a.a @ state.p) ** 2, 0.0)
     db2 = max(1.0 - float(b.a @ state.p) ** 2, 0.0)
     theta = effective_axis_angle(a, b, state)
     return [check_unit_vector_relation(theta, da2, db2)]
-
-
-def _mixture_lanes(rng: XoshiroLanes, basis, streams: np.ndarray):
-    return draw_states_batch(rng, basis, streams % 2 == 0)
-
-
-def _pure_lanes(rng: XoshiroLanes, basis, streams: np.ndarray):
-    return draw_states_batch(rng, basis, np.ones(streams.size, dtype=bool))
-
-
-def _mixed_lanes(rng: XoshiroLanes, basis, streams: np.ndarray):
-    return draw_states_batch(rng, basis, np.zeros(streams.size, dtype=bool))
-
-
-def _pair_lanes(check):
-    """Lanes form of ``_pair``: every lane draws A, then B."""
-
-    def checker(rng: XoshiroLanes, basis, state, theta_ab: float):
-        a = draw_observable_batch(rng, basis)
-        b = draw_observable_batch(rng, basis)
-        return check(a, b, state)
-
-    return checker
 
 
 def _squared(x: float) -> float:
@@ -230,10 +186,10 @@ def _project_orthogonal(p: np.ndarray, vecs: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _appendix_c_sample(basis, rng: Xoshiro256pp, max_tries: int = 200):
-    # Rejection sampling: project the Bloch vector onto the orthogonal
-    # complement of span{a, b}, then insist the reconstruction is still
-    # physical.  Projection shrinks |p|, so acceptance is high.
+def _appendix_c_draw(rng: Xoshiro256pp, basis, max_tries: int = 200):
+    # Rejection sampling of (A, B, state): project the Bloch vector onto the
+    # orthogonal complement of span{a, b}, then insist the reconstruction
+    # is still physical.  Projection shrinks |p|, so acceptance is high.
     for _ in range(max_tries):
         a = draw_observable(rng, basis)
         b = draw_observable(rng, basis)
@@ -245,117 +201,120 @@ def _appendix_c_sample(basis, rng: Xoshiro256pp, max_tries: int = 200):
             continue
         if abs(float(a.a @ projected.p)) > 1e-9 or abs(float(b.a @ projected.p)) > 1e-9:
             continue
-        return check_appendix_c(a, b, projected, basis)
+        return a, b, projected
     raise RuntimeError("no valid zero-mean sample found; ensemble looks pathological")
 
 
-# relation -> (dims it is defined for, None = any N >= 2; state recipe;
-# checker; lanes form or None).  A sample runs the recipe, then the
-# checker, on its own RNG stream, so the state is drawn before A and B
-# (appendix-c draws all three inside its rejection loop).
-#
-# The lanes form is the same (recipe, checker) pair on the batched
-# engine: the recipe takes an XoshiroLanes over a chunk of streams and
-# returns a StateBatch, the checker draws ObservableBatch rows in the
-# same order and returns (margins, bad), one row per stream and one
-# column per verdict.  `_verdicts` runs it at N = 2, where every margin
-# is bit-identical to the per-stream loop's; appendix-c (rejection
-# sampling) and N > 2 run the loop.
-#
-# Entries reach the draw and check functions through lambdas or helpers
-# that look the names up at call time, so a wrapper put on this module's
-# names (as bench/tracer.py does) sees every call.
+class Relation(NamedTuple):
+    """How ``verify`` draws and checks one relation.
+
+    Sample i, on RNG stream i, draws a state of the ``sampling.draw_state``
+    kind ``states``, then A and B if ``pair``, and ``check(a, b, state,
+    theta_ab)`` returns its verdicts.  ``states`` None is appendix-c's
+    rejection loop, which draws A, B and the state itself.  ``dims`` are
+    the N the relation is defined for (None: any N >= 2).  ``lanes`` is
+    ``check`` on the batched engine, given batch rows drawn in the same
+    order: it returns (margins, bad), a row per stream and a column per
+    verdict, bit-identical to the loop's; ``_verdicts`` runs it at N = 2,
+    and None runs the loop.  Checks call the relations through lambdas,
+    which look the names up at call time, so a wrapper on this module's
+    names (bench/tracer.py puts one) sees every call.
+    """
+
+    dims: tuple[int, ...] | None
+    states: str | None
+    pair: bool
+    check: Callable
+    lanes: Callable | None
+
+
 _RELATIONS = {
-    "triangle": (
-        (2,),
-        _mixture_state,
-        _pair(lambda a, b, s: [check_triangle(a, b, s)]),
-        (_mixture_lanes, _pair_lanes(lambda a, b, s: check_triangle_batch(a, b, s))),
+    "triangle": Relation(
+        (2,), "alternating", True,
+        lambda a, b, s, t: [check_triangle(a, b, s)],
+        lambda a, b, s, t: check_triangle_batch(a, b, s),
     ),
-    "theorem1": (
-        (2,),
-        _mixture_state,
-        _pair(lambda a, b, s: [check_theorem1(a, b, s)]),
-        (_mixture_lanes, _pair_lanes(lambda a, b, s: check_theorem1_batch(a, b, s))),
+    "theorem1": Relation(
+        (2,), "alternating", True,
+        lambda a, b, s, t: [check_theorem1(a, b, s)],
+        lambda a, b, s, t: check_theorem1_batch(a, b, s),
     ),
-    "mixed-limit": (
-        (2,),
-        lambda rng, basis, i: completely_mixed(basis),
-        _pair(lambda a, b, s: [check_mixed_limit(a, b, s)]),
-        (
-            lambda rng, basis, streams: repeat_state(completely_mixed(basis), streams.size),
-            _pair_lanes(lambda a, b, s: check_mixed_limit_batch(a, b, s)),
-        ),
+    "mixed-limit": Relation(
+        (2,), "maximally_mixed", True,
+        lambda a, b, s, t: [check_mixed_limit(a, b, s)],
+        lambda a, b, s, t: check_mixed_limit_batch(a, b, s),
     ),
-    "pure-limit": (
-        (2,),
-        _pure_state,
-        _pair(lambda a, b, s: [check_pure_limit(a, b, s)]),
-        (_pure_lanes, _pair_lanes(lambda a, b, s: check_pure_limit_batch(a, b, s))),
+    "pure-limit": Relation(
+        (2,), "haar_pure", True,
+        lambda a, b, s, t: [check_pure_limit(a, b, s)],
+        lambda a, b, s, t: check_pure_limit_batch(a, b, s),
     ),
-    "unit-vector": (
-        (2,),
-        _pure_state,
-        _pair(_unit_vector),
-        (_pure_lanes, _pair_lanes(_unit_vector_lanes)),
+    "unit-vector": Relation(
+        (2,), "haar_pure", True,
+        lambda a, b, s, t: _unit_vector(a, b, s),
+        lambda a, b, s, t: _unit_vector_lanes(a, b, s),
     ),
-    "three-obs-equality": (
-        (2,),
-        _pure_state,
-        lambda rng, basis, s, theta_ab: [check_three_observable_equality(theta_ab, s)],
-        (
-            _pure_lanes,
-            lambda rng, basis, s, theta_ab: check_three_observable_equality_batch(theta_ab, s),
-        ),
+    "three-obs-equality": Relation(
+        (2,), "haar_pure", False,
+        lambda a, b, s, t: [check_three_observable_equality(t, s)],
+        lambda a, b, s, t: check_three_observable_equality_batch(t, s),
     ),
-    "appendix-b": (
-        (2,),
-        lambda rng, basis, i: draw_mixed(rng, basis),
-        lambda rng, basis, s, theta_ab: [check_appendix_b(s)],
-        (_mixed_lanes, lambda rng, basis, s, theta_ab: check_appendix_b_batch(s)),
+    "appendix-b": Relation(
+        (2,), "hs_mixed", False,
+        lambda a, b, s, t: [check_appendix_b(s)],
+        lambda a, b, s, t: check_appendix_b_batch(s),
     ),
-    "appendix-c": (
-        None,
-        lambda rng, basis, i: None,
-        lambda rng, basis, s, theta_ab: [_appendix_c_sample(basis, rng)],
+    "appendix-c": Relation(
+        None, None, False,
+        lambda a, b, s, t: [check_appendix_c(a, b, s, basis_for(s.dim))],
         None,
     ),
-    "robertson": (
-        None,
-        _mixture_state,
-        _pair(lambda a, b, s: [robertson_bound(a, b, s)]),
-        (_mixture_lanes, _pair_lanes(lambda a, b, s: robertson_bound_batch(a, b, s))),
+    "robertson": Relation(
+        None, "alternating", True,
+        lambda a, b, s, t: [robertson_bound(a, b, s)],
+        lambda a, b, s, t: robertson_bound_batch(a, b, s),
     ),
-    "state-dependent": (
-        (2,),
-        _pure_state,
-        _pair(lambda a, b, s: [state_dependent_bound(a, b, s, 1), state_dependent_bound(a, b, s, -1)]),
-        (_pure_lanes, _pair_lanes(_state_dependent_lanes)),
+    "state-dependent": Relation(
+        (2,), "haar_pure", True,
+        lambda a, b, s, t: [state_dependent_bound(a, b, s, 1), state_dependent_bound(a, b, s, -1)],
+        lambda a, b, s, t: _state_dependent_lanes(a, b, s),
     ),
 }
 
 
 def _sample(relation: str, basis, seed: int, index: int, theta_ab: float) -> list:
     """The verdicts of sample ``index``, drawn from stream ``index``."""
-    _, recipe, checker, _ = _RELATIONS[relation]
+    row = _RELATIONS[relation]
     rng = Xoshiro256pp(seed, stream=index)
-    return checker(rng, basis, recipe(rng, basis, index), theta_ab)
+    if row.states is None:
+        a, b, state = _appendix_c_draw(rng, basis)
+    else:
+        state = draw_state(row.states, rng, basis, index)
+        a = b = None
+        if row.pair:
+            a = draw_observable(rng, basis)
+            b = draw_observable(rng, basis)
+    return row.check(a, b, state, theta_ab)
 
 
 def _verdicts(relation: str, dim: int, samples: int, seed: int, theta_ab: float):
     """Yield (margin, holds, saturated) for every check, in stream order."""
-    lanes = _RELATIONS[relation][3]
+    row = _RELATIONS[relation]
     basis = basis_for(dim)
-    if lanes is None or dim != 2:
+    if row.lanes is None or dim != 2:
         for i in range(samples):
             for verdict in _sample(relation, basis, seed, i, theta_ab):
                 yield verdict.margin, verdict.holds, verdict.saturated
         return
-    recipe, checker = lanes
     for streams in lane_chunks(samples):
         rng = XoshiroLanes(seed, streams)
         with np.errstate(divide="ignore", invalid="ignore"):  # only bad rows divide by 0
-            margins, bad = checker(rng, basis, recipe(rng, basis, streams), theta_ab)
+            state = draw_state_batch(row.states, rng, basis, streams)
+            a = b = None
+            if row.pair:
+                a = draw_observable_batch(rng, basis)
+                b = draw_observable_batch(rng, basis)
+            margins, bad = row.lanes(a, b, state, theta_ab)
         replay_first_bad(bad, streams, lambda i: _sample(relation, basis, seed, i, theta_ab))
         # Lanes relations all use the default tolerance (see relations).
         for margin in margins.ravel().tolist():
@@ -413,21 +372,21 @@ def _load_json_spec(spec: str, parser) -> dict:
 
 def _parse_observable(spec: str, basis, parser) -> Observable:
     s = spec.strip()
-    if s in ("sigma1", "sigma2", "sigma3"):
-        if basis.dim != 2:
-            parser.error(f"{s} is a qubit observable; dimension is {basis.dim}")
-        vec = np.zeros(3)
-        vec[int(s[-1]) - 1] = 1.0
-        return observable_from_bloch(vec, basis)
-    if s.startswith("n:"):
-        if basis.dim != 2:
-            parser.error("n:(x,y,z) is a qubit form; use a JSON matrix for higher N")
-        return observable_from_bloch(_parse_triplet(s[2:], "observable", parser), basis)
-    if s.startswith("@") or s.startswith("{"):
-        try:
+    try:
+        if s in ("sigma1", "sigma2", "sigma3"):
+            if basis.dim != 2:
+                parser.error(f"{s} is a qubit observable; dimension is {basis.dim}")
+            vec = np.zeros(3)
+            vec[int(s[-1]) - 1] = 1.0
+            return observable_from_bloch(vec, basis)
+        if s.startswith("n:"):
+            if basis.dim != 2:
+                parser.error("n:(x,y,z) is a qubit form; use a JSON matrix for higher N")
+            return observable_from_bloch(_parse_triplet(s[2:], "observable", parser), basis)
+        if s.startswith("@") or s.startswith("{"):
             return observable_from_matrix(matrix_from_json(_load_json_spec(s, parser)), basis)
-        except ValueError as exc:
-            parser.error(f"bad observable matrix: {exc}")
+    except ValueError as exc:
+        parser.error(f"bad observable {spec!r}: {exc}")
     parser.error(
         f"unrecognized observable {spec!r}; use sigma1|sigma2|sigma3, n:(x,y,z), "
         "an inline JSON object, or @file.json"
@@ -489,11 +448,8 @@ def _write_scan_csv(path: str, scan: RegionScan) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for i in range(scan.samples.shape[0]):
-            row = [i, float(scan.purities[i])]
-            row += [float(x) for x in scan.samples[i]]
-            row.append(float(scan.margins[i]))
-            writer.writerow(row)
+        columns = (scan.purities.tolist(), *scan.samples.T.tolist(), scan.margins.tolist())
+        writer.writerows(zip(range(len(scan.margins)), *columns))
 
 
 def _write_scan_json(path: str, scan: RegionScan, config: dict) -> None:
@@ -571,7 +527,7 @@ def _cmd_basis(args, parser) -> tuple[int, dict]:
 
 
 def _cmd_verify(args, parser) -> tuple[int, dict]:
-    dims = _RELATIONS[args.relation][0]
+    dims = _RELATIONS[args.relation].dims
     if dims is not None and args.dim not in dims:
         parser.error(
             f"relation {args.relation} is not defined for dim {args.dim} "
@@ -689,8 +645,8 @@ def _cmd_region(args, parser) -> tuple[int, dict]:
 
 
 def _cmd_compare(args, parser) -> tuple[int, dict]:
-    if args.da2 is not None and math.isnan(args.da2):
-        parser.error("--da2 must be a number, got nan")
+    if args.da2 is not None and not math.isfinite(args.da2):
+        parser.error(f"--da2 must be a finite number, got {args.da2}")
     basis = basis_for(2)
     a = _parse_observable(args.obs_a, basis, parser)
     b = _parse_observable(args.obs_b, basis, parser)
@@ -701,37 +657,17 @@ def _cmd_compare(args, parser) -> tuple[int, dict]:
     else:
         state = draw_pure(Xoshiro256pp(args.state_seed), basis)
     start = time.perf_counter()
-    rows: list[dict] = []
-    margins: list[float] = []
 
-    rb = robertson_bound(a, b, state)
-    rows.append(
-        {
-            "bound": "robertson",
-            "applicable": True,
-            "lhs": rb.lhs,
-            "rhs": rb.rhs,
-            "margin": rb.margin,
-            "holds": rb.holds,
-        }
-    )
-    margins.append(rb.margin)
+    def verdict_row(bound: str, v) -> dict:
+        return {"bound": bound, "applicable": True, "lhs": v.lhs, "rhs": v.rhs, "margin": v.margin, "holds": v.holds}
+
+    rows = [verdict_row("robertson", robertson_bound(a, b, state))]
     for sign, name in ((1, "state_dependent_plus"), (-1, "state_dependent_minus")):
         try:
-            v = state_dependent_bound(a, b, state, sign)
-            rows.append(
-                {
-                    "bound": name,
-                    "applicable": True,
-                    "lhs": v.lhs,
-                    "rhs": v.rhs,
-                    "margin": v.margin,
-                    "holds": v.holds,
-                }
-            )
-            margins.append(v.margin)
+            rows.append(verdict_row(name, state_dependent_bound(a, b, state, sign)))
         except NotApplicable as exc:
             rows.append({"bound": name, "applicable": False, "reason": str(exc)})
+    margins = [row["margin"] for row in rows if row["applicable"]]
 
     unit = abs(a.norm2 - 1.0) <= 1e-9 and abs(b.norm2 - 1.0) <= 1e-9
     if unit:

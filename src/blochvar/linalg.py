@@ -1,10 +1,10 @@
 """The validated Hermitian matrix that states, observables and generators wrap.
 
-Everything downstream works with small (dim <= ~10) complex Hermitian
-matrices, so construction favours strict validation over raw speed: it
-rejects non-square and non-finite input, checks the asymmetry is
-round-off sized, stores the symmetrized (M + M†)/2, and freezes the
-stored array so instances are safe to share.
+Everything downstream works with small (dim <= 16, the command line's
+``MAX_DIM``) complex Hermitian matrices, so construction favours strict
+validation over raw speed: it rejects non-square and non-finite input,
+checks the asymmetry is round-off sized, stores the symmetrized
+(M + M†)/2, and freezes the stored array so instances are safe to share.
 
 The batched qubit engine works on stacks of such matrices, one per RNG
 stream (a lane).  ``hermitian_batch`` is the lanes form of the

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import Observable, QuantumState, StateBatch, repeat_observable, state_to_matrix
+from .bloch import Observable, QuantumState, repeat_observable, state_to_matrix
 from .errors import DimensionMismatch, NumericsError
 from .linalg import py_max
 from .relations import (
@@ -47,13 +47,12 @@ from .sampling import (
     SampleConfig,
     Xoshiro256pp,
     XoshiroLanes,
-    draw_mixed,
-    draw_pure,
-    draw_states_batch,
+    draw_state,
+    draw_state_batch,
     lane_chunks,
     replay_first_bad,
 )
-from .sun_basis import GeneratorBasis, basis_for
+from .sun_basis import basis_for
 from .variance import variance_bloch, variance_bloch_batch
 
 __all__ = [
@@ -144,18 +143,6 @@ def _validate_samples(samples: np.ndarray, norms: list[float]) -> None:
             )
 
 
-def _scalar_state(ensemble: SampleConfig, basis: GeneratorBasis, index: int) -> QuantumState:
-    # Sample ``index`` as ``iter_states(ensemble)`` yields it.
-    draw = draw_pure if ensemble.kind == "haar_pure" else draw_mixed
-    return draw(Xoshiro256pp(ensemble.seed, stream=index), basis)
-
-
-def _lane_states(ensemble: SampleConfig, basis: GeneratorBasis, streams: np.ndarray) -> StateBatch:
-    # Lanes form of _scalar_state over one chunk of streams.
-    pure = np.full(streams.size, ensemble.kind == "haar_pure")
-    return draw_states_batch(XoshiroLanes(ensemble.seed, streams), basis, pure)
-
-
 def scan_pair(a: Observable, b: Observable, ensemble: SampleConfig, grid: float) -> RegionScan:
     """Scatter (ΔA², ΔB²) over a qubit ensemble.
 
@@ -179,7 +166,7 @@ def scan_pair(a: Observable, b: Observable, ensemble: SampleConfig, grid: float)
     margins = np.empty(count)
 
     def replay(index: int) -> None:
-        state = _scalar_state(ensemble, basis, index)
+        state = draw_state(ensemble.kind, Xoshiro256pp(ensemble.seed, stream=index), basis, index)
         variance_bloch(a, state, basis)
         variance_bloch(b, state, basis)
         margin = check_theorem1(a, b, state).margin
@@ -187,7 +174,7 @@ def scan_pair(a: Observable, b: Observable, ensemble: SampleConfig, grid: float)
             raise NumericsError(f"sample {index} violates the qubit bound: {margin!r}")
 
     for streams in lane_chunks(count):
-        state = _lane_states(ensemble, basis, streams)
+        state = draw_state_batch(ensemble.kind, XoshiroLanes(ensemble.seed, streams), basis, streams)
         ra = repeat_observable(a, streams.size)
         rb = repeat_observable(b, streams.size)
         da2, bad_a = variance_bloch_batch(ra, state)
@@ -253,13 +240,13 @@ def scan_triple(theta_ab: float, ensemble: SampleConfig, grid: float) -> RegionS
     margins = np.empty(count)
 
     def replay(index: int) -> None:
-        state = _scalar_state(ensemble, basis, index)
+        state = draw_state(ensemble.kind, Xoshiro256pp(ensemble.seed, stream=index), basis, index)
         residual = check_three_observable_equality(theta_ab, state).margin
         if not abs(residual) <= _SURFACE_TOL:  # also rejects NaN
             raise NumericsError(f"sample {index} misses the certainty surface: {residual!r}")
 
     for streams in lane_chunks(count):
-        state = _lane_states(ensemble, basis, streams)
+        state = draw_state_batch(ensemble.kind, XoshiroLanes(ensemble.seed, streams), basis, streams)
         residual, bad = check_three_observable_equality_batch(theta_ab, state)
         bad |= ~(np.abs(residual) <= _SURFACE_TOL)
         replay_first_bad(bad, streams, replay)

@@ -26,9 +26,9 @@ reproducible independently of batch sizes or worker counts.
 ``XoshiroLanes`` runs many streams at once as numpy ``uint64`` lanes,
 one lane per stream, and draws exactly what ``Xoshiro256pp`` draws on
 each; its ``math.log`` goes through Python per element because numpy's
-``log`` differs from libm's in the last bit.  ``draw_states_batch`` and
-``draw_observable_batch`` are the lanes forms of the draws; the zero-norm
-re-draw of an observable advances only the lanes that need it.
+``log`` differs from libm's in the last bit.  The ``*_batch`` functions
+are the lanes forms of the draws; the zero-norm re-draw of an observable
+advances only the lanes that need it.
 ``lane_chunks`` splits a run into chunks of ``ENGINE_CHUNK`` streams,
 and ``replay_first_bad`` sends the first failing lane of a chunk back to
 the scalar path, which raises that stream's own exception.
@@ -37,6 +37,7 @@ Measures: pure states are Haar-distributed (first column of the unitary
 QR factor of a square complex Gaussian matrix, diagonal phases
 corrected); mixed states follow the Hilbert-Schmidt (Ginibre) measure
 rho = GG† / Tr[GG†] with G a square complex Gaussian matrix.
+``draw_state`` is the one place that picks the measure of a stream.
 """
 
 from __future__ import annotations
@@ -52,8 +53,10 @@ from .bloch import (
     ObservableBatch,
     QuantumState,
     StateBatch,
+    completely_mixed,
     observable_from_bloch,
     observable_from_bloch_batch,
+    repeat_state,
     state_from_matrix,
     state_from_matrix_batch,
 )
@@ -68,9 +71,11 @@ __all__ = [
     "lane_chunks",
     "replay_first_bad",
     "draw_states_batch",
+    "draw_state_batch",
     "draw_observable_batch",
     "SampleConfig",
     "iter_states",
+    "draw_state",
     "draw_pure",
     "draw_mixed",
     "draw_observable",
@@ -302,6 +307,40 @@ def draw_states_batch(rng: XoshiroLanes, basis: GeneratorBasis, pure: np.ndarray
     return state_from_matrix_batch(rho, basis)
 
 
+def _pure_streams(kind: str, streams):
+    # Which of ``streams`` (an index or an index array) draw a Haar pure
+    # state in ensemble ``kind``; the others draw a Hilbert-Schmidt one.
+    if kind == "alternating":
+        return streams % 2 == 0
+    if kind == "haar_pure":
+        return streams >= 0  # every stream: stream indices are nonnegative
+    if kind == "hs_mixed":
+        return streams < 0  # no stream
+    raise ValueError(f"unknown ensemble kind {kind!r}")
+
+
+def draw_state(kind: str, rng: Xoshiro256pp, basis: GeneratorBasis, index: int) -> QuantumState:
+    """Sample ``index`` of ensemble ``kind``, drawn from ``rng``, its stream.
+
+    ``"haar_pure"`` and ``"hs_mixed"`` draw one measure on every stream,
+    ``"alternating"`` draws pure states on even streams and mixed ones on
+    odd streams, and ``"maximally_mixed"`` is I/N and draws nothing.
+    """
+    if kind == "maximally_mixed":
+        return completely_mixed(basis)
+    draw = draw_pure if _pure_streams(kind, index) else draw_mixed
+    return draw(rng, basis)
+
+
+def draw_state_batch(
+    kind: str, rng: XoshiroLanes, basis: GeneratorBasis, streams: np.ndarray
+) -> StateBatch:
+    """Lanes form of ``draw_state``: lane k is sample ``streams[k]``."""
+    if kind == "maximally_mixed":
+        return repeat_state(completely_mixed(basis), streams.size)
+    return draw_states_batch(rng, basis, _pure_streams(kind, streams))
+
+
 def draw_observable(rng: Xoshiro256pp, basis: GeneratorBasis, unit: bool = True) -> Observable:
     """One observable with isotropic Gaussian coefficients.
 
@@ -335,7 +374,6 @@ def draw_observable_batch(rng: XoshiroLanes, basis: GeneratorBasis) -> Observabl
 
 def iter_states(cfg: SampleConfig) -> Iterator[QuantumState]:
     """Yield the configured states one by one; sample i uses stream i."""
-    draw = draw_pure if cfg.kind == "haar_pure" else draw_mixed
     basis = basis_for(cfg.dim)
     for i in range(cfg.count):
-        yield draw(Xoshiro256pp(cfg.seed, stream=i), basis)
+        yield draw_state(cfg.kind, Xoshiro256pp(cfg.seed, stream=i), basis, i)

@@ -84,6 +84,7 @@ _VERIFY_CASES = [
     ("appendix-c", ["--dim", "3"], (60, 0, "0.013823437363337939", "0.24872894013263963")),
     ("robertson", [], (60, 0, "2.2305296556668353e-05", "0.8715808448041095")),
     ("state-dependent", [], (120, 120, "-1.9984014443252818e-15", "1.9984014443252818e-15")),
+    ("robertson", ["--dim", "3"], (60, 0, "0.016541796686640325", "0.7156078068992624")),
 ]
 
 
@@ -461,7 +462,7 @@ def test_compare_json_matrix_input(tmp_path):
     assert all(row.get("holds", True) for row in report["results"] if row["applicable"])
 
 
-def test_compare_usage_errors():
+def test_compare_usage_errors(tmp_path):
     with pytest.raises(SystemExit) as err:
         _run(["compare", "--A", "sigma1", "--B", "sigma2"])
     assert err.value.code == 2
@@ -471,9 +472,18 @@ def test_compare_usage_errors():
     with pytest.raises(SystemExit) as err:
         _run(["compare", "--state", "mixed", "--A", "sigma9", "--B", "sigma2"])
     assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        _run(["compare", "--state", "mixed", "--A", "sigma1", "--B", "sigma2", "--da2", "nan"])
-    assert err.value.code == 2
+    out = tmp_path / "report.json"
+    for tail in [
+        ["--A", "sigma1", "--da2", "nan"],
+        ["--A", "sigma1", "--da2", "inf"],
+        ["--A", "sigma1", "--da2=-inf"],
+        ["--A", "n:(nan,0,0)"],
+        ["--A", "n:(inf,0,0)"],
+    ]:
+        with pytest.raises(SystemExit) as err:
+            _run(["compare", "--state", "mixed", "--B", "sigma2", "--out", str(out)] + tail)
+        assert err.value.code == 2
+        assert not out.exists()
 
 
 def test_reports_embed_seed_and_schema():

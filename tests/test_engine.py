@@ -26,13 +26,13 @@ from blochvar.errors import NumericsError
 from blochvar.linalg import per_element, row_dot
 from blochvar.sampling import Xoshiro256pp, XoshiroLanes, draw_observable, draw_observable_batch
 
-LANES_RELATIONS = sorted(r for r, entry in cli._RELATIONS.items() if entry[3] is not None)
+LANES_RELATIONS = sorted(r for r, entry in cli._RELATIONS.items() if entry.lanes is not None)
 SEEDS = st.one_of(st.sampled_from([0, 1, 2**64 - 1]), st.integers(0, 2**64 - 1))
 
 
 def _scalar_only(relation):
     """Patch that sends `relation` through the per-stream loop."""
-    return mock.patch.dict(cli._RELATIONS, {relation: cli._RELATIONS[relation][:3] + (None,)})
+    return mock.patch.dict(cli._RELATIONS, {relation: cli._RELATIONS[relation]._replace(lanes=None)})
 
 
 def _margins(relation, samples, seed, theta_ab=math.pi / 4.0):
@@ -178,13 +178,13 @@ def test_first_failing_stream_raises_scalar_error(module, name, value, relation)
 
 
 def test_lane_only_failure_is_reported(monkeypatch):
-    recipe, checker = cli._RELATIONS["theorem1"][3]
+    checker = cli._RELATIONS["theorem1"].lanes
 
-    def flag_stream_3(rng, basis, state, theta_ab):
-        margins, bad = checker(rng, basis, state, theta_ab)
+    def flag_stream_3(a, b, state, theta_ab):
+        margins, bad = checker(a, b, state, theta_ab)
         return margins, bad | (np.arange(bad.size) == 3)
 
-    entry = cli._RELATIONS["theorem1"][:3] + ((recipe, flag_stream_3),)
+    entry = cli._RELATIONS["theorem1"]._replace(lanes=flag_stream_3)
     monkeypatch.setitem(cli._RELATIONS, "theorem1", entry)
     with pytest.raises(NumericsError, match="stream 3"):
         cli._fuzz("theorem1", 2, 10, 0, 0.0)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from blochvar import SampleConfig, Xoshiro256pp, draw_observable, iter_states
+from blochvar import SampleConfig, Xoshiro256pp, completely_mixed, draw_observable, iter_states
+from blochvar.sampling import XoshiroLanes, draw_mixed, draw_pure, draw_state, draw_state_batch
 
 
 def _stack_bytes(states):
@@ -105,6 +106,34 @@ def test_observable_contract(basis3):
     assert obs.norm2 == pytest.approx(1.0, abs=1e-12)
     again = draw_observable(Xoshiro256pp(17), basis3)
     assert np.array_equal(np.asarray(obs.a), np.asarray(again.a))
+
+
+@pytest.mark.parametrize("kind", ["haar_pure", "hs_mixed", "alternating", "maximally_mixed"])
+def test_draw_state_follows_its_kind(basis2, kind):
+    streams = np.arange(10)
+    batch = draw_state_batch(kind, XoshiroLanes(7, streams), basis2, streams)
+    assert not batch.bad.any()
+    for i in streams.tolist():
+        if kind == "maximally_mixed":
+            expected = completely_mixed(basis2)
+        else:
+            pure = kind == "haar_pure" or (kind == "alternating" and i % 2 == 0)
+            expected = (draw_pure if pure else draw_mixed)(Xoshiro256pp(7, stream=i), basis2)
+        state = draw_state(kind, Xoshiro256pp(7, stream=i), basis2, i)
+        for rho, p, purity in [
+            (state.rho.array, state.p, state.purity),
+            (batch.rho[i], batch.p[i], batch.purity[i]),
+        ]:
+            assert np.array_equal(rho, expected.rho.array)
+            assert np.array_equal(p, expected.p)
+            assert purity == expected.purity
+
+
+def test_draw_state_rejects_unknown_kinds(basis2):
+    with pytest.raises(ValueError):
+        draw_state("bloch_shell", Xoshiro256pp(1), basis2, 0)
+    with pytest.raises(ValueError):
+        draw_state_batch("bloch_shell", XoshiroLanes(1, [0]), basis2, np.arange(1))
 
 
 def test_config_validation():
