@@ -14,13 +14,15 @@ physical Bloch body is a proper subset of the norm ball and silently
 clipping would corrupt boundary searches downstream.
 
 ``StateBatch`` and ``ObservableBatch`` are the struct-of-arrays forms
-the batched qubit engine uses: row i is the state or observable of RNG
-stream i.  ``state_from_matrix_batch`` and ``observable_from_bloch_batch``
-run every check of the scalar constructors in array form, at the same
-tolerance, and mark the rows that fail in ``bad`` instead of raising;
-the caller replays the first bad row on the scalar path, which raises
-the scalar exception.  Rows that pass are bit-identical to the scalar
-objects.
+the batched engine uses at every N: row i is the state or observable of
+RNG stream i.  ``state_from_matrix_batch``, ``state_to_matrix_batch``
+and ``observable_from_bloch_batch`` run every check of the scalar
+constructors in array form, at the same tolerance, and mark the rows
+that fail in ``bad`` instead of raising; the caller replays the first
+bad row on the scalar path, which raises the scalar exception.  Rows
+that pass are bit-identical to the scalar objects.  The positivity check
+takes the closed form at N = 2 and a stacked ``eigvalsh`` otherwise, as
+the scalar one does.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ __all__ = [
     "StateBatch",
     "ObservableBatch",
     "state_from_matrix_batch",
+    "state_to_matrix_batch",
     "repeat_state",
     "repeat_observable",
     "observable_from_bloch_batch",
@@ -72,6 +75,26 @@ def _min_eigenvalue(arr: np.ndarray) -> float:
         radius = math.hypot(0.5 * (arr[0, 0].real - arr[1, 1].real), abs(arr[0, 1]))
         return mean - radius
     return float(np.linalg.eigvalsh(arr)[0])
+
+
+def _min_eigenvalues(arr: np.ndarray) -> np.ndarray:
+    # Lanes form of _min_eigenvalue on an (n, N, N) stack.  eigvalsh
+    # runs on the finite rows only, so that one bad row cannot fail the
+    # stack; the others read NaN, which fails no floor comparison, and
+    # the Hermitian check marks them (the scalar path raises ValueError
+    # there, from HermitianMatrix or from eigvalsh).
+    if arr.shape[1] == 2:
+        d0 = arr[:, 0, 0].real
+        d1 = arr[:, 1, 1].real
+        radius = per_element(math.hypot, 0.5 * (d0 - d1), per_element(abs, arr[:, 0, 1]))
+        return 0.5 * (d0 + d1) - radius
+    finite = np.isfinite(arr).all(axis=(1, 2))
+    if finite.all():
+        return np.linalg.eigvalsh(arr)[:, 0]
+    lo = np.full(arr.shape[0], np.nan)
+    if finite.any():
+        lo[finite] = np.linalg.eigvalsh(arr[finite])[:, 0]
+    return lo
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,7 +258,7 @@ def _check_prime(arr: np.ndarray, a_prime: np.ndarray, basis: GeneratorBasis) ->
 
 
 class StateBatch(NamedTuple):
-    """Qubit states, one per row: ``rho`` (n, 2, 2), ``p`` (n, 3) and
+    """States, one per row: ``rho`` (n, N, N), ``p`` (n, N²-1) and
     ``purity`` (n,) as ``QuantumState`` holds them; ``bad`` (n,) marks
     rows that failed a check (their other fields are unspecified)."""
 
@@ -246,44 +269,60 @@ class StateBatch(NamedTuple):
 
 
 class ObservableBatch(NamedTuple):
-    """Qubit observables, one per row: ``matrix`` (n, 2, 2), ``a`` (n, 3)
-    and ``norm2`` (n,) as ``Observable`` holds them (``a_prime`` vanishes
-    for su(2)); ``bad`` as in ``StateBatch``."""
+    """Observables, one per row: ``matrix`` (n, N, N), ``a`` and
+    ``a_prime`` (n, N²-1) and ``norm2`` (n,) as ``Observable`` holds
+    them; ``bad`` as in ``StateBatch``."""
 
     matrix: np.ndarray
     a: np.ndarray
+    a_prime: np.ndarray
     norm2: np.ndarray
     bad: np.ndarray
 
 
-def _require_qubit_basis(basis: GeneratorBasis) -> None:
-    # The lanes forms are pinned bit for bit at N = 2 only (the stacked
-    # wedge einsum already sums in another order at N = 10).
-    if basis.dim != 2:
-        raise DimensionMismatch(f"batched forms are defined for qubits only, got dim {basis.dim}")
+def _post_init_failures(rho: np.ndarray, p: np.ndarray, dim: int) -> np.ndarray:
+    # QuantumState.__post_init__, row by row, on symmetrized matrices and
+    # the vectors it is given; True where it raises UnphysicalState.
+    tr = np.trace(rho, axis1=1, axis2=2).real
+    bad = np.abs(tr - 1.0) > _TRACE_ATOL
+    bad |= _min_eigenvalues(rho) < PSD_EIGENVALUE_FLOOR
+    p2 = row_dot(p, p)
+    ref = 2.0 * (np.einsum("nab,nba->n", rho, rho).real - 1.0 / dim)
+    bad |= np.abs(p2 - ref) > _CONSISTENCY_ATOL
+    bad |= p2 > 2.0 * (1.0 - 1.0 / dim) + 1e-10
+    return bad
 
 
 def state_from_matrix_batch(rho: np.ndarray, basis: GeneratorBasis) -> StateBatch:
     """Lanes form of ``state_from_matrix(HermitianMatrix(rho[i]), basis)``."""
-    _require_qubit_basis(basis)
     rho, bad = hermitian_batch(rho)
     coeffs = np.einsum("nab,jba->nj", rho, basis.stacked())
     bad |= np.abs(coeffs.imag).max(axis=1) > 1e-12
-    # QuantumState.__post_init__, row by row; it sees the strided view
-    # coeffs.real and stores a contiguous copy, and the BLAS dot of each
-    # can round differently, so both are kept.
-    tr = np.trace(rho, axis1=1, axis2=2).real
-    bad |= np.abs(tr - 1.0) > _TRACE_ATOL
-    d0 = rho[:, 0, 0].real
-    d1 = rho[:, 1, 1].real
-    radius = per_element(math.hypot, 0.5 * (d0 - d1), per_element(abs, rho[:, 0, 1]))
-    bad |= 0.5 * (d0 + d1) - radius < PSD_EIGENVALUE_FLOOR
-    p2 = row_dot(coeffs.real, coeffs.real)
-    ref = 2.0 * (np.einsum("nab,nba->n", rho, rho).real - 1.0 / basis.dim)
-    bad |= np.abs(p2 - ref) > _CONSISTENCY_ATOL
-    bad |= p2 > 2.0 * (1.0 - 1.0 / basis.dim) + 1e-10
+    # QuantumState sees the strided view coeffs.real and stores a
+    # contiguous copy, and the BLAS dot of each can round differently, so
+    # both are kept.
+    bad |= _post_init_failures(rho, coeffs.real, basis.dim)
     p = np.ascontiguousarray(coeffs.real)
     return StateBatch(rho, p, row_dot(p, p), bad)
+
+
+def state_to_matrix_batch(p: np.ndarray, basis: GeneratorBasis) -> tuple[StateBatch, np.ndarray]:
+    """Lanes form of ``state_to_matrix(p[i], basis)``.
+
+    Returns ``(states, unphysical)``: ``states.bad`` marks the rows on
+    which the scalar call raises, and ``unphysical`` those of them on
+    which what it raises is ``UnphysicalState``.
+    """
+    p = np.ascontiguousarray(p, dtype=np.float64)
+    arr = np.eye(basis.dim, dtype=np.complex128) / basis.dim
+    arr = arr + 0.5 * np.einsum("nj,jab->nab", p, basis.stacked())
+    # The scalar checks in order: the reconstruction's eigenvalue floor,
+    # then HermitianMatrix (ValueError), then QuantumState.
+    floor = _min_eigenvalues(arr) < PSD_EIGENVALUE_FLOOR
+    rho, not_hermitian = hermitian_batch(arr)
+    post_init = _post_init_failures(rho, p, basis.dim)
+    unphysical = floor | (~not_hermitian & post_init)
+    return StateBatch(rho, p, row_dot(p, p), floor | not_hermitian | post_init), unphysical
 
 
 def repeat_state(state: QuantumState, count: int) -> StateBatch:
@@ -294,25 +333,29 @@ def repeat_state(state: QuantumState, count: int) -> StateBatch:
 
 
 def repeat_observable(obs: Observable, count: int) -> ObservableBatch:
-    """``count`` rows of one validated qubit observable."""
-    if obs.dim != 2:
-        raise DimensionMismatch(f"batched forms are defined for qubits only, got dim {obs.dim}")
+    """``count`` rows of one validated observable."""
     matrix = np.repeat(obs.matrix.array[None], count, axis=0)
     a = np.repeat(obs.a[None], count, axis=0)
-    return ObservableBatch(matrix, a, np.full(count, obs.norm2), np.zeros(count, dtype=bool))
+    a_prime = np.repeat(obs.a_prime[None], count, axis=0)
+    return ObservableBatch(
+        matrix, a, a_prime, np.full(count, obs.norm2), np.zeros(count, dtype=bool)
+    )
+
+
+def _prime_failures(arr: np.ndarray, a_prime: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
+    # _check_prime, row by row.
+    sq = arr @ arr
+    sq -= (np.trace(sq, axis1=1, axis2=2).real / basis.dim)[:, None, None] * np.eye(basis.dim)
+    ref = 0.5 * np.einsum("nab,jba->nj", sq, basis.stacked()).real
+    return np.abs(a_prime - ref).max(axis=1, initial=0.0) > _CONSISTENCY_ATOL
 
 
 def observable_from_bloch_batch(vec: np.ndarray, basis: GeneratorBasis) -> ObservableBatch:
     """Lanes form of ``observable_from_bloch(vec[i], basis)``."""
-    _require_qubit_basis(basis)
     vec = np.asarray(vec, dtype=np.float64)
     arr = np.einsum("nj,jab->nab", vec, basis.stacked())
-    a_prime = np.zeros_like(vec)  # d_jkl vanishes for su(2)
-    # _check_prime, row by row.
-    sq = arr @ arr
-    sq = sq - (np.trace(sq, axis1=1, axis2=2).real / basis.dim)[:, None, None] * np.eye(basis.dim)
-    ref = 0.5 * np.einsum("nab,jba->nj", sq, basis.stacked()).real
-    bad = np.abs(a_prime - ref).max(axis=1, initial=0.0) > _CONSISTENCY_ATOL
+    a_prime = basis.d_contract(vec)
+    bad = _prime_failures(arr, a_prime, basis)
     matrix, bad_h = hermitian_batch(arr)
     bad |= bad_h
     # Observable.__post_init__, row by row.
@@ -320,7 +363,7 @@ def observable_from_bloch_batch(vec: np.ndarray, basis: GeneratorBasis) -> Obser
     norm2 = row_dot(vec, vec)
     ref = 0.5 * np.einsum("nab,nba->n", matrix, matrix).real
     bad |= np.abs(norm2 - ref) > _CONSISTENCY_ATOL
-    return ObservableBatch(matrix, vec, norm2, bad)
+    return ObservableBatch(matrix, vec, a_prime, norm2, bad)
 
 
 def completely_mixed(basis: GeneratorBasis) -> QuantumState:

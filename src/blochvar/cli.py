@@ -6,9 +6,10 @@ basis (alias: structure-consts)
     Serialize the su(N) generators and sparse f/d tensors as JSON or CSV.
 verify
     Fuzz one relation over seeded random draws; exit 0 iff
-    every check holds at the relation's tolerance.  At N = 2 every
-    relation but appendix-c runs on the batched engine, whose reports are
-    bit-identical to the per-stream loop's.
+    every check holds at the relation's tolerance.  Every relation runs
+    on the batched engine at every N, and its reports are bit-identical
+    to the per-stream loop's; appendix-c's rejection draws finish on the
+    scalar path once only a few lanes of a chunk are still pending.
 region
     Monte-Carlo scan of a qubit variance region (pair or axis triple)
     with CSV and JSON artifacts plus slice summaries (pair scans only).
@@ -43,23 +44,28 @@ import numpy as np
 
 from .bloch import (
     Observable,
+    ObservableBatch,
     QuantumState,
+    StateBatch,
     completely_mixed,
     matrix_from_json,
     observable_from_bloch,
     observable_from_matrix,
     state_from_matrix,
     state_to_matrix,
+    state_to_matrix_batch,
 )
 from .errors import NotApplicable, UnphysicalState
 from .linalg import per_element, py_max, row_dot
 from .regions import GRID_RANGE, RegionScan, scan_pair, scan_triple
 from .relations import (
+    APPENDIX_C_TOL,
     HOLDS_TOL,
     SATURATION_TOL,
     check_appendix_b,
     check_appendix_b_batch,
     check_appendix_c,
+    check_appendix_c_batch,
     check_mixed_limit,
     check_mixed_limit_batch,
     check_pure_limit,
@@ -92,6 +98,7 @@ from .sampling import (
     draw_pure,
     draw_state,
     draw_state_batch,
+    draw_states_batch,
     lane_chunks,
     replay_first_bad,
 )
@@ -106,8 +113,10 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 # Largest --dim of basis and verify: the largest N the sparse su(N) build,
-# its sparse closure check and verify's per-sample eigensolves are tested
-# at (N = 16: about 0.7 s and 50 MB for 20 appendix-c samples).
+# its sparse closure check and verify's batched eigensolves are tested at.
+# At N = 16 a process takes about 0.7 s and 48 MB for 20 appendix-c
+# samples; a full 2048-stream chunk takes 4 s and 119 MB for robertson,
+# 30 s and 184 MB for appendix-c (2,100 samples, 2 vCPU Xeon).
 MAX_DIM = 16
 
 
@@ -186,7 +195,19 @@ def _project_orthogonal(p: np.ndarray, vecs: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _appendix_c_draw(rng: Xoshiro256pp, basis, max_tries: int = 200):
+# Tries of appendix-c's rejection loop per sample before it gives up.
+_APPENDIX_C_TRIES = 200
+
+# Once fewer lanes of a chunk than this still wait for an accepted
+# appendix-c try, each finishes on the scalar loop: a lanes generator step
+# costs about 15 us whatever the lane count, a scalar one about 2 us, and
+# 89%, 47% and 28% of the tries pass at N = 3, 6 and 10.  Of the cut-offs
+# 0, 4, 8, 12 and 16, 12 ran the N = 10 bench jobs fastest (78 ms against
+# 141 ms at 0) and the N = 3 and 6 ones within noise of the fastest.
+_LANES_MIN_PENDING = 12
+
+
+def _appendix_c_draw(rng: Xoshiro256pp, basis, max_tries: int):
     # Rejection sampling of (A, B, state): project the Bloch vector onto the
     # orthogonal complement of span{a, b}, then insist the reconstruction
     # is still physical.  Projection shrinks |p|, so acceptance is high.
@@ -205,6 +226,79 @@ def _appendix_c_draw(rng: Xoshiro256pp, basis, max_tries: int = 200):
     raise RuntimeError("no valid zero-mean sample found; ensemble looks pathological")
 
 
+def _project_orthogonal_rows(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # _project_orthogonal(p[i], [a[i], b[i]]) for every row.
+    frame = []
+    for v in (a, b):
+        w = v
+        for u, kept in frame:
+            w = np.where(kept[:, None], w - row_dot(w, u)[:, None] * u, w)
+        norm = np.sqrt(row_dot(w, w))
+        frame.append((w / norm[:, None], norm > 1e-12))
+    out = p
+    for u, kept in frame:
+        out = np.where(kept[:, None], out - row_dot(out, u)[:, None] * u, out)
+    return out
+
+
+def _put(batch, rows, values) -> None:
+    for dst, src in zip(batch, values):
+        dst[rows] = src
+
+
+def _appendix_c_lanes(rng: XoshiroLanes, basis, count: int):
+    """Lanes form of ``_appendix_c_draw`` on the ``count`` lanes of ``rng``.
+
+    Returns ``(a, b, state, bad)``: ``bad`` marks the lanes on which the
+    scalar draw raises, whose rows are unspecified.  A round draws on the
+    lanes still pending only; the last few finish on the scalar path (see
+    ``_LANES_MIN_PENDING``) from their own lane state, with the tries they
+    have left, and their objects are written into the rows.
+    """
+    n, ngen = basis.dim, basis.n_generators
+
+    def rows(*shape, dtype=np.float64):
+        return np.zeros((count, *shape), dtype)
+
+    a, b = (
+        ObservableBatch(rows(n, n, dtype=complex), rows(ngen), rows(ngen), rows(), rows(dtype=bool))
+        for _ in range(2)
+    )
+    state = StateBatch(rows(n, n, dtype=complex), rows(ngen), rows(), rows(dtype=bool))
+    bad = rows(dtype=bool)
+    tries = np.zeros(count, dtype=np.int64)
+    pending = np.arange(count)
+    while pending.size >= max(_LANES_MIN_PENDING, 1):
+        tries[pending] += 1
+        da = draw_observable_batch(rng, basis, pending)
+        db = draw_observable_batch(rng, basis, pending)
+        mixed = draw_states_batch(rng, basis, np.zeros(pending.size, dtype=bool), pending)
+        p = _project_orthogonal_rows(mixed.p, da.a, db.a)
+        projected, unphysical = state_to_matrix_batch(p, basis)
+        failed = da.bad | db.bad | mixed.bad | (projected.bad & ~unphysical)
+        rejected = unphysical | (np.abs(row_dot(da.a, projected.p)) > 1e-9)
+        rejected |= np.abs(row_dot(db.a, projected.p)) > 1e-9
+        rejected &= ~failed
+        accepted = ~(failed | rejected)
+        bad[pending[failed]] = True
+        for batch, drawn in ((a, da), (b, db), (state, projected)):
+            _put(batch, pending[accepted], (field[accepted] for field in drawn))
+        pending = pending[rejected]
+        spent = tries[pending] >= _APPENDIX_C_TRIES
+        bad[pending[spent]] = True  # the scalar loop raises RuntimeError
+        pending = pending[~spent]
+    for k in pending.tolist():
+        try:
+            oa, ob, projected = _appendix_c_draw(rng.lane(k), basis, _APPENDIX_C_TRIES - int(tries[k]))
+        except (ValueError, ArithmeticError, RuntimeError):
+            bad[k] = True  # replayed from the stream's start by the caller
+            continue
+        for batch, obs in ((a, oa), (b, ob)):
+            _put(batch, k, (obs.matrix.array, obs.a, obs.a_prime, obs.norm2, False))
+        _put(state, k, (projected.rho.array, projected.p, projected.purity, False))
+    return a, b, state, bad
+
+
 class Relation(NamedTuple):
     """How ``verify`` draws and checks one relation.
 
@@ -215,10 +309,11 @@ class Relation(NamedTuple):
     the N the relation is defined for (None: any N >= 2).  ``lanes`` is
     ``check`` on the batched engine, given batch rows drawn in the same
     order: it returns (margins, bad), a row per stream and a column per
-    verdict, bit-identical to the loop's; ``_verdicts`` runs it at N = 2,
-    and None runs the loop.  Checks call the relations through lambdas,
-    which look the names up at call time, so a wrapper on this module's
-    names (bench/tracer.py puts one) sees every call.
+    verdict, bit-identical to the loop's, whose verdicts hold at ``tol``;
+    ``_verdicts`` runs it at every N, and None runs the loop.  Checks call
+    the relations through lambdas, which look the names up at call time,
+    so a wrapper on this module's names (bench/tracer.py puts one) sees
+    every call.
     """
 
     dims: tuple[int, ...] | None
@@ -226,6 +321,7 @@ class Relation(NamedTuple):
     pair: bool
     check: Callable
     lanes: Callable | None
+    tol: float = HOLDS_TOL
 
 
 _RELATIONS = {
@@ -267,7 +363,8 @@ _RELATIONS = {
     "appendix-c": Relation(
         None, None, False,
         lambda a, b, s, t: [check_appendix_c(a, b, s, basis_for(s.dim))],
-        None,
+        lambda a, b, s, t: check_appendix_c_batch(a, b, s),
+        APPENDIX_C_TOL,
     ),
     "robertson": Relation(
         None, "alternating", True,
@@ -287,7 +384,7 @@ def _sample(relation: str, basis, seed: int, index: int, theta_ab: float) -> lis
     row = _RELATIONS[relation]
     rng = Xoshiro256pp(seed, stream=index)
     if row.states is None:
-        a, b, state = _appendix_c_draw(rng, basis)
+        a, b, state = _appendix_c_draw(rng, basis, _APPENDIX_C_TRIES)
     else:
         state = draw_state(row.states, rng, basis, index)
         a = b = None
@@ -301,7 +398,7 @@ def _verdicts(relation: str, dim: int, samples: int, seed: int, theta_ab: float)
     """Yield (margin, holds, saturated) for every check, in stream order."""
     row = _RELATIONS[relation]
     basis = basis_for(dim)
-    if row.lanes is None or dim != 2:
+    if row.lanes is None:
         for i in range(samples):
             for verdict in _sample(relation, basis, seed, i, theta_ab):
                 yield verdict.margin, verdict.holds, verdict.saturated
@@ -309,16 +406,21 @@ def _verdicts(relation: str, dim: int, samples: int, seed: int, theta_ab: float)
     for streams in lane_chunks(samples):
         rng = XoshiroLanes(seed, streams)
         with np.errstate(divide="ignore", invalid="ignore"):  # only bad rows divide by 0
-            state = draw_state_batch(row.states, rng, basis, streams)
-            a = b = None
-            if row.pair:
-                a = draw_observable_batch(rng, basis)
-                b = draw_observable_batch(rng, basis)
+            if row.states is None:
+                a, b, state, bad_draw = _appendix_c_lanes(rng, basis, streams.size)
+            else:
+                state = draw_state_batch(row.states, rng, basis, streams)
+                a = b = None
+                bad_draw = False
+                if row.pair:
+                    a = draw_observable_batch(rng, basis)
+                    b = draw_observable_batch(rng, basis)
             margins, bad = row.lanes(a, b, state, theta_ab)
-        replay_first_bad(bad, streams, lambda i: _sample(relation, basis, seed, i, theta_ab))
-        # Lanes relations all use the default tolerance (see relations).
+        replay_first_bad(
+            bad | bad_draw, streams, lambda i: _sample(relation, basis, seed, i, theta_ab)
+        )
         for margin in margins.ravel().tolist():
-            yield margin, margin >= -HOLDS_TOL, abs(margin) <= SATURATION_TOL
+            yield margin, margin >= -row.tol, abs(margin) <= SATURATION_TOL
 
 
 def _fuzz(relation: str, dim: int, samples: int, seed: int, theta_ab: float) -> dict:

@@ -6,7 +6,7 @@ validation over raw speed: it rejects non-square and non-finite input,
 checks the asymmetry is round-off sized, stores the symmetrized
 (M + M†)/2, and freezes the stored array so instances are safe to share.
 
-The batched qubit engine works on stacks of such matrices, one per RNG
+The batched engine works on stacks of such matrices, one per RNG
 stream (a lane).  ``hermitian_batch`` is the lanes form of the
 constructor; ``row_dot``, ``per_element``, ``py_max`` and ``py_min``
 are the primitives that keep lanes bit-identical to the scalar path:
@@ -83,8 +83,11 @@ def hermitian_batch(entries) -> tuple[np.ndarray, np.ndarray]:
     arr = np.asarray(entries, dtype=np.complex128)
     adj = arr.conj().swapaxes(1, 2)
     bad = ~np.isfinite(arr).all(axis=(1, 2))
-    bad |= np.abs(arr - adj).max(axis=(1, 2)) > HERMITICITY_ATOL
-    return (arr + adj) / 2.0, bad
+    sym = arr - adj
+    bad |= np.abs(sym).max(axis=(1, 2)) > HERMITICITY_ATOL
+    np.add(arr, adj, out=sym)
+    sym /= 2.0
+    return sym, bad
 
 
 def row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -94,13 +97,23 @@ def row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
+_PER_ELEMENT_BLOCK = 1024  # elements converted to Python objects at a time
+
+
 def per_element(fn, *arrays) -> np.ndarray:
     """``fn`` on each element as Python scalars, for the operations whose
     numpy form differs from the scalar path's (``math.log``,
-    ``math.acos``, ``math.hypot``, ``abs`` of a complex, ``x ** 2``)."""
+    ``math.acos``, ``math.hypot``, ``abs`` of a complex, ``x ** 2``).
+
+    It works through blocks of elements, so that no more than a block of
+    Python numbers is alive at a time."""
     shape = np.shape(arrays[0])
-    flat = (np.ravel(a).tolist() for a in arrays)
-    return np.array(list(map(fn, *flat)), dtype=np.float64).reshape(shape)
+    flat = [np.ravel(a) for a in arrays]
+    out = np.empty(flat[0].size)
+    for start in range(0, out.size, _PER_ELEMENT_BLOCK):
+        block = (f[start : start + _PER_ELEMENT_BLOCK].tolist() for f in flat)
+        out[start : start + _PER_ELEMENT_BLOCK] = list(map(fn, *block))
+    return out.reshape(shape)
 
 
 def py_max(x, y) -> np.ndarray:

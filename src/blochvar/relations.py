@@ -51,12 +51,14 @@ checkers do.
 
 Lanes forms
 -----------
-Each qubit checker the CLI fuzzes has a ``*_batch`` form over
-``StateBatch``/``ObservableBatch`` rows.  It returns ``(margins, bad)``:
-the margin of row i equals, bit for bit, the scalar verdict's margin on
-row i's objects, and ``bad`` marks rows where an input was bad or where
-a check of the scalar checker fails (at the same tolerance).  Their
-verdicts use ``HOLDS_TOL`` and ``SATURATION_TOL`` as ``_verdict`` does.
+Each checker the CLI fuzzes has a ``*_batch`` form over
+``StateBatch``/``ObservableBatch`` rows, at every N the checker is
+defined for.  It returns ``(margins, bad)``: the margin of row i equals,
+bit for bit, the scalar verdict's margin on row i's objects, and ``bad``
+marks rows where an input was bad or where a check of the scalar checker
+fails (at the same tolerance).  Their verdicts use the scalar checker's
+tolerance (``HOLDS_TOL``, or ``APPENDIX_C_TOL`` for appendix-c) and
+``SATURATION_TOL``, as ``_verdict`` does.
 """
 
 from __future__ import annotations
@@ -94,12 +96,14 @@ __all__ = [
     "check_unit_vector_relation_batch",
     "check_three_observable_equality_batch",
     "check_appendix_b_batch",
+    "check_appendix_c_batch",
     "robertson_bound_batch",
     "state_dependent_bound_batch",
     "effective_axis_angle_batch",
 ]
 
 HOLDS_TOL = 1e-10
+APPENDIX_C_TOL = 1e-9
 SATURATION_TOL = 1e-9
 _RADICAND_FLOOR = -1e-10
 
@@ -325,7 +329,7 @@ def check_appendix_c(
         _wedge_norm2(b.a_prime, rho.p), "b'"
     )
     rhs = abs(x * y - g_prime * rho.purity)
-    return _verdict("appendix_c", lhs, rhs, tol=1e-9)
+    return _verdict("appendix_c", lhs, rhs, tol=APPENDIX_C_TOL)
 
 
 def robertson_bound(a: Observable, b: Observable, rho: QuantumState) -> RelationVerdict:
@@ -538,12 +542,36 @@ def check_appendix_b_batch(rho: StateBatch) -> _LaneVerdicts:
     return vx + vy + vz - (3.0 - rho.purity), rho.bad | bad_x | bad_y | bad_z
 
 
+def check_appendix_c_batch(
+    a: ObservableBatch, b: ObservableBatch, rho: StateBatch
+) -> _LaneVerdicts:
+    """Lanes form of ``check_appendix_c``."""
+    bad = a.bad | b.bad | rho.bad
+    bad |= (np.abs(row_dot(a.a, rho.p)) > 1e-9) | (np.abs(row_dot(b.a, rho.p)) > 1e-9)
+    n = rho.rho.shape[1]
+    va, bad_a = variance_matrix_batch(a.matrix, rho.rho)
+    vb, bad_b = variance_matrix_batch(b.matrix, rho.rho)
+    x = va - 2.0 * a.norm2 / n
+    y = vb - 2.0 * b.norm2 / n
+    bad |= bad_a | bad_b
+    bad |= np.abs(x - row_dot(a.a_prime, rho.p)) > 1e-11
+    bad |= np.abs(y - row_dot(b.a_prime, rho.p)) > 1e-11
+    # _wedge_norm2 row by row: the stacked einsum sums in another order
+    # at N = 10.
+    wedge_a = np.array([_wedge_norm2(u, p) for u, p in zip(a.a_prime, rho.p)])
+    wedge_b = np.array([_wedge_norm2(u, p) for u, p in zip(b.a_prime, rho.p)])
+    lhs = _sqrt_checked_batch(wedge_a, bad) * _sqrt_checked_batch(wedge_b, bad)
+    rhs = np.abs(x * y - row_dot(a.a_prime, b.a_prime) * rho.purity)
+    return lhs - rhs, bad
+
+
 def robertson_bound_batch(a: ObservableBatch, b: ObservableBatch, rho: StateBatch) -> _LaneVerdicts:
-    """Lanes form of ``robertson_bound`` at N = 2."""
+    """Lanes form of ``robertson_bound``, any dimension."""
     va, bad_a = variance_matrix_batch(a.matrix, rho.rho)
     vb, bad_b = variance_matrix_batch(b.matrix, rho.rho)
     lhs = np.sqrt(va * vb)
-    comm = a.matrix @ b.matrix - b.matrix @ a.matrix
+    comm = a.matrix @ b.matrix
+    comm -= b.matrix @ a.matrix
     rhs = 0.5 * per_element(abs, np.einsum("nab,nba->n", comm, rho.rho))
     return lhs - rhs, a.bad | b.bad | rho.bad | bad_a | bad_b
 

@@ -188,39 +188,78 @@ class XoshiroLanes:
 
     def next_u64(self, lanes=None) -> np.ndarray:
         s = self._s if lanes is None else self._s[:, lanes]
-        s0, s1, s2, s3 = s  # views: the in-place updates below advance s
-        x = s0 + s3
-        result = ((x << 23) | (x >> 41)) + s0
-        t = s1 << 17
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3[:] = (s3 << 45) | (s3 >> 19)
+        result = _step(s)
         if lanes is not None:
             self._s[:, lanes] = s
         return result
 
     def uniforms(self, k: int, lanes=None) -> np.ndarray:
         """k uniform doubles in [0, 1) per lane, in draw order."""
-        x = np.stack([self.next_u64(lanes) for _ in range(k)], axis=1)
-        return (x >> 11).astype(np.float64) * 2.0**-53
+        # Given lanes, their states are gathered once and scattered back
+        # once, not at every step.  The 53-bit integers convert exactly.
+        s = self._s if lanes is None else self._s[:, lanes]
+        u = np.empty((s.shape[1], k))
+        for i in range(k):
+            u[:, i] = _step(s) >> _SHIFT[11]
+        if lanes is not None:
+            self._s[:, lanes] = s
+        u *= 2.0**-53
+        return u
 
     def gaussians(self, n: int, lanes=None) -> np.ndarray:
         """n standard normals per lane via Box-Muller (whole pairs consumed)."""
+        # In place where it computes the same: the arrays are (lanes, n).
         u = self.uniforms(2 * ((n + 1) // 2), lanes)
-        r = np.sqrt(-2.0 * per_element(math.log, 1.0 - u[:, 0::2]))
-        angle = _TWO_PI * u[:, 1::2]
-        out = np.empty(u.shape)
-        out[:, 0::2] = r * np.cos(angle)
-        out[:, 1::2] = r * np.sin(angle)
-        return out[:, :n]
+        r = per_element(math.log, 1.0 - u[:, 0::2])
+        r *= -2.0
+        np.sqrt(r, out=r)
+        angle = u[:, 1::2]
+        angle *= _TWO_PI
+        u[:, 0::2] = np.cos(angle)
+        u[:, 0::2] *= r
+        np.sin(angle, out=angle)
+        angle *= r
+        return u[:, :n]
 
-    def complex_gaussians(self, n: int) -> np.ndarray:
+    def complex_gaussians(self, n: int, lanes=None) -> np.ndarray:
         """n standard complex normals per lane."""
-        g = self.gaussians(2 * n)
-        return (g[:, 0::2] + 1j * g[:, 1::2]) / math.sqrt(2.0)
+        g = self.gaussians(2 * n, lanes)
+        z = 1j * g[:, 1::2]
+        z += g[:, 0::2]  # complex addition commutes bit for bit
+        z /= math.sqrt(2.0)
+        return z
+
+    def lane(self, k: int) -> Xoshiro256pp:
+        """A scalar generator that continues lane k from where it stands
+        (``Xoshiro256pp(seed, stream=streams[k])`` after the same draws);
+        drawing from it does not advance the lane."""
+        rng = Xoshiro256pp.__new__(Xoshiro256pp)
+        rng._s0, rng._s1, rng._s2, rng._s3 = self._s[:, k].tolist()
+        return rng
+
+
+# Shift counts as uint64 scalars: a Python int operand costs a conversion
+# at every step.
+_SHIFT = {k: np.uint64(k) for k in (11, 17, 19, 23, 41, 45)}
+
+
+def _step(s: np.ndarray) -> np.ndarray:
+    # One xoshiro256++ step of the (4, lanes) state s, in place.
+    s0, s1, s2, s3 = s  # views: the in-place updates below advance s
+    x = s0 + s3
+    result = x << _SHIFT[23]
+    result |= x >> _SHIFT[41]
+    result += s0
+    t = s1 << _SHIFT[17]
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= t
+    x = s3 >> _SHIFT[19]
+    s3 <<= _SHIFT[45]
+    s3 |= x
+    return result
 
 
 def lane_chunks(count: int) -> Iterator[np.ndarray]:
@@ -296,14 +335,18 @@ def draw_mixed(rng: Xoshiro256pp, basis: GeneratorBasis) -> QuantumState:
     return state_from_matrix(HermitianMatrix(_mixed_rho(g)[0]), basis)
 
 
-def draw_states_batch(rng: XoshiroLanes, basis: GeneratorBasis, pure: np.ndarray) -> StateBatch:
+def draw_states_batch(
+    rng: XoshiroLanes, basis: GeneratorBasis, pure: np.ndarray, lanes=None
+) -> StateBatch:
     """Lanes form of ``draw_pure`` on the lanes where ``pure`` is set and
-    ``draw_mixed`` on the others; both consume N² complex Gaussians."""
+    ``draw_mixed`` on the others; both consume N² complex Gaussians.
+    Given ``lanes``, only those lanes draw, and ``pure`` has a row for each."""
     n = basis.dim
-    g = rng.complex_gaussians(n * n).reshape(-1, n, n)
+    g = rng.complex_gaussians(n * n, lanes).reshape(-1, n, n)
     rho = np.empty_like(g)
     rho[pure] = _pure_rho(g[pure])
     rho[~pure] = _mixed_rho(g[~pure])
+    del g  # freed before the checks allocate theirs
     return state_from_matrix_batch(rho, basis)
 
 
@@ -358,15 +401,16 @@ def draw_observable(rng: Xoshiro256pp, basis: GeneratorBasis, unit: bool = True)
     return observable_from_bloch(g, basis)
 
 
-def draw_observable_batch(rng: XoshiroLanes, basis: GeneratorBasis) -> ObservableBatch:
+def draw_observable_batch(rng: XoshiroLanes, basis: GeneratorBasis, lanes=None) -> ObservableBatch:
     """Lanes form of ``draw_observable(rng, basis)``: a lane whose draw
-    has norm below ``_MIN_NORM`` draws again, and only that lane advances."""
+    has norm below ``_MIN_NORM`` draws again, and only that lane advances.
+    Given ``lanes``, only those lanes draw, one row each."""
     n = basis.n_generators
-    g = rng.gaussians(n)
+    g = rng.gaussians(n, lanes)
     norm = np.sqrt(row_dot(g, g))
     redraw = np.flatnonzero(~(norm >= _MIN_NORM))
     while redraw.size:
-        g[redraw] = rng.gaussians(n, redraw)
+        g[redraw] = rng.gaussians(n, redraw if lanes is None else lanes[redraw])
         norm[redraw] = np.sqrt(row_dot(g[redraw], g[redraw]))
         redraw = redraw[~(norm[redraw] >= _MIN_NORM)]
     return observable_from_bloch_batch(g / norm[:, None], basis)

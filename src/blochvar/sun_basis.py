@@ -88,7 +88,7 @@ class GeneratorBasis:
         docstring.
     """
 
-    __slots__ = ("dim", "generators", "f_tensor", "d_tensor", "_stack", "_d_ordered")
+    __slots__ = ("dim", "generators", "f_tensor", "d_tensor", "_stack", "_d_ordered", "_d_ranked")
 
     def __init__(self, dim, generators, f_tensor, d_tensor, stack, d_ordered):
         self.dim = dim
@@ -97,6 +97,7 @@ class GeneratorBasis:
         self.d_tensor = MappingProxyType(d_tensor)
         self._stack = stack
         self._d_ordered = d_ordered
+        self._d_ranked = _rank_order(*d_ordered, dim * dim - 1)
 
     @property
     def n_generators(self) -> int:
@@ -111,18 +112,45 @@ class GeneratorBasis:
 
         Returns the vector with components Σ_jk a_j a_k d_jkl, which is
         the coefficient vector of the traceless part of the squared
-        operator Σ_j a_j g_j.
+        operator Σ_j a_j g_j.  Given an (n, N²-1) stack, returns the
+        contraction of each row, bit-identical to the 1-D call on it.
         """
         a = np.asarray(a, dtype=np.float64)
-        if a.shape != (self.n_generators,):
-            raise ValueError(f"expected a vector of length {self.n_generators}")
-        jj, kk, ll, vv = self._d_ordered
-        out = np.zeros(self.n_generators)
-        np.add.at(out, ll, a[jj] * a[kk] * vv)
-        return out
+        n = self.n_generators
+        if a.shape == (n,):
+            jj, kk, ll, vv = self._d_ordered
+            out = np.zeros(n)
+            np.add.at(out, ll, a[jj] * a[kk] * vv)
+            return out
+        if a.ndim != 2 or a.shape[1] != n:
+            raise ValueError(f"expected vectors of length {n}")
+        # Run r holds the r-th term of each component it names, so adding
+        # the runs in order sums every component in the 1-D call's order
+        # (np.add.at adds in index order), with temporaries no larger than
+        # the output.  Rows run along the contiguous axis.
+        jj, kk, ll, vv, bounds = self._d_ranked
+        cols = np.ascontiguousarray(a.T)
+        out = np.zeros(cols.shape)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            run = slice(lo, hi)
+            out[ll[run]] += cols[jj[run]] * cols[kk[run]] * vv[run]
+        return np.ascontiguousarray(out.T)
 
     def __repr__(self) -> str:
         return f"GeneratorBasis(dim={self.dim})"
+
+
+def _rank_order(jj, kk, ll, vv, ngen: int) -> tuple:
+    """The ordered d entries sorted by rank, the number of earlier entries
+    with the same l: (jj, kk, ll, vv as a column, run bounds), where
+    entries bounds[r]:bounds[r + 1] have rank r, so no l repeats in a run."""
+    counts = np.bincount(ll, minlength=ngen)
+    by_l = np.argsort(ll, kind="stable")
+    rank = np.empty(ll.size, dtype=np.intp)
+    rank[by_l] = np.arange(ll.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    by_rank = np.argsort(rank, kind="stable")
+    bounds = [0] + np.cumsum(np.bincount(rank)).tolist()
+    return jj[by_rank], kk[by_rank], ll[by_rank], vv[by_rank, None], bounds
 
 
 def _generator_arrays(n: int) -> list[np.ndarray]:

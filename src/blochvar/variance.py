@@ -19,8 +19,9 @@ traces (a · b = Tr[AB]/2, a · b' = Tr[AB²]/2, a' · b' =
 makes it a basis-corruption detector as much as a convenience.
 
 ``variance_matrix_batch``, ``variance_bloch_batch`` and ``angles_batch``
-are the lanes forms the batched qubit engine uses: every check runs per
-row and marks failing rows in a returned ``bad`` mask instead of raising.
+are the lanes forms the batched engine uses, at any N: every check runs
+per row and marks failing rows in a returned ``bad`` mask instead of
+raising.
 """
 
 from __future__ import annotations
@@ -159,7 +160,14 @@ def variance_matrix(a: Observable, rho: QuantumState) -> float:
 def variance_matrix_batch(am: np.ndarray, rm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lanes form of ``variance_matrix`` on (n, N, N) observable and state
     matrices; returns ``(variances, bad)``."""
-    second = np.einsum("nab,nbc,nca->n", am, am, rm).real
+    # The three-operand einsum runs on blocks of rows of about 1,024
+    # elements: above that its iterator's buffers grow to 8,192 elements
+    # an operand (384 KB for three complex ones).
+    step = max(1, 1024 // am.shape[1] ** 3)
+    second = np.empty(len(am))
+    for start in range(0, len(am), step):
+        rows = slice(start, start + step)
+        second[rows] = np.einsum("nab,nbc,nca->n", am[rows], am[rows], rm[rows]).real
     mean = np.einsum("nab,nba->n", am, rm).real
     value = second - mean * mean
     return py_max(value, 0.0), value < _NEGATIVE_VARIANCE_FLOOR
@@ -176,11 +184,9 @@ def variance_bloch(a: Observable, rho: QuantumState, basis: GeneratorBasis) -> f
 
 
 def variance_bloch_batch(a: ObservableBatch, rho: StateBatch) -> tuple[np.ndarray, np.ndarray]:
-    """Lanes form of ``variance_bloch`` on qubit rows; returns
-    ``(variances, bad)``.  At N = 2, (2/N)|a|² is |a|² and a' vanishes,
-    so adding a' · p (a signed zero) leaves every value as it is."""
+    """Lanes form of ``variance_bloch``; returns ``(variances, bad)``."""
     mean = row_dot(a.a, rho.p)
-    value = a.norm2 - mean * mean
+    value = (2.0 / a.matrix.shape[1]) * a.norm2 + row_dot(a.a_prime, rho.p) - mean * mean
     return py_max(value, 0.0), value < _NEGATIVE_VARIANCE_FLOOR
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +86,10 @@ _VERIFY_CASES = [
     ("robertson", [], (60, 0, "2.2305296556668353e-05", "0.8715808448041095")),
     ("state-dependent", [], (120, 120, "-1.9984014443252818e-15", "1.9984014443252818e-15")),
     ("robertson", ["--dim", "3"], (60, 0, "0.016541796686640325", "0.7156078068992624")),
+    ("appendix-c", ["--dim", "6"], (60, 0, "0.03098624722592142", "0.12948546731363955")),
+    ("appendix-c", ["--dim", "10"], (60, 0, "0.02106429498159626", "0.04145167787947875")),
+    ("robertson", ["--dim", "6"], (60, 0, "0.09030223673070588", "0.35809496990842704")),
+    ("robertson", ["--dim", "10"], (60, 0, "0.08161752779085854", "0.25065294092272955")),
 ]
 
 
@@ -139,6 +144,20 @@ def test_verify_runs_at_dim_cap(relation):
     code, report = _run(["verify", relation, "--dim", "16", "--samples", "2"])
     assert code == 0
     assert report["results"][0]["checks"] >= 2
+
+
+def test_verify_memory_at_dim_cap():
+    # One full chunk of robertson rows at N = 16.  d_contract's
+    # temporaries are no larger than its output; a contraction over all
+    # 21,833 nonzeros at once would take 358 MB a temporary.
+    tracemalloc.start()
+    try:
+        code, report = _run(["verify", "robertson", "--dim", "16", "--samples", "2100"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and report["results"][0]["checks"] == 2100
+    assert peak < 128e6
 
 
 @pytest.mark.parametrize(

@@ -1,15 +1,19 @@
-"""The batched qubit engine against the scalar per-stream path.
+"""The batched engine against the scalar per-stream path.
 
-`blochvar verify` at N = 2 runs every relation but appendix-c on lanes
-(`XoshiroLanes`, `StateBatch`/`ObservableBatch`, the `*_batch`
-checkers); the per-stream loop stays as the oracle.  These tests pin:
+`blochvar verify` runs every relation on lanes (`XoshiroLanes`,
+`StateBatch`/`ObservableBatch`, the `*_batch` checkers) at every N, and
+appendix-c's rejection draws on lanes until only a few lanes of a chunk
+are pending; the per-stream loop stays as the oracle.  These tests pin:
 
 * margins and `_fuzz` summaries equal to the loop's bit for bit, across
-  chunk boundaries, seeds 0 and 2**64 - 1 included;
-* the lane RNG, masked re-draws included, equal to `Xoshiro256pp`;
+  chunk boundaries, seeds 0 and 2**64 - 1 included, at N = 2 and at
+  N = 3, 6 and 10;
+* the lane RNG, masked re-draws and scalar hand-offs included, equal to
+  `Xoshiro256pp`;
 * the same exception, raised for the same first failing stream;
-* each numpy-vs-scalar equality the engine relies on, so that a numpy
-  or libm upgrade that breaks one fails here by name.
+* each numpy-vs-scalar equality the engine relies on, at N = 2 and per
+  N up to the dimension cap, so that a numpy or libm upgrade that
+  breaks one fails here by name.
 """
 
 import math
@@ -27,6 +31,7 @@ from blochvar.linalg import per_element, row_dot
 from blochvar.sampling import Xoshiro256pp, XoshiroLanes, draw_observable, draw_observable_batch
 
 LANES_RELATIONS = sorted(r for r, entry in cli._RELATIONS.items() if entry.lanes is not None)
+QUDIT_RELATIONS = sorted(r for r, entry in cli._RELATIONS.items() if entry.dims is None)
 SEEDS = st.one_of(st.sampled_from([0, 1, 2**64 - 1]), st.integers(0, 2**64 - 1))
 
 
@@ -35,16 +40,17 @@ def _scalar_only(relation):
     return mock.patch.dict(cli._RELATIONS, {relation: cli._RELATIONS[relation]._replace(lanes=None)})
 
 
-def _margins(relation, samples, seed, theta_ab=math.pi / 4.0):
-    return np.array([m for m, _, _ in cli._verdicts(relation, 2, samples, seed, theta_ab)])
+def _margins(relation, samples, seed, theta_ab=math.pi / 4.0, dim=2):
+    return np.array([m for m, _, _ in cli._verdicts(relation, dim, samples, seed, theta_ab)])
 
 
 def _summary_reprs(summary):
     return {key: repr(value) for key, value in summary.items()}
 
 
-def test_engine_covers_the_qubit_catalogue():
-    assert LANES_RELATIONS == sorted(set(cli._RELATIONS) - {"appendix-c"})
+def test_engine_covers_the_catalogue():
+    assert LANES_RELATIONS == sorted(cli._RELATIONS)
+    assert QUDIT_RELATIONS == ["appendix-c", "robertson"]
 
 
 @pytest.mark.parametrize("relation", LANES_RELATIONS)
@@ -70,6 +76,39 @@ def test_three_obs_engine_matches_at_any_angle(seed, theta_ab):
     lanes = _margins("three-obs-equality", 30, seed, theta_ab)
     with _scalar_only("three-obs-equality"):
         assert np.array_equal(lanes, _margins("three-obs-equality", 30, seed, theta_ab))
+
+
+# Where appendix-c's pending lanes go back to the scalar loop: never
+# (every round on lanes), at the default cut-off, or at once (chunk + 1).
+_TAILS = ["lanes", "default", "scalar"]
+
+
+def _cutoff(tail, chunk):
+    return {"lanes": 0, "default": cli._LANES_MIN_PENDING, "scalar": chunk + 1}[tail]
+
+
+@pytest.mark.parametrize("relation", QUDIT_RELATIONS)
+@pytest.mark.parametrize("dim", [3, 6, 10])
+@settings(max_examples=5, deadline=None)
+@given(
+    seed=SEEDS, samples=st.integers(1, 30), chunk=st.integers(1, 16), tail=st.sampled_from(_TAILS)
+)
+@example(seed=0, samples=30, chunk=16, tail="lanes")
+@example(seed=2**64 - 1, samples=29, chunk=16, tail="default")
+@example(seed=1729, samples=17, chunk=16, tail="scalar")
+def test_qudit_engine_matches_scalar_loop(relation, dim, seed, samples, chunk, tail):
+    with (
+        mock.patch.object(sampling, "ENGINE_CHUNK", chunk),
+        mock.patch.object(cli, "_LANES_MIN_PENDING", _cutoff(tail, chunk)),
+    ):
+        lanes = _margins(relation, samples, seed, dim=dim)
+        summary = cli._fuzz(relation, dim, samples, seed, math.pi / 4.0)
+    with _scalar_only(relation):
+        scalar = _margins(relation, samples, seed, dim=dim)
+        expected = cli._fuzz(relation, dim, samples, seed, math.pi / 4.0)
+    assert lanes.dtype == scalar.dtype == np.float64
+    assert np.array_equal(lanes, scalar)
+    assert _summary_reprs(summary) == _summary_reprs(expected)
 
 
 @pytest.mark.parametrize("relation", ["theorem1", "state-dependent", "unit-vector"])
@@ -107,8 +146,16 @@ def test_masked_lanes_advance_alone(seed, masks):
         assert got.shape == (idx.size, 3)
         expected = np.array([rngs[k].gaussians(3) for k in idx]).reshape(-1, 3)
         assert np.array_equal(got, expected)
-    # Every lane resumes where its own stream stands.
+        got = lanes.complex_gaussians(2, idx)
+        assert got.shape == (idx.size, 2)
+        expected = np.array([rngs[k].complex_gaussians(2) for k in idx]).reshape(-1, 2)
+        assert np.array_equal(got, expected)
+    # Every lane resumes where its own stream stands, and a lane handed
+    # off to the scalar path continues it without advancing the lane.
     assert np.array_equal(lanes.gaussians(3), [rng.gaussians(3) for rng in rngs])
+    handed = [lanes.lane(k).complex_gaussians(2) for k in range(9)]
+    assert np.array_equal(handed, [rng.complex_gaussians(2) for rng in rngs])
+    assert np.array_equal(lanes.complex_gaussians(2), handed)
 
 
 @pytest.mark.parametrize("min_norm", [1e-12, 1.0, 1.6])
@@ -122,6 +169,20 @@ def test_observable_redraw_lanes_match_scalar(basis2, min_norm):
     assert np.array_equal(batch.a, [obs.a for obs in scalar])
     assert np.array_equal(batch.matrix, [obs.matrix.array for obs in scalar])
     assert np.array_equal(batch.norm2, [obs.norm2 for obs in scalar])
+
+
+@pytest.mark.parametrize("min_norm", [1e-12, 2.5])
+def test_masked_observable_redraw_matches_scalar(basis3, min_norm):
+    # Appendix-c draws on a subset of lanes; at 2.5 about a third of the
+    # su(3) draws are drawn again.
+    lanes = np.arange(1, 64, 3)
+    with mock.patch.object(sampling, "_MIN_NORM", min_norm):
+        batch = draw_observable_batch(XoshiroLanes(5, range(64)), basis3, lanes)
+        scalar = [draw_observable(Xoshiro256pp(5, stream=k), basis3) for k in lanes.tolist()]
+    assert not batch.bad.any()
+    assert np.array_equal(batch.a, [obs.a for obs in scalar])
+    assert np.array_equal(batch.a_prime, [obs.a_prime for obs in scalar])
+    assert np.array_equal(batch.matrix, [obs.matrix.array for obs in scalar])
 
 
 def test_lanes_reject_bad_seeds_and_streams():
@@ -151,13 +212,13 @@ _FAILURES = [
 ]
 
 
-def _failing_streams(relation, samples, seed):
-    basis = basis_for(2)
+def _failing_streams(relation, samples, seed, dim=2):
+    basis = basis_for(dim)
     failing = []
     for i in range(samples):
         try:
             cli._sample(relation, basis, seed, i, math.pi / 4.0)
-        except (ValueError, ArithmeticError):
+        except (ValueError, ArithmeticError, RuntimeError):
             failing.append(i)
     return failing
 
@@ -175,6 +236,93 @@ def test_first_failing_stream_raises_scalar_error(module, name, value, relation)
     if module is not linalg:
         # A stream past the first fails first, and others fail after it.
         assert 0 < failing[0] and len(failing) > 1
+
+
+# The same for appendix-c's rejection draws at N > 2.  A positive
+# eigenvalue floor and a tight trace tolerance make mixed draws raise
+# UnphysicalState outside the rejection loop's catch (the trace one also
+# makes observables raise), a tight consistency tolerance makes
+# observables raise ValueError, one or two tries raise RuntimeError for
+# each stream whose tries are all rejected (with two, lanes rejected on
+# lanes finish on the scalar path with one try left), and a variance
+# floor makes the check raise after the draw.
+_QUDIT_DRAW_FAILURES = [
+    (bloch, "PSD_EIGENVALUE_FLOOR", 0.01, 3),
+    (bloch, "_TRACE_ATOL", 1e-16, 3),
+    (bloch, "_CONSISTENCY_ATOL", 2e-16, 6),
+    (cli, "_APPENDIX_C_TRIES", 1, 3),
+    (cli, "_APPENDIX_C_TRIES", 2, 6),
+]
+_QUDIT_FAILURES = _QUDIT_DRAW_FAILURES + [(variance, "_NEGATIVE_VARIANCE_FLOOR", 0.25, 6)]
+
+
+@pytest.mark.parametrize("tail", _TAILS)
+@pytest.mark.parametrize("module,name,value,dim", _QUDIT_FAILURES)
+def test_first_failing_appendix_c_stream_raises_scalar_error(module, name, value, dim, tail):
+    with mock.patch.object(module, name, value):
+        failing = _failing_streams("appendix-c", 60, 3, dim)
+        with _scalar_only("appendix-c"), pytest.raises(Exception) as scalar:
+            cli._fuzz("appendix-c", dim, 60, 3, 0.0)
+        with (
+            mock.patch.object(sampling, "ENGINE_CHUNK", 16),
+            mock.patch.object(cli, "_LANES_MIN_PENDING", _cutoff(tail, 16)),
+            pytest.raises(Exception) as lanes,
+        ):
+            cli._fuzz("appendix-c", dim, 60, 3, 0.0)
+    assert type(lanes.value) is type(scalar.value)
+    assert str(lanes.value) == str(scalar.value)
+    assert 0 < failing[0] and len(failing) > 1
+
+
+@pytest.mark.parametrize("tail", _TAILS)
+@pytest.mark.parametrize("module,name,value,dim", _QUDIT_DRAW_FAILURES)
+def test_appendix_c_lanes_flag_the_streams_scalar_rejects(module, name, value, dim, tail):
+    # Every failing stream, not only the first: a RuntimeError message
+    # does not name its stream.
+    with (
+        mock.patch.object(module, name, value),
+        mock.patch.object(cli, "_LANES_MIN_PENDING", _cutoff(tail, 20)),
+    ):
+        bad = cli._appendix_c_lanes(XoshiroLanes(3, range(20)), basis_for(dim), 20)[3]
+        failing = _failing_streams("appendix-c", 20, 3, dim)
+    assert failing and np.flatnonzero(bad).tolist() == failing
+
+
+def test_nonzero_mean_tries_are_drawn_again(monkeypatch):
+    # Leave p unprojected when p[0] <= 0, on both paths: about half the
+    # tries then carry nonzero means, which must be drawn again, not
+    # accepted.
+    project, project_rows = cli._project_orthogonal, cli._project_orthogonal_rows
+    monkeypatch.setattr(
+        cli, "_project_orthogonal", lambda p, vecs: project(p, vecs) if p[0] > 0 else p.copy()
+    )
+    monkeypatch.setattr(
+        cli, "_project_orthogonal_rows",
+        lambda p, a, b: np.where((p[:, 0] > 0)[:, None], project_rows(p, a, b), p),
+    )
+    with mock.patch.object(cli, "_LANES_MIN_PENDING", 0):
+        lanes = _margins("appendix-c", 40, 5, dim=3)
+    with _scalar_only("appendix-c"):
+        assert np.array_equal(lanes, _margins("appendix-c", 40, 5, dim=3))
+
+
+def test_appendix_c_holds_at_its_own_tolerance(monkeypatch):
+    # Margins of -5e-10 hold at appendix-c's 1e-9, not at the default 1e-10.
+    lanes = cli.check_appendix_c_batch
+
+    def shifted(a, b, state):
+        margins, bad = lanes(a, b, state)
+        return np.full_like(margins, -5e-10), bad
+
+    monkeypatch.setattr(cli, "check_appendix_c_batch", shifted)
+    summary = cli._fuzz("appendix-c", 3, 20, 0, 0.0)
+    monkeypatch.setattr(
+        cli, "check_appendix_c",
+        lambda a, b, s, basis: relations._verdict("appendix_c", 0.0, 5e-10, relations.APPENDIX_C_TOL),
+    )
+    with _scalar_only("appendix-c"):
+        expected = cli._fuzz("appendix-c", 3, 20, 0, 0.0)
+    assert summary["holds"] and _summary_reprs(summary) == _summary_reprs(expected)
 
 
 def test_lane_only_failure_is_reported(monkeypatch):
@@ -307,11 +455,86 @@ def test_theorem1_flags_variance_above_norm(basis2):
     assert bad.any() and bad.tolist() == (sa * sa > 0.5 * state.purity + 1e-10).tolist()
 
 
-def test_batches_need_a_qubit_basis(basis3):
-    with pytest.raises(ValueError):
-        bloch.observable_from_bloch_batch(np.zeros((2, 8)), basis3)
-    with pytest.raises(ValueError):
-        bloch.state_from_matrix_batch(np.zeros((2, 3, 3)), basis3)
+@pytest.mark.parametrize("dim", [3, 6])
+def test_reconstruction_flags_the_rows_scalar_rejects(dim):
+    # Bloch vectors of random mixed states, scaled: past the physical
+    # body the eigenvalue floor rejects them (UnphysicalState); rows with
+    # a NaN raise another ValueError.
+    basis = basis_for(dim)
+    rng = np.random.default_rng(dim)
+    mixed = sampling.draw_states_batch(XoshiroLanes(4, range(60)), basis, np.zeros(60, bool))
+    p = mixed.p * rng.uniform(0.5, 3.0, size=(60, 1))
+    p[::13, 0] = np.nan
+
+    def scalar(row):
+        try:
+            return bloch.state_to_matrix(row, basis), None
+        except bloch.UnphysicalState:
+            return None, "unphysical"
+        except ValueError:
+            return None, "other"
+
+    batch, unphysical = bloch.state_to_matrix_batch(p, basis)
+    outcomes = [scalar(row) for row in p]
+    raised = [error for _, error in outcomes]
+    assert {"unphysical", "other", None} == set(raised)
+    assert batch.bad.tolist() == [error is not None for error in raised]
+    assert unphysical.tolist() == [error == "unphysical" for error in raised]
+    for i in np.flatnonzero(~batch.bad):
+        state = outcomes[i][0]
+        assert np.array_equal(batch.rho[i], state.rho.array)
+        assert np.array_equal(batch.p[i], state.p) and batch.purity[i] == state.purity
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # bad rows on purpose
+@pytest.mark.parametrize("dim", [3, 6])
+def test_qudit_observable_checks_flag_the_rows_scalar_rejects(dim):
+    basis = basis_for(dim)
+    rng = np.random.default_rng(dim)
+    n = basis.n_generators
+    vecs = rng.normal(size=(200, n)) * 10.0 ** rng.uniform(-1, 6, size=(200, 1))
+    vecs[::37, 1] = np.inf
+    batch = bloch.observable_from_bloch_batch(vecs, basis)
+    rejected = [_raises(bloch.observable_from_bloch, v, basis) for v in vecs]
+    assert 0 < sum(rejected) < len(vecs)
+    assert batch.bad.tolist() == rejected
+    for i in np.flatnonzero(~batch.bad):
+        obs = bloch.observable_from_bloch(vecs[i], basis)
+        assert np.array_equal(batch.matrix[i], obs.matrix.array)
+        assert np.array_equal(batch.a_prime[i], obs.a_prime) and batch.norm2[i] == obs.norm2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # bad rows on purpose
+@pytest.mark.parametrize("relation", QUDIT_RELATIONS)
+@pytest.mark.parametrize("dim", [3, 6])
+def test_qudit_checkers_flag_the_rows_scalar_rejects(relation, dim):
+    # Accepted appendix-c draws, and on every third row a fresh mixed
+    # state, whose nonzero means appendix-c rejects.
+    basis = basis_for(dim)
+    lanes = XoshiroLanes(6, range(45))
+    a, b, state, bad = cli._appendix_c_lanes(lanes, basis, 45)
+    assert not bad.any()
+    mixed = sampling.draw_states_batch(lanes, basis, np.zeros(45, bool))
+    swap = np.arange(45) % 3 == 0
+    for field, drawn in zip(state, mixed):
+        field[swap] = drawn[swap]
+    margins, flagged = cli._RELATIONS[relation].lanes(a, b, state, 0.0)
+    check = cli._RELATIONS[relation].check
+    for i in range(45):
+        oa = bloch.observable_from_bloch(a.a[i], basis)
+        ob = bloch.observable_from_bloch(b.a[i], basis)
+        if swap[i]:
+            rho = bloch.state_from_matrix(linalg.HermitianMatrix(state.rho[i]), basis)
+        else:
+            rho = bloch.state_to_matrix(state.p[i], basis)
+        assert np.array_equal(rho.rho.array, state.rho[i]) and np.array_equal(rho.p, state.p[i])
+        try:
+            margin = check(oa, ob, rho, 0.0)[0].margin
+        except (ValueError, ArithmeticError):
+            assert flagged[i]
+            continue
+        assert not flagged[i] and margins[i] == margin
+    assert flagged.any() == (relation == "appendix-c")
 
 
 # ---------------------------------------------------------------------------
@@ -412,3 +635,86 @@ def test_elementwise_ufuncs_match_math(inputs):
     z = inputs["g"][:, 0, :]
     assert np.array_equal(np.abs(z), _each(np.abs, z))
     assert np.array_equal(per_element(abs, z), [[float(abs(c)) for c in row] for row in z])
+
+
+# ---------------------------------------------------------------------------
+# the same equalities per N, up to the dimension cap
+
+
+@pytest.fixture(scope="module", params=[3, 4, 6, 10, 16], ids=lambda n: f"N{n}")
+def qudit(request):
+    # 300 rows of what the engine computes on at this N: pure and mixed
+    # states, observables and their squares, and the unsymmetrized
+    # reconstruction of a Bloch vector.
+    n = request.param
+    basis = basis_for(n)
+    lanes = XoshiroLanes(20151105, range(300))
+    g = lanes.complex_gaussians(n * n).reshape(-1, n, n)
+    rho = np.concatenate([sampling._pure_rho(g[:150]), sampling._mixed_rho(g[150:])])
+    draws = lanes.gaussians(basis.n_generators)  # odd lengths are strided rows
+    vec = draws / np.sqrt(row_dot(draws, draws))[:, None]
+    obs = np.einsum("nj,jab->nab", vec, basis.stacked())
+    p = np.ascontiguousarray(np.einsum("nab,jba->nj", rho, basis.stacked()).real)
+    recon = np.eye(n) / n + 0.5 * np.einsum("nj,jab->nab", 0.9 * p, basis.stacked())
+    return {"basis": basis, "g": g, "rho": rho, "draws": draws, "vec": vec, "obs": obs,
+            "sq": obs @ obs, "p": p, "recon": recon}
+
+
+def test_stacked_eigvalsh_matches_single(qudit):
+    for stack in (qudit["rho"], qudit["recon"], qudit["obs"]):
+        assert np.array_equal(np.linalg.eigvalsh(stack), _each(np.linalg.eigvalsh, stack))
+
+
+_EINSUMS = {
+    "nj,jab->nab": lambda q: (q["vec"], q["basis"].stacked()),
+    "nab,jba->nj": lambda q: (q["sq"], q["basis"].stacked()),
+    "nab,nbc,nca->n": lambda q: (q["obs"], q["obs"], q["rho"]),
+    "nab,nba->n": lambda q: (q["obs"], q["rho"]),
+}
+
+
+@pytest.mark.parametrize("subscripts", sorted(_EINSUMS))
+def test_einsum_matches_1d(qudit, subscripts):
+    operands = _EINSUMS[subscripts](qudit)
+    single = subscripts.replace("n", "")
+    stacked = [term.startswith("n") for term in subscripts.split("->")[0].split(",")]
+
+    def one_row(*rows):
+        it = iter(rows)
+        return np.einsum(single, *(next(it) if s else op for s, op in zip(stacked, operands)))
+
+    rows = [op for s, op in zip(stacked, operands) if s]
+    assert np.array_equal(np.einsum(subscripts, *operands), _each(one_row, *rows))
+
+
+def test_stacked_matmul_and_trace_match_single(qudit):
+    obs, rho = qudit["obs"], qudit["rho"]
+    assert np.array_equal(obs @ rho - rho @ obs, _each(lambda a, r: a @ r - r @ a, obs, rho))
+    assert np.array_equal(np.trace(rho, axis1=1, axis2=2), _each(np.trace, rho))
+    assert np.array_equal(np.trace(qudit["sq"], axis1=1, axis2=2), _each(np.trace, qudit["sq"]))
+
+
+def test_stacked_state_draws_match_single(qudit):
+    g = qudit["g"]
+    for draw in (sampling._pure_rho, sampling._mixed_rho):
+        assert np.array_equal(draw(g), _each(lambda m: draw(m[None])[0], g))
+
+
+def test_row_dot_matches_1d_dot_at_generator_length(qudit):
+    vec, p, draws = qudit["vec"], qudit["p"], qudit["draws"]
+    assert np.array_equal(row_dot(vec, p), _each(lambda u, v: u @ v, vec, p))
+    assert np.array_equal(row_dot(draws, draws), _each(lambda u: u @ u, draws))
+    real = np.einsum("nab,jba->nj", qudit["rho"], qudit["basis"].stacked()).real  # strided
+    assert np.array_equal(row_dot(real, real), _each(lambda u: u @ u, real))
+
+
+def test_sqrt_row_dot_matches_norm(qudit):
+    draws = qudit["draws"]
+    assert np.array_equal(np.sqrt(row_dot(draws, draws)), _each(np.linalg.norm, draws))
+
+
+def test_d_contract_rows_match_1d(qudit):
+    basis, vec = qudit["basis"], qudit["vec"]
+    got = basis.d_contract(vec)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, _each(basis.d_contract, vec))

@@ -26,6 +26,8 @@ from blochvar import (
     variance_report,
     vector_angle,
 )
+from blochvar.sampling import XoshiroLanes, draw_observable_batch, draw_states_batch
+from blochvar.variance import variance_bloch_batch, variance_matrix_batch
 from conftest import random_hermitian
 
 KET0 = HermitianMatrix(np.diag([1.0, 0.0]).astype(complex))
@@ -224,3 +226,22 @@ def test_mean_used_by_bloch_route(basis2):
         report = variance_report(obs, state, basis2)
         direct = np.trace(obs.matrix.array @ state.rho.array).real
         assert report.mean == pytest.approx(direct, abs=1e-11)
+
+
+@pytest.mark.parametrize("n", [3, 6, 10])
+def test_batched_routes_match_scalar_rows(n):
+    # Row i of the lanes forms is the scalar value on stream i's objects;
+    # pure and mixed states alternate.
+    basis = basis_for(n)
+    lanes = XoshiroLanes(7, range(40))
+    states = draw_states_batch(lanes, basis, np.arange(40) % 2 == 0)
+    obs = draw_observable_batch(lanes, basis)
+    via_bloch, bad_bloch = variance_bloch_batch(obs, states)
+    via_matrix, bad_matrix = variance_matrix_batch(obs.matrix, states.rho)
+    assert not (bad_bloch | bad_matrix | states.bad | obs.bad).any()
+    for i in range(40):
+        rng = Xoshiro256pp(7, stream=i)
+        state = (draw_pure if i % 2 == 0 else draw_mixed)(rng, basis)
+        a = draw_observable(rng, basis)
+        assert via_bloch[i] == variance_bloch(a, state, basis)
+        assert via_matrix[i] == variance_matrix(a, state)
