@@ -8,8 +8,10 @@ verify
     Fuzz one relation over seeded random draws; exit 0 iff
     every check holds at the relation's tolerance.  Every relation runs
     on the batched engine at every N, and its reports are bit-identical
-    to the per-stream loop's; appendix-c's rejection draws finish on the
-    scalar path once only a few lanes of a chunk are still pending.
+    to the per-stream loop's.  Appendix-c's lanes checker scores the
+    tries each round of its rejection draws accepts; once only a few
+    lanes of a chunk are still pending, each finishes on the scalar draw
+    and check.
 region
     Monte-Carlo scan of a qubit variance region (pair or axis triple)
     with CSV and JSON artifacts plus slice summaries (pair scans only).
@@ -36,6 +38,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 import time
 from typing import Callable, NamedTuple
@@ -44,9 +47,7 @@ import numpy as np
 
 from .bloch import (
     Observable,
-    ObservableBatch,
     QuantumState,
-    StateBatch,
     completely_mixed,
     matrix_from_json,
     observable_from_bloch,
@@ -57,11 +58,20 @@ from .bloch import (
 )
 from .errors import NotApplicable, UnphysicalState
 from .linalg import per_element, py_max, row_dot
-from .regions import GRID_RANGE, RegionScan, scan_pair, scan_triple
+from .regions import (
+    GRID_RANGE,
+    MAX_CELLS,
+    MAX_SAMPLES,
+    RegionScan,
+    occupancy_cells,
+    scan_pair,
+    scan_triple,
+)
 from .relations import (
     APPENDIX_C_TOL,
     HOLDS_TOL,
     SATURATION_TOL,
+    ZERO_MEAN_TOL,
     check_appendix_b,
     check_appendix_b_batch,
     check_appendix_c,
@@ -116,7 +126,7 @@ EXIT_USAGE = 2
 # its sparse closure check and verify's batched eigensolves are tested at.
 # At N = 16 a process takes about 0.7 s and 48 MB for 20 appendix-c
 # samples; a full 2048-stream chunk takes 4 s and 119 MB for robertson,
-# 30 s and 184 MB for appendix-c (2,100 samples, 2 vCPU Xeon).
+# 26 s and 149 MB for appendix-c (2,100 samples, max RSS, 2 vCPU Xeon).
 MAX_DIM = 16
 
 
@@ -220,7 +230,8 @@ def _appendix_c_draw(rng: Xoshiro256pp, basis, max_tries: int):
             projected = state_to_matrix(p, basis)
         except UnphysicalState:
             continue
-        if abs(float(a.a @ projected.p)) > 1e-9 or abs(float(b.a @ projected.p)) > 1e-9:
+        mean_a, mean_b = float(a.a @ projected.p), float(b.a @ projected.p)
+        if abs(mean_a) > ZERO_MEAN_TOL or abs(mean_b) > ZERO_MEAN_TOL:
             continue
         return a, b, projected
     raise RuntimeError("no valid zero-mean sample found; ensemble looks pathological")
@@ -241,31 +252,20 @@ def _project_orthogonal_rows(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.
     return out
 
 
-def _put(batch, rows, values) -> None:
-    for dst, src in zip(batch, values):
-        dst[rows] = src
-
-
 def _appendix_c_lanes(rng: XoshiroLanes, basis, count: int):
-    """Lanes form of ``_appendix_c_draw`` on the ``count`` lanes of ``rng``.
+    """Appendix-c's draw and check on the ``count`` lanes of ``rng``.
 
-    Returns ``(a, b, state, bad)``: ``bad`` marks the lanes on which the
-    scalar draw raises, whose rows are unspecified.  A round draws on the
-    lanes still pending only; the last few finish on the scalar path (see
+    Returns ``(margins, bad)`` as a ``Relation.lanes`` checker does:
+    ``bad`` marks the lanes on which the scalar draw or check raises,
+    whose margins are unspecified.  A round draws on the lanes still
+    pending only and scores the tries it accepts at once with the lanes
+    checker; the last few lanes finish on ``_appendix_c_draw`` (see
     ``_LANES_MIN_PENDING``) from their own lane state, with the tries they
-    have left, and their objects are written into the rows.
+    have left, and are scored by the scalar check.
     """
-    n, ngen = basis.dim, basis.n_generators
-
-    def rows(*shape, dtype=np.float64):
-        return np.zeros((count, *shape), dtype)
-
-    a, b = (
-        ObservableBatch(rows(n, n, dtype=complex), rows(ngen), rows(ngen), rows(), rows(dtype=bool))
-        for _ in range(2)
-    )
-    state = StateBatch(rows(n, n, dtype=complex), rows(ngen), rows(), rows(dtype=bool))
-    bad = rows(dtype=bool)
+    row = _RELATIONS["appendix-c"]  # its checkers read no axis angle
+    margins = np.zeros(count)
+    bad = np.zeros(count, dtype=bool)
     tries = np.zeros(count, dtype=np.int64)
     pending = np.arange(count)
     while pending.size >= max(_LANES_MIN_PENDING, 1):
@@ -276,27 +276,25 @@ def _appendix_c_lanes(rng: XoshiroLanes, basis, count: int):
         p = _project_orthogonal_rows(mixed.p, da.a, db.a)
         projected, unphysical = state_to_matrix_batch(p, basis)
         failed = da.bad | db.bad | mixed.bad | (projected.bad & ~unphysical)
-        rejected = unphysical | (np.abs(row_dot(da.a, projected.p)) > 1e-9)
-        rejected |= np.abs(row_dot(db.a, projected.p)) > 1e-9
+        rejected = unphysical | (np.abs(row_dot(da.a, projected.p)) > ZERO_MEAN_TOL)
+        rejected |= np.abs(row_dot(db.a, projected.p)) > ZERO_MEAN_TOL
         rejected &= ~failed
         accepted = ~(failed | rejected)
         bad[pending[failed]] = True
-        for batch, drawn in ((a, da), (b, db), (state, projected)):
-            _put(batch, pending[accepted], (field[accepted] for field in drawn))
+        if accepted.any():
+            rows = (drawn._make(field[accepted] for field in drawn) for drawn in (da, db, projected))
+            margins[pending[accepted]], bad[pending[accepted]] = row.lanes(*rows, None)
         pending = pending[rejected]
         spent = tries[pending] >= _APPENDIX_C_TRIES
         bad[pending[spent]] = True  # the scalar loop raises RuntimeError
         pending = pending[~spent]
     for k in pending.tolist():
         try:
-            oa, ob, projected = _appendix_c_draw(rng.lane(k), basis, _APPENDIX_C_TRIES - int(tries[k]))
+            drawn = _appendix_c_draw(rng.lane(k), basis, _APPENDIX_C_TRIES - int(tries[k]))
+            margins[k] = row.check(*drawn, None)[0].margin
         except (ValueError, ArithmeticError, RuntimeError):
             bad[k] = True  # replayed from the stream's start by the caller
-            continue
-        for batch, obs in ((a, oa), (b, ob)):
-            _put(batch, k, (obs.matrix.array, obs.a, obs.a_prime, obs.norm2, False))
-        _put(state, k, (projected.rho.array, projected.p, projected.purity, False))
-    return a, b, state, bad
+    return margins, bad
 
 
 class Relation(NamedTuple):
@@ -305,7 +303,9 @@ class Relation(NamedTuple):
     Sample i, on RNG stream i, draws a state of the ``sampling.draw_state``
     kind ``states``, then A and B if ``pair``, and ``check(a, b, state,
     theta_ab)`` returns its verdicts.  ``states`` None is appendix-c's
-    rejection loop, which draws A, B and the state itself.  ``dims`` are
+    rejection loop, which draws A, B and the state itself; on lanes,
+    ``_appendix_c_lanes`` runs ``lanes`` on the rows each round accepts
+    and ``check`` on the objects its scalar tail draws.  ``dims`` are
     the N the relation is defined for (None: any N >= 2).  ``lanes`` is
     ``check`` on the batched engine, given batch rows drawn in the same
     order: it returns (margins, bad), a row per stream and a column per
@@ -407,18 +407,15 @@ def _verdicts(relation: str, dim: int, samples: int, seed: int, theta_ab: float)
         rng = XoshiroLanes(seed, streams)
         with np.errstate(divide="ignore", invalid="ignore"):  # only bad rows divide by 0
             if row.states is None:
-                a, b, state, bad_draw = _appendix_c_lanes(rng, basis, streams.size)
+                margins, bad = _appendix_c_lanes(rng, basis, streams.size)
             else:
                 state = draw_state_batch(row.states, rng, basis, streams)
                 a = b = None
-                bad_draw = False
                 if row.pair:
                     a = draw_observable_batch(rng, basis)
                     b = draw_observable_batch(rng, basis)
-            margins, bad = row.lanes(a, b, state, theta_ab)
-        replay_first_bad(
-            bad | bad_draw, streams, lambda i: _sample(relation, basis, seed, i, theta_ab)
-        )
+                margins, bad = row.lanes(a, b, state, theta_ab)
+        replay_first_bad(bad, streams, lambda i: _sample(relation, basis, seed, i, theta_ab))
         for margin in margins.ravel().tolist():
             yield margin, margin >= -row.tol, abs(margin) <= SATURATION_TOL
 
@@ -669,8 +666,14 @@ def _cmd_verify(args, parser) -> tuple[int, dict]:
 
 
 def _cmd_region(args, parser) -> tuple[int, dict]:
-    if args.samples < 1:
-        parser.error("--samples must be positive")
+    if not 1 <= args.samples <= MAX_SAMPLES:
+        parser.error(f"--samples must be in 1..{MAX_SAMPLES}, got {args.samples}")
+    cells = occupancy_cells(args.grid, 2 if args.mode == "pair" else 3)
+    if cells > MAX_CELLS:
+        parser.error(
+            f"--grid {args.grid:g} gives a {args.mode} scan {cells} occupancy cells, "
+            f"above {MAX_CELLS}; use a coarser grid"
+        )
     if args.mode == "triple" and args.ensemble != "pure":
         parser.error("triple scans are defined for pure ensembles only")
     if args.mode == "triple" and args.slice_da2 is not None:
@@ -901,13 +904,29 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _check_outputs(args, parser) -> None:
+    # Checked before any work, so that a run that could not write its
+    # results exits 2 and writes no file at all.
+    for flag in ("out", "csv", "json"):
+        path = getattr(args, flag, None)
+        if not path:
+            continue
+        directory = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            parser.error(f"--{flag} {path!r} names a directory")
+        if not os.path.isdir(directory):
+            parser.error(f"--{flag} {path!r}: directory {directory!r} does not exist")
+
+
 def run(argv=None) -> tuple[int, dict]:
     """Parse and execute; returns (exit_code, report).
 
-    Usage errors raise SystemExit(2) via argparse.
+    Usage errors, an output path that cannot be written included, raise
+    SystemExit(2) via argparse.
     """
     parser = _parser()
     args = parser.parse_args(argv)
+    _check_outputs(args, parser)
     if args.command in ("basis", "structure-consts"):
         return _cmd_basis(args, parser)
     if args.command == "verify":

@@ -10,7 +10,7 @@ Both scans are qubit-only and run on the batched engine: each chunk of
 ``ENGINE_CHUNK`` streams is drawn on ``XoshiroLanes`` lanes as one
 ``StateBatch``, and its variances, margins and every check of the scalar
 constructors and checkers are array operations, bit-identical to the
-per-state path (``iter_states``, ``variance_bloch``, the scalar
+per-state path (``draw_state``, ``variance_bloch``, the scalar
 checkers).  A row that fails a check, or whose margin fails its floor
 (NaN included), is replayed on that path for its own stream, which
 raises the stream's own exception; if the replay passes, the scan raises
@@ -64,6 +64,13 @@ __all__ = [
 ]
 
 GRID_RANGE = (1e-3, 0.1)
+# Largest scans the CLI runs.  A pair scan writing CSV, JSON and report
+# took 216 MB at 10**6 samples, so about 2 GB at MAX_SAMPLES.  The bool
+# occupancy grid and its int8 run-length copy take 2 bytes a cell (a
+# 1000**3 triple grid took 1,958 MB); at MAX_CELLS pair scans reach the
+# finest grid and triple scans need a grid of about 0.0047 or coarser.
+MAX_SAMPLES = 10**7
+MAX_CELLS = 10**7
 _SCAN_MARGIN_FLOOR = -1e-9
 _SURFACE_TOL = 1e-9  # largest |residual| of a triple sample off the certainty surface
 _GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0
@@ -120,6 +127,11 @@ def _check_grid(grid: float) -> int:
     if not lo <= grid <= hi:
         raise ValueError(f"grid {grid!r} outside [{lo}, {hi}]")
     return int(math.ceil(1.0 / grid - 1e-12))
+
+
+def occupancy_cells(grid: float, axes: int) -> int:
+    """Cells of the occupancy grid of an ``axes``-variance scan at ``grid``."""
+    return _check_grid(grid) ** axes
 
 
 def _occupancy(samples: np.ndarray, grid: float, n_cells: int) -> np.ndarray:

@@ -105,6 +105,9 @@ __all__ = [
 HOLDS_TOL = 1e-10
 APPENDIX_C_TOL = 1e-9
 SATURATION_TOL = 1e-9
+# Largest |<A>| and |<B>| the appendix-c trade-off accepts as zero; the
+# CLI's rejection draws accept exactly the tries that pass this check.
+ZERO_MEAN_TOL = 1e-9
 _RADICAND_FLOOR = -1e-10
 
 
@@ -297,9 +300,10 @@ def check_appendix_c(
 ) -> RelationVerdict:
     """N-dimensional trade-off under ⟨A⟩ = ⟨B⟩ = 0.
 
-    Builds the shifted variances x, y, verifies them against the
-    contracted-vector route a'·p (the two must agree to 1e-11 or the
-    inputs are inconsistent), and checks
+    The means must vanish within ``ZERO_MEAN_TOL`` (1e-9).  Builds the
+    shifted variances x, y, verifies them against the contracted-vector
+    route a'·p (the two must agree to 1e-11 or the inputs are
+    inconsistent), and checks
     sqrt(a'²p² - x²) sqrt(b'²p² - y²) >= |x y - g' p²| at tolerance
     1e-9.
     """
@@ -307,7 +311,7 @@ def check_appendix_c(
         raise DimensionMismatch("observables, state, and basis must share one dimension")
     mean_a = float(a.a @ rho.p)
     mean_b = float(b.a @ rho.p)
-    if abs(mean_a) > 1e-9 or abs(mean_b) > 1e-9:
+    if abs(mean_a) > ZERO_MEAN_TOL or abs(mean_b) > ZERO_MEAN_TOL:
         raise ValueError(
             f"trade-off requires zero means, got <A> = {mean_a!r}, <B> = {mean_b!r}"
         )
@@ -547,7 +551,8 @@ def check_appendix_c_batch(
 ) -> _LaneVerdicts:
     """Lanes form of ``check_appendix_c``."""
     bad = a.bad | b.bad | rho.bad
-    bad |= (np.abs(row_dot(a.a, rho.p)) > 1e-9) | (np.abs(row_dot(b.a, rho.p)) > 1e-9)
+    bad |= np.abs(row_dot(a.a, rho.p)) > ZERO_MEAN_TOL
+    bad |= np.abs(row_dot(b.a, rho.p)) > ZERO_MEAN_TOL
     n = rho.rho.shape[1]
     va, bad_a = variance_matrix_batch(a.matrix, rho.rho)
     vb, bad_b = variance_matrix_batch(b.matrix, rho.rho)

@@ -160,6 +160,21 @@ def test_verify_memory_at_dim_cap():
     assert peak < 128e6
 
 
+def test_verify_appendix_c_memory():
+    # One full chunk of appendix-c rows at N = 6.  Each round keeps only
+    # its own draws, and the chunk a margin and a flag a lane; holding
+    # every accepted try in chunk-sized batches for one final check
+    # peaks at 18.2 MB.
+    tracemalloc.start()
+    try:
+        code, report = _run(["verify", "appendix-c", "--dim", "6", "--samples", "2100"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and report["results"][0]["checks"] == 2100
+    assert peak < 15e6
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -326,6 +341,68 @@ def test_region_usage_errors():
     with pytest.raises(SystemExit) as err:
         _run(["region", "triple", "--theta-ab", "1.5", "--samples", "800", "--slice-da2", "0.3"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["pair", "--samples", str(regions.MAX_SAMPLES + 1)],
+        ["pair", "--samples", "1000000000000"],
+        ["triple", "--samples", "10", "--grid", "0.001"],
+        ["triple", "--samples", "10", "--grid", "0.0046"],
+    ],
+    ids=["samples-cap", "samples-huge", "triple-finest-grid", "triple-grid-below-cap"],
+)
+def test_region_inputs_that_exhaust_memory_exit_2(tmp_path, capsys, args):
+    outputs = []
+    for flag, name in (("--csv", "scan.csv"), ("--json", "scan.json"), ("--out", "report.json")):
+        outputs += [flag, str(tmp_path / name)]
+    with pytest.raises(SystemExit) as err:
+        _run(["region"] + args + ["--theta-ab", "1.0"] + outputs)
+    assert err.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().out == ""  # no scan ran
+
+
+def test_region_size_caps_admit_their_limits():
+    assert regions.occupancy_cells(0.001, 2) <= regions.MAX_CELLS
+    assert regions.occupancy_cells(0.0047, 3) <= regions.MAX_CELLS < regions.occupancy_cells(0.0046, 3)
+    for mode, grid in (("pair", "0.001"), ("triple", "0.0047")):
+        code, report = _run(["region", mode, "--theta-ab", "1.0", "--samples", "10", "--grid", grid])
+        assert code == 0 and report["results"][0]["count"] == 10
+
+
+_OUTPUT_COMMANDS = {
+    "basis": ["basis", "--dim", "2"],
+    "verify": ["verify", "theorem1", "--samples", "5"],
+    "region": ["region", "pair", "--theta-ab", "1.0", "--samples", "5"],
+    "compare": ["compare", "--state", "mixed", "--A", "sigma1", "--B", "sigma2"],
+}
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", sorted(_OUTPUT_COMMANDS))
+def test_unwritable_out_exits_2_before_any_work(tmp_path, capsys, command, where):
+    path = tmp_path / "missing" / "report.json" if where == "missing-directory" else tmp_path
+    with pytest.raises(SystemExit) as err:
+        _run(_OUTPUT_COMMANDS[command] + ["--out", str(path)])
+    assert err.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+    captured = capsys.readouterr()
+    assert captured.out == "" and repr(str(path)) in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--csv", "--json"])
+def test_region_bad_artifact_path_writes_nothing(tmp_path, capsys, flag):
+    # Only one artifact path is bad: no report and no other artifact.
+    paths = {"--csv": "scan.csv", "--json": "scan.json", "--out": "report.json"}
+    paths = {key: tmp_path / ("missing" if key == flag else "") / name for key, name in paths.items()}
+    with pytest.raises(SystemExit) as err:
+        _run(_OUTPUT_COMMANDS["region"] + [x for item in paths.items() for x in map(str, item)])
+    assert err.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+    captured = capsys.readouterr()
+    assert captured.out == "" and repr(str(paths[flag])) in captured.err
 
 
 @pytest.mark.parametrize("value", ["nan", "1.5", "-0.1", "x"])

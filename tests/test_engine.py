@@ -275,17 +275,19 @@ def test_first_failing_appendix_c_stream_raises_scalar_error(module, name, value
 
 
 @pytest.mark.parametrize("tail", _TAILS)
-@pytest.mark.parametrize("module,name,value,dim", _QUDIT_DRAW_FAILURES)
+@pytest.mark.parametrize("module,name,value,dim", _QUDIT_FAILURES)
 def test_appendix_c_lanes_flag_the_streams_scalar_rejects(module, name, value, dim, tail):
     # Every failing stream, not only the first: a RuntimeError message
-    # does not name its stream.
+    # does not name its stream.  The variance floor fails the check, not
+    # the draw, on lanes rounds and on the scalar tail alike.
     with (
         mock.patch.object(module, name, value),
         mock.patch.object(cli, "_LANES_MIN_PENDING", _cutoff(tail, 20)),
     ):
-        bad = cli._appendix_c_lanes(XoshiroLanes(3, range(20)), basis_for(dim), 20)[3]
+        margins, bad = cli._appendix_c_lanes(XoshiroLanes(3, range(20)), basis_for(dim), 20)
         failing = _failing_streams("appendix-c", 20, 3, dim)
     assert failing and np.flatnonzero(bad).tolist() == failing
+    assert margins.shape == bad.shape == (20,)
 
 
 def test_nonzero_mean_tries_are_drawn_again(monkeypatch):
@@ -306,8 +308,67 @@ def test_nonzero_mean_tries_are_drawn_again(monkeypatch):
         assert np.array_equal(lanes, _margins("appendix-c", 40, 5, dim=3))
 
 
+def _stack_draws(draws):
+    """Batch rows holding the scalar (A, B, state) draws, one per row."""
+
+    def stack(rows):
+        return [np.array(column) for column in zip(*rows)]
+
+    a, b = (
+        bloch.ObservableBatch(*stack((o.matrix.array, o.a, o.a_prime, o.norm2, False) for o in objs))
+        for objs in list(zip(*draws))[:2]
+    )
+    return a, b, bloch.StateBatch(*stack((s.rho.array, s.p, s.purity, False) for _, _, s in draws))
+
+
+@pytest.mark.parametrize("axis", [0, 1], ids=["a", "b"])
+@pytest.mark.parametrize("tail", _TAILS)
+def test_draws_accept_exactly_the_means_the_check_allows(monkeypatch, tail, axis):
+    # Raise the zero-mean tolerance to 1e-6 and shift each projected p
+    # along a (or b), so that its tries' means spread over [0, 2e-6):
+    # both draws must accept only tries the check passes, and some of
+    # them above half the tolerance; the check must reject a mean just
+    # above it.
+    tol = 1e-6
+    monkeypatch.setattr(relations, "ZERO_MEAN_TOL", tol)
+    monkeypatch.setattr(cli, "ZERO_MEAN_TOL", tol)
+    project, project_rows = cli._project_orthogonal, cli._project_orthogonal_rows
+
+    def shift(p):  # in [0, 2 tol), from the unprojected p
+        return 2.0 * tol * np.mod(np.abs(p[..., 0]) * 1e3, 1.0)
+
+    def shifted(p, vecs):
+        v = vecs[axis]
+        return project(p, vecs) + shift(p) / float(v @ v) * v
+
+    def shifted_rows(p, a, b):
+        v = (a, b)[axis]
+        return project_rows(p, a, b) + (shift(p) / row_dot(v, v))[:, None] * v
+
+    monkeypatch.setattr(cli, "_project_orthogonal", shifted)
+    monkeypatch.setattr(cli, "_project_orthogonal_rows", shifted_rows)
+    with (
+        mock.patch.object(sampling, "ENGINE_CHUNK", 16),
+        mock.patch.object(cli, "_LANES_MIN_PENDING", _cutoff(tail, 16)),
+    ):
+        lanes = _margins("appendix-c", 40, 5, dim=3)
+    with _scalar_only("appendix-c"):
+        assert np.array_equal(lanes, _margins("appendix-c", 40, 5, dim=3))
+    basis = basis_for(3)
+    draws = [cli._appendix_c_draw(Xoshiro256pp(5, stream=i), basis, 200) for i in range(40)]
+    means = [max(abs(float(a.a @ s.p)), abs(float(b.a @ s.p))) for a, b, s in draws]
+    assert tol / 2 < max(means) <= tol
+    widest = int(np.argmax(means))
+    batch = _stack_draws(draws[widest : widest + 1])
+    for limit, rejects in ((means[widest], False), (np.nextafter(means[widest], 0.0), True)):
+        monkeypatch.setattr(relations, "ZERO_MEAN_TOL", limit)
+        assert _raises(relations.check_appendix_c, *draws[widest], basis) == rejects
+        assert relations.check_appendix_c_batch(*batch)[1].tolist() == [rejects]
+
+
 def test_appendix_c_holds_at_its_own_tolerance(monkeypatch):
     # Margins of -5e-10 hold at appendix-c's 1e-9, not at the default 1e-10.
+    # Every lane stays on the lanes rounds, which the lanes checker scores.
     lanes = cli.check_appendix_c_batch
 
     def shifted(a, b, state):
@@ -315,7 +376,8 @@ def test_appendix_c_holds_at_its_own_tolerance(monkeypatch):
         return np.full_like(margins, -5e-10), bad
 
     monkeypatch.setattr(cli, "check_appendix_c_batch", shifted)
-    summary = cli._fuzz("appendix-c", 3, 20, 0, 0.0)
+    with mock.patch.object(cli, "_LANES_MIN_PENDING", 0):
+        summary = cli._fuzz("appendix-c", 3, 20, 0, 0.0)
     monkeypatch.setattr(
         cli, "check_appendix_c",
         lambda a, b, s, basis: relations._verdict("appendix_c", 0.0, 5e-10, relations.APPENDIX_C_TOL),
@@ -508,13 +570,13 @@ def test_qudit_observable_checks_flag_the_rows_scalar_rejects(dim):
 @pytest.mark.parametrize("relation", QUDIT_RELATIONS)
 @pytest.mark.parametrize("dim", [3, 6])
 def test_qudit_checkers_flag_the_rows_scalar_rejects(relation, dim):
-    # Accepted appendix-c draws, and on every third row a fresh mixed
-    # state, whose nonzero means appendix-c rejects.
+    # Accepted appendix-c draws, one stream a row, and on every third row
+    # a fresh mixed state, whose nonzero means appendix-c rejects.
     basis = basis_for(dim)
-    lanes = XoshiroLanes(6, range(45))
-    a, b, state, bad = cli._appendix_c_lanes(lanes, basis, 45)
-    assert not bad.any()
-    mixed = sampling.draw_states_batch(lanes, basis, np.zeros(45, bool))
+    a, b, state = _stack_draws(
+        [cli._appendix_c_draw(Xoshiro256pp(6, stream=i), basis, 200) for i in range(45)]
+    )
+    mixed = sampling.draw_states_batch(XoshiroLanes(7, range(45)), basis, np.zeros(45, bool))
     swap = np.arange(45) % 3 == 0
     for field, drawn in zip(state, mixed):
         field[swap] = drawn[swap]
