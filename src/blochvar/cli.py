@@ -120,7 +120,6 @@ __all__ = ["main", "run", "build_parser"]
 SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_VIOLATION = 1
-EXIT_USAGE = 2
 
 # Largest --dim of basis and verify: the largest N the sparse su(N) build,
 # its sparse closure check and verify's batched eigensolves are tested at.
@@ -190,21 +189,6 @@ def _state_dependent_lanes(a, b, state):
     return np.stack([plus, minus], axis=1), bad_plus | bad_minus
 
 
-def _project_orthogonal(p: np.ndarray, vecs: list[np.ndarray]) -> np.ndarray:
-    out = p.astype(np.float64).copy()
-    frame: list[np.ndarray] = []
-    for v in vecs:
-        w = v.copy()
-        for u in frame:
-            w = w - float(w @ u) * u
-        norm = float(np.linalg.norm(w))
-        if norm > 1e-12:
-            frame.append(w / norm)
-    for u in frame:
-        out = out - float(out @ u) * u
-    return out
-
-
 # Tries of appendix-c's rejection loop per sample before it gives up.
 _APPENDIX_C_TRIES = 200
 
@@ -217,28 +201,9 @@ _APPENDIX_C_TRIES = 200
 _LANES_MIN_PENDING = 12
 
 
-def _appendix_c_draw(rng: Xoshiro256pp, basis, max_tries: int):
-    # Rejection sampling of (A, B, state): project the Bloch vector onto the
-    # orthogonal complement of span{a, b}, then insist the reconstruction
-    # is still physical.  Projection shrinks |p|, so acceptance is high.
-    for _ in range(max_tries):
-        a = draw_observable(rng, basis)
-        b = draw_observable(rng, basis)
-        state = draw_mixed(rng, basis)
-        p = _project_orthogonal(state.p, [np.asarray(a.a), np.asarray(b.a)])
-        try:
-            projected = state_to_matrix(p, basis)
-        except UnphysicalState:
-            continue
-        mean_a, mean_b = float(a.a @ projected.p), float(b.a @ projected.p)
-        if abs(mean_a) > ZERO_MEAN_TOL or abs(mean_b) > ZERO_MEAN_TOL:
-            continue
-        return a, b, projected
-    raise RuntimeError("no valid zero-mean sample found; ensemble looks pathological")
-
-
 def _project_orthogonal_rows(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # _project_orthogonal(p[i], [a[i], b[i]]) for every row.
+    # Each row of p with its components along span{a[i], b[i]} removed, by
+    # Gram-Schmidt: a direction whose residual norm is <= 1e-12 is skipped.
     frame = []
     for v in (a, b):
         w = v
@@ -250,6 +215,26 @@ def _project_orthogonal_rows(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.
     for u, kept in frame:
         out = np.where(kept[:, None], out - row_dot(out, u)[:, None] * u, out)
     return out
+
+
+def _appendix_c_draw(rng: Xoshiro256pp, basis, max_tries: int):
+    # Rejection sampling of (A, B, state): project the Bloch vector onto the
+    # orthogonal complement of span{a, b}, then insist the reconstruction
+    # is still physical.  Projection shrinks |p|, so acceptance is high.
+    for _ in range(max_tries):
+        a = draw_observable(rng, basis)
+        b = draw_observable(rng, basis)
+        state = draw_mixed(rng, basis)
+        p = _project_orthogonal_rows(state.p[None], a.a[None], b.a[None])[0]
+        try:
+            projected = state_to_matrix(p, basis)
+        except UnphysicalState:
+            continue
+        mean_a, mean_b = float(a.a @ projected.p), float(b.a @ projected.p)
+        if abs(mean_a) > ZERO_MEAN_TOL or abs(mean_b) > ZERO_MEAN_TOL:
+            continue
+        return a, b, projected
+    raise RuntimeError("no valid zero-mean sample found; ensemble looks pathological")
 
 
 def _appendix_c_lanes(rng: XoshiroLanes, basis, count: int):
@@ -309,18 +294,18 @@ class Relation(NamedTuple):
     the N the relation is defined for (None: any N >= 2).  ``lanes`` is
     ``check`` on the batched engine, given batch rows drawn in the same
     order: it returns (margins, bad), a row per stream and a column per
-    verdict, bit-identical to the loop's, whose verdicts hold at ``tol``;
-    ``_verdicts`` runs it at every N, and None runs the loop.  Checks call
-    the relations through lambdas, which look the names up at call time,
-    so a wrapper on this module's names (bench/tracer.py puts one) sees
-    every call.
+    verdict, bit-identical to ``_sample``'s, whose verdicts hold at
+    ``tol``; ``_verdicts`` runs it at every N, and ``_sample`` replays the
+    first bad stream.  Checks call the relations through lambdas, which
+    look the names up at call time, so a wrapper on this module's names
+    (bench/tracer.py puts one) sees every call.
     """
 
     dims: tuple[int, ...] | None
     states: str | None
     pair: bool
     check: Callable
-    lanes: Callable | None
+    lanes: Callable
     tol: float = HOLDS_TOL
 
 
@@ -398,11 +383,6 @@ def _verdicts(relation: str, dim: int, samples: int, seed: int, theta_ab: float)
     """Yield (margin, holds, saturated) for every check, in stream order."""
     row = _RELATIONS[relation]
     basis = basis_for(dim)
-    if row.lanes is None:
-        for i in range(samples):
-            for verdict in _sample(relation, basis, seed, i, theta_ab):
-                yield verdict.margin, verdict.holds, verdict.saturated
-        return
     for streams in lane_chunks(samples):
         rng = XoshiroLanes(seed, streams)
         with np.errstate(divide="ignore", invalid="ignore"):  # only bad rows divide by 0
@@ -750,8 +730,6 @@ def _cmd_region(args, parser) -> tuple[int, dict]:
 
 
 def _cmd_compare(args, parser) -> tuple[int, dict]:
-    if args.da2 is not None and not math.isfinite(args.da2):
-        parser.error(f"--da2 must be a finite number, got {args.da2}")
     basis = basis_for(2)
     a = _parse_observable(args.obs_a, basis, parser)
     b = _parse_observable(args.obs_b, basis, parser)
@@ -893,7 +871,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("--state-seed", type=_seed, default=None, help="Haar-random pure state from this seed")
     p_compare.add_argument("--A", dest="obs_a", required=True, help="sigma1|sigma2|sigma3 | n:(x,y,z) | @file | {json}")
     p_compare.add_argument("--B", dest="obs_b", required=True)
-    p_compare.add_argument("--da2", type=float, default=None, help="hypothetical dA2 for the span column")
+    p_compare.add_argument(
+        "--da2", type=_unit_fraction, default=None, help="hypothetical dA2 in [0, 1] for the span column"
+    )
     p_compare.add_argument("--out", default=None, help="write the JSON report here")
     return parser
 

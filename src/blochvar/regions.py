@@ -100,13 +100,12 @@ class RegionScan:
     def n_cells(self) -> int:
         return self.occupancy.shape[0]
 
-    def slice_span(self, axis: int, value: float, width: float | None = None) -> tuple[float, float, int]:
+    def slice_span(self, axis: int, value: float) -> tuple[float, float, int]:
         """(min, max, count) of sqrt(variance) on the other axis within
-        ``|samples[:, axis] - value| <= width`` (default one grid cell)."""
+        one grid cell, ``|samples[:, axis] - value| <= grid``."""
         if self.samples.shape[1] != 2:
             raise ValueError("slice_span is defined for pair scans")
-        width = self.grid if width is None else width
-        mask = np.abs(self.samples[:, axis] - value) <= width
+        mask = np.abs(self.samples[:, axis] - value) <= self.grid
         if not mask.any():
             return math.nan, math.nan, 0
         other = np.sqrt(self.samples[mask, 1 - axis])

@@ -63,6 +63,7 @@ tolerance (``HOLDS_TOL``, or ``APPENDIX_C_TOL`` for appendix-c) and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -162,17 +163,10 @@ def _wedge_norm2(u: np.ndarray, v: np.ndarray) -> float:
     return 0.5 * float(np.einsum("ij,ij->", diff, diff))
 
 
-_QUBIT_AXES: tuple[Observable, ...] | None = None
-
-
+@functools.cache
 def _qubit_axes() -> tuple[Observable, ...]:
-    global _QUBIT_AXES
-    if _QUBIT_AXES is None:
-        basis = basis_for(2)
-        _QUBIT_AXES = tuple(
-            observable_from_bloch(np.eye(3)[i], basis) for i in range(3)
-        )
-    return _QUBIT_AXES
+    basis = basis_for(2)
+    return tuple(observable_from_bloch(np.eye(3)[i], basis) for i in range(3))
 
 
 def check_triangle(a: Observable, b: Observable, rho: QuantumState) -> RelationVerdict:
@@ -182,7 +176,7 @@ def check_triangle(a: Observable, b: Observable, rho: QuantumState) -> RelationV
     smaller of the two slacks.  Qubit states with |p| > 0 only.
     """
     _require_qubit(a.dim, b.dim, rho.dim)
-    ang = angles(a, b, rho, fold=False)
+    ang = angles(a, b, rho)
     upper_slack = ang.theta_pa + ang.theta_pb - ang.theta_ab
     lower_slack = ang.theta_ab - abs(ang.theta_pa - ang.theta_pb)
     if upper_slack <= lower_slack:
@@ -422,15 +416,16 @@ def db_span_given_da2(theta_ab: float, da2: float) -> tuple[float, float]:
     return lo, hi
 
 
-def db_span_any_state(theta_ab: float, n_grid: int = 2001) -> tuple[float, float]:
+def db_span_any_state(theta_ab: float) -> tuple[float, float]:
     """ΔB values attainable over all pure states at the given axis angle.
 
     Projects the feasible (ΔA, ΔB) region onto the ΔB axis by sweeping
-    ΔA², including the critical points ΔA² ∈ {0, sin²θ, 1} where the
-    conditional interval touches its extremes.
+    ΔA² over 2001 evenly spaced points of [0, 1], plus the critical points
+    ΔA² ∈ {0, sin²θ, 1} where the conditional interval touches its
+    extremes.
     """
     sn = math.sin(theta_ab)
-    probes = np.linspace(0.0, 1.0, n_grid).tolist() + [sn * sn, 0.0, 1.0]
+    probes = np.linspace(0.0, 1.0, 2001).tolist() + [sn * sn, 0.0, 1.0]
     lo = math.inf
     hi = -math.inf
     for da2 in probes:

@@ -8,9 +8,8 @@ Bloch route is the reformulation
 The two must agree to 1e-9 for every valid pair, which downstream fuzzing
 leans on heavily.  For a qubit the contracted vector vanishes and the
 variance collapses to |a|² (1 - |p|² cos² θ_pa), so the whole geometry
-lives in angles between Bloch vectors; ``angles`` exposes them, folded
-into [0, π/2] on request since negating an observable never changes its
-variance.
+lives in angles between Bloch vectors; ``angles`` exposes them, unfolded
+in [0, π].
 
 ``pair_geometry`` evaluates the six inner products of the quaternary
 {a, a', b, b'} both from the coefficient vectors and from operator
@@ -79,27 +78,16 @@ class VarianceReport:
 
 @dataclass(frozen=True)
 class AngleSet:
-    """Angles between the state vector and observable vectors, radians.
-
-    Unfolded angles live in [0, π]; folded ones in [0, π/2] with the
-    corresponding flag set.  ``theta_pc``/``folded_pc`` are present only
-    when a third observable was supplied.
-    """
+    """Angles between the state vector and observable vectors, radians,
+    unfolded in [0, π]."""
 
     theta_pa: float
     theta_pb: float
     theta_ab: float
-    theta_pc: float | None = None
-    folded_pa: bool = False
-    folded_pb: bool = False
-    folded_ab: bool = False
-    folded_pc: bool = False
 
     def __post_init__(self):
-        for name in ("theta_pa", "theta_pb", "theta_ab", "theta_pc"):
+        for name in ("theta_pa", "theta_pb", "theta_ab"):
             value = getattr(self, name)
-            if value is None:
-                continue
             if not -1e-12 <= value <= math.pi + 1e-12:
                 raise ValueError(f"{name} = {value!r} outside [0, pi]")
 
@@ -210,11 +198,10 @@ def _checked_cos(dot: float, norm_u: float, norm_v: float) -> float:
     return min(1.0, max(-1.0, c))
 
 
-def vector_angle(u, v, fold: bool = False) -> tuple[float, bool]:
-    """Angle between two real vectors, optionally folded into [0, π/2].
+def vector_angle(u, v) -> float:
+    """Angle between two real vectors, in [0, π].
 
-    Returns ``(theta, folded)``.  Raises ``UndefinedAngle`` for a
-    zero-norm operand.
+    Raises ``UndefinedAngle`` for a zero-norm operand.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -222,19 +209,10 @@ def vector_angle(u, v, fold: bool = False) -> tuple[float, bool]:
     nv = float(np.linalg.norm(v))
     if nu < _ZERO_NORM or nv < _ZERO_NORM:
         raise UndefinedAngle("angle undefined for a zero-norm vector")
-    theta = math.acos(_checked_cos(float(u @ v), nu, nv))
-    if fold and theta > math.pi / 2.0:
-        return math.pi - theta, True
-    return theta, False
+    return math.acos(_checked_cos(float(u @ v), nu, nv))
 
 
-def angles(
-    a: Observable,
-    b: Observable,
-    rho: QuantumState,
-    fold: bool = False,
-    c: Observable | None = None,
-) -> AngleSet:
+def angles(a: Observable, b: Observable, rho: QuantumState) -> AngleSet:
     """Angles between the state's Bloch vector and the observables'.
 
     The completely mixed state has |p| = 0 and is rejected: the relation
@@ -243,28 +221,14 @@ def angles(
     """
     _check_dims(a, rho)
     _check_dims(b, rho)
-    if c is not None:
-        _check_dims(c, rho)
     if math.sqrt(rho.purity) < _ZERO_NORM:
         raise UndefinedAngle(
             "angles are undefined for the completely mixed state (|p| = 0)"
         )
-    theta_pa, f_pa = vector_angle(rho.p, a.a, fold)
-    theta_pb, f_pb = vector_angle(rho.p, b.a, fold)
-    theta_ab, f_ab = vector_angle(a.a, b.a, fold)
-    theta_pc: float | None = None
-    f_pc = False
-    if c is not None:
-        theta_pc, f_pc = vector_angle(rho.p, c.a, fold)
     return AngleSet(
-        theta_pa=theta_pa,
-        theta_pb=theta_pb,
-        theta_ab=theta_ab,
-        theta_pc=theta_pc,
-        folded_pa=f_pa,
-        folded_pb=f_pb,
-        folded_ab=f_ab,
-        folded_pc=f_pc,
+        theta_pa=vector_angle(rho.p, a.a),
+        theta_pb=vector_angle(rho.p, b.a),
+        theta_ab=vector_angle(a.a, b.a),
     )
 
 
@@ -281,8 +245,8 @@ def _vector_angle_batch(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.nd
 def angles_batch(
     a: ObservableBatch, b: ObservableBatch, rho: StateBatch
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Lanes form of ``angles(a, b, rho)`` (unfolded, no third observable):
-    returns ``(theta_pa, theta_pb, theta_ab, bad)``."""
+    """Lanes form of ``angles(a, b, rho)``: returns ``(theta_pa, theta_pb,
+    theta_ab, bad)``."""
     bad = np.sqrt(rho.purity) < _ZERO_NORM
     theta_pa, bad_pa = _vector_angle_batch(rho.p, a.a)
     theta_pb, bad_pb = _vector_angle_batch(rho.p, b.a)

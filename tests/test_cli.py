@@ -573,6 +573,9 @@ def test_compare_usage_errors(tmp_path):
         ["--A", "sigma1", "--da2", "nan"],
         ["--A", "sigma1", "--da2", "inf"],
         ["--A", "sigma1", "--da2=-inf"],
+        ["--A", "sigma1", "--da2", "2"],
+        ["--A", "sigma1", "--da2", "-0.5"],
+        ["--A", "sigma1", "--da2", "1.0000001"],
         ["--A", "n:(nan,0,0)"],
         ["--A", "n:(inf,0,0)"],
     ]:
@@ -580,6 +583,17 @@ def test_compare_usage_errors(tmp_path):
             _run(["compare", "--state", "mixed", "--B", "sigma2", "--out", str(out)] + tail)
         assert err.value.code == 2
         assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "1"])
+def test_compare_da2_admits_its_limits(value):
+    code, report = _run(
+        ["compare", "--state-seed", "3", "--A", "sigma1", "--B", "sigma2", "--da2", value]
+    )
+    span = next(r for r in report["results"] if r["bound"] == "axis_angle_span")
+    assert code == 0
+    assert report["config"]["da2"] == span["da2"] == float(value)
+    assert span["da2_source"] == "flag"
 
 
 def test_reports_embed_seed_and_schema():

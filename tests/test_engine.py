@@ -3,7 +3,8 @@
 `blochvar verify` runs every relation on lanes (`XoshiroLanes`,
 `StateBatch`/`ObservableBatch`, the `*_batch` checkers) at every N, and
 appendix-c's rejection draws on lanes until only a few lanes of a chunk
-are pending; the per-stream loop stays as the oracle.  These tests pin:
+are pending; the per-stream loop over `cli._sample`, which replay
+also runs, stays as the oracle (`_scalar_only`).  These tests pin:
 
 * margins and `_fuzz` summaries equal to the loop's bit for bit, across
   chunk boundaries, seeds 0 and 2**64 - 1 included, at N = 2 and at
@@ -30,14 +31,24 @@ from blochvar.errors import NumericsError
 from blochvar.linalg import per_element, row_dot
 from blochvar.sampling import Xoshiro256pp, XoshiroLanes, draw_observable, draw_observable_batch
 
-LANES_RELATIONS = sorted(r for r, entry in cli._RELATIONS.items() if entry.lanes is not None)
+RELATIONS = sorted(cli._RELATIONS)
 QUDIT_RELATIONS = sorted(r for r, entry in cli._RELATIONS.items() if entry.dims is None)
 SEEDS = st.one_of(st.sampled_from([0, 1, 2**64 - 1]), st.integers(0, 2**64 - 1))
 
 
-def _scalar_only(relation):
-    """Patch that sends `relation` through the per-stream loop."""
-    return mock.patch.dict(cli._RELATIONS, {relation: cli._RELATIONS[relation]._replace(lanes=None)})
+def _scalar_verdicts(relation, dim, samples, seed, theta_ab):
+    # The per-stream oracle: sample i drawn from stream i and checked by
+    # the scalar checkers, in the (margin, holds, saturated) form of
+    # `cli._verdicts`.
+    basis = basis_for(dim)
+    for i in range(samples):
+        for verdict in cli._sample(relation, basis, seed, i, theta_ab):
+            yield verdict.margin, verdict.holds, verdict.saturated
+
+
+def _scalar_only():
+    """Patch that sends `verify` through the per-stream loop."""
+    return mock.patch.object(cli, "_verdicts", _scalar_verdicts)
 
 
 def _margins(relation, samples, seed, theta_ab=math.pi / 4.0, dim=2):
@@ -49,11 +60,11 @@ def _summary_reprs(summary):
 
 
 def test_engine_covers_the_catalogue():
-    assert LANES_RELATIONS == sorted(cli._RELATIONS)
+    assert all(callable(entry.lanes) for entry in cli._RELATIONS.values())
     assert QUDIT_RELATIONS == ["appendix-c", "robertson"]
 
 
-@pytest.mark.parametrize("relation", LANES_RELATIONS)
+@pytest.mark.parametrize("relation", RELATIONS)
 @settings(max_examples=12, deadline=None)
 @given(seed=SEEDS, samples=st.integers(1, 40), chunk=st.integers(1, 16))
 @example(seed=0, samples=33, chunk=8)
@@ -62,7 +73,7 @@ def test_engine_matches_scalar_loop(relation, seed, samples, chunk):
     with mock.patch.object(sampling, "ENGINE_CHUNK", chunk):
         lanes = _margins(relation, samples, seed)
         summary = cli._fuzz(relation, 2, samples, seed, math.pi / 4.0)
-    with _scalar_only(relation):
+    with _scalar_only():
         scalar = _margins(relation, samples, seed)
         expected = cli._fuzz(relation, 2, samples, seed, math.pi / 4.0)
     assert lanes.dtype == scalar.dtype == np.float64
@@ -74,7 +85,7 @@ def test_engine_matches_scalar_loop(relation, seed, samples, chunk):
 @given(seed=SEEDS, theta_ab=st.floats(0.0, math.pi))
 def test_three_obs_engine_matches_at_any_angle(seed, theta_ab):
     lanes = _margins("three-obs-equality", 30, seed, theta_ab)
-    with _scalar_only("three-obs-equality"):
+    with _scalar_only():
         assert np.array_equal(lanes, _margins("three-obs-equality", 30, seed, theta_ab))
 
 
@@ -103,7 +114,7 @@ def test_qudit_engine_matches_scalar_loop(relation, dim, seed, samples, chunk, t
     ):
         lanes = _margins(relation, samples, seed, dim=dim)
         summary = cli._fuzz(relation, dim, samples, seed, math.pi / 4.0)
-    with _scalar_only(relation):
+    with _scalar_only():
         scalar = _margins(relation, samples, seed, dim=dim)
         expected = cli._fuzz(relation, dim, samples, seed, math.pi / 4.0)
     assert lanes.dtype == scalar.dtype == np.float64
@@ -114,7 +125,7 @@ def test_qudit_engine_matches_scalar_loop(relation, dim, seed, samples, chunk, t
 @pytest.mark.parametrize("relation", ["theorem1", "state-dependent", "unit-vector"])
 def test_default_chunk_boundary(relation):
     samples = sampling.ENGINE_CHUNK + 3
-    with _scalar_only(relation):
+    with _scalar_only():
         scalar = _margins(relation, samples, 20150223)
     assert np.array_equal(_margins(relation, samples, 20150223), scalar)
 
@@ -227,7 +238,7 @@ def _failing_streams(relation, samples, seed, dim=2):
 def test_first_failing_stream_raises_scalar_error(module, name, value, relation):
     with mock.patch.object(module, name, value):
         failing = _failing_streams(relation, 200, 3)
-        with _scalar_only(relation), pytest.raises(Exception) as scalar:
+        with _scalar_only(), pytest.raises(Exception) as scalar:
             cli._fuzz(relation, 2, 200, 3, math.pi / 4.0)
         with mock.patch.object(sampling, "ENGINE_CHUNK", 16), pytest.raises(Exception) as lanes:
             cli._fuzz(relation, 2, 200, 3, math.pi / 4.0)
@@ -261,7 +272,7 @@ _QUDIT_FAILURES = _QUDIT_DRAW_FAILURES + [(variance, "_NEGATIVE_VARIANCE_FLOOR",
 def test_first_failing_appendix_c_stream_raises_scalar_error(module, name, value, dim, tail):
     with mock.patch.object(module, name, value):
         failing = _failing_streams("appendix-c", 60, 3, dim)
-        with _scalar_only("appendix-c"), pytest.raises(Exception) as scalar:
+        with _scalar_only(), pytest.raises(Exception) as scalar:
             cli._fuzz("appendix-c", dim, 60, 3, 0.0)
         with (
             mock.patch.object(sampling, "ENGINE_CHUNK", 16),
@@ -291,20 +302,17 @@ def test_appendix_c_lanes_flag_the_streams_scalar_rejects(module, name, value, d
 
 
 def test_nonzero_mean_tries_are_drawn_again(monkeypatch):
-    # Leave p unprojected when p[0] <= 0, on both paths: about half the
-    # tries then carry nonzero means, which must be drawn again, not
-    # accepted.
-    project, project_rows = cli._project_orthogonal, cli._project_orthogonal_rows
-    monkeypatch.setattr(
-        cli, "_project_orthogonal", lambda p, vecs: project(p, vecs) if p[0] > 0 else p.copy()
-    )
+    # Leave p unprojected when p[0] <= 0, on both paths (they share the
+    # projection): about half the tries then carry nonzero means, which
+    # must be drawn again, not accepted.
+    project_rows = cli._project_orthogonal_rows
     monkeypatch.setattr(
         cli, "_project_orthogonal_rows",
         lambda p, a, b: np.where((p[:, 0] > 0)[:, None], project_rows(p, a, b), p),
     )
     with mock.patch.object(cli, "_LANES_MIN_PENDING", 0):
         lanes = _margins("appendix-c", 40, 5, dim=3)
-    with _scalar_only("appendix-c"):
+    with _scalar_only():
         assert np.array_equal(lanes, _margins("appendix-c", 40, 5, dim=3))
 
 
@@ -332,27 +340,20 @@ def test_draws_accept_exactly_the_means_the_check_allows(monkeypatch, tail, axis
     tol = 1e-6
     monkeypatch.setattr(relations, "ZERO_MEAN_TOL", tol)
     monkeypatch.setattr(cli, "ZERO_MEAN_TOL", tol)
-    project, project_rows = cli._project_orthogonal, cli._project_orthogonal_rows
+    project_rows = cli._project_orthogonal_rows
 
-    def shift(p):  # in [0, 2 tol), from the unprojected p
-        return 2.0 * tol * np.mod(np.abs(p[..., 0]) * 1e3, 1.0)
-
-    def shifted(p, vecs):
-        v = vecs[axis]
-        return project(p, vecs) + shift(p) / float(v @ v) * v
-
-    def shifted_rows(p, a, b):
+    def shifted_rows(p, a, b):  # shifted by [0, 2 tol), from the unprojected p
         v = (a, b)[axis]
-        return project_rows(p, a, b) + (shift(p) / row_dot(v, v))[:, None] * v
+        shift = 2.0 * tol * np.mod(np.abs(p[:, 0]) * 1e3, 1.0)
+        return project_rows(p, a, b) + (shift / row_dot(v, v))[:, None] * v
 
-    monkeypatch.setattr(cli, "_project_orthogonal", shifted)
     monkeypatch.setattr(cli, "_project_orthogonal_rows", shifted_rows)
     with (
         mock.patch.object(sampling, "ENGINE_CHUNK", 16),
         mock.patch.object(cli, "_LANES_MIN_PENDING", _cutoff(tail, 16)),
     ):
         lanes = _margins("appendix-c", 40, 5, dim=3)
-    with _scalar_only("appendix-c"):
+    with _scalar_only():
         assert np.array_equal(lanes, _margins("appendix-c", 40, 5, dim=3))
     basis = basis_for(3)
     draws = [cli._appendix_c_draw(Xoshiro256pp(5, stream=i), basis, 200) for i in range(40)]
@@ -382,7 +383,7 @@ def test_appendix_c_holds_at_its_own_tolerance(monkeypatch):
         cli, "check_appendix_c",
         lambda a, b, s, basis: relations._verdict("appendix_c", 0.0, 5e-10, relations.APPENDIX_C_TOL),
     )
-    with _scalar_only("appendix-c"):
+    with _scalar_only():
         expected = cli._fuzz("appendix-c", 3, 20, 0, 0.0)
     assert summary["holds"] and _summary_reprs(summary) == _summary_reprs(expected)
 

@@ -146,31 +146,6 @@ def test_coplanar_triple_matches_planar_oracle(basis2):
         assert min(abs(ang.theta_ab - c) for c in candidates) < 1e-10
 
 
-def test_fold_flags(basis2):
-    state = state_to_matrix([0.0, 0.0, -0.8], basis2)
-    a = observable_from_bloch([0.0, 0.0, 1.0], basis2)
-    b = observable_from_bloch([1.0, 0.0, 0.0], basis2)
-    unfolded = angles(a, b, state)
-    folded = angles(a, b, state, fold=True)
-    assert unfolded.theta_pa == pytest.approx(math.pi, abs=1e-12)
-    assert folded.theta_pa == pytest.approx(0.0, abs=1e-12)
-    assert folded.folded_pa and not folded.folded_pb
-
-
-def test_angles_with_third_observable(basis2):
-    state = state_to_matrix([0.0, 0.0, 0.9], basis2)
-    a = observable_from_bloch([1.0, 0, 0], basis2)
-    b = observable_from_bloch([0, 1.0, 0], basis2)
-    c = observable_from_bloch([0, 0, -1.0], basis2)
-    ang = angles(a, b, state, c=c)
-    assert ang.theta_pc == pytest.approx(math.pi, abs=1e-12)
-    folded = angles(a, b, state, fold=True, c=c)
-    assert folded.theta_pc == pytest.approx(0.0, abs=1e-12)
-    assert folded.folded_pc
-    no_c = angles(a, b, state)
-    assert no_c.theta_pc is None
-
-
 def test_angles_reject_completely_mixed(basis2):
     a = observable_from_bloch([1.0, 0, 0], basis2)
     b = observable_from_bloch([0, 1.0, 0], basis2)
