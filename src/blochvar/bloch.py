@@ -117,7 +117,7 @@ class QuantumState:
         if self.p.shape != (self.dim * self.dim - 1,):
             raise DimensionMismatch("Bloch vector length must be dim^2 - 1")
         arr = self.rho.array
-        tr = np.trace(arr).real
+        tr = float(np.trace(arr).real)
         if abs(tr - 1.0) > _TRACE_ATOL:
             raise UnphysicalState(f"trace {tr!r} is not 1 within {_TRACE_ATOL:g}")
         lo = _min_eigenvalue(arr)
@@ -167,7 +167,7 @@ class Observable:
             raise ValueError(f"canonical observable must be traceless, |Tr| = {tr:.3e}")
         norm2 = float(self.a @ self.a)
         ref = 0.5 * float(np.einsum("ab,ba->", arr, arr).real)
-        if abs(norm2 - ref) > _CONSISTENCY_ATOL:
+        if not abs(norm2 - ref) <= _CONSISTENCY_ATOL:  # also rejects NaN (overflow)
             raise ValueError(f"|a|^2 = {norm2!r} inconsistent with Tr[A^2]/2 = {ref!r}")
         object.__setattr__(self, "a", _frozen(self.a))
         object.__setattr__(self, "a_prime", _frozen(self.a_prime))
@@ -251,7 +251,7 @@ def _check_prime(arr: np.ndarray, a_prime: np.ndarray, basis: GeneratorBasis) ->
     sq = sq - (np.trace(sq).real / basis.dim) * np.eye(basis.dim)
     ref = 0.5 * np.einsum("ab,jba->j", sq, basis.stacked()).real
     err = float(np.abs(a_prime - ref).max(initial=0.0))
-    if err > _CONSISTENCY_ATOL:
+    if not err <= _CONSISTENCY_ATOL:  # also rejects NaN (overflow)
         raise ValueError(
             f"contracted vector disagrees with the A^2 decomposition by {err:.3e}"
         )
@@ -347,7 +347,7 @@ def _prime_failures(arr: np.ndarray, a_prime: np.ndarray, basis: GeneratorBasis)
     sq = arr @ arr
     sq -= (np.trace(sq, axis1=1, axis2=2).real / basis.dim)[:, None, None] * np.eye(basis.dim)
     ref = 0.5 * np.einsum("nab,jba->nj", sq, basis.stacked()).real
-    return np.abs(a_prime - ref).max(axis=1, initial=0.0) > _CONSISTENCY_ATOL
+    return ~(np.abs(a_prime - ref).max(axis=1, initial=0.0) <= _CONSISTENCY_ATOL)
 
 
 def observable_from_bloch_batch(vec: np.ndarray, basis: GeneratorBasis) -> ObservableBatch:
@@ -362,7 +362,7 @@ def observable_from_bloch_batch(vec: np.ndarray, basis: GeneratorBasis) -> Obser
     bad |= per_element(abs, np.trace(matrix, axis1=1, axis2=2)) > _TRACE_ATOL
     norm2 = row_dot(vec, vec)
     ref = 0.5 * np.einsum("nab,nba->n", matrix, matrix).real
-    bad |= np.abs(norm2 - ref) > _CONSISTENCY_ATOL
+    bad |= ~(np.abs(norm2 - ref) <= _CONSISTENCY_ATOL)
     return ObservableBatch(matrix, vec, a_prime, norm2, bad)
 
 

@@ -108,7 +108,6 @@ from .sampling import (
     draw_pure,
     draw_state,
     draw_state_batch,
-    draw_states_batch,
     lane_chunks,
     replay_first_bad,
 )
@@ -237,27 +236,28 @@ def _appendix_c_draw(rng: Xoshiro256pp, basis, max_tries: int):
     raise RuntimeError("no valid zero-mean sample found; ensemble looks pathological")
 
 
-def _appendix_c_lanes(rng: XoshiroLanes, basis, count: int):
-    """Appendix-c's draw and check on the ``count`` lanes of ``rng``.
+def _appendix_c_lanes(rng: XoshiroLanes, basis):
+    """Appendix-c's draw and check on the lanes of ``rng``.
 
     Returns ``(margins, bad)`` as a ``Relation.lanes`` checker does:
     ``bad`` marks the lanes on which the scalar draw or check raises,
-    whose margins are unspecified.  A round draws on the lanes still
-    pending only and scores the tries it accepts at once with the lanes
-    checker; the last few lanes finish on ``_appendix_c_draw`` (see
-    ``_LANES_MIN_PENDING``) from their own lane state, with the tries they
-    have left, and are scored by the scalar check.
+    whose margins are unspecified.  A round draws one try on each lane
+    still pending, scores the tries it accepts at once with the lanes
+    checker, and narrows ``rng`` to the lanes it rejects (``take``).
+    The last few lanes finish on ``_appendix_c_draw`` (see
+    ``_LANES_MIN_PENDING``) from their own lane state, with the tries
+    they have left, and are scored by the scalar check.
     """
     row = _RELATIONS["appendix-c"]  # its checkers read no axis angle
-    margins = np.zeros(count)
-    bad = np.zeros(count, dtype=bool)
-    tries = np.zeros(count, dtype=np.int64)
-    pending = np.arange(count)
+    margins = np.zeros(rng.streams.size)
+    bad = np.zeros(rng.streams.size, dtype=bool)
+    pending = np.arange(rng.streams.size)
+    tries = 0
     while pending.size >= max(_LANES_MIN_PENDING, 1):
-        tries[pending] += 1
-        da = draw_observable_batch(rng, basis, pending)
-        db = draw_observable_batch(rng, basis, pending)
-        mixed = draw_states_batch(rng, basis, np.zeros(pending.size, dtype=bool), pending)
+        tries += 1
+        da = draw_observable_batch(rng, basis)
+        db = draw_observable_batch(rng, basis)
+        mixed = draw_state_batch("hs_mixed", rng, basis)
         p = _project_orthogonal_rows(mixed.p, da.a, db.a)
         projected, unphysical = state_to_matrix_batch(p, basis)
         failed = da.bad | db.bad | mixed.bad | (projected.bad & ~unphysical)
@@ -270,12 +270,13 @@ def _appendix_c_lanes(rng: XoshiroLanes, basis, count: int):
             rows = (drawn._make(field[accepted] for field in drawn) for drawn in (da, db, projected))
             margins[pending[accepted]], bad[pending[accepted]] = row.lanes(*rows, None)
         pending = pending[rejected]
-        spent = tries[pending] >= _APPENDIX_C_TRIES
-        bad[pending[spent]] = True  # the scalar loop raises RuntimeError
-        pending = pending[~spent]
-    for k in pending.tolist():
+        if tries == _APPENDIX_C_TRIES:
+            bad[pending] = True  # the scalar loop raises RuntimeError
+            return margins, bad
+        rng = rng.take(rejected)
+    for j, k in enumerate(pending.tolist()):
         try:
-            drawn = _appendix_c_draw(rng.lane(k), basis, _APPENDIX_C_TRIES - int(tries[k]))
+            drawn = _appendix_c_draw(rng.lane(j), basis, _APPENDIX_C_TRIES - tries)
             margins[k] = row.check(*drawn, None)[0].margin
         except (ValueError, ArithmeticError, RuntimeError):
             bad[k] = True  # replayed from the stream's start by the caller
@@ -295,10 +296,11 @@ class Relation(NamedTuple):
     ``check`` on the batched engine, given batch rows drawn in the same
     order: it returns (margins, bad), a row per stream and a column per
     verdict, bit-identical to ``_sample``'s, whose verdicts hold at
-    ``tol``; ``_verdicts`` runs it at every N, and ``_sample`` replays the
-    first bad stream.  Checks call the relations through lambdas, which
-    look the names up at call time, so a wrapper on this module's names
-    (bench/tracer.py puts one) sees every call.
+    ``tol``; ``_verdicts`` runs it at every N on each ``lane_chunks``
+    generator, and ``_sample`` replays the first bad stream.  Checks call
+    the relations through lambdas, which look the names up at call time,
+    so a wrapper on this module's names (bench/tracer.py puts one) sees
+    every call.
     """
 
     dims: tuple[int, ...] | None
@@ -383,19 +385,18 @@ def _verdicts(relation: str, dim: int, samples: int, seed: int, theta_ab: float)
     """Yield (margin, holds, saturated) for every check, in stream order."""
     row = _RELATIONS[relation]
     basis = basis_for(dim)
-    for streams in lane_chunks(samples):
-        rng = XoshiroLanes(seed, streams)
+    for rng in lane_chunks(seed, samples):
         with np.errstate(divide="ignore", invalid="ignore"):  # only bad rows divide by 0
             if row.states is None:
-                margins, bad = _appendix_c_lanes(rng, basis, streams.size)
+                margins, bad = _appendix_c_lanes(rng, basis)
             else:
-                state = draw_state_batch(row.states, rng, basis, streams)
+                state = draw_state_batch(row.states, rng, basis)
                 a = b = None
                 if row.pair:
                     a = draw_observable_batch(rng, basis)
                     b = draw_observable_batch(rng, basis)
                 margins, bad = row.lanes(a, b, state, theta_ab)
-        replay_first_bad(bad, streams, lambda i: _sample(relation, basis, seed, i, theta_ab))
+        replay_first_bad(bad, rng, lambda i: _sample(relation, basis, seed, i, theta_ab))
         for margin in margins.ravel().tolist():
             yield margin, margin >= -row.tol, abs(margin) <= SATURATION_TOL
 
@@ -527,8 +528,11 @@ def _write_scan_csv(path: str, scan: RegionScan) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        columns = (scan.purities.tolist(), *scan.samples.T.tolist(), scan.margins.tolist())
-        writer.writerows(zip(range(len(scan.margins)), *columns))
+        # In row blocks, as _write_scan_json writes the boundary.
+        for start in range(0, len(scan.margins), ENGINE_CHUNK):
+            rows = slice(start, start + ENGINE_CHUNK)
+            columns = (scan.purities[rows], *scan.samples[rows].T, scan.margins[rows])
+            writer.writerows(zip(range(start, start + ENGINE_CHUNK), *(c.tolist() for c in columns)))
 
 
 def _write_scan_json(path: str, scan: RegionScan, config: dict) -> None:
@@ -886,7 +890,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def _check_outputs(args, parser) -> None:
     # Checked before any work, so that a run that could not write its
-    # results exits 2 and writes no file at all.
+    # results, or would write two to one file, exits 2 and writes nothing.
+    flags = {}
     for flag in ("out", "csv", "json"):
         path = getattr(args, flag, None)
         if not path:
@@ -896,6 +901,9 @@ def _check_outputs(args, parser) -> None:
             parser.error(f"--{flag} {path!r} names a directory")
         if not os.path.isdir(directory):
             parser.error(f"--{flag} {path!r}: directory {directory!r} does not exist")
+        other = flags.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            parser.error(f"--{flag} {path!r} names the file of --{other}")
 
 
 def run(argv=None) -> tuple[int, dict]:

@@ -6,11 +6,11 @@ default 0.01 to match figure-level precision).  Sample i always comes
 from RNG stream i, so occupancy grows monotonically with the sample
 count for a fixed seed.
 
-Both scans are qubit-only and run on the batched engine: each chunk of
-``ENGINE_CHUNK`` streams is drawn on ``XoshiroLanes`` lanes as one
-``StateBatch``, and its variances, margins and every check of the scalar
-constructors and checkers are array operations, bit-identical to the
-per-state path (``draw_state``, ``variance_bloch``, the scalar
+Both scans are qubit-only and run on the batched engine: each lanes
+generator of ``lane_chunks`` (``ENGINE_CHUNK`` streams) draws one
+``StateBatch`` through ``draw_state_batch``, and its variances, margins
+and every check of the scalar constructors and checkers are array
+operations, bit-identical to the per-state path (``draw_state``, ``variance_bloch``, the scalar
 checkers).  A row that fails a check, or whose margin fails its floor
 (NaN included), is replayed on that path for its own stream, which
 raises the stream's own exception; if the replay passes, the scan raises
@@ -46,7 +46,6 @@ from .relations import (
 from .sampling import (
     SampleConfig,
     Xoshiro256pp,
-    XoshiroLanes,
     draw_state,
     draw_state_batch,
     lane_chunks,
@@ -65,7 +64,7 @@ __all__ = [
 
 GRID_RANGE = (1e-3, 0.1)
 # Largest scans the CLI runs.  A pair scan writing CSV, JSON and report
-# took 216 MB at 10**6 samples, so about 2 GB at MAX_SAMPLES.  The bool
+# took 94 MB at 10**6 samples and 643 MB at MAX_SAMPLES (max RSS).  The bool
 # occupancy grid and its int8 run-length copy take 2 bytes a cell (a
 # 1000**3 triple grid took 1,958 MB); at MAX_CELLS pair scans reach the
 # finest grid and triple scans need a grid of about 0.0047 or coarser.
@@ -184,16 +183,16 @@ def scan_pair(a: Observable, b: Observable, ensemble: SampleConfig, grid: float)
         if not margin >= _SCAN_MARGIN_FLOOR:  # also rejects NaN
             raise NumericsError(f"sample {index} violates the qubit bound: {margin!r}")
 
-    for streams in lane_chunks(count):
-        state = draw_state_batch(ensemble.kind, XoshiroLanes(ensemble.seed, streams), basis, streams)
-        ra = repeat_observable(a, streams.size)
-        rb = repeat_observable(b, streams.size)
+    for rng in lane_chunks(ensemble.seed, count):
+        state = draw_state_batch(ensemble.kind, rng, basis)
+        ra = repeat_observable(a, rng.streams.size)
+        rb = repeat_observable(b, rng.streams.size)
         da2, bad_a = variance_bloch_batch(ra, state)
         db2, bad_b = variance_bloch_batch(rb, state)
         margin, bad = check_theorem1_batch(ra, rb, state)
         bad |= bad_a | bad_b | ~(margin >= _SCAN_MARGIN_FLOOR)
-        replay_first_bad(bad, streams, replay)
-        rows = slice(streams[0], streams[-1] + 1)
+        replay_first_bad(bad, rng, replay)
+        rows = slice(rng.streams[0], rng.streams[-1] + 1)
         samples[rows, 0] = da2
         samples[rows, 1] = db2
         purities[rows] = state.purity
@@ -256,16 +255,16 @@ def scan_triple(theta_ab: float, ensemble: SampleConfig, grid: float) -> RegionS
         if not abs(residual) <= _SURFACE_TOL:  # also rejects NaN
             raise NumericsError(f"sample {index} misses the certainty surface: {residual!r}")
 
-    for streams in lane_chunks(count):
-        state = draw_state_batch(ensemble.kind, XoshiroLanes(ensemble.seed, streams), basis, streams)
+    for rng in lane_chunks(ensemble.seed, count):
+        state = draw_state_batch(ensemble.kind, rng, basis)
         residual, bad = check_three_observable_equality_batch(theta_ab, state)
         bad |= ~(np.abs(residual) <= _SURFACE_TOL)
-        replay_first_bad(bad, streams, replay)
+        replay_first_bad(bad, rng, replay)
         p = state.p
         u = p[:, 0]
         v = p[:, 0] * cos_t + p[:, 1] * sin_t
         w = p[:, 2]
-        rows = slice(streams[0], streams[-1] + 1)
+        rows = slice(rng.streams[0], rng.streams[-1] + 1)
         for k, x in enumerate((u, v, w)):
             samples[rows, k] = py_max(1.0 - x * x, 0.0)
         purities[rows] = state.purity

@@ -26,12 +26,13 @@ reproducible independently of batch sizes or worker counts.
 ``XoshiroLanes`` runs many streams at once as numpy ``uint64`` lanes,
 one lane per stream, and draws exactly what ``Xoshiro256pp`` draws on
 each; its ``math.log`` goes through Python per element because numpy's
-``log`` differs from libm's in the last bit.  The ``*_batch`` functions
-are the lanes forms of the draws; the zero-norm re-draw of an observable
-advances only the lanes that need it.
-``lane_chunks`` splits a run into chunks of ``ENGINE_CHUNK`` streams,
-and ``replay_first_bad`` sends the first failing lane of a chunk back to
-the scalar path, which raises that stream's own exception.
+``log`` differs from libm's in the last bit.  It knows each lane's
+stream (``streams``), and ``take`` copies out some of its lanes.  The
+``*_batch`` functions are the lanes forms of the draws; the zero-norm
+re-draw of an observable advances only the lanes that need it.
+``lane_chunks`` yields a run's generators, ``ENGINE_CHUNK`` streams
+each, and ``replay_first_bad`` sends the first failing lane of a chunk
+back to the scalar path, which raises that stream's own exception.
 
 Measures: pure states are Haar-distributed (first column of the unitary
 QR factor of a square complex Gaussian matrix, diagonal phases
@@ -70,7 +71,6 @@ __all__ = [
     "ENGINE_CHUNK",
     "lane_chunks",
     "replay_first_bad",
-    "draw_states_batch",
     "draw_state_batch",
     "draw_observable_batch",
     "SampleConfig",
@@ -163,11 +163,11 @@ class XoshiroLanes:
     """Streams ``streams`` of one seed as uint64 lanes (see module docs).
 
     Lane k draws exactly what ``Xoshiro256pp(seed, stream=streams[k])``
-    draws.  Each method returns one row per lane; given ``lanes`` (an
-    index array) it advances only those lanes and returns their rows.
+    draws.  Each method returns one row per lane and advances every
+    lane; ``take`` narrows a generator to some of its lanes.
     """
 
-    __slots__ = ("_s",)
+    __slots__ = ("_s", "streams")
 
     def __init__(self, seed: int, streams):
         if not 0 <= seed < 1 << 64:
@@ -185,31 +185,31 @@ class XoshiroLanes:
             words.append(z ^ (z >> 31))
         self._s = np.stack(words)
         self._s[0, ~self._s.any(axis=0)] = _SM_GAMMA  # the all-zero state is invalid
+        self.streams = streams
 
-    def next_u64(self, lanes=None) -> np.ndarray:
-        s = self._s if lanes is None else self._s[:, lanes]
-        result = _step(s)
-        if lanes is not None:
-            self._s[:, lanes] = s
-        return result
+    def take(self, lanes) -> XoshiroLanes:
+        """The generator of ``lanes`` (an index or mask array), as they
+        stand; a copy, so drawing from it does not advance this one."""
+        rng = XoshiroLanes.__new__(XoshiroLanes)
+        rng._s = self._s[:, lanes]
+        rng.streams = self.streams[lanes]
+        return rng
 
-    def uniforms(self, k: int, lanes=None) -> np.ndarray:
+    def next_u64(self) -> np.ndarray:
+        return _step(self._s)
+
+    def uniforms(self, k: int) -> np.ndarray:
         """k uniform doubles in [0, 1) per lane, in draw order."""
-        # Given lanes, their states are gathered once and scattered back
-        # once, not at every step.  The 53-bit integers convert exactly.
-        s = self._s if lanes is None else self._s[:, lanes]
-        u = np.empty((s.shape[1], k))
+        u = np.empty((self._s.shape[1], k))
         for i in range(k):
-            u[:, i] = _step(s) >> _SHIFT[11]
-        if lanes is not None:
-            self._s[:, lanes] = s
-        u *= 2.0**-53
+            u[:, i] = _step(self._s) >> _SHIFT[11]
+        u *= 2.0**-53  # the 53-bit integers convert exactly
         return u
 
-    def gaussians(self, n: int, lanes=None) -> np.ndarray:
+    def gaussians(self, n: int) -> np.ndarray:
         """n standard normals per lane via Box-Muller (whole pairs consumed)."""
         # In place where it computes the same: the arrays are (lanes, n).
-        u = self.uniforms(2 * ((n + 1) // 2), lanes)
+        u = self.uniforms(2 * ((n + 1) // 2))
         r = per_element(math.log, 1.0 - u[:, 0::2])
         r *= -2.0
         np.sqrt(r, out=r)
@@ -221,9 +221,9 @@ class XoshiroLanes:
         angle *= r
         return u[:, :n]
 
-    def complex_gaussians(self, n: int, lanes=None) -> np.ndarray:
+    def complex_gaussians(self, n: int) -> np.ndarray:
         """n standard complex normals per lane."""
-        g = self.gaussians(2 * n, lanes)
+        g = self.gaussians(2 * n)
         z = 1j * g[:, 1::2]
         z += g[:, 0::2]  # complex addition commutes bit for bit
         z /= math.sqrt(2.0)
@@ -262,21 +262,21 @@ def _step(s: np.ndarray) -> np.ndarray:
     return result
 
 
-def lane_chunks(count: int) -> Iterator[np.ndarray]:
-    """Streams 0 .. count - 1 in consecutive chunks of ``ENGINE_CHUNK``."""
+def lane_chunks(seed: int, count: int) -> Iterator[XoshiroLanes]:
+    """Generators of streams 0 .. count - 1 of ``seed``, ``ENGINE_CHUNK`` at a time."""
     for start in range(0, count, ENGINE_CHUNK):
-        yield np.arange(start, min(start + ENGINE_CHUNK, count))
+        yield XoshiroLanes(seed, np.arange(start, min(start + ENGINE_CHUNK, count)))
 
 
-def replay_first_bad(bad: np.ndarray, streams: np.ndarray, replay) -> None:
-    """Raise for the first of ``streams`` whose lane is ``bad``, if any.
+def replay_first_bad(bad: np.ndarray, rng: XoshiroLanes, replay) -> None:
+    """Raise for the first stream of ``rng`` whose lane is ``bad``, if any.
 
     ``replay(stream)`` runs that sample on the scalar path, which raises
     the stream's own exception; if it passes instead, lanes and scalar
     checks disagree, and this raises ``NumericsError`` naming the sample.
     """
     if bad.any():
-        first = int(streams[bad.argmax()])
+        first = int(rng.streams[bad.argmax()])
         replay(first)
         raise NumericsError(
             f"sample {first} (stream {first}): a lane check failed that the scalar checks pass"
@@ -335,21 +335,6 @@ def draw_mixed(rng: Xoshiro256pp, basis: GeneratorBasis) -> QuantumState:
     return state_from_matrix(HermitianMatrix(_mixed_rho(g)[0]), basis)
 
 
-def draw_states_batch(
-    rng: XoshiroLanes, basis: GeneratorBasis, pure: np.ndarray, lanes=None
-) -> StateBatch:
-    """Lanes form of ``draw_pure`` on the lanes where ``pure`` is set and
-    ``draw_mixed`` on the others; both consume N² complex Gaussians.
-    Given ``lanes``, only those lanes draw, and ``pure`` has a row for each."""
-    n = basis.dim
-    g = rng.complex_gaussians(n * n, lanes).reshape(-1, n, n)
-    rho = np.empty_like(g)
-    rho[pure] = _pure_rho(g[pure])
-    rho[~pure] = _mixed_rho(g[~pure])
-    del g  # freed before the checks allocate theirs
-    return state_from_matrix_batch(rho, basis)
-
-
 def _pure_streams(kind: str, streams):
     # Which of ``streams`` (an index or an index array) draw a Haar pure
     # state in ensemble ``kind``; the others draw a Hilbert-Schmidt one.
@@ -375,13 +360,19 @@ def draw_state(kind: str, rng: Xoshiro256pp, basis: GeneratorBasis, index: int) 
     return draw(rng, basis)
 
 
-def draw_state_batch(
-    kind: str, rng: XoshiroLanes, basis: GeneratorBasis, streams: np.ndarray
-) -> StateBatch:
-    """Lanes form of ``draw_state``: lane k is sample ``streams[k]``."""
+def draw_state_batch(kind: str, rng: XoshiroLanes, basis: GeneratorBasis) -> StateBatch:
+    """Lanes form of ``draw_state``: lane k is sample ``rng.streams[k]``,
+    drawn as ``draw_pure`` or ``draw_mixed`` draws it (N² complex Gaussians)."""
     if kind == "maximally_mixed":
-        return repeat_state(completely_mixed(basis), streams.size)
-    return draw_states_batch(rng, basis, _pure_streams(kind, streams))
+        return repeat_state(completely_mixed(basis), rng.streams.size)
+    pure = _pure_streams(kind, rng.streams)
+    n = basis.dim
+    g = rng.complex_gaussians(n * n).reshape(-1, n, n)
+    rho = np.empty_like(g)
+    rho[pure] = _pure_rho(g[pure])
+    rho[~pure] = _mixed_rho(g[~pure])
+    del g  # freed before the checks allocate theirs
+    return state_from_matrix_batch(rho, basis)
 
 
 def draw_observable(rng: Xoshiro256pp, basis: GeneratorBasis, unit: bool = True) -> Observable:
@@ -401,16 +392,17 @@ def draw_observable(rng: Xoshiro256pp, basis: GeneratorBasis, unit: bool = True)
     return observable_from_bloch(g, basis)
 
 
-def draw_observable_batch(rng: XoshiroLanes, basis: GeneratorBasis, lanes=None) -> ObservableBatch:
+def draw_observable_batch(rng: XoshiroLanes, basis: GeneratorBasis) -> ObservableBatch:
     """Lanes form of ``draw_observable(rng, basis)``: a lane whose draw
-    has norm below ``_MIN_NORM`` draws again, and only that lane advances.
-    Given ``lanes``, only those lanes draw, one row each."""
+    has norm below ``_MIN_NORM`` draws again, and only that lane advances."""
     n = basis.n_generators
-    g = rng.gaussians(n, lanes)
+    g = rng.gaussians(n)
     norm = np.sqrt(row_dot(g, g))
     redraw = np.flatnonzero(~(norm >= _MIN_NORM))
     while redraw.size:
-        g[redraw] = rng.gaussians(n, redraw if lanes is None else lanes[redraw])
+        again = rng.take(redraw)
+        g[redraw] = again.gaussians(n)
+        rng._s[:, redraw] = again._s
         norm[redraw] = np.sqrt(row_dot(g[redraw], g[redraw]))
         redraw = redraw[~(norm[redraw] >= _MIN_NORM)]
     return observable_from_bloch_batch(g / norm[:, None], basis)

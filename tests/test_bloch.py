@@ -64,8 +64,9 @@ def test_qutrit_pure_norm_along_single_axis_rejected(basis3):
 
 
 def test_trace_and_psd_rejection(basis2):
-    with pytest.raises(UnphysicalState, match="trace"):
+    with pytest.raises(UnphysicalState) as err:
         state_from_matrix(HermitianMatrix(np.eye(2)), basis2)
+    assert str(err.value) == "trace 2.0 is not 1 within 1e-12"
     bad = np.diag([1.2, -0.2]).astype(complex)
     with pytest.raises(UnphysicalState, match="eigenvalue"):
         state_from_matrix(HermitianMatrix(bad), basis2)

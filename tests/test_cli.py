@@ -392,6 +392,20 @@ def test_unwritable_out_exits_2_before_any_work(tmp_path, capsys, command, where
     assert captured.out == "" and repr(str(path)) in captured.err
 
 
+@pytest.mark.parametrize(
+    "flags", [("--csv", "--json", "--out"), ("--csv", "--out"), ("--json", "--csv")]
+)
+def test_outputs_naming_one_file_exit_2_before_any_work(tmp_path, capsys, flags):
+    # Spelled apart, one file: only the last writer's bytes would survive.
+    spellings = [str(tmp_path / "x.out"), f"{tmp_path}/./x.out", f"{tmp_path}//x.out"]
+    with pytest.raises(SystemExit) as err:
+        _run(_OUTPUT_COMMANDS["region"] + [x for item in zip(flags, spellings) for x in item])
+    assert err.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+    captured = capsys.readouterr()
+    assert captured.out == "" and "names the file of --" in captured.err
+
+
 @pytest.mark.parametrize("flag", ["--csv", "--json"])
 def test_region_bad_artifact_path_writes_nothing(tmp_path, capsys, flag):
     # Only one artifact path is bad: no report and no other artifact.
@@ -583,6 +597,18 @@ def test_compare_usage_errors(tmp_path):
             _run(["compare", "--state", "mixed", "--B", "sigma2", "--out", str(out)] + tail)
         assert err.value.code == 2
         assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow, on purpose
+def test_compare_rejects_observables_whose_squares_overflow(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as err:
+        _run(
+            ["compare", "--A", "n:(1e200,0,0)", "--B", "sigma2", "--state", "pure:(0,0,1)"]
+            + ["--out", str(out)]
+        )
+    assert err.value.code == 2
+    assert not out.exists() and "bad observable" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["0", "1"])

@@ -9,8 +9,8 @@ also runs, stays as the oracle (`_scalar_only`).  These tests pin:
 * margins and `_fuzz` summaries equal to the loop's bit for bit, across
   chunk boundaries, seeds 0 and 2**64 - 1 included, at N = 2 and at
   N = 3, 6 and 10;
-* the lane RNG, masked re-draws and scalar hand-offs included, equal to
-  `Xoshiro256pp`;
+* the lane RNG, narrowed generators (`take`), re-draws and scalar
+  hand-offs included, equal to `Xoshiro256pp`;
 * the same exception, raised for the same first failing stream;
 * each numpy-vs-scalar equality the engine relies on, at N = 2 and per
   N up to the dimension cap, so that a numpy or libm upgrade that
@@ -147,26 +147,49 @@ def test_lanes_reproduce_each_stream(seed, streams):
 
 
 @settings(max_examples=20, deadline=None)
-@given(seed=SEEDS, masks=st.lists(st.lists(st.booleans(), min_size=9, max_size=9), max_size=4))
-def test_masked_lanes_advance_alone(seed, masks):
-    lanes = XoshiroLanes(seed, range(9))
-    rngs = [Xoshiro256pp(seed, stream=k) for k in range(9)]
-    for mask in masks:
-        idx = np.flatnonzero(mask)
-        got = lanes.gaussians(3, idx)
-        assert got.shape == (idx.size, 3)
-        expected = np.array([rngs[k].gaussians(3) for k in idx]).reshape(-1, 3)
-        assert np.array_equal(got, expected)
-        got = lanes.complex_gaussians(2, idx)
-        assert got.shape == (idx.size, 2)
-        expected = np.array([rngs[k].complex_gaussians(2) for k in idx]).reshape(-1, 2)
-        assert np.array_equal(got, expected)
-    # Every lane resumes where its own stream stands, and a lane handed
-    # off to the scalar path continues it without advancing the lane.
-    assert np.array_equal(lanes.gaussians(3), [rng.gaussians(3) for rng in rngs])
-    handed = [lanes.lane(k).complex_gaussians(2) for k in range(9)]
-    assert np.array_equal(handed, [rng.complex_gaussians(2) for rng in rngs])
-    assert np.array_equal(lanes.complex_gaussians(2), handed)
+@given(
+    seed=SEEDS,
+    order=st.permutations(range(9)),
+    size=st.integers(0, 9),
+    mask=st.lists(st.booleans(), min_size=9, max_size=9),
+)
+def test_masked_lanes_advance_alone(seed, order, size, mask):
+    lanes = XoshiroLanes(seed, [4, 0, 7, 2**40, 3, 11, 5, 1, 9])
+    streams = lanes.streams.tolist()
+    lanes.gaussians(3)
+
+    def scalar(k):  # the stream of lane k, advanced as the lanes are
+        rng = Xoshiro256pp(seed, stream=streams[k])
+        rng.gaussians(3)
+        return rng
+
+    index = np.array(order[:size], dtype=np.intp)
+    for taken, picked in [(lanes.take(index), index), (lanes.take(np.array(mask)), np.flatnonzero(mask))]:
+        picked = picked.tolist()
+        assert taken.streams.tolist() == [streams[k] for k in picked]
+        got = taken.complex_gaussians(2)
+        expected = [scalar(k).complex_gaussians(2) for k in picked]
+        assert np.array_equal(got, np.reshape(expected, (-1, 2)))
+        # A lane handed off to the scalar path continues its own stream
+        # without advancing the lane.
+        rngs = [scalar(k) for k in picked]
+        for rng in rngs:
+            rng.complex_gaussians(2)  # the narrowed generator's draw above
+        handed = np.reshape([taken.lane(j).gaussians(4) for j in range(len(picked))], (-1, 4))
+        assert np.array_equal(handed, np.reshape([rng.gaussians(4) for rng in rngs], (-1, 4)))
+        assert np.array_equal(taken.gaussians(4), handed)
+    # Drawing from the copies did not advance the parent.
+    assert np.array_equal(lanes.gaussians(3), [scalar(k).gaussians(3) for k in range(9)])
+
+
+def test_lane_chunks_cover_the_streams_in_order(monkeypatch):
+    monkeypatch.setattr(sampling, "ENGINE_CHUNK", 4)
+    chunks = list(sampling.lane_chunks(11, 10))
+    assert [rng.streams.tolist() for rng in chunks] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+    for rng in chunks:
+        expected = [Xoshiro256pp(11, stream=k).next_u64() for k in rng.streams.tolist()]
+        assert rng.next_u64().tolist() == expected
+    assert list(sampling.lane_chunks(11, 0)) == []
 
 
 @pytest.mark.parametrize("min_norm", [1e-12, 1.0, 1.6])
@@ -186,14 +209,18 @@ def test_observable_redraw_lanes_match_scalar(basis2, min_norm):
 def test_masked_observable_redraw_matches_scalar(basis3, min_norm):
     # Appendix-c draws on a subset of lanes; at 2.5 about a third of the
     # su(3) draws are drawn again.
-    lanes = np.arange(1, 64, 3)
+    lanes = XoshiroLanes(5, range(64)).take(np.arange(1, 64, 3))
+    rngs = [Xoshiro256pp(5, stream=k) for k in lanes.streams.tolist()]
     with mock.patch.object(sampling, "_MIN_NORM", min_norm):
-        batch = draw_observable_batch(XoshiroLanes(5, range(64)), basis3, lanes)
-        scalar = [draw_observable(Xoshiro256pp(5, stream=k), basis3) for k in lanes.tolist()]
+        batch = draw_observable_batch(lanes, basis3)
+        scalar = [draw_observable(rng, basis3) for rng in rngs]
     assert not batch.bad.any()
     assert np.array_equal(batch.a, [obs.a for obs in scalar])
     assert np.array_equal(batch.a_prime, [obs.a_prime for obs in scalar])
     assert np.array_equal(batch.matrix, [obs.matrix.array for obs in scalar])
+    # The redrawn lanes were written back: every lane goes on where its
+    # stream stands.
+    assert np.array_equal(lanes.gaussians(2), [rng.gaussians(2) for rng in rngs])
 
 
 def test_lanes_reject_bad_seeds_and_streams():
@@ -295,7 +322,7 @@ def test_appendix_c_lanes_flag_the_streams_scalar_rejects(module, name, value, d
         mock.patch.object(module, name, value),
         mock.patch.object(cli, "_LANES_MIN_PENDING", _cutoff(tail, 20)),
     ):
-        margins, bad = cli._appendix_c_lanes(XoshiroLanes(3, range(20)), basis_for(dim), 20)
+        margins, bad = cli._appendix_c_lanes(XoshiroLanes(3, range(20)), basis_for(dim))
         failing = _failing_streams("appendix-c", 20, 3, dim)
     assert failing and np.flatnonzero(bad).tolist() == failing
     assert margins.shape == bad.shape == (20,)
@@ -440,14 +467,16 @@ def test_state_checks_flag_the_rows_scalar_rejects(basis2):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # bad rows on purpose
 def test_observable_checks_flag_the_rows_scalar_rejects(basis2):
-    # Large coefficients break the norm and A^2 cross-checks by round-off.
+    # Large coefficients break the norm and A^2 cross-checks by round-off;
+    # at 1e160 their squares overflow, and the residuals are NaN.
     rng = np.random.default_rng(8)
     vecs = rng.normal(size=(300, 3)) * 10.0 ** rng.uniform(-1, 7, size=(300, 1))
     vecs[::37, 1] = np.inf
     vecs[::41, 0] = np.nan
+    vecs[5] = [1e160, 0.0, 0.0]
     batch = bloch.observable_from_bloch_batch(vecs, basis2)
     rejected = [_raises(bloch.observable_from_bloch, v, basis2) for v in vecs]
-    assert 0 < sum(rejected) < len(vecs)
+    assert rejected[5] and 0 < sum(rejected) < len(vecs)
     assert batch.bad.tolist() == rejected
     for i in np.flatnonzero(~batch.bad):
         obs = bloch.observable_from_bloch(vecs[i], basis2)
@@ -484,7 +513,7 @@ def test_checkers_flag_the_rows_scalar_rejects(basis2, batch_form, scalar_form):
     # reject some of them.
     n = 60
     lanes = XoshiroLanes(9, range(n))
-    drawn = sampling.draw_states_batch(lanes, basis2, np.arange(n) % 3 == 0)
+    drawn = sampling.draw_state_batch("alternating", lanes, basis2)
     rho = np.where((np.arange(n) % 3 == 2)[:, None, None], np.eye(2) / 2, drawn.rho)
     margins, bad = batch_form(
         draw_observable_batch(lanes, basis2),
@@ -508,7 +537,7 @@ def test_checkers_flag_the_rows_scalar_rejects(basis2, batch_form, scalar_form):
 def test_theorem1_flags_variance_above_norm(basis2):
     # Validated objects cannot reach this check; shrink a stored norm.
     lanes = XoshiroLanes(2, range(50))
-    state = sampling.draw_states_batch(lanes, basis2, np.ones(50, dtype=bool))
+    state = sampling.draw_state_batch("haar_pure", lanes, basis2)
     a = draw_observable_batch(lanes, basis2)
     b = draw_observable_batch(lanes, basis2)
     assert not relations.check_theorem1_batch(a, b, state)[1].any()
@@ -525,7 +554,7 @@ def test_reconstruction_flags_the_rows_scalar_rejects(dim):
     # a NaN raise another ValueError.
     basis = basis_for(dim)
     rng = np.random.default_rng(dim)
-    mixed = sampling.draw_states_batch(XoshiroLanes(4, range(60)), basis, np.zeros(60, bool))
+    mixed = sampling.draw_state_batch("hs_mixed", XoshiroLanes(4, range(60)), basis)
     p = mixed.p * rng.uniform(0.5, 3.0, size=(60, 1))
     p[::13, 0] = np.nan
 
@@ -577,7 +606,7 @@ def test_qudit_checkers_flag_the_rows_scalar_rejects(relation, dim):
     a, b, state = _stack_draws(
         [cli._appendix_c_draw(Xoshiro256pp(6, stream=i), basis, 200) for i in range(45)]
     )
-    mixed = sampling.draw_states_batch(XoshiroLanes(7, range(45)), basis, np.zeros(45, bool))
+    mixed = sampling.draw_state_batch("hs_mixed", XoshiroLanes(7, range(45)), basis)
     swap = np.arange(45) % 3 == 0
     for field, drawn in zip(state, mixed):
         field[swap] = drawn[swap]

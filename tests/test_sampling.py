@@ -111,7 +111,7 @@ def test_observable_contract(basis3):
 @pytest.mark.parametrize("kind", ["haar_pure", "hs_mixed", "alternating", "maximally_mixed"])
 def test_draw_state_follows_its_kind(basis2, kind):
     streams = np.arange(10)
-    batch = draw_state_batch(kind, XoshiroLanes(7, streams), basis2, streams)
+    batch = draw_state_batch(kind, XoshiroLanes(7, streams), basis2)
     assert not batch.bad.any()
     for i in streams.tolist():
         if kind == "maximally_mixed":
@@ -133,7 +133,7 @@ def test_draw_state_rejects_unknown_kinds(basis2):
     with pytest.raises(ValueError):
         draw_state("bloch_shell", Xoshiro256pp(1), basis2, 0)
     with pytest.raises(ValueError):
-        draw_state_batch("bloch_shell", XoshiroLanes(1, [0]), basis2, np.arange(1))
+        draw_state_batch("bloch_shell", XoshiroLanes(1, [0]), basis2)
 
 
 def test_config_validation():
