@@ -44,6 +44,7 @@ rho = GG† / Tr[GG†] with G a square complex Gaussian matrix.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -106,6 +107,10 @@ class Xoshiro256pp:
     __slots__ = ("_s0", "_s1", "_s2", "_s3")
 
     def __init__(self, seed: int, stream: int = 0):
+        # Python ints, so that numpy integers (a lane's stream, say) do not
+        # overflow int64 below; floats raise TypeError.
+        seed = operator.index(seed)
+        stream = operator.index(stream)
         if not 0 <= seed < 1 << 64:
             raise ValueError("seed must be an unsigned 64-bit integer")
         if stream < 0:

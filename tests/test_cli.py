@@ -1,17 +1,22 @@
 import csv
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import blochvar
-from blochvar import regions
+from blochvar import cli, regions
 from blochvar.cli import run
 from blochvar.errors import NumericsError
 
@@ -316,6 +321,95 @@ def test_region_rle_round_trip(tmp_path):
     assert occupancy.sum() > 0
 
 
+def _rle_by_diff(occupancy):
+    # The diff-based form the writer used before: the oracle for _rle.
+    flat = occupancy.astype(np.int8).ravel()
+    if flat.size == 0:
+        return {"first": 0, "runs": []}
+    change = np.flatnonzero(np.diff(flat)) + 1
+    bounds = np.concatenate([[0], change, [flat.size]])
+    return {"first": int(flat[0]), "runs": np.diff(bounds).tolist()}
+
+
+def _one_cell(shape, index):
+    grid = np.zeros(shape, dtype=bool)
+    grid.flat[index] = True
+    return grid
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 7), (5, 5, 5)])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda shape: np.zeros(shape, dtype=bool),
+        lambda shape: np.ones(shape, dtype=bool),
+        lambda shape: _one_cell(shape, 0),
+        lambda shape: _one_cell(shape, -1),
+    ],
+    ids=["empty", "full", "first-cell", "last-cell"],
+)
+def test_rle_edge_grids_match_diff_form(shape, make):
+    grid = make(shape)
+    assert cli._rle(grid) == _rle_by_diff(grid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid=hnp.arrays(np.bool_, hnp.array_shapes(min_dims=2, max_dims=3, min_side=0, max_side=9)))
+def test_rle_matches_diff_form(grid):
+    assert cli._rle(grid) == _rle_by_diff(grid)
+
+
+# Distinct bit patterns that json spells alike or that sort oddly.
+_SPECIAL_FLOATS = [
+    0.0, -0.0, 1.0, 0.1, 1e-300, 5e-324, -5e-324, 2.225e-308, 1e308,
+    math.nan, -math.nan, math.inf, -math.inf,
+    np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0],  # NaN payload
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(0, 40), st.sampled_from([2, 3])),
+        elements=st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats(width=64)),
+    )
+)
+def test_boundary_rows_are_written_as_json_dumps_writes_them(values):
+    fh = io.StringIO()
+    cli._write_json_rows(fh, values)
+    assert fh.getvalue() == json.dumps(values.tolist())
+
+
+def test_boundary_rows_span_several_blocks():
+    # Blocks of ENGINE_CHUNK rows, and one row, against json.dumps; the
+    # surface repeats values within and across rows.
+    surface = regions._triple_surface(0.7)
+    for values in (surface, np.tile(surface, (3, 1))[: 2 * cli.ENGINE_CHUNK + 1], surface[:1]):
+        fh = io.StringIO()
+        cli._write_json_rows(fh, values)
+        assert fh.getvalue() == json.dumps(values.tolist())
+
+
+def test_region_triple_artifacts_memory(tmp_path):
+    # The writers hold no grid-sized copy of the 200**3 occupancy cells
+    # (8 MB as bools): with an int8 copy and its diff the traced peak was
+    # 24.4 MB, and it is 9.5 MB without.
+    flags = []
+    for flag, name in (("--csv", "scan.csv"), ("--json", "scan.json"), ("--out", "report.json")):
+        flags += [flag, str(tmp_path / name)]
+    tracemalloc.start()
+    try:
+        code, _ = _run(
+            ["region", "triple", "--theta-ab", "0.7", "--grid", "0.005", "--samples", "250"] + flags
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 16e6
+
+
 def test_region_degenerate_line_diagnostic():
     code, report = _run(["region", "pair", "--theta-ab", "0", "--samples", "2000", "--seed", "4"])
     assert code == 0
@@ -599,16 +693,25 @@ def test_compare_usage_errors(tmp_path):
         assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow, on purpose
-def test_compare_rejects_observables_whose_squares_overflow(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--A", "n:(1e200,0,0)", "--B", "sigma2", "--state", "pure:(0,0,1)"], "bad observable"),
+        (["--A", "n:(1e200,0,0)", "--B", "sigma3", "--state", "mixed"], "bad observable"),
+        # Its norm overflows to inf, and dividing by it would give I/2.
+        (["--A", "sigma1", "--B", "sigma3", "--state", "pure:(1e200,1e200,0)"], "finite norm"),
+    ],
+    ids=["observable", "observable-mixed", "pure-direction"],
+)
+def test_compare_rejects_inputs_whose_squares_overflow(tmp_path, capsys, flags, message):
     out = tmp_path / "report.json"
-    with pytest.raises(SystemExit) as err:
-        _run(
-            ["compare", "--A", "n:(1e200,0,0)", "--B", "sigma2", "--state", "pure:(0,0,1)"]
-            + ["--out", str(out)]
-        )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SystemExit) as err:
+            _run(["compare"] + flags + ["--out", str(out)])
     assert err.value.code == 2
-    assert not out.exists() and "bad observable" in capsys.readouterr().err
+    assert not out.exists() and message in capsys.readouterr().err
+    assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 @pytest.mark.parametrize("value", ["0", "1"])

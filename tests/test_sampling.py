@@ -40,6 +40,20 @@ def test_rng_streams_differ_and_reproduce():
     assert a1 != b
 
 
+def test_rng_takes_numpy_integers():
+    # A lane's stream index is a numpy integer; so may a seed be.
+    rng = Xoshiro256pp(np.uint64(11), np.int64(3))
+    ref = Xoshiro256pp(11, 3)
+    assert [rng.next_u64() for _ in range(4)] == [ref.next_u64() for _ in range(4)]
+    top = Xoshiro256pp(np.uint64(2**64 - 1), np.uint64(2**40))
+    ref = Xoshiro256pp(2**64 - 1, 2**40)
+    assert top.next_u64() == ref.next_u64()
+    with pytest.raises(TypeError):
+        Xoshiro256pp(11.0)
+    with pytest.raises(TypeError):
+        Xoshiro256pp(11, stream=3.0)
+
+
 def test_gaussians_consume_whole_pairs():
     r1 = Xoshiro256pp(5)
     r2 = Xoshiro256pp(5)
