@@ -296,7 +296,7 @@ def _post_init_failures(rho: np.ndarray, p: np.ndarray, dim: int) -> np.ndarray:
 def state_from_matrix_batch(rho: np.ndarray, basis: GeneratorBasis) -> StateBatch:
     """Lanes form of ``state_from_matrix(HermitianMatrix(rho[i]), basis)``."""
     rho, bad = hermitian_batch(rho)
-    coeffs = np.einsum("nab,jba->nj", rho, basis.stacked())
+    coeffs = basis.trace_rows(rho)
     bad |= np.abs(coeffs.imag).max(axis=1) > 1e-12
     # QuantumState sees the strided view coeffs.real and stores a
     # contiguous copy, and the BLAS dot of each can round differently, so
@@ -315,7 +315,7 @@ def state_to_matrix_batch(p: np.ndarray, basis: GeneratorBasis) -> tuple[StateBa
     """
     p = np.ascontiguousarray(p, dtype=np.float64)
     arr = np.eye(basis.dim, dtype=np.complex128) / basis.dim
-    arr = arr + 0.5 * np.einsum("nj,jab->nab", p, basis.stacked())
+    arr = arr + 0.5 * basis.combine_rows(p)
     # The scalar checks in order: the reconstruction's eigenvalue floor,
     # then HermitianMatrix (ValueError), then QuantumState.
     floor = _min_eigenvalues(arr) < PSD_EIGENVALUE_FLOOR
@@ -346,14 +346,14 @@ def _prime_failures(arr: np.ndarray, a_prime: np.ndarray, basis: GeneratorBasis)
     # _check_prime, row by row.
     sq = arr @ arr
     sq -= (np.trace(sq, axis1=1, axis2=2).real / basis.dim)[:, None, None] * np.eye(basis.dim)
-    ref = 0.5 * np.einsum("nab,jba->nj", sq, basis.stacked()).real
+    ref = 0.5 * basis.trace_rows(sq).real
     return ~(np.abs(a_prime - ref).max(axis=1, initial=0.0) <= _CONSISTENCY_ATOL)
 
 
 def observable_from_bloch_batch(vec: np.ndarray, basis: GeneratorBasis) -> ObservableBatch:
     """Lanes form of ``observable_from_bloch(vec[i], basis)``."""
     vec = np.asarray(vec, dtype=np.float64)
-    arr = np.einsum("nj,jab->nab", vec, basis.stacked())
+    arr = basis.combine_rows(vec)
     a_prime = basis.d_contract(vec)
     bad = _prime_failures(arr, a_prime, basis)
     matrix, bad_h = hermitian_batch(arr)

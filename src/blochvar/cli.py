@@ -8,10 +8,10 @@ verify
     Fuzz one relation over seeded random draws; exit 0 iff
     every check holds at the relation's tolerance.  Every relation runs
     on the batched engine at every N, and its reports are bit-identical
-    to the per-stream loop's.  Appendix-c's lanes checker scores the
-    tries each round of its rejection draws accepts; once only a few
-    lanes of a chunk are still pending, each finishes on the scalar draw
-    and check.
+    to the per-stream loop's.  Appendix-c's rejection draws run in
+    rounds on the lanes still pending, later rounds with several tries
+    of each lane side by side (jumped ahead), and the lanes checker
+    scores the tries each round takes.
 region
     Monte-Carlo scan of a qubit variance region (pair or axis triple)
     with CSV and JSON artifacts plus slice summaries (pair scans only).
@@ -122,9 +122,10 @@ EXIT_VIOLATION = 1
 
 # Largest --dim of basis and verify: the largest N the sparse su(N) build,
 # its sparse closure check and verify's batched eigensolves are tested at.
-# At N = 16 a process takes about 0.7 s and 48 MB for 20 appendix-c
-# samples; a full 2048-stream chunk takes 4 s and 119 MB for robertson,
-# 26 s and 149 MB for appendix-c (2,100 samples, max RSS, 2 vCPU Xeon).
+# At N = 16 a process takes about 0.4 s and 46 MB for 20 appendix-c
+# samples; a full 2048-stream chunk takes 1.3-1.6 s and 109 MB for
+# robertson, 6.6-8.7 s and 126 MB for appendix-c (2,100 samples, max
+# RSS, 2 vCPU Xeon).
 MAX_DIM = 16
 
 
@@ -191,13 +192,27 @@ def _state_dependent_lanes(a, b, state):
 # Tries of appendix-c's rejection loop per sample before it gives up.
 _APPENDIX_C_TRIES = 200
 
-# Once fewer lanes of a chunk than this still wait for an accepted
-# appendix-c try, each finishes on the scalar loop: a lanes generator step
-# costs about 15 us whatever the lane count, a scalar one about 2 us, and
-# 89%, 47% and 28% of the tries pass at N = 3, 6 and 10.  Of the cut-offs
-# 0, 4, 8, 12 and 16, 12 ran the N = 10 bench jobs fastest (78 ms against
-# 141 ms at 0) and the N = 3 and 6 ones within noise of the fastest.
-_LANES_MIN_PENDING = 12
+# Rows of a later appendix-c round: each lane still pending draws this
+# many tries over the pending count, at least one, side by side (see
+# ``_appendix_c_lanes``).  A lanes round costs about the same at a few
+# rows as at a few dozen, and 89%, 47% and 28% of the tries pass at
+# N = 3, 6 and 10.  Of 16, 32, 48, 64 and 96, 48 and 64 ran the bench's
+# appendix-c jobs fastest (an N = 10 job in about 50 ms, against 116 ms
+# at one try a lane), and 48 holds less memory.
+_APPENDIX_C_ROUND_ROWS = 48
+
+
+def _round_tries(pending: int) -> int:
+    """Tries each of ``pending`` lanes draws in a later appendix-c round."""
+    return max(1, _APPENDIX_C_ROUND_ROWS // pending)
+
+
+def _try_steps(basis) -> int:
+    """The u64s an appendix-c try draws, barring a zero-norm redraw: two
+    observables of N² - 1 Gaussians (in whole pairs), then N² complex
+    Gaussians for the mixed state."""
+    n2 = basis.dim * basis.dim
+    return 4 * (n2 // 2) + 2 * n2
 
 
 def _project_orthogonal_rows(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -241,46 +256,69 @@ def _appendix_c_lanes(rng: XoshiroLanes, basis):
 
     Returns ``(margins, bad)`` as a ``Relation.lanes`` checker does:
     ``bad`` marks the lanes on which the scalar draw or check raises,
-    whose margins are unspecified.  A round draws one try on each lane
-    still pending, scores the tries it accepts at once with the lanes
-    checker, and narrows ``rng`` to the lanes it rejects (``take``).
-    The last few lanes finish on ``_appendix_c_draw`` (see
-    ``_LANES_MIN_PENDING``) from their own lane state, with the tries
-    they have left, and are scored by the scalar check.
+    whose margins are unspecified.  Round 1 draws one try on every lane;
+    a later round draws ``_round_tries`` tries on each lane still
+    pending, side by side: try t starts from the lane's state jumped t
+    tries on (``XoshiroLanes.ahead``).  Each lane takes its first try
+    that the draw accepts or fails, and the lanes checker scores the
+    accepted ones at once.  A try that ends elsewhere than where the
+    next one starts drew again (a zero-norm observable): its verdict
+    stands, the lane's later tries are void, and it goes on from where
+    that try ended, as lanes left pending go on from their last try.
+    Each lane has ``_APPENDIX_C_TRIES`` tries; one that spends them all
+    is bad, as the scalar loop raises there.
     """
     row = _RELATIONS["appendix-c"]  # its checkers read no axis angle
     margins = np.zeros(rng.streams.size)
     bad = np.zeros(rng.streams.size, dtype=bool)
     pending = np.arange(rng.streams.size)
-    tries = 0
-    while pending.size >= max(_LANES_MIN_PENDING, 1):
-        tries += 1
+    left = np.full(pending.size, _APPENDIX_C_TRIES)
+    steps = _try_steps(basis)
+    tries = 1
+    while pending.size:
+        if tries > 1:
+            rng = rng.ahead(tries, steps)
+        starts = rng.state()[:, pending.size :]
         da = draw_observable_batch(rng, basis)
         db = draw_observable_batch(rng, basis)
         mixed = draw_state_batch("hs_mixed", rng, basis)
+        failed = da.bad | db.bad | mixed.bad
         p = _project_orthogonal_rows(mixed.p, da.a, db.a)
+        del mixed  # freed before the checker allocates its temporaries
         projected, unphysical = state_to_matrix_batch(p, basis)
-        failed = da.bad | db.bad | mixed.bad | (projected.bad & ~unphysical)
+        failed |= projected.bad & ~unphysical
         rejected = unphysical | (np.abs(row_dot(da.a, projected.p)) > ZERO_MEAN_TOL)
         rejected |= np.abs(row_dot(db.a, projected.p)) > ZERO_MEAN_TOL
         rejected &= ~failed
-        accepted = ~(failed | rejected)
-        bad[pending[failed]] = True
-        if accepted.any():
+        redrew = (rng.state()[:, : starts.shape[1]] != starts).any(axis=0)
+        taken = _taken_tries(rejected, redrew, left)
+        left -= taken // pending.size + 1
+        bad[pending[failed[taken]]] = True
+        accepted = taken[~(failed | rejected)[taken]]
+        if accepted.size:
             rows = (drawn._make(field[accepted] for field in drawn) for drawn in (da, db, projected))
-            margins[pending[accepted]], bad[pending[accepted]] = row.lanes(*rows, None)
-        pending = pending[rejected]
-        if tries == _APPENDIX_C_TRIES:
-            bad[pending] = True  # the scalar loop raises RuntimeError
-            return margins, bad
-        rng = rng.take(rejected)
-    for j, k in enumerate(pending.tolist()):
-        try:
-            drawn = _appendix_c_draw(rng.lane(j), basis, _APPENDIX_C_TRIES - tries)
-            margins[k] = row.check(*drawn, None)[0].margin
-        except (ValueError, ArithmeticError, RuntimeError):
-            bad[k] = True  # replayed from the stream's start by the caller
+            k = pending[accepted % pending.size]
+            margins[k], bad[k] = row.lanes(*rows, None)
+        going = rejected[taken]
+        bad[pending[going & (left == 0)]] = True  # the scalar loop raises RuntimeError
+        going &= left > 0
+        rng = rng.take(taken[going])
+        pending, left = pending[going], left[going]
+        tries = min(_round_tries(pending.size or 1), int(left.max(initial=1)))
     return margins, bad
+
+
+def _taken_tries(rejected: np.ndarray, redrew: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """The row of the try each lane of an appendix-c round takes, with
+    ``left.size`` lanes and try t of lane k in row t * lanes + k: its
+    first try that the draw does not reject, or that drew again
+    (``redrew``, for every try but the last), or that is its last within
+    its ``left`` tries."""
+    lanes = np.arange(left.size)
+    stop = ~rejected.reshape(-1, left.size)
+    stop[:-1] |= redrew.reshape(-1, left.size)
+    stop[np.minimum(left, stop.shape[0]) - 1, lanes] = True
+    return stop.argmax(axis=0) * left.size + lanes
 
 
 class Relation(NamedTuple):
@@ -290,8 +328,8 @@ class Relation(NamedTuple):
     kind ``states``, then A and B if ``pair``, and ``check(a, b, state,
     theta_ab)`` returns its verdicts.  ``states`` None is appendix-c's
     rejection loop, which draws A, B and the state itself; on lanes,
-    ``_appendix_c_lanes`` runs ``lanes`` on the rows each round accepts
-    and ``check`` on the objects its scalar tail draws.  ``dims`` are
+    ``_appendix_c_lanes`` runs ``lanes`` on the tries each round
+    accepts.  ``dims`` are
     the N the relation is defined for (None: any N >= 2).  ``lanes`` is
     ``check`` on the batched engine, given batch rows drawn in the same
     order: it returns (margins, bad), a row per stream and a column per

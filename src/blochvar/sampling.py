@@ -34,6 +34,17 @@ re-draw of an observable advances only the lanes that need it.
 each, and ``replay_first_bad`` sends the first failing lane of a chunk
 back to the scalar path, which raises that stream's own exception.
 
+``ahead`` lays copies of each lane side by side, copy t standing t
+jumps of a fixed number of u64s further on.  A jump is exact: the
+xoshiro256 state transition (shifts, rotations and XORs of the four
+words) is linear over GF(2), so "M steps on" is one fixed 256 x 256 bit
+matrix, the one behind xoshiro's own ``jump()`` (Blackman & Vigna) and
+F2-linear jump-ahead in general (Haramoto et al., 2008).
+``_jump_table`` builds its columns by running ``_step`` M times on the
+256 unit states, so it agrees with the generator by construction, and
+stores them as a table per 4-bit nibble of the state; a jump is one
+gather of 64 table entries and their XOR.
+
 Measures: pure states are Haar-distributed (first column of the unitary
 QR factor of a square complex Gaussian matrix, diagonal phases
 corrected); mixed states follow the Hilbert-Schmidt (Ginibre) measure
@@ -43,6 +54,7 @@ rho = GG† / Tr[GG†] with G a square complex Gaussian matrix.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -168,8 +180,9 @@ class XoshiroLanes:
     """Streams ``streams`` of one seed as uint64 lanes (see module docs).
 
     Lane k draws exactly what ``Xoshiro256pp(seed, stream=streams[k])``
-    draws.  Each method returns one row per lane and advances every
-    lane; ``take`` narrows a generator to some of its lanes.
+    draws.  Each draw returns one row per lane and advances every lane;
+    ``take`` narrows a generator to some of its lanes, and ``ahead``
+    widens it with jumped copies of them.
     """
 
     __slots__ = ("_s", "streams")
@@ -234,12 +247,22 @@ class XoshiroLanes:
         z /= math.sqrt(2.0)
         return z
 
-    def lane(self, k: int) -> Xoshiro256pp:
-        """A scalar generator that continues lane k from where it stands
-        (``Xoshiro256pp(seed, stream=streams[k])`` after the same draws);
-        drawing from it does not advance the lane."""
-        rng = Xoshiro256pp.__new__(Xoshiro256pp)
-        rng._s0, rng._s1, rng._s2, rng._s3 = self._s[:, k].tolist()
+    def state(self) -> np.ndarray:
+        """A copy of the lanes' states: a (4, lanes) array of words."""
+        return self._s.copy()
+
+    def ahead(self, copies: int, steps: int) -> XoshiroLanes:
+        """``copies`` copies of every lane as one generator, copy t standing
+        ``t * steps`` u64s further on: its lane t * lanes + k is lane k
+        jumped t times (see ``_jump``).  A copy, so drawing from it does not
+        advance this one."""
+        table = _jump_table(steps)
+        states = [self._s]
+        for _ in range(copies - 1):
+            states.append(_jump(states[-1], table))
+        rng = XoshiroLanes.__new__(XoshiroLanes)
+        rng._s = np.concatenate(states, axis=1)
+        rng.streams = np.tile(self.streams, copies)
         return rng
 
 
@@ -265,6 +288,37 @@ def _step(s: np.ndarray) -> np.ndarray:
     s3 <<= _SHIFT[45]
     s3 |= x
     return result
+
+
+@functools.cache
+def _jump_table(steps: int) -> np.ndarray:
+    """The map "``steps`` u64s on" of a xoshiro256 state as a nibble table
+    (see the module docs), from ``_step`` run on the 256 unit states:
+    entry [i, v] is the image of nibble i (bits 4i .. 4i + 3 of the 256,
+    word i // 16 first) holding v, as four uint64 words."""
+    bit = np.arange(256)
+    units = np.zeros((4, 256), dtype=np.uint64)
+    units[bit // 64, bit] = np.left_shift(np.uint64(1), (bit % 64).astype(np.uint64))
+    for _ in range(steps):
+        _step(units)
+    images = units.T.reshape(64, 4, 4)  # [nibble, bit of the nibble, word]
+    table = np.zeros((64, 16, 4), dtype=np.uint64)
+    for b in range(4):
+        table[:, (np.arange(16) >> b) & 1 == 1] ^= images[:, None, b]
+    return table
+
+
+_NIBBLE_SHIFTS = np.arange(0, 64, 4, dtype=np.uint64)[:, None]
+_NIBBLE_ROWS = np.arange(0, 1024, 16).reshape(4, 16, 1)  # nibble i's rows of the table
+
+
+def _jump(s: np.ndarray, table: np.ndarray) -> np.ndarray:
+    # The (4, lanes) state s moved on by the map of ``_jump_table``: one
+    # gather of the images of its 64 nibbles, XORed together.
+    rows = ((s[:, None, :] >> _NIBBLE_SHIFTS) & np.uint64(15)).view(np.int64)
+    rows += _NIBBLE_ROWS
+    images = table.reshape(1024, 4).take(rows.reshape(64, -1), axis=0)
+    return np.ascontiguousarray(np.bitwise_xor.reduce(images, axis=0).T)
 
 
 def lane_chunks(seed: int, count: int) -> Iterator[XoshiroLanes]:
@@ -410,7 +464,9 @@ def draw_observable_batch(rng: XoshiroLanes, basis: GeneratorBasis) -> Observabl
         rng._s[:, redraw] = again._s
         norm[redraw] = np.sqrt(row_dot(g[redraw], g[redraw]))
         redraw = redraw[~(norm[redraw] >= _MIN_NORM)]
-    return observable_from_bloch_batch(g / norm[:, None], basis)
+    vec = g / norm[:, None]
+    del g  # freed before the checks allocate theirs
+    return observable_from_bloch_batch(vec, basis)
 
 
 def iter_states(cfg: SampleConfig) -> Iterator[QuantumState]:

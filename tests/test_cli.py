@@ -243,6 +243,16 @@ def test_basis_build_loads_no_numpy_ma():
     assert _fresh_python(probe).strip() == "False"
 
 
+def test_set_up_builds_no_jump_table():
+    # Appendix-c's jump tables are built on the first side-by-side round,
+    # so the set-up of a run (import and bases) costs what it did.
+    probe = (
+        "import blochvar.cli; from blochvar import basis_for, sampling; "
+        "basis_for(2); basis_for(10); print(sampling._jump_table.cache_info().currsize)"
+    )
+    assert _fresh_python(probe).strip() == "0"
+
+
 def test_verify_report_is_reproducible(tmp_path):
     args = ["verify", "theorem1", "--samples", "400", "--seed", "123"]
     _, first = _run(args)

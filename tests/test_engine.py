@@ -1,16 +1,17 @@
 """The batched engine against the scalar per-stream path.
 
 `blochvar verify` runs every relation on lanes (`XoshiroLanes`,
-`StateBatch`/`ObservableBatch`, the `*_batch` checkers) at every N, and
-appendix-c's rejection draws on lanes until only a few lanes of a chunk
-are pending; the per-stream loop over `cli._sample`, which replay
-also runs, stays as the oracle (`_scalar_only`).  These tests pin:
+`StateBatch`/`ObservableBatch`, the `*_batch` checkers) at every N,
+appendix-c's rejection draws included, their later tries side by side
+from jumped lane states; the per-stream loop over `cli._sample`, which
+replay also runs, stays as the oracle (`_scalar_only`).  These tests
+pin:
 
 * margins and `_fuzz` summaries equal to the loop's bit for bit, across
   chunk boundaries, seeds 0 and 2**64 - 1 included, at N = 2 and at
   N = 3, 6 and 10;
-* the lane RNG, narrowed generators (`take`), re-draws and scalar
-  hand-offs included, equal to `Xoshiro256pp`;
+* the lane RNG, narrowed generators (`take`), re-draws and jumps
+  (`ahead`) included, equal to `Xoshiro256pp`;
 * the same exception, raised for the same first failing stream;
 * each numpy-vs-scalar equality the engine relies on, at N = 2 and per
   N up to the dimension cap, so that a numpy or libm upgrade that
@@ -26,7 +27,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blochvar import basis_for, cli, sampling
-from blochvar import bloch, linalg, relations, variance
+from blochvar import bloch, linalg, relations, sun_basis, variance
 from blochvar.errors import NumericsError
 from blochvar.linalg import per_element, row_dot
 from blochvar.sampling import Xoshiro256pp, XoshiroLanes, draw_observable, draw_observable_batch
@@ -89,29 +90,29 @@ def test_three_obs_engine_matches_at_any_angle(seed, theta_ab):
         assert np.array_equal(lanes, _margins("three-obs-equality", 30, seed, theta_ab))
 
 
-# Where appendix-c's pending lanes go back to the scalar loop: never
-# (every round on lanes), at the default cut-off, or at once (chunk + 1).
-_TAILS = ["lanes", "default", "scalar"]
+# Tries each pending lane draws in a later appendix-c round: one (every
+# round one try a lane), two, five, or the default rule.
+_TRIES = [1, 2, 5, "default"]
 
 
-def _cutoff(tail, chunk):
-    return {"lanes": 0, "default": cli._LANES_MIN_PENDING, "scalar": chunk + 1}[tail]
+def _tries_per_round(tries):
+    """Patch that gives each pending lane ``tries`` tries a later round."""
+    if tries == "default":
+        return mock.patch.object(cli, "_round_tries", cli._round_tries)
+    return mock.patch.object(cli, "_round_tries", lambda pending: tries)
 
 
 @pytest.mark.parametrize("relation", QUDIT_RELATIONS)
 @pytest.mark.parametrize("dim", [3, 6, 10])
 @settings(max_examples=5, deadline=None)
 @given(
-    seed=SEEDS, samples=st.integers(1, 30), chunk=st.integers(1, 16), tail=st.sampled_from(_TAILS)
+    seed=SEEDS, samples=st.integers(1, 30), chunk=st.integers(1, 16), tries=st.sampled_from(_TRIES)
 )
-@example(seed=0, samples=30, chunk=16, tail="lanes")
-@example(seed=2**64 - 1, samples=29, chunk=16, tail="default")
-@example(seed=1729, samples=17, chunk=16, tail="scalar")
-def test_qudit_engine_matches_scalar_loop(relation, dim, seed, samples, chunk, tail):
-    with (
-        mock.patch.object(sampling, "ENGINE_CHUNK", chunk),
-        mock.patch.object(cli, "_LANES_MIN_PENDING", _cutoff(tail, chunk)),
-    ):
+@example(seed=0, samples=30, chunk=16, tries=1)
+@example(seed=2**64 - 1, samples=29, chunk=16, tries="default")
+@example(seed=1729, samples=17, chunk=16, tries=5)
+def test_qudit_engine_matches_scalar_loop(relation, dim, seed, samples, chunk, tries):
+    with mock.patch.object(sampling, "ENGINE_CHUNK", chunk), _tries_per_round(tries):
         lanes = _margins(relation, samples, seed, dim=dim)
         summary = cli._fuzz(relation, dim, samples, seed, math.pi / 4.0)
     with _scalar_only():
@@ -167,17 +168,12 @@ def test_masked_lanes_advance_alone(seed, order, size, mask):
     for taken, picked in [(lanes.take(index), index), (lanes.take(np.array(mask)), np.flatnonzero(mask))]:
         picked = picked.tolist()
         assert taken.streams.tolist() == [streams[k] for k in picked]
-        got = taken.complex_gaussians(2)
-        expected = [scalar(k).complex_gaussians(2) for k in picked]
-        assert np.array_equal(got, np.reshape(expected, (-1, 2)))
-        # A lane handed off to the scalar path continues its own stream
-        # without advancing the lane.
         rngs = [scalar(k) for k in picked]
-        for rng in rngs:
-            rng.complex_gaussians(2)  # the narrowed generator's draw above
-        handed = np.reshape([taken.lane(j).gaussians(4) for j in range(len(picked))], (-1, 4))
-        assert np.array_equal(handed, np.reshape([rng.gaussians(4) for rng in rngs], (-1, 4)))
-        assert np.array_equal(taken.gaussians(4), handed)
+        got = taken.complex_gaussians(2)
+        assert np.array_equal(got, np.reshape([rng.complex_gaussians(2) for rng in rngs], (-1, 2)))
+        # Each taken lane goes on with its own stream.
+        expected = np.reshape([rng.gaussians(4) for rng in rngs], (-1, 4))
+        assert np.array_equal(taken.gaussians(4), expected)
     # Drawing from the copies did not advance the parent.
     assert np.array_equal(lanes.gaussians(3), [scalar(k).gaussians(3) for k in range(9)])
 
@@ -221,6 +217,61 @@ def test_masked_observable_redraw_matches_scalar(basis3, min_norm):
     # The redrawn lanes were written back: every lane goes on where its
     # stream stands.
     assert np.array_equal(lanes.gaussians(2), [rng.gaussians(2) for rng in rngs])
+
+
+class _Counting(Xoshiro256pp):
+    """A scalar generator that counts its u64 draws."""
+
+    __slots__ = ("draws",)
+
+    def __init__(self, seed, stream):
+        super().__init__(seed, stream)
+        self.draws = 0
+
+    def next_u64(self):
+        self.draws += 1
+        return super().next_u64()
+
+
+@pytest.mark.parametrize("dim", range(2, 17))
+def test_jump_table_moves_a_try_ahead(dim):
+    # An appendix-c try draws 4 floor(N^2 / 2) + 2 N^2 u64s, and the jump
+    # table moves a state as that many generator steps do.
+    basis = basis_for(dim)
+    steps = cli._try_steps(basis)
+    assert steps == 4 * (dim * dim // 2) + 2 * dim * dim
+    rng = _Counting(5, 7)
+    draw_observable(rng, basis)
+    draw_observable(rng, basis)
+    sampling.draw_mixed(rng, basis)
+    assert rng.draws == steps
+    table = sampling._jump_table(steps)
+    assert table.shape == (64, 16, 4) and table.dtype == np.uint64
+    for seed in (0, 2**64 - 1):
+        lanes = XoshiroLanes(seed, [0, 1, 5, 2**40])
+        state = lanes._s.copy()
+        for _ in range(steps):
+            sampling._step(state)
+        assert np.array_equal(sampling._jump(lanes._s, table), state)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_ahead_copies_stand_tries_apart(seed):
+    streams = [3, 0, 9]
+    lanes = XoshiroLanes(seed, streams)
+    lanes.gaussians(3)  # 4 u64s: not at the start of a stream
+    ahead = lanes.ahead(4, 34)
+    assert ahead.streams.tolist() == streams * 4
+    rows = ahead.next_u64().reshape(4, 3)
+    for t in range(4):
+        for k, stream in enumerate(streams):
+            rng = Xoshiro256pp(seed, stream=stream)
+            for _ in range(4 + 34 * t):
+                rng.next_u64()
+            assert rows[t, k] == rng.next_u64()
+    # Drawing from the copies did not advance the parent.
+    expected = [Xoshiro256pp(seed, stream=k).gaussians(8)[4:7] for k in streams]
+    assert np.array_equal(lanes.gaussians(3), expected)
 
 
 def test_lanes_reject_bad_seeds_and_streams():
@@ -281,9 +332,9 @@ def test_first_failing_stream_raises_scalar_error(module, name, value, relation)
 # UnphysicalState outside the rejection loop's catch (the trace one also
 # makes observables raise), a tight consistency tolerance makes
 # observables raise ValueError, one or two tries raise RuntimeError for
-# each stream whose tries are all rejected (with two, lanes rejected on
-# lanes finish on the scalar path with one try left), and a variance
-# floor makes the check raise after the draw.
+# each stream whose tries are all rejected (with two, a lane rejected in
+# round 1 has one try left in round 2), and a variance floor makes the
+# check raise after the draw.
 _QUDIT_DRAW_FAILURES = [
     (bloch, "PSD_EIGENVALUE_FLOOR", 0.01, 3),
     (bloch, "_TRACE_ATOL", 1e-16, 3),
@@ -294,16 +345,16 @@ _QUDIT_DRAW_FAILURES = [
 _QUDIT_FAILURES = _QUDIT_DRAW_FAILURES + [(variance, "_NEGATIVE_VARIANCE_FLOOR", 0.25, 6)]
 
 
-@pytest.mark.parametrize("tail", _TAILS)
+@pytest.mark.parametrize("tries", _TRIES)
 @pytest.mark.parametrize("module,name,value,dim", _QUDIT_FAILURES)
-def test_first_failing_appendix_c_stream_raises_scalar_error(module, name, value, dim, tail):
+def test_first_failing_appendix_c_stream_raises_scalar_error(module, name, value, dim, tries):
     with mock.patch.object(module, name, value):
         failing = _failing_streams("appendix-c", 60, 3, dim)
         with _scalar_only(), pytest.raises(Exception) as scalar:
             cli._fuzz("appendix-c", dim, 60, 3, 0.0)
         with (
             mock.patch.object(sampling, "ENGINE_CHUNK", 16),
-            mock.patch.object(cli, "_LANES_MIN_PENDING", _cutoff(tail, 16)),
+            _tries_per_round(tries),
             pytest.raises(Exception) as lanes,
         ):
             cli._fuzz("appendix-c", dim, 60, 3, 0.0)
@@ -312,16 +363,13 @@ def test_first_failing_appendix_c_stream_raises_scalar_error(module, name, value
     assert 0 < failing[0] and len(failing) > 1
 
 
-@pytest.mark.parametrize("tail", _TAILS)
+@pytest.mark.parametrize("tries", _TRIES)
 @pytest.mark.parametrize("module,name,value,dim", _QUDIT_FAILURES)
-def test_appendix_c_lanes_flag_the_streams_scalar_rejects(module, name, value, dim, tail):
+def test_appendix_c_lanes_flag_the_streams_scalar_rejects(module, name, value, dim, tries):
     # Every failing stream, not only the first: a RuntimeError message
     # does not name its stream.  The variance floor fails the check, not
-    # the draw, on lanes rounds and on the scalar tail alike.
-    with (
-        mock.patch.object(module, name, value),
-        mock.patch.object(cli, "_LANES_MIN_PENDING", _cutoff(tail, 20)),
-    ):
+    # the draw, in round 1 and in later rounds alike.
+    with mock.patch.object(module, name, value), _tries_per_round(tries):
         margins, bad = cli._appendix_c_lanes(XoshiroLanes(3, range(20)), basis_for(dim))
         failing = _failing_streams("appendix-c", 20, 3, dim)
     assert failing and np.flatnonzero(bad).tolist() == failing
@@ -337,10 +385,69 @@ def test_nonzero_mean_tries_are_drawn_again(monkeypatch):
         cli, "_project_orthogonal_rows",
         lambda p, a, b: np.where((p[:, 0] > 0)[:, None], project_rows(p, a, b), p),
     )
-    with mock.patch.object(cli, "_LANES_MIN_PENDING", 0):
-        lanes = _margins("appendix-c", 40, 5, dim=3)
+    lanes = _margins("appendix-c", 40, 5, dim=3)
     with _scalar_only():
         assert np.array_equal(lanes, _margins("appendix-c", 40, 5, dim=3))
+
+
+def _spy_taken_tries(monkeypatch):
+    """Record the (redrew, left, tries) of every later appendix-c round."""
+    rounds = []
+    taken_tries = cli._taken_tries
+
+    def spy(rejected, redrew, left):
+        if rejected.size > left.size:
+            rounds.append((redrew, left, rejected.size // left.size))
+        return taken_tries(rejected, redrew, left)
+
+    monkeypatch.setattr(cli, "_taken_tries", spy)
+    return rounds
+
+
+@pytest.mark.parametrize("tries", _TRIES)
+@pytest.mark.parametrize("dim,min_norm", [(3, 2.6), (6, 5.9)])
+def test_redrawn_tries_match_scalar_loop(monkeypatch, tries, dim, min_norm):
+    # At these thresholds about half the observable draws are drawn
+    # again, so many tries end elsewhere than where the next one starts:
+    # such a try keeps its verdict, and its lane's later tries are void.
+    rounds = _spy_taken_tries(monkeypatch)
+    with (
+        mock.patch.object(sampling, "_MIN_NORM", min_norm),
+        mock.patch.object(sampling, "ENGINE_CHUNK", 16),
+        _tries_per_round(tries),
+    ):
+        lanes = _margins("appendix-c", 40, 5, dim=dim)
+        with _scalar_only():
+            assert np.array_equal(lanes, _margins("appendix-c", 40, 5, dim=dim))
+    assert (tries == 1) == (not rounds)
+    assert tries == 1 or any(redrew.any() for redrew, _, _ in rounds)
+
+
+@pytest.mark.parametrize("tries", _TRIES)
+@pytest.mark.parametrize("budget", [1, 2, 4])
+def test_appendix_c_budget_runs_out_as_scalar_loop(monkeypatch, tries, budget):
+    # Half the tries keep nonzero means, and redraws make lanes spend
+    # their tries unevenly, so that some lanes' budgets end before a
+    # round's last try: those lanes are bad, as the scalar loop raises.
+    project_rows = cli._project_orthogonal_rows
+    monkeypatch.setattr(
+        cli, "_project_orthogonal_rows",
+        lambda p, a, b: np.where((p[:, 0] > 0)[:, None], project_rows(p, a, b), p),
+    )
+    rounds = _spy_taken_tries(monkeypatch)
+    basis = basis_for(3)
+    with (
+        mock.patch.object(sampling, "_MIN_NORM", 2.6),
+        mock.patch.object(cli, "_APPENDIX_C_TRIES", budget),
+        _tries_per_round(tries),
+    ):
+        margins, bad = cli._appendix_c_lanes(XoshiroLanes(3, range(200)), basis)
+        failing = _failing_streams("appendix-c", 200, 3, 3)
+        for i in np.flatnonzero(~bad):
+            assert margins[i] == cli._sample("appendix-c", basis, 3, int(i), 0.0)[0].margin
+    assert failing and np.flatnonzero(bad).tolist() == failing
+    if budget == 4 and tries in (2, 5):
+        assert any((left < tries_).any() for _, left, tries_ in rounds)
 
 
 def _stack_draws(draws):
@@ -357,8 +464,8 @@ def _stack_draws(draws):
 
 
 @pytest.mark.parametrize("axis", [0, 1], ids=["a", "b"])
-@pytest.mark.parametrize("tail", _TAILS)
-def test_draws_accept_exactly_the_means_the_check_allows(monkeypatch, tail, axis):
+@pytest.mark.parametrize("tries", _TRIES)
+def test_draws_accept_exactly_the_means_the_check_allows(monkeypatch, tries, axis):
     # Raise the zero-mean tolerance to 1e-6 and shift each projected p
     # along a (or b), so that its tries' means spread over [0, 2e-6):
     # both draws must accept only tries the check passes, and some of
@@ -375,10 +482,7 @@ def test_draws_accept_exactly_the_means_the_check_allows(monkeypatch, tail, axis
         return project_rows(p, a, b) + (shift / row_dot(v, v))[:, None] * v
 
     monkeypatch.setattr(cli, "_project_orthogonal_rows", shifted_rows)
-    with (
-        mock.patch.object(sampling, "ENGINE_CHUNK", 16),
-        mock.patch.object(cli, "_LANES_MIN_PENDING", _cutoff(tail, 16)),
-    ):
+    with mock.patch.object(sampling, "ENGINE_CHUNK", 16), _tries_per_round(tries):
         lanes = _margins("appendix-c", 40, 5, dim=3)
     with _scalar_only():
         assert np.array_equal(lanes, _margins("appendix-c", 40, 5, dim=3))
@@ -396,7 +500,7 @@ def test_draws_accept_exactly_the_means_the_check_allows(monkeypatch, tail, axis
 
 def test_appendix_c_holds_at_its_own_tolerance(monkeypatch):
     # Margins of -5e-10 hold at appendix-c's 1e-9, not at the default 1e-10.
-    # Every lane stays on the lanes rounds, which the lanes checker scores.
+    # The lanes checker scores every lane.
     lanes = cli.check_appendix_c_batch
 
     def shifted(a, b, state):
@@ -404,8 +508,7 @@ def test_appendix_c_holds_at_its_own_tolerance(monkeypatch):
         return np.full_like(margins, -5e-10), bad
 
     monkeypatch.setattr(cli, "check_appendix_c_batch", shifted)
-    with mock.patch.object(cli, "_LANES_MIN_PENDING", 0):
-        summary = cli._fuzz("appendix-c", 3, 20, 0, 0.0)
+    summary = cli._fuzz("appendix-c", 3, 20, 0, 0.0)
     monkeypatch.setattr(
         cli, "check_appendix_c",
         lambda a, b, s, basis: relations._verdict("appendix_c", 0.0, 5e-10, relations.APPENDIX_C_TOL),
@@ -810,3 +913,74 @@ def test_d_contract_rows_match_1d(qudit):
     got = basis.d_contract(vec)
     assert got.flags.c_contiguous
     assert np.array_equal(got, _each(basis.d_contract, vec))
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _extreme_rows(rng, shape, complex_rows):
+    # Rows at scales from subnormal to overflow, a fifth of the entries
+    # +0 or -0, and in a stack a few non-finite entries.
+    x = rng.normal(size=shape)
+    if complex_rows:
+        x = x + 1j * rng.normal(size=shape)
+    x *= 10.0 ** rng.uniform(-315, 300, size=(shape[0],) + (1,) * (len(shape) - 1))
+    for part in (x.real, x.imag) if complex_rows else (x,):
+        zero = rng.random(shape) < 0.2
+        part[zero] = np.copysign(0.0, rng.normal(size=zero.sum()))
+    if shape[0] > 1:
+        bad = [np.inf, -np.nan, complex(1.0, np.inf) if complex_rows else -np.inf]
+        x.flat[rng.integers(x.size, size=3)] = bad
+    return x
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on purpose
+@pytest.mark.parametrize("dim", range(2, 17))
+def test_generator_kernels_match_dense_einsum(monkeypatch, dim):
+    # trace_rows and combine_rows against the dense einsums they replace,
+    # bit for bit, on one row and on stacks of several row blocks; the
+    # run sums also at N = 2, where the kernels take the dense call.
+    monkeypatch.setattr(sun_basis, "_BLOCK_BYTES", 4096)
+    basis = basis_for(dim)
+    stack, n2 = basis.stacked(), dim * dim
+    rng = np.random.default_rng(dim)
+    for rows in (1, 64):
+        m = _extreme_rows(rng, (rows, dim, dim), True)
+        p = _extreme_rows(rng, (rows, n2 - 1), False)
+        traces = np.einsum("nab,jba->nj", m, stack)
+        sums = np.einsum("nj,jab->nab", p, stack)
+        assert np.array_equal(_bits(basis.trace_rows(m)), _bits(traces))
+        assert np.array_equal(_bits(basis.combine_rows(p)), _bits(sums))
+        assert basis.trace_rows(m).flags.c_contiguous and basis.combine_rows(p).flags.c_contiguous
+        runs = sun_basis._run_sums(
+            m.reshape(rows, n2), basis._trace_runs,
+            lambda bad: np.einsum("nab,jba->nj", m[bad], stack),
+        )
+        assert np.array_equal(_bits(runs), _bits(traces))
+        runs = sun_basis._run_sums(
+            p, basis._combine_runs,
+            lambda bad: np.einsum("nj,jab->nab", p[bad], stack).reshape(-1, n2),
+        )
+        assert np.array_equal(_bits(runs), _bits(sums.reshape(rows, n2)))
+        assert np.isfinite(traces).all() == (rows == 1) and np.isfinite(traces).any()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on purpose
+@pytest.mark.parametrize("dim", range(2, 17))
+def test_d_contract_rows_match_1d_bit_for_bit(monkeypatch, dim):
+    # Finite rows, ±0 and subnormal entries included, bit for bit; rows
+    # with a non-finite entry are NaN where the 1-D call's are (which of
+    # two NaNs an addition keeps depends on numpy's loop).
+    monkeypatch.setattr(sun_basis, "_BLOCK_BYTES", 4096)
+    basis = basis_for(dim)
+    rng = np.random.default_rng(dim)
+    a = _extreme_rows(rng, (64, basis.n_generators), False)
+    a[:32] = np.where(np.isfinite(a[:32]), a[:32], -0.0) * 1e-150
+    zeros = np.copysign(0.0, rng.normal(size=(64, basis.n_generators)))  # signed-zero terms
+    a = np.concatenate([zeros, a])
+    got = basis.d_contract(a)
+    expected = _each(basis.d_contract, a)
+    assert got.flags.c_contiguous
+    assert np.array_equal(_bits(got[:96]), _bits(expected[:96]))
+    assert np.array_equal(got, expected, equal_nan=True)
