@@ -122,9 +122,9 @@ EXIT_VIOLATION = 1
 
 # Largest --dim of basis and verify: the largest N the sparse su(N) build,
 # its sparse closure check and verify's batched eigensolves are tested at.
-# At N = 16 a process takes about 0.4 s and 46 MB for 20 appendix-c
-# samples; a full 2048-stream chunk takes 1.3-1.6 s and 109 MB for
-# robertson, 6.6-8.7 s and 126 MB for appendix-c (2,100 samples, max
+# At N = 16 a process takes about 0.5 s and 46 MB for 20 appendix-c
+# samples; a full 2048-stream chunk takes 1.5-1.6 s and 111 MB for
+# robertson, 8.4-8.9 s and 120 MB for appendix-c (2,100 samples, max
 # RSS, 2 vCPU Xeon).
 MAX_DIM = 16
 
@@ -231,11 +231,11 @@ def _project_orthogonal_rows(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.
     return out
 
 
-def _appendix_c_draw(rng: Xoshiro256pp, basis, max_tries: int):
+def _appendix_c_draw(rng: Xoshiro256pp, basis):
     # Rejection sampling of (A, B, state): project the Bloch vector onto the
     # orthogonal complement of span{a, b}, then insist the reconstruction
     # is still physical.  Projection shrinks |p|, so acceptance is high.
-    for _ in range(max_tries):
+    for _ in range(_APPENDIX_C_TRIES):
         a = draw_observable(rng, basis)
         b = draw_observable(rng, basis)
         state = draw_mixed(rng, basis)
@@ -409,7 +409,7 @@ def _sample(relation: str, basis, seed: int, index: int, theta_ab: float) -> lis
     row = _RELATIONS[relation]
     rng = Xoshiro256pp(seed, stream=index)
     if row.states is None:
-        a, b, state = _appendix_c_draw(rng, basis, _APPENDIX_C_TRIES)
+        a, b, state = _appendix_c_draw(rng, basis)
     else:
         state = draw_state(row.states, rng, basis, index)
         a = b = None

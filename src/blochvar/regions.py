@@ -155,6 +155,44 @@ def _validate_samples(samples: np.ndarray, norms: list[float]) -> None:
             )
 
 
+def _scan(ensemble: SampleConfig, grid: float, norms: list, lanes, check, **fields) -> RegionScan:
+    """The lanes loop of both scans.  Each chunk of streams draws one
+    ``StateBatch``; ``lanes(state)`` returns its rows' squared variances
+    (one array an axis, each at most its ``norms`` entry), margins and
+    failed rows, and the first failing row is replayed as
+    ``check(state, index)`` on the scalar path (see the module
+    docstring).  ``fields`` are the scan's own ``RegionScan`` fields:
+    axes, theta_ab and boundary."""
+    n_cells = _check_grid(grid)
+    basis = basis_for(2)
+    count = ensemble.count
+    samples = np.empty((count, len(norms)))
+    purities = np.empty(count)
+    margins = np.empty(count)
+
+    def replay(index: int) -> None:
+        check(draw_state(ensemble.kind, Xoshiro256pp(ensemble.seed, stream=index), basis, index), index)
+
+    for rng in lane_chunks(ensemble.seed, count):
+        state = draw_state_batch(ensemble.kind, rng, basis)
+        values, margin, bad = lanes(state)
+        replay_first_bad(bad, rng, replay)
+        rows = slice(rng.streams[0], rng.streams[-1] + 1)
+        for k, x in enumerate(values):
+            samples[rows, k] = x
+        purities[rows] = state.purity
+        margins[rows] = margin
+    _validate_samples(samples, norms)
+    return RegionScan(
+        grid=grid,
+        samples=samples,
+        purities=purities,
+        margins=margins,
+        occupancy=_occupancy(samples, grid, n_cells),
+        **fields,
+    )
+
+
 def scan_pair(a: Observable, b: Observable, ensemble: SampleConfig, grid: float) -> RegionScan:
     """Scatter (ΔA², ΔB²) over a qubit ensemble.
 
@@ -166,58 +204,39 @@ def scan_pair(a: Observable, b: Observable, ensemble: SampleConfig, grid: float)
     ensembles with unit observables also get the analytic boundary
     attached.
     """
-    n_cells = _check_grid(grid)
+    _check_grid(grid)
     if a.dim != 2 or b.dim != 2 or ensemble.dim != 2:
         raise DimensionMismatch("pair scans are defined for qubit observables and ensembles only")
     if max(a.norm2, b.norm2) > 1.0 + 1e-12:
         raise ValueError("occupancy grid covers [0, 1]; use |a| <= 1 observables")
-    basis = basis_for(2)
-    count = ensemble.count
-    samples = np.empty((count, 2))
-    purities = np.empty(count)
-    margins = np.empty(count)
 
-    def replay(index: int) -> None:
-        state = draw_state(ensemble.kind, Xoshiro256pp(ensemble.seed, stream=index), basis, index)
-        variance_bloch(a, state, basis)
-        variance_bloch(b, state, basis)
+    def lanes(state):
+        ra = repeat_observable(a, state.p.shape[0])
+        rb = repeat_observable(b, state.p.shape[0])
+        da2, bad_a = variance_bloch_batch(ra, state)
+        db2, bad_b = variance_bloch_batch(rb, state)
+        margin, bad = check_theorem1_batch(ra, rb, state)
+        return (da2, db2), margin, bad | bad_a | bad_b | ~(margin >= _SCAN_MARGIN_FLOOR)
+
+    def check(state, index: int) -> None:
+        variance_bloch(a, state, basis_for(2))
+        variance_bloch(b, state, basis_for(2))
         margin = check_theorem1(a, b, state).margin
         if not margin >= _SCAN_MARGIN_FLOOR:  # also rejects NaN
             raise NumericsError(f"sample {index} violates the qubit bound: {margin!r}")
 
-    for rng in lane_chunks(ensemble.seed, count):
-        state = draw_state_batch(ensemble.kind, rng, basis)
-        ra = repeat_observable(a, rng.streams.size)
-        rb = repeat_observable(b, rng.streams.size)
-        da2, bad_a = variance_bloch_batch(ra, state)
-        db2, bad_b = variance_bloch_batch(rb, state)
-        margin, bad = check_theorem1_batch(ra, rb, state)
-        bad |= bad_a | bad_b | ~(margin >= _SCAN_MARGIN_FLOOR)
-        replay_first_bad(bad, rng, replay)
-        rows = slice(rng.streams[0], rng.streams[-1] + 1)
-        samples[rows, 0] = da2
-        samples[rows, 1] = db2
-        purities[rows] = state.purity
-        margins[rows] = margin
-    _validate_samples(samples, [a.norm2, b.norm2])
     theta_ab = _axis_angle(a, b)
     boundary = None
     if ensemble.kind == "haar_pure" and abs(a.norm2 - 1.0) < 1e-9 and abs(b.norm2 - 1.0) < 1e-9:
         boundary = _pair_boundary(theta_ab)
-    return RegionScan(
-        axes=("dA2", "dB2"),
-        theta_ab=theta_ab,
-        grid=grid,
-        samples=samples,
-        purities=purities,
-        margins=margins,
-        occupancy=_occupancy(samples, grid, n_cells),
-        boundary=boundary,
+    return _scan(
+        ensemble, grid, [a.norm2, b.norm2], lanes, check,
+        axes=("dA2", "dB2"), theta_ab=theta_ab, boundary=boundary,
     )
 
 
-def _pair_boundary(theta_ab: float, points: int = 1001) -> np.ndarray:
-    theta = np.linspace(0.0, math.pi / 2.0, points)
+def _pair_boundary(theta_ab: float) -> np.ndarray:
+    theta = np.linspace(0.0, math.pi / 2.0, 1001)
     da2 = np.sin(theta) ** 2
     lower = np.sin(theta_ab - theta) ** 2
     upper = np.sin(theta_ab + theta) ** 2
@@ -238,55 +257,35 @@ def scan_triple(theta_ab: float, ensemble: SampleConfig, grid: float) -> RegionS
     the module docstring).  ``boundary`` carries a parametric grid of the
     surface.
     """
-    n_cells = _check_grid(grid)
+    _check_grid(grid)
     if ensemble.dim != 2 or ensemble.kind != "haar_pure":
         raise ValueError("triple scans are defined for pure qubit ensembles only")
     if not -1e-12 <= theta_ab <= math.pi + 1e-12:
         raise ValueError(f"theta_ab = {theta_ab!r} outside [0, pi]")
-    basis = basis_for(2)
     cos_t = math.cos(theta_ab)
     sin_t = math.sin(theta_ab)
-    count = ensemble.count
-    samples = np.empty((count, 3))
-    purities = np.empty(count)
-    margins = np.empty(count)
 
-    def replay(index: int) -> None:
-        state = draw_state(ensemble.kind, Xoshiro256pp(ensemble.seed, stream=index), basis, index)
+    def lanes(state):
+        residual, bad = check_three_observable_equality_batch(theta_ab, state)
+        p = state.p
+        uvw = (p[:, 0], p[:, 0] * cos_t + p[:, 1] * sin_t, p[:, 2])
+        values = [py_max(1.0 - x * x, 0.0) for x in uvw]
+        return values, residual, bad | ~(np.abs(residual) <= _SURFACE_TOL)
+
+    def check(state, index: int) -> None:
         residual = check_three_observable_equality(theta_ab, state).margin
         if not abs(residual) <= _SURFACE_TOL:  # also rejects NaN
             raise NumericsError(f"sample {index} misses the certainty surface: {residual!r}")
 
-    for rng in lane_chunks(ensemble.seed, count):
-        state = draw_state_batch(ensemble.kind, rng, basis)
-        residual, bad = check_three_observable_equality_batch(theta_ab, state)
-        bad |= ~(np.abs(residual) <= _SURFACE_TOL)
-        replay_first_bad(bad, rng, replay)
-        p = state.p
-        u = p[:, 0]
-        v = p[:, 0] * cos_t + p[:, 1] * sin_t
-        w = p[:, 2]
-        rows = slice(rng.streams[0], rng.streams[-1] + 1)
-        for k, x in enumerate((u, v, w)):
-            samples[rows, k] = py_max(1.0 - x * x, 0.0)
-        purities[rows] = state.purity
-        margins[rows] = residual
-    _validate_samples(samples, [1.0, 1.0, 1.0])
-    return RegionScan(
-        axes=("dA2", "dB2", "dC2"),
-        theta_ab=theta_ab,
-        grid=grid,
-        samples=samples,
-        purities=purities,
-        margins=margins,
-        occupancy=_occupancy(samples, grid, n_cells),
-        boundary=_triple_surface(theta_ab),
+    return _scan(
+        ensemble, grid, [1.0, 1.0, 1.0], lanes, check,
+        axes=("dA2", "dB2", "dC2"), theta_ab=theta_ab, boundary=_triple_surface(theta_ab),
     )
 
 
-def _triple_surface(theta_ab: float, n_theta: int = 61, n_phi: int = 121) -> np.ndarray:
+def _triple_surface(theta_ab: float) -> np.ndarray:
     theta, phi = np.meshgrid(
-        np.linspace(0.0, math.pi, n_theta), np.linspace(0.0, 2.0 * math.pi, n_phi)
+        np.linspace(0.0, math.pi, 61), np.linspace(0.0, 2.0 * math.pi, 121)
     )
     u = np.sin(theta) * np.cos(phi)
     v = np.sin(theta) * np.cos(phi - theta_ab)
@@ -296,14 +295,14 @@ def _triple_surface(theta_ab: float, n_theta: int = 61, n_phi: int = 121) -> np.
     )
 
 
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, float, int]:
-    """Golden-section minimum of f on [lo, hi]; returns (x, f(x), evals)."""
+def _golden_min(f, lo: float, hi: float) -> tuple[float, float, int]:
+    """Golden-section minimum of f on [lo, hi] to 1e-12; returns (x, f(x), evals)."""
     c = hi - _GOLDEN_INV * (hi - lo)
     d = lo + _GOLDEN_INV * (hi - lo)
     fc = f(c)
     fd = f(d)
     evals = 2
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - _GOLDEN_INV * (hi - lo)

@@ -47,10 +47,11 @@ same nonzero entries for the products g_j g_k, and the stored f and d
 maps, expanded over orderings, for the side rebuilt from them.
 
 The stacked contractions (``d_contract`` on rows, ``trace_rows`` and
-``combine_rows``) add only nonzero terms, from tables built once per
-basis (234 of the 9,900 entries of the N = 10 generator stack are
-nonzero), each component's in the order of the call they stand for,
-so they are bit-identical to it.
+``combine_rows``) share one kernel, ``_run_sums``: each adds only
+nonzero terms (234 of the 9,900 entries of the N = 10 generator stack
+are nonzero), from a table built once per basis by ``_term_table``,
+each component's in the order of the call it stands for, so it is
+bit-identical to that call.
 """
 
 from __future__ import annotations
@@ -106,31 +107,21 @@ class GeneratorBasis:
         self.d_tensor = MappingProxyType(d_tensor)
         self._stack = stack
         self._d_ordered = d_ordered
-        # The d entries by run, each run padded to the first run's width
-        # with a term 0 * 0 * 0 (index ngen reads a zero row): adding +0
-        # leaves a sum from +0 unchanged, as it is never -0.  The indices
-        # take the smallest integer type that holds them.
+        # The terms of each contraction in the order of the call it stands
+        # for: d's in the 1-D call's (np.add.at adds in index order), the
+        # generators' nonzeros g_j[b, a] in ascending row a of m[a, b] for
+        # the trace and in ascending j for the combination, as the dense
+        # einsums meet them.
         jj, kk, ll, vv = d_ordered
         ngen = dim * dim - 1
-        place, rank = _ranked_runs(ll, ngen)
-        sizes = np.bincount(rank)
-        padded = np.full((2, sizes.size, sizes.max(initial=0)), ngen, dtype=np.min_scalar_type(ngen))
-        values = np.zeros(padded.shape[1:] + (1,))
-        padded[:, rank, place[ll]] = jj, kk
-        values[rank, place[ll], 0] = vv
-        self._d_runs = _permutation(place), sizes.tolist(), *padded, values
-        # The generators' nonzeros g_j[b, a], in ascending row a of m[a, b]
-        # for the trace and ascending j for the combination: the order in
-        # which the dense einsums meet them.
+        self._d_runs = _term_table(ll, ngen, vv, jj, kk)
         j, b, a = np.nonzero(stack)
         by_j = np.lexsort((a, j))
-        self._trace_runs = _term_table(
-            j[by_j], dim * dim - 1, (a * dim + b)[by_j], stack[j, b, a][by_j]
-        )
-        flat = stack.reshape(dim * dim - 1, dim * dim)
+        self._trace_runs = _term_table(j[by_j], ngen, stack[j, b, a][by_j], (a * dim + b)[by_j])
+        flat = stack.reshape(ngen, dim * dim)
         j, ab = np.nonzero(flat)
         by_ab = np.lexsort((j, ab))
-        self._combine_runs = _term_table(ab[by_ab], dim * dim, j[by_ab], flat[j, ab][by_ab])
+        self._combine_runs = _term_table(ab[by_ab], dim * dim, flat[j, ab][by_ab], j[by_ab])
 
     @property
     def n_generators(self) -> int:
@@ -157,30 +148,9 @@ class GeneratorBasis:
             return out
         if a.ndim != 2 or a.shape[1] != n:
             raise ValueError(f"expected vectors of length {n}")
-        # Adding the runs in order sums every component in the 1-D call's
-        # order (np.add.at adds in index order).  A group of runs is added
-        # by one reduction over its first axis, which adds in order; its
-        # temporaries hold at most _BLOCK_BYTES, or one run.  Rows run
-        # along the contiguous axis.
-        place, sizes, jj, kk, vv = self._d_runs
-        cols = np.zeros((n + 1, a.shape[0]))
-        cols[:n] = a.T
-        out = np.zeros((n, a.shape[0]))
-        r = 0
-        while r < len(sizes):
-            size = sizes[r]
-            group = slice(r, r + max(1, _BLOCK_BYTES // (8 * size * a.shape[0] or 1)))
-            terms = cols[jj[group, :size]]
-            terms *= cols[kk[group, :size]]
-            terms *= vv[group, :size]
-            terms[0] += out[:size]
-            np.add.reduce(terms, axis=0, out=out[:size])
-            r = group.stop
-        if place is None:
-            return np.ascontiguousarray(out.T)
-        rows = np.empty((a.shape[0], n))
-        np.take(out, place, axis=0, out=rows.T, mode="clip")  # unbuffered: place is in range
-        return rows
+        if self.dim == 2:  # d is zero
+            return np.zeros(a.shape)
+        return _run_sums(a, self._d_runs, lambda rows: np.reshape([self.d_contract(r) for r in a[rows]], (-1, n)))
 
     def trace_rows(self, m: np.ndarray) -> np.ndarray:
         """Tr[m[i] g_j] for each row of an (n, N, N) stack: the (n, N²-1)
@@ -209,70 +179,93 @@ class GeneratorBasis:
         return f"GeneratorBasis(dim={self.dim})"
 
 
-def _ranked_runs(dst: np.ndarray, width: int) -> tuple:
-    """Terms that add into components ``dst`` of a ``width``-vector, each
-    component's terms listed in its summation order, arranged to be added
-    a run at a time.  The components are permuted by decreasing term
-    count, and run r holds the r-th term of each component that has one:
-    it names each component once, and they are a prefix of the permuted
-    ones.  Returns (place, rank): component c is at ``place[c]`` of the
-    permuted order, and term t is in run ``rank[t]``."""
+# The one kernel's temporaries: a block holds _BLOCK_ROWS rows, and runs
+# are grouped once, when the basis is built, so that a group's terms hold
+# at most _BLOCK_BYTES at that many rows, unless one run needs more.  At
+# N = 6 and 10, 128 rows and 512 KB ran d_contract on the 16 to 95 rows
+# of the bench's jobs as fast as groups sized to 64 KB at the call's
+# rows, or up to 2.5x as fast, and every kernel on 2,048 rows at N = 10
+# and 16 as fast or faster; one block of 2,048 rows took 1.5-3.5x as long
+# there (2 vCPU Xeon).
+_BLOCK_BYTES = 1 << 19
+_BLOCK_ROWS = 128
+
+
+def _term_table(dst: np.ndarray, width: int, val: np.ndarray, *src: np.ndarray) -> tuple:
+    """The table ``_run_sums`` reads for the sums Σ x[src[0]] * ... * val
+    into components ``dst`` of a ``width``-vector, each component's terms
+    listed in its summation order.  The components are permuted by
+    decreasing term count, and run r holds the r-th term of each component
+    that has one: it names each component once, and they are a prefix of
+    the permuted ones.  Consecutive runs form groups (see _BLOCK_BYTES),
+    each padded to its first run's width with terms that read column 0
+    times 0.  Returns (place: component c is at ``place[c]`` of the
+    permuted order; for each group, its src and val), the indices in the
+    smallest integer type that holds them."""
     counts = np.bincount(dst, minlength=width)
     place = np.empty(width, dtype=np.intp)
     place[np.argsort(-counts, kind="stable")] = np.arange(width)
     by_dst = np.argsort(dst, kind="stable")
     rank = np.empty(dst.size, dtype=np.intp)
     rank[by_dst] = np.arange(dst.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    return place, rank
-
-
-def _term_table(dst: np.ndarray, width: int, src: np.ndarray, val: np.ndarray) -> tuple:
-    """The table ``_run_sums`` reads for the sums Σ x[src] * val into
-    components ``dst`` (in summation order), every component with a term:
-    (place, or None for the identity; src and val run by run, each run in
-    permuted order; the run bounds)."""
-    place, rank = _ranked_runs(dst, width)
-    order = np.lexsort((place[dst], rank))
-    bounds = [0] + np.cumsum(np.bincount(rank)).tolist()
-    assert bounds[1] == width
-    return _permutation(place), src[order], val[order], bounds
-
-
-def _permutation(place: np.ndarray):
-    # ``place``, or None for the identity, which needs no un-permuting.
-    return None if np.array_equal(place, np.arange(place.size)) else place
-
-
-# Bytes that the temporaries of d_contract, trace_rows and combine_rows
-# hold at most, unless one run or one row needs more.
-_BLOCK_BYTES = 1 << 16
+    sizes = np.bincount(rank)
+    dtype = np.min_scalar_type(max(s.max(initial=0) for s in src))
+    # Each group is filled on its own: building and freeing one padded
+    # table of every run (0.5 MB for d at N = 16) raised glibc's mmap
+    # threshold, and with it the max RSS of verify appendix-c --dim 16 by
+    # 8 MB.
+    groups = []
+    r = 0
+    while r < sizes.size:
+        size = sizes[r]
+        stop = min(sizes.size, r + max(1, _BLOCK_BYTES // (val.itemsize * size * _BLOCK_ROWS)))
+        t = (rank >= r) & (rank < stop)
+        index = np.zeros((len(src), stop - r, size), dtype=dtype)
+        values = np.zeros(index.shape[1:] + (1,), dtype=val.dtype)
+        index[:, rank[t] - r, place[dst[t]]] = [s[t] for s in src]
+        values[rank[t] - r, place[dst[t]], 0] = val[t]
+        groups.append((index, values))
+        r = stop
+    return place, groups
 
 
 def _run_sums(x: np.ndarray, table: tuple, dense) -> np.ndarray:
-    """Each row's sums Σ x[src] * val by ``table`` (``_term_table``), one
-    complex addition at a time from +0, run by run: the nonzero terms of a
-    dense einsum with a sparse operand, in its order.  Its zero terms
-    (finite × 0, a signed zero) leave such a sum unchanged, so rows whose
-    sums are finite equal the einsum's bit for bit.  The others, where a
-    non-finite entry meets a zero (inf × 0 is NaN) or where which NaN
-    survives depends on numpy's loop, are recomputed as ``dense(rows)``.
+    """Each row's sums Σ x[src[0]] * ... * val by ``table``
+    (``_term_table``), one addition at a time from +0, run by run: the
+    nonzero terms of a dense einsum with a sparse operand, or of the 1-D
+    ``d_contract``, in its order.  The einsum's zero terms and the padding
+    (finite × 0, a signed zero) leave such a sum unchanged, as it is never
+    -0, so rows whose sums are finite equal the call bit for bit.  The
+    others, where a non-finite entry or an overflow meets a zero (inf × 0
+    is NaN) or where which NaN survives depends on numpy's loop, are
+    recomputed as ``dense(rows)``.
+
+    A block of rows is transposed so that rows run along the contiguous
+    axis.  A group of runs is one gather per source, in-place products and
+    one ``np.add.reduce`` over its first axis, which adds in order.  (numpy
+    adds a reduction over one-element rows pairwise instead; at one row
+    that takes a group of several runs of width 1, and these tables have
+    at most one such run, their last.)
 
     At N = 2 half the entries of the generators are nonzero, and one dense
     einsum call beats the several calls of the runs at the 75 to 150 rows
-    of a qubit job (8 against 17 us for a trace, 2 vCPU Xeon), so the
-    kernels take it there."""
-    place, src, val, bounds = table
-    out = np.empty((x.shape[0], bounds[1]), dtype=np.complex128)
-    step = max(1, _BLOCK_BYTES // (16 * src.size))
-    for lo in range(0, x.shape[0], step):
-        terms = x[lo : lo + step].take(src, axis=1) * val  # real x promotes as in einsum
-        sums = out[lo : lo + step] if place is None else np.empty_like(out[: terms.shape[0]])
-        np.add(terms[:, : bounds[1]], 0.0, out=sums)  # run 0 from +0: it covers every component
-        for first, end in zip(bounds[1:-1], bounds[2:]):
-            sums[:, : end - first] += terms[:, first:end]
-        del terms
-        if place is not None:
-            np.take(sums, place, axis=1, out=out[lo : lo + step], mode="clip")  # unbuffered
+    of a qubit job (8 against 17 us for a trace, 2 vCPU Xeon), so
+    ``trace_rows`` and ``combine_rows`` take it there."""
+    place, groups = table
+    out = np.empty((x.shape[0], place.size), dtype=np.result_type(x, *(v for _, v in groups)))
+    for lo in range(0, x.shape[0], _BLOCK_ROWS):
+        block = x[lo : lo + _BLOCK_ROWS]
+        cols = np.ascontiguousarray(block.T, dtype=out.dtype)
+        sums = np.zeros((place.size, block.shape[0]), dtype=out.dtype)
+        for index, values in groups:
+            size = values.shape[1]
+            terms = cols[index[0]]
+            for src in index[1:]:
+                terms *= cols[src]
+            terms *= values
+            terms[0] += sums[:size]
+            np.add.reduce(terms, axis=0, out=sums[:size])
+        np.take(sums, place, axis=0, out=out[lo : lo + block.shape[0]].T, mode="clip")  # unbuffered
     if not np.isfinite(out.sum()):  # a sum of finite numbers may overflow too
         rows = ~np.isfinite(out).all(axis=1)
         out[rows] = dense(rows)

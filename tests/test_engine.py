@@ -487,7 +487,7 @@ def test_draws_accept_exactly_the_means_the_check_allows(monkeypatch, tries, axi
     with _scalar_only():
         assert np.array_equal(lanes, _margins("appendix-c", 40, 5, dim=3))
     basis = basis_for(3)
-    draws = [cli._appendix_c_draw(Xoshiro256pp(5, stream=i), basis, 200) for i in range(40)]
+    draws = [cli._appendix_c_draw(Xoshiro256pp(5, stream=i), basis) for i in range(40)]
     means = [max(abs(float(a.a @ s.p)), abs(float(b.a @ s.p))) for a, b, s in draws]
     assert tol / 2 < max(means) <= tol
     widest = int(np.argmax(means))
@@ -707,7 +707,7 @@ def test_qudit_checkers_flag_the_rows_scalar_rejects(relation, dim):
     # a fresh mixed state, whose nonzero means appendix-c rejects.
     basis = basis_for(dim)
     a, b, state = _stack_draws(
-        [cli._appendix_c_draw(Xoshiro256pp(6, stream=i), basis, 200) for i in range(45)]
+        [cli._appendix_c_draw(Xoshiro256pp(6, stream=i), basis) for i in range(45)]
     )
     mixed = sampling.draw_state_batch("hs_mixed", XoshiroLanes(7, range(45)), basis)
     swap = np.arange(45) % 3 == 0
@@ -937,15 +937,15 @@ def _extreme_rows(rng, shape, complex_rows):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on purpose
 @pytest.mark.parametrize("dim", range(2, 17))
-def test_generator_kernels_match_dense_einsum(monkeypatch, dim):
+def test_generator_kernels_match_dense_einsum(dim):
     # trace_rows and combine_rows against the dense einsums they replace,
-    # bit for bit, on one row and on stacks of several row blocks; the
-    # run sums also at N = 2, where the kernels take the dense call.
-    monkeypatch.setattr(sun_basis, "_BLOCK_BYTES", 4096)
+    # bit for bit, on one row, on 64 and on a stack that spans three row
+    # blocks; the run sums also at N = 2, where the kernels take the dense
+    # call.
     basis = basis_for(dim)
     stack, n2 = basis.stacked(), dim * dim
     rng = np.random.default_rng(dim)
-    for rows in (1, 64):
+    for rows in (1, 64, 2 * sun_basis._BLOCK_ROWS + 3):
         m = _extreme_rows(rng, (rows, dim, dim), True)
         p = _extreme_rows(rng, (rows, n2 - 1), False)
         traces = np.einsum("nab,jba->nj", m, stack)
@@ -968,11 +968,10 @@ def test_generator_kernels_match_dense_einsum(monkeypatch, dim):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on purpose
 @pytest.mark.parametrize("dim", range(2, 17))
-def test_d_contract_rows_match_1d_bit_for_bit(monkeypatch, dim):
-    # Finite rows, ±0 and subnormal entries included, bit for bit; rows
-    # with a non-finite entry are NaN where the 1-D call's are (which of
-    # two NaNs an addition keeps depends on numpy's loop).
-    monkeypatch.setattr(sun_basis, "_BLOCK_BYTES", 4096)
+def test_d_contract_rows_match_1d_bit_for_bit(dim):
+    # Every row bit for bit: finite ones, ±0 and subnormal entries
+    # included, and those with a non-finite entry, which the stacked call
+    # recomputes with the 1-D one.
     basis = basis_for(dim)
     rng = np.random.default_rng(dim)
     a = _extreme_rows(rng, (64, basis.n_generators), False)
@@ -982,5 +981,9 @@ def test_d_contract_rows_match_1d_bit_for_bit(monkeypatch, dim):
     got = basis.d_contract(a)
     expected = _each(basis.d_contract, a)
     assert got.flags.c_contiguous
-    assert np.array_equal(_bits(got[:96]), _bits(expected[:96]))
-    assert np.array_equal(got, expected, equal_nan=True)
+    assert np.array_equal(_bits(got), _bits(expected))
+    assert np.isfinite(got[96:]).all() == (dim == 2)  # d is zero at N = 2
+    # Finite rows whose sums overflow only together: none is recomputed.
+    big = np.zeros((64, basis.n_generators))
+    big[:, -1] = 1e154
+    assert np.array_equal(basis.d_contract(big), _each(basis.d_contract, big))
