@@ -196,10 +196,12 @@ _APPENDIX_C_TRIES = 200
 # many tries over the pending count, at least one, side by side (see
 # ``_appendix_c_lanes``).  A lanes round costs about the same at a few
 # rows as at a few dozen, and 89%, 47% and 28% of the tries pass at
-# N = 3, 6 and 10.  Of 16, 32, 48, 64 and 96, 48 and 64 ran the bench's
-# appendix-c jobs fastest (an N = 10 job in about 50 ms, against 116 ms
-# at one try a lane), and 48 holds less memory.
-_APPENDIX_C_ROUND_ROWS = 48
+# N = 3, 6 and 10.  With segmented draws (``XoshiroLanes.uniforms``) a
+# later round costs more per row than it did stepped.  Of 16, 24, 32, 48,
+# 64 and 96, 32 ran the bench's appendix-c jobs fastest, level with 24 on
+# seed 0 (one pass, best of 5, 2 vCPU Xeon): an N = 10 job in 26-27 ms,
+# against 30-31 ms at 48 and 40-44 ms at 64 and 96.
+_APPENDIX_C_ROUND_ROWS = 32
 
 
 def _round_tries(pending: int) -> int:

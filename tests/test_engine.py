@@ -10,8 +10,9 @@ pin:
 * margins and `_fuzz` summaries equal to the loop's bit for bit, across
   chunk boundaries, seeds 0 and 2**64 - 1 included, at N = 2 and at
   N = 3, 6 and 10;
-* the lane RNG, narrowed generators (`take`), re-draws and jumps
-  (`ahead`) included, equal to `Xoshiro256pp`;
+* the lane RNG, narrowed generators (`take`), re-draws, jumps
+  (`ahead`) and segmented draws included, equal to `Xoshiro256pp`, with
+  every engine path run with all draws segmented and with none;
 * the same exception, raised for the same first failing stream;
 * each numpy-vs-scalar equality the engine relies on, at N = 2 and per
   N up to the dimension cap, so that a numpy or libm upgrade that
@@ -102,8 +103,29 @@ def _tries_per_round(tries):
     return mock.patch.object(cli, "_round_tries", lambda pending: tries)
 
 
+# How the lanes draw their uniforms: as `_segment_steps` picks, every
+# draw of two or more segments in segments, or every draw stepped.
+_DRAWS = ["default", "segmented", "stepped"]
+
+
+def _every_draw_segmented(lanes, k):
+    m = round(math.sqrt(3 * k))
+    return m if m < k else 0
+
+
+def _draws(regime):
+    """Patch that sends the lanes draws through ``regime``."""
+    rule = {
+        "default": sampling._segment_steps,
+        "segmented": _every_draw_segmented,
+        "stepped": lambda lanes, k: 0,
+    }[regime]
+    return mock.patch.object(sampling, "_segment_steps", rule)
+
+
+@pytest.mark.parametrize("draws", _DRAWS)
 @pytest.mark.parametrize("relation", QUDIT_RELATIONS)
-@pytest.mark.parametrize("dim", [3, 6, 10])
+@pytest.mark.parametrize("dim", [2, 3, 6, 10])
 @settings(max_examples=5, deadline=None)
 @given(
     seed=SEEDS, samples=st.integers(1, 30), chunk=st.integers(1, 16), tries=st.sampled_from(_TRIES)
@@ -111,8 +133,8 @@ def _tries_per_round(tries):
 @example(seed=0, samples=30, chunk=16, tries=1)
 @example(seed=2**64 - 1, samples=29, chunk=16, tries="default")
 @example(seed=1729, samples=17, chunk=16, tries=5)
-def test_qudit_engine_matches_scalar_loop(relation, dim, seed, samples, chunk, tries):
-    with mock.patch.object(sampling, "ENGINE_CHUNK", chunk), _tries_per_round(tries):
+def test_qudit_engine_matches_scalar_loop(relation, dim, draws, seed, samples, chunk, tries):
+    with mock.patch.object(sampling, "ENGINE_CHUNK", chunk), _tries_per_round(tries), _draws(draws):
         lanes = _margins(relation, samples, seed, dim=dim)
         summary = cli._fuzz(relation, dim, samples, seed, math.pi / 4.0)
     with _scalar_only():
@@ -274,6 +296,62 @@ def test_ahead_copies_stand_tries_apart(seed):
     assert np.array_equal(lanes.gaussians(3), expected)
 
 
+def _stepped_uniforms(rng, k):
+    with _draws("stepped"):
+        return rng.uniforms(k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=SEEDS,
+    lanes=st.integers(1, 900),
+    k=st.integers(1, 512),
+    m=st.integers(1, 64),
+    drawn=st.integers(0, 3),
+)
+@example(seed=0, lanes=1, k=5, m=9, drawn=0)  # k < m
+@example(seed=1, lanes=600, k=24, m=24, drawn=1)  # k = m
+@example(seed=2**64 - 1, lanes=48, k=200, m=24, drawn=2)  # k not a multiple of m
+@example(seed=3, lanes=16, k=400, m=20, drawn=0)  # k a multiple of m
+def test_segmented_draw_matches_stepped(seed, lanes, k, m, drawn):
+    # From 1 lane to past where ``_segment_steps`` stops segmenting, at
+    # any segment length: the same bits, and every lane left where its
+    # k-th u64 leaves it.
+    rng = XoshiroLanes(seed, np.arange(lanes) * 7 + 2)
+    rng.gaussians(drawn)
+    segmented = rng.take(np.arange(lanes))
+    expected = _stepped_uniforms(rng, k)
+    got = segmented._segmented(k, m) * 2.0**-53
+    assert got.shape == (lanes, k)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    assert np.array_equal(segmented.state(), rng.state())
+    assert np.array_equal(segmented.next_u64(), rng.next_u64())
+
+
+def test_segment_rule():
+    # Small draws and wide chunks step; a qudit draw on a few dozen lanes
+    # goes in segments of about sqrt(3k), their count set by k alone.
+    assert [sampling._segment_steps(1, k) for k in (1, 2, 3, 4)] == [0, 0, 0, 0]
+    assert sampling._segment_steps(250, 8) == 0  # N = 2 at the bench's sizes
+    assert sampling._segment_steps(sampling.ENGINE_CHUNK, 512) == 0  # N = 16
+    assert sampling._segment_steps(16, 200) == sampling._segment_steps(48, 200) == 24
+    assert sampling._segment_steps(45, 36) == 10
+
+
+def test_qudit_jobs_build_few_jump_tables():
+    # One pass over the bench's N-level jobs builds a table per try
+    # length and per segment length: at most three per dimension, 32 KB
+    # each, where the try tables alone are one per dimension.
+    samples = {"appendix-c": {3: 110, 6: 45, 10: 16}, "robertson": {3: 150, 6: 95, 10: 45}}
+    sampling._jump_table.cache_clear()
+    for relation, by_dim in samples.items():
+        for dim, count in by_dim.items():
+            cli._fuzz(relation, dim, count, 0, math.pi / 4.0)
+    built = sampling._jump_table.cache_info().currsize
+    assert 3 < built <= 3 * 3
+    assert sampling._jump_table(34).nbytes == 32 * 1024
+
+
 def test_lanes_reject_bad_seeds_and_streams():
     with pytest.raises(ValueError):
         XoshiroLanes(-1, [0])
@@ -404,17 +482,21 @@ def _spy_taken_tries(monkeypatch):
     return rounds
 
 
+@pytest.mark.parametrize("draws", _DRAWS)
 @pytest.mark.parametrize("tries", _TRIES)
 @pytest.mark.parametrize("dim,min_norm", [(3, 2.6), (6, 5.9)])
-def test_redrawn_tries_match_scalar_loop(monkeypatch, tries, dim, min_norm):
+def test_redrawn_tries_match_scalar_loop(monkeypatch, tries, dim, min_norm, draws):
     # At these thresholds about half the observable draws are drawn
     # again, so many tries end elsewhere than where the next one starts:
     # such a try keeps its verdict, and its lane's later tries are void.
+    # Segmented draws must leave each lane where its stream stands for
+    # that test to hold.
     rounds = _spy_taken_tries(monkeypatch)
     with (
         mock.patch.object(sampling, "_MIN_NORM", min_norm),
         mock.patch.object(sampling, "ENGINE_CHUNK", 16),
         _tries_per_round(tries),
+        _draws(draws),
     ):
         lanes = _margins("appendix-c", 40, 5, dim=dim)
         with _scalar_only():

@@ -54,6 +54,24 @@ def test_rng_takes_numpy_integers():
         Xoshiro256pp(11, stream=3.0)
 
 
+def test_lanes_take_numpy_integers_and_reject_floats():
+    # As the scalar generator does: a float seed or stream would
+    # otherwise draw the stream of its truncation.
+    lanes = XoshiroLanes(np.uint64(2**64 - 1), np.array([3, 2**40], dtype=np.uint64))
+    refs = [Xoshiro256pp(2**64 - 1, k) for k in (3, 2**40)]
+    assert lanes.next_u64().tolist() == [ref.next_u64() for ref in refs]
+    lanes = XoshiroLanes(np.int64(11), [np.int32(3)])
+    assert lanes.next_u64().tolist() == [Xoshiro256pp(11, 3).next_u64()]
+    with pytest.raises(TypeError):
+        XoshiroLanes(1.5, [0])
+    with pytest.raises(TypeError):
+        XoshiroLanes(11, [0.5])
+    with pytest.raises(TypeError):
+        XoshiroLanes(11, np.array([0.0, 1.0]))
+    with pytest.raises(TypeError):
+        XoshiroLanes(11, [True, False])
+
+
 def test_gaussians_consume_whole_pairs():
     r1 = Xoshiro256pp(5)
     r2 = Xoshiro256pp(5)
