@@ -280,12 +280,13 @@ class ObservableBatch(NamedTuple):
     bad: np.ndarray
 
 
-def _post_init_failures(rho: np.ndarray, p: np.ndarray, dim: int) -> np.ndarray:
+def _post_init_failures(rho: np.ndarray, p: np.ndarray, dim: int, lo=None) -> np.ndarray:
     # QuantumState.__post_init__, row by row, on symmetrized matrices and
-    # the vectors it is given; True where it raises UnphysicalState.
+    # the vectors it is given; True where it raises UnphysicalState.  lo,
+    # if given, is _min_eigenvalues(rho), computed by the caller.
     tr = np.trace(rho, axis1=1, axis2=2).real
     bad = np.abs(tr - 1.0) > _TRACE_ATOL
-    bad |= _min_eigenvalues(rho) < PSD_EIGENVALUE_FLOOR
+    bad |= (_min_eigenvalues(rho) if lo is None else lo) < PSD_EIGENVALUE_FLOOR
     p2 = row_dot(p, p)
     ref = 2.0 * (np.einsum("nab,nba->n", rho, rho).real - 1.0 / dim)
     bad |= np.abs(p2 - ref) > _CONSISTENCY_ATOL
@@ -317,10 +318,16 @@ def state_to_matrix_batch(p: np.ndarray, basis: GeneratorBasis) -> tuple[StateBa
     arr = np.eye(basis.dim, dtype=np.complex128) / basis.dim
     arr = arr + 0.5 * basis.combine_rows(p)
     # The scalar checks in order: the reconstruction's eigenvalue floor,
-    # then HermitianMatrix (ValueError), then QuantumState.
-    floor = _min_eigenvalues(arr) < PSD_EIGENVALUE_FLOOR
+    # then HermitianMatrix (ValueError), then QuantumState.  QuantumState
+    # solves the symmetrized matrix again; where symmetrizing returns
+    # arr's row bit for bit, that is the same solve.
+    lo = _min_eigenvalues(arr)
+    floor = lo < PSD_EIGENVALUE_FLOOR
     rho, not_hermitian = hermitian_batch(arr)
-    post_init = _post_init_failures(rho, p, basis.dim)
+    moved = (rho.view(np.uint64) != arr.view(np.uint64)).any(axis=(1, 2))
+    if moved.any():
+        lo[moved] = _min_eigenvalues(rho[moved])
+    post_init = _post_init_failures(rho, p, basis.dim, lo)
     unphysical = floor | (~not_hermitian & post_init)
     return StateBatch(rho, p, row_dot(p, p), floor | not_hermitian | post_init), unphysical
 

@@ -99,16 +99,17 @@ from .relations import (
 )
 from .sampling import (
     ENGINE_CHUNK,
+    OBSERVABLE,
     SampleConfig,
     Xoshiro256pp,
     XoshiroLanes,
+    draw_batches,
     draw_mixed,
     draw_observable,
-    draw_observable_batch,
     draw_pure,
     draw_state,
-    draw_state_batch,
     lane_chunks,
+    plan_widths,
     replay_first_bad,
 )
 from .sun_basis import basis_for, max_algebra_residual
@@ -122,10 +123,10 @@ EXIT_VIOLATION = 1
 
 # Largest --dim of basis and verify: the largest N the sparse su(N) build,
 # its sparse closure check and verify's batched eigensolves are tested at.
-# At N = 16 a process takes about 0.5 s and 46 MB for 20 appendix-c
-# samples; a full 2048-stream chunk takes 1.5-1.6 s and 111 MB for
-# robertson, 8.4-8.9 s and 120 MB for appendix-c (2,100 samples, max
-# RSS, 2 vCPU Xeon).
+# At N = 16 a process takes about 0.3 s and 48 MB for 20 appendix-c
+# samples; 2,100 samples, eleven 192-row chunks, take 1.2-1.4 s and 55 MB
+# for robertson and 7.6-9.4 s and 55 MB for appendix-c (max RSS, 2 vCPU
+# Xeon; 109 and 129 MB in 2,048-row chunks).
 MAX_DIM = 16
 
 
@@ -196,12 +197,14 @@ _APPENDIX_C_TRIES = 200
 # many tries over the pending count, at least one, side by side (see
 # ``_appendix_c_lanes``).  A lanes round costs about the same at a few
 # rows as at a few dozen, and 89%, 47% and 28% of the tries pass at
-# N = 3, 6 and 10.  With segmented draws (``XoshiroLanes.uniforms``) a
-# later round costs more per row than it did stepped.  Of 16, 24, 32, 48,
-# 64 and 96, 32 ran the bench's appendix-c jobs fastest, level with 24 on
-# seed 0 (one pass, best of 5, 2 vCPU Xeon): an N = 10 job in 26-27 ms,
-# against 30-31 ms at 48 and 40-44 ms at 64 and 96.
-_APPENDIX_C_ROUND_ROWS = 32
+# N = 3, 6 and 10.  A round draws its tries in one pass
+# (``sampling.draw_batches``), so each costs less, and more of them
+# pay.  Of 16, 24, 32 and 48, 24 ran one pass of the bench's 54
+# appendix-c jobs fastest (2 vCPU Xeon): best of 5 on seeds 0 and 1729,
+# 657-662 ms against 663-686 (16), 665-697 (32) and 737-783 ms (48);
+# best of 8 against 32 alone, 2-5 % ahead on seeds 0, 7 and 1729.
+# Fewer rows also hold less.
+_APPENDIX_C_ROUND_ROWS = 24
 
 
 def _round_tries(pending: int) -> int:
@@ -209,12 +212,13 @@ def _round_tries(pending: int) -> int:
     return max(1, _APPENDIX_C_ROUND_ROWS // pending)
 
 
+# The draws of an appendix-c try, in order.
+_TRY = (OBSERVABLE, OBSERVABLE, "hs_mixed")
+
+
 def _try_steps(basis) -> int:
-    """The u64s an appendix-c try draws, barring a zero-norm redraw: two
-    observables of N² - 1 Gaussians (in whole pairs), then N² complex
-    Gaussians for the mixed state."""
-    n2 = basis.dim * basis.dim
-    return 4 * (n2 // 2) + 2 * n2
+    """The u64s an appendix-c try draws, barring a zero-norm redraw."""
+    return sum(plan_widths(_TRY, basis.dim))
 
 
 def _project_orthogonal_rows(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -281,9 +285,7 @@ def _appendix_c_lanes(rng: XoshiroLanes, basis):
         if tries > 1:
             rng = rng.ahead(tries, steps)
         starts = rng.state()[:, pending.size :]
-        da = draw_observable_batch(rng, basis)
-        db = draw_observable_batch(rng, basis)
-        mixed = draw_state_batch("hs_mixed", rng, basis)
+        da, db, mixed = draw_batches(_TRY, rng, basis)
         failed = da.bad | db.bad | mixed.bad
         p = _project_orthogonal_rows(mixed.p, da.a, db.a)
         del mixed  # freed before the checker allocates its temporaries
@@ -425,17 +427,16 @@ def _verdicts(relation: str, dim: int, samples: int, seed: int, theta_ab: float)
     """Yield (margin, holds, saturated) for every check, in stream order."""
     row = _RELATIONS[relation]
     basis = basis_for(dim)
-    for rng in lane_chunks(seed, samples):
+    for rng in lane_chunks(seed, samples, dim):
         with np.errstate(divide="ignore", invalid="ignore"):  # only bad rows divide by 0
             if row.states is None:
                 margins, bad = _appendix_c_lanes(rng, basis)
-            else:
-                state = draw_state_batch(row.states, rng, basis)
-                a = b = None
-                if row.pair:
-                    a = draw_observable_batch(rng, basis)
-                    b = draw_observable_batch(rng, basis)
+            elif row.pair:
+                state, a, b = draw_batches((row.states, OBSERVABLE, OBSERVABLE), rng, basis)
                 margins, bad = row.lanes(a, b, state, theta_ab)
+            else:
+                (state,) = draw_batches((row.states,), rng, basis)
+                margins, bad = row.lanes(None, None, state, theta_ab)
         replay_first_bad(bad, rng, lambda i: _sample(relation, basis, seed, i, theta_ab))
         for margin in margins.ravel().tolist():
             yield margin, margin >= -row.tol, abs(margin) <= SATURATION_TOL
@@ -680,8 +681,8 @@ def _cmd_verify(args, parser) -> tuple[int, dict]:
         )
     if not 2 <= args.dim <= MAX_DIM:
         parser.error(f"--dim must be in 2..{MAX_DIM}, got {args.dim}")
-    if args.samples < 1:
-        parser.error("--samples must be positive")
+    if not 1 <= args.samples <= MAX_SAMPLES:
+        parser.error(f"--samples must be in 1..{MAX_SAMPLES}, got {args.samples}")
     start = time.perf_counter()
     summary = _fuzz(args.relation, args.dim, args.samples, args.seed, args.theta_ab)
     wall = time.perf_counter() - start

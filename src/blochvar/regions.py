@@ -173,7 +173,7 @@ def _scan(ensemble: SampleConfig, grid: float, norms: list, lanes, check, **fiel
     def replay(index: int) -> None:
         check(draw_state(ensemble.kind, Xoshiro256pp(ensemble.seed, stream=index), basis, index), index)
 
-    for rng in lane_chunks(ensemble.seed, count):
+    for rng in lane_chunks(ensemble.seed, count, basis.dim):
         state = draw_state_batch(ensemble.kind, rng, basis)
         values, margin, bad = lanes(state)
         replay_first_bad(bad, rng, replay)

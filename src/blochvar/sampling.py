@@ -28,11 +28,20 @@ one lane per stream, and draws exactly what ``Xoshiro256pp`` draws on
 each; its ``math.log`` goes through Python per element because numpy's
 ``log`` differs from libm's in the last bit.  It knows each lane's
 stream (``streams``), and ``take`` copies out some of its lanes.  The
-``*_batch`` functions are the lanes forms of the draws; the zero-norm
-re-draw of an observable advances only the lanes that need it.
-``lane_chunks`` yields a run's generators, ``ENGINE_CHUNK`` streams
-each, and ``replay_first_bad`` sends the first failing lane of a chunk
-back to the scalar path, which raises that stream's own exception.
+``*_batch`` functions are the lanes forms of the draws, and
+``draw_batches`` draws a plan of them one after another, a whole sample
+(a state, then A and B) or appendix-c try (A, B, then a mixed state) in
+one pass: one ``gaussians`` call for the plan, whose runs are even-sized
+so that its Box-Muller pairs are those of separate calls, and one
+``observable_from_bloch_batch`` call for all its observables.  The
+one-draw functions are one-entry plans.  An observable below
+``_MIN_NORM`` is drawn again, and only its lane advances: that lane is
+replayed draw by draw from its state before the plan, so its values and
+its end state are those of the separate calls.  ``lane_chunks`` yields
+a run's generators, ``ENGINE_CHUNK`` streams each, fewer above N = 4 so
+that a chunk's (rows, N, N) stacks hold at most ``_CHUNK_ENTRIES``
+entries, and ``replay_first_bad`` sends the first failing lane of a
+chunk back to the scalar path, which raises that stream's own exception.
 
 ``ahead`` lays copies of each lane side by side, copy t standing t
 jumps of a fixed number of u64s further on.  A jump is exact: the
@@ -96,6 +105,9 @@ __all__ = [
     "replay_first_bad",
     "draw_state_batch",
     "draw_observable_batch",
+    "OBSERVABLE",
+    "plan_widths",
+    "draw_batches",
     "SampleConfig",
     "iter_states",
     "draw_state",
@@ -112,6 +124,13 @@ _TWO_PI = 2.0 * math.pi
 # Streams per chunk of the batched engine: it holds a few dozen arrays of
 # this many rows at a time, so its memory is bounded at any sample count.
 ENGINE_CHUNK = 2048
+# Entries of a chunk's (rows, N, N) stacks: above N = 4 a chunk has
+# _CHUNK_ENTRIES // N² rows, so that its memory stays flat in N (192 rows
+# at N = 16).  verify appendix-c --dim 16 --samples 2100 read 49, 56, 68
+# and 94 MB max RSS at 24,576, 49,152, 98,304 and 196,608 entries, and
+# 129 MB in 2,048-row chunks, its run time level within run-to-run noise
+# (2 vCPU Xeon); 49,152 keeps both cap runs well under 70 MB.
+_CHUNK_ENTRIES = 49_152
 
 
 def _sm64(state: int) -> tuple[int, int]:
@@ -279,11 +298,7 @@ class XoshiroLanes:
 
     def complex_gaussians(self, n: int) -> np.ndarray:
         """n standard complex normals per lane."""
-        g = self.gaussians(2 * n)
-        z = 1j * g[:, 1::2]
-        z += g[:, 0::2]  # complex addition commutes bit for bit
-        z /= math.sqrt(2.0)
-        return z
+        return _complex_pairs(self.gaussians(2 * n))
 
     def state(self) -> np.ndarray:
         """A copy of the lanes' states: a (4, lanes) array of words."""
@@ -302,6 +317,14 @@ class XoshiroLanes:
         rng._s = np.concatenate(states, axis=1)
         rng.streams = np.tile(self.streams, copies)
         return rng
+
+
+def _complex_pairs(g: np.ndarray) -> np.ndarray:
+    # Consecutive Gaussians of each row as complex ones (see the module docs).
+    z = 1j * g[:, 1::2]
+    z += g[:, 0::2]  # complex addition commutes bit for bit
+    z /= math.sqrt(2.0)
+    return z
 
 
 # A jump of L lanes counts as one step plus a step per _JUMP_LANES lanes:
@@ -378,10 +401,13 @@ def _jump(s: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.bitwise_xor.reduce(images, axis=0).T)
 
 
-def lane_chunks(seed: int, count: int) -> Iterator[XoshiroLanes]:
-    """Generators of streams 0 .. count - 1 of ``seed``, ``ENGINE_CHUNK`` at a time."""
-    for start in range(0, count, ENGINE_CHUNK):
-        yield XoshiroLanes(seed, np.arange(start, min(start + ENGINE_CHUNK, count)))
+def lane_chunks(seed: int, count: int, dim: int) -> Iterator[XoshiroLanes]:
+    """Generators of streams 0 .. count - 1 of ``seed`` for draws of
+    dimension ``dim``, each of ``ENGINE_CHUNK`` streams or of
+    ``_CHUNK_ENTRIES // dim**2``, whichever is fewer."""
+    rows = min(ENGINE_CHUNK, _CHUNK_ENTRIES // (dim * dim))
+    for start in range(0, count, rows):
+        yield XoshiroLanes(seed, np.arange(start, min(start + rows, count)))
 
 
 def replay_first_bad(bad: np.ndarray, rng: XoshiroLanes, replay) -> None:
@@ -479,16 +505,7 @@ def draw_state(kind: str, rng: Xoshiro256pp, basis: GeneratorBasis, index: int) 
 def draw_state_batch(kind: str, rng: XoshiroLanes, basis: GeneratorBasis) -> StateBatch:
     """Lanes form of ``draw_state``: lane k is sample ``rng.streams[k]``,
     drawn as ``draw_pure`` or ``draw_mixed`` draws it (N² complex Gaussians)."""
-    if kind == "maximally_mixed":
-        return repeat_state(completely_mixed(basis), rng.streams.size)
-    pure = _pure_streams(kind, rng.streams)
-    n = basis.dim
-    g = rng.complex_gaussians(n * n).reshape(-1, n, n)
-    rho = np.empty_like(g)
-    rho[pure] = _pure_rho(g[pure])
-    rho[~pure] = _mixed_rho(g[~pure])
-    del g  # freed before the checks allocate theirs
-    return state_from_matrix_batch(rho, basis)
+    return draw_batches((kind,), rng, basis)[0]
 
 
 def draw_observable(rng: Xoshiro256pp, basis: GeneratorBasis, unit: bool = True) -> Observable:
@@ -511,19 +528,104 @@ def draw_observable(rng: Xoshiro256pp, basis: GeneratorBasis, unit: bool = True)
 def draw_observable_batch(rng: XoshiroLanes, basis: GeneratorBasis) -> ObservableBatch:
     """Lanes form of ``draw_observable(rng, basis)``: a lane whose draw
     has norm below ``_MIN_NORM`` draws again, and only that lane advances."""
+    return draw_batches((OBSERVABLE,), rng, basis)[0]
+
+
+# The entry of a draw_batches plan that draws an observable; the others
+# are draw_state_batch kinds.
+OBSERVABLE = "observable"
+
+
+def plan_widths(plan, dim: int) -> list[int]:
+    """The Gaussians, and so the u64s, each draw of ``plan`` takes a lane
+    (barring a zero-norm redraw): 2 N² for a state's N² complex ones, none
+    for I/N, and N² - 1 in whole pairs for an observable."""
+    n2 = dim * dim
+    sizes = {OBSERVABLE: 2 * (n2 // 2), "maximally_mixed": 0}
+    return [sizes.get(kind, 2 * n2) for kind in plan]
+
+
+def draw_batches(plan, rng: XoshiroLanes, basis: GeneratorBasis) -> list:
+    """The draws of ``plan`` on every lane, one after another: each entry
+    is a ``draw_state_batch`` kind or ``OBSERVABLE``, and gives what that
+    call gives, bit for bit, the lanes' end states included.
+
+    One ``gaussians`` call draws the whole plan, split into each draw's
+    run (even-sized, so the Box-Muller pairs are those of separate calls).
+    A lane with an observable below ``_MIN_NORM`` is replayed draw by
+    draw from its start state, drawing that observable again, and ends
+    where the replay leaves it.  One ``observable_from_bloch_batch`` call
+    builds every observable of the plan: its kernels work row by row, so
+    each row is what its own call gives."""
+    lanes = rng.streams.size
+    pure = {
+        i: _pure_streams(kind, rng.streams)
+        for i, kind in enumerate(plan)
+        if kind not in (OBSERVABLE, "maximally_mixed")
+    }
+    widths = plan_widths(plan, basis.dim)
+    start = rng.state()
+    g = rng.gaussians(sum(widths))
+    runs = np.split(g, np.cumsum(widths)[:-1], axis=1)
     n = basis.n_generators
-    g = rng.gaussians(n)
+    norms = {
+        i: np.sqrt(row_dot(runs[i][:, :n], runs[i][:, :n]))
+        for i, kind in enumerate(plan)
+        if kind == OBSERVABLE
+    }
+    low = np.zeros(lanes, dtype=bool)
+    for norm in norms.values():
+        low |= ~(norm >= _MIN_NORM)
+    if low.any():
+        replay = rng.take(low)
+        replay._s[...] = start[:, low]
+        for i, width in enumerate(widths):
+            drawn = replay.gaussians(width)
+            if i in norms:
+                norms[i][low] = _redraw_low(drawn[:, :n], replay)
+            runs[i][low] = drawn
+        rng._s[:, low] = replay._s
+    gaussians = {i: _complex_pairs(runs[i]) for i in pure}
+    vec = np.empty((len(norms) * lanes, n))
+    for k, (i, norm) in enumerate(norms.items()):
+        np.divide(runs[i][:, :n], norm[:, None], out=vec[k * lanes : (k + 1) * lanes])
+    del g, runs  # freed before the checks allocate theirs
+    out = [
+        repeat_state(completely_mixed(basis), lanes) if kind == "maximally_mixed" else None
+        for kind in plan
+    ]
+    for i in pure:
+        out[i] = _state_rows(gaussians.pop(i).reshape(-1, basis.dim, basis.dim), pure[i], basis)
+    if norms:
+        built = observable_from_bloch_batch(vec, basis)
+        for k, i in enumerate(norms):
+            out[i] = ObservableBatch._make(f[k * lanes : (k + 1) * lanes] for f in built)
+    return out
+
+
+def _redraw_low(g: np.ndarray, rng: XoshiroLanes) -> np.ndarray:
+    # The norms of an observable's Gaussians g, a row per lane of rng,
+    # after drawing again, on their own lanes, the rows below _MIN_NORM
+    # until none is.
     norm = np.sqrt(row_dot(g, g))
     redraw = np.flatnonzero(~(norm >= _MIN_NORM))
     while redraw.size:
         again = rng.take(redraw)
-        g[redraw] = again.gaussians(n)
+        g[redraw] = again.gaussians(g.shape[1])
         rng._s[:, redraw] = again._s
         norm[redraw] = np.sqrt(row_dot(g[redraw], g[redraw]))
         redraw = redraw[~(norm[redraw] >= _MIN_NORM)]
-    vec = g / norm[:, None]
+    return norm
+
+
+def _state_rows(g: np.ndarray, pure: np.ndarray, basis: GeneratorBasis) -> StateBatch:
+    # Stacked (k, n, n) complex Gaussian matrices -> the states drawn from
+    # them, Haar pure on the ``pure`` rows and Hilbert-Schmidt elsewhere.
+    rho = np.empty_like(g)
+    rho[pure] = _pure_rho(g[pure])
+    rho[~pure] = _mixed_rho(g[~pure])
     del g  # freed before the checks allocate theirs
-    return observable_from_bloch_batch(vec, basis)
+    return state_from_matrix_batch(rho, basis)
 
 
 def iter_states(cfg: SampleConfig) -> Iterator[QuantumState]:

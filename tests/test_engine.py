@@ -13,6 +13,9 @@ pin:
 * the lane RNG, narrowed generators (`take`), re-draws, jumps
   (`ahead`) and segmented draws included, equal to `Xoshiro256pp`, with
   every engine path run with all draws segmented and with none;
+* a sample's draws in one pass (`draw_batches`) equal to the same draws
+  one after another, redraws and end states included, and observables
+  built on stacked rows equal to their own builds;
 * the same exception, raised for the same first failing stream;
 * each numpy-vs-scalar equality the engine relies on, at N = 2 and per
   N up to the dimension cap, so that a numpy or libm upgrade that
@@ -202,12 +205,22 @@ def test_masked_lanes_advance_alone(seed, order, size, mask):
 
 def test_lane_chunks_cover_the_streams_in_order(monkeypatch):
     monkeypatch.setattr(sampling, "ENGINE_CHUNK", 4)
-    chunks = list(sampling.lane_chunks(11, 10))
+    chunks = list(sampling.lane_chunks(11, 10, 2))
     assert [rng.streams.tolist() for rng in chunks] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
     for rng in chunks:
         expected = [Xoshiro256pp(11, stream=k).next_u64() for k in rng.streams.tolist()]
         assert rng.next_u64().tolist() == expected
-    assert list(sampling.lane_chunks(11, 0)) == []
+    assert list(sampling.lane_chunks(11, 0, 2)) == []
+
+
+def test_lane_chunks_shrink_with_n_squared():
+    # ENGINE_CHUNK streams up to N = 4; above, as many as keep a chunk's
+    # (rows, N, N) stacks within _CHUNK_ENTRIES entries.
+    def rows(dim):
+        return next(sampling.lane_chunks(0, 10**6, dim)).streams.size
+
+    assert [rows(dim) for dim in (2, 4, 5, 6, 10, 16)] == [2048, 2048, 1966, 1365, 491, 192]
+    assert [rng.streams[0] for rng in sampling.lane_chunks(0, 400, 16)] == [0, 192, 384]
 
 
 @pytest.mark.parametrize("min_norm", [1e-12, 1.0, 1.6])
@@ -239,6 +252,88 @@ def test_masked_observable_redraw_matches_scalar(basis3, min_norm):
     # The redrawn lanes were written back: every lane goes on where its
     # stream stands.
     assert np.array_equal(lanes.gaussians(2), [rng.gaussians(2) for rng in rngs])
+
+
+# Plans of `draw_batches`: a state and a pair, appendix-c's try, and each
+# draw alone.
+_STATE_KINDS = ["haar_pure", "hs_mixed", "alternating", "maximally_mixed"]
+_OBS = sampling.OBSERVABLE
+_PLANS = (
+    [(kind, _OBS, _OBS) for kind in _STATE_KINDS]
+    + [(_OBS, _OBS, "hs_mixed")]
+    + [(kind,) for kind in _STATE_KINDS + [_OBS]]
+)
+
+
+def _assert_same_fields(got, expected):
+    # Batch fields bit for bit (`_bits`), the bool `bad` as it is.
+    assert type(got) is type(expected)
+    for x, y in zip(got, expected):
+        assert x.shape == y.shape and x.dtype == y.dtype
+        assert np.array_equal(x, y) if x.dtype == bool else np.array_equal(_bits(x), _bits(y))
+
+
+def _one_by_one(plan, rng, basis):
+    return [
+        draw_observable_batch(rng, basis) if kind == _OBS else sampling.draw_state_batch(kind, rng, basis)
+        for kind in plan
+    ]
+
+
+def _assert_fused_matches_one_by_one(plan, rng, basis):
+    # One call for the plan against its draws one after another, from the
+    # same lanes: every field bit for bit, and every lane's end state.
+    sequential = rng.take(np.arange(rng.streams.size))
+    fused = sampling.draw_batches(plan, rng, basis)
+    expected = _one_by_one(plan, sequential, basis)
+    assert len(fused) == len(plan)
+    for got, want in zip(fused, expected):
+        _assert_same_fields(got, want)
+    assert np.array_equal(rng.state(), sequential.state())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    plan=st.sampled_from(_PLANS),
+    dim=st.sampled_from([2, 3, 6, 10]),
+    lanes=st.integers(1, 300),
+    seed=SEEDS,
+    min_norm=st.sampled_from([None, 0.9, 1.0]),
+)
+@example(plan=(_OBS, _OBS, "hs_mixed"), dim=10, lanes=300, seed=0, min_norm=1.0)
+@example(plan=("alternating", _OBS, _OBS), dim=2, lanes=1, seed=2**64 - 1, min_norm=1.0)
+def test_fused_draw_matches_draws_one_after_another(plan, dim, lanes, seed, min_norm):
+    # min_norm scales sqrt(N^2 - 1), about the median norm of an
+    # observable's Gaussians: at 1.0 about half the lanes draw A again,
+    # and half B, some of them more than once.
+    basis = basis_for(dim)
+    threshold = sampling._MIN_NORM if min_norm is None else min_norm * math.sqrt(basis.n_generators)
+    rng = XoshiroLanes(seed, np.arange(lanes) * 3 + 1)
+    with mock.patch.object(sampling, "_MIN_NORM", threshold):
+        _assert_fused_matches_one_by_one(plan, rng, basis)
+
+
+def _redraws(rng, basis):
+    # The lanes of rng whose next observable draw falls below _MIN_NORM.
+    g = rng.take(np.arange(rng.streams.size)).gaussians(basis.n_generators)
+    return ~(np.sqrt(row_dot(g, g)) >= sampling._MIN_NORM)
+
+
+@pytest.mark.parametrize("plan", [("haar_pure", _OBS, _OBS), (_OBS, _OBS, "hs_mixed")])
+def test_fused_redraws_of_a_of_b_and_of_both_match(plan):
+    # Lanes that draw A again, B again, or both, each present, in one plan.
+    basis = basis_for(3)
+    with mock.patch.object(sampling, "_MIN_NORM", math.sqrt(basis.n_generators)):
+        rng = XoshiroLanes(11, range(300))
+        walk = rng.take(np.arange(300))
+        redrew = []
+        for kind in plan:
+            if kind == _OBS:
+                redrew.append(_redraws(walk, basis))
+            _one_by_one((kind,), walk, basis)
+        a, b = redrew
+        assert (a & ~b).any() and (~a & b).any() and (a & b).any() and (~a & ~b).any()
+        _assert_fused_matches_one_by_one(plan, rng, basis)
 
 
 class _Counting(Xoshiro256pp):
@@ -332,8 +427,9 @@ def test_segment_rule():
     # Small draws and wide chunks step; a qudit draw on a few dozen lanes
     # goes in segments of about sqrt(3k), their count set by k alone.
     assert [sampling._segment_steps(1, k) for k in (1, 2, 3, 4)] == [0, 0, 0, 0]
-    assert sampling._segment_steps(250, 8) == 0  # N = 2 at the bench's sizes
-    assert sampling._segment_steps(sampling.ENGINE_CHUNK, 512) == 0  # N = 16
+    assert sampling._segment_steps(250, 16) == 0  # an N = 2 sample on 250 lanes
+    assert sampling._segment_steps(sampling.ENGINE_CHUNK, 64) == 0  # an N = 4 sample
+    assert sampling._segment_steps(192, 1024) == 55  # an N = 16 sample, a full chunk
     assert sampling._segment_steps(16, 200) == sampling._segment_steps(48, 200) == 24
     assert sampling._segment_steps(45, 36) == 10
 
@@ -732,16 +828,47 @@ def test_theorem1_flags_variance_above_norm(basis2):
     assert bad.any() and bad.tolist() == (sa * sa > 0.5 * state.purity + 1e-10).tolist()
 
 
-@pytest.mark.parametrize("dim", [3, 6])
-def test_reconstruction_flags_the_rows_scalar_rejects(dim):
+def _asymmetric_basis(basis):
+    # A copy of basis whose first generator with a real entry [0, 1] has
+    # that entry 1e-14 off its mirror, an asymmetry HermitianMatrix
+    # absorbs, and the index of that generator.
+    stack = basis.stacked().copy()
+    j = int(np.flatnonzero(stack[:, 0, 1].real)[0])
+    stack[j, 0, 1] += 1e-14
+    tensors = (dict(basis.f_tensor), dict(basis.d_tensor))
+    return sun_basis.GeneratorBasis(basis.dim, basis.generators, *tensors, stack, basis._d_ordered), j
+
+
+@pytest.mark.parametrize(
+    "dim,asymmetric",
+    [(3, False), (6, False), (3, True), (6, True)],
+    ids=["3", "6", "3-asymmetric", "6-asymmetric"],
+)
+def test_reconstruction_flags_the_rows_scalar_rejects(monkeypatch, dim, asymmetric):
     # Bloch vectors of random mixed states, scaled: past the physical
     # body the eigenvalue floor rejects them (UnphysicalState); rows with
-    # a NaN raise another ValueError.
+    # a NaN raise another ValueError.  The reconstruction's eigenvalues
+    # serve QuantumState's check too, except on rows that symmetrizing
+    # changes: with the asymmetric basis, the finite rows with a
+    # component along its asymmetric generator, which are solved again.
     basis = basis_for(dim)
     rng = np.random.default_rng(dim)
     mixed = sampling.draw_state_batch("hs_mixed", XoshiroLanes(4, range(60)), basis)
     p = mixed.p * rng.uniform(0.5, 3.0, size=(60, 1))
+    moved = []
+    if asymmetric:
+        basis, j = _asymmetric_basis(basis)
+        p[np.arange(60) % 4 != 1, j] = 0.0
+        moved = [i for i in range(1, 60, 4) if i % 13]
     p[::13, 0] = np.nan
+    solved = []
+    min_eigenvalues = bloch._min_eigenvalues
+
+    def spy(arr):
+        solved.append(arr.copy())
+        return min_eigenvalues(arr)
+
+    monkeypatch.setattr(bloch, "_min_eigenvalues", spy)
 
     def scalar(row):
         try:
@@ -752,6 +879,9 @@ def test_reconstruction_flags_the_rows_scalar_rejects(dim):
             return None, "other"
 
     batch, unphysical = bloch.state_to_matrix_batch(p, basis)
+    assert len(solved) == 1 + bool(moved)
+    if moved:
+        assert np.array_equal(solved[1], batch.rho[moved])
     outcomes = [scalar(row) for row in p]
     raised = [error for _, error in outcomes]
     assert {"unphysical", "other", None} == set(raised)
@@ -761,6 +891,24 @@ def test_reconstruction_flags_the_rows_scalar_rejects(dim):
         state = outcomes[i][0]
         assert np.array_equal(batch.rho[i], state.rho.array)
         assert np.array_equal(batch.p[i], state.p) and batch.purity[i] == state.purity
+
+
+_BLOCK = sun_basis._BLOCK_ROWS
+
+
+@pytest.mark.parametrize("rows", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+@pytest.mark.parametrize("dim", [2, 3, 6, 10, 16])
+def test_stacked_observables_match_their_own_builds(dim, rows):
+    # A and B built in one call on their stacked rows, across the
+    # kernel's row blocks (one row included), against a call each.
+    basis = basis_for(dim)
+    g = np.random.default_rng(dim * 1000 + rows).normal(size=(2 * rows, basis.n_generators))
+    vec = g / np.sqrt(row_dot(g, g))[:, None]
+    together = bloch.observable_from_bloch_batch(vec, basis)
+    for k in range(2):
+        part = slice(k * rows, (k + 1) * rows)
+        alone = bloch.observable_from_bloch_batch(vec[part], basis)
+        _assert_same_fields(bloch.ObservableBatch._make(f[part] for f in together), alone)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # bad rows on purpose
