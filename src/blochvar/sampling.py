@@ -296,10 +296,6 @@ class XoshiroLanes:
         angle *= r
         return u[:, :n]
 
-    def complex_gaussians(self, n: int) -> np.ndarray:
-        """n standard complex normals per lane."""
-        return _complex_pairs(self.gaussians(2 * n))
-
     def state(self) -> np.ndarray:
         """A copy of the lanes' states: a (4, lanes) array of words."""
         return self._s.copy()

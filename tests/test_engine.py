@@ -169,7 +169,8 @@ def test_lanes_reproduce_each_stream(seed, streams):
     assert lanes.next_u64().tolist() == [rng.next_u64() for rng in rngs]
     assert np.array_equal(lanes.uniforms(3), [[rng.uniform() for _ in range(3)] for rng in rngs])
     assert np.array_equal(lanes.gaussians(5), [rng.gaussians(5) for rng in rngs])
-    assert np.array_equal(lanes.complex_gaussians(4), [rng.complex_gaussians(4) for rng in rngs])
+    got = sampling._complex_pairs(lanes.gaussians(8))
+    assert np.array_equal(got, [rng.complex_gaussians(4) for rng in rngs])
 
 
 @settings(max_examples=20, deadline=None)
@@ -194,7 +195,7 @@ def test_masked_lanes_advance_alone(seed, order, size, mask):
         picked = picked.tolist()
         assert taken.streams.tolist() == [streams[k] for k in picked]
         rngs = [scalar(k) for k in picked]
-        got = taken.complex_gaussians(2)
+        got = sampling._complex_pairs(taken.gaussians(4))
         assert np.array_equal(got, np.reshape([rng.complex_gaussians(2) for rng in rngs], (-1, 2)))
         # Each taken lane goes on with its own stream.
         expected = np.reshape([rng.gaussians(4) for rng in rngs], (-1, 4))
@@ -427,6 +428,7 @@ def test_segment_rule():
     # Small draws and wide chunks step; a qudit draw on a few dozen lanes
     # goes in segments of about sqrt(3k), their count set by k alone.
     assert [sampling._segment_steps(1, k) for k in (1, 2, 3, 4)] == [0, 0, 0, 0]
+    assert sampling._segment_steps(250, 8) == 0  # an N = 2 state or observable alone
     assert sampling._segment_steps(250, 16) == 0  # an N = 2 sample on 250 lanes
     assert sampling._segment_steps(sampling.ENGINE_CHUNK, 64) == 0  # an N = 4 sample
     assert sampling._segment_steps(192, 1024) == 55  # an N = 16 sample, a full chunk
@@ -879,9 +881,15 @@ def test_reconstruction_flags_the_rows_scalar_rejects(monkeypatch, dim, asymmetr
             return None, "other"
 
     batch, unphysical = bloch.state_to_matrix_batch(p, basis)
-    assert len(solved) == 1 + bool(moved)
-    if moved:
-        assert np.array_equal(solved[1], batch.rho[moved])
+    # Whether a NaN row survives symmetrizing bit for bit is the
+    # platform's choice of NaN payload, so only the finite rows' share of
+    # the second solve is pinned.
+    rho, _ = linalg.hermitian_batch(solved[0])
+    resolved = (rho.view(np.uint64) != solved[0].view(np.uint64)).any(axis=(1, 2))
+    assert len(solved) == 1 + resolved.any()
+    if resolved.any():
+        assert np.array_equal(solved[1].view(np.uint64), batch.rho[resolved].view(np.uint64))
+    assert np.flatnonzero(resolved & np.isfinite(p).all(axis=1)).tolist() == moved
     outcomes = [scalar(row) for row in p]
     raised = [error for _, error in outcomes]
     assert {"unphysical", "other", None} == set(raised)
@@ -1074,7 +1082,7 @@ def qudit(request):
     n = request.param
     basis = basis_for(n)
     lanes = XoshiroLanes(20151105, range(300))
-    g = lanes.complex_gaussians(n * n).reshape(-1, n, n)
+    g = sampling._complex_pairs(lanes.gaussians(2 * n * n)).reshape(-1, n, n)
     rho = np.concatenate([sampling._pure_rho(g[:150]), sampling._mixed_rho(g[150:])])
     draws = lanes.gaussians(basis.n_generators)  # odd lengths are strided rows
     vec = draws / np.sqrt(row_dot(draws, draws))[:, None]
