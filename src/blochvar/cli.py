@@ -6,12 +6,8 @@ basis (alias: structure-consts)
     Serialize the su(N) generators and sparse f/d tensors as JSON or CSV.
 verify
     Fuzz one relation over seeded random draws; exit 0 iff
-    every check holds at the relation's tolerance.  Every relation runs
-    on the batched engine at every N, and its reports are bit-identical
-    to the per-stream loop's.  Appendix-c's rejection draws run in
-    rounds on the lanes still pending, later rounds with several tries
-    of each lane side by side (jumped ahead), and the lanes checker
-    scores the tries each round takes.
+    every check holds at the relation's tolerance.  The relation table
+    and the engine that draws and checks it live in ``engine``.
 region
     Monte-Carlo scan of a qubit variance region (pair or axis triple)
     with CSV and JSON artifacts plus slice summaries (pair scans only).
@@ -41,10 +37,10 @@ import math
 import os
 import sys
 import time
-from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import engine
 from .bloch import (
     Observable,
     QuantumState,
@@ -54,10 +50,8 @@ from .bloch import (
     observable_from_matrix,
     state_from_matrix,
     state_to_matrix,
-    state_to_matrix_batch,
 )
 from .errors import NotApplicable, UnphysicalState
-from .linalg import per_element, py_max, row_dot
 from .regions import (
     GRID_RANGE,
     MAX_CELLS,
@@ -67,51 +61,8 @@ from .regions import (
     scan_pair,
     scan_triple,
 )
-from .relations import (
-    APPENDIX_C_TOL,
-    HOLDS_TOL,
-    SATURATION_TOL,
-    ZERO_MEAN_TOL,
-    check_appendix_b,
-    check_appendix_b_batch,
-    check_appendix_c,
-    check_appendix_c_batch,
-    check_mixed_limit,
-    check_mixed_limit_batch,
-    check_pure_limit,
-    check_pure_limit_batch,
-    check_theorem1,
-    check_theorem1_batch,
-    check_three_observable_equality,
-    check_three_observable_equality_batch,
-    check_triangle,
-    check_triangle_batch,
-    check_unit_vector_relation,
-    check_unit_vector_relation_batch,
-    db_span_any_state,
-    db_span_given_da2,
-    effective_axis_angle,
-    effective_axis_angle_batch,
-    robertson_bound,
-    robertson_bound_batch,
-    state_dependent_bound,
-    state_dependent_bound_batch,
-)
-from .sampling import (
-    ENGINE_CHUNK,
-    OBSERVABLE,
-    SampleConfig,
-    Xoshiro256pp,
-    XoshiroLanes,
-    draw_batches,
-    draw_mixed,
-    draw_observable,
-    draw_pure,
-    draw_state,
-    lane_chunks,
-    plan_widths,
-    replay_first_bad,
-)
+from .relations import db_span_any_state, db_span_given_da2, robertson_bound, state_dependent_bound
+from .sampling import ENGINE_CHUNK, SampleConfig, Xoshiro256pp, draw_pure
 from .sun_basis import basis_for, max_algebra_residual
 from .variance import variance_matrix
 
@@ -159,309 +110,6 @@ def _closed_interval(lo: float, hi: float, hi_name: str):
 _theta_ab = _closed_interval(0.0, math.pi, "pi")  # axis angles
 _unit_fraction = _closed_interval(0.0, 1.0, "1")  # squared variances of unit observables
 _grid = _closed_interval(*GRID_RANGE, f"{GRID_RANGE[1]:g}")  # region cell sizes
-
-
-# ---------------------------------------------------------------------------
-# fuzzing recipes
-
-
-def _unit_vector(a: Observable, b: Observable, state: QuantumState):
-    da2 = max(1.0 - float(a.a @ state.p) ** 2, 0.0)
-    db2 = max(1.0 - float(b.a @ state.p) ** 2, 0.0)
-    theta = effective_axis_angle(a, b, state)
-    return [check_unit_vector_relation(theta, da2, db2)]
-
-
-def _squared(x: float) -> float:
-    return x**2  # libm pow, as the scalar path evaluates it
-
-
-def _unit_vector_lanes(a, b, state):
-    da2 = py_max(1.0 - per_element(_squared, row_dot(a.a, state.p)), 0.0)
-    db2 = py_max(1.0 - per_element(_squared, row_dot(b.a, state.p)), 0.0)
-    theta = effective_axis_angle_batch(a, b, state)
-    margins, bad = check_unit_vector_relation_batch(theta, da2, db2)
-    return margins, bad | a.bad | b.bad | state.bad
-
-
-def _state_dependent_lanes(a, b, state):
-    plus, bad_plus = state_dependent_bound_batch(a, b, state, 1)
-    minus, bad_minus = state_dependent_bound_batch(a, b, state, -1)
-    return np.stack([plus, minus], axis=1), bad_plus | bad_minus
-
-
-# Tries of appendix-c's rejection loop per sample before it gives up.
-_APPENDIX_C_TRIES = 200
-
-# Rows of a later appendix-c round: each lane still pending draws this
-# many tries over the pending count, at least one, side by side (see
-# ``_appendix_c_lanes``).  A lanes round costs about the same at a few
-# rows as at a few dozen, and 89%, 47% and 28% of the tries pass at
-# N = 3, 6 and 10.  A round draws its tries in one pass
-# (``sampling.draw_batches``), so each costs less, and more of them
-# pay.  Of 16, 24, 32 and 48, 24 ran one pass of the bench's 54
-# appendix-c jobs fastest (2 vCPU Xeon): best of 5 on seeds 0 and 1729,
-# 657-662 ms against 663-686 (16), 665-697 (32) and 737-783 ms (48);
-# best of 8 against 32 alone, 2-5 % ahead on seeds 0, 7 and 1729.
-# Fewer rows also hold less.
-_APPENDIX_C_ROUND_ROWS = 24
-
-
-def _round_tries(pending: int) -> int:
-    """Tries each of ``pending`` lanes draws in a later appendix-c round."""
-    return max(1, _APPENDIX_C_ROUND_ROWS // pending)
-
-
-# The draws of an appendix-c try, in order.
-_TRY = (OBSERVABLE, OBSERVABLE, "hs_mixed")
-
-
-def _try_steps(basis) -> int:
-    """The u64s an appendix-c try draws, barring a zero-norm redraw."""
-    return sum(plan_widths(_TRY, basis.dim))
-
-
-def _project_orthogonal_rows(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Each row of p with its components along span{a[i], b[i]} removed, by
-    # Gram-Schmidt: a direction whose residual norm is <= 1e-12 is skipped.
-    frame = []
-    for v in (a, b):
-        w = v
-        for u, kept in frame:
-            w = np.where(kept[:, None], w - row_dot(w, u)[:, None] * u, w)
-        norm = np.sqrt(row_dot(w, w))
-        frame.append((w / norm[:, None], norm > 1e-12))
-    out = p
-    for u, kept in frame:
-        out = np.where(kept[:, None], out - row_dot(out, u)[:, None] * u, out)
-    return out
-
-
-def _appendix_c_draw(rng: Xoshiro256pp, basis):
-    # Rejection sampling of (A, B, state): project the Bloch vector onto the
-    # orthogonal complement of span{a, b}, then insist the reconstruction
-    # is still physical.  Projection shrinks |p|, so acceptance is high.
-    for _ in range(_APPENDIX_C_TRIES):
-        a = draw_observable(rng, basis)
-        b = draw_observable(rng, basis)
-        state = draw_mixed(rng, basis)
-        p = _project_orthogonal_rows(state.p[None], a.a[None], b.a[None])[0]
-        try:
-            projected = state_to_matrix(p, basis)
-        except UnphysicalState:
-            continue
-        mean_a, mean_b = float(a.a @ projected.p), float(b.a @ projected.p)
-        if abs(mean_a) > ZERO_MEAN_TOL or abs(mean_b) > ZERO_MEAN_TOL:
-            continue
-        return a, b, projected
-    raise RuntimeError("no valid zero-mean sample found; ensemble looks pathological")
-
-
-def _appendix_c_lanes(rng: XoshiroLanes, basis):
-    """Appendix-c's draw and check on the lanes of ``rng``.
-
-    Returns ``(margins, bad)`` as a ``Relation.lanes`` checker does:
-    ``bad`` marks the lanes on which the scalar draw or check raises,
-    whose margins are unspecified.  Round 1 draws one try on every lane;
-    a later round draws ``_round_tries`` tries on each lane still
-    pending, side by side: try t starts from the lane's state jumped t
-    tries on (``XoshiroLanes.ahead``).  Each lane takes its first try
-    that the draw accepts or fails, and the lanes checker scores the
-    accepted ones at once.  A try that ends elsewhere than where the
-    next one starts drew again (a zero-norm observable): its verdict
-    stands, the lane's later tries are void, and it goes on from where
-    that try ended, as lanes left pending go on from their last try.
-    Each lane has ``_APPENDIX_C_TRIES`` tries; one that spends them all
-    is bad, as the scalar loop raises there.
-    """
-    row = _RELATIONS["appendix-c"]  # its checkers read no axis angle
-    margins = np.zeros(rng.streams.size)
-    bad = np.zeros(rng.streams.size, dtype=bool)
-    pending = np.arange(rng.streams.size)
-    left = np.full(pending.size, _APPENDIX_C_TRIES)
-    steps = _try_steps(basis)
-    tries = 1
-    while pending.size:
-        if tries > 1:
-            rng = rng.ahead(tries, steps)
-        starts = rng.state()[:, pending.size :]
-        da, db, mixed = draw_batches(_TRY, rng, basis)
-        failed = da.bad | db.bad | mixed.bad
-        p = _project_orthogonal_rows(mixed.p, da.a, db.a)
-        del mixed  # freed before the checker allocates its temporaries
-        projected, unphysical = state_to_matrix_batch(p, basis)
-        failed |= projected.bad & ~unphysical
-        rejected = unphysical | (np.abs(row_dot(da.a, projected.p)) > ZERO_MEAN_TOL)
-        rejected |= np.abs(row_dot(db.a, projected.p)) > ZERO_MEAN_TOL
-        rejected &= ~failed
-        redrew = (rng.state()[:, : starts.shape[1]] != starts).any(axis=0)
-        taken = _taken_tries(rejected, redrew, left)
-        left -= taken // pending.size + 1
-        bad[pending[failed[taken]]] = True
-        accepted = taken[~(failed | rejected)[taken]]
-        if accepted.size:
-            rows = (drawn._make(field[accepted] for field in drawn) for drawn in (da, db, projected))
-            k = pending[accepted % pending.size]
-            margins[k], bad[k] = row.lanes(*rows, None)
-        going = rejected[taken]
-        bad[pending[going & (left == 0)]] = True  # the scalar loop raises RuntimeError
-        going &= left > 0
-        rng = rng.take(taken[going])
-        pending, left = pending[going], left[going]
-        tries = min(_round_tries(pending.size or 1), int(left.max(initial=1)))
-    return margins, bad
-
-
-def _taken_tries(rejected: np.ndarray, redrew: np.ndarray, left: np.ndarray) -> np.ndarray:
-    """The row of the try each lane of an appendix-c round takes, with
-    ``left.size`` lanes and try t of lane k in row t * lanes + k: its
-    first try that the draw does not reject, or that drew again
-    (``redrew``, for every try but the last), or that is its last within
-    its ``left`` tries."""
-    lanes = np.arange(left.size)
-    stop = ~rejected.reshape(-1, left.size)
-    stop[:-1] |= redrew.reshape(-1, left.size)
-    stop[np.minimum(left, stop.shape[0]) - 1, lanes] = True
-    return stop.argmax(axis=0) * left.size + lanes
-
-
-class Relation(NamedTuple):
-    """How ``verify`` draws and checks one relation.
-
-    Sample i, on RNG stream i, draws a state of the ``sampling.draw_state``
-    kind ``states``, then A and B if ``pair``, and ``check(a, b, state,
-    theta_ab)`` returns its verdicts.  ``states`` None is appendix-c's
-    rejection loop, which draws A, B and the state itself; on lanes,
-    ``_appendix_c_lanes`` runs ``lanes`` on the tries each round
-    accepts.  ``dims`` are
-    the N the relation is defined for (None: any N >= 2).  ``lanes`` is
-    ``check`` on the batched engine, given batch rows drawn in the same
-    order: it returns (margins, bad), a row per stream and a column per
-    verdict, bit-identical to ``_sample``'s, whose verdicts hold at
-    ``tol``; ``_verdicts`` runs it at every N on each ``lane_chunks``
-    generator, and ``_sample`` replays the first bad stream.  Checks call
-    the relations through lambdas, which look the names up at call time,
-    so a wrapper on this module's names (bench/tracer.py puts one) sees
-    every call.
-    """
-
-    dims: tuple[int, ...] | None
-    states: str | None
-    pair: bool
-    check: Callable
-    lanes: Callable
-    tol: float = HOLDS_TOL
-
-
-_RELATIONS = {
-    "triangle": Relation(
-        (2,), "alternating", True,
-        lambda a, b, s, t: [check_triangle(a, b, s)],
-        lambda a, b, s, t: check_triangle_batch(a, b, s),
-    ),
-    "theorem1": Relation(
-        (2,), "alternating", True,
-        lambda a, b, s, t: [check_theorem1(a, b, s)],
-        lambda a, b, s, t: check_theorem1_batch(a, b, s),
-    ),
-    "mixed-limit": Relation(
-        (2,), "maximally_mixed", True,
-        lambda a, b, s, t: [check_mixed_limit(a, b, s)],
-        lambda a, b, s, t: check_mixed_limit_batch(a, b, s),
-    ),
-    "pure-limit": Relation(
-        (2,), "haar_pure", True,
-        lambda a, b, s, t: [check_pure_limit(a, b, s)],
-        lambda a, b, s, t: check_pure_limit_batch(a, b, s),
-    ),
-    "unit-vector": Relation(
-        (2,), "haar_pure", True,
-        lambda a, b, s, t: _unit_vector(a, b, s),
-        lambda a, b, s, t: _unit_vector_lanes(a, b, s),
-    ),
-    "three-obs-equality": Relation(
-        (2,), "haar_pure", False,
-        lambda a, b, s, t: [check_three_observable_equality(t, s)],
-        lambda a, b, s, t: check_three_observable_equality_batch(t, s),
-    ),
-    "appendix-b": Relation(
-        (2,), "hs_mixed", False,
-        lambda a, b, s, t: [check_appendix_b(s)],
-        lambda a, b, s, t: check_appendix_b_batch(s),
-    ),
-    "appendix-c": Relation(
-        None, None, False,
-        lambda a, b, s, t: [check_appendix_c(a, b, s, basis_for(s.dim))],
-        lambda a, b, s, t: check_appendix_c_batch(a, b, s),
-        APPENDIX_C_TOL,
-    ),
-    "robertson": Relation(
-        None, "alternating", True,
-        lambda a, b, s, t: [robertson_bound(a, b, s)],
-        lambda a, b, s, t: robertson_bound_batch(a, b, s),
-    ),
-    "state-dependent": Relation(
-        (2,), "haar_pure", True,
-        lambda a, b, s, t: [state_dependent_bound(a, b, s, 1), state_dependent_bound(a, b, s, -1)],
-        lambda a, b, s, t: _state_dependent_lanes(a, b, s),
-    ),
-}
-
-
-def _sample(relation: str, basis, seed: int, index: int, theta_ab: float) -> list:
-    """The verdicts of sample ``index``, drawn from stream ``index``."""
-    row = _RELATIONS[relation]
-    rng = Xoshiro256pp(seed, stream=index)
-    if row.states is None:
-        a, b, state = _appendix_c_draw(rng, basis)
-    else:
-        state = draw_state(row.states, rng, basis, index)
-        a = b = None
-        if row.pair:
-            a = draw_observable(rng, basis)
-            b = draw_observable(rng, basis)
-    return row.check(a, b, state, theta_ab)
-
-
-def _verdicts(relation: str, dim: int, samples: int, seed: int, theta_ab: float):
-    """Yield (margin, holds, saturated) for every check, in stream order."""
-    row = _RELATIONS[relation]
-    basis = basis_for(dim)
-    for rng in lane_chunks(seed, samples, dim):
-        with np.errstate(divide="ignore", invalid="ignore"):  # only bad rows divide by 0
-            if row.states is None:
-                margins, bad = _appendix_c_lanes(rng, basis)
-            elif row.pair:
-                state, a, b = draw_batches((row.states, OBSERVABLE, OBSERVABLE), rng, basis)
-                margins, bad = row.lanes(a, b, state, theta_ab)
-            else:
-                (state,) = draw_batches((row.states,), rng, basis)
-                margins, bad = row.lanes(None, None, state, theta_ab)
-        replay_first_bad(bad, rng, lambda i: _sample(relation, basis, seed, i, theta_ab))
-        for margin in margins.ravel().tolist():
-            yield margin, margin >= -row.tol, abs(margin) <= SATURATION_TOL
-
-
-def _fuzz(relation: str, dim: int, samples: int, seed: int, theta_ab: float) -> dict:
-    worst = math.inf
-    worst_abs = 0.0
-    holds = True
-    saturated = 0
-    checks = 0
-    for margin, ok, sat in _verdicts(relation, dim, samples, seed, theta_ab):
-        checks += 1
-        worst = min(worst, margin)
-        worst_abs = max(worst_abs, abs(margin))
-        holds = holds and ok
-        saturated += int(sat)
-    return {
-        "relation": relation,
-        "checks": checks,
-        "holds": holds,
-        "worst_margin": worst,
-        "max_abs_margin": worst_abs,
-        "saturated": saturated,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +321,7 @@ def _cmd_basis(args, parser) -> tuple[int, dict]:
 
 
 def _cmd_verify(args, parser) -> tuple[int, dict]:
-    dims = _RELATIONS[args.relation].dims
+    dims = engine.RELATIONS[args.relation].dims
     if dims is not None and args.dim not in dims:
         parser.error(
             f"relation {args.relation} is not defined for dim {args.dim} "
@@ -684,7 +332,7 @@ def _cmd_verify(args, parser) -> tuple[int, dict]:
     if not 1 <= args.samples <= MAX_SAMPLES:
         parser.error(f"--samples must be in 1..{MAX_SAMPLES}, got {args.samples}")
     start = time.perf_counter()
-    summary = _fuzz(args.relation, args.dim, args.samples, args.seed, args.theta_ab)
+    summary = engine.fuzz(args.relation, args.dim, args.samples, args.seed, args.theta_ab)
     wall = time.perf_counter() - start
     report = {
         "schema": SCHEMA_VERSION,
@@ -907,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_basis.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p_verify = sub.add_parser("verify", help="fuzz one relation over seeded random draws")
-    p_verify.add_argument("relation", choices=sorted(_RELATIONS))
+    p_verify.add_argument("relation", choices=sorted(engine.RELATIONS))
     p_verify.add_argument("--dim", type=int, default=2)
     p_verify.add_argument("--samples", type=int, default=1000)
     p_verify.add_argument("--seed", type=_seed, default=0)

@@ -8,13 +8,14 @@ count for a fixed seed.
 
 Both scans are qubit-only and run on the batched engine: each lanes
 generator of ``lane_chunks`` (``ENGINE_CHUNK`` streams) draws one
-``StateBatch`` through ``draw_state_batch``, and its variances, margins
-and every check of the scalar constructors and checkers are array
-operations, bit-identical to the per-state path (``draw_state``, ``variance_bloch``, the scalar
-checkers).  A row that fails a check, or whose margin fails its floor
-(NaN included), is replayed on that path for its own stream, which
-raises the stream's own exception; if the replay passes, the scan raises
-``NumericsError`` naming the sample.
+``StateBatch`` through ``draw_batches`` (a one-entry plan), and its
+variances, margins and every check of the scalar constructors and
+checkers are array operations, bit-identical to the per-state path
+(``draw_state``, ``variance_bloch``, the scalar checkers).  A row that
+fails a check, or whose margin fails its floor (NaN included), is
+replayed on that path for its own stream, which raises the stream's own
+exception; if the replay passes, the scan raises ``NumericsError``
+naming the sample.
 
 For pair scans with unit observables the analytic boundary of the
 scalar bound is attached: with the axis angle θ_ab it is traced by
@@ -46,8 +47,8 @@ from .relations import (
 from .sampling import (
     SampleConfig,
     Xoshiro256pp,
+    draw_batches,
     draw_state,
-    draw_state_batch,
     lane_chunks,
     replay_first_bad,
 )
@@ -174,7 +175,7 @@ def _scan(ensemble: SampleConfig, grid: float, norms: list, lanes, check, **fiel
         check(draw_state(ensemble.kind, Xoshiro256pp(ensemble.seed, stream=index), basis, index), index)
 
     for rng in lane_chunks(ensemble.seed, count, basis.dim):
-        state = draw_state_batch(ensemble.kind, rng, basis)
+        (state,) = draw_batches((ensemble.kind,), rng, basis)
         values, margin, bad = lanes(state)
         replay_first_bad(bad, rng, replay)
         rows = slice(rng.streams[0], rng.streams[-1] + 1)

@@ -51,7 +51,7 @@ checkers do.
 
 Lanes forms
 -----------
-Each checker the CLI fuzzes has a ``*_batch`` form over
+Each checker the verify engine fuzzes has a ``*_batch`` form over
 ``StateBatch``/``ObservableBatch`` rows, at every N the checker is
 defined for.  It returns ``(margins, bad)``: the margin of row i equals,
 bit for bit, the scalar verdict's margin on row i's objects, and ``bad``
@@ -87,6 +87,8 @@ __all__ = [
     "check_appendix_c",
     "robertson_bound",
     "state_dependent_bound",
+    "check_unit_vector_state",
+    "state_dependent_bounds",
     "effective_axis_angle",
     "db_span_given_da2",
     "db_span_any_state",
@@ -100,6 +102,8 @@ __all__ = [
     "check_appendix_c_batch",
     "robertson_bound_batch",
     "state_dependent_bound_batch",
+    "check_unit_vector_state_batch",
+    "state_dependent_bounds_batch",
     "effective_axis_angle_batch",
 ]
 
@@ -107,7 +111,8 @@ HOLDS_TOL = 1e-10
 APPENDIX_C_TOL = 1e-9
 SATURATION_TOL = 1e-9
 # Largest |<A>| and |<B>| the appendix-c trade-off accepts as zero; the
-# CLI's rejection draws accept exactly the tries that pass this check.
+# verify engine's rejection draws accept exactly the tries that pass
+# this check.
 ZERO_MEAN_TOL = 1e-9
 _RADICAND_FLOOR = -1e-10
 
@@ -391,6 +396,20 @@ def effective_axis_angle(a: Observable, b: Observable, rho: QuantumState) -> flo
     return math.acos(cos_ab)
 
 
+def check_unit_vector_state(a: Observable, b: Observable, rho: QuantumState) -> RelationVerdict:
+    """The unit-vector relation on ``rho``'s variances and ``effective_axis_angle``."""
+    da2 = max(1.0 - float(a.a @ rho.p) ** 2, 0.0)
+    db2 = max(1.0 - float(b.a @ rho.p) ** 2, 0.0)
+    return check_unit_vector_relation(effective_axis_angle(a, b, rho), da2, db2)
+
+
+def state_dependent_bounds(
+    a: Observable, b: Observable, psi: QuantumState
+) -> tuple[RelationVerdict, RelationVerdict]:
+    """``state_dependent_bound`` at both signs, + first."""
+    return state_dependent_bound(a, b, psi, 1), state_dependent_bound(a, b, psi, -1)
+
+
 def db_span_given_da2(theta_ab: float, da2: float) -> tuple[float, float]:
     """Feasible ΔB interval for unit observables once ΔA² is known.
 
@@ -606,3 +625,24 @@ def effective_axis_angle_batch(
     cos_ab = py_min(1.0, py_max(-1.0, cos_ab))
     product = row_dot(a.a, rho.p) * row_dot(b.a, rho.p)
     return per_element(math.acos, np.where(product < 0.0, -cos_ab, cos_ab))
+
+
+def check_unit_vector_state_batch(
+    a: ObservableBatch, b: ObservableBatch, rho: StateBatch
+) -> _LaneVerdicts:
+    """Lanes form of ``check_unit_vector_state``."""
+    # x**2 one element at a time: libm pow, as the scalar path evaluates it.
+    da2 = py_max(1.0 - per_element(lambda x: x**2, row_dot(a.a, rho.p)), 0.0)
+    db2 = py_max(1.0 - per_element(lambda x: x**2, row_dot(b.a, rho.p)), 0.0)
+    theta = effective_axis_angle_batch(a, b, rho)
+    margins, bad = check_unit_vector_relation_batch(theta, da2, db2)
+    return margins, bad | a.bad | b.bad | rho.bad
+
+
+def state_dependent_bounds_batch(
+    a: ObservableBatch, b: ObservableBatch, psi: StateBatch
+) -> _LaneVerdicts:
+    """Lanes form of ``state_dependent_bounds``: a column per sign."""
+    plus, bad_plus = state_dependent_bound_batch(a, b, psi, 1)
+    minus, bad_minus = state_dependent_bound_batch(a, b, psi, -1)
+    return np.stack([plus, minus], axis=1), bad_plus | bad_minus

@@ -27,21 +27,21 @@ reproducible independently of batch sizes or worker counts.
 one lane per stream, and draws exactly what ``Xoshiro256pp`` draws on
 each; its ``math.log`` goes through Python per element because numpy's
 ``log`` differs from libm's in the last bit.  It knows each lane's
-stream (``streams``), and ``take`` copies out some of its lanes.  The
-``*_batch`` functions are the lanes forms of the draws, and
-``draw_batches`` draws a plan of them one after another, a whole sample
-(a state, then A and B) or appendix-c try (A, B, then a mixed state) in
-one pass: one ``gaussians`` call for the plan, whose runs are even-sized
-so that its Box-Muller pairs are those of separate calls, and one
-``observable_from_bloch_batch`` call for all its observables.  The
-one-draw functions are one-entry plans.  An observable below
-``_MIN_NORM`` is drawn again, and only its lane advances: that lane is
-replayed draw by draw from its state before the plan, so its values and
-its end state are those of the separate calls.  ``lane_chunks`` yields
-a run's generators, ``ENGINE_CHUNK`` streams each, fewer above N = 4 so
-that a chunk's (rows, N, N) stacks hold at most ``_CHUNK_ENTRIES``
-entries, and ``replay_first_bad`` sends the first failing lane of a
-chunk back to the scalar path, which raises that stream's own exception.
+stream (``streams``), and ``take`` copies out some of its lanes.
+``draw_batches`` is the lanes form of the draws: it draws a plan of
+them one after another, a whole sample (a state, then A and B) or
+appendix-c try (A, B, then a mixed state) in one pass, or a single draw
+as a one-entry plan: one ``gaussians`` call for the plan, whose runs are
+even-sized so that its Box-Muller pairs are those of separate calls, and
+one ``observable_from_bloch_batch`` call for all its observables.  An
+observable below ``_MIN_NORM`` is drawn again, and only its lane
+advances: that lane is replayed draw by draw from its state before the
+plan, so its values and its end state are those of the separate calls.
+``lane_chunks`` yields a run's generators, ``ENGINE_CHUNK`` streams
+each, fewer above N = 4 so that a chunk's (rows, N, N) stacks hold at
+most ``_CHUNK_ENTRIES`` entries, and ``replay_first_bad`` sends the
+first failing lane of a chunk back to the scalar path, which raises that
+stream's own exception.
 
 ``ahead`` lays copies of each lane side by side, copy t standing t
 jumps of a fixed number of u64s further on.  A jump is exact: the
@@ -103,8 +103,6 @@ __all__ = [
     "ENGINE_CHUNK",
     "lane_chunks",
     "replay_first_bad",
-    "draw_state_batch",
-    "draw_observable_batch",
     "OBSERVABLE",
     "plan_widths",
     "draw_batches",
@@ -498,12 +496,6 @@ def draw_state(kind: str, rng: Xoshiro256pp, basis: GeneratorBasis, index: int) 
     return draw(rng, basis)
 
 
-def draw_state_batch(kind: str, rng: XoshiroLanes, basis: GeneratorBasis) -> StateBatch:
-    """Lanes form of ``draw_state``: lane k is sample ``rng.streams[k]``,
-    drawn as ``draw_pure`` or ``draw_mixed`` draws it (N² complex Gaussians)."""
-    return draw_batches((kind,), rng, basis)[0]
-
-
 def draw_observable(rng: Xoshiro256pp, basis: GeneratorBasis, unit: bool = True) -> Observable:
     """One observable with isotropic Gaussian coefficients.
 
@@ -521,14 +513,8 @@ def draw_observable(rng: Xoshiro256pp, basis: GeneratorBasis, unit: bool = True)
     return observable_from_bloch(g, basis)
 
 
-def draw_observable_batch(rng: XoshiroLanes, basis: GeneratorBasis) -> ObservableBatch:
-    """Lanes form of ``draw_observable(rng, basis)``: a lane whose draw
-    has norm below ``_MIN_NORM`` draws again, and only that lane advances."""
-    return draw_batches((OBSERVABLE,), rng, basis)[0]
-
-
 # The entry of a draw_batches plan that draws an observable; the others
-# are draw_state_batch kinds.
+# are draw_state kinds.
 OBSERVABLE = "observable"
 
 
@@ -543,8 +529,10 @@ def plan_widths(plan, dim: int) -> list[int]:
 
 def draw_batches(plan, rng: XoshiroLanes, basis: GeneratorBasis) -> list:
     """The draws of ``plan`` on every lane, one after another: each entry
-    is a ``draw_state_batch`` kind or ``OBSERVABLE``, and gives what that
-    call gives, bit for bit, the lanes' end states included.
+    is a ``draw_state`` kind or ``OBSERVABLE``, and on lane k gives, bit
+    for bit, what ``draw_state`` (sample ``rng.streams[k]``) or
+    ``draw_observable`` gives on that lane's stream, and the lanes end
+    where those calls leave the streams.
 
     One ``gaussians`` call draws the whole plan, split into each draw's
     run (even-sized, so the Box-Muller pairs are those of separate calls).

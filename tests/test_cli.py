@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import blochvar
-from blochvar import cli, regions
+from blochvar import cli, engine, regions
 from blochvar.cli import run
 from blochvar.errors import NumericsError
 
@@ -150,7 +150,7 @@ def test_verify_samples_outside_the_cap_exit_2(monkeypatch, samples):
     def no_fuzz(*args):
         raise AssertionError("verify drew samples")
 
-    monkeypatch.setattr(cli, "_fuzz", no_fuzz)
+    monkeypatch.setattr(engine, "fuzz", no_fuzz)
     with pytest.raises(SystemExit) as err:
         _run(["verify", "theorem1", "--samples", samples])
     assert err.value.code == 2
@@ -164,7 +164,7 @@ def test_verify_samples_cap_is_admitted(monkeypatch):
         return {"relation": relation, "checks": samples, "holds": True, "worst_margin": 0.0,
                 "max_abs_margin": 0.0, "saturated": 0}
 
-    monkeypatch.setattr(cli, "_fuzz", fuzz)
+    monkeypatch.setattr(engine, "fuzz", fuzz)
     code, report = _run(["verify", "theorem1", "--samples", str(regions.MAX_SAMPLES)])
     assert code == 0 and calls == [regions.MAX_SAMPLES]
     assert report["config"]["samples"] == regions.MAX_SAMPLES

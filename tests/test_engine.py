@@ -3,11 +3,11 @@
 `blochvar verify` runs every relation on lanes (`XoshiroLanes`,
 `StateBatch`/`ObservableBatch`, the `*_batch` checkers) at every N,
 appendix-c's rejection draws included, their later tries side by side
-from jumped lane states; the per-stream loop over `cli._sample`, which
+from jumped lane states; the per-stream loop over `engine._sample`, which
 replay also runs, stays as the oracle (`_scalar_only`).  These tests
 pin:
 
-* margins and `_fuzz` summaries equal to the loop's bit for bit, across
+* margins and `fuzz` summaries equal to the loop's bit for bit, across
   chunk boundaries, seeds 0 and 2**64 - 1 included, at N = 2 and at
   N = 3, 6 and 10;
 * the lane RNG, narrowed generators (`take`), re-draws, jumps
@@ -30,34 +30,34 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blochvar import basis_for, cli, sampling
+from blochvar import basis_for, engine, sampling
 from blochvar import bloch, linalg, relations, sun_basis, variance
 from blochvar.errors import NumericsError
 from blochvar.linalg import per_element, row_dot
-from blochvar.sampling import Xoshiro256pp, XoshiroLanes, draw_observable, draw_observable_batch
+from blochvar.sampling import Xoshiro256pp, XoshiroLanes, draw_observable
 
-RELATIONS = sorted(cli._RELATIONS)
-QUDIT_RELATIONS = sorted(r for r, entry in cli._RELATIONS.items() if entry.dims is None)
+RELATIONS = sorted(engine.RELATIONS)
+QUDIT_RELATIONS = sorted(r for r, entry in engine.RELATIONS.items() if entry.dims is None)
 SEEDS = st.one_of(st.sampled_from([0, 1, 2**64 - 1]), st.integers(0, 2**64 - 1))
 
 
 def _scalar_verdicts(relation, dim, samples, seed, theta_ab):
     # The per-stream oracle: sample i drawn from stream i and checked by
     # the scalar checkers, in the (margin, holds, saturated) form of
-    # `cli._verdicts`.
+    # `engine._verdicts`.
     basis = basis_for(dim)
     for i in range(samples):
-        for verdict in cli._sample(relation, basis, seed, i, theta_ab):
+        for verdict in engine._sample(relation, basis, seed, i, theta_ab):
             yield verdict.margin, verdict.holds, verdict.saturated
 
 
 def _scalar_only():
     """Patch that sends `verify` through the per-stream loop."""
-    return mock.patch.object(cli, "_verdicts", _scalar_verdicts)
+    return mock.patch.object(engine, "_verdicts", _scalar_verdicts)
 
 
 def _margins(relation, samples, seed, theta_ab=math.pi / 4.0, dim=2):
-    return np.array([m for m, _, _ in cli._verdicts(relation, dim, samples, seed, theta_ab)])
+    return np.array([m for m, _, _ in engine._verdicts(relation, dim, samples, seed, theta_ab)])
 
 
 def _summary_reprs(summary):
@@ -65,8 +65,43 @@ def _summary_reprs(summary):
 
 
 def test_engine_covers_the_catalogue():
-    assert all(callable(entry.lanes) for entry in cli._RELATIONS.values())
+    # Every row names public checkers of `relations` and the arguments
+    # they take.
+    for entry in engine.RELATIONS.values():
+        for name, *params in (entry.check, entry.lanes):
+            assert name in relations.__all__ and callable(getattr(relations, name))
+            assert set(params) <= {"a", "b", "state", "theta_ab", "basis"}
     assert QUDIT_RELATIONS == ["appendix-c", "robertson"]
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` in a wrapper that counts its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(name)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("relation", RELATIONS)
+def test_engine_looks_its_calls_up_at_call_time(monkeypatch, relation):
+    # A wrapper put on a module attribute after import, as the bench's
+    # tracer puts one, sees the engine's calls: the row's lanes checker
+    # and the one-pass draws through `fuzz`, its scalar checker through
+    # `_sample`.
+    row = engine.RELATIONS[relation]
+    dim = 2 if row.dims else 3
+    lanes = _count_calls(monkeypatch, relations, row.lanes[0])
+    check = _count_calls(monkeypatch, relations, row.check[0])
+    draws = _count_calls(monkeypatch, sampling, "draw_batches")
+    engine.fuzz(relation, dim, 5, 0, math.pi / 4.0)
+    assert lanes and draws and not check
+    engine._sample(relation, basis_for(dim), 0, 4, math.pi / 4.0)
+    assert check
 
 
 @pytest.mark.parametrize("relation", RELATIONS)
@@ -77,10 +112,10 @@ def test_engine_covers_the_catalogue():
 def test_engine_matches_scalar_loop(relation, seed, samples, chunk):
     with mock.patch.object(sampling, "ENGINE_CHUNK", chunk):
         lanes = _margins(relation, samples, seed)
-        summary = cli._fuzz(relation, 2, samples, seed, math.pi / 4.0)
+        summary = engine.fuzz(relation, 2, samples, seed, math.pi / 4.0)
     with _scalar_only():
         scalar = _margins(relation, samples, seed)
-        expected = cli._fuzz(relation, 2, samples, seed, math.pi / 4.0)
+        expected = engine.fuzz(relation, 2, samples, seed, math.pi / 4.0)
     assert lanes.dtype == scalar.dtype == np.float64
     assert np.array_equal(lanes, scalar)
     assert _summary_reprs(summary) == _summary_reprs(expected)
@@ -102,8 +137,8 @@ _TRIES = [1, 2, 5, "default"]
 def _tries_per_round(tries):
     """Patch that gives each pending lane ``tries`` tries a later round."""
     if tries == "default":
-        return mock.patch.object(cli, "_round_tries", cli._round_tries)
-    return mock.patch.object(cli, "_round_tries", lambda pending: tries)
+        return mock.patch.object(engine, "_round_tries", engine._round_tries)
+    return mock.patch.object(engine, "_round_tries", lambda pending: tries)
 
 
 # How the lanes draw their uniforms: as `_segment_steps` picks, every
@@ -139,10 +174,10 @@ def _draws(regime):
 def test_qudit_engine_matches_scalar_loop(relation, dim, draws, seed, samples, chunk, tries):
     with mock.patch.object(sampling, "ENGINE_CHUNK", chunk), _tries_per_round(tries), _draws(draws):
         lanes = _margins(relation, samples, seed, dim=dim)
-        summary = cli._fuzz(relation, dim, samples, seed, math.pi / 4.0)
+        summary = engine.fuzz(relation, dim, samples, seed, math.pi / 4.0)
     with _scalar_only():
         scalar = _margins(relation, samples, seed, dim=dim)
-        expected = cli._fuzz(relation, dim, samples, seed, math.pi / 4.0)
+        expected = engine.fuzz(relation, dim, samples, seed, math.pi / 4.0)
     assert lanes.dtype == scalar.dtype == np.float64
     assert np.array_equal(lanes, scalar)
     assert _summary_reprs(summary) == _summary_reprs(expected)
@@ -229,7 +264,7 @@ def test_observable_redraw_lanes_match_scalar(basis2, min_norm):
     # Raising the threshold makes the rare zero-norm redraw common: at
     # 1.6 most lanes redraw, many of them more than once.
     with mock.patch.object(sampling, "_MIN_NORM", min_norm):
-        batch = draw_observable_batch(XoshiroLanes(5, range(64)), basis2)
+        (batch,) = sampling.draw_batches((_OBS,), XoshiroLanes(5, range(64)), basis2)
         scalar = [draw_observable(Xoshiro256pp(5, stream=k), basis2) for k in range(64)]
     assert not batch.bad.any()
     assert np.array_equal(batch.a, [obs.a for obs in scalar])
@@ -244,7 +279,7 @@ def test_masked_observable_redraw_matches_scalar(basis3, min_norm):
     lanes = XoshiroLanes(5, range(64)).take(np.arange(1, 64, 3))
     rngs = [Xoshiro256pp(5, stream=k) for k in lanes.streams.tolist()]
     with mock.patch.object(sampling, "_MIN_NORM", min_norm):
-        batch = draw_observable_batch(lanes, basis3)
+        (batch,) = sampling.draw_batches((_OBS,), lanes, basis3)
         scalar = [draw_observable(rng, basis3) for rng in rngs]
     assert not batch.bad.any()
     assert np.array_equal(batch.a, [obs.a for obs in scalar])
@@ -275,10 +310,7 @@ def _assert_same_fields(got, expected):
 
 
 def _one_by_one(plan, rng, basis):
-    return [
-        draw_observable_batch(rng, basis) if kind == _OBS else sampling.draw_state_batch(kind, rng, basis)
-        for kind in plan
-    ]
+    return [sampling.draw_batches((kind,), rng, basis)[0] for kind in plan]
 
 
 def _assert_fused_matches_one_by_one(plan, rng, basis):
@@ -356,7 +388,7 @@ def test_jump_table_moves_a_try_ahead(dim):
     # An appendix-c try draws 4 floor(N^2 / 2) + 2 N^2 u64s, and the jump
     # table moves a state as that many generator steps do.
     basis = basis_for(dim)
-    steps = cli._try_steps(basis)
+    steps = engine._try_steps(basis)
     assert steps == 4 * (dim * dim // 2) + 2 * dim * dim
     rng = _Counting(5, 7)
     draw_observable(rng, basis)
@@ -444,7 +476,7 @@ def test_qudit_jobs_build_few_jump_tables():
     sampling._jump_table.cache_clear()
     for relation, by_dim in samples.items():
         for dim, count in by_dim.items():
-            cli._fuzz(relation, dim, count, 0, math.pi / 4.0)
+            engine.fuzz(relation, dim, count, 0, math.pi / 4.0)
     built = sampling._jump_table.cache_info().currsize
     assert 3 < built <= 3 * 3
     assert sampling._jump_table(34).nbytes == 32 * 1024
@@ -482,7 +514,7 @@ def _failing_streams(relation, samples, seed, dim=2):
     failing = []
     for i in range(samples):
         try:
-            cli._sample(relation, basis, seed, i, math.pi / 4.0)
+            engine._sample(relation, basis, seed, i, math.pi / 4.0)
         except (ValueError, ArithmeticError, RuntimeError):
             failing.append(i)
     return failing
@@ -493,9 +525,9 @@ def test_first_failing_stream_raises_scalar_error(module, name, value, relation)
     with mock.patch.object(module, name, value):
         failing = _failing_streams(relation, 200, 3)
         with _scalar_only(), pytest.raises(Exception) as scalar:
-            cli._fuzz(relation, 2, 200, 3, math.pi / 4.0)
+            engine.fuzz(relation, 2, 200, 3, math.pi / 4.0)
         with mock.patch.object(sampling, "ENGINE_CHUNK", 16), pytest.raises(Exception) as lanes:
-            cli._fuzz(relation, 2, 200, 3, math.pi / 4.0)
+            engine.fuzz(relation, 2, 200, 3, math.pi / 4.0)
     assert type(lanes.value) is type(scalar.value)
     assert str(lanes.value) == str(scalar.value)
     if module is not linalg:
@@ -515,8 +547,8 @@ _QUDIT_DRAW_FAILURES = [
     (bloch, "PSD_EIGENVALUE_FLOOR", 0.01, 3),
     (bloch, "_TRACE_ATOL", 1e-16, 3),
     (bloch, "_CONSISTENCY_ATOL", 2e-16, 6),
-    (cli, "_APPENDIX_C_TRIES", 1, 3),
-    (cli, "_APPENDIX_C_TRIES", 2, 6),
+    (engine, "_APPENDIX_C_TRIES", 1, 3),
+    (engine, "_APPENDIX_C_TRIES", 2, 6),
 ]
 _QUDIT_FAILURES = _QUDIT_DRAW_FAILURES + [(variance, "_NEGATIVE_VARIANCE_FLOOR", 0.25, 6)]
 
@@ -527,13 +559,13 @@ def test_first_failing_appendix_c_stream_raises_scalar_error(module, name, value
     with mock.patch.object(module, name, value):
         failing = _failing_streams("appendix-c", 60, 3, dim)
         with _scalar_only(), pytest.raises(Exception) as scalar:
-            cli._fuzz("appendix-c", dim, 60, 3, 0.0)
+            engine.fuzz("appendix-c", dim, 60, 3, 0.0)
         with (
             mock.patch.object(sampling, "ENGINE_CHUNK", 16),
             _tries_per_round(tries),
             pytest.raises(Exception) as lanes,
         ):
-            cli._fuzz("appendix-c", dim, 60, 3, 0.0)
+            engine.fuzz("appendix-c", dim, 60, 3, 0.0)
     assert type(lanes.value) is type(scalar.value)
     assert str(lanes.value) == str(scalar.value)
     assert 0 < failing[0] and len(failing) > 1
@@ -546,7 +578,7 @@ def test_appendix_c_lanes_flag_the_streams_scalar_rejects(module, name, value, d
     # does not name its stream.  The variance floor fails the check, not
     # the draw, in round 1 and in later rounds alike.
     with mock.patch.object(module, name, value), _tries_per_round(tries):
-        margins, bad = cli._appendix_c_lanes(XoshiroLanes(3, range(20)), basis_for(dim))
+        margins, bad = engine._appendix_c_lanes(XoshiroLanes(3, range(20)), basis_for(dim))
         failing = _failing_streams("appendix-c", 20, 3, dim)
     assert failing and np.flatnonzero(bad).tolist() == failing
     assert margins.shape == bad.shape == (20,)
@@ -556,9 +588,9 @@ def test_nonzero_mean_tries_are_drawn_again(monkeypatch):
     # Leave p unprojected when p[0] <= 0, on both paths (they share the
     # projection): about half the tries then carry nonzero means, which
     # must be drawn again, not accepted.
-    project_rows = cli._project_orthogonal_rows
+    project_rows = engine._project_orthogonal_rows
     monkeypatch.setattr(
-        cli, "_project_orthogonal_rows",
+        engine, "_project_orthogonal_rows",
         lambda p, a, b: np.where((p[:, 0] > 0)[:, None], project_rows(p, a, b), p),
     )
     lanes = _margins("appendix-c", 40, 5, dim=3)
@@ -569,14 +601,14 @@ def test_nonzero_mean_tries_are_drawn_again(monkeypatch):
 def _spy_taken_tries(monkeypatch):
     """Record the (redrew, left, tries) of every later appendix-c round."""
     rounds = []
-    taken_tries = cli._taken_tries
+    taken_tries = engine._taken_tries
 
     def spy(rejected, redrew, left):
         if rejected.size > left.size:
             rounds.append((redrew, left, rejected.size // left.size))
         return taken_tries(rejected, redrew, left)
 
-    monkeypatch.setattr(cli, "_taken_tries", spy)
+    monkeypatch.setattr(engine, "_taken_tries", spy)
     return rounds
 
 
@@ -609,22 +641,22 @@ def test_appendix_c_budget_runs_out_as_scalar_loop(monkeypatch, tries, budget):
     # Half the tries keep nonzero means, and redraws make lanes spend
     # their tries unevenly, so that some lanes' budgets end before a
     # round's last try: those lanes are bad, as the scalar loop raises.
-    project_rows = cli._project_orthogonal_rows
+    project_rows = engine._project_orthogonal_rows
     monkeypatch.setattr(
-        cli, "_project_orthogonal_rows",
+        engine, "_project_orthogonal_rows",
         lambda p, a, b: np.where((p[:, 0] > 0)[:, None], project_rows(p, a, b), p),
     )
     rounds = _spy_taken_tries(monkeypatch)
     basis = basis_for(3)
     with (
         mock.patch.object(sampling, "_MIN_NORM", 2.6),
-        mock.patch.object(cli, "_APPENDIX_C_TRIES", budget),
+        mock.patch.object(engine, "_APPENDIX_C_TRIES", budget),
         _tries_per_round(tries),
     ):
-        margins, bad = cli._appendix_c_lanes(XoshiroLanes(3, range(200)), basis)
+        margins, bad = engine._appendix_c_lanes(XoshiroLanes(3, range(200)), basis)
         failing = _failing_streams("appendix-c", 200, 3, 3)
         for i in np.flatnonzero(~bad):
-            assert margins[i] == cli._sample("appendix-c", basis, 3, int(i), 0.0)[0].margin
+            assert margins[i] == engine._sample("appendix-c", basis, 3, int(i), 0.0)[0].margin
     assert failing and np.flatnonzero(bad).tolist() == failing
     if budget == 4 and tries in (2, 5):
         assert any((left < tries_).any() for _, left, tries_ in rounds)
@@ -653,21 +685,20 @@ def test_draws_accept_exactly_the_means_the_check_allows(monkeypatch, tries, axi
     # above it.
     tol = 1e-6
     monkeypatch.setattr(relations, "ZERO_MEAN_TOL", tol)
-    monkeypatch.setattr(cli, "ZERO_MEAN_TOL", tol)
-    project_rows = cli._project_orthogonal_rows
+    project_rows = engine._project_orthogonal_rows
 
     def shifted_rows(p, a, b):  # shifted by [0, 2 tol), from the unprojected p
         v = (a, b)[axis]
         shift = 2.0 * tol * np.mod(np.abs(p[:, 0]) * 1e3, 1.0)
         return project_rows(p, a, b) + (shift / row_dot(v, v))[:, None] * v
 
-    monkeypatch.setattr(cli, "_project_orthogonal_rows", shifted_rows)
+    monkeypatch.setattr(engine, "_project_orthogonal_rows", shifted_rows)
     with mock.patch.object(sampling, "ENGINE_CHUNK", 16), _tries_per_round(tries):
         lanes = _margins("appendix-c", 40, 5, dim=3)
     with _scalar_only():
         assert np.array_equal(lanes, _margins("appendix-c", 40, 5, dim=3))
     basis = basis_for(3)
-    draws = [cli._appendix_c_draw(Xoshiro256pp(5, stream=i), basis) for i in range(40)]
+    draws = [engine._appendix_c_draw(Xoshiro256pp(5, stream=i), basis, i) for i in range(40)]
     means = [max(abs(float(a.a @ s.p)), abs(float(b.a @ s.p))) for a, b, s in draws]
     assert tol / 2 < max(means) <= tol
     widest = int(np.argmax(means))
@@ -681,34 +712,33 @@ def test_draws_accept_exactly_the_means_the_check_allows(monkeypatch, tries, axi
 def test_appendix_c_holds_at_its_own_tolerance(monkeypatch):
     # Margins of -5e-10 hold at appendix-c's 1e-9, not at the default 1e-10.
     # The lanes checker scores every lane.
-    lanes = cli.check_appendix_c_batch
+    lanes = relations.check_appendix_c_batch
 
     def shifted(a, b, state):
         margins, bad = lanes(a, b, state)
         return np.full_like(margins, -5e-10), bad
 
-    monkeypatch.setattr(cli, "check_appendix_c_batch", shifted)
-    summary = cli._fuzz("appendix-c", 3, 20, 0, 0.0)
+    monkeypatch.setattr(relations, "check_appendix_c_batch", shifted)
+    summary = engine.fuzz("appendix-c", 3, 20, 0, 0.0)
     monkeypatch.setattr(
-        cli, "check_appendix_c",
+        relations, "check_appendix_c",
         lambda a, b, s, basis: relations._verdict("appendix_c", 0.0, 5e-10, relations.APPENDIX_C_TOL),
     )
     with _scalar_only():
-        expected = cli._fuzz("appendix-c", 3, 20, 0, 0.0)
+        expected = engine.fuzz("appendix-c", 3, 20, 0, 0.0)
     assert summary["holds"] and _summary_reprs(summary) == _summary_reprs(expected)
 
 
 def test_lane_only_failure_is_reported(monkeypatch):
-    checker = cli._RELATIONS["theorem1"].lanes
+    checker = relations.check_theorem1_batch
 
-    def flag_stream_3(a, b, state, theta_ab):
-        margins, bad = checker(a, b, state, theta_ab)
+    def flag_stream_3(a, b, state):
+        margins, bad = checker(a, b, state)
         return margins, bad | (np.arange(bad.size) == 3)
 
-    entry = cli._RELATIONS["theorem1"]._replace(lanes=flag_stream_3)
-    monkeypatch.setitem(cli._RELATIONS, "theorem1", entry)
+    monkeypatch.setattr(relations, "check_theorem1_batch", flag_stream_3)
     with pytest.raises(NumericsError, match="stream 3"):
-        cli._fuzz("theorem1", 2, 10, 0, 0.0)
+        engine.fuzz("theorem1", 2, 10, 0, 0.0)
 
 
 def _raises(fn, *args):
@@ -766,63 +796,43 @@ def test_observable_checks_flag_the_rows_scalar_rejects(basis2):
         assert np.array_equal(batch.matrix[i], obs.matrix.array) and batch.norm2[i] == obs.norm2
 
 
-# (lanes form, scalar form) of each checker, called as f(a, b, state).
-_CHECKERS = [
-    (relations.check_triangle_batch, relations.check_triangle),
-    (relations.check_theorem1_batch, relations.check_theorem1),
-    (relations.check_mixed_limit_batch, relations.check_mixed_limit),
-    (relations.check_pure_limit_batch, relations.check_pure_limit),
-    (cli._unit_vector_lanes, lambda a, b, s: cli._unit_vector(a, b, s)[0]),
-    (
-        lambda a, b, s: relations.check_three_observable_equality_batch(1.1, s),
-        lambda a, b, s: relations.check_three_observable_equality(1.1, s),
-    ),
-    (
-        lambda a, b, s: relations.check_appendix_b_batch(s),
-        lambda a, b, s: relations.check_appendix_b(s),
-    ),
-    (relations.robertson_bound_batch, relations.robertson_bound),
-    (
-        lambda a, b, s: relations.state_dependent_bound_batch(a, b, s, -1),
-        lambda a, b, s: relations.state_dependent_bound(a, b, s, -1),
-    ),
-]
+# The rows that draw a plan: every relation but appendix-c, whose
+# rejection loop test_qudit_checkers_flag_the_rows_scalar_rejects covers.
+_PLANNED = [relation for relation in RELATIONS if engine.RELATIONS[relation].plan is not None]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # bad rows on purpose
-@pytest.mark.parametrize("batch_form,scalar_form", _CHECKERS)
-def test_checkers_flag_the_rows_scalar_rejects(basis2, batch_form, scalar_form):
-    # Pure, mixed and completely mixed rows: each checker's preconditions
-    # reject some of them.
+@pytest.mark.parametrize("relation", _PLANNED)
+def test_checkers_flag_the_rows_scalar_rejects(basis2, relation):
+    # Each row's checkers, called as the engine calls them, on pure, mixed
+    # and completely mixed rows: each checker's preconditions reject some
+    # of them.
+    row = engine.RELATIONS[relation]
     n = 60
-    lanes = XoshiroLanes(9, range(n))
-    drawn = sampling.draw_state_batch("alternating", lanes, basis2)
+    plan = ("alternating", _OBS, _OBS)
+    drawn, a, b = sampling.draw_batches(plan, XoshiroLanes(9, range(n)), basis2)
     rho = np.where((np.arange(n) % 3 == 2)[:, None, None], np.eye(2) / 2, drawn.rho)
-    margins, bad = batch_form(
-        draw_observable_batch(lanes, basis2),
-        draw_observable_batch(lanes, basis2),
-        bloch.state_from_matrix_batch(rho, basis2),
-    )
+    state = bloch.state_from_matrix_batch(rho, basis2)
+    margins, bad = engine._call(row.lanes, plan, (state, a, b), theta_ab=1.1)
+    margins = margins.reshape(n, -1)  # a column per verdict
     for i in range(n):
         rng = Xoshiro256pp(9, stream=i)
         rng.complex_gaussians(4)  # the state's draw
-        a = draw_observable(rng, basis2)
-        b = draw_observable(rng, basis2)
+        pair = (draw_observable(rng, basis2), draw_observable(rng, basis2))
         try:
             state = bloch.state_from_matrix(linalg.HermitianMatrix(rho[i]), basis2)
-            margin = scalar_form(a, b, state).margin
+            verdicts = engine._call(row.check, plan, (state, *pair), theta_ab=1.1)
         except (ValueError, ArithmeticError):
             assert bad[i]
             continue
-        assert not bad[i] and margins[i] == margin
+        verdicts = verdicts if isinstance(verdicts, tuple) else (verdicts,)
+        assert not bad[i] and margins[i].tolist() == [v.margin for v in verdicts]
 
 
 def test_theorem1_flags_variance_above_norm(basis2):
     # Validated objects cannot reach this check; shrink a stored norm.
     lanes = XoshiroLanes(2, range(50))
-    state = sampling.draw_state_batch("haar_pure", lanes, basis2)
-    a = draw_observable_batch(lanes, basis2)
-    b = draw_observable_batch(lanes, basis2)
+    state, a, b = sampling.draw_batches(("haar_pure", _OBS, _OBS), lanes, basis2)
     assert not relations.check_theorem1_batch(a, b, state)[1].any()
     shrunk = a._replace(norm2=0.5 * a.norm2)
     bad = relations.check_theorem1_batch(shrunk, b, state)[1]
@@ -855,7 +865,7 @@ def test_reconstruction_flags_the_rows_scalar_rejects(monkeypatch, dim, asymmetr
     # component along its asymmetric generator, which are solved again.
     basis = basis_for(dim)
     rng = np.random.default_rng(dim)
-    mixed = sampling.draw_state_batch("hs_mixed", XoshiroLanes(4, range(60)), basis)
+    (mixed,) = sampling.draw_batches(("hs_mixed",), XoshiroLanes(4, range(60)), basis)
     p = mixed.p * rng.uniform(0.5, 3.0, size=(60, 1))
     moved = []
     if asymmetric:
@@ -945,14 +955,14 @@ def test_qudit_checkers_flag_the_rows_scalar_rejects(relation, dim):
     # a fresh mixed state, whose nonzero means appendix-c rejects.
     basis = basis_for(dim)
     a, b, state = _stack_draws(
-        [cli._appendix_c_draw(Xoshiro256pp(6, stream=i), basis) for i in range(45)]
+        [engine._appendix_c_draw(Xoshiro256pp(6, stream=i), basis, i) for i in range(45)]
     )
-    mixed = sampling.draw_state_batch("hs_mixed", XoshiroLanes(7, range(45)), basis)
+    (mixed,) = sampling.draw_batches(("hs_mixed",), XoshiroLanes(7, range(45)), basis)
     swap = np.arange(45) % 3 == 0
     for field, drawn in zip(state, mixed):
         field[swap] = drawn[swap]
-    margins, flagged = cli._RELATIONS[relation].lanes(a, b, state, 0.0)
-    check = cli._RELATIONS[relation].check
+    row = engine.RELATIONS[relation]
+    margins, flagged = engine._call(row.lanes, engine._TRY, (a, b, state))
     for i in range(45):
         oa = bloch.observable_from_bloch(a.a[i], basis)
         ob = bloch.observable_from_bloch(b.a[i], basis)
@@ -962,7 +972,7 @@ def test_qudit_checkers_flag_the_rows_scalar_rejects(relation, dim):
             rho = bloch.state_to_matrix(state.p[i], basis)
         assert np.array_equal(rho.rho.array, state.rho[i]) and np.array_equal(rho.p, state.p[i])
         try:
-            margin = check(oa, ob, rho, 0.0)[0].margin
+            margin = engine._call(row.check, engine._TRY, (oa, ob, rho), basis=basis).margin
         except (ValueError, ArithmeticError):
             assert flagged[i]
             continue

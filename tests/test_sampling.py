@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blochvar import SampleConfig, Xoshiro256pp, completely_mixed, draw_observable, iter_states
-from blochvar.sampling import XoshiroLanes, draw_mixed, draw_pure, draw_state, draw_state_batch
+from blochvar.sampling import XoshiroLanes, draw_batches, draw_mixed, draw_pure, draw_state
 
 
 def _stack_bytes(states):
@@ -143,7 +143,7 @@ def test_observable_contract(basis3):
 @pytest.mark.parametrize("kind", ["haar_pure", "hs_mixed", "alternating", "maximally_mixed"])
 def test_draw_state_follows_its_kind(basis2, kind):
     streams = np.arange(10)
-    batch = draw_state_batch(kind, XoshiroLanes(7, streams), basis2)
+    (batch,) = draw_batches((kind,), XoshiroLanes(7, streams), basis2)
     assert not batch.bad.any()
     for i in streams.tolist():
         if kind == "maximally_mixed":
@@ -165,7 +165,7 @@ def test_draw_state_rejects_unknown_kinds(basis2):
     with pytest.raises(ValueError):
         draw_state("bloch_shell", Xoshiro256pp(1), basis2, 0)
     with pytest.raises(ValueError):
-        draw_state_batch("bloch_shell", XoshiroLanes(1, [0]), basis2)
+        draw_batches(("bloch_shell",), XoshiroLanes(1, [0]), basis2)
 
 
 def test_config_validation():

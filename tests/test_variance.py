@@ -26,7 +26,7 @@ from blochvar import (
     variance_report,
     vector_angle,
 )
-from blochvar.sampling import XoshiroLanes, draw_observable_batch, draw_state_batch
+from blochvar.sampling import OBSERVABLE, XoshiroLanes, draw_batches
 from blochvar.variance import variance_bloch_batch, variance_matrix_batch
 from conftest import random_hermitian
 
@@ -209,8 +209,7 @@ def test_batched_routes_match_scalar_rows(n):
     # pure and mixed states alternate.
     basis = basis_for(n)
     lanes = XoshiroLanes(7, range(40))
-    states = draw_state_batch("alternating", lanes, basis)
-    obs = draw_observable_batch(lanes, basis)
+    states, obs = draw_batches(("alternating", OBSERVABLE), lanes, basis)
     via_bloch, bad_bloch = variance_bloch_batch(obs, states)
     via_matrix, bad_matrix = variance_matrix_batch(obs.matrix, states.rho)
     assert not (bad_bloch | bad_matrix | states.bad | obs.bad).any()
