@@ -151,7 +151,7 @@ _TRY = (_OBS, _OBS, "hs_mixed")
 
 
 def _try_steps(basis) -> int:
-    """The u64s an appendix-c try draws, barring a zero-norm redraw."""
+    """The u64s an appendix-c try draws, whether it passes or fails."""
     return sum(sampling.plan_widths(_TRY, basis.dim))
 
 
@@ -200,24 +200,23 @@ def _appendix_c_lanes(rng: sampling.XoshiroLanes, basis):
     pending, side by side: try t starts from the lane's state jumped t
     tries on (``XoshiroLanes.ahead``).  Each lane takes its first try
     that the draw accepts or fails, and the lanes checker scores the
-    accepted ones at once.  A try that ends elsewhere than where the
-    next one starts drew again (a zero-norm observable): its verdict
-    stands, the lane's later tries are void, and it goes on from where
-    that try ended, as lanes left pending go on from their last try.
-    Each lane has ``_APPENDIX_C_TRIES`` tries; one that spends them all
-    is bad, as the scalar loop raises there.
+    accepted ones at once; a lane left pending goes on from where its
+    last try ended.  Every try draws ``_try_steps`` u64s, a failed one
+    (an observable below ``sampling._MIN_NORM``, say) too, so try t + 1
+    starts where try t ends, and the lanes still pending have all spent
+    the same tries.  Each lane has ``_APPENDIX_C_TRIES`` tries; one that
+    spends them all is bad, as the scalar loop raises there.
     """
     row = RELATIONS["appendix-c"]  # its checkers read no axis angle
     margins = np.zeros(rng.streams.size)
     bad = np.zeros(rng.streams.size, dtype=bool)
     pending = np.arange(rng.streams.size)
-    left = np.full(pending.size, _APPENDIX_C_TRIES)
+    left = _APPENDIX_C_TRIES
     steps = _try_steps(basis)
     tries = 1
     while pending.size:
         if tries > 1:
             rng = rng.ahead(tries, steps)
-        starts = rng.state()[:, pending.size :]
         da, db, mixed = sampling.draw_batches(_TRY, rng, basis)
         failed = da.bad | db.bad | mixed.bad
         p = _project_orthogonal_rows(mixed.p, da.a, db.a)
@@ -228,9 +227,8 @@ def _appendix_c_lanes(rng: sampling.XoshiroLanes, basis):
         rejected = unphysical | (np.abs(linalg.row_dot(da.a, projected.p)) > tol)
         rejected |= np.abs(linalg.row_dot(db.a, projected.p)) > tol
         rejected &= ~failed
-        redrew = (rng.state()[:, : starts.shape[1]] != starts).any(axis=0)
-        taken = _taken_tries(rejected, redrew, left)
-        left -= taken // pending.size + 1
+        taken = _taken_tries(rejected, pending.size)
+        left -= tries
         bad[pending[failed[taken]]] = True
         accepted = taken[~(failed | rejected)[taken]]
         if accepted.size:
@@ -241,22 +239,18 @@ def _appendix_c_lanes(rng: sampling.XoshiroLanes, basis):
         bad[pending[going & (left == 0)]] = True  # the scalar loop raises RuntimeError
         going &= left > 0
         rng = rng.take(taken[going])
-        pending, left = pending[going], left[going]
-        tries = min(_round_tries(pending.size or 1), int(left.max(initial=1)))
+        pending = pending[going]
+        tries = min(_round_tries(pending.size or 1), left)
     return margins, bad
 
 
-def _taken_tries(rejected: np.ndarray, redrew: np.ndarray, left: np.ndarray) -> np.ndarray:
-    """The row of the try each lane of an appendix-c round takes, with
-    ``left.size`` lanes and try t of lane k in row t * lanes + k: its
-    first try that the draw does not reject, or that drew again
-    (``redrew``, for every try but the last), or that is its last within
-    its ``left`` tries."""
-    lanes = np.arange(left.size)
-    stop = ~rejected.reshape(-1, left.size)
-    stop[:-1] |= redrew.reshape(-1, left.size)
-    stop[np.minimum(left, stop.shape[0]) - 1, lanes] = True
-    return stop.argmax(axis=0) * left.size + lanes
+def _taken_tries(rejected: np.ndarray, lanes: int) -> np.ndarray:
+    """The row of the try each lane of an appendix-c round on ``lanes``
+    lanes takes, try t of lane k in row t * lanes + k: its first try that
+    the draw does not reject, or else its last."""
+    stop = ~rejected.reshape(-1, lanes)
+    stop[-1] = True
+    return stop.argmax(axis=0) * lanes + np.arange(lanes)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +270,8 @@ def _sample(relation: str, basis, seed: int, index: int, theta_ab: float) -> lis
 
 
 def _verdicts(relation: str, dim: int, samples: int, seed: int, theta_ab: float):
-    """Yield (margin, holds, saturated) for every check, in stream order."""
+    """Yield the margins of every check, a chunk's at a time as a flat
+    array, in stream order."""
     row = RELATIONS[relation]
     basis = sun_basis.basis_for(dim)
     for rng in sampling.lane_chunks(seed, samples, dim):
@@ -287,24 +282,30 @@ def _verdicts(relation: str, dim: int, samples: int, seed: int, theta_ab: float)
                 drawn = sampling.draw_batches(row.plan, rng, basis)
                 margins, bad = _call(row.lanes, row.plan, drawn, theta_ab=theta_ab)
         sampling.replay_first_bad(bad, rng, lambda i: _sample(relation, basis, seed, i, theta_ab))
-        for margin in margins.ravel().tolist():
-            yield margin, margin >= -row.tol, abs(margin) <= relations.SATURATION_TOL
+        yield margins.ravel()
 
 
 def fuzz(relation: str, dim: int, samples: int, seed: int, theta_ab: float) -> dict:
     """The summary of ``verify``'s report: checks, whether all hold, the
-    worst and the largest absolute margin, and how many saturate."""
+    worst and the largest absolute margin, and how many saturate.
+
+    The worst and largest margins are those Python's ``min`` and ``max``
+    take over the margins in stream order: NaN is skipped, and of equal
+    ones (-0.0 and 0.0) the first is kept."""
+    tol = RELATIONS[relation].tol
     worst = math.inf
     worst_abs = 0.0
     holds = True
     saturated = 0
     checks = 0
-    for margin, ok, sat in _verdicts(relation, dim, samples, seed, theta_ab):
-        checks += 1
-        worst = min(worst, margin)
-        worst_abs = max(worst_abs, abs(margin))
-        holds = holds and ok
-        saturated += int(sat)
+    for margins in _verdicts(relation, dim, samples, seed, theta_ab):
+        checks += margins.size
+        holds = holds and bool((margins >= -tol).all())
+        saturated += int(np.count_nonzero(np.abs(margins) <= relations.SATURATION_TOL))
+        margins = margins[~np.isnan(margins)]
+        if margins.size:
+            worst = min(worst, float(margins[margins.argmin()]))  # argmin: the first of a tie
+            worst_abs = max(worst_abs, float(np.abs(margins).max()))
     return {
         "relation": relation,
         "checks": checks,

@@ -33,15 +33,15 @@ them one after another, a whole sample (a state, then A and B) or
 appendix-c try (A, B, then a mixed state) in one pass, or a single draw
 as a one-entry plan: one ``gaussians`` call for the plan, whose runs are
 even-sized so that its Box-Muller pairs are those of separate calls, and
-one ``observable_from_bloch_batch`` call for all its observables.  An
-observable below ``_MIN_NORM`` is drawn again, and only its lane
-advances: that lane is replayed draw by draw from its state before the
-plan, so its values and its end state are those of the separate calls.
-``lane_chunks`` yields a run's generators, ``ENGINE_CHUNK`` streams
-each, fewer above N = 4 so that a chunk's (rows, N, N) stacks hold at
-most ``_CHUNK_ENTRIES`` entries, and ``replay_first_bad`` sends the
-first failing lane of a chunk back to the scalar path, which raises that
-stream's own exception.
+one ``observable_from_bloch_batch`` call for all its observables, so
+every lane takes ``sum(plan_widths(plan, N))`` u64s.  An observable
+whose Gaussians fall below ``_MIN_NORM`` is a failed draw, as a failed
+check is: ``draw_observable`` raises ``NumericsError`` and
+``draw_batches`` marks the row ``bad``.  ``lane_chunks`` yields a run's
+generators, ``ENGINE_CHUNK`` streams each, fewer above N = 4 so that a
+chunk's (rows, N, N) stacks hold at most ``_CHUNK_ENTRIES`` entries,
+and ``replay_first_bad`` sends the first failing lane of a chunk back to
+the scalar path, which raises that stream's own exception.
 
 ``ahead`` lays copies of each lane side by side, copy t standing t
 jumps of a fixed number of u64s further on.  A jump is exact: the
@@ -115,7 +115,7 @@ __all__ = [
 ]
 
 _M64 = (1 << 64) - 1
-_MIN_NORM = 1e-12  # observable draws below this norm are drawn again
+_MIN_NORM = 1e-12  # observable draws below this norm raise NumericsError
 _SM_GAMMA = 0x9E3779B97F4A7C15
 _TWO_PI = 2.0 * math.pi
 
@@ -294,10 +294,6 @@ class XoshiroLanes:
         angle *= r
         return u[:, :n]
 
-    def state(self) -> np.ndarray:
-        """A copy of the lanes' states: a (4, lanes) array of words."""
-        return self._s.copy()
-
     def ahead(self, copies: int, steps: int) -> XoshiroLanes:
         """``copies`` copies of every lane as one generator, copy t standing
         ``t * steps`` u64s further on: its lane t * lanes + k is lane k
@@ -432,6 +428,9 @@ class SampleConfig:
     kind: str
 
     def __post_init__(self):
+        # Floats raise TypeError here, as in Xoshiro256pp, not in a draw.
+        operator.index(self.seed)
+        operator.index(self.count)
         if not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must be an unsigned 64-bit integer")
         if self.dim < 2:
@@ -500,14 +499,14 @@ def draw_observable(rng: Xoshiro256pp, basis: GeneratorBasis, unit: bool = True)
     """One observable with isotropic Gaussian coefficients.
 
     Normalized to |a| = 1 by default, which makes it uniform on the
-    coefficient sphere.
+    coefficient sphere.  Gaussians whose norm falls below ``_MIN_NORM``
+    (at most 2**-53 likely per draw at N = 2) raise ``NumericsError``,
+    with or without ``unit``.
     """
-    n = basis.n_generators
-    while True:
-        g = rng.gaussians(n)
-        norm = float(np.linalg.norm(g))
-        if norm >= _MIN_NORM:
-            break
+    g = rng.gaussians(basis.n_generators)
+    norm = float(np.linalg.norm(g))
+    if not norm >= _MIN_NORM:
+        raise NumericsError(f"observable Gaussians of norm {norm!r} below {_MIN_NORM!r}")
     if unit:
         g = g / norm
     return observable_from_bloch(g, basis)
@@ -519,9 +518,9 @@ OBSERVABLE = "observable"
 
 
 def plan_widths(plan, dim: int) -> list[int]:
-    """The Gaussians, and so the u64s, each draw of ``plan`` takes a lane
-    (barring a zero-norm redraw): 2 N² for a state's N² complex ones, none
-    for I/N, and N² - 1 in whole pairs for an observable."""
+    """The Gaussians, and so the u64s, each draw of ``plan`` takes a lane:
+    2 N² for a state's N² complex ones, none for I/N, and N² - 1 in whole
+    pairs for an observable, whether it passes ``_MIN_NORM`` or not."""
     n2 = dim * dim
     sizes = {OBSERVABLE: 2 * (n2 // 2), "maximally_mixed": 0}
     return [sizes.get(kind, 2 * n2) for kind in plan]
@@ -536,9 +535,8 @@ def draw_batches(plan, rng: XoshiroLanes, basis: GeneratorBasis) -> list:
 
     One ``gaussians`` call draws the whole plan, split into each draw's
     run (even-sized, so the Box-Muller pairs are those of separate calls).
-    A lane with an observable below ``_MIN_NORM`` is replayed draw by
-    draw from its start state, drawing that observable again, and ends
-    where the replay leaves it.  One ``observable_from_bloch_batch`` call
+    An observable below ``_MIN_NORM`` is a ``bad`` row, where
+    ``draw_observable`` raises.  One ``observable_from_bloch_batch`` call
     builds every observable of the plan: its kernels work row by row, so
     each row is what its own call gives."""
     lanes = rng.streams.size
@@ -548,32 +546,18 @@ def draw_batches(plan, rng: XoshiroLanes, basis: GeneratorBasis) -> list:
         if kind not in (OBSERVABLE, "maximally_mixed")
     }
     widths = plan_widths(plan, basis.dim)
-    start = rng.state()
-    g = rng.gaussians(sum(widths))
-    runs = np.split(g, np.cumsum(widths)[:-1], axis=1)
+    runs = np.split(rng.gaussians(sum(widths)), np.cumsum(widths)[:-1], axis=1)
     n = basis.n_generators
     norms = {
         i: np.sqrt(row_dot(runs[i][:, :n], runs[i][:, :n]))
         for i, kind in enumerate(plan)
         if kind == OBSERVABLE
     }
-    low = np.zeros(lanes, dtype=bool)
-    for norm in norms.values():
-        low |= ~(norm >= _MIN_NORM)
-    if low.any():
-        replay = rng.take(low)
-        replay._s[...] = start[:, low]
-        for i, width in enumerate(widths):
-            drawn = replay.gaussians(width)
-            if i in norms:
-                norms[i][low] = _redraw_low(drawn[:, :n], replay)
-            runs[i][low] = drawn
-        rng._s[:, low] = replay._s
     gaussians = {i: _complex_pairs(runs[i]) for i in pure}
     vec = np.empty((len(norms) * lanes, n))
     for k, (i, norm) in enumerate(norms.items()):
         np.divide(runs[i][:, :n], norm[:, None], out=vec[k * lanes : (k + 1) * lanes])
-    del g, runs  # freed before the checks allocate theirs
+    del runs  # freed before the checks allocate theirs
     out = [
         repeat_state(completely_mixed(basis), lanes) if kind == "maximally_mixed" else None
         for kind in plan
@@ -582,24 +566,10 @@ def draw_batches(plan, rng: XoshiroLanes, basis: GeneratorBasis) -> list:
         out[i] = _state_rows(gaussians.pop(i).reshape(-1, basis.dim, basis.dim), pure[i], basis)
     if norms:
         built = observable_from_bloch_batch(vec, basis)
-        for k, i in enumerate(norms):
+        for k, (i, norm) in enumerate(norms.items()):
             out[i] = ObservableBatch._make(f[k * lanes : (k + 1) * lanes] for f in built)
+            out[i].bad[~(norm >= _MIN_NORM)] = True
     return out
-
-
-def _redraw_low(g: np.ndarray, rng: XoshiroLanes) -> np.ndarray:
-    # The norms of an observable's Gaussians g, a row per lane of rng,
-    # after drawing again, on their own lanes, the rows below _MIN_NORM
-    # until none is.
-    norm = np.sqrt(row_dot(g, g))
-    redraw = np.flatnonzero(~(norm >= _MIN_NORM))
-    while redraw.size:
-        again = rng.take(redraw)
-        g[redraw] = again.gaussians(g.shape[1])
-        rng._s[:, redraw] = again._s
-        norm[redraw] = np.sqrt(row_dot(g[redraw], g[redraw]))
-        redraw = redraw[~(norm[redraw] >= _MIN_NORM)]
-    return norm
 
 
 def _state_rows(g: np.ndarray, pure: np.ndarray, basis: GeneratorBasis) -> StateBatch:

@@ -10,13 +10,16 @@ pin:
 * margins and `fuzz` summaries equal to the loop's bit for bit, across
   chunk boundaries, seeds 0 and 2**64 - 1 included, at N = 2 and at
   N = 3, 6 and 10;
-* the lane RNG, narrowed generators (`take`), re-draws, jumps
-  (`ahead`) and segmented draws included, equal to `Xoshiro256pp`, with
-  every engine path run with all draws segmented and with none;
+* the lane RNG, narrowed generators (`take`), jumps (`ahead`) and
+  segmented draws included, equal to `Xoshiro256pp`, with every engine
+  path run with all draws segmented and with none;
 * a sample's draws in one pass (`draw_batches`) equal to the same draws
-  one after another, redraws and end states included, and observables
-  built on stacked rows equal to their own builds;
+  one after another, bad rows (an observable below `_MIN_NORM`) and end
+  states included, every lane moved on by the plan's width, and
+  observables built on stacked rows equal to their own builds;
 * the same exception, raised for the same first failing stream;
+* `fuzz`'s numpy reduction of the margins equal to Python's `min` and
+  `max` over them in stream order;
 * each numpy-vs-scalar equality the engine relies on, at N = 2 and per
   N up to the dimension cap, so that a numpy or libm upgrade that
   breaks one fails here by name.
@@ -43,12 +46,17 @@ SEEDS = st.one_of(st.sampled_from([0, 1, 2**64 - 1]), st.integers(0, 2**64 - 1))
 
 def _scalar_verdicts(relation, dim, samples, seed, theta_ab):
     # The per-stream oracle: sample i drawn from stream i and checked by
-    # the scalar checkers, in the (margin, holds, saturated) form of
-    # `engine._verdicts`.
+    # the scalar checkers, its margins as an array, as `engine._verdicts`
+    # yields a chunk's.  Each verdict's flags are those `fuzz` reads off
+    # its margin.
     basis = basis_for(dim)
+    tol = engine.RELATIONS[relation].tol
     for i in range(samples):
-        for verdict in engine._sample(relation, basis, seed, i, theta_ab):
-            yield verdict.margin, verdict.holds, verdict.saturated
+        verdicts = engine._sample(relation, basis, seed, i, theta_ab)
+        for v in verdicts:
+            assert v.holds == (v.margin >= -tol)
+            assert v.saturated == (abs(v.margin) <= relations.SATURATION_TOL)
+        yield np.array([v.margin for v in verdicts])
 
 
 def _scalar_only():
@@ -57,7 +65,7 @@ def _scalar_only():
 
 
 def _margins(relation, samples, seed, theta_ab=math.pi / 4.0, dim=2):
-    return np.array([m for m, _, _ in engine._verdicts(relation, dim, samples, seed, theta_ab)])
+    return np.concatenate(list(engine._verdicts(relation, dim, samples, seed, theta_ab)))
 
 
 def _summary_reprs(summary):
@@ -118,6 +126,46 @@ def test_engine_matches_scalar_loop(relation, seed, samples, chunk):
         expected = engine.fuzz(relation, 2, samples, seed, math.pi / 4.0)
     assert lanes.dtype == scalar.dtype == np.float64
     assert np.array_equal(lanes, scalar)
+    assert _summary_reprs(summary) == _summary_reprs(expected)
+
+
+# Margins that tell the reductions apart: NaN, both zeros, both
+# infinities, values at the tolerances, and ties among them.
+_EDGE_MARGINS = st.one_of(
+    st.sampled_from([math.nan, 0.0, -0.0, math.inf, -math.inf, -1e-10, -2e-10, 1e-12, -1.0, 1.0]),
+    st.floats(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    relation=st.sampled_from(["theorem1", "appendix-c"]),
+    chunks=st.lists(st.lists(_EDGE_MARGINS, max_size=300), max_size=4),
+)
+@example(relation="theorem1", chunks=[[0.0, math.nan, -0.0], [-0.0, 0.0]])
+@example(relation="theorem1", chunks=[[math.nan], [], [-0.0] * 40 + [0.0]])
+@example(relation="appendix-c", chunks=[[math.inf, -math.inf, math.nan, -math.inf]])
+def test_fuzz_reduces_margins_as_the_python_loop(relation, chunks):
+    # `fuzz` reduces each chunk with numpy; the loop it replaced took
+    # Python's min and max over the margins one by one, in stream order.
+    tol = engine.RELATIONS[relation].tol
+    worst, worst_abs, holds, saturated = math.inf, 0.0, True, 0
+    for margin in (m for chunk in chunks for m in chunk):
+        worst = min(worst, margin)
+        worst_abs = max(worst_abs, abs(margin))
+        holds = holds and margin >= -tol
+        saturated += int(abs(margin) <= relations.SATURATION_TOL)
+    expected = {
+        "relation": relation,
+        "checks": sum(map(len, chunks)),
+        "holds": holds,
+        "worst_margin": worst,
+        "max_abs_margin": worst_abs,
+        "saturated": saturated,
+    }
+    arrays = [np.array(chunk, dtype=np.float64) for chunk in chunks]
+    with mock.patch.object(engine, "_verdicts", lambda *args: iter(arrays)):
+        summary = engine.fuzz(relation, 2, 1, 0, 0.0)
     assert _summary_reprs(summary) == _summary_reprs(expected)
 
 
@@ -259,34 +307,33 @@ def test_lane_chunks_shrink_with_n_squared():
     assert [rng.streams[0] for rng in sampling.lane_chunks(0, 400, 16)] == [0, 192, 384]
 
 
-@pytest.mark.parametrize("min_norm", [1e-12, 1.0, 1.6])
-def test_observable_redraw_lanes_match_scalar(basis2, min_norm):
-    # Raising the threshold makes the rare zero-norm redraw common: at
-    # 1.6 most lanes redraw, many of them more than once.
-    with mock.patch.object(sampling, "_MIN_NORM", min_norm):
-        (batch,) = sampling.draw_batches((_OBS,), XoshiroLanes(5, range(64)), basis2)
-        scalar = [draw_observable(Xoshiro256pp(5, stream=k), basis2) for k in range(64)]
-    assert not batch.bad.any()
-    assert np.array_equal(batch.a, [obs.a for obs in scalar])
-    assert np.array_equal(batch.matrix, [obs.matrix.array for obs in scalar])
-    assert np.array_equal(batch.norm2, [obs.norm2 for obs in scalar])
+# Observable draws at _MIN_NORM thresholds that make a low norm common:
+# at 1.6 most su(2) draws fall below it, at 2.5 about a third of the su(3)
+# ones.  The su(3) draws are on a subset of lanes, as appendix-c's are.
+_LOW_NORMS = [(2, 1, 1e-12), (2, 1, 1.0), (2, 1, 1.6), (3, 3, 1e-12), (3, 3, 2.5)]
 
 
-@pytest.mark.parametrize("min_norm", [1e-12, 2.5])
-def test_masked_observable_redraw_matches_scalar(basis3, min_norm):
-    # Appendix-c draws on a subset of lanes; at 2.5 about a third of the
-    # su(3) draws are drawn again.
-    lanes = XoshiroLanes(5, range(64)).take(np.arange(1, 64, 3))
+@pytest.mark.parametrize("dim,step,min_norm", _LOW_NORMS)
+def test_low_norm_observable_lanes_match_scalar(dim, step, min_norm):
+    # Lanes are bad exactly where `draw_observable` raises, every other
+    # row is its draw bit for bit, and every lane goes on where its stream
+    # stands, bad ones included.
+    basis = basis_for(dim)
+    lanes = XoshiroLanes(5, range(64)).take(np.arange(1, 64, step))
     rngs = [Xoshiro256pp(5, stream=k) for k in lanes.streams.tolist()]
+    raised = []
     with mock.patch.object(sampling, "_MIN_NORM", min_norm):
-        (batch,) = sampling.draw_batches((_OBS,), lanes, basis3)
-        scalar = [draw_observable(rng, basis3) for rng in rngs]
-    assert not batch.bad.any()
-    assert np.array_equal(batch.a, [obs.a for obs in scalar])
-    assert np.array_equal(batch.a_prime, [obs.a_prime for obs in scalar])
-    assert np.array_equal(batch.matrix, [obs.matrix.array for obs in scalar])
-    # The redrawn lanes were written back: every lane goes on where its
-    # stream stands.
+        (batch,) = sampling.draw_batches((_OBS,), lanes, basis)
+        for k, rng in enumerate(rngs):
+            try:
+                obs = draw_observable(rng, basis)
+            except NumericsError:
+                raised.append(k)
+                continue
+            assert np.array_equal(batch.a[k], obs.a) and np.array_equal(batch.a_prime[k], obs.a_prime)
+            assert np.array_equal(batch.matrix[k], obs.matrix.array) and batch.norm2[k] == obs.norm2
+    assert np.flatnonzero(batch.bad).tolist() == raised
+    assert bool(raised) == (min_norm > 1e-12)
     assert np.array_equal(lanes.gaussians(2), [rng.gaussians(2) for rng in rngs])
 
 
@@ -322,7 +369,7 @@ def _assert_fused_matches_one_by_one(plan, rng, basis):
     assert len(fused) == len(plan)
     for got, want in zip(fused, expected):
         _assert_same_fields(got, want)
-    assert np.array_equal(rng.state(), sequential.state())
+    assert np.array_equal(rng._s, sequential._s)
 
 
 @settings(max_examples=40, deadline=None)
@@ -337,34 +384,39 @@ def _assert_fused_matches_one_by_one(plan, rng, basis):
 @example(plan=("alternating", _OBS, _OBS), dim=2, lanes=1, seed=2**64 - 1, min_norm=1.0)
 def test_fused_draw_matches_draws_one_after_another(plan, dim, lanes, seed, min_norm):
     # min_norm scales sqrt(N^2 - 1), about the median norm of an
-    # observable's Gaussians: at 1.0 about half the lanes draw A again,
-    # and half B, some of them more than once.
+    # observable's Gaussians: at 1.0 about half the lanes' A rows are
+    # bad, and half their B rows.  Bad or not, every lane ends the plan's
+    # width of u64s on, the jump appendix-c's side-by-side tries rest on.
     basis = basis_for(dim)
     threshold = sampling._MIN_NORM if min_norm is None else min_norm * math.sqrt(basis.n_generators)
     rng = XoshiroLanes(seed, np.arange(lanes) * 3 + 1)
+    start = rng._s.copy()
     with mock.patch.object(sampling, "_MIN_NORM", threshold):
         _assert_fused_matches_one_by_one(plan, rng, basis)
+    table = sampling._jump_table(sum(sampling.plan_widths(plan, dim)))
+    assert np.array_equal(rng._s, sampling._jump(start, table))
 
 
-def _redraws(rng, basis):
+def _low_norms(rng, basis):
     # The lanes of rng whose next observable draw falls below _MIN_NORM.
     g = rng.take(np.arange(rng.streams.size)).gaussians(basis.n_generators)
     return ~(np.sqrt(row_dot(g, g)) >= sampling._MIN_NORM)
 
 
 @pytest.mark.parametrize("plan", [("haar_pure", _OBS, _OBS), (_OBS, _OBS, "hs_mixed")])
-def test_fused_redraws_of_a_of_b_and_of_both_match(plan):
-    # Lanes that draw A again, B again, or both, each present, in one plan.
+def test_fused_low_norms_of_a_of_b_and_of_both_match(plan):
+    # Lanes whose A, B, or both fall below _MIN_NORM, each present, in
+    # one plan.
     basis = basis_for(3)
     with mock.patch.object(sampling, "_MIN_NORM", math.sqrt(basis.n_generators)):
         rng = XoshiroLanes(11, range(300))
         walk = rng.take(np.arange(300))
-        redrew = []
+        low = []
         for kind in plan:
             if kind == _OBS:
-                redrew.append(_redraws(walk, basis))
+                low.append(_low_norms(walk, basis))
             _one_by_one((kind,), walk, basis)
-        a, b = redrew
+        a, b = low
         assert (a & ~b).any() and (~a & b).any() and (a & b).any() and (~a & ~b).any()
         _assert_fused_matches_one_by_one(plan, rng, basis)
 
@@ -452,7 +504,7 @@ def test_segmented_draw_matches_stepped(seed, lanes, k, m, drawn):
     got = segmented._segmented(k, m) * 2.0**-53
     assert got.shape == (lanes, k)
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
-    assert np.array_equal(segmented.state(), rng.state())
+    assert np.array_equal(segmented._s, rng._s)
     assert np.array_equal(segmented.next_u64(), rng.next_u64())
 
 
@@ -495,8 +547,10 @@ def test_lanes_reject_bad_seeds_and_streams():
 # failures: the first failing stream raises the scalar exception
 
 # Tightened tolerances make some streams fail a check: the engine must
-# raise what the per-stream loop raises, for the same stream.  The last
-# entry fails every stream (in the recipe, before any lane is drawn).
+# raise what the per-stream loop raises, for the same stream.  A raised
+# _MIN_NORM makes observable draws fail (theorem1 draws its state first,
+# mixed-limit none).  The last entry fails every stream (in the recipe,
+# before any lane is drawn).
 _FAILURES = [
     (bloch, "PSD_EIGENVALUE_FLOOR", 0.0, "pure-limit"),
     (bloch, "_CONSISTENCY_ATOL", 1e-15, "theorem1"),
@@ -505,8 +559,16 @@ _FAILURES = [
     (variance, "_ZERO_NORM", 0.3, "triangle"),
     (variance, "_COS_EXCESS", -0.01, "triangle"),
     (relations, "_RADICAND_FLOOR", 0.01, "theorem1"),
+    (sampling, "_MIN_NORM", 0.6, "theorem1"),
+    (sampling, "_MIN_NORM", 0.6, "mixed-limit"),
     (linalg, "HERMITICITY_ATOL", -1.0, "mixed-limit"),
 ]
+
+
+def _failure_ids(cases):
+    """Test ids naming the patched constant, its value and the case, not
+    the module, so that moving a constant renames no test."""
+    return ["-".join(str(field) for field in case[1:]) for case in cases]
 
 
 def _failing_streams(relation, samples, seed, dim=2):
@@ -520,7 +582,7 @@ def _failing_streams(relation, samples, seed, dim=2):
     return failing
 
 
-@pytest.mark.parametrize("module,name,value,relation", _FAILURES)
+@pytest.mark.parametrize("module,name,value,relation", _FAILURES, ids=_failure_ids(_FAILURES))
 def test_first_failing_stream_raises_scalar_error(module, name, value, relation):
     with mock.patch.object(module, name, value):
         failing = _failing_streams(relation, 200, 3)
@@ -539,7 +601,8 @@ def test_first_failing_stream_raises_scalar_error(module, name, value, relation)
 # eigenvalue floor and a tight trace tolerance make mixed draws raise
 # UnphysicalState outside the rejection loop's catch (the trace one also
 # makes observables raise), a tight consistency tolerance makes
-# observables raise ValueError, one or two tries raise RuntimeError for
+# observables raise ValueError, a raised _MIN_NORM makes observable
+# draws raise NumericsError, one or two tries raise RuntimeError for
 # each stream whose tries are all rejected (with two, a lane rejected in
 # round 1 has one try left in round 2), and a variance floor makes the
 # check raise after the draw.
@@ -547,6 +610,7 @@ _QUDIT_DRAW_FAILURES = [
     (bloch, "PSD_EIGENVALUE_FLOOR", 0.01, 3),
     (bloch, "_TRACE_ATOL", 1e-16, 3),
     (bloch, "_CONSISTENCY_ATOL", 2e-16, 6),
+    (sampling, "_MIN_NORM", 1.5, 3),
     (engine, "_APPENDIX_C_TRIES", 1, 3),
     (engine, "_APPENDIX_C_TRIES", 2, 6),
 ]
@@ -554,7 +618,7 @@ _QUDIT_FAILURES = _QUDIT_DRAW_FAILURES + [(variance, "_NEGATIVE_VARIANCE_FLOOR",
 
 
 @pytest.mark.parametrize("tries", _TRIES)
-@pytest.mark.parametrize("module,name,value,dim", _QUDIT_FAILURES)
+@pytest.mark.parametrize("module,name,value,dim", _QUDIT_FAILURES, ids=_failure_ids(_QUDIT_FAILURES))
 def test_first_failing_appendix_c_stream_raises_scalar_error(module, name, value, dim, tries):
     with mock.patch.object(module, name, value):
         failing = _failing_streams("appendix-c", 60, 3, dim)
@@ -572,7 +636,7 @@ def test_first_failing_appendix_c_stream_raises_scalar_error(module, name, value
 
 
 @pytest.mark.parametrize("tries", _TRIES)
-@pytest.mark.parametrize("module,name,value,dim", _QUDIT_FAILURES)
+@pytest.mark.parametrize("module,name,value,dim", _QUDIT_FAILURES, ids=_failure_ids(_QUDIT_FAILURES))
 def test_appendix_c_lanes_flag_the_streams_scalar_rejects(module, name, value, dim, tries):
     # Every failing stream, not only the first: a RuntimeError message
     # does not name its stream.  The variance floor fails the check, not
@@ -598,68 +662,72 @@ def test_nonzero_mean_tries_are_drawn_again(monkeypatch):
         assert np.array_equal(lanes, _margins("appendix-c", 40, 5, dim=3))
 
 
-def _spy_taken_tries(monkeypatch):
-    """Record the (redrew, left, tries) of every later appendix-c round."""
-    rounds = []
-    taken_tries = engine._taken_tries
-
-    def spy(rejected, redrew, left):
-        if rejected.size > left.size:
-            rounds.append((redrew, left, rejected.size // left.size))
-        return taken_tries(rejected, redrew, left)
-
-    monkeypatch.setattr(engine, "_taken_tries", spy)
-    return rounds
+def _tries_before_failing(relation, samples, seed, dim):
+    """The failing streams of the per-stream loop, each with the tries it
+    rejected before the one that raised."""
+    basis = basis_for(dim)
+    project_rows = engine._project_orthogonal_rows
+    failing = {}
+    for i in range(samples):
+        projected = []
+        with mock.patch.object(
+            engine, "_project_orthogonal_rows", lambda *args: projected.append(1) or project_rows(*args)
+        ):
+            try:
+                engine._sample(relation, basis, seed, i, 0.0)
+            except NumericsError:
+                failing[i] = len(projected)
+    return failing
 
 
 @pytest.mark.parametrize("draws", _DRAWS)
 @pytest.mark.parametrize("tries", _TRIES)
-@pytest.mark.parametrize("dim,min_norm", [(3, 2.6), (6, 5.9)])
-def test_redrawn_tries_match_scalar_loop(monkeypatch, tries, dim, min_norm, draws):
-    # At these thresholds about half the observable draws are drawn
-    # again, so many tries end elsewhere than where the next one starts:
-    # such a try keeps its verdict, and its lane's later tries are void.
-    # Segmented draws must leave each lane where its stream stands for
-    # that test to hold.
-    rounds = _spy_taken_tries(monkeypatch)
-    with (
-        mock.patch.object(sampling, "_MIN_NORM", min_norm),
-        mock.patch.object(sampling, "ENGINE_CHUNK", 16),
-        _tries_per_round(tries),
-        _draws(draws),
-    ):
-        lanes = _margins("appendix-c", 40, 5, dim=dim)
-        with _scalar_only():
-            assert np.array_equal(lanes, _margins("appendix-c", 40, 5, dim=dim))
+@pytest.mark.parametrize("dim,min_norm", [(3, 2.0), (6, 5.1)])
+def test_low_norm_tries_match_scalar_loop(monkeypatch, tries, dim, min_norm, draws):
+    # At these thresholds about one observable draw in six falls below
+    # _MIN_NORM, so some lanes fail a try after rejecting others, in
+    # later rounds and in a round's later tries.  Those lanes are bad,
+    # as the scalar loop raises there; a lane that takes an earlier try
+    # keeps its verdict.  Failed tries must move their lanes on by a
+    # whole try, segmented draws included, for the jumps to hold.
+    rounds = []
+    taken_tries = engine._taken_tries
+
+    def spy(rejected, lanes):
+        if rejected.size > lanes:
+            rounds.append(rejected.size // lanes)
+        return taken_tries(rejected, lanes)
+
+    monkeypatch.setattr(engine, "_taken_tries", spy)
+    basis = basis_for(dim)
+    with mock.patch.object(sampling, "_MIN_NORM", min_norm), _tries_per_round(tries), _draws(draws):
+        margins, bad = engine._appendix_c_lanes(XoshiroLanes(5, range(60)), basis)
+        failing = _tries_before_failing("appendix-c", 60, 5, dim)
+        for i in np.flatnonzero(~bad):
+            assert margins[i] == engine._sample("appendix-c", basis, 5, int(i), 0.0)[0].margin
+    assert np.flatnonzero(bad).tolist() == sorted(failing)
+    assert any(failing.values()) and not all(failing.values())
     assert (tries == 1) == (not rounds)
-    assert tries == 1 or any(redrew.any() for redrew, _, _ in rounds)
 
 
 @pytest.mark.parametrize("tries", _TRIES)
 @pytest.mark.parametrize("budget", [1, 2, 4])
 def test_appendix_c_budget_runs_out_as_scalar_loop(monkeypatch, tries, budget):
-    # Half the tries keep nonzero means, and redraws make lanes spend
-    # their tries unevenly, so that some lanes' budgets end before a
-    # round's last try: those lanes are bad, as the scalar loop raises.
+    # Half the tries keep nonzero means, so that some lanes spend their
+    # budget, in a round of one try or of several: those lanes are bad,
+    # as the scalar loop raises.
     project_rows = engine._project_orthogonal_rows
     monkeypatch.setattr(
         engine, "_project_orthogonal_rows",
         lambda p, a, b: np.where((p[:, 0] > 0)[:, None], project_rows(p, a, b), p),
     )
-    rounds = _spy_taken_tries(monkeypatch)
     basis = basis_for(3)
-    with (
-        mock.patch.object(sampling, "_MIN_NORM", 2.6),
-        mock.patch.object(engine, "_APPENDIX_C_TRIES", budget),
-        _tries_per_round(tries),
-    ):
+    with mock.patch.object(engine, "_APPENDIX_C_TRIES", budget), _tries_per_round(tries):
         margins, bad = engine._appendix_c_lanes(XoshiroLanes(3, range(200)), basis)
         failing = _failing_streams("appendix-c", 200, 3, 3)
         for i in np.flatnonzero(~bad):
             assert margins[i] == engine._sample("appendix-c", basis, 3, int(i), 0.0)[0].margin
     assert failing and np.flatnonzero(bad).tolist() == failing
-    if budget == 4 and tries in (2, 5):
-        assert any((left < tries_).any() for _, left, tries_ in rounds)
 
 
 def _stack_draws(draws):
