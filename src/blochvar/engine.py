@@ -1,12 +1,14 @@
 """The verify engine: the relation table, its draws and its checkers.
 
 Each row of ``RELATIONS`` names what a sample of its relation draws (a
-``sampling.draw_batches`` plan) and its scalar and lanes checkers in
-``relations``.  ``fuzz`` summarizes ``_verdicts``, which draws and checks
-a run on lanes, chunk by chunk; ``_sample`` draws and checks one sample
-on its own stream, the oracle that also replays a chunk's first bad
-lane.  Sample i always comes from stream i.  Appendix-c's rejection
-draws run in rounds on the lanes still pending (``_appendix_c_lanes``).
+``sampling.draw_batches`` plan) and its scalar checker in ``relations``,
+whose lanes twin is the same name with ``_batch`` appended, taking the
+same arguments (``_lanes``).  ``fuzz`` summarizes ``_verdicts``, which
+draws and checks a run on lanes, chunk by chunk; ``_sample`` draws and
+checks one sample on its own stream, the oracle that also replays a
+chunk's first bad lane.  Sample i always comes from stream i.
+Appendix-c's rejection draws run in rounds on the lanes still pending
+(``_appendix_c_lanes``).
 
 Every call into the package goes through a module attribute looked up at
 call time (``sampling.draw_batches``, ``getattr(relations, name)``), never
@@ -35,18 +37,18 @@ class Relation(NamedTuple):
     takes them; the checkers see its state as ``state`` and its
     observables as ``a`` and ``b`` (``_call``).  ``plan`` None is
     appendix-c's rejection loop, whose accepted tries give them.
-    ``check`` and ``lanes`` each name a function of ``relations`` and the
-    arguments it takes, of those and ``theta_ab`` and ``basis``: ``check``
-    returns a sample's verdict, or a tuple of them, and ``lanes`` their
-    (margins, bad) on batch rows, a column per verdict, bit-identical to
-    ``_sample``'s.  Verdicts hold at ``tol``.  ``dims`` are the N the
-    relation is defined for (None: any N >= 2).
+    ``check`` names a function of ``relations`` and the arguments it
+    takes, of those and ``theta_ab`` and ``basis``; it returns a sample's
+    verdict, or a tuple of them.  Its lanes twin, ``check``'s name with
+    ``_batch`` appended (``_lanes``), takes the same arguments as batch
+    rows and returns their (margins, bad), a column per verdict,
+    bit-identical to ``_sample``'s.  Verdicts hold at ``tol``.  ``dims``
+    are the N the relation is defined for (None: any N >= 2).
     """
 
     dims: tuple[int, ...] | None
     plan: tuple[str, ...] | None
     check: tuple[str, ...]
-    lanes: tuple[str, ...]
     tol: float = relations.HOLDS_TOL
 
 
@@ -54,49 +56,34 @@ _OBS = sampling.OBSERVABLE
 _AB_STATE = ("a", "b", "state")
 
 RELATIONS = {
-    "triangle": Relation(
-        (2,), ("alternating", _OBS, _OBS),
-        ("check_triangle", *_AB_STATE), ("check_triangle_batch", *_AB_STATE),
-    ),
-    "theorem1": Relation(
-        (2,), ("alternating", _OBS, _OBS),
-        ("check_theorem1", *_AB_STATE), ("check_theorem1_batch", *_AB_STATE),
-    ),
+    "triangle": Relation((2,), ("alternating", _OBS, _OBS), ("check_triangle", *_AB_STATE)),
+    "theorem1": Relation((2,), ("alternating", _OBS, _OBS), ("check_theorem1", *_AB_STATE)),
     "mixed-limit": Relation(
-        (2,), ("maximally_mixed", _OBS, _OBS),
-        ("check_mixed_limit", *_AB_STATE), ("check_mixed_limit_batch", *_AB_STATE),
+        (2,), ("maximally_mixed", _OBS, _OBS), ("check_mixed_limit", *_AB_STATE)
     ),
-    "pure-limit": Relation(
-        (2,), ("haar_pure", _OBS, _OBS),
-        ("check_pure_limit", *_AB_STATE), ("check_pure_limit_batch", *_AB_STATE),
-    ),
+    "pure-limit": Relation((2,), ("haar_pure", _OBS, _OBS), ("check_pure_limit", *_AB_STATE)),
     "unit-vector": Relation(
-        (2,), ("haar_pure", _OBS, _OBS),
-        ("check_unit_vector_state", *_AB_STATE), ("check_unit_vector_state_batch", *_AB_STATE),
+        (2,), ("haar_pure", _OBS, _OBS), ("check_unit_vector_state", *_AB_STATE)
     ),
     "three-obs-equality": Relation(
-        (2,), ("haar_pure",),
-        ("check_three_observable_equality", "theta_ab", "state"),
-        ("check_three_observable_equality_batch", "theta_ab", "state"),
+        (2,), ("haar_pure",), ("check_three_observable_equality", "theta_ab", "state")
     ),
-    "appendix-b": Relation(
-        (2,), ("hs_mixed",),
-        ("check_appendix_b", "state"), ("check_appendix_b_batch", "state"),
-    ),
+    "appendix-b": Relation((2,), ("hs_mixed",), ("check_appendix_b", "state")),
     "appendix-c": Relation(
-        None, None,
-        ("check_appendix_c", *_AB_STATE, "basis"),
-        ("check_appendix_c_batch", *_AB_STATE), relations.APPENDIX_C_TOL,
+        None, None, ("check_appendix_c", *_AB_STATE, "basis"), relations.APPENDIX_C_TOL
     ),
-    "robertson": Relation(
-        None, ("alternating", _OBS, _OBS),
-        ("robertson_bound", *_AB_STATE), ("robertson_bound_batch", *_AB_STATE),
-    ),
+    "robertson": Relation(None, ("alternating", _OBS, _OBS), ("robertson_bound", *_AB_STATE)),
     "state-dependent": Relation(
-        (2,), ("haar_pure", _OBS, _OBS),
-        ("state_dependent_bounds", *_AB_STATE), ("state_dependent_bounds_batch", *_AB_STATE),
+        (2,), ("haar_pure", _OBS, _OBS), ("state_dependent_bounds", *_AB_STATE)
     ),
 }
+
+
+def _lanes(named: tuple[str, ...]) -> tuple[str, ...]:
+    """The lanes twin of the checker ``named`` names: its ``_batch`` form,
+    on the same arguments."""
+    name, *params = named
+    return (name + "_batch", *params)
 
 
 def _call(named: tuple[str, ...], plan, drawn, **given):
@@ -193,7 +180,7 @@ def _appendix_c_draw(rng: sampling.Xoshiro256pp, basis, index: int) -> tuple:
 def _appendix_c_lanes(rng: sampling.XoshiroLanes, basis):
     """Appendix-c's draw and check on the lanes of ``rng``.
 
-    Returns ``(margins, bad)`` as a ``Relation.lanes`` checker does:
+    Returns ``(margins, bad)`` as a lanes checker does:
     ``bad`` marks the lanes on which the scalar draw or check raises,
     whose margins are unspecified.  Round 1 draws one try on every lane;
     a later round draws ``_round_tries`` tries on each lane still
@@ -234,7 +221,7 @@ def _appendix_c_lanes(rng: sampling.XoshiroLanes, basis):
         if accepted.size:
             rows = (drawn._make(field[accepted] for field in drawn) for drawn in (da, db, projected))
             k = pending[accepted % pending.size]
-            margins[k], bad[k] = _call(row.lanes, _TRY, rows)
+            margins[k], bad[k] = _call(_lanes(row.check), _TRY, rows, basis=basis)
         going = rejected[taken]
         bad[pending[going & (left == 0)]] = True  # the scalar loop raises RuntimeError
         going &= left > 0
@@ -280,7 +267,7 @@ def _verdicts(relation: str, dim: int, samples: int, seed: int, theta_ab: float)
                 margins, bad = _appendix_c_lanes(rng, basis)
             else:
                 drawn = sampling.draw_batches(row.plan, rng, basis)
-                margins, bad = _call(row.lanes, row.plan, drawn, theta_ab=theta_ab)
+                margins, bad = _call(_lanes(row.check), row.plan, drawn, theta_ab=theta_ab)
         sampling.replay_first_bad(bad, rng, lambda i: _sample(relation, basis, seed, i, theta_ab))
         yield margins.ravel()
 

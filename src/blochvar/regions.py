@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bloch import Observable, QuantumState, repeat_observable, state_to_matrix
-from .errors import DimensionMismatch, NumericsError
+from .errors import DimensionMismatch, NumericsError, UndefinedAngle
 from .linalg import py_max
 from .relations import (
     check_theorem1,
@@ -143,7 +143,10 @@ def _occupancy(samples: np.ndarray, grid: float, n_cells: int) -> np.ndarray:
 
 
 def _axis_angle(a: Observable, b: Observable) -> float:
-    c = float(a.a @ b.a) / math.sqrt(a.norm2 * b.norm2)
+    norms = math.sqrt(a.norm2 * b.norm2)
+    if norms == 0.0:
+        raise UndefinedAngle("axis angle undefined for a zero-norm observable")
+    c = float(a.a @ b.a) / norms
     return math.acos(min(1.0, max(-1.0, c)))
 
 
@@ -349,12 +352,16 @@ def find_saturating_state(a: Observable, b: Observable, p_norm: float) -> Satura
     compass search over the spherical angles (θ, φ), started at that
     optimum, cross-checks that nothing off-plane does better.  Parallel
     coefficient vectors degenerate the plane; the search then falls back
-    to the common axis.
+    to the common axis.  A zero-norm observable raises ``UndefinedAngle``.
     """
     if a.dim != 2 or b.dim != 2:
         raise DimensionMismatch("saturation search is defined for qubits")
     if not 0.0 < p_norm <= 1.0:
         raise ValueError(f"p_norm must lie in (0, 1], got {p_norm!r}")
+    # a_hat divides by |a|, and e_hat by |b_perp|, which the parallel
+    # branch catches at 0 unless |b|² is 0 as well.
+    if a.norm2 == 0.0 or b.norm2 == 0.0:
+        raise UndefinedAngle("saturation search undefined for a zero-norm observable")
     basis = basis_for(2)
     a_hat = a.a / np.linalg.norm(a.a)
     b_perp = b.a - float(b.a @ a_hat) * a_hat

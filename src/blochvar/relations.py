@@ -53,7 +53,9 @@ Lanes forms
 -----------
 Each checker the verify engine fuzzes has a ``*_batch`` form over
 ``StateBatch``/``ObservableBatch`` rows, at every N the checker is
-defined for.  It returns ``(margins, bad)``: the margin of row i equals,
+defined for.  Every ``X_batch`` takes the parameters of its scalar twin
+``X``, by the same names, so the engine calls either on the same
+arguments.  It returns ``(margins, bad)``: the margin of row i equals,
 bit for bit, the scalar verdict's margin on row i's objects, and ``bad``
 marks rows where an input was bad or where a check of the scalar checker
 fails (at the same tolerance).  Their verdicts use the scalar checker's
@@ -70,7 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import Observable, ObservableBatch, QuantumState, StateBatch, observable_from_bloch
-from .errors import DimensionMismatch, NotApplicable, NumericsError
+from .errors import DimensionMismatch, NotApplicable, NumericsError, UndefinedAngle
 from .linalg import per_element, py_max, py_min, row_dot
 from .sun_basis import GeneratorBasis, basis_for
 from .variance import angles, angles_batch, variance_matrix, variance_matrix_batch
@@ -384,11 +386,13 @@ def effective_axis_angle(a: Observable, b: Observable, rho: QuantumState) -> flo
     Negating one observable makes both state cosines nonnegative and
     flips θ_ab to π - θ_ab when the cosines had opposite signs; the
     returned angle is the one under which the scalar unit-vector bound
-    matches the signed qubit bound margin for this state.
+    matches the signed qubit bound margin for this state.  A zero-norm
+    observable raises ``UndefinedAngle``.
     """
-    na = math.sqrt(a.norm2)
-    nb = math.sqrt(b.norm2)
-    cos_ab = float(a.a @ b.a) / (na * nb)
+    norms = math.sqrt(a.norm2) * math.sqrt(b.norm2)
+    if norms == 0.0:
+        raise UndefinedAngle("axis angle undefined for a zero-norm observable")
+    cos_ab = float(a.a @ b.a) / norms
     cos_ab = min(1.0, max(-1.0, cos_ab))
     product = float(a.a @ rho.p) * float(b.a @ rho.p)
     if product < 0.0:
@@ -561,13 +565,16 @@ def check_appendix_b_batch(rho: StateBatch) -> _LaneVerdicts:
 
 
 def check_appendix_c_batch(
-    a: ObservableBatch, b: ObservableBatch, rho: StateBatch
+    a: ObservableBatch, b: ObservableBatch, rho: StateBatch, basis: GeneratorBasis
 ) -> _LaneVerdicts:
-    """Lanes form of ``check_appendix_c``."""
+    """Lanes form of ``check_appendix_c``: N is ``basis.dim``, and rows
+    of another N raise ``DimensionMismatch``, as the scalar form does."""
+    n = basis.dim
+    if {a.matrix.shape[1], b.matrix.shape[1], rho.rho.shape[1]} != {n}:
+        raise DimensionMismatch("observables, state, and basis must share one dimension")
     bad = a.bad | b.bad | rho.bad
     bad |= np.abs(row_dot(a.a, rho.p)) > ZERO_MEAN_TOL
     bad |= np.abs(row_dot(b.a, rho.p)) > ZERO_MEAN_TOL
-    n = rho.rho.shape[1]
     va, bad_a = variance_matrix_batch(a.matrix, rho.rho)
     vb, bad_b = variance_matrix_batch(b.matrix, rho.rho)
     x = va - 2.0 * a.norm2 / n

@@ -430,6 +430,7 @@ class SampleConfig:
     def __post_init__(self):
         # Floats raise TypeError here, as in Xoshiro256pp, not in a draw.
         operator.index(self.seed)
+        operator.index(self.dim)
         operator.index(self.count)
         if not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must be an unsigned 64-bit integer")

@@ -56,6 +56,7 @@ bit-identical to that call.
 
 from __future__ import annotations
 
+import operator
 from itertools import permutations
 from types import MappingProxyType
 
@@ -350,6 +351,7 @@ def build_basis(n: int) -> GeneratorBasis:
     Raises ``ValueError`` for N < 2.  The returned object is immutable
     and safe to share; ``basis_for`` caches one instance per dimension.
     """
+    n = operator.index(n)
     if n < 2:
         raise ValueError(f"basis requires dimension >= 2, got {n}")
     mats = _generator_arrays(n)
@@ -387,6 +389,7 @@ _BASIS_CACHE: dict[int, GeneratorBasis] = {}
 
 def basis_for(n: int) -> GeneratorBasis:
     """Cached accessor for ``build_basis(n)``."""
+    n = operator.index(n)  # a float would hit the int's cache entry
     basis = _BASIS_CACHE.get(n)
     if basis is None:
         basis = build_basis(n)

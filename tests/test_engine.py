@@ -25,6 +25,7 @@ pin:
   breaks one fails here by name.
 """
 
+import inspect
 import math
 from unittest import mock
 
@@ -35,7 +36,7 @@ from hypothesis import strategies as st
 
 from blochvar import basis_for, engine, sampling
 from blochvar import bloch, linalg, relations, sun_basis, variance
-from blochvar.errors import NumericsError
+from blochvar.errors import DimensionMismatch, NumericsError
 from blochvar.linalg import per_element, row_dot
 from blochvar.sampling import Xoshiro256pp, XoshiroLanes, draw_observable
 
@@ -72,13 +73,29 @@ def _summary_reprs(summary):
     return {key: repr(value) for key, value in summary.items()}
 
 
+def _params(name):
+    return list(inspect.signature(getattr(relations, name)).parameters)
+
+
+def test_every_lanes_checker_takes_its_scalar_twins_parameters():
+    # The engine calls `X_batch` on the arguments it would pass `X`.
+    twins = [name for name in relations.__all__ if name.endswith("_batch")]
+    assert len(twins) == 13
+    for twin in twins:
+        scalar = twin.removesuffix("_batch")
+        assert scalar in relations.__all__ and _params(twin) == _params(scalar)
+
+
 def test_engine_covers_the_catalogue():
-    # Every row names public checkers of `relations` and the arguments
-    # they take.
+    # Every row names a public checker of `relations` whose lanes twin
+    # takes the same parameters, and the arguments both take.
     for entry in engine.RELATIONS.values():
-        for name, *params in (entry.check, entry.lanes):
-            assert name in relations.__all__ and callable(getattr(relations, name))
-            assert set(params) <= {"a", "b", "state", "theta_ab", "basis"}
+        name, *params = entry.check
+        assert engine._lanes(entry.check) == (name + "_batch", *params)
+        for checker in (name, name + "_batch"):
+            assert checker in relations.__all__ and callable(getattr(relations, checker))
+        assert _params(name) == _params(name + "_batch")
+        assert set(params) <= {"a", "b", "state", "theta_ab", "basis"}
     assert QUDIT_RELATIONS == ["appendix-c", "robertson"]
 
 
@@ -103,7 +120,7 @@ def test_engine_looks_its_calls_up_at_call_time(monkeypatch, relation):
     # `_sample`.
     row = engine.RELATIONS[relation]
     dim = 2 if row.dims else 3
-    lanes = _count_calls(monkeypatch, relations, row.lanes[0])
+    lanes = _count_calls(monkeypatch, relations, row.check[0] + "_batch")
     check = _count_calls(monkeypatch, relations, row.check[0])
     draws = _count_calls(monkeypatch, sampling, "draw_batches")
     engine.fuzz(relation, dim, 5, 0, math.pi / 4.0)
@@ -774,7 +791,19 @@ def test_draws_accept_exactly_the_means_the_check_allows(monkeypatch, tries, axi
     for limit, rejects in ((means[widest], False), (np.nextafter(means[widest], 0.0), True)):
         monkeypatch.setattr(relations, "ZERO_MEAN_TOL", limit)
         assert _raises(relations.check_appendix_c, *draws[widest], basis) == rejects
-        assert relations.check_appendix_c_batch(*batch)[1].tolist() == [rejects]
+        assert relations.check_appendix_c_batch(*batch, basis)[1].tolist() == [rejects]
+
+
+@pytest.mark.parametrize("other", [2, 4])
+def test_appendix_c_checkers_reject_a_basis_of_another_dim(other):
+    # Both checkers raise DimensionMismatch on operands of N = 3 and a
+    # basis of another N.
+    basis = basis_for(3)
+    draws = [engine._appendix_c_draw(Xoshiro256pp(5, stream=i), basis, i) for i in range(2)]
+    with pytest.raises(DimensionMismatch):
+        relations.check_appendix_c(*draws[0], basis_for(other))
+    with pytest.raises(DimensionMismatch):
+        relations.check_appendix_c_batch(*_stack_draws(draws), basis_for(other))
 
 
 def test_appendix_c_holds_at_its_own_tolerance(monkeypatch):
@@ -782,8 +811,8 @@ def test_appendix_c_holds_at_its_own_tolerance(monkeypatch):
     # The lanes checker scores every lane.
     lanes = relations.check_appendix_c_batch
 
-    def shifted(a, b, state):
-        margins, bad = lanes(a, b, state)
+    def shifted(a, b, state, basis):
+        margins, bad = lanes(a, b, state, basis)
         return np.full_like(margins, -5e-10), bad
 
     monkeypatch.setattr(relations, "check_appendix_c_batch", shifted)
@@ -881,7 +910,7 @@ def test_checkers_flag_the_rows_scalar_rejects(basis2, relation):
     drawn, a, b = sampling.draw_batches(plan, XoshiroLanes(9, range(n)), basis2)
     rho = np.where((np.arange(n) % 3 == 2)[:, None, None], np.eye(2) / 2, drawn.rho)
     state = bloch.state_from_matrix_batch(rho, basis2)
-    margins, bad = engine._call(row.lanes, plan, (state, a, b), theta_ab=1.1)
+    margins, bad = engine._call(engine._lanes(row.check), plan, (state, a, b), theta_ab=1.1)
     margins = margins.reshape(n, -1)  # a column per verdict
     for i in range(n):
         rng = Xoshiro256pp(9, stream=i)
@@ -1030,7 +1059,8 @@ def test_qudit_checkers_flag_the_rows_scalar_rejects(relation, dim):
     for field, drawn in zip(state, mixed):
         field[swap] = drawn[swap]
     row = engine.RELATIONS[relation]
-    margins, flagged = engine._call(row.lanes, engine._TRY, (a, b, state))
+    lanes = engine._lanes(row.check)
+    margins, flagged = engine._call(lanes, engine._TRY, (a, b, state), basis=basis)
     for i in range(45):
         oa = bloch.observable_from_bloch(a.a[i], basis)
         ob = bloch.observable_from_bloch(b.a[i], basis)

@@ -8,6 +8,7 @@ from blochvar import (
     DimensionMismatch,
     NumericsError,
     SampleConfig,
+    UndefinedAngle,
     Xoshiro256pp,
     basis_for,
     check_theorem1,
@@ -16,8 +17,8 @@ from blochvar import (
     draw_mixed,
     draw_observable,
     draw_pure,
+    effective_axis_angle,
     find_saturating_state,
-    iter_states,
     observable_from_bloch,
     scan_pair,
     scan_triple,
@@ -220,10 +221,14 @@ def scalar_scan(mode, cfg, grid=0.01):
 
     ``mode`` is "pair" (the ``_oracle_pair`` observables) or "triple"
     (θ_ab = ``_ORACLE_THETA``).  Returns (samples, purities, margins,
-    occupancy).
+    occupancy).  It draws sample i from stream i with ``draw_state``
+    itself, so that it stays scalar whatever path ``iter_states`` takes.
     """
     basis = basis_for(2)
-    rows = [_scalar_row(mode, basis, i, state) for i, state in enumerate(iter_states(cfg))]
+    rows = []
+    for i in range(cfg.count):
+        state = sampling.draw_state(cfg.kind, Xoshiro256pp(cfg.seed, stream=i), basis, i)
+        rows.append(_scalar_row(mode, basis, i, state))
     table = np.array(rows)
     samples = table[:, :-2]
     n_cells = int(math.ceil(1.0 / grid - 1e-12))
@@ -365,3 +370,27 @@ def test_saturation_rejects_bad_inputs(basis2):
         find_saturating_state(a, b, 0.0)
     with pytest.raises(ValueError):
         find_saturating_state(a, b, 1.5)
+
+
+@pytest.mark.filterwarnings("error")  # raised before any division, with no warning
+@pytest.mark.parametrize("vec", [[0.0, 0.0, 0.0], [1e-170, 0.0, 0.0]], ids=["zero", "underflow"])
+@pytest.mark.parametrize("which", ["a", "b"])
+def test_zero_norm_observable_raises_undefined_angle(basis2, vec, which):
+    # |a|² of (1e-170, 0, 0) underflows to 0, as that of the zero vector is 0.
+    zero = observable_from_bloch(vec, basis2)
+    unit = observable_from_bloch([0.6, 0.8, 0.0], basis2)
+    a, b = (zero, unit) if which == "a" else (unit, zero)
+    cfg = SampleConfig(seed=1, dim=2, count=3, kind="haar_pure")
+    with pytest.raises(UndefinedAngle):
+        scan_pair(a, b, cfg, grid=0.01)
+    with pytest.raises(UndefinedAngle):
+        effective_axis_angle(a, b, state_to_matrix([0.1, 0.2, 0.3], basis2))
+    with pytest.raises(UndefinedAngle):
+        find_saturating_state(a, b, 0.5)
+
+
+def test_pair_scan_of_norms_whose_product_underflows_raises_undefined_angle(basis2):
+    tiny = observable_from_bloch([1e-100, 0.0, 0.0], basis2)  # |a|²|b|² = 1e-400
+    cfg = SampleConfig(seed=1, dim=2, count=3, kind="haar_pure")
+    with pytest.raises(UndefinedAngle):
+        scan_pair(tiny, tiny, cfg, grid=0.01)

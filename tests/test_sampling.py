@@ -179,10 +179,12 @@ def test_config_validation():
         SampleConfig(seed=1, dim=2, count=5, kind="bloch_shell")
     with pytest.raises(ValueError):
         SampleConfig(seed=-1, dim=2, count=5, kind="haar_pure")
-    # At construction, not in a draw: as in Xoshiro256pp, a float seed
-    # or count is refused, not truncated.
+    # At construction, not in a draw: as in Xoshiro256pp, a float seed,
+    # dim or count is refused, not truncated.
     with pytest.raises(TypeError):
         SampleConfig(seed=1.5, dim=2, count=5, kind="haar_pure")
+    with pytest.raises(TypeError):
+        SampleConfig(seed=1, dim=3.0, count=2, kind="haar_pure")
     with pytest.raises(TypeError):
         SampleConfig(seed=1, dim=2, count=3.0, kind="haar_pure")
 

@@ -13,6 +13,7 @@ from blochvar import (
     structure_f,
     verify_algebra,
 )
+from blochvar import sun_basis
 from blochvar.sun_basis import GeneratorBasis
 
 PAULIS = [
@@ -234,6 +235,19 @@ def test_sparse_residual_memory_at_dim_cap():
 def test_build_basis_rejects_small_dims():
     with pytest.raises(ValueError):
         build_basis(1)
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_basis_for_rejects_a_float_dim(monkeypatch, cached):
+    # Whether or not N = 3 is cached: 3.0 hashes as 3, so a cache lookup
+    # before the check would hand it the N = 3 basis.
+    monkeypatch.setattr(sun_basis, "_BASIS_CACHE", {})
+    if cached:
+        basis_for(3)
+    with pytest.raises(TypeError):
+        basis_for(3.0)
+    with pytest.raises(TypeError):
+        build_basis(3.0)
 
 
 def test_index_range_errors(basis2):
