@@ -30,7 +30,6 @@ report does not depend on how many samples precede or follow it.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -214,41 +213,65 @@ def _rle(occupancy: np.ndarray) -> dict:
 
 def _write_report(report: dict, out: str | None) -> None:
     if out:
+        # One write: json.dump would make a write for each token.
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(report, indent=2) + "\n")
         print(f"report written to {out}")
 
 
+def _spelled(values: np.ndarray, spell) -> tuple[np.ndarray, np.ndarray]:
+    """The words of a float64 array at the cost of its distinct values.
+
+    Each distinct bit pattern (so 0.0 and -0.0 stay apart) is spelled
+    once, by ``spell`` on a list of floats: ``repr`` spells them as
+    ``csv.writer`` does (``nan``, ``inf``), ``json.dumps`` as the JSON
+    encoder does (``NaN``, ``Infinity``).  Returns the object array of
+    words and, in the shape of ``values``, each value's index into it.
+    """
+    distinct, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    words = spell(distinct.view(np.float64).tolist())[1:-1].split(", ")
+    return np.array(words, dtype=object), inverse.reshape(values.shape)
+
+
 def _write_scan_csv(path: str, scan: RegionScan) -> None:
-    header = ["sample_index", "purity"] + list(scan.axes) + ["margin"]
+    # The bytes csv.writer(fh, lineterminator="\n") would write: every
+    # field is an int or a float repr, none of which csv quotes.  Each
+    # block of ENGINE_CHUNK rows is one format pass over its spelled
+    # words and one write, so no string holds more than a block.
+    line = "{}," * (len(scan.axes) + 2) + "{}\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        # In row blocks, as _write_scan_json writes the boundary.
+        fh.write(",".join(["sample_index", "purity", *scan.axes, "margin"]) + "\n")
         for start in range(0, len(scan.margins), ENGINE_CHUNK):
             rows = slice(start, start + ENGINE_CHUNK)
-            columns = (scan.purities[rows], *scan.samples[rows].T, scan.margins[rows])
-            writer.writerows(zip(range(start, start + ENGINE_CHUNK), *(c.tolist() for c in columns)))
+            block = np.column_stack((scan.purities[rows], scan.samples[rows], scan.margins[rows]))
+            words, cells = _spelled(block, repr)
+            columns = words[cells].T.tolist()
+            fh.write("".join(map(line.format, range(start, start + len(block)), *columns)))
 
 
 def _write_json_rows(fh, values: np.ndarray) -> None:
-    # Writes json.dumps(values.tolist()) for a (rows, k) float array at the
-    # cost of its distinct values: each float64 bit pattern (so 0.0 and
-    # -0.0 stay apart) is spelled once, by the C encoder, and the rows are
-    # joined from those words in row blocks.  The triple surface holds
-    # 1,900 to 6,000 distinct values among its 22,143 floats.
-    distinct, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-    words = np.array(json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", "), dtype=object)
-    cells = inverse.reshape(values.shape)
-    row = "[" + ", ".join(["{}"] * values.shape[1]) + "]"
-    fh.write("[")
+    # Writes json.dumps(values.tolist()) for a (rows, k) float array,
+    # spelling each distinct value once (the triple surface holds 1,900
+    # to 6,000 distinct values among its 22,143 floats).  A block of
+    # ENGINE_CHUNK rows is one join of its words, each followed by its
+    # separator: ", " within a row, "], [" after it and "]]" after the
+    # last.  No word is copied: bracketed copies of the words took 0.8 MB
+    # more on the triple surface, and more time.
+    if not len(values):
+        fh.write("[]")
+        return
+    words, cells = _spelled(values, json.dumps)
+    k = values.shape[1]
+    separators = np.array([", "] * (k - 1) + ["], ["], dtype=object)
+    fh.write("[[")
     for start in range(0, len(values), ENGINE_CHUNK):
-        if start:
-            fh.write(", ")
-        block = words[cells[start : start + ENGINE_CHUNK]]
-        fh.write(", ".join(map(row.format, *block.T.tolist())))
-    fh.write("]")
+        rows = cells[start : start + ENGINE_CHUNK]
+        block = np.empty((len(rows), 2 * k), dtype=object)
+        block[:, 0::2] = words[rows]
+        block[:, 1::2] = separators
+        if start + ENGINE_CHUNK >= len(values):
+            block[-1, -1] = "]]"
+        fh.write("".join(block.ravel().tolist()))
 
 
 def _write_scan_json(path: str, scan: RegionScan, config: dict) -> None:

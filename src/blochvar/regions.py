@@ -65,12 +65,14 @@ __all__ = [
 
 GRID_RANGE = (1e-3, 0.1)
 # Largest scans the CLI runs.  A pair scan writing CSV, JSON and report
-# took 94 MB at 10**6 samples and 643 MB at MAX_SAMPLES (max RSS).  The bool
-# occupancy grid takes a byte a cell, and the JSON writer copies none of
-# it: a 213**3 triple grid (0.0047, under MAX_CELLS) writing CSV, JSON and
-# report took 53 MB at 10**5 samples (66 MB with a grid-sized int8 copy and
-# its diff).  At MAX_CELLS pair scans reach the finest grid and triple
-# scans need a grid of about 0.0047 or coarser.
+# takes 94 MB at 10**6 samples (max RSS, 2 vCPU Xeon; as much as the same
+# scan writing nothing: the writers hold one ENGINE_CHUNK block of words
+# at a time) and took 643 MB at MAX_SAMPLES.  The bool occupancy grid
+# takes a byte a cell, and the JSON writer copies none of it: a 213**3
+# triple grid (0.0047, under MAX_CELLS) writing CSV, JSON and report
+# takes 53 MB at 10**5 samples (66 MB with a grid-sized int8 copy and its
+# diff).  At MAX_CELLS pair scans reach the finest grid and triple scans
+# need a grid of about 0.0047 or coarser.
 MAX_SAMPLES = 10**7
 MAX_CELLS = 10**7
 _SCAN_MARGIN_FLOOR = -1e-9

@@ -53,9 +53,12 @@ Lanes forms
 -----------
 Each checker the verify engine fuzzes has a ``*_batch`` form over
 ``StateBatch``/``ObservableBatch`` rows, at every N the checker is
-defined for.  Every ``X_batch`` takes the parameters of its scalar twin
-``X``, by the same names, so the engine calls either on the same
-arguments.  It returns ``(margins, bad)``: the margin of row i equals,
+defined for; at any other N it raises ``DimensionMismatch`` once a
+call, where the scalar checker raises it for every row (the qubit-only
+ones, ``effective_axis_angle`` and ``check_unit_vector_state`` among
+them, take N = 2 alone).  Every ``X_batch`` takes the parameters of its
+scalar twin ``X``, by the same names, so the engine calls either on the
+same arguments.  It returns ``(margins, bad)``: the margin of row i equals,
 bit for bit, the scalar verdict's margin on row i's objects, and ``bad``
 marks rows where an input was bad or where a check of the scalar checker
 fails (at the same tolerance).  Their verdicts use the scalar checker's
@@ -149,6 +152,13 @@ def _require_qubit(*dims: int) -> None:
     for d in dims:
         if d != 2:
             raise DimensionMismatch(f"this relation is defined for qubits only, got dim {d}")
+
+
+def _require_qubit_rows(*batches) -> None:
+    # _require_qubit for lanes operands, once a call: the N of a
+    # StateBatch or ObservableBatch is the size of its matrices, its
+    # first field.
+    _require_qubit(*(batch[0].shape[-1] for batch in batches))
 
 
 def _sqrt_checked(value: float, what: str) -> float:
@@ -386,9 +396,11 @@ def effective_axis_angle(a: Observable, b: Observable, rho: QuantumState) -> flo
     Negating one observable makes both state cosines nonnegative and
     flips θ_ab to π - θ_ab when the cosines had opposite signs; the
     returned angle is the one under which the scalar unit-vector bound
-    matches the signed qubit bound margin for this state.  A zero-norm
-    observable raises ``UndefinedAngle``.
+    matches the signed qubit bound margin for this state.  Qubit
+    operands only: the fold and the unit-vector bound it serves are
+    qubit results.  A zero-norm observable raises ``UndefinedAngle``.
     """
+    _require_qubit(a.dim, b.dim, rho.dim)
     norms = math.sqrt(a.norm2) * math.sqrt(b.norm2)
     if norms == 0.0:
         raise UndefinedAngle("axis angle undefined for a zero-norm observable")
@@ -401,7 +413,11 @@ def effective_axis_angle(a: Observable, b: Observable, rho: QuantumState) -> flo
 
 
 def check_unit_vector_state(a: Observable, b: Observable, rho: QuantumState) -> RelationVerdict:
-    """The unit-vector relation on ``rho``'s variances and ``effective_axis_angle``."""
+    """The unit-vector relation on ``rho``'s variances and ``effective_axis_angle``.
+
+    Qubit operands only (``effective_axis_angle`` raises otherwise): at
+    N > 2 the variance of a unit observable is not 1 - (a·p)².
+    """
     da2 = max(1.0 - float(a.a @ rho.p) ** 2, 0.0)
     db2 = max(1.0 - float(b.a @ rho.p) ** 2, 0.0)
     return check_unit_vector_relation(effective_axis_angle(a, b, rho), da2, db2)
@@ -483,6 +499,7 @@ def _outside(value, lo: float, hi: float) -> np.ndarray:
 
 def check_triangle_batch(a: ObservableBatch, b: ObservableBatch, rho: StateBatch) -> _LaneVerdicts:
     """Lanes form of ``check_triangle``."""
+    _require_qubit_rows(a, b, rho)
     theta_pa, theta_pb, theta_ab, bad = angles_batch(a, b, rho)
     upper_slack = theta_pa + theta_pb - theta_ab
     lower_slack = theta_ab - np.abs(theta_pa - theta_pb)
@@ -492,6 +509,7 @@ def check_triangle_batch(a: ObservableBatch, b: ObservableBatch, rho: StateBatch
 
 def check_theorem1_batch(a: ObservableBatch, b: ObservableBatch, rho: StateBatch) -> _LaneVerdicts:
     """Lanes form of ``check_theorem1``."""
+    _require_qubit_rows(a, b, rho)
     bad = a.bad | b.bad | rho.bad
     p2 = rho.purity
     sa = row_dot(a.a, rho.p)
@@ -507,6 +525,7 @@ def check_mixed_limit_batch(
     a: ObservableBatch, b: ObservableBatch, rho: StateBatch
 ) -> _LaneVerdicts:
     """Lanes form of ``check_mixed_limit``."""
+    _require_qubit_rows(a, b, rho)
     va, bad_a = variance_matrix_batch(a.matrix, rho.rho)
     vb, bad_b = variance_matrix_batch(b.matrix, rho.rho)
     bad = a.bad | b.bad | rho.bad | (rho.purity > 1e-12) | bad_a | bad_b
@@ -517,6 +536,7 @@ def check_pure_limit_batch(
     a: ObservableBatch, b: ObservableBatch, rho: StateBatch
 ) -> _LaneVerdicts:
     """Lanes form of ``check_pure_limit``."""
+    _require_qubit_rows(a, b, rho)
     bad = a.bad | b.bad | rho.bad | (np.abs(rho.purity - 1.0) > 1e-9)
     sa = row_dot(a.a, rho.p)
     sb = row_dot(b.a, rho.p)
@@ -540,6 +560,7 @@ def check_unit_vector_relation_batch(
 
 def check_three_observable_equality_batch(theta_ab: float, rho: StateBatch) -> _LaneVerdicts:
     """Lanes form of ``check_three_observable_equality``."""
+    _require_qubit_rows(rho)
     bad = rho.bad | (np.abs(rho.purity - 1.0) > 1e-9)
     if not -1e-12 <= theta_ab <= math.pi + 1e-12:
         bad[:] = True
@@ -557,6 +578,7 @@ def check_three_observable_equality_batch(theta_ab: float, rho: StateBatch) -> _
 
 def check_appendix_b_batch(rho: StateBatch) -> _LaneVerdicts:
     """Lanes form of ``check_appendix_b``."""
+    _require_qubit_rows(rho)
     (vx, bad_x), (vy, bad_y), (vz, bad_z) = (
         variance_matrix_batch(np.broadcast_to(axis.matrix.array, rho.rho.shape), rho.rho)
         for axis in _qubit_axes()
@@ -593,6 +615,8 @@ def check_appendix_c_batch(
 
 def robertson_bound_batch(a: ObservableBatch, b: ObservableBatch, rho: StateBatch) -> _LaneVerdicts:
     """Lanes form of ``robertson_bound``, any dimension."""
+    if len({a.matrix.shape[-1], b.matrix.shape[-1], rho.rho.shape[-1]}) != 1:
+        raise DimensionMismatch("operands must share one dimension")
     va, bad_a = variance_matrix_batch(a.matrix, rho.rho)
     vb, bad_b = variance_matrix_batch(b.matrix, rho.rho)
     lhs = np.sqrt(va * vb)
@@ -606,6 +630,7 @@ def state_dependent_bound_batch(
     a: ObservableBatch, b: ObservableBatch, psi: StateBatch, sign: int
 ) -> _LaneVerdicts:
     """Lanes form of ``state_dependent_bound``."""
+    _require_qubit_rows(a, b, psi)
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     bad = a.bad | b.bad | psi.bad | (np.abs(psi.purity - 1.0) > 1e-9)
@@ -627,11 +652,16 @@ def state_dependent_bound_batch(
 def effective_axis_angle_batch(
     a: ObservableBatch, b: ObservableBatch, rho: StateBatch
 ) -> np.ndarray:
-    """Lanes form of ``effective_axis_angle``."""
-    cos_ab = row_dot(a.a, b.a) / (np.sqrt(a.norm2) * np.sqrt(b.norm2))
+    """Lanes form of ``effective_axis_angle``: NaN in the rows where
+    the scalar form raises ``UndefinedAngle`` (a zero-norm observable)."""
+    _require_qubit_rows(a, b, rho)
+    norms = np.sqrt(a.norm2) * np.sqrt(b.norm2)
+    undefined = norms == 0.0
+    cos_ab = row_dot(a.a, b.a) / np.where(undefined, 1.0, norms)
     cos_ab = py_min(1.0, py_max(-1.0, cos_ab))
     product = row_dot(a.a, rho.p) * row_dot(b.a, rho.p)
-    return per_element(math.acos, np.where(product < 0.0, -cos_ab, cos_ab))
+    theta = per_element(math.acos, np.where(product < 0.0, -cos_ab, cos_ab))
+    return np.where(undefined, np.nan, theta)
 
 
 def check_unit_vector_state_batch(

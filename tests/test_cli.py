@@ -6,8 +6,10 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ import blochvar
 from blochvar import cli, engine, regions
 from blochvar.cli import run
 from blochvar.errors import NumericsError
+from blochvar.sampling import SampleConfig
 
 
 def _run(args):
@@ -411,7 +414,7 @@ _SPECIAL_FLOATS = [
 @given(
     values=hnp.arrays(
         np.float64,
-        st.tuples(st.integers(0, 40), st.sampled_from([2, 3])),
+        st.tuples(st.integers(0, 40), st.sampled_from([1, 2, 3])),
         elements=st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats(width=64)),
     )
 )
@@ -429,6 +432,79 @@ def test_boundary_rows_span_several_blocks():
         fh = io.StringIO()
         cli._write_json_rows(fh, values)
         assert fh.getvalue() == json.dumps(values.tolist())
+
+
+def _csv_by_writer(path, scan):
+    # The csv.writer form the CSV writer had before: the oracle for
+    # _write_scan_csv.
+    header = ["sample_index", "purity"] + list(scan.axes) + ["margin"]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for start in range(0, len(scan.margins), cli.ENGINE_CHUNK):
+            rows = slice(start, start + cli.ENGINE_CHUNK)
+            columns = (scan.purities[rows], *scan.samples[rows].T, scan.margins[rows])
+            writer.writerows(zip(range(start, start + cli.ENGINE_CHUNK), *(c.tolist() for c in columns)))
+
+
+# And the first floats repr spells with an exponent.
+_CSV_FLOATS = _SPECIAL_FLOATS + [1e-05, 1e16]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    columns=st.integers(2, 3).flatmap(
+        lambda axes: hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 25), st.just(axes + 2)),
+            elements=st.one_of(st.sampled_from(_CSV_FLOATS), st.floats(width=64)),
+        )
+    ),
+    chunk=st.integers(1, 7),
+)
+def test_scan_csv_is_written_as_csv_writer_writes_it(columns, chunk):
+    # Small blocks, so that rows cross block edges.
+    axes = ("dA2", "dB2", "dC2")[: columns.shape[1] - 2]
+    scan = regions.RegionScan(
+        axes=axes, theta_ab=0.5, grid=0.1, samples=columns[:, 1:-1], purities=columns[:, 0],
+        margins=columns[:, -1], occupancy=np.zeros((10,) * len(axes), dtype=bool),
+    )
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "ENGINE_CHUNK", chunk):
+        paths = [os.path.join(tmp, name) for name in ("new.csv", "old.csv")]
+        cli._write_scan_csv(paths[0], scan)
+        _csv_by_writer(paths[1], scan)
+        new, old = (open(path, "rb").read() for path in paths)
+    assert new == old
+
+
+def _traced_peak(write):
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_region_writers_hold_one_block_at_a_time(tmp_path):
+    # A triple scan of eight ENGINE_CHUNK blocks: a 1.5 MB CSV and a
+    # 0.5 MB JSON artifact whose boundary spans four blocks.  Traced
+    # peaks: the CSV writer 1.44 MB (a block's words; 0.49 MB with
+    # csv.writer), the JSON and report writers 1.17 MB (1.26 MB with a
+    # format a boundary row).  Written in one block, the CSV read 9.6 MB
+    # and the JSON 2.0 MB.
+    ensemble = SampleConfig(seed=5, dim=2, count=8 * cli.ENGINE_CHUNK, kind="haar_pure")
+    scan = regions.scan_triple(0.7, ensemble, 0.01)
+    paths = [str(tmp_path / name) for name in ("scan.csv", "scan.json", "report.json")]
+    csv_peak = _traced_peak(lambda: cli._write_scan_csv(paths[0], scan))
+
+    def json_and_report():
+        cli._write_scan_json(paths[1], scan, {"seed": 5})
+        cli._write_report({"worst_margin": float(scan.margins.min())}, paths[2])
+
+    json_peak = _traced_peak(json_and_report)
+    assert os.path.getsize(paths[0]) > 1.4e6 and os.path.getsize(paths[1]) > 0.4e6
+    assert csv_peak < 2e6 and json_peak < 1.6e6
 
 
 def test_region_triple_artifacts_memory(tmp_path):

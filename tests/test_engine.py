@@ -86,6 +86,89 @@ def test_every_lanes_checker_takes_its_scalar_twins_parameters():
         assert scalar in relations.__all__ and _params(twin) == _params(scalar)
 
 
+# The pairs of relations.__all__ defined for qubits alone.
+_QUBIT_ONLY = {
+    "check_triangle", "check_theorem1", "check_mixed_limit", "check_pure_limit",
+    "check_three_observable_equality", "check_appendix_b", "state_dependent_bound",
+    "check_unit_vector_state", "state_dependent_bounds", "effective_axis_angle",
+}
+
+
+def _twin_operands(dim, n=24):
+    """Lanes operands for every parameter name of the checkers, from one
+    ``draw_batches`` chunk at N = ``dim``, and row i's scalar operands.
+    Mixed and pure states alternate and every third state is completely
+    mixed (p = 0, so appendix-c's means vanish); A is zero on row 1; the
+    unit-vector relation's scalars come from the Bloch rows, some
+    outside its domain."""
+    basis = basis_for(dim)
+    drawn, a, b = sampling.draw_batches(("alternating", _OBS, _OBS), XoshiroLanes(11, range(n)), basis)
+    rho = np.where((np.arange(n) % 3 == 2)[:, None, None], np.eye(dim) / dim, drawn.rho)
+    state = bloch.state_from_matrix_batch(rho, basis)
+    a = bloch.observable_from_bloch_batch(np.where((np.arange(n) == 1)[:, None], 0.0, a.a), basis)
+    b = bloch.observable_from_bloch_batch(b.a, basis)
+    p = state.p
+    lanes = {"a": a, "b": b, "rho": state, "psi": state, "basis": basis, "sign": -1,
+             "theta_ab": 1.1, "angles": 4.0 * p[:, 0], "da2": p[:, 1] + 0.5, "db2": p[:, 2] + 0.5}
+    rows = []
+    for i in range(n):
+        oa, ob = (bloch.observable_from_bloch(x.a[i], basis) for x in (a, b))
+        rho_i = bloch.state_from_matrix(linalg.HermitianMatrix(rho[i]), basis)
+        for obj, batch in ((oa, a), (ob, b)):
+            assert np.array_equal(obj.matrix.array, batch.matrix[i]) and obj.norm2 == batch.norm2[i]
+        assert np.array_equal(rho_i.rho.array, state.rho[i]) and np.array_equal(rho_i.p, p[i])
+        rows.append({"a": oa, "b": ob, "rho": rho_i, "psi": rho_i,
+                     **{k: float(lanes[k][i]) for k in ("angles", "da2", "db2")}})
+    return lanes, rows
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # bad rows on purpose
+@pytest.mark.parametrize("dim", [2, 3, 6])
+def test_twins_flag_exactly_the_rows_their_scalars_reject(dim):
+    # Every public (X, X_batch) pair on one chunk: both raise
+    # DimensionMismatch, or the twin's bad rows are the rows where X
+    # raises and its other margins are X's, bit for bit.
+    lanes, rows = _twin_operands(dim)
+    pairs = [name for name in relations.__all__ if name + "_batch" in relations.__all__]
+    assert len(pairs) == 13
+    refused = set()
+    for name in pairs:
+        params = _params(name)
+        # check_unit_vector_relation takes its angle a row at a time.
+        key = {"theta_ab": "angles"} if "da2" in params else {}
+        args = {p: lanes[key.get(p, p)] for p in params}
+        scalar = [{p: row.get(key.get(p, p), args[p]) for p in params} for row in rows]
+        try:
+            out = getattr(relations, name + "_batch")(**args)
+        except DimensionMismatch:
+            refused.add(name)
+            for row_args in scalar:
+                with pytest.raises(DimensionMismatch):
+                    getattr(relations, name)(**row_args)
+            continue
+        # effective_axis_angle's twin returns angles, NaN where undefined.
+        margins, bad = out if isinstance(out, tuple) else (out, np.isnan(out))
+        margins = margins.reshape(len(rows), -1)  # a column per verdict
+        for i, row_args in enumerate(scalar):
+            try:
+                got = getattr(relations, name)(**row_args)
+            except (ValueError, ArithmeticError):
+                assert bad[i], (name, i)
+                continue
+            verdicts = got if isinstance(got, tuple) else (got,)
+            expected = np.array([getattr(v, "margin", v) for v in verdicts])
+            assert not bad[i] and margins[i].tobytes() == expected.tobytes(), (name, i)
+    assert refused == (set() if dim == 2 else _QUBIT_ONLY)
+
+
+def test_robertson_checkers_reject_operands_of_two_dims():
+    (lanes2, rows2), (lanes3, rows3) = _twin_operands(2, n=3), _twin_operands(3, n=3)
+    with pytest.raises(DimensionMismatch):
+        relations.robertson_bound(rows2[0]["a"], rows3[0]["b"], rows3[0]["rho"])
+    with pytest.raises(DimensionMismatch):
+        relations.robertson_bound_batch(lanes2["a"], lanes3["b"], lanes3["rho"])
+
+
 def test_engine_covers_the_catalogue():
     # Every row names a public checker of `relations` whose lanes twin
     # takes the same parameters, and the arguments both take.
