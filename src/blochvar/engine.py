@@ -1,13 +1,18 @@
-"""The verify engine: the relation table, its draws and its checkers.
+"""The lanes engine: verify's relation table, and the one loop that
+draws and checks a run on lanes.
 
 Each row of ``RELATIONS`` names what a sample of its relation draws (a
 ``sampling.draw_batches`` plan) and its scalar checker in ``relations``,
 whose lanes twin is the same name with ``_batch`` appended, taking the
-same arguments (``_lanes``).  ``fuzz`` summarizes ``_verdicts``, which
-draws and checks a run on lanes, chunk by chunk; ``_sample`` draws and
-checks one sample on its own stream, the oracle that also replays a
-chunk's first bad lane.  Sample i always comes from stream i.
-Appendix-c's rejection draws run in rounds on the lanes still pending
+same arguments (``_lanes``).  ``chunks`` is the loop: on each chunk of
+streams (``sampling.lane_chunks``) it draws a row's plan, runs its lanes
+twin, replays the chunk's first bad lane through ``_sample``, and yields
+the chunk's values.  ``fuzz`` summarizes verify's margins from it
+(``_verdicts``), and the region scans run their scan points of
+``relations`` through it with rows of their own (``regions._scan``).
+``_sample`` draws and checks one sample on its own stream: the oracle,
+and the replay.  Sample i always comes from stream i.  Appendix-c's
+rejection draws run in rounds on the lanes still pending
 (``_appendix_c_lanes``).
 
 Every call into the package goes through a module attribute looked up at
@@ -25,20 +30,21 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bloch, linalg, relations, sampling, sun_basis
-from .errors import UnphysicalState
+from .errors import NumericsError, UnphysicalState
 
-__all__ = ["Relation", "RELATIONS", "fuzz"]
+__all__ = ["Relation", "RELATIONS", "chunks", "fuzz"]
 
 
 class Relation(NamedTuple):
-    """How ``verify`` draws and checks one relation.
+    """How ``chunks`` draws and checks one relation.
 
     ``plan`` lists a sample's draws in order, as ``sampling.draw_batches``
     takes them; the checkers see its state as ``state`` and its
     observables as ``a`` and ``b`` (``_call``).  ``plan`` None is
     appendix-c's rejection loop, whose accepted tries give them.
     ``check`` names a function of ``relations`` and the arguments it
-    takes, of those and ``theta_ab`` and ``basis``; it returns a sample's
+    takes, of those, ``basis``, ``index`` (the sample's stream) and the
+    ``given`` ones (``theta_ab`` in ``verify``); it returns a sample's
     verdict, or a tuple of them.  Its lanes twin, ``check``'s name with
     ``_batch`` appended (``_lanes``), takes the same arguments as batch
     rows and returns their (margins, bad), a column per verdict,
@@ -244,31 +250,51 @@ def _taken_tries(rejected: np.ndarray, lanes: int) -> np.ndarray:
 # the two paths
 
 
-def _sample(relation: str, basis, seed: int, index: int, theta_ab: float) -> list:
-    """The verdicts of sample ``index``, drawn from stream ``index``."""
-    row = RELATIONS[relation]
+def _sample(relation, basis, seed: int, index: int, theta_ab: float = 0.0, **given) -> list:
+    """The verdicts of sample ``index`` of ``relation``, a ``Relation`` or
+    the name of a row of ``RELATIONS``, drawn from stream ``index`` and
+    checked on ``given``."""
+    row = RELATIONS[relation] if isinstance(relation, str) else relation
     rng = sampling.Xoshiro256pp(seed, stream=index)
     if row.plan is None:
         plan, drawn = _TRY, _appendix_c_draw(rng, basis, index)
     else:
         plan, drawn = row.plan, _draw(row.plan, rng, basis, index)
-    verdicts = _call(row.check, plan, drawn, theta_ab=theta_ab, basis=basis)
+    verdicts = _call(row.check, plan, drawn, theta_ab=theta_ab, basis=basis, index=index, **given)
     return list(verdicts) if isinstance(verdicts, tuple) else [verdicts]
+
+
+def chunks(row: Relation, basis, seed: int, count: int, **given):
+    """Draw and check samples 0 .. count - 1 of ``row`` on lanes, a chunk
+    of streams at a time: yield each chunk's ``(rng, drawn, values)``,
+    its generator, its draws of ``row.plan`` (None for appendix-c) and
+    its lanes checker's values on ``given``, ``index`` (the streams) and
+    ``basis``.  The chunk's first bad row is replayed on its own stream
+    (``_sample``), which raises that stream's own exception; if the
+    replay passes, this raises ``NumericsError`` naming the sample."""
+    for rng in sampling.lane_chunks(seed, count, basis.dim):
+        with np.errstate(divide="ignore", invalid="ignore"):  # only bad rows divide by 0
+            if row.plan is None:
+                drawn, (values, bad) = None, _appendix_c_lanes(rng, basis)
+            else:
+                drawn = sampling.draw_batches(row.plan, rng, basis)
+                values, bad = _call(
+                    _lanes(row.check), row.plan, drawn, basis=basis, index=rng.streams, **given
+                )
+        if bad.any():
+            first = int(rng.streams[bad.argmax()])
+            _sample(row, basis, seed, first, **given)
+            raise NumericsError(
+                f"sample {first} (stream {first}): a lane check failed that the scalar checks pass"
+            )
+        yield rng, drawn, values
 
 
 def _verdicts(relation: str, dim: int, samples: int, seed: int, theta_ab: float):
     """Yield the margins of every check, a chunk's at a time as a flat
     array, in stream order."""
-    row = RELATIONS[relation]
     basis = sun_basis.basis_for(dim)
-    for rng in sampling.lane_chunks(seed, samples, dim):
-        with np.errstate(divide="ignore", invalid="ignore"):  # only bad rows divide by 0
-            if row.plan is None:
-                margins, bad = _appendix_c_lanes(rng, basis)
-            else:
-                drawn = sampling.draw_batches(row.plan, rng, basis)
-                margins, bad = _call(_lanes(row.check), row.plan, drawn, theta_ab=theta_ab)
-        sampling.replay_first_bad(bad, rng, lambda i: _sample(relation, basis, seed, i, theta_ab))
+    for _, _, margins in chunks(RELATIONS[relation], basis, seed, samples, theta_ab=theta_ab):
         yield margins.ravel()
 
 

@@ -6,16 +6,16 @@ default 0.01 to match figure-level precision).  Sample i always comes
 from RNG stream i, so occupancy grows monotonically with the sample
 count for a fixed seed.
 
-Both scans are qubit-only and run on the batched engine: each lanes
-generator of ``lane_chunks`` (``ENGINE_CHUNK`` streams) draws one
-``StateBatch`` through ``draw_batches`` (a one-entry plan), and its
-variances, margins and every check of the scalar constructors and
-checkers are array operations, bit-identical to the per-state path
-(``draw_state``, ``variance_bloch``, the scalar checkers).  A row that
-fails a check, or whose margin fails its floor (NaN included), is
-replayed on that path for its own stream, which raises the stream's own
-exception; if the replay passes, the scan raises ``NumericsError``
-naming the sample.
+Both scans are qubit-only and run on the batched engine's one loop,
+``engine.chunks``, with a row of their own: a one-entry plan (the
+ensemble's state) and a scan point of ``relations``
+(``scan_pair_point`` with A and B, ``scan_triple_point`` with θ_ab),
+whose lanes twin gives each row's squared variances and margin and
+marks the rows that fail a check of the scalar constructors and
+checkers or the scan's floor (NaN included), bit-identical to the
+per-state path.  The engine replays a chunk's first failing row on that
+path for its own stream, which raises the stream's own exception; if
+the replay passes, the scan raises ``NumericsError`` naming the sample.
 
 For pair scans with unit observables the analytic boundary of the
 scalar bound is attached: with the axis angle θ_ab it is traced by
@@ -35,25 +35,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import Observable, QuantumState, repeat_observable, state_to_matrix
+from . import engine
+from .bloch import Observable, QuantumState, state_to_matrix
 from .errors import DimensionMismatch, NumericsError, UndefinedAngle
-from .linalg import py_max
-from .relations import (
-    check_theorem1,
-    check_theorem1_batch,
-    check_three_observable_equality,
-    check_three_observable_equality_batch,
-)
-from .sampling import (
-    SampleConfig,
-    Xoshiro256pp,
-    draw_batches,
-    draw_state,
-    lane_chunks,
-    replay_first_bad,
-)
+from .relations import check_theorem1
+from .sampling import SampleConfig
 from .sun_basis import basis_for
-from .variance import variance_bloch, variance_bloch_batch
 
 __all__ = [
     "RegionScan",
@@ -75,8 +62,6 @@ GRID_RANGE = (1e-3, 0.1)
 # need a grid of about 0.0047 or coarser.
 MAX_SAMPLES = 10**7
 MAX_CELLS = 10**7
-_SCAN_MARGIN_FLOOR = -1e-9
-_SURFACE_TOL = 1e-9  # largest |residual| of a triple sample off the certainty surface
 _GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0
 _COMPASS_STEPS = (0.25, 1e-10)  # first and smallest step of the sphere search, radians
 
@@ -161,33 +146,27 @@ def _validate_samples(samples: np.ndarray, norms: list[float]) -> None:
             )
 
 
-def _scan(ensemble: SampleConfig, grid: float, norms: list, lanes, check, **fields) -> RegionScan:
-    """The lanes loop of both scans.  Each chunk of streams draws one
-    ``StateBatch``; ``lanes(state)`` returns its rows' squared variances
-    (one array an axis, each at most its ``norms`` entry), margins and
-    failed rows, and the first failing row is replayed as
-    ``check(state, index)`` on the scalar path (see the module
-    docstring).  ``fields`` are the scan's own ``RegionScan`` fields:
-    axes, theta_ab and boundary."""
+def _scan(
+    ensemble: SampleConfig, grid: float, norms: list, check: tuple, given: dict, **fields
+) -> RegionScan:
+    """The lanes loop of both scans: ``engine.chunks`` draws each chunk's
+    ``StateBatch`` and checks it with the lanes twin of ``check``, a scan
+    point of ``relations`` on ``given`` (A and B, or θ_ab), whose columns
+    are each row's squared variances (one an axis, each at most its
+    ``norms`` entry) and its margin (see the module docstring).
+    ``fields`` are the scan's own ``RegionScan`` fields: axes, theta_ab
+    and boundary."""
     n_cells = _check_grid(grid)
-    basis = basis_for(2)
     count = ensemble.count
     samples = np.empty((count, len(norms)))
     purities = np.empty(count)
     margins = np.empty(count)
-
-    def replay(index: int) -> None:
-        check(draw_state(ensemble.kind, Xoshiro256pp(ensemble.seed, stream=index), basis, index), index)
-
-    for rng in lane_chunks(ensemble.seed, count, basis.dim):
-        (state,) = draw_batches((ensemble.kind,), rng, basis)
-        values, margin, bad = lanes(state)
-        replay_first_bad(bad, rng, replay)
+    row = engine.Relation((2,), (ensemble.kind,), check)
+    for rng, (state,), values in engine.chunks(row, basis_for(2), ensemble.seed, count, **given):
         rows = slice(rng.streams[0], rng.streams[-1] + 1)
-        for k, x in enumerate(values):
-            samples[rows, k] = x
+        samples[rows] = values[:, :-1]
         purities[rows] = state.purity
-        margins[rows] = margin
+        margins[rows] = values[:, -1]
     _validate_samples(samples, norms)
     return RegionScan(
         grid=grid,
@@ -203,10 +182,8 @@ def scan_pair(a: Observable, b: Observable, ensemble: SampleConfig, grid: float)
     """Scatter (ΔA², ΔB²) over a qubit ensemble.
 
     Every sample's bound margin is recorded and must stay above -1e-9.
-    Each chunk of streams runs on lanes: ``variance_bloch_batch`` for the
-    two variances and ``check_theorem1_batch``, with A and B repeated
-    per row, for the margins.  The first failing row of a chunk is
-    replayed on the scalar path (see the module docstring).  Pure
+    Each sample is a ``relations.scan_pair_point`` of A and B, run on
+    lanes a chunk of streams at a time (see the module docstring).  Pure
     ensembles with unit observables also get the analytic boundary
     attached.
     """
@@ -215,29 +192,13 @@ def scan_pair(a: Observable, b: Observable, ensemble: SampleConfig, grid: float)
         raise DimensionMismatch("pair scans are defined for qubit observables and ensembles only")
     if max(a.norm2, b.norm2) > 1.0 + 1e-12:
         raise ValueError("occupancy grid covers [0, 1]; use |a| <= 1 observables")
-
-    def lanes(state):
-        ra = repeat_observable(a, state.p.shape[0])
-        rb = repeat_observable(b, state.p.shape[0])
-        da2, bad_a = variance_bloch_batch(ra, state)
-        db2, bad_b = variance_bloch_batch(rb, state)
-        margin, bad = check_theorem1_batch(ra, rb, state)
-        return (da2, db2), margin, bad | bad_a | bad_b | ~(margin >= _SCAN_MARGIN_FLOOR)
-
-    def check(state, index: int) -> None:
-        variance_bloch(a, state, basis_for(2))
-        variance_bloch(b, state, basis_for(2))
-        margin = check_theorem1(a, b, state).margin
-        if not margin >= _SCAN_MARGIN_FLOOR:  # also rejects NaN
-            raise NumericsError(f"sample {index} violates the qubit bound: {margin!r}")
-
     theta_ab = _axis_angle(a, b)
     boundary = None
     if ensemble.kind == "haar_pure" and abs(a.norm2 - 1.0) < 1e-9 and abs(b.norm2 - 1.0) < 1e-9:
         boundary = _pair_boundary(theta_ab)
     return _scan(
-        ensemble, grid, [a.norm2, b.norm2], lanes, check,
-        axes=("dA2", "dB2"), theta_ab=theta_ab, boundary=boundary,
+        ensemble, grid, [a.norm2, b.norm2], ("scan_pair_point", "A", "B", "state", "index"),
+        {"A": a, "B": b}, axes=("dA2", "dB2"), theta_ab=theta_ab, boundary=boundary,
     )
 
 
@@ -256,35 +217,19 @@ def scan_triple(theta_ab: float, ensemble: SampleConfig, grid: float) -> RegionS
 
     Pure qubit ensembles only: the three variances of a pure state sit
     exactly on the certainty surface, and every sample is checked to
-    satisfy it within 1e-9.  Each chunk of streams runs on lanes: the
-    variances (1-u², 1-v², 1-w²) are array arithmetic on the Bloch rows
-    and the residuals come from ``check_three_observable_equality_batch``;
-    the first failing row of a chunk is replayed on the scalar path (see
-    the module docstring).  ``boundary`` carries a parametric grid of the
-    surface.
+    satisfy it within 1e-9.  Each sample is a
+    ``relations.scan_triple_point`` at θ_ab, run on lanes a chunk of
+    streams at a time (see the module docstring).  ``boundary`` carries a
+    parametric grid of the surface.
     """
     _check_grid(grid)
     if ensemble.dim != 2 or ensemble.kind != "haar_pure":
         raise ValueError("triple scans are defined for pure qubit ensembles only")
     if not -1e-12 <= theta_ab <= math.pi + 1e-12:
         raise ValueError(f"theta_ab = {theta_ab!r} outside [0, pi]")
-    cos_t = math.cos(theta_ab)
-    sin_t = math.sin(theta_ab)
-
-    def lanes(state):
-        residual, bad = check_three_observable_equality_batch(theta_ab, state)
-        p = state.p
-        uvw = (p[:, 0], p[:, 0] * cos_t + p[:, 1] * sin_t, p[:, 2])
-        values = [py_max(1.0 - x * x, 0.0) for x in uvw]
-        return values, residual, bad | ~(np.abs(residual) <= _SURFACE_TOL)
-
-    def check(state, index: int) -> None:
-        residual = check_three_observable_equality(theta_ab, state).margin
-        if not abs(residual) <= _SURFACE_TOL:  # also rejects NaN
-            raise NumericsError(f"sample {index} misses the certainty surface: {residual!r}")
-
     return _scan(
-        ensemble, grid, [1.0, 1.0, 1.0], lanes, check,
+        ensemble, grid, [1.0, 1.0, 1.0], ("scan_triple_point", "theta_ab", "state", "index"),
+        {"theta_ab": theta_ab},
         axes=("dA2", "dB2", "dC2"), theta_ab=theta_ab, boundary=_triple_surface(theta_ab),
     )
 

@@ -51,19 +51,24 @@ checkers do.
 
 Lanes forms
 -----------
-Each checker the verify engine fuzzes has a ``*_batch`` form over
-``StateBatch``/``ObservableBatch`` rows, at every N the checker is
-defined for; at any other N it raises ``DimensionMismatch`` once a
-call, where the scalar checker raises it for every row (the qubit-only
-ones, ``effective_axis_angle`` and ``check_unit_vector_state`` among
-them, take N = 2 alone).  Every ``X_batch`` takes the parameters of its
-scalar twin ``X``, by the same names, so the engine calls either on the
-same arguments.  It returns ``(margins, bad)``: the margin of row i equals,
-bit for bit, the scalar verdict's margin on row i's objects, and ``bad``
-marks rows where an input was bad or where a check of the scalar checker
-fails (at the same tolerance).  Their verdicts use the scalar checker's
-tolerance (``HOLDS_TOL``, or ``APPENDIX_C_TOL`` for appendix-c) and
-``SATURATION_TOL``, as ``_verdict`` does.
+Each checker the verify engine fuzzes, and each scan point of the
+region scans, has a ``*_batch`` form over ``StateBatch``/
+``ObservableBatch`` rows, at every N the checker is defined for; at any
+other N it raises ``DimensionMismatch`` once a call, where the scalar
+checker raises it for every row (the qubit-only ones,
+``effective_axis_angle``, ``check_unit_vector_state`` and the scan
+points among them, take N = 2 alone).  Every ``X_batch`` takes the
+parameters of its scalar twin ``X``, by the same names, so the engine
+calls either on the same arguments: the scan points take their fixed
+operands (A and B, or θ_ab) as they are, and ``index``, the sample's
+stream (a row's in the twin), to name in their errors.  It returns
+``(margins, bad)``: the margin of row i equals, bit for bit, the scalar
+verdict's margin on row i's objects (a scan point's twin: each of its
+values, a column each), and ``bad`` marks rows where an input was bad
+or where a check of the scalar checker fails (at the same tolerance).
+Their verdicts use the scalar checker's tolerance (``HOLDS_TOL``, or
+``APPENDIX_C_TOL`` for appendix-c) and ``SATURATION_TOL``, as
+``_verdict`` does.
 """
 
 from __future__ import annotations
@@ -75,10 +80,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import Observable, ObservableBatch, QuantumState, StateBatch, observable_from_bloch
+from .bloch import repeat_observable
 from .errors import DimensionMismatch, NotApplicable, NumericsError, UndefinedAngle
 from .linalg import per_element, py_max, py_min, row_dot
 from .sun_basis import GeneratorBasis, basis_for
 from .variance import angles, angles_batch, variance_matrix, variance_matrix_batch
+from .variance import variance_bloch, variance_bloch_batch
 
 __all__ = [
     "RelationVerdict",
@@ -95,6 +102,8 @@ __all__ = [
     "check_unit_vector_state",
     "state_dependent_bounds",
     "effective_axis_angle",
+    "scan_pair_point",
+    "scan_triple_point",
     "db_span_given_da2",
     "db_span_any_state",
     "check_triangle_batch",
@@ -110,6 +119,8 @@ __all__ = [
     "check_unit_vector_state_batch",
     "state_dependent_bounds_batch",
     "effective_axis_angle_batch",
+    "scan_pair_point_batch",
+    "scan_triple_point_batch",
 ]
 
 HOLDS_TOL = 1e-10
@@ -120,6 +131,8 @@ SATURATION_TOL = 1e-9
 # this check.
 ZERO_MEAN_TOL = 1e-9
 _RADICAND_FLOOR = -1e-10
+_SCAN_MARGIN_FLOOR = -1e-9  # smallest theorem1 margin a pair scan accepts
+_SURFACE_TOL = 1e-9  # largest |residual| of a triple sample off the certainty surface
 
 
 @dataclass(frozen=True)
@@ -430,6 +443,34 @@ def state_dependent_bounds(
     return state_dependent_bound(a, b, psi, 1), state_dependent_bound(a, b, psi, -1)
 
 
+def scan_pair_point(A: Observable, B: Observable, rho: QuantumState, index: int) -> tuple:
+    """One sample of a pair scan: (ΔA², ΔB², theorem1 margin) of ``rho``.
+
+    Qubit operands only (``variance_bloch`` on the qubit basis refuses
+    others).  A margin below ``_SCAN_MARGIN_FLOOR`` (-1e-9), NaN
+    included, raises ``NumericsError`` naming sample ``index``.
+    """
+    da2 = variance_bloch(A, rho, basis_for(2))
+    db2 = variance_bloch(B, rho, basis_for(2))
+    margin = check_theorem1(A, B, rho).margin
+    if not margin >= _SCAN_MARGIN_FLOOR:  # also rejects NaN
+        raise NumericsError(f"sample {index} violates the qubit bound: {margin!r}")
+    return da2, db2, margin
+
+
+def scan_triple_point(theta_ab: float, rho: QuantumState, index: int) -> tuple:
+    """One sample of a triple scan: (ΔA², ΔB², ΔC², residual) of the
+    axis triple at θ_ab (see ``check_three_observable_equality``).
+
+    A residual beyond ``_SURFACE_TOL`` (1e-9), NaN included, raises
+    ``NumericsError`` naming sample ``index``.
+    """
+    residual = check_three_observable_equality(theta_ab, rho).margin
+    if not abs(residual) <= _SURFACE_TOL:  # also rejects NaN
+        raise NumericsError(f"sample {index} misses the certainty surface: {residual!r}")
+    return (*map(float, _axis_triple(theta_ab, rho.p)[2]), residual)
+
+
 def db_span_given_da2(theta_ab: float, da2: float) -> tuple[float, float]:
     """Feasible ΔB interval for unit observables once ΔA² is known.
 
@@ -558,19 +599,22 @@ def check_unit_vector_relation_batch(
     return lhs - rhs, bad
 
 
+def _axis_triple(theta_ab: float, p: np.ndarray) -> tuple:
+    """u = a·p and v = b·p of the axis triple at θ_ab, and its three
+    variances [1 - u², 1 - v², 1 - w²] floored at 0, on Bloch rows ``p``
+    or one Bloch vector."""
+    u = p[..., 0]
+    v = p[..., 0] * math.cos(theta_ab) + p[..., 1] * math.sin(theta_ab)
+    return u, v, [py_max(1.0 - x * x, 0.0) for x in (u, v, p[..., 2])]
+
+
 def check_three_observable_equality_batch(theta_ab: float, rho: StateBatch) -> _LaneVerdicts:
     """Lanes form of ``check_three_observable_equality``."""
     _require_qubit_rows(rho)
     bad = rho.bad | (np.abs(rho.purity - 1.0) > 1e-9)
     if not -1e-12 <= theta_ab <= math.pi + 1e-12:
         bad[:] = True
-    p = rho.p
-    u = p[:, 0]
-    v = p[:, 0] * math.cos(theta_ab) + p[:, 1] * math.sin(theta_ab)
-    w = p[:, 2]
-    da2 = py_max(1.0 - u * u, 0.0)
-    db2 = py_max(1.0 - v * v, 0.0)
-    dc2 = py_max(1.0 - w * w, 0.0)
+    u, v, (da2, db2, dc2) = _axis_triple(theta_ab, rho.p)
     sin2 = math.sin(theta_ab) ** 2
     lhs = da2 + db2 + dc2 * sin2 + 2.0 * math.cos(theta_ab) * u * v
     return lhs - 2.0, bad
@@ -683,3 +727,24 @@ def state_dependent_bounds_batch(
     plus, bad_plus = state_dependent_bound_batch(a, b, psi, 1)
     minus, bad_minus = state_dependent_bound_batch(a, b, psi, -1)
     return np.stack([plus, minus], axis=1), bad_plus | bad_minus
+
+
+def scan_pair_point_batch(
+    A: Observable, B: Observable, rho: StateBatch, index: np.ndarray
+) -> _LaneVerdicts:
+    """Lanes form of ``scan_pair_point``: A and B fixed, a row of rho and
+    index a sample; a column each for ΔA², ΔB² and the margin."""
+    a, b = (repeat_observable(obs, rho.p.shape[0]) for obs in (A, B))
+    da2, bad_a = variance_bloch_batch(a, rho)
+    db2, bad_b = variance_bloch_batch(b, rho)
+    margin, bad = check_theorem1_batch(a, b, rho)
+    bad = bad | bad_a | bad_b | ~(margin >= _SCAN_MARGIN_FLOOR)
+    return np.column_stack((da2, db2, margin)), bad
+
+
+def scan_triple_point_batch(theta_ab: float, rho: StateBatch, index: np.ndarray) -> _LaneVerdicts:
+    """Lanes form of ``scan_triple_point``: a column each for ΔA², ΔB²,
+    ΔC² and the residual."""
+    residual, bad = check_three_observable_equality_batch(theta_ab, rho)
+    bad = bad | ~(np.abs(residual) <= _SURFACE_TOL)
+    return np.column_stack((*_axis_triple(theta_ab, rho.p)[2], residual)), bad

@@ -40,8 +40,8 @@ check is: ``draw_observable`` raises ``NumericsError`` and
 ``draw_batches`` marks the row ``bad``.  ``lane_chunks`` yields a run's
 generators, ``ENGINE_CHUNK`` streams each, fewer above N = 4 so that a
 chunk's (rows, N, N) stacks hold at most ``_CHUNK_ENTRIES`` entries,
-and ``replay_first_bad`` sends the first failing lane of a chunk back to
-the scalar path, which raises that stream's own exception.
+and a chunk's first failing lane goes back to the scalar path
+(``engine.chunks``), which raises that stream's own exception.
 
 ``ahead`` lays copies of each lane side by side, copy t standing t
 jumps of a fixed number of u64s further on.  A jump is exact: the
@@ -102,7 +102,6 @@ __all__ = [
     "XoshiroLanes",
     "ENGINE_CHUNK",
     "lane_chunks",
-    "replay_first_bad",
     "OBSERVABLE",
     "plan_widths",
     "draw_batches",
@@ -398,21 +397,6 @@ def lane_chunks(seed: int, count: int, dim: int) -> Iterator[XoshiroLanes]:
     rows = min(ENGINE_CHUNK, _CHUNK_ENTRIES // (dim * dim))
     for start in range(0, count, rows):
         yield XoshiroLanes(seed, np.arange(start, min(start + rows, count)))
-
-
-def replay_first_bad(bad: np.ndarray, rng: XoshiroLanes, replay) -> None:
-    """Raise for the first stream of ``rng`` whose lane is ``bad``, if any.
-
-    ``replay(stream)`` runs that sample on the scalar path, which raises
-    the stream's own exception; if it passes instead, lanes and scalar
-    checks disagree, and this raises ``NumericsError`` naming the sample.
-    """
-    if bad.any():
-        first = int(rng.streams[bad.argmax()])
-        replay(first)
-        raise NumericsError(
-            f"sample {first} (stream {first}): a lane check failed that the scalar checks pass"
-        )
 
 
 _KINDS = ("haar_pure", "hs_mixed")

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import blochvar
-from blochvar import cli, engine, regions
+from blochvar import cli, engine, regions, relations
 from blochvar.cli import run
 from blochvar.errors import NumericsError
 from blochvar.sampling import SampleConfig
@@ -712,13 +712,13 @@ def test_region_scans_are_pinned(tmp_path, args, expected):
 def test_region_margin_below_floor_raises_and_writes_nothing(tmp_path, monkeypatch):
     # The scans raise for any margin below -1e-9, so the CLI writes no
     # report: here the lanes checker reports -1e-6 for sample 5 alone.
-    checker = regions.check_theorem1_batch
+    checker = relations.check_theorem1_batch
 
     def low_at_5(a, b, state):
         margins, bad = checker(a, b, state)
         return np.where(np.arange(margins.size) == 5, -1e-6, margins), bad
 
-    monkeypatch.setattr(regions, "check_theorem1_batch", low_at_5)
+    monkeypatch.setattr(relations, "check_theorem1_batch", low_at_5)
     out = tmp_path / "report.json"
     with pytest.raises(NumericsError, match=r"sample 5 \(stream 5\)"):
         _run(["region", "pair", "--theta-ab", "1.0", "--samples", "40", "--out", str(out)])

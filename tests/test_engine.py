@@ -20,11 +20,15 @@ pin:
 * the same exception, raised for the same first failing stream;
 * `fuzz`'s numpy reduction of the margins equal to Python's `min` and
   `max` over them in stream order;
+* the region scans on the same loop (`engine.chunks`): their scan
+  points looked up at call time, and each twin flagging exactly the
+  rows its scalar rejects, floors and NaN margins included;
 * each numpy-vs-scalar equality the engine relies on, at N = 2 and per
   N up to the dimension cap, so that a numpy or libm upgrade that
   breaks one fails here by name.
 """
 
+import dataclasses
 import inspect
 import math
 from unittest import mock
@@ -34,8 +38,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blochvar import basis_for, engine, sampling
-from blochvar import bloch, linalg, relations, sun_basis, variance
+from blochvar import SampleConfig, basis_for, engine, sampling
+from blochvar import bloch, linalg, regions, relations, sun_basis, variance
 from blochvar.errors import DimensionMismatch, NumericsError
 from blochvar.linalg import per_element, row_dot
 from blochvar.sampling import Xoshiro256pp, XoshiroLanes, draw_observable
@@ -80,7 +84,7 @@ def _params(name):
 def test_every_lanes_checker_takes_its_scalar_twins_parameters():
     # The engine calls `X_batch` on the arguments it would pass `X`.
     twins = [name for name in relations.__all__ if name.endswith("_batch")]
-    assert len(twins) == 13
+    assert len(twins) == 15
     for twin in twins:
         scalar = twin.removesuffix("_batch")
         assert scalar in relations.__all__ and _params(twin) == _params(scalar)
@@ -91,6 +95,7 @@ _QUBIT_ONLY = {
     "check_triangle", "check_theorem1", "check_mixed_limit", "check_pure_limit",
     "check_three_observable_equality", "check_appendix_b", "state_dependent_bound",
     "check_unit_vector_state", "state_dependent_bounds", "effective_axis_angle",
+    "scan_pair_point", "scan_triple_point",
 }
 
 
@@ -100,7 +105,8 @@ def _twin_operands(dim, n=24):
     Mixed and pure states alternate and every third state is completely
     mixed (p = 0, so appendix-c's means vanish); A is zero on row 1; the
     unit-vector relation's scalars come from the Bloch rows, some
-    outside its domain."""
+    outside its domain.  The scan points' fixed observables, ``A`` and
+    ``B``, are row 0's, and ``index`` is the row."""
     basis = basis_for(dim)
     drawn, a, b = sampling.draw_batches(("alternating", _OBS, _OBS), XoshiroLanes(11, range(n)), basis)
     rho = np.where((np.arange(n) % 3 == 2)[:, None, None], np.eye(dim) / dim, drawn.rho)
@@ -109,7 +115,8 @@ def _twin_operands(dim, n=24):
     b = bloch.observable_from_bloch_batch(b.a, basis)
     p = state.p
     lanes = {"a": a, "b": b, "rho": state, "psi": state, "basis": basis, "sign": -1,
-             "theta_ab": 1.1, "angles": 4.0 * p[:, 0], "da2": p[:, 1] + 0.5, "db2": p[:, 2] + 0.5}
+             "theta_ab": 1.1, "angles": 4.0 * p[:, 0], "da2": p[:, 1] + 0.5, "db2": p[:, 2] + 0.5,
+             "index": np.arange(n)}
     rows = []
     for i in range(n):
         oa, ob = (bloch.observable_from_bloch(x.a[i], basis) for x in (a, b))
@@ -117,9 +124,44 @@ def _twin_operands(dim, n=24):
         for obj, batch in ((oa, a), (ob, b)):
             assert np.array_equal(obj.matrix.array, batch.matrix[i]) and obj.norm2 == batch.norm2[i]
         assert np.array_equal(rho_i.rho.array, state.rho[i]) and np.array_equal(rho_i.p, p[i])
-        rows.append({"a": oa, "b": ob, "rho": rho_i, "psi": rho_i,
+        rows.append({"a": oa, "b": ob, "rho": rho_i, "psi": rho_i, "index": i,
                      **{k: float(lanes[k][i]) for k in ("angles", "da2", "db2")}})
+    lanes["A"], lanes["B"] = rows[0]["a"], rows[0]["b"]
     return lanes, rows
+
+
+def _twin_raises(name, lanes, rows):
+    """Check the pair (``name``, ``name``_batch) on the operands of
+    ``_twin_operands``: both raise DimensionMismatch (None is returned),
+    or the twin's bad rows are the rows where ``name`` raises (returned)
+    and its other margins are ``name``'s, bit for bit."""
+    params = _params(name)
+    # check_unit_vector_relation takes its angle a row at a time.
+    key = {"theta_ab": "angles"} if "da2" in params else {}
+    args = {p: lanes[key.get(p, p)] for p in params}
+    scalar = [{p: row.get(key.get(p, p), args[p]) for p in params} for row in rows]
+    try:
+        out = getattr(relations, name + "_batch")(**args)
+    except DimensionMismatch:
+        for row_args in scalar:
+            with pytest.raises(DimensionMismatch):
+                getattr(relations, name)(**row_args)
+        return None
+    # effective_axis_angle's twin returns angles, NaN where undefined.
+    margins, bad = out if isinstance(out, tuple) else (out, np.isnan(out))
+    margins = margins.reshape(len(rows), -1)  # a column per verdict or value
+    raised = []
+    for i, row_args in enumerate(scalar):
+        try:
+            got = getattr(relations, name)(**row_args)
+        except (ValueError, ArithmeticError):
+            assert bad[i], (name, i)
+            raised.append(i)
+            continue
+        verdicts = got if isinstance(got, tuple) else (got,)
+        expected = np.array([getattr(v, "margin", v) for v in verdicts])
+        assert not bad[i] and margins[i].tobytes() == expected.tobytes(), (name, i)
+    return raised
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # bad rows on purpose
@@ -130,35 +172,45 @@ def test_twins_flag_exactly_the_rows_their_scalars_reject(dim):
     # raises and its other margins are X's, bit for bit.
     lanes, rows = _twin_operands(dim)
     pairs = [name for name in relations.__all__ if name + "_batch" in relations.__all__]
-    assert len(pairs) == 13
-    refused = set()
-    for name in pairs:
-        params = _params(name)
-        # check_unit_vector_relation takes its angle a row at a time.
-        key = {"theta_ab": "angles"} if "da2" in params else {}
-        args = {p: lanes[key.get(p, p)] for p in params}
-        scalar = [{p: row.get(key.get(p, p), args[p]) for p in params} for row in rows]
-        try:
-            out = getattr(relations, name + "_batch")(**args)
-        except DimensionMismatch:
-            refused.add(name)
-            for row_args in scalar:
-                with pytest.raises(DimensionMismatch):
-                    getattr(relations, name)(**row_args)
-            continue
-        # effective_axis_angle's twin returns angles, NaN where undefined.
-        margins, bad = out if isinstance(out, tuple) else (out, np.isnan(out))
-        margins = margins.reshape(len(rows), -1)  # a column per verdict
-        for i, row_args in enumerate(scalar):
-            try:
-                got = getattr(relations, name)(**row_args)
-            except (ValueError, ArithmeticError):
-                assert bad[i], (name, i)
-                continue
-            verdicts = got if isinstance(got, tuple) else (got,)
-            expected = np.array([getattr(v, "margin", v) for v in verdicts])
-            assert not bad[i] and margins[i].tobytes() == expected.tobytes(), (name, i)
+    assert len(pairs) == 15
+    refused = {name for name in pairs if _twin_raises(name, lanes, rows) is None}
     assert refused == (set() if dim == 2 else _QUBIT_ONLY)
+
+
+def _nan_where_x_above(checker, x):
+    """``checker`` (scalar or lanes) with a NaN margin wherever its
+    state's first Bloch coordinate is above ``x``."""
+
+    def patched(*args):
+        got, p = checker(*args), args[-1].p
+        if isinstance(got, tuple):
+            return np.where(p[:, 0] > x, math.nan, got[0]), got[1]
+        return dataclasses.replace(got, margin=math.nan) if p[0] > x else got
+
+    return patched
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # bad rows on purpose
+@pytest.mark.parametrize(
+    "name,floor,value,checker",
+    [("scan_pair_point", "_SCAN_MARGIN_FLOOR", 0.1, "check_theorem1"),
+     ("scan_triple_point", "_SURFACE_TOL", 5e-16, "check_three_observable_equality")],
+)
+def test_scan_twins_flag_exactly_the_rows_that_fail_their_floors(
+    monkeypatch, name, floor, value, checker
+):
+    # The scan points' floors, moved so that some rows pass them and
+    # others fail them, with NaN margins among the failures: the twin's
+    # bad rows are still the rows where the scalar raises.
+    lanes, rows = _twin_operands(2)
+    before = set(_twin_raises(name, lanes, rows))
+    monkeypatch.setattr(relations, floor, value)
+    for form in (checker, checker + "_batch"):
+        monkeypatch.setattr(relations, form, _nan_where_x_above(getattr(relations, form), 0.7))
+    raised = set(_twin_raises(name, lanes, rows))
+    nan = {i for i, row in enumerate(rows) if row["rho"].p[0] > 0.7}
+    # Rows newly failing the floor, NaN ones among them, and rows passing it.
+    assert raised - before - nan and nan - before and before | nan <= raised < set(range(len(rows)))
 
 
 def test_robertson_checkers_reject_operands_of_two_dims():
@@ -210,6 +262,39 @@ def test_engine_looks_its_calls_up_at_call_time(monkeypatch, relation):
     assert lanes and draws and not check
     engine._sample(relation, basis_for(dim), 0, 4, math.pi / 4.0)
     assert check
+
+
+# Each scan, and the floor that makes every one of its samples fail.
+_SCANS = {
+    "pair": (lambda cfg: regions.scan_pair(*_scan_pair_observables(), cfg, 0.01),
+             "_SCAN_MARGIN_FLOOR", math.inf),
+    "triple": (lambda cfg: regions.scan_triple(0.9, cfg, 0.01), "_SURFACE_TOL", -1.0),
+}
+
+
+def _scan_pair_observables():
+    basis = basis_for(2)
+    return (bloch.observable_from_bloch([0.48, -0.6, 0.64], basis),
+            bloch.observable_from_bloch([0.1, 0.7, -0.5], basis))
+
+
+@pytest.mark.parametrize("scan", sorted(_SCANS))
+def test_scans_look_their_checkers_up_at_call_time(monkeypatch, scan):
+    # The scans' counterpart of the test above: a wrapper put on a scan
+    # point of `relations` after import sees its lanes form once a chunk
+    # (20 samples, chunks of 8), and its scalar form only on a replay,
+    # here forced by a floor that every sample fails.
+    run, floor, failing = _SCANS[scan]
+    lanes = _count_calls(monkeypatch, relations, f"scan_{scan}_point_batch")
+    check = _count_calls(monkeypatch, relations, f"scan_{scan}_point")
+    monkeypatch.setattr(sampling, "ENGINE_CHUNK", 8)
+    cfg = SampleConfig(seed=0, dim=2, count=20, kind="haar_pure")
+    run(cfg)
+    assert len(lanes) == 3 and not check
+    monkeypatch.setattr(relations, floor, failing)
+    with pytest.raises(NumericsError, match="^sample 0 (violates|misses)"):
+        run(cfg)
+    assert len(lanes) == 4 and len(check) == 1
 
 
 @pytest.mark.parametrize("relation", RELATIONS)

@@ -25,7 +25,7 @@ from blochvar import (
     state_to_matrix,
     variance_bloch,
 )
-from blochvar import bloch, regions, sampling, variance
+from blochvar import bloch, relations, sampling, variance
 
 
 def _axis_pair(basis2, theta):
@@ -126,9 +126,9 @@ def test_scans_reject_nan_margins(basis2, monkeypatch, checker):
     # NaN on lanes and on the scalar path: the replay of sample 0 raises
     # the floor's own error.
     lanes = f"{checker}_batch"
-    monkeypatch.setattr(regions, lanes, _nan_at(getattr(regions, lanes), 0))
+    monkeypatch.setattr(relations, lanes, _nan_at(getattr(relations, lanes), 0))
     nan_verdict = mock.Mock(margin=math.nan)
-    monkeypatch.setattr(regions, checker, lambda *args: nan_verdict)
+    monkeypatch.setattr(relations, checker, lambda *args: nan_verdict)
     with pytest.raises(NumericsError, match="sample 0 (violates|misses).*nan"):
         _scan_with(checker, basis2)
 
@@ -138,7 +138,7 @@ def test_scans_reject_lane_only_nan_margins(basis2, monkeypatch, checker):
     # NaN on lanes alone: the replay passes, and the scan still raises
     # for that sample.
     lanes = f"{checker}_batch"
-    monkeypatch.setattr(regions, lanes, _nan_at(getattr(regions, lanes), 0))
+    monkeypatch.setattr(relations, lanes, _nan_at(getattr(relations, lanes), 0))
     with pytest.raises(NumericsError, match=r"sample 0 \(stream 0\): a lane check failed"):
         _scan_with(checker, basis2)
 
@@ -244,7 +244,7 @@ def _scalar_row(mode, basis, i, state):
         da2 = variance_bloch(a, state, basis)
         db2 = variance_bloch(b, state, basis)
         margin = check_theorem1(a, b, state).margin
-        if not margin >= regions._SCAN_MARGIN_FLOOR:
+        if not margin >= relations._SCAN_MARGIN_FLOOR:
             raise NumericsError(f"sample {i} violates the qubit bound: {margin!r}")
         return da2, db2, state.purity, margin
     p = state.p
@@ -252,7 +252,7 @@ def _scalar_row(mode, basis, i, state):
     v = p[0] * math.cos(_ORACLE_THETA) + p[1] * math.sin(_ORACLE_THETA)
     w = p[2]
     residual = check_three_observable_equality(_ORACLE_THETA, state).margin
-    if not abs(residual) <= regions._SURFACE_TOL:
+    if not abs(residual) <= relations._SURFACE_TOL:
         raise NumericsError(f"sample {i} misses the certainty surface: {residual!r}")
     variances = (max(1.0 - u * u, 0.0), max(1.0 - v * v, 0.0), max(1.0 - w * w, 0.0))
     return variances + (state.purity, residual)
@@ -293,8 +293,8 @@ def test_lanes_scans_match_past_default_chunk(name, seed):
 _SCAN_FAILURES = [
     (bloch, "PSD_EIGENVALUE_FLOOR", 0.05, "pair-mixed"),
     (variance, "_NEGATIVE_VARIANCE_FLOOR", 0.2, "pair-pure"),
-    (regions, "_SCAN_MARGIN_FLOOR", 0.01, "pair-mixed"),
-    (regions, "_SURFACE_TOL", 2e-16, "triple"),
+    (relations, "_SCAN_MARGIN_FLOOR", 0.01, "pair-mixed"),
+    (relations, "_SURFACE_TOL", 2e-16, "triple"),
 ]
 
 
