@@ -18,7 +18,20 @@ compare
     Tabulate the commutator baseline, both signs of the state-dependent
     bound, and the state-independent span for one (state, A, B) triple.
 
-``basis`` and ``verify`` share one --dim range, 2..MAX_DIM (16).
+Where each usage rule lives, stated once:
+
+- Every numeric range is an argparse type built by ``_closed_interval``,
+  so its error names the flag: --dim 2..MAX_DIM (16) of ``basis`` and
+  ``verify``, --samples 1..``regions.MAX_SAMPLES`` of ``verify`` and
+  ``region``, seeds in [0, 2**64 - 1], --theta-ab in [0, pi], --grid in
+  ``regions.GRID_RANGE``, --slice-da2 and --da2 in [0, 1].
+- The N a relation allows is its ``Relation.dims`` in
+  ``engine.RELATIONS``, checked by ``_cmd_verify`` before any draw.
+- The region cell cap and the pair-only and pure-only rules are checked
+  by ``_cmd_region``; output paths by ``_check_outputs``.
+- The state and observable grammars are ``_parse_state`` and
+  ``_parse_observable``, on the qubit basis; ``--state-seed K`` is
+  ``--state seed:K``, and argparse takes exactly one of the two.
 
 Exit codes: 0 success/holds, 1 relation violated beyond tolerance,
 2 usage error.  Every report echoes its fully resolved configuration,
@@ -80,23 +93,12 @@ EXIT_VIOLATION = 1
 MAX_DIM = 16
 
 
-def _seed(text: str) -> int:
-    """argparse type for seeds: an unsigned 64-bit integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from None
-    if not 0 <= value < 1 << 64:
-        raise argparse.ArgumentTypeError(f"seed must lie in [0, 2**64), got {value}")
-    return value
+def _closed_interval(lo, hi, hi_name: str, kind=float):
+    """argparse type for a ``kind`` (float or int) in [lo, hi]; NaN is rejected."""
 
-
-def _closed_interval(lo: float, hi: float, hi_name: str):
-    """argparse type for a number in [lo, hi]; NaN is rejected."""
-
-    def parse(text: str) -> float:
+    def parse(text: str):
         try:
-            value = float(text)
+            value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
         if not lo <= value <= hi:  # also rejects NaN
@@ -109,6 +111,9 @@ def _closed_interval(lo: float, hi: float, hi_name: str):
 _theta_ab = _closed_interval(0.0, math.pi, "pi")  # axis angles
 _unit_fraction = _closed_interval(0.0, 1.0, "1")  # squared variances of unit observables
 _grid = _closed_interval(*GRID_RANGE, f"{GRID_RANGE[1]:g}")  # region cell sizes
+_seed = _closed_interval(0, 2**64 - 1, "2**64 - 1", int)  # RNG seeds: unsigned 64-bit
+_dim = _closed_interval(2, MAX_DIM, str(MAX_DIM), int)  # basis and verify dimensions
+_samples = _closed_interval(1, MAX_SAMPLES, str(MAX_SAMPLES), int)  # verify and region draws
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +149,10 @@ def _parse_observable(spec: str, basis, parser) -> Observable:
     s = spec.strip()
     try:
         if s in ("sigma1", "sigma2", "sigma3"):
-            if basis.dim != 2:
-                parser.error(f"{s} is a qubit observable; dimension is {basis.dim}")
             vec = np.zeros(3)
             vec[int(s[-1]) - 1] = 1.0
             return observable_from_bloch(vec, basis)
         if s.startswith("n:"):
-            if basis.dim != 2:
-                parser.error("n:(x,y,z) is a qubit form; use a JSON matrix for higher N")
             return observable_from_bloch(_parse_triplet(s[2:], "observable", parser), basis)
         if s.startswith("@") or s.startswith("{"):
             return observable_from_matrix(matrix_from_json(_load_json_spec(s, parser)), basis)
@@ -170,22 +171,18 @@ def _parse_state(spec: str, basis, parser) -> QuantumState:
         if s == "mixed":
             return completely_mixed(basis)
         if s.startswith("pure:"):
-            if basis.dim != 2:
-                parser.error("pure:(x,y,z) is a qubit form")
             vec = _parse_triplet(s[5:], "state", parser)
             norm = float(np.linalg.norm(vec))
             if not 1e-12 <= norm < math.inf:  # an overflowing norm would give I/2
                 parser.error("pure state direction must be nonzero, with a finite norm")
             return state_to_matrix(vec / norm, basis)
         if s.startswith("bloch:"):
-            if basis.dim != 2:
-                parser.error("bloch:(x,y,z) is a qubit form")
             return state_to_matrix(_parse_triplet(s[6:], "state", parser), basis)
         if s.startswith("seed:"):
-            return draw_pure(Xoshiro256pp(int(s[5:])), basis)
+            return draw_pure(Xoshiro256pp(_seed(s[5:])), basis)
         if s.startswith("@") or s.startswith("{"):
             return state_from_matrix(matrix_from_json(_load_json_spec(s, parser)), basis)
-    except (UnphysicalState, ValueError) as exc:
+    except (UnphysicalState, ValueError, argparse.ArgumentTypeError) as exc:
         parser.error(f"bad state {spec!r}: {exc}")
     parser.error(
         f"unrecognized state {spec!r}; use mixed, pure:(x,y,z), bloch:(x,y,z), "
@@ -209,6 +206,18 @@ def _rle(occupancy: np.ndarray) -> dict:
     bounds = np.concatenate([[0], np.column_stack([starts, ends]).ravel(), [occupancy.size]])
     runs = np.diff(bounds)
     return {"first": int(filled.size > 0 and filled[0] == 0), "runs": runs[runs > 0].tolist()}
+
+
+def _report(command: str, config: dict, results: list, worst, wall: float) -> dict:
+    """The schema-1 report of ``verify``, ``region`` and ``compare``."""
+    return {
+        "schema": SCHEMA_VERSION,
+        "command": command,
+        "config": config,
+        "results": results,
+        "worst_margin": worst,
+        "wall_time_s": wall,
+    }
 
 
 def _write_report(report: dict, out: str | None) -> None:
@@ -302,8 +311,6 @@ def _write_scan_json(path: str, scan: RegionScan, config: dict) -> None:
 
 
 def _cmd_basis(args, parser) -> tuple[int, dict]:
-    if not 2 <= args.dim <= MAX_DIM:
-        parser.error(f"--dim must be in 2..{MAX_DIM}, got {args.dim}")
     start = time.perf_counter()
     basis = basis_for(args.dim)
     residual = max_algebra_residual(basis)
@@ -350,28 +357,18 @@ def _cmd_verify(args, parser) -> tuple[int, dict]:
             f"relation {args.relation} is not defined for dim {args.dim} "
             f"(allowed: {', '.join(map(str, dims))})"
         )
-    if not 2 <= args.dim <= MAX_DIM:
-        parser.error(f"--dim must be in 2..{MAX_DIM}, got {args.dim}")
-    if not 1 <= args.samples <= MAX_SAMPLES:
-        parser.error(f"--samples must be in 1..{MAX_SAMPLES}, got {args.samples}")
     start = time.perf_counter()
     summary = engine.fuzz(args.relation, args.dim, args.samples, args.seed, args.theta_ab)
     wall = time.perf_counter() - start
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "verify",
-        "config": {
-            "relation": args.relation,
-            "dim": args.dim,
-            "samples": args.samples,
-            "seed": args.seed,
-            "theta_ab": args.theta_ab,
-            "threads": 1,  # schema-1 key: samples run on one thread
-        },
-        "results": [summary],
-        "worst_margin": summary["worst_margin"],
-        "wall_time_s": wall,
+    config = {
+        "relation": args.relation,
+        "dim": args.dim,
+        "samples": args.samples,
+        "seed": args.seed,
+        "theta_ab": args.theta_ab,
+        "threads": 1,  # schema-1 key: samples run on one thread
     }
+    report = _report("verify", config, [summary], summary["worst_margin"], wall)
     _write_report(report, args.out)
     status = "PASS" if summary["holds"] else "FAIL"
     print(f"verify {args.relation} dim={args.dim} samples={args.samples} seed={args.seed}")
@@ -384,8 +381,6 @@ def _cmd_verify(args, parser) -> tuple[int, dict]:
 
 
 def _cmd_region(args, parser) -> tuple[int, dict]:
-    if not 1 <= args.samples <= MAX_SAMPLES:
-        parser.error(f"--samples must be in 1..{MAX_SAMPLES}, got {args.samples}")
     cells = occupancy_cells(args.grid, 2 if args.mode == "pair" else 3)
     if cells > MAX_CELLS:
         parser.error(
@@ -419,33 +414,25 @@ def _cmd_region(args, parser) -> tuple[int, dict]:
         "threads": 1,  # schema-1 key: samples run on one thread
     }
     worst = float(scan.margins.min())
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "region",
-        "config": config,
-        "results": [
-            {
-                "axes": list(scan.axes),
-                "count": int(scan.samples.shape[0]),
-                "occupied_cells": int(np.count_nonzero(scan.occupancy)),
-                "worst_margin": worst,
-                "max_abs_margin": float(np.abs(scan.margins).max()),
-            }
-        ],
+    result = {
+        "axes": list(scan.axes),
+        "count": int(scan.samples.shape[0]),
+        "occupied_cells": int(np.count_nonzero(scan.occupancy)),
         "worst_margin": worst,
-        "wall_time_s": wall,
+        "max_abs_margin": float(np.abs(scan.margins).max()),
     }
+    report = _report("region", config, [result], worst, wall)
     print(
         f"region {args.mode} theta_ab={args.theta_ab} samples={args.samples} "
         f"grid={args.grid} seed={args.seed}"
     )
     print(
-        f"  occupied_cells={report['results'][0]['occupied_cells']} "
+        f"  occupied_cells={result['occupied_cells']} "
         f"worst_margin={worst:.3e}"
     )
     if args.slice_da2 is not None:
         lo, hi, count = scan.slice_span(0, args.slice_da2)
-        report["results"][0]["slice"] = {
+        result["slice"] = {
             "da2": args.slice_da2,
             "db_min": lo,
             "db_max": hi,
@@ -455,7 +442,7 @@ def _cmd_region(args, parser) -> tuple[int, dict]:
         print(f"  slice dA2={args.slice_da2}: {span}")
     if scan.theta_ab <= 1e-12:
         diff = np.abs(np.sqrt(scan.samples[:, 1]) - np.sqrt(scan.samples[:, 0])).max()
-        report["results"][0]["degenerate_line"] = float(diff)
+        result["degenerate_line"] = float(diff)
         print(f"  degenerate axis pair: samples collapse onto dB = dA (max |dB-dA| = {diff:.2e})")
     if args.csv:
         _write_scan_csv(args.csv, scan)
@@ -471,12 +458,8 @@ def _cmd_compare(args, parser) -> tuple[int, dict]:
     basis = basis_for(2)
     a = _parse_observable(args.obs_a, basis, parser)
     b = _parse_observable(args.obs_b, basis, parser)
-    if (args.state is None) == (args.state_seed is None):
-        parser.error("provide exactly one of --state or --state-seed")
-    if args.state is not None:
-        state = _parse_state(args.state, basis, parser)
-    else:
-        state = draw_pure(Xoshiro256pp(args.state_seed), basis)
+    spec = f"seed:{args.state_seed}" if args.state is None else args.state  # one grammar
+    state = _parse_state(spec, basis, parser)
     start = time.perf_counter()
 
     def verdict_row(bound: str, v) -> dict:
@@ -520,21 +503,11 @@ def _cmd_compare(args, parser) -> tuple[int, dict]:
             }
         )
 
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "compare",
-        "config": {
-            "state": args.state,
-            "state_seed": args.state_seed,
-            "A": args.obs_a,
-            "B": args.obs_b,
-            "da2": args.da2,
-        },
-        "results": rows,
-        "worst_margin": min(margins) if margins else None,
-        "wall_time_s": time.perf_counter() - start,
-    }
-    print(f"compare A={args.obs_a} B={args.obs_b} state={args.state or f'seed:{args.state_seed}'}")
+    config = {"state": args.state, "state_seed": args.state_seed, "A": args.obs_a, "B": args.obs_b, "da2": args.da2}
+    report = _report(
+        "compare", config, rows, min(margins) if margins else None, time.perf_counter() - start
+    )
+    print(f"compare A={args.obs_a} B={args.obs_b} state={spec}")
     for row in rows:
         if not row["applicable"]:
             print(f"  {row['bound']:<24} not applicable: {row['reason']}")
@@ -572,15 +545,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="serialize su(N) generators and structure tensors",
     )
     p_basis.add_argument(
-        "--dim", type=int, required=True, help=f"Hilbert-space dimension (2..{MAX_DIM})"
+        "--dim", type=_dim, required=True, help=f"Hilbert-space dimension (2..{MAX_DIM})"
     )
     p_basis.add_argument("--format", choices=("json", "csv"), default="json")
     p_basis.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p_verify = sub.add_parser("verify", help="fuzz one relation over seeded random draws")
     p_verify.add_argument("relation", choices=sorted(engine.RELATIONS))
-    p_verify.add_argument("--dim", type=int, default=2)
-    p_verify.add_argument("--samples", type=int, default=1000)
+    p_verify.add_argument("--dim", type=_dim, default=2)
+    p_verify.add_argument("--samples", type=_samples, default=1000)
     p_verify.add_argument("--seed", type=_seed, default=0)
     p_verify.add_argument(
         "--theta-ab",
@@ -593,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_region = sub.add_parser("region", help="Monte-Carlo scan of a variance region")
     p_region.add_argument("mode", choices=("pair", "triple"))
     p_region.add_argument("--theta-ab", type=_theta_ab, required=True, help="axis angle in radians")
-    p_region.add_argument("--samples", type=int, default=20000)
+    p_region.add_argument("--samples", type=_samples, default=20000)
     p_region.add_argument("--grid", type=_grid, default=0.01)
     p_region.add_argument("--seed", type=_seed, default=0)
     p_region.add_argument("--ensemble", choices=("pure", "mixed"), default="pure")
@@ -605,8 +578,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_region.add_argument("--out", default=None, help="write the JSON report here")
 
     p_compare = sub.add_parser("compare", help="compare bounds for one (state, A, B) triple")
-    p_compare.add_argument("--state", default=None, help="mixed | pure:(x,y,z) | bloch:(x,y,z) | seed:K | @file | {json}")
-    p_compare.add_argument("--state-seed", type=_seed, default=None, help="Haar-random pure state from this seed")
+    state = p_compare.add_mutually_exclusive_group(required=True)
+    state.add_argument("--state", default=None, help="mixed | pure:(x,y,z) | bloch:(x,y,z) | seed:K | @file | {json}")
+    state.add_argument("--state-seed", type=_seed, default=None, help="Haar-random pure state from this seed")
     p_compare.add_argument("--A", dest="obs_a", required=True, help="sigma1|sigma2|sigma3 | n:(x,y,z) | @file | {json}")
     p_compare.add_argument("--B", dest="obs_b", required=True)
     p_compare.add_argument(

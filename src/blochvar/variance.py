@@ -251,9 +251,7 @@ def angles_batch(
     theta_pa, bad_pa = _vector_angle_batch(rho.p, a.a)
     theta_pb, bad_pb = _vector_angle_batch(rho.p, b.a)
     theta_ab, bad_ab = _vector_angle_batch(a.a, b.a)
-    bad |= bad_pa | bad_pb | bad_ab
-    for theta in (theta_pa, theta_pb, theta_ab):  # AngleSet.__post_init__
-        bad |= ~((-1e-12 <= theta) & (theta <= math.pi + 1e-12))
+    bad |= bad_pa | bad_pb | bad_ab  # each angle is acos of a clamped cosine: in [0, pi]
     return theta_pa, theta_pb, theta_ab, bad
 
 

@@ -34,3 +34,10 @@ def random_density(rng, n):
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     m = g @ g.conj().T
     return m / np.trace(m).real
+
+
+def failure_ids(cases):
+    """Test ids for (module, constant, value, case...) tuples: the patched
+    constant, its value and the case, not the module, so that moving a
+    constant renames no test."""
+    return ["-".join(str(field) for field in case[1:]) for case in cases]

@@ -59,12 +59,10 @@ def test_basis_alias_and_csv(tmp_path):
 
 
 def test_basis_dim_out_of_range_exits_2():
-    with pytest.raises(SystemExit) as err:
-        _run(["basis", "--dim", "1"])
-    assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        _run(["basis", "--dim", "17"])
-    assert err.value.code == 2
+    for dim in ("1", "17", "2.0"):
+        with pytest.raises(SystemExit) as err:
+            _run(["basis", "--dim", dim])
+        assert err.value.code == 2
 
 
 def test_basis_runs_at_dim_cap(tmp_path):
@@ -140,14 +138,14 @@ def test_verify_unknown_relation_exits_2():
     assert err.value.code == 2
 
 
-@pytest.mark.parametrize("dim", ["17", "40"])
+@pytest.mark.parametrize("dim", ["17", "40", "2.0"])
 def test_verify_dim_above_cap_exits_2(dim):
     with pytest.raises(SystemExit) as err:
         _run(["verify", "appendix-c", "--dim", dim, "--samples", "1"])
     assert err.value.code == 2
 
 
-@pytest.mark.parametrize("samples", ["0", str(regions.MAX_SAMPLES + 1), "100000000000"])
+@pytest.mark.parametrize("samples", ["0", str(regions.MAX_SAMPLES + 1), "100000000000", "1e3"])
 def test_verify_samples_outside_the_cap_exit_2(monkeypatch, samples):
     # Rejected before any draw: the fuzz loop is never reached.
     def no_fuzz(*args):
@@ -219,6 +217,7 @@ def test_verify_appendix_c_memory():
         ["verify", "theorem1", "--seed", "-1"],
         ["verify", "theorem1", "--seed", "18446744073709551616"],
         ["verify", "theorem1", "--seed", "x"],
+        ["verify", "theorem1", "--seed", "1.5"],
         ["region", "pair", "--theta-ab", "0.5", "--seed", "-1"],
         ["compare", "--state-seed", "-1", "--A", "sigma1", "--B", "sigma2"],
     ],
@@ -233,6 +232,29 @@ def test_largest_seed_is_accepted():
     code, report = _run(["verify", "theorem1", "--samples", "2", "--seed", str(2**64 - 1)])
     assert code == 0
     assert report["config"]["seed"] == 2**64 - 1
+    flags = ["--A", "sigma1", "--B", "sigma2"]
+    _, by_flag = _run(["compare", "--state-seed", str(2**64 - 1)] + flags)
+    _, by_spec = _run(["compare", "--state", f"seed:{2**64 - 1}"] + flags)
+    assert by_flag["config"]["state_seed"] == 2**64 - 1
+    assert by_flag["results"] == by_spec["results"]
+
+
+def test_compare_state_seed_is_the_seed_state(capsys):
+    # --state-seed K and --state seed:K are one grammar: the same state,
+    # results and printed lines; a seed outside [0, 2**64 - 1] or not an
+    # integer exits 2 either way.
+    flags = ["--A", "n:(0.6,0.8,0)", "--B", "sigma3"]
+    _, by_flag = _run(["compare", "--state-seed", "5"] + flags)
+    flag_out = capsys.readouterr().out
+    _, by_spec = _run(["compare", "--state", "seed:5"] + flags)
+    assert capsys.readouterr().out == flag_out
+    assert by_flag["results"] == by_spec["results"]
+    assert by_flag["worst_margin"] == by_spec["worst_margin"]
+    assert by_flag["config"]["state_seed"] == 5 and by_spec["config"]["state"] == "seed:5"
+    for spec in ("seed:-1", "seed:x"):
+        with pytest.raises(SystemExit) as err:
+            _run(["compare", "--state", spec] + flags)
+        assert err.value.code == 2
 
 
 def test_parser_is_reused_and_usage_errors_still_exit_2(capsys):

@@ -43,6 +43,7 @@ from blochvar import bloch, linalg, regions, relations, sun_basis, variance
 from blochvar.errors import DimensionMismatch, NumericsError
 from blochvar.linalg import per_element, row_dot
 from blochvar.sampling import Xoshiro256pp, XoshiroLanes, draw_observable
+from conftest import failure_ids
 
 RELATIONS = sorted(engine.RELATIONS)
 QUDIT_RELATIONS = sorted(r for r, entry in engine.RELATIONS.items() if entry.dims is None)
@@ -162,6 +163,21 @@ def _twin_raises(name, lanes, rows):
         expected = np.array([getattr(v, "margin", v) for v in verdicts])
         assert not bad[i] and margins[i].tobytes() == expected.tobytes(), (name, i)
     return raised
+
+
+@pytest.mark.parametrize("dim", [2, 3, 6])
+def test_relation_dims_are_the_n_their_checkers_admit(dim):
+    # `Relation.dims` is verify's fast-fail copy of what the checkers
+    # refuse: a one-sample fuzz raises DimensionMismatch exactly at the N
+    # a row's dims leave out.
+    for name, row in engine.RELATIONS.items():
+        admitted = row.dims is None or dim in row.dims
+        try:
+            engine.fuzz(name, dim, 1, 0, math.pi / 4.0)
+        except DimensionMismatch:
+            assert not admitted, name
+        else:
+            assert admitted, name
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # bad rows on purpose
@@ -750,12 +766,6 @@ _FAILURES = [
 ]
 
 
-def _failure_ids(cases):
-    """Test ids naming the patched constant, its value and the case, not
-    the module, so that moving a constant renames no test."""
-    return ["-".join(str(field) for field in case[1:]) for case in cases]
-
-
 def _failing_streams(relation, samples, seed, dim=2):
     basis = basis_for(dim)
     failing = []
@@ -767,7 +777,7 @@ def _failing_streams(relation, samples, seed, dim=2):
     return failing
 
 
-@pytest.mark.parametrize("module,name,value,relation", _FAILURES, ids=_failure_ids(_FAILURES))
+@pytest.mark.parametrize("module,name,value,relation", _FAILURES, ids=failure_ids(_FAILURES))
 def test_first_failing_stream_raises_scalar_error(module, name, value, relation):
     with mock.patch.object(module, name, value):
         failing = _failing_streams(relation, 200, 3)
@@ -803,7 +813,7 @@ _QUDIT_FAILURES = _QUDIT_DRAW_FAILURES + [(variance, "_NEGATIVE_VARIANCE_FLOOR",
 
 
 @pytest.mark.parametrize("tries", _TRIES)
-@pytest.mark.parametrize("module,name,value,dim", _QUDIT_FAILURES, ids=_failure_ids(_QUDIT_FAILURES))
+@pytest.mark.parametrize("module,name,value,dim", _QUDIT_FAILURES, ids=failure_ids(_QUDIT_FAILURES))
 def test_first_failing_appendix_c_stream_raises_scalar_error(module, name, value, dim, tries):
     with mock.patch.object(module, name, value):
         failing = _failing_streams("appendix-c", 60, 3, dim)
@@ -821,7 +831,7 @@ def test_first_failing_appendix_c_stream_raises_scalar_error(module, name, value
 
 
 @pytest.mark.parametrize("tries", _TRIES)
-@pytest.mark.parametrize("module,name,value,dim", _QUDIT_FAILURES, ids=_failure_ids(_QUDIT_FAILURES))
+@pytest.mark.parametrize("module,name,value,dim", _QUDIT_FAILURES, ids=failure_ids(_QUDIT_FAILURES))
 def test_appendix_c_lanes_flag_the_streams_scalar_rejects(module, name, value, dim, tries):
     # Every failing stream, not only the first: a RuntimeError message
     # does not name its stream.  The variance floor fails the check, not

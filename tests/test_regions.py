@@ -26,6 +26,7 @@ from blochvar import (
     variance_bloch,
 )
 from blochvar import bloch, relations, sampling, variance
+from conftest import failure_ids
 
 
 def _axis_pair(basis2, theta):
@@ -311,7 +312,7 @@ def _failing_samples(name, seed, count):
     return failing
 
 
-@pytest.mark.parametrize("module,attr,value,name", _SCAN_FAILURES)
+@pytest.mark.parametrize("module,attr,value,name", _SCAN_FAILURES, ids=failure_ids(_SCAN_FAILURES))
 def test_first_failing_sample_raises_scalar_error(module, attr, value, name):
     cfg = SampleConfig(seed=4, dim=2, count=64, kind=_ORACLE_MODES[name][1])
     with mock.patch.object(module, attr, value):
