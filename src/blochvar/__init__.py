@@ -19,6 +19,7 @@ from .bloch import (
     state_from_matrix,
     state_to_matrix,
 )
+from .engine import iter_states
 from .errors import (
     DimensionMismatch,
     NotApplicable,
@@ -50,7 +51,6 @@ from .sampling import (
     draw_mixed,
     draw_observable,
     draw_pure,
-    iter_states,
 )
 from .sun_basis import (
     GeneratorBasis,

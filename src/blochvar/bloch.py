@@ -8,10 +8,11 @@ states.  Observables additionally carry the contracted vector
 a'_l = Σ_jk a_j a_k d_jkl, the coefficient vector of the traceless part
 of A², which enters every variance formula beyond the qubit case.
 
-Positivity is verified, never assumed: reconstructing a matrix from a
-Bloch vector checks the smallest eigenvalue, because for N > 2 the
-physical Bloch body is a proper subset of the norm ball and silently
-clipping would corrupt boundary searches downstream.
+Positivity is verified, never assumed, and once per state: the
+``QuantumState`` constructor checks the smallest eigenvalue, of a state
+rebuilt from a Bloch vector too, because for N > 2 the physical Bloch
+body is a proper subset of the norm ball and silently clipping would
+corrupt boundary searches downstream.
 
 ``StateBatch`` and ``ObservableBatch`` are the struct-of-arrays forms
 the batched engine uses at every N: row i is the state or observable of
@@ -20,16 +21,17 @@ and ``observable_from_bloch_batch`` run every check of the scalar
 constructors in array form, at the same tolerance, and mark the rows
 that fail in ``bad`` instead of raising; the caller replays the first
 bad row on the scalar path, which raises the scalar exception.  Rows
-that pass are bit-identical to the scalar objects.  The positivity check
-takes the closed form at N = 2 and a stacked ``eigvalsh`` otherwise, as
-the scalar one does.
+that pass are bit-identical to the scalar objects, and ``batch_states``
+wraps them as such without running the checks again.  The positivity
+check takes the closed form at N = 2 and a stacked ``eigvalsh``
+otherwise, as the scalar one does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -44,6 +46,7 @@ __all__ = [
     "ObservableBatch",
     "state_from_matrix_batch",
     "state_to_matrix_batch",
+    "batch_states",
     "repeat_state",
     "repeat_observable",
     "observable_from_bloch_batch",
@@ -92,8 +95,7 @@ def _min_eigenvalues(arr: np.ndarray) -> np.ndarray:
     if finite.all():
         return np.linalg.eigvalsh(arr)[:, 0]
     lo = np.full(arr.shape[0], np.nan)
-    if finite.any():
-        lo[finite] = np.linalg.eigvalsh(arr[finite])[:, 0]
+    lo[finite] = np.linalg.eigvalsh(arr[finite])[:, 0]
     return lo
 
 
@@ -122,7 +124,9 @@ class QuantumState:
             raise UnphysicalState(f"trace {tr!r} is not 1 within {_TRACE_ATOL:g}")
         lo = _min_eigenvalue(arr)
         if lo < PSD_EIGENVALUE_FLOOR:
-            raise UnphysicalState(f"negative eigenvalue {lo:.3e} below {PSD_EIGENVALUE_FLOOR:g}")
+            raise UnphysicalState(
+                f"unphysical state: eigenvalue {lo:.3e} below {PSD_EIGENVALUE_FLOOR:g}"
+            )
         p2 = float(self.p @ self.p)
         ref = 2.0 * (float(np.einsum("ab,ba->", arr, arr).real) - 1.0 / self.dim)
         if abs(p2 - ref) > _CONSISTENCY_ATOL:
@@ -198,7 +202,10 @@ def state_to_matrix(p, basis: GeneratorBasis) -> QuantumState:
 
     Raises ``UnphysicalState`` when the reconstruction is not positive
     semidefinite: for N > 2 the physical body is smaller than the norm
-    ball, so a norm check alone would not do.
+    ball, so a norm check alone would not do.  ``QuantumState`` runs
+    that check, on the symmetrized reconstruction, which for a
+    ``build_basis`` basis is the reconstruction bit for bit (up to the
+    sign of zero imaginary parts on the diagonal).
     """
     p = np.asarray(p, dtype=np.float64)
     n = basis.n_generators
@@ -206,11 +213,6 @@ def state_to_matrix(p, basis: GeneratorBasis) -> QuantumState:
         raise DimensionMismatch(f"expected a Bloch vector of length {n}")
     arr = np.eye(basis.dim, dtype=np.complex128) / basis.dim
     arr += 0.5 * np.einsum("j,jab->ab", p, basis.stacked())
-    lo = _min_eigenvalue(arr)
-    if lo < PSD_EIGENVALUE_FLOOR:
-        raise UnphysicalState(
-            f"unphysical Bloch vector: reconstruction has eigenvalue {lo:.3e}"
-        )
     return QuantumState(basis.dim, HermitianMatrix(arr), p)
 
 
@@ -280,13 +282,11 @@ class ObservableBatch(NamedTuple):
     bad: np.ndarray
 
 
-def _post_init_failures(rho: np.ndarray, p: np.ndarray, dim: int, lo=None) -> np.ndarray:
+def _post_init_failures(rho: np.ndarray, p: np.ndarray, dim: int) -> np.ndarray:
     # QuantumState.__post_init__, row by row, on symmetrized matrices and
-    # the vectors it is given; True where it raises UnphysicalState.  lo,
-    # if given, is _min_eigenvalues(rho), computed by the caller.
-    tr = np.trace(rho, axis1=1, axis2=2).real
-    bad = np.abs(tr - 1.0) > _TRACE_ATOL
-    bad |= (_min_eigenvalues(rho) if lo is None else lo) < PSD_EIGENVALUE_FLOOR
+    # the vectors it is given; True where it raises UnphysicalState.
+    bad = np.abs(np.trace(rho, axis1=1, axis2=2).real - 1.0) > _TRACE_ATOL
+    bad |= _min_eigenvalues(rho) < PSD_EIGENVALUE_FLOOR
     p2 = row_dot(p, p)
     ref = 2.0 * (np.einsum("nab,nba->n", rho, rho).real - 1.0 / dim)
     bad |= np.abs(p2 - ref) > _CONSISTENCY_ATOL
@@ -312,24 +312,34 @@ def state_to_matrix_batch(p: np.ndarray, basis: GeneratorBasis) -> tuple[StateBa
 
     Returns ``(states, unphysical)``: ``states.bad`` marks the rows on
     which the scalar call raises, and ``unphysical`` those of them on
-    which what it raises is ``UnphysicalState``.
+    which what it raises is ``UnphysicalState``.  As the scalar call
+    does, it solves each row once, symmetrized, in ``QuantumState``'s
+    positivity check.
     """
     p = np.ascontiguousarray(p, dtype=np.float64)
-    arr = np.eye(basis.dim, dtype=np.complex128) / basis.dim
-    arr = arr + 0.5 * basis.combine_rows(p)
-    # The scalar checks in order: the reconstruction's eigenvalue floor,
-    # then HermitianMatrix (ValueError), then QuantumState.  QuantumState
-    # solves the symmetrized matrix again; where symmetrizing returns
-    # arr's row bit for bit, that is the same solve.
-    lo = _min_eigenvalues(arr)
-    floor = lo < PSD_EIGENVALUE_FLOOR
-    rho, not_hermitian = hermitian_batch(arr)
-    moved = (rho.view(np.uint64) != arr.view(np.uint64)).any(axis=(1, 2))
-    if moved.any():
-        lo[moved] = _min_eigenvalues(rho[moved])
-    post_init = _post_init_failures(rho, p, basis.dim, lo)
-    unphysical = floor | (~not_hermitian & post_init)
-    return StateBatch(rho, p, row_dot(p, p), floor | not_hermitian | post_init), unphysical
+    eye = np.eye(basis.dim, dtype=np.complex128) / basis.dim
+    # The scalar checks in order: HermitianMatrix (ValueError), then
+    # QuantumState, whose eigenvalue floor is the one solve of the stack.
+    rho, not_hermitian = hermitian_batch(eye + 0.5 * basis.combine_rows(p))
+    post_init = _post_init_failures(rho, p, basis.dim)
+    return StateBatch(rho, p, row_dot(p, p), not_hermitian | post_init), ~not_hermitian & post_init
+
+
+def batch_states(states: StateBatch) -> Iterator[QuantumState]:
+    """The rows of ``states``, none of them bad, as ``QuantumState``s.
+
+    Each row has passed the array form of every check of the scalar
+    constructors and equals their object bit for bit, so the checks are
+    not run again: the objects' fields are set directly.  The stacks are
+    made read-only, and each state holds read-only views of its row."""
+    states.rho.setflags(write=False)
+    states.p.setflags(write=False)
+    for rho, p in zip(states.rho, states.p):
+        matrix = object.__new__(HermitianMatrix)
+        matrix._arr = rho
+        state = object.__new__(QuantumState)
+        state.__dict__.update(dim=len(rho), rho=matrix, p=p)
+        yield state
 
 
 def repeat_state(state: QuantumState, count: int) -> StateBatch:

@@ -8,8 +8,10 @@ same arguments (``_lanes``).  ``chunks`` is the loop: on each chunk of
 streams (``sampling.lane_chunks``) it draws a row's plan, runs its lanes
 twin, replays the chunk's first bad lane through ``_sample``, and yields
 the chunk's values.  ``fuzz`` summarizes verify's margins from it
-(``_verdicts``), and the region scans run their scan points of
-``relations`` through it with rows of their own (``regions._scan``).
+(``_verdicts``), the region scans run their scan points of
+``relations`` through it with rows of their own (``regions._scan``),
+and ``iter_states`` yields the states of a ``sampling.SampleConfig``
+from it, with a row that draws one state and checks nothing more.
 ``_sample`` draws and checks one sample on its own stream: the oracle,
 and the replay.  Sample i always comes from stream i.  Appendix-c's
 rejection draws run in rounds on the lanes still pending
@@ -25,14 +27,14 @@ made here.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from . import bloch, linalg, relations, sampling, sun_basis
 from .errors import NumericsError, UnphysicalState
 
-__all__ = ["Relation", "RELATIONS", "chunks", "fuzz"]
+__all__ = ["Relation", "RELATIONS", "chunks", "fuzz", "iter_states"]
 
 
 class Relation(NamedTuple):
@@ -48,13 +50,15 @@ class Relation(NamedTuple):
     verdict, or a tuple of them.  Its lanes twin, ``check``'s name with
     ``_batch`` appended (``_lanes``), takes the same arguments as batch
     rows and returns their (margins, bad), a column per verdict,
-    bit-identical to ``_sample``'s.  Verdicts hold at ``tol``.  ``dims``
-    are the N the relation is defined for (None: any N >= 2).
+    bit-identical to ``_sample``'s.  Verdicts hold at ``tol``.  ``check``
+    None checks nothing beyond the draws: a sample is its draws, and
+    ``bad`` marks the rows on which one of them failed.  ``dims`` are
+    the N the relation is defined for (None: any N >= 2).
     """
 
     dims: tuple[int, ...] | None
     plan: tuple[str, ...] | None
-    check: tuple[str, ...]
+    check: tuple[str, ...] | None
     tol: float = relations.HOLDS_TOL
 
 
@@ -253,13 +257,15 @@ def _taken_tries(rejected: np.ndarray, lanes: int) -> np.ndarray:
 def _sample(relation, basis, seed: int, index: int, theta_ab: float = 0.0, **given) -> list:
     """The verdicts of sample ``index`` of ``relation``, a ``Relation`` or
     the name of a row of ``RELATIONS``, drawn from stream ``index`` and
-    checked on ``given``."""
+    checked on ``given``; its draws, if the row checks nothing."""
     row = RELATIONS[relation] if isinstance(relation, str) else relation
     rng = sampling.Xoshiro256pp(seed, stream=index)
     if row.plan is None:
         plan, drawn = _TRY, _appendix_c_draw(rng, basis, index)
     else:
         plan, drawn = row.plan, _draw(row.plan, rng, basis, index)
+    if row.check is None:
+        return drawn
     verdicts = _call(row.check, plan, drawn, theta_ab=theta_ab, basis=basis, index=index, **given)
     return list(verdicts) if isinstance(verdicts, tuple) else [verdicts]
 
@@ -269,18 +275,22 @@ def chunks(row: Relation, basis, seed: int, count: int, **given):
     of streams at a time: yield each chunk's ``(rng, drawn, values)``,
     its generator, its draws of ``row.plan`` (None for appendix-c) and
     its lanes checker's values on ``given``, ``index`` (the streams) and
-    ``basis``.  The chunk's first bad row is replayed on its own stream
-    (``_sample``), which raises that stream's own exception; if the
-    replay passes, this raises ``NumericsError`` naming the sample."""
+    ``basis`` (None if ``row.check`` is).  The chunk's first bad row is
+    replayed on its own stream (``_sample``), which raises that stream's
+    own exception; if the replay passes, this raises ``NumericsError``
+    naming the sample."""
     for rng in sampling.lane_chunks(seed, count, basis.dim):
         with np.errstate(divide="ignore", invalid="ignore"):  # only bad rows divide by 0
             if row.plan is None:
                 drawn, (values, bad) = None, _appendix_c_lanes(rng, basis)
             else:
                 drawn = sampling.draw_batches(row.plan, rng, basis)
-                values, bad = _call(
-                    _lanes(row.check), row.plan, drawn, basis=basis, index=rng.streams, **given
-                )
+                if row.check is None:
+                    values, bad = None, np.logical_or.reduce([d.bad for d in drawn])
+                else:
+                    values, bad = _call(
+                        _lanes(row.check), row.plan, drawn, basis=basis, index=rng.streams, **given
+                    )
         if bad.any():
             first = int(rng.streams[bad.argmax()])
             _sample(row, basis, seed, first, **given)
@@ -288,6 +298,22 @@ def chunks(row: Relation, basis, seed: int, count: int, **given):
                 f"sample {first} (stream {first}): a lane check failed that the scalar checks pass"
             )
         yield rng, drawn, values
+
+
+def iter_states(cfg: sampling.SampleConfig) -> Iterator[bloch.QuantumState]:
+    """Yield the configured states one by one; sample i uses stream i.
+
+    Each is ``sampling.draw_state``'s state for its stream, bit for bit,
+    drawn on lanes a chunk at a time (``chunks``) and wrapped without
+    running the checks again (``bloch.batch_states``); its arrays are
+    read-only views of its chunk's.  A state that fails a check raises
+    what its stream's ``draw_state`` raises, and the states before it in
+    its chunk are not yielded: no draw fails unless a check is made
+    stricter than it is, so yielding part of a chunk would add a path to
+    ``chunks`` that nothing else needs."""
+    row = Relation(None, (cfg.kind,), None)
+    for _, (states,), _ in chunks(row, sun_basis.basis_for(cfg.dim), cfg.seed, cfg.count):
+        yield from bloch.batch_states(states)
 
 
 def _verdicts(relation: str, dim: int, samples: int, seed: int, theta_ab: float):

@@ -153,9 +153,9 @@ def _scan(
     ``StateBatch`` and checks it with the lanes twin of ``check``, a scan
     point of ``relations`` on ``given`` (A and B, or θ_ab), whose columns
     are each row's squared variances (one an axis, each at most its
-    ``norms`` entry) and its margin (see the module docstring).
-    ``fields`` are the scan's own ``RegionScan`` fields: axes, theta_ab
-    and boundary."""
+    ``norms`` entry) and its margin (see the module docstring).  The grid
+    is checked before any draw.  ``fields`` are the scan's own
+    ``RegionScan`` fields: axes, theta_ab and boundary."""
     n_cells = _check_grid(grid)
     count = ensemble.count
     samples = np.empty((count, len(norms)))
@@ -187,7 +187,6 @@ def scan_pair(a: Observable, b: Observable, ensemble: SampleConfig, grid: float)
     ensembles with unit observables also get the analytic boundary
     attached.
     """
-    _check_grid(grid)
     if a.dim != 2 or b.dim != 2 or ensemble.dim != 2:
         raise DimensionMismatch("pair scans are defined for qubit observables and ensembles only")
     if max(a.norm2, b.norm2) > 1.0 + 1e-12:
@@ -222,7 +221,6 @@ def scan_triple(theta_ab: float, ensemble: SampleConfig, grid: float) -> RegionS
     streams at a time (see the module docstring).  ``boundary`` carries a
     parametric grid of the surface.
     """
-    _check_grid(grid)
     if ensemble.dim != 2 or ensemble.kind != "haar_pure":
         raise ValueError("triple scans are defined for pure qubit ensembles only")
     if not -1e-12 <= theta_ab <= math.pi + 1e-12:

@@ -95,7 +95,7 @@ from .bloch import (
 )
 from .errors import NumericsError
 from .linalg import HermitianMatrix, per_element, row_dot
-from .sun_basis import GeneratorBasis, basis_for
+from .sun_basis import GeneratorBasis
 
 __all__ = [
     "Xoshiro256pp",
@@ -106,7 +106,6 @@ __all__ = [
     "plan_widths",
     "draw_batches",
     "SampleConfig",
-    "iter_states",
     "draw_state",
     "draw_pure",
     "draw_mixed",
@@ -399,12 +398,13 @@ def lane_chunks(seed: int, count: int, dim: int) -> Iterator[XoshiroLanes]:
         yield XoshiroLanes(seed, np.arange(start, min(start + rows, count)))
 
 
-_KINDS = ("haar_pure", "hs_mixed")
+_KINDS = ("haar_pure", "hs_mixed", "alternating", "maximally_mixed")
 
 
 @dataclass(frozen=True)
 class SampleConfig:
-    """What to draw: ensemble kind, dimension, count, and the seed."""
+    """What to draw: ensemble kind (one of ``draw_state``'s), dimension,
+    count, and the seed."""
 
     seed: int
     dim: int
@@ -413,9 +413,8 @@ class SampleConfig:
 
     def __post_init__(self):
         # Floats raise TypeError here, as in Xoshiro256pp, not in a draw.
-        operator.index(self.seed)
-        operator.index(self.dim)
-        operator.index(self.count)
+        for value in (self.seed, self.dim, self.count):
+            operator.index(value)
         if not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must be an unsigned 64-bit integer")
         if self.dim < 2:
@@ -565,10 +564,3 @@ def _state_rows(g: np.ndarray, pure: np.ndarray, basis: GeneratorBasis) -> State
     rho[~pure] = _mixed_rho(g[~pure])
     del g  # freed before the checks allocate theirs
     return state_from_matrix_batch(rho, basis)
-
-
-def iter_states(cfg: SampleConfig) -> Iterator[QuantumState]:
-    """Yield the configured states one by one; sample i uses stream i."""
-    basis = basis_for(cfg.dim)
-    for i in range(cfg.count):
-        yield draw_state(cfg.kind, Xoshiro256pp(cfg.seed, stream=i), basis, i)

@@ -38,7 +38,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blochvar import SampleConfig, basis_for, engine, sampling
+from blochvar import SampleConfig, basis_for, engine, iter_states, sampling
 from blochvar import bloch, linalg, regions, relations, sun_basis, variance
 from blochvar.errors import DimensionMismatch, NumericsError
 from blochvar.linalg import per_element, row_dot
@@ -438,6 +438,53 @@ def test_default_chunk_boundary(relation):
     with _scalar_only():
         scalar = _margins(relation, samples, 20150223)
     assert np.array_equal(_margins(relation, samples, 20150223), scalar)
+
+
+# ---------------------------------------------------------------------------
+# iter_states: the engine's checked rows as states
+
+
+@pytest.mark.parametrize("kind", sampling._KINDS)
+@pytest.mark.parametrize("dim", [2, 3, 6])
+def test_iter_states_match_draw_state(dim, kind):
+    # Every kind SampleConfig takes, past the first chunk (2,048 streams
+    # at N = 2 and 3, 1,365 at N = 6), and read-only.
+    basis = basis_for(dim)
+    count = min(sampling.ENGINE_CHUNK, sampling._CHUNK_ENTRIES // dim**2) + 5
+    states = list(iter_states(SampleConfig(seed=11, dim=dim, count=count, kind=kind)))
+    assert len(states) == count
+    for i, state in enumerate(states):
+        expected = sampling.draw_state(kind, Xoshiro256pp(11, stream=i), basis, i)
+        assert state.dim == expected.dim
+        assert np.array_equal(_bits(state.rho.array), _bits(expected.rho.array))
+        assert np.array_equal(_bits(state.p), _bits(expected.p))
+        assert state.purity.hex() == expected.purity.hex()
+        assert not state.rho.array.flags.writeable and not state.p.flags.writeable
+
+
+def test_iter_states_raise_what_the_first_failing_draw_raises():
+    # A positive eigenvalue floor fails some of these qutrit draws.  The
+    # first failing state is neither the first of its chunk nor in the
+    # first chunk, and a later one of its chunk fails too: the chunks
+    # before it are yielded, and none of its own chunk's states.
+    cfg = SampleConfig(seed=0, dim=3, count=64, kind="hs_mixed")
+    basis = basis_for(3)
+    failing, errors, yielded = [], [], []
+    with mock.patch.object(bloch, "PSD_EIGENVALUE_FLOOR", 0.005):
+        for i in range(cfg.count):
+            try:
+                sampling.draw_state(cfg.kind, Xoshiro256pp(cfg.seed, stream=i), basis, i)
+            except ValueError as exc:
+                failing.append(i)
+                errors.append(exc)
+        with mock.patch.object(sampling, "ENGINE_CHUNK", 8), pytest.raises(Exception) as lanes:
+            for state in iter_states(cfg):
+                yielded.append(state)
+    assert type(lanes.value) is type(errors[0])
+    assert str(lanes.value) == str(errors[0])
+    start = failing[0] - failing[0] % 8
+    assert 8 <= start < failing[0] < failing[1] < start + 8
+    assert len(yielded) == start
 
 
 # ---------------------------------------------------------------------------
@@ -1134,19 +1181,17 @@ def _asymmetric_basis(basis):
 def test_reconstruction_flags_the_rows_scalar_rejects(monkeypatch, dim, asymmetric):
     # Bloch vectors of random mixed states, scaled: past the physical
     # body the eigenvalue floor rejects them (UnphysicalState); rows with
-    # a NaN raise another ValueError.  The reconstruction's eigenvalues
-    # serve QuantumState's check too, except on rows that symmetrizing
-    # changes: with the asymmetric basis, the finite rows with a
-    # component along its asymmetric generator, which are solved again.
+    # a NaN raise another ValueError.  The floor is QuantumState's, on the
+    # symmetrized reconstruction, which with the asymmetric basis differs
+    # from the reconstruction on the rows with a component along its
+    # asymmetric generator: the one solve is of the symmetrized stack.
     basis = basis_for(dim)
     rng = np.random.default_rng(dim)
     (mixed,) = sampling.draw_batches(("hs_mixed",), XoshiroLanes(4, range(60)), basis)
     p = mixed.p * rng.uniform(0.5, 3.0, size=(60, 1))
-    moved = []
     if asymmetric:
         basis, j = _asymmetric_basis(basis)
         p[np.arange(60) % 4 != 1, j] = 0.0
-        moved = [i for i in range(1, 60, 4) if i % 13]
     p[::13, 0] = np.nan
     solved = []
     min_eigenvalues = bloch._min_eigenvalues
@@ -1166,15 +1211,8 @@ def test_reconstruction_flags_the_rows_scalar_rejects(monkeypatch, dim, asymmetr
             return None, "other"
 
     batch, unphysical = bloch.state_to_matrix_batch(p, basis)
-    # Whether a NaN row survives symmetrizing bit for bit is the
-    # platform's choice of NaN payload, so only the finite rows' share of
-    # the second solve is pinned.
-    rho, _ = linalg.hermitian_batch(solved[0])
-    resolved = (rho.view(np.uint64) != solved[0].view(np.uint64)).any(axis=(1, 2))
-    assert len(solved) == 1 + resolved.any()
-    if resolved.any():
-        assert np.array_equal(solved[1].view(np.uint64), batch.rho[resolved].view(np.uint64))
-    assert np.flatnonzero(resolved & np.isfinite(p).all(axis=1)).tolist() == moved
+    assert len(solved) == 1
+    assert np.array_equal(solved[0].view(np.uint64), batch.rho.view(np.uint64))
     outcomes = [scalar(row) for row in p]
     raised = [error for _, error in outcomes]
     assert {"unphysical", "other", None} == set(raised)

@@ -9,9 +9,10 @@ README's tolerance table quotes these worst errors.
 """
 
 import mpmath
+import numpy as np
 import pytest
 
-from blochvar import Xoshiro256pp, basis_for, draw_mixed, draw_observable
+from blochvar import HermitianMatrix, Xoshiro256pp, basis_for, bloch, draw_mixed, draw_observable
 from blochvar import variance_bloch, variance_matrix
 
 # The margin each pinned tolerance keeps over its measured worst error.
@@ -52,3 +53,34 @@ def test_variance_routes_against_50_digits(n, draws):
     print(f"\nN = {n}: worst |error| matrix {worst_matrix:.2e}, Bloch {worst_bloch:.2e}")
     assert worst_matrix * _HEADROOM <= 1e-9
     assert worst_bloch * _HEADROOM <= 1e-9
+
+
+def _min_eigenvalue_50(matrix):
+    """The smallest eigenvalue of a stored Hermitian matrix at 50 digits."""
+    with mpmath.workdps(50):
+        values = mpmath.mp.eighe(mpmath.matrix(_exact(matrix)), eigvals_only=True)
+        return min(values[k] for k in range(len(matrix)))
+
+
+@pytest.mark.parametrize("n,draws", [(3, 20), (6, 20)])
+def test_psd_floor_against_50_digits(n, draws):
+    # The eigenvalue floor QuantumState checks (-1e-10), by its own route
+    # (bloch._min_eigenvalue, eigvalsh at N > 2), on mixed states of seed
+    # 7000 + N, and on each of them with its Bloch vector stretched so
+    # that the matrix rebuilt from it, as state_to_matrix rebuilds one,
+    # has its smallest eigenvalue within 1e-9 of the floor.
+    basis = basis_for(n)
+    floor = bloch.PSD_EIGENVALUE_FLOOR
+    worst = 0.0
+    for i in range(draws):
+        state = draw_mixed(Xoshiro256pp(7000 + n, stream=i), basis)
+        lo = bloch._min_eigenvalue(state.rho.array)
+        target = floor + (2.0 * i / (draws - 1) - 1.0) * 0.9e-9
+        p = (1.0 / n - target) / (1.0 / n - lo) * state.p
+        arr = np.eye(n, dtype=np.complex128) / n + 0.5 * np.einsum("j,jab->ab", p, basis.stacked())
+        for matrix in (state.rho.array, HermitianMatrix(arr).array):
+            exact = _min_eigenvalue_50(matrix)
+            worst = max(worst, float(abs(bloch._min_eigenvalue(matrix) - exact)))
+        assert abs(exact - floor) <= 1e-9
+    print(f"\nN = {n}: worst |error| of the smallest eigenvalue {worst:.2e}")
+    assert worst * _HEADROOM <= abs(floor)
