@@ -25,6 +25,7 @@ from blochvar import (
     draw_observable,
     draw_pure,
     find_saturating_state,
+    observable_from_bloch,
     variance_matrix,
 )
 
@@ -44,8 +45,8 @@ print(f"20000 random (state, A, B) triples: worst bound margin = {worst:.3e}  (>
 
 # --- the completely mixed limit ---------------------------------------------
 rng = Xoshiro256pp(99)
-a = draw_observable(rng, basis, unit=False)
-b = draw_observable(rng, basis, unit=False)
+a = observable_from_bloch(rng.gaussians(basis.n_generators), basis)  # not normalized
+b = observable_from_bloch(rng.gaussians(basis.n_generators), basis)
 mixed = completely_mixed(basis)
 print("\ncompletely mixed state: the bound forces Var = |coeff|^2 exactly:")
 print(f"  Var A = {variance_matrix(a, mixed):.12f}  vs |a|^2 = {a.norm2:.12f}")

@@ -41,12 +41,11 @@ for label, state in cases:
     rb = robertson_bound(a, b, state)
     print(f"commutator bound   : dA dB = {rb.lhs:.4f} >= {rb.rhs:.4f}"
           + ("   <- trivial, no information" if rb.rhs == 0.0 else ""))
-    for sign, name in ((1, "+"), (-1, "-")):
-        try:
-            sd = state_dependent_bound(a, b, state, sign)
+    try:
+        for name, sd in zip("+-", state_dependent_bound(a, b, state)):
             print(f"orthogonal-state ({name}): dA^2 + dB^2 = {sd.lhs:.4f} >= {sd.rhs:.4f}")
-        except NotApplicable:
-            print(f"orthogonal-state ({name}): not applicable (mixed state)")
+    except NotApplicable:
+        print("orthogonal-state   : not applicable at either sign (mixed state)")
     da2 = variance_matrix(a, state)
     lo, hi = db_span_given_da2(math.pi / 2, min(da2, 1.0))
     print(f"pair-bound span    : given Var A = {da2:.3f}, dB must lie in [{lo:.4f}, {hi:.4f}]")

@@ -331,8 +331,7 @@ def _cmd_basis(args, parser) -> tuple[int, dict]:
         text = json.dumps(payload, indent=2) + "\n"
     else:
         lines = ["kind,j,k,l,value"]
-        lines += [f"f,{j},{k},{l},{v!r}" for (j, k, l), v in sorted(basis.f_tensor.items())]
-        lines += [f"d,{j},{k},{l},{v!r}" for (j, k, l), v in sorted(basis.d_tensor.items())]
+        lines += [f"{kind},{j},{k},{l},{v!r}" for kind in "fd" for j, k, l, v in payload[kind]]
         text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -466,11 +465,11 @@ def _cmd_compare(args, parser) -> tuple[int, dict]:
         return {"bound": bound, "applicable": True, "lhs": v.lhs, "rhs": v.rhs, "margin": v.margin, "holds": v.holds}
 
     rows = [verdict_row("robertson", robertson_bound(a, b, state))]
-    for sign, name in ((1, "state_dependent_plus"), (-1, "state_dependent_minus")):
-        try:
-            rows.append(verdict_row(name, state_dependent_bound(a, b, state, sign)))
-        except NotApplicable as exc:
-            rows.append({"bound": name, "applicable": False, "reason": str(exc)})
+    names = ("state_dependent_plus", "state_dependent_minus")
+    try:
+        rows += map(verdict_row, names, state_dependent_bound(a, b, state))
+    except NotApplicable as exc:
+        rows += [{"bound": name, "applicable": False, "reason": str(exc)} for name in names]
     margins = [row["margin"] for row in rows if row["applicable"]]
 
     unit = abs(a.norm2 - 1.0) <= 1e-9 and abs(b.norm2 - 1.0) <= 1e-9

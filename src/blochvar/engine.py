@@ -50,10 +50,11 @@ class Relation(NamedTuple):
     verdict, or a tuple of them.  Its lanes twin, ``check``'s name with
     ``_batch`` appended (``_lanes``), takes the same arguments as batch
     rows and returns their (margins, bad), a column per verdict,
-    bit-identical to ``_sample``'s.  Verdicts hold at ``tol``.  ``check``
-    None checks nothing beyond the draws: a sample is its draws, and
-    ``bad`` marks the rows on which one of them failed.  ``dims`` are
-    the N the relation is defined for (None: any N >= 2).
+    bit-identical to ``_sample``'s, with ``bad`` the rows on which
+    ``check`` raises; the rows whose draws failed are ``chunks``' to
+    mark.  Verdicts hold at ``tol``.  ``check`` None checks nothing
+    beyond the draws: a sample is its draws.  ``dims`` are the N the
+    relation is defined for (None: any N >= 2).
     """
 
     dims: tuple[int, ...] | None
@@ -84,7 +85,7 @@ RELATIONS = {
     ),
     "robertson": Relation(None, ("alternating", _OBS, _OBS), ("robertson_bound", *_AB_STATE)),
     "state-dependent": Relation(
-        (2,), ("haar_pure", _OBS, _OBS), ("state_dependent_bounds", *_AB_STATE)
+        (2,), ("haar_pure", _OBS, _OBS), ("state_dependent_bound", *_AB_STATE)
     ),
 }
 
@@ -275,22 +276,24 @@ def chunks(row: Relation, basis, seed: int, count: int, **given):
     of streams at a time: yield each chunk's ``(rng, drawn, values)``,
     its generator, its draws of ``row.plan`` (None for appendix-c) and
     its lanes checker's values on ``given``, ``index`` (the streams) and
-    ``basis`` (None if ``row.check`` is).  The chunk's first bad row is
-    replayed on its own stream (``_sample``), which raises that stream's
-    own exception; if the replay passes, this raises ``NumericsError``
-    naming the sample."""
+    ``basis`` (None if ``row.check`` is).  A row is bad where one of its
+    draws failed or its lanes checker flags it; appendix-c's rejection
+    loop flags its own.  The chunk's first bad row is replayed on its
+    own stream (``_sample``), which raises that stream's own exception;
+    if the replay passes, this raises ``NumericsError`` naming the
+    sample."""
     for rng in sampling.lane_chunks(seed, count, basis.dim):
         with np.errstate(divide="ignore", invalid="ignore"):  # only bad rows divide by 0
             if row.plan is None:
                 drawn, (values, bad) = None, _appendix_c_lanes(rng, basis)
             else:
                 drawn = sampling.draw_batches(row.plan, rng, basis)
-                if row.check is None:
-                    values, bad = None, np.logical_or.reduce([d.bad for d in drawn])
-                else:
-                    values, bad = _call(
+                values, bad = None, np.logical_or.reduce([d.bad for d in drawn])
+                if row.check is not None:
+                    values, failed = _call(
                         _lanes(row.check), row.plan, drawn, basis=basis, index=rng.streams, **given
                     )
+                    bad |= failed
         if bad.any():
             first = int(rng.streams[bad.argmax()])
             _sample(row, basis, seed, first, **given)

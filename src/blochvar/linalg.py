@@ -46,7 +46,8 @@ class HermitianMatrix:
     __slots__ = ("_arr",)
 
     def __init__(self, entries):
-        arr = np.array(entries, dtype=np.complex128)
+        # Read, never stored or written: the stored sum is a fresh array.
+        arr = np.asarray(entries, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
         if not np.isfinite(arr).all():

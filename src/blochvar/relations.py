@@ -37,7 +37,8 @@ robertson
     ΔA ΔB >= |⟨[A, B]⟩| / 2, the commutator baseline.
 state_dependent
     ΔA² + ΔB² >= ±i⟨ψ|[A,B]|ψ⟩ + |⟨ψ|A ± iB|ψ⊥⟩|² for pure qubit
-    states, the state-dependent comparison baseline.
+    states, the state-dependent comparison baseline; its checker gives
+    both signs at once.
 
 Sign convention
 ---------------
@@ -64,11 +65,12 @@ operands (A and B, or θ_ab) as they are, and ``index``, the sample's
 stream (a row's in the twin), to name in their errors.  It returns
 ``(margins, bad)``: the margin of row i equals, bit for bit, the scalar
 verdict's margin on row i's objects (a scan point's twin: each of its
-values, a column each), and ``bad`` marks rows where an input was bad
-or where a check of the scalar checker fails (at the same tolerance).
-Their verdicts use the scalar checker's tolerance (``HOLDS_TOL``, or
-``APPENDIX_C_TOL`` for appendix-c) and ``SATURATION_TOL``, as
-``_verdict`` does.
+values, a column each), and ``bad`` marks the rows on which the scalar
+checker raises (a check failing at the same tolerance).  A twin reads
+no input's ``bad`` flags: the engine marks the rows whose draws failed
+itself (``engine.chunks``).  Their verdicts use the scalar checker's
+tolerance (``HOLDS_TOL``, or ``APPENDIX_C_TOL`` for appendix-c) and
+``SATURATION_TOL``, as ``_verdict`` does.
 """
 
 from __future__ import annotations
@@ -100,7 +102,6 @@ __all__ = [
     "robertson_bound",
     "state_dependent_bound",
     "check_unit_vector_state",
-    "state_dependent_bounds",
     "effective_axis_angle",
     "scan_pair_point",
     "scan_triple_point",
@@ -117,7 +118,6 @@ __all__ = [
     "robertson_bound_batch",
     "state_dependent_bound_batch",
     "check_unit_vector_state_batch",
-    "state_dependent_bounds_batch",
     "effective_axis_angle_batch",
     "scan_pair_point_batch",
     "scan_triple_point_batch",
@@ -371,9 +371,10 @@ def robertson_bound(a: Observable, b: Observable, rho: QuantumState) -> Relation
 
 
 def state_dependent_bound(
-    a: Observable, b: Observable, psi: QuantumState, sign: int
-) -> RelationVerdict:
-    """Sum-of-variances bound requiring the orthogonal pure state.
+    a: Observable, b: Observable, psi: QuantumState
+) -> tuple[RelationVerdict, RelationVerdict]:
+    """Sum-of-variances bound requiring the orthogonal pure state, at
+    both signs: the verdicts for + and for -, in that order.
 
     Only defined for pure qubit states, where the orthogonal state is
     unique up to phase (the modulus removes the phase).  Mixed input
@@ -381,8 +382,6 @@ def state_dependent_bound(
     component of a mixture.
     """
     _require_qubit(a.dim, b.dim, psi.dim)
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     if abs(psi.purity - 1.0) > 1e-9:
         raise NotApplicable(
             "the bound needs a state orthogonal to the input, which no mixed "
@@ -396,11 +395,13 @@ def state_dependent_bound(
     comm_expect = complex(ket.conj() @ ((am @ bm - bm @ am) @ ket))
     if abs(comm_expect.real) > 1e-10:
         raise NumericsError("commutator expectation is not purely imaginary")
-    term1 = (sign * 1j * comm_expect).real
-    amp = complex(ket.conj() @ ((am + sign * 1j * bm) @ ket_perp))
     lhs = variance_matrix(a, psi) + variance_matrix(b, psi)
-    rhs = term1 + abs(amp) ** 2
-    return _verdict("state_dependent", lhs, rhs)
+    verdicts = []
+    for sign in (1, -1):
+        term1 = (sign * 1j * comm_expect).real
+        amp = complex(ket.conj() @ ((am + sign * 1j * bm) @ ket_perp))
+        verdicts.append(_verdict("state_dependent", lhs, term1 + abs(amp) ** 2))
+    return tuple(verdicts)
 
 
 def effective_axis_angle(a: Observable, b: Observable, rho: QuantumState) -> float:
@@ -434,13 +435,6 @@ def check_unit_vector_state(a: Observable, b: Observable, rho: QuantumState) -> 
     da2 = max(1.0 - float(a.a @ rho.p) ** 2, 0.0)
     db2 = max(1.0 - float(b.a @ rho.p) ** 2, 0.0)
     return check_unit_vector_relation(effective_axis_angle(a, b, rho), da2, db2)
-
-
-def state_dependent_bounds(
-    a: Observable, b: Observable, psi: QuantumState
-) -> tuple[RelationVerdict, RelationVerdict]:
-    """``state_dependent_bound`` at both signs, + first."""
-    return state_dependent_bound(a, b, psi, 1), state_dependent_bound(a, b, psi, -1)
 
 
 def scan_pair_point(A: Observable, B: Observable, rho: QuantumState, index: int) -> tuple:
@@ -544,18 +538,16 @@ def check_triangle_batch(a: ObservableBatch, b: ObservableBatch, rho: StateBatch
     theta_pa, theta_pb, theta_ab, bad = angles_batch(a, b, rho)
     upper_slack = theta_pa + theta_pb - theta_ab
     lower_slack = theta_ab - np.abs(theta_pa - theta_pb)
-    margins = np.where(upper_slack <= lower_slack, upper_slack, lower_slack)
-    return margins, bad | a.bad | b.bad | rho.bad
+    return np.where(upper_slack <= lower_slack, upper_slack, lower_slack), bad
 
 
 def check_theorem1_batch(a: ObservableBatch, b: ObservableBatch, rho: StateBatch) -> _LaneVerdicts:
     """Lanes form of ``check_theorem1``."""
     _require_qubit_rows(a, b, rho)
-    bad = a.bad | b.bad | rho.bad
     p2 = rho.purity
     sa = row_dot(a.a, rho.p)
     sb = row_dot(b.a, rho.p)
-    bad |= (sa * sa > a.norm2 * p2 + 1e-10) | (sb * sb > b.norm2 * p2 + 1e-10)
+    bad = (sa * sa > a.norm2 * p2 + 1e-10) | (sb * sb > b.norm2 * p2 + 1e-10)
     lhs = _sqrt_checked_batch(_wedge_norm2_batch(a.a, rho.p), bad)
     lhs = lhs * _sqrt_checked_batch(_wedge_norm2_batch(b.a, rho.p), bad)
     rhs = np.abs(sa * sb - row_dot(a.a, b.a) * p2)
@@ -569,8 +561,7 @@ def check_mixed_limit_batch(
     _require_qubit_rows(a, b, rho)
     va, bad_a = variance_matrix_batch(a.matrix, rho.rho)
     vb, bad_b = variance_matrix_batch(b.matrix, rho.rho)
-    bad = a.bad | b.bad | rho.bad | (rho.purity > 1e-12) | bad_a | bad_b
-    return (va + vb) - (a.norm2 + b.norm2), bad
+    return (va + vb) - (a.norm2 + b.norm2), (rho.purity > 1e-12) | bad_a | bad_b
 
 
 def check_pure_limit_batch(
@@ -578,7 +569,7 @@ def check_pure_limit_batch(
 ) -> _LaneVerdicts:
     """Lanes form of ``check_pure_limit``."""
     _require_qubit_rows(a, b, rho)
-    bad = a.bad | b.bad | rho.bad | (np.abs(rho.purity - 1.0) > 1e-9)
+    bad = np.abs(rho.purity - 1.0) > 1e-9
     sa = row_dot(a.a, rho.p)
     sb = row_dot(b.a, rho.p)
     lhs = np.sqrt(_wedge_norm2_batch(a.a, rho.p)) * np.sqrt(_wedge_norm2_batch(b.a, rho.p))
@@ -611,7 +602,7 @@ def _axis_triple(theta_ab: float, p: np.ndarray) -> tuple:
 def check_three_observable_equality_batch(theta_ab: float, rho: StateBatch) -> _LaneVerdicts:
     """Lanes form of ``check_three_observable_equality``."""
     _require_qubit_rows(rho)
-    bad = rho.bad | (np.abs(rho.purity - 1.0) > 1e-9)
+    bad = np.abs(rho.purity - 1.0) > 1e-9
     if not -1e-12 <= theta_ab <= math.pi + 1e-12:
         bad[:] = True
     u, v, (da2, db2, dc2) = _axis_triple(theta_ab, rho.p)
@@ -627,7 +618,7 @@ def check_appendix_b_batch(rho: StateBatch) -> _LaneVerdicts:
         variance_matrix_batch(np.broadcast_to(axis.matrix.array, rho.rho.shape), rho.rho)
         for axis in _qubit_axes()
     )
-    return vx + vy + vz - (3.0 - rho.purity), rho.bad | bad_x | bad_y | bad_z
+    return vx + vy + vz - (3.0 - rho.purity), bad_x | bad_y | bad_z
 
 
 def check_appendix_c_batch(
@@ -638,8 +629,7 @@ def check_appendix_c_batch(
     n = basis.dim
     if {a.matrix.shape[1], b.matrix.shape[1], rho.rho.shape[1]} != {n}:
         raise DimensionMismatch("observables, state, and basis must share one dimension")
-    bad = a.bad | b.bad | rho.bad
-    bad |= np.abs(row_dot(a.a, rho.p)) > ZERO_MEAN_TOL
+    bad = np.abs(row_dot(a.a, rho.p)) > ZERO_MEAN_TOL
     bad |= np.abs(row_dot(b.a, rho.p)) > ZERO_MEAN_TOL
     va, bad_a = variance_matrix_batch(a.matrix, rho.rho)
     vb, bad_b = variance_matrix_batch(b.matrix, rho.rho)
@@ -667,30 +657,29 @@ def robertson_bound_batch(a: ObservableBatch, b: ObservableBatch, rho: StateBatc
     comm = a.matrix @ b.matrix
     comm -= b.matrix @ a.matrix
     rhs = 0.5 * per_element(abs, np.einsum("nab,nba->n", comm, rho.rho))
-    return lhs - rhs, a.bad | b.bad | rho.bad | bad_a | bad_b
+    return lhs - rhs, bad_a | bad_b
 
 
 def state_dependent_bound_batch(
-    a: ObservableBatch, b: ObservableBatch, psi: StateBatch, sign: int
+    a: ObservableBatch, b: ObservableBatch, psi: StateBatch
 ) -> _LaneVerdicts:
-    """Lanes form of ``state_dependent_bound``."""
+    """Lanes form of ``state_dependent_bound``: a column per sign."""
     _require_qubit_rows(a, b, psi)
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    bad = a.bad | b.bad | psi.bad | (np.abs(psi.purity - 1.0) > 1e-9)
     vecs = np.linalg.eigh(psi.rho)[1]
     ket = vecs[:, :, -1:]
     bra = ket.conj().swapaxes(1, 2)
     am = a.matrix
     bm = b.matrix
     comm_expect = (bra @ ((am @ bm - bm @ am) @ ket))[:, 0, 0]
-    bad |= np.abs(comm_expect.real) > 1e-10
-    term1 = per_element(lambda c: (sign * 1j * c).real, comm_expect)
-    amp = (bra @ ((am + sign * 1j * bm) @ vecs[:, :, :1]))[:, 0, 0]
     va, bad_a = variance_matrix_batch(am, psi.rho)
     vb, bad_b = variance_matrix_batch(bm, psi.rho)
-    rhs = term1 + per_element(lambda c: abs(c) ** 2, amp)
-    return (va + vb) - rhs, bad | bad_a | bad_b
+    bad = (np.abs(psi.purity - 1.0) > 1e-9) | (np.abs(comm_expect.real) > 1e-10) | bad_a | bad_b
+    margins = []
+    for sign in (1, -1):
+        term1 = per_element(lambda c: (sign * 1j * c).real, comm_expect)
+        amp = (bra @ ((am + sign * 1j * bm) @ vecs[:, :, :1]))[:, 0, 0]
+        margins.append((va + vb) - (term1 + per_element(lambda c: abs(c) ** 2, amp)))
+    return np.column_stack(margins), bad
 
 
 def effective_axis_angle_batch(
@@ -715,18 +704,7 @@ def check_unit_vector_state_batch(
     # x**2 one element at a time: libm pow, as the scalar path evaluates it.
     da2 = py_max(1.0 - per_element(lambda x: x**2, row_dot(a.a, rho.p)), 0.0)
     db2 = py_max(1.0 - per_element(lambda x: x**2, row_dot(b.a, rho.p)), 0.0)
-    theta = effective_axis_angle_batch(a, b, rho)
-    margins, bad = check_unit_vector_relation_batch(theta, da2, db2)
-    return margins, bad | a.bad | b.bad | rho.bad
-
-
-def state_dependent_bounds_batch(
-    a: ObservableBatch, b: ObservableBatch, psi: StateBatch
-) -> _LaneVerdicts:
-    """Lanes form of ``state_dependent_bounds``: a column per sign."""
-    plus, bad_plus = state_dependent_bound_batch(a, b, psi, 1)
-    minus, bad_minus = state_dependent_bound_batch(a, b, psi, -1)
-    return np.stack([plus, minus], axis=1), bad_plus | bad_minus
+    return check_unit_vector_relation_batch(effective_axis_angle_batch(a, b, rho), da2, db2)
 
 
 def scan_pair_point_batch(

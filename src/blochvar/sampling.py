@@ -479,21 +479,20 @@ def draw_state(kind: str, rng: Xoshiro256pp, basis: GeneratorBasis, index: int) 
     return draw(rng, basis)
 
 
-def draw_observable(rng: Xoshiro256pp, basis: GeneratorBasis, unit: bool = True) -> Observable:
-    """One observable with isotropic Gaussian coefficients.
+def draw_observable(rng: Xoshiro256pp, basis: GeneratorBasis) -> Observable:
+    """One observable with isotropic Gaussian coefficients, normalized to
+    |a| = 1, which makes it uniform on the coefficient sphere.
 
-    Normalized to |a| = 1 by default, which makes it uniform on the
-    coefficient sphere.  Gaussians whose norm falls below ``_MIN_NORM``
-    (at most 2**-53 likely per draw at N = 2) raise ``NumericsError``,
-    with or without ``unit``.
+    Gaussians whose norm falls below ``_MIN_NORM`` (at most 2**-53
+    likely per draw at N = 2) raise ``NumericsError``.  For a Gaussian
+    observable that is not normalized, pass ``rng.gaussians`` to
+    ``observable_from_bloch``.
     """
     g = rng.gaussians(basis.n_generators)
     norm = float(np.linalg.norm(g))
     if not norm >= _MIN_NORM:
         raise NumericsError(f"observable Gaussians of norm {norm!r} below {_MIN_NORM!r}")
-    if unit:
-        g = g / norm
-    return observable_from_bloch(g, basis)
+    return observable_from_bloch(g / norm, basis)
 
 
 # The entry of a draw_batches plan that draws an observable; the others

@@ -142,15 +142,15 @@ class GeneratorBasis:
         """
         a = np.asarray(a, dtype=np.float64)
         n = self.n_generators
-        if a.shape == (n,):
+        if a.ndim not in (1, 2) or a.shape[-1] != n:
+            raise ValueError(f"expected vectors of length {n}")
+        if self.dim == 2:  # d is zero
+            return np.zeros(a.shape)
+        if a.ndim == 1:
             jj, kk, ll, vv = self._d_ordered
             out = np.zeros(n)
             np.add.at(out, ll, a[jj] * a[kk] * vv)
             return out
-        if a.ndim != 2 or a.shape[1] != n:
-            raise ValueError(f"expected vectors of length {n}")
-        if self.dim == 2:  # d is zero
-            return np.zeros(a.shape)
         return _run_sums(a, self._d_runs, lambda rows: np.reshape([self.d_contract(r) for r in a[rows]], (-1, n)))
 
     def trace_rows(self, m: np.ndarray) -> np.ndarray:
@@ -457,7 +457,7 @@ def max_algebra_residual(basis: GeneratorBasis) -> float:
     return float(np.abs(diff).max())
 
 
-def verify_algebra(basis: GeneratorBasis, tol: float = 1e-11) -> bool:
+def verify_algebra(basis: GeneratorBasis) -> bool:
     """True iff every generator product is reproduced by the stored
-    tensors to ``tol`` entrywise."""
-    return max_algebra_residual(basis) <= tol
+    tensors to 1e-11 entrywise."""
+    return max_algebra_residual(basis) <= 1e-11

@@ -85,7 +85,7 @@ def _params(name):
 def test_every_lanes_checker_takes_its_scalar_twins_parameters():
     # The engine calls `X_batch` on the arguments it would pass `X`.
     twins = [name for name in relations.__all__ if name.endswith("_batch")]
-    assert len(twins) == 15
+    assert len(twins) == 14
     for twin in twins:
         scalar = twin.removesuffix("_batch")
         assert scalar in relations.__all__ and _params(twin) == _params(scalar)
@@ -95,7 +95,7 @@ def test_every_lanes_checker_takes_its_scalar_twins_parameters():
 _QUBIT_ONLY = {
     "check_triangle", "check_theorem1", "check_mixed_limit", "check_pure_limit",
     "check_three_observable_equality", "check_appendix_b", "state_dependent_bound",
-    "check_unit_vector_state", "state_dependent_bounds", "effective_axis_angle",
+    "check_unit_vector_state", "effective_axis_angle",
     "scan_pair_point", "scan_triple_point",
 }
 
@@ -115,7 +115,7 @@ def _twin_operands(dim, n=24):
     a = bloch.observable_from_bloch_batch(np.where((np.arange(n) == 1)[:, None], 0.0, a.a), basis)
     b = bloch.observable_from_bloch_batch(b.a, basis)
     p = state.p
-    lanes = {"a": a, "b": b, "rho": state, "psi": state, "basis": basis, "sign": -1,
+    lanes = {"a": a, "b": b, "rho": state, "psi": state, "basis": basis,
              "theta_ab": 1.1, "angles": 4.0 * p[:, 0], "da2": p[:, 1] + 0.5, "db2": p[:, 2] + 0.5,
              "index": np.arange(n)}
     rows = []
@@ -131,16 +131,20 @@ def _twin_operands(dim, n=24):
     return lanes, rows
 
 
+def _twin_args(name, lanes):
+    """The arguments of ``name``_batch, of the operands ``lanes``."""
+    # check_unit_vector_relation takes its angle a row at a time.
+    key = {"theta_ab": "angles"} if "da2" in _params(name) else {}
+    return {p: lanes[key.get(p, p)] for p in _params(name)}, key
+
+
 def _twin_raises(name, lanes, rows):
     """Check the pair (``name``, ``name``_batch) on the operands of
     ``_twin_operands``: both raise DimensionMismatch (None is returned),
     or the twin's bad rows are the rows where ``name`` raises (returned)
     and its other margins are ``name``'s, bit for bit."""
-    params = _params(name)
-    # check_unit_vector_relation takes its angle a row at a time.
-    key = {"theta_ab": "angles"} if "da2" in params else {}
-    args = {p: lanes[key.get(p, p)] for p in params}
-    scalar = [{p: row.get(key.get(p, p), args[p]) for p in params} for row in rows]
+    args, key = _twin_args(name, lanes)
+    scalar = [{p: row.get(key.get(p, p), args[p]) for p in args} for row in rows]
     try:
         out = getattr(relations, name + "_batch")(**args)
     except DimensionMismatch:
@@ -188,9 +192,19 @@ def test_twins_flag_exactly_the_rows_their_scalars_reject(dim):
     # raises and its other margins are X's, bit for bit.
     lanes, rows = _twin_operands(dim)
     pairs = [name for name in relations.__all__ if name + "_batch" in relations.__all__]
-    assert len(pairs) == 15
+    assert len(pairs) == 14
     refused = {name for name in pairs if _twin_raises(name, lanes, rows) is None}
     assert refused == (set() if dim == 2 else _QUBIT_ONLY)
+    # A twin reads no input's bad flags (`engine.chunks` marks the rows
+    # whose draws failed): with every flag set, its output is the same.
+    flagged = {k: v._replace(bad=np.ones_like(v.bad)) if hasattr(v, "bad") else v
+               for k, v in lanes.items()}
+    for name in sorted(set(pairs) - refused):
+        twin = getattr(relations, name + "_batch")
+        plain, marked = (twin(**_twin_args(name, ops)[0]) for ops in (lanes, flagged))
+        if not isinstance(plain, tuple):  # effective_axis_angle's angles
+            plain, marked = (plain,), (marked,)
+        assert [x.tobytes() for x in plain] == [x.tobytes() for x in marked], name
 
 
 def _nan_where_x_above(checker, x):

@@ -125,8 +125,8 @@ def test_triangle_rejects_higher_dims(basis3):
 
 def test_theorem1_completely_mixed_pins_variances(basis2):
     rng = Xoshiro256pp(4)
-    a = draw_observable(rng, basis2, unit=False)
-    b = draw_observable(rng, basis2, unit=False)
+    a = observable_from_bloch(rng.gaussians(basis2.n_generators), basis2)
+    b = observable_from_bloch(rng.gaussians(basis2.n_generators), basis2)
     mixed = completely_mixed(basis2)
     verdict = check_mixed_limit(a, b, mixed)
     assert verdict.holds and abs(verdict.margin) <= 1e-12
@@ -397,8 +397,7 @@ def test_state_dependent_bound_examples(basis2):
     a = observable_from_bloch([1.0, 0, 0], basis2)
     b = observable_from_bloch([0, 1.0, 0], basis2)
     ket0 = state_to_matrix([0, 0, 1.0], basis2)
-    for sign in (1, -1):
-        verdict = state_dependent_bound(a, b, ket0, sign)
+    for verdict in state_dependent_bound(a, b, ket0):
         assert verdict.holds
         assert verdict.lhs == pytest.approx(2.0, abs=1e-12)
         assert verdict.rhs == pytest.approx(2.0, abs=1e-12)
@@ -411,7 +410,7 @@ def test_state_dependent_phase_invariance(basis2):
     state = draw_pure(rng, basis2)
     w, vecs = np.linalg.eigh(state.rho.array)
     ket = vecs[:, -1]
-    base = state_dependent_bound(a, b, state, 1)
+    base, _ = state_dependent_bound(a, b, state)
     for phase in (0.3, 1.2, 4.0):
         ket_perp = np.exp(1j * phase) * vecs[:, 0]
         term1 = (1j * (ket.conj() @ ((a.matrix.array @ b.matrix.array - b.matrix.array @ a.matrix.array) @ ket))).real
@@ -425,15 +424,16 @@ def test_state_dependent_fuzz(basis2):
         state = draw_pure(rng, basis2)
         a = draw_observable(rng, basis2)
         b = draw_observable(rng, basis2)
-        assert state_dependent_bound(a, b, state, 1).margin >= -1e-10
-        assert state_dependent_bound(a, b, state, -1).margin >= -1e-10
+        plus, minus = state_dependent_bound(a, b, state)
+        assert plus.margin >= -1e-10
+        assert minus.margin >= -1e-10
 
 
 def test_state_dependent_rejects_mixed(basis2):
     a = observable_from_bloch([1.0, 0, 0], basis2)
     b = observable_from_bloch([0, 1.0, 0], basis2)
     with pytest.raises(NotApplicable):
-        state_dependent_bound(a, b, completely_mixed(basis2), 1)
+        state_dependent_bound(a, b, completely_mixed(basis2))
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ def test_qubit_angle_form(basis2):
     for i in range(200):
         rng = Xoshiro256pp(77, stream=i)
         state = draw_mixed(rng, basis2)
-        obs = draw_observable(rng, basis2, unit=False)
+        obs = observable_from_bloch(rng.gaussians(basis2.n_generators), basis2)
         ang = angles(obs, obs, state)
         a2 = obs.norm2
         expected = a2 * (1.0 - state.purity * math.cos(ang.theta_pa) ** 2)
@@ -179,8 +179,8 @@ def test_pair_geometry_self_cubic(basis3):
 def test_pair_geometry_dual_routes(basis3):
     for i in range(20):
         rng = Xoshiro256pp(31, stream=i)
-        a = draw_observable(rng, basis3, unit=False)
-        b = draw_observable(rng, basis3, unit=False)
+        a = observable_from_bloch(rng.gaussians(basis3.n_generators), basis3)
+        b = observable_from_bloch(rng.gaussians(basis3.n_generators), basis3)
         pair_geometry(a, b, basis3)  # raises NumericsError on any mismatch
 
 
