@@ -16,27 +16,32 @@ corrupt boundary searches downstream.
 
 ``StateBatch`` and ``ObservableBatch`` are the struct-of-arrays forms
 the batched engine uses at every N: row i is the state or observable of
-RNG stream i.  ``state_from_matrix_batch``, ``state_to_matrix_batch``
-and ``observable_from_bloch_batch`` run every check of the scalar
-constructors in array form, at the same tolerance, and mark the rows
-that fail in ``bad`` instead of raising; the caller replays the first
-bad row on the scalar path, which raises the scalar exception.  Rows
-that pass are bit-identical to the scalar objects, and ``batch_states``
-wraps them as such without running the checks again.  The positivity
-check takes the closed form at N = 2 and a stacked ``eigvalsh``
-otherwise, as the scalar one does.
+RNG stream i.  Each constructor invariant is one check function over
+(..., N, N) matrices and (..., N²-1) vectors, as ``linalg.hermitian``
+is: ``_state_checks`` (``QuantumState``'s, with the smallest eigenvalue
+from ``_min_eigenvalue``), ``_real_components``, ``_observable_checks``
+and ``_prime_checks``.  The scalar constructors raise the first check
+that does not hold; ``state_from_matrix_batch``, ``state_to_matrix_batch``
+and ``observable_from_bloch_batch`` mark the rows that fail in ``bad``
+instead, and the caller replays the first bad row on the scalar path,
+which raises the scalar exception.  Rows that pass are bit-identical to
+the scalar objects, and ``batch_states`` wraps them as such without
+running the checks again.  The smallest eigenvalue takes the closed
+form at N = 2 and ``eigvalsh`` otherwise.  It and |Tr A| are numpy's
+``hypot`` and ``abs``, not libm's, which can differ in the last bit:
+they feed only the checks' flags and messages, never a margin.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, UnphysicalState
-from .linalg import HermitianMatrix, hermitian_batch, per_element, row_dot
+from .linalg import HermitianMatrix, failures, hermitian, raise_first, row_dot
 from .sun_basis import GeneratorBasis
 
 __all__ = [
@@ -70,33 +75,75 @@ def _frozen(vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def _min_eigenvalue(arr: np.ndarray) -> float:
-    # Closed form for 2x2 Hermitian matrices; this sits on the hot path
-    # of every sampled state.
-    if arr.shape[0] == 2:
-        mean = 0.5 * (arr[0, 0].real + arr[1, 1].real)
-        radius = math.hypot(0.5 * (arr[0, 0].real - arr[1, 1].real), abs(arr[0, 1]))
-        return mean - radius
-    return float(np.linalg.eigvalsh(arr)[0])
+@cache
+def _eye(dim: int) -> np.ndarray:
+    eye = np.eye(dim)
+    eye.setflags(write=False)
+    return eye
 
 
-def _min_eigenvalues(arr: np.ndarray) -> np.ndarray:
-    # Lanes form of _min_eigenvalue on an (n, N, N) stack.  eigvalsh
-    # runs on the finite rows only, so that one bad row cannot fail the
-    # stack; the others read NaN, which fails no floor comparison, and
-    # the Hermitian check marks them (the scalar path raises ValueError
-    # there, from HermitianMatrix or from eigvalsh).
-    if arr.shape[1] == 2:
-        d0 = arr[:, 0, 0].real
-        d1 = arr[:, 1, 1].real
-        radius = per_element(math.hypot, 0.5 * (d0 - d1), per_element(abs, arr[:, 0, 1]))
-        return 0.5 * (d0 + d1) - radius
-    finite = np.isfinite(arr).all(axis=(1, 2))
+def _min_eigenvalue(arr: np.ndarray) -> np.ndarray:
+    # The smallest eigenvalue of (..., N, N) Hermitian matrices: a closed
+    # form at N = 2, the hot path of every sampled state, and otherwise
+    # eigvalsh on the finite matrices only, so that one bad row cannot
+    # fail a stack; the others read NaN, and the Hermitian check, which
+    # comes first, marks them too.
+    if arr.shape[-1] == 2:
+        d0 = arr[..., 0, 0].real
+        d1 = arr[..., 1, 1].real
+        return 0.5 * (d0 + d1) - np.hypot(0.5 * (d0 - d1), np.abs(arr[..., 0, 1]))
+    finite = np.isfinite(arr).all(axis=(-2, -1))
     if finite.all():
-        return np.linalg.eigvalsh(arr)[:, 0]
-    lo = np.full(arr.shape[0], np.nan)
+        return np.linalg.eigvalsh(arr)[..., 0]
+    lo = np.full(finite.shape, np.nan)
     lo[finite] = np.linalg.eigvalsh(arr[finite])[:, 0]
     return lo
+
+
+def _state_checks(rho: np.ndarray, p: np.ndarray, dim: int) -> list:
+    # QuantumState's invariants, on symmetrized density matrices and
+    # their Bloch vectors.
+    tr = rho.trace(axis1=-2, axis2=-1).real
+    lo = _min_eigenvalue(rho)
+    p2 = row_dot(p, p)
+    ref = 2.0 * (np.einsum("...ab,...ba", rho, rho).real - 1.0 / dim)
+    return [
+        (np.abs(tr - 1.0) <= _TRACE_ATOL, "trace {} is not 1 within {:g}", tr, _TRACE_ATOL),
+        (lo >= PSD_EIGENVALUE_FLOOR, "unphysical state: eigenvalue {:.3e} below {:g}",
+         lo, PSD_EIGENVALUE_FLOOR),
+        (np.abs(p2 - ref) <= _CONSISTENCY_ATOL, "|p|^2 = {} inconsistent with matrix purity {}",
+         p2, ref),
+        (p2 <= 2.0 * (1.0 - 1.0 / dim) + 1e-10, "|p|^2 = {} exceeds the pure-state norm", p2),
+    ]
+
+
+def _real_components(coeffs: np.ndarray) -> list:
+    # The complex Bloch components Tr[rho g_j] of a Hermitian matrix.
+    return [(np.abs(coeffs.imag).max(axis=-1, initial=0.0) <= 1e-12,
+             "Bloch components of a Hermitian matrix must be real")]
+
+
+def _observable_checks(matrix: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, list]:
+    # Observable's invariants, and |a|^2.
+    tr = np.abs(matrix.trace(axis1=-2, axis2=-1))
+    norm2 = row_dot(a, a)
+    ref = 0.5 * np.einsum("...ab,...ba", matrix, matrix).real
+    return norm2, [
+        (tr <= _TRACE_ATOL, "canonical observable must be traceless, |Tr| = {:.3e}", tr),
+        (np.abs(norm2 - ref) <= _CONSISTENCY_ATOL, "|a|^2 = {} inconsistent with Tr[A^2]/2 = {}",
+         norm2, ref),
+    ]
+
+
+def _prime_checks(arr: np.ndarray, a_prime: np.ndarray, dim: int, traces) -> list:
+    # Independent route: a' is the coefficient vector of the traceless
+    # part of A^2.  traces(m) gives the Tr[m g_j]: the dense einsum for
+    # one matrix, which is cheaper there, and trace_rows for a stack.
+    sq = arr @ arr
+    sq -= (sq.trace(axis1=-2, axis2=-1).real / dim)[..., None, None] * _eye(dim)
+    err = np.abs(a_prime - 0.5 * traces(sq).real).max(axis=-1, initial=0.0)
+    return [(err <= _CONSISTENCY_ATOL,
+             "contracted vector disagrees with the A^2 decomposition by {:.3e}", err)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,23 +165,7 @@ class QuantumState:
             raise DimensionMismatch("state matrix dimension disagrees with dim")
         if self.p.shape != (self.dim * self.dim - 1,):
             raise DimensionMismatch("Bloch vector length must be dim^2 - 1")
-        arr = self.rho.array
-        tr = float(np.trace(arr).real)
-        if abs(tr - 1.0) > _TRACE_ATOL:
-            raise UnphysicalState(f"trace {tr!r} is not 1 within {_TRACE_ATOL:g}")
-        lo = _min_eigenvalue(arr)
-        if lo < PSD_EIGENVALUE_FLOOR:
-            raise UnphysicalState(
-                f"unphysical state: eigenvalue {lo:.3e} below {PSD_EIGENVALUE_FLOOR:g}"
-            )
-        p2 = float(self.p @ self.p)
-        ref = 2.0 * (float(np.einsum("ab,ba->", arr, arr).real) - 1.0 / self.dim)
-        if abs(p2 - ref) > _CONSISTENCY_ATOL:
-            raise UnphysicalState(
-                f"|p|^2 = {p2!r} inconsistent with matrix purity {ref!r}"
-            )
-        if p2 > 2.0 * (1.0 - 1.0 / self.dim) + 1e-10:
-            raise UnphysicalState(f"|p|^2 = {p2!r} exceeds the pure-state norm")
+        raise_first(_state_checks(self.rho.array, self.p, self.dim), UnphysicalState)
         object.__setattr__(self, "p", _frozen(self.p))
 
     @property
@@ -165,14 +196,7 @@ class Observable:
         n = self.dim * self.dim - 1
         if self.a.shape != (n,) or self.a_prime.shape != (n,):
             raise DimensionMismatch("coefficient vectors must have length dim^2 - 1")
-        arr = self.matrix.array
-        tr = abs(np.trace(arr))
-        if tr > _TRACE_ATOL:
-            raise ValueError(f"canonical observable must be traceless, |Tr| = {tr:.3e}")
-        norm2 = float(self.a @ self.a)
-        ref = 0.5 * float(np.einsum("ab,ba->", arr, arr).real)
-        if not abs(norm2 - ref) <= _CONSISTENCY_ATOL:  # also rejects NaN (overflow)
-            raise ValueError(f"|a|^2 = {norm2!r} inconsistent with Tr[A^2]/2 = {ref!r}")
+        raise_first(_observable_checks(self.matrix.array, self.a)[1])
         object.__setattr__(self, "a", _frozen(self.a))
         object.__setattr__(self, "a_prime", _frozen(self.a_prime))
 
@@ -192,8 +216,7 @@ def state_from_matrix(rho: HermitianMatrix, basis: GeneratorBasis) -> QuantumSta
     if rho.dim != basis.dim:
         raise DimensionMismatch("matrix and basis dimensions disagree")
     coeffs = np.einsum("ab,jba->j", rho.array, basis.stacked())
-    if np.abs(coeffs.imag).max(initial=0.0) > 1e-12:
-        raise UnphysicalState("Bloch components of a Hermitian matrix must be real")
+    raise_first(_real_components(coeffs), UnphysicalState)
     return QuantumState(basis.dim, rho, coeffs.real)
 
 
@@ -211,8 +234,7 @@ def state_to_matrix(p, basis: GeneratorBasis) -> QuantumState:
     n = basis.n_generators
     if p.shape != (n,):
         raise DimensionMismatch(f"expected a Bloch vector of length {n}")
-    arr = np.eye(basis.dim, dtype=np.complex128) / basis.dim
-    arr += 0.5 * np.einsum("j,jab->ab", p, basis.stacked())
+    arr = _eye(basis.dim) / basis.dim + 0.5 * np.einsum("j,jab->ab", p, basis.stacked())
     return QuantumState(basis.dim, HermitianMatrix(arr), p)
 
 
@@ -227,12 +249,9 @@ def observable_from_matrix(a: HermitianMatrix, basis: GeneratorBasis) -> Observa
     if a.dim != basis.dim:
         raise DimensionMismatch("matrix and basis dimensions disagree")
     tr = np.trace(a.array).real
-    arr = a.array - (tr / basis.dim) * np.eye(basis.dim)
-    coeffs = 0.5 * np.einsum("ab,jba->j", arr, basis.stacked())
-    vec = coeffs.real
-    a_prime = basis.d_contract(vec)
-    _check_prime(arr, a_prime, basis)
-    return Observable(basis.dim, HermitianMatrix(arr), vec, a_prime, float(tr))
+    arr = a.array - (tr / basis.dim) * _eye(basis.dim)
+    vec = (0.5 * np.einsum("ab,jba->j", arr, basis.stacked())).real
+    return _observable(arr, vec, basis, float(tr))
 
 
 def observable_from_bloch(a_vec, basis: GeneratorBasis) -> Observable:
@@ -240,23 +259,15 @@ def observable_from_bloch(a_vec, basis: GeneratorBasis) -> Observable:
     vec = np.asarray(a_vec, dtype=np.float64)
     if vec.shape != (basis.n_generators,):
         raise DimensionMismatch(f"expected a vector of length {basis.n_generators}")
-    arr = np.einsum("j,jab->ab", vec, basis.stacked())
+    return _observable(np.einsum("j,jab->ab", vec, basis.stacked()), vec, basis, 0.0)
+
+
+def _observable(arr: np.ndarray, vec: np.ndarray, basis: GeneratorBasis, tr: float) -> Observable:
     a_prime = basis.d_contract(vec)
-    _check_prime(arr, a_prime, basis)
-    return Observable(basis.dim, HermitianMatrix(arr), vec, a_prime, 0.0)
-
-
-def _check_prime(arr: np.ndarray, a_prime: np.ndarray, basis: GeneratorBasis) -> None:
-    # Independent route: a' is the coefficient vector of the traceless
-    # part of A^2.
-    sq = arr @ arr
-    sq = sq - (np.trace(sq).real / basis.dim) * np.eye(basis.dim)
-    ref = 0.5 * np.einsum("ab,jba->j", sq, basis.stacked()).real
-    err = float(np.abs(a_prime - ref).max(initial=0.0))
-    if not err <= _CONSISTENCY_ATOL:  # also rejects NaN (overflow)
-        raise ValueError(
-            f"contracted vector disagrees with the A^2 decomposition by {err:.3e}"
-        )
+    raise_first(
+        _prime_checks(arr, a_prime, basis.dim, lambda m: np.einsum("ab,jba->j", m, basis.stacked()))
+    )
+    return Observable(basis.dim, HermitianMatrix(arr), vec, a_prime, tr)
 
 
 class StateBatch(NamedTuple):
@@ -282,27 +293,14 @@ class ObservableBatch(NamedTuple):
     bad: np.ndarray
 
 
-def _post_init_failures(rho: np.ndarray, p: np.ndarray, dim: int) -> np.ndarray:
-    # QuantumState.__post_init__, row by row, on symmetrized matrices and
-    # the vectors it is given; True where it raises UnphysicalState.
-    bad = np.abs(np.trace(rho, axis1=1, axis2=2).real - 1.0) > _TRACE_ATOL
-    bad |= _min_eigenvalues(rho) < PSD_EIGENVALUE_FLOOR
-    p2 = row_dot(p, p)
-    ref = 2.0 * (np.einsum("nab,nba->n", rho, rho).real - 1.0 / dim)
-    bad |= np.abs(p2 - ref) > _CONSISTENCY_ATOL
-    bad |= p2 > 2.0 * (1.0 - 1.0 / dim) + 1e-10
-    return bad
-
-
 def state_from_matrix_batch(rho: np.ndarray, basis: GeneratorBasis) -> StateBatch:
     """Lanes form of ``state_from_matrix(HermitianMatrix(rho[i]), basis)``."""
-    rho, bad = hermitian_batch(rho)
+    rho, checks = hermitian(rho)
     coeffs = basis.trace_rows(rho)
-    bad |= np.abs(coeffs.imag).max(axis=1) > 1e-12
     # QuantumState sees the strided view coeffs.real and stores a
     # contiguous copy, and the BLAS dot of each can round differently, so
     # both are kept.
-    bad |= _post_init_failures(rho, coeffs.real, basis.dim)
+    bad = failures(checks + _real_components(coeffs) + _state_checks(rho, coeffs.real, basis.dim))
     p = np.ascontiguousarray(coeffs.real)
     return StateBatch(rho, p, row_dot(p, p), bad)
 
@@ -317,11 +315,11 @@ def state_to_matrix_batch(p: np.ndarray, basis: GeneratorBasis) -> tuple[StateBa
     positivity check.
     """
     p = np.ascontiguousarray(p, dtype=np.float64)
-    eye = np.eye(basis.dim, dtype=np.complex128) / basis.dim
     # The scalar checks in order: HermitianMatrix (ValueError), then
     # QuantumState, whose eigenvalue floor is the one solve of the stack.
-    rho, not_hermitian = hermitian_batch(eye + 0.5 * basis.combine_rows(p))
-    post_init = _post_init_failures(rho, p, basis.dim)
+    rho, checks = hermitian(_eye(basis.dim) / basis.dim + 0.5 * basis.combine_rows(p))
+    not_hermitian = failures(checks)
+    post_init = failures(_state_checks(rho, p, basis.dim))
     return StateBatch(rho, p, row_dot(p, p), not_hermitian | post_init), ~not_hermitian & post_init
 
 
@@ -359,27 +357,15 @@ def repeat_observable(obs: Observable, count: int) -> ObservableBatch:
     )
 
 
-def _prime_failures(arr: np.ndarray, a_prime: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
-    # _check_prime, row by row.
-    sq = arr @ arr
-    sq -= (np.trace(sq, axis1=1, axis2=2).real / basis.dim)[:, None, None] * np.eye(basis.dim)
-    ref = 0.5 * basis.trace_rows(sq).real
-    return ~(np.abs(a_prime - ref).max(axis=1, initial=0.0) <= _CONSISTENCY_ATOL)
-
-
 def observable_from_bloch_batch(vec: np.ndarray, basis: GeneratorBasis) -> ObservableBatch:
     """Lanes form of ``observable_from_bloch(vec[i], basis)``."""
     vec = np.asarray(vec, dtype=np.float64)
     arr = basis.combine_rows(vec)
     a_prime = basis.d_contract(vec)
-    bad = _prime_failures(arr, a_prime, basis)
-    matrix, bad_h = hermitian_batch(arr)
-    bad |= bad_h
-    # Observable.__post_init__, row by row.
-    bad |= per_element(abs, np.trace(matrix, axis1=1, axis2=2)) > _TRACE_ATOL
-    norm2 = row_dot(vec, vec)
-    ref = 0.5 * np.einsum("nab,nba->n", matrix, matrix).real
-    bad |= ~(np.abs(norm2 - ref) <= _CONSISTENCY_ATOL)
+    checks = _prime_checks(arr, a_prime, basis.dim, basis.trace_rows)
+    matrix, hermitian_checks = hermitian(arr)
+    norm2, observable_checks = _observable_checks(matrix, vec)
+    bad = failures(checks + hermitian_checks + observable_checks)
     return ObservableBatch(matrix, vec, a_prime, norm2, bad)
 
 
@@ -396,11 +382,8 @@ def matrix_from_json(obj: dict) -> HermitianMatrix:
     """
     try:
         dim = int(obj["dim"])
-        re = np.asarray(obj["re"], dtype=np.float64).reshape(dim, dim)
+        im = np.zeros(dim * dim) if obj.get("im") is None else obj["im"]
+        re, im = (np.asarray(x, dtype=np.float64).reshape(dim, dim) for x in (obj["re"], im))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
-    if "im" in obj and obj["im"] is not None:
-        im = np.asarray(obj["im"], dtype=np.float64).reshape(dim, dim)
-    else:
-        im = np.zeros((dim, dim))
     return HermitianMatrix(re + 1.0j * im)

@@ -7,13 +7,23 @@ checks the asymmetry is round-off sized, stores the symmetrized
 (M + M†)/2, and freezes the stored array so instances are safe to share.
 
 The batched engine works on stacks of such matrices, one per RNG
-stream (a lane).  ``hermitian_batch`` is the lanes form of the
-constructor; ``row_dot``, ``per_element``, ``py_max`` and ``py_min``
-are the primitives that keep lanes bit-identical to the scalar path:
-numpy's own ``log``, ``arccos``, ``hypot`` and complex ``abs`` (and
-``x ** 2`` against libm's ``pow``) differ from Python's in the last bit
-on a fraction of inputs, and an elementwise or ``einsum`` dot product
-sums in another order than the BLAS dot of a 1-D ``u @ v``.
+stream (a lane).  Each constructor invariant, here and in ``bloch``, is
+one function over a (..., N, N) array that returns its results and its
+checks, ``(holds, template, *values)`` tuples: on one object the
+constructor raises the first check that does not hold (``raise_first``),
+and on a stack the rows where any does not hold are its ``bad``
+(``failures``).  Each check is written so that a NaN fails it.
+The same numpy statements run on both shapes, so a row checked alone
+equals its row of the stack bit for bit.  ``hermitian`` is this
+module's one.
+
+``row_dot``, ``per_element``, ``py_max`` and ``py_min`` are the
+primitives that keep lanes bit-identical to the scalar path where a
+value feeds a margin: numpy's own ``log``, ``arccos``, ``hypot`` and
+complex ``abs`` (and ``x ** 2`` against libm's ``pow``) differ from
+Python's in the last bit on a fraction of inputs, and an elementwise or
+``einsum`` dot product sums in another order than the BLAS dot of a
+1-D ``u @ v``.
 """
 
 from __future__ import annotations
@@ -25,7 +35,9 @@ from .errors import DimensionMismatch
 __all__ = [
     "HermitianMatrix",
     "HERMITICITY_ATOL",
-    "hermitian_batch",
+    "hermitian",
+    "raise_first",
+    "failures",
     "row_dot",
     "per_element",
     "py_max",
@@ -50,14 +62,8 @@ class HermitianMatrix:
         arr = np.asarray(entries, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("matrix entries must be finite")
-        asym = float(np.abs(arr - arr.conj().T).max())
-        if asym > HERMITICITY_ATOL:
-            raise ValueError(
-                f"matrix is not Hermitian: asymmetry {asym:.3e} exceeds {HERMITICITY_ATOL:g}"
-            )
-        sym = (arr + arr.conj().T) / 2.0
+        sym, checks = hermitian(arr)
+        raise_first(checks)
         sym.setflags(write=False)
         self._arr = sym
 
@@ -74,28 +80,43 @@ class HermitianMatrix:
         return f"{type(self).__name__}(dim={self.dim})"
 
 
-def hermitian_batch(entries) -> tuple[np.ndarray, np.ndarray]:
-    """Lanes form of ``HermitianMatrix``: ``entries`` is an (n, N, N) stack.
-
-    Returns ``(sym, bad)``: the symmetrized stack and a mask of the rows
-    the constructor would reject (non-finite, or asymmetry above
-    ``HERMITICITY_ATOL``).
-    """
+def hermitian(entries) -> tuple[np.ndarray, list]:
+    """(M + M†)/2 of each of the (..., N, N) matrices, as complex, and the
+    checks ``HermitianMatrix`` raises: non-finite entries, and an
+    asymmetry above ``HERMITICITY_ATOL``.  The sum overwrites the
+    difference, so that a stack makes one complex array of its size."""
     arr = np.asarray(entries, dtype=np.complex128)
-    adj = arr.conj().swapaxes(1, 2)
-    bad = ~np.isfinite(arr).all(axis=(1, 2))
+    adj = arr.conj().swapaxes(-1, -2)
     sym = arr - adj
-    bad |= np.abs(sym).max(axis=(1, 2)) > HERMITICITY_ATOL
+    asym = np.abs(sym).max(axis=(-2, -1))
     np.add(arr, adj, out=sym)
     sym /= 2.0
-    return sym, bad
+    return sym, [
+        (np.isfinite(arr).all(axis=(-2, -1)), "matrix entries must be finite"),
+        (asym <= HERMITICITY_ATOL, "matrix is not Hermitian: asymmetry {:.3e} exceeds {:g}",
+         asym, HERMITICITY_ATOL),
+    ]
+
+
+def raise_first(checks: list, error: type = ValueError) -> None:
+    """Raise ``error`` with the message of the first check that does not
+    hold, on the results of a check function for one object."""
+    for check in checks:
+        if not check[0]:
+            raise error(check[1].format(*check[2:]))
+
+
+def failures(checks: list) -> np.ndarray:
+    """The rows of a stack on which any of ``checks`` does not hold."""
+    return ~np.logical_and.reduce([check[0] for check in checks])
 
 
 def row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``u[i] @ v[i]`` for every row: a stacked matmul runs the same BLAS
-    dot per row as a 1-D ``u @ v`` (real or complex), so it is
-    bit-identical to it, which ``einsum("ij,ij->i")`` is not."""
-    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+    """``u[i] @ v[i]`` for every row of (..., n) vectors: a stacked
+    matmul runs the same BLAS dot per row as a 1-D ``u @ v`` (real or
+    complex), so it is bit-identical to it, which
+    ``einsum("ij,ij->i")`` is not.  On one vector it is a scalar."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0][()]
 
 
 _PER_ELEMENT_BLOCK = 1024  # elements converted to Python objects at a time

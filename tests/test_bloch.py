@@ -5,14 +5,19 @@ import pytest
 
 from blochvar import (
     HermitianMatrix,
+    QuantumState,
     UnphysicalState,
+    basis_for,
+    bloch,
     completely_mixed,
+    linalg,
     matrix_from_json,
     observable_from_bloch,
     observable_from_matrix,
     state_from_matrix,
     state_to_matrix,
 )
+from blochvar.linalg import failures, hermitian
 from conftest import random_density, random_hermitian
 
 
@@ -143,3 +148,140 @@ def test_matrix_from_json(basis2):
     assert np.allclose(matrix_from_json(json.loads(text)).array, mat.array)
     with pytest.raises(ValueError, match="malformed"):
         matrix_from_json({"re": [1, 0, 0, 1]})
+
+
+# ---------------------------------------------------------------------------
+# The check functions: one statement per invariant, for one object and for
+# a stack
+
+
+def test_nan_bloch_vector_is_rejected(basis2):
+    rho = HermitianMatrix(np.diag([0.75, 0.25]).astype(complex))
+    with pytest.raises(UnphysicalState, match=r"\|p\|\^2 = nan inconsistent"):
+        QuantumState(2, rho, np.array([np.nan, 0.0, 0.0]))
+    p = np.array([[0.0, 0.0, 0.5], [np.nan, 0.0, 0.0], [0.0, 0.0, np.nan]])
+    rows = np.repeat(rho.array[None], 3, axis=0)
+    assert failures(bloch._state_checks(rows, p, 2)).tolist() == [False, True, True]
+
+
+def _check_inputs(dim, rows=120):
+    # Density matrices stretched past the physical body, observables of
+    # norms from 0.1 to 1e7, asymmetric drift absorbed or rejected, and
+    # NaN and inf entries.
+    basis = basis_for(dim)
+    rng = np.random.default_rng(dim)
+    g = rng.normal(size=(rows, dim, dim)) + 1j * rng.normal(size=(rows, dim, dim))
+    rho = g @ g.conj().swapaxes(1, 2)
+    rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    eye = np.eye(dim) / dim
+    rho = eye + rng.uniform(0.5, 3.0, size=(rows, 1, 1)) * (rho - eye)
+    rho += 10.0 ** rng.choice([-20, -13, -11], size=(rows, 1, 1)) * g
+    vec = rng.normal(size=(rows, basis.n_generators)) * 10.0 ** rng.uniform(-1, 7, size=(rows, 1))
+    for k, bad in enumerate([np.nan, np.inf]):
+        rho[k::17, 0, -1] = bad
+        vec[k::19, -1] = bad
+    return basis, rho, vec
+
+
+def _fields(result):
+    # A check function's results and the fields of its checks, in order.
+    if isinstance(result, tuple):
+        result, checks = result
+        return [result] + _fields(checks)
+    if isinstance(result, list):
+        return [field for check in result for field in check]
+    return [result]
+
+
+def _bits(x):
+    # The float64 bits of x (real and imaginary parts), every NaN alike.
+    x = np.atleast_1d(x)
+    f = np.stack([x.real, x.imag]) if np.iscomplexobj(x) else x.astype(np.float64)
+    bits = f.view(np.uint64).copy()
+    bits[np.isnan(f)] = 0x7FF8000000000000
+    return bits
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # bad rows on purpose
+@pytest.mark.parametrize("dim", [2, 3, 6])
+def test_each_row_checked_alone_equals_its_stack_row(dim):
+    # Builtin abs of a numpy complex scalar, or math.hypot, differs from
+    # np.abs and np.hypot in the last bit on a fraction of inputs: the
+    # checks use numpy's on both shapes, so that a row alone is its row
+    # of the stack bit for bit, values, masks and messages alike.
+    basis, m, vec = _check_inputs(dim)
+    rho, _ = hermitian(m)
+    coeffs = basis.trace_rows(rho)
+    p = coeffs.real.copy()
+    p[1::5] = np.nan
+    obs = basis.combine_rows(vec)
+    matrix, _ = hermitian(obs)
+    a_prime = basis.d_contract(vec)
+    stacked = basis.trace_rows
+
+    def dense(sq):
+        return np.einsum("ab,jba->j", sq, basis.stacked())
+
+    cases = [
+        (hermitian, (m,)),
+        (bloch._min_eigenvalue, (rho,)),
+        (bloch._state_checks, (rho, coeffs.real, dim)),
+        (bloch._state_checks, (rho, p, dim)),
+        (bloch._real_components, (coeffs,)),
+        (bloch._observable_checks, (matrix, vec)),
+        (bloch._prime_checks, (obs, a_prime, dim, stacked)),
+    ]
+    for fn, args in cases:
+        stack = _fields(fn(*args))
+        holds = [f for f in stack if isinstance(f, np.ndarray) and f.dtype == bool]
+        assert fn is bloch._min_eigenvalue or not np.logical_and.reduce(holds).all()
+        for i in range(len(m)):
+            row_args = [a[i] if isinstance(a, np.ndarray) else a for a in args]
+            alone = _fields(fn(*[dense if a is stacked else a for a in row_args]))
+            assert len(alone) == len(stack)
+            for s, r in zip(stack, alone):
+                if isinstance(s, np.ndarray):
+                    assert np.ndim(r) == s.ndim - 1
+                    assert np.array_equal(_bits(s[i]), _bits(r)), (fn.__name__, i)
+                else:
+                    assert s == r
+
+
+# Each check function, with a scalar constructor and a stack call that
+# run it, on basis3 (b), two completely mixed density matrices (m) and
+# two unit vectors (v).
+_ONE_CHECK = [
+    ("hermitian", lambda b, m, v: HermitianMatrix(m[0]),
+     lambda b, m, v: bloch.state_from_matrix_batch(m, b)),
+    ("_min_eigenvalue", lambda b, m, v: state_to_matrix(np.zeros(8), b),
+     lambda b, m, v: bloch.state_to_matrix_batch(np.zeros((2, 8)), b)),
+    ("_state_checks", lambda b, m, v: state_from_matrix(HermitianMatrix(m[0]), b),
+     lambda b, m, v: bloch.state_from_matrix_batch(m, b)),
+    ("_real_components", lambda b, m, v: state_from_matrix(HermitianMatrix(m[0]), b),
+     lambda b, m, v: bloch.state_from_matrix_batch(m, b)),
+    ("_observable_checks", lambda b, m, v: observable_from_bloch(v[0], b),
+     lambda b, m, v: bloch.observable_from_bloch_batch(v, b)),
+    ("_prime_checks", lambda b, m, v: observable_from_bloch(v[0], b),
+     lambda b, m, v: bloch.observable_from_bloch_batch(v, b)),
+]
+
+
+@pytest.mark.parametrize("name,scalar,stack", _ONE_CHECK, ids=[case[0] for case in _ONE_CHECK])
+def test_scalar_and_stack_call_one_check(monkeypatch, basis3, name, scalar, stack):
+    m = np.repeat((np.eye(3) / 3.0)[None], 2, axis=0).astype(complex)
+    v = np.eye(8)[:2]
+    check = getattr(bloch, name)
+    calls = []
+
+    def spy(*args):
+        calls.append(np.ndim(args[0]))
+        return check(*args)
+
+    monkeypatch.setattr(bloch, name, spy)
+    if name == "hermitian":
+        assert linalg.hermitian is check
+        monkeypatch.setattr(linalg, name, spy)
+    scalar(basis3, m, v)
+    alone, calls[:] = calls[:], []
+    stack(basis3, m, v)
+    assert alone and calls and {d + 1 for d in alone} == set(calls)

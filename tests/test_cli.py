@@ -804,6 +804,15 @@ def test_compare_json_matrix_input(tmp_path):
     assert all(row.get("holds", True) for row in report["results"] if row["applicable"])
 
 
+@pytest.mark.parametrize("im", [{"a": 1}, [0.0, 0.0, 0.0]], ids=["object", "wrong-length"])
+def test_compare_rejects_a_malformed_im(capsys, im):
+    state = json.dumps({"dim": 2, "re": [0.5, 0.0, 0.0, 0.5], "im": im})
+    with pytest.raises(SystemExit) as err:
+        _run(["compare", "--state", state, "--A", "sigma1", "--B", "sigma3"])
+    assert err.value.code == 2
+    assert "malformed matrix object" in capsys.readouterr().err
+
+
 def test_compare_usage_errors(tmp_path):
     with pytest.raises(SystemExit) as err:
         _run(["compare", "--A", "sigma1", "--B", "sigma2"])

@@ -1208,13 +1208,13 @@ def test_reconstruction_flags_the_rows_scalar_rejects(monkeypatch, dim, asymmetr
         p[np.arange(60) % 4 != 1, j] = 0.0
     p[::13, 0] = np.nan
     solved = []
-    min_eigenvalues = bloch._min_eigenvalues
+    min_eigenvalue = bloch._min_eigenvalue
 
     def spy(arr):
         solved.append(arr.copy())
-        return min_eigenvalues(arr)
+        return min_eigenvalue(arr)
 
-    monkeypatch.setattr(bloch, "_min_eigenvalues", spy)
+    monkeypatch.setattr(bloch, "_min_eigenvalue", spy)
 
     def scalar(row):
         try:

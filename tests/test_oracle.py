@@ -62,10 +62,11 @@ def _min_eigenvalue_50(matrix):
         return min(values[k] for k in range(len(matrix)))
 
 
-@pytest.mark.parametrize("n,draws", [(3, 20), (6, 20)])
+@pytest.mark.parametrize("n,draws", [(2, 200), (3, 20), (6, 20)])
 def test_psd_floor_against_50_digits(n, draws):
     # The eigenvalue floor QuantumState checks (-1e-10), by its own route
-    # (bloch._min_eigenvalue, eigvalsh at N > 2), on mixed states of seed
+    # (bloch._min_eigenvalue: the closed form with np.hypot at N = 2,
+    # eigvalsh at N > 2), on mixed states of seed
     # 7000 + N, and on each of them with its Bloch vector stretched so
     # that the matrix rebuilt from it, as state_to_matrix rebuilds one,
     # has its smallest eigenvalue within 1e-9 of the floor.
