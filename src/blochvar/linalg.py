@@ -17,16 +17,28 @@ The same numpy statements run on both shapes, so a row checked alone
 equals its row of the stack bit for bit.  ``hermitian`` is this
 module's one.
 
-``row_dot``, ``per_element``, ``py_max`` and ``py_min`` are the
-primitives that keep lanes bit-identical to the scalar path where a
-value feeds a margin: numpy's own ``log``, ``arccos``, ``hypot`` and
-complex ``abs`` (and ``x ** 2`` against libm's ``pow``) differ from
-Python's in the last bit on a fraction of inputs, and an elementwise or
-``einsum`` dot product sums in another order than the BLAS dot of a
-1-D ``u @ v``.
+A check is ``(holds, template, *values)``, or ``(holds, error,
+template, *values)`` when it names the exception type it raises;
+``relations`` and ``variance`` name one in every check, since one of
+their checkers raises several.
+
+``row_dot``, ``components``, ``per_element``, ``where``, ``py_max`` and
+``py_min`` are the primitives that keep lanes bit-identical to the
+scalar path where a value feeds a margin: numpy's own ``log``,
+``arccos``, ``hypot`` and complex ``abs`` (and ``x ** 2`` against libm's
+``pow``) differ from Python's in the last bit on a fraction of inputs,
+and an elementwise or ``einsum`` dot product sums in another order than
+the BLAS dot of a 1-D ``u @ v``.  Each takes one element (one vector for
+``row_dot`` and ``components``) as well as a stack.  On one it returns
+Python numbers or its operands, never a 0-d array, on which every numpy
+call costs about a microsecond: a checker written once over one object
+or a stack runs on one object at about the cost of Python floats.
 """
 
 from __future__ import annotations
+
+import functools
+import operator
 
 import numpy as np
 
@@ -39,7 +51,9 @@ __all__ = [
     "raise_first",
     "failures",
     "row_dot",
+    "components",
     "per_element",
+    "where",
     "py_max",
     "py_min",
 ]
@@ -99,24 +113,41 @@ def hermitian(entries) -> tuple[np.ndarray, list]:
 
 
 def raise_first(checks: list, error: type = ValueError) -> None:
-    """Raise ``error`` with the message of the first check that does not
-    hold, on the results of a check function for one object."""
+    """Raise the message of the first check that does not hold, on the
+    results of a check function for one object: as the type the check
+    names, or else as ``error``."""
     for check in checks:
         if not check[0]:
+            if isinstance(check[1], type):
+                error, check = check[1], check[1:]
             raise error(check[1].format(*check[2:]))
 
 
 def failures(checks: list) -> np.ndarray:
-    """The rows of a stack on which any of ``checks`` does not hold."""
-    return ~np.logical_and.reduce([check[0] for check in checks])
+    """The rows of a stack on which any of ``checks`` does not hold; a
+    check of one value (an argument all rows share) holds for all or
+    none."""
+    return ~functools.reduce(operator.and_, (check[0] for check in checks))
 
 
 def row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``u[i] @ v[i]`` for every row of (..., n) vectors: a stacked
     matmul runs the same BLAS dot per row as a 1-D ``u @ v`` (real or
     complex), so it is bit-identical to it, which
-    ``einsum("ij,ij->i")`` is not.  On one vector it is a scalar."""
-    return (u[..., None, :] @ v[..., :, None])[..., 0, 0][()]
+    ``einsum("ij,ij->i")`` is not.  On one vector it is that dot, as a
+    Python number."""
+    if u.ndim == 1:
+        dot = u @ v
+        return float(dot) if isinstance(dot, float) else complex(dot)
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def components(x: np.ndarray) -> list:
+    """The entries along the last axis of (..., n) vectors, a stack each
+    (views of the columns of rows); of one vector, its Python floats."""
+    if x.ndim == 1:
+        return x.tolist()
+    return [x[..., i] for i in range(x.shape[-1])]
 
 
 _PER_ELEMENT_BLOCK = 1024  # elements converted to Python objects at a time
@@ -128,7 +159,10 @@ def per_element(fn, *arrays) -> np.ndarray:
     ``math.acos``, ``math.hypot``, ``abs`` of a complex, ``x ** 2``).
 
     It works through blocks of elements, so that no more than a block of
-    Python numbers is alive at a time."""
+    Python numbers is alive at a time.  On one element it returns
+    ``fn``'s Python scalar."""
+    if not isinstance(arrays[0], np.ndarray):  # one element, a numpy or Python scalar
+        return fn(*[complex(a) if isinstance(a, complex) else float(a) for a in arrays])
     shape = np.shape(arrays[0])
     flat = [np.ravel(a) for a in arrays]
     out = np.empty(flat[0].size)
@@ -138,13 +172,27 @@ def per_element(fn, *arrays) -> np.ndarray:
     return out.reshape(shape)
 
 
-def py_max(x, y) -> np.ndarray:
+def where(cond, x, y):
+    """``np.where(cond, x, y)``; on one element, ``x`` or ``y`` itself."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, x, y)
+    return x if cond else y
+
+
+def py_max(x, y):
     """Elementwise ``max(x, y)`` as Python evaluates it: ``y`` where
-    ``y > x``, else ``x`` (argument order decides NaN and -0.0)."""
-    return np.where(y > x, y, x)
+    ``y > x``, else ``x`` (argument order decides NaN and -0.0).  It is
+    ``where`` written out, one call fewer on one element."""
+    above = y > x
+    if isinstance(above, np.ndarray):
+        return np.where(above, y, x)
+    return y if above else x
 
 
-def py_min(x, y) -> np.ndarray:
+def py_min(x, y):
     """Elementwise ``min(x, y)`` as Python evaluates it: ``y`` where
     ``y < x``, else ``x``."""
-    return np.where(y < x, y, x)
+    below = y < x
+    if isinstance(below, np.ndarray):
+        return np.where(below, y, x)
+    return y if below else x

@@ -71,6 +71,23 @@ no input's ``bad`` flags: the engine marks the rows whose draws failed
 itself (``engine.chunks``).  Their verdicts use the scalar checker's
 tolerance (``HOLDS_TOL``, or ``APPENDIX_C_TOL`` for appendix-c) and
 ``SATURATION_TOL``, as ``_verdict`` does.
+
+A pair states its relation once, in a private function (``_theorem1``,
+``_appendix_c``, ...) over one sample's objects or the rows: (..., n)
+vectors and (..., N, N) matrices.  It returns lhs, rhs and its checks,
+``(holds, error, template, *values)`` tuples (``linalg.raise_first``),
+in the order the scalar checker raises them.  ``X`` checks the
+dimensions, raises the first check that does not hold and returns a
+verdict of Python floats (``_scalar_verdict``); ``X_batch`` returns
+lhs - rhs and the rows on which a check fails (``_lane_verdicts``).
+The primitives of ``linalg`` keep one sample on Python floats, so the
+scalar path costs about what it cost written alone.  The triangle and
+the scan points compose public pairs (the angles, theorem1, the
+three-observable equality, the Bloch variances) and state their own
+parts once.  ``check_unit_vector_relation``, ``effective_axis_angle``
+and ``check_unit_vector_state`` keep a body each: they take a few
+microseconds a sample, and a shared function's fixed cost (its list of
+checks, a Python call per primitive) adds more than a tenth to that.
 """
 
 from __future__ import annotations
@@ -84,10 +101,9 @@ import numpy as np
 from .bloch import Observable, ObservableBatch, QuantumState, StateBatch, observable_from_bloch
 from .bloch import repeat_observable
 from .errors import DimensionMismatch, NotApplicable, NumericsError, UndefinedAngle
-from .linalg import per_element, py_max, py_min, row_dot
+from .linalg import components, failures, per_element, py_max, py_min, raise_first, row_dot, where
 from .sun_basis import GeneratorBasis, basis_for
-from .variance import angles, angles_batch, variance_matrix, variance_matrix_batch
-from .variance import variance_bloch, variance_bloch_batch
+from .variance import _variance_matrix, angles, angles_batch, variance_bloch, variance_bloch_batch
 
 __all__ = [
     "RelationVerdict",
@@ -131,8 +147,20 @@ SATURATION_TOL = 1e-9
 # this check.
 ZERO_MEAN_TOL = 1e-9
 _RADICAND_FLOOR = -1e-10
+# Round-off slack of theorem1's (a·p)² <= |a|² |p|², and of B's.
+_NORM_SLACK = 1e-10
+# Largest ||p|² - 1| of a state the pure-state relations accept.
+_PURITY_ATOL = 1e-9
+# Largest gap between appendix-c's shifted variances by the matrix route
+# and by the vector route a'·p.
+_ROUTES_ATOL = 1e-11
+# Largest |Re⟨ψ|[A,B]|ψ⟩| state-dependent accepts as imaginary.
+_REAL_COMMUTATOR_ATOL = 1e-10
 _SCAN_MARGIN_FLOOR = -1e-9  # smallest theorem1 margin a pair scan accepts
 _SURFACE_TOL = 1e-9  # largest |residual| of a triple sample off the certainty surface
+
+
+_LaneVerdicts = tuple[np.ndarray, np.ndarray]  # (margins, bad)
 
 
 @dataclass(frozen=True)
@@ -174,29 +202,214 @@ def _require_qubit_rows(*batches) -> None:
     _require_qubit(*(batch[0].shape[-1] for batch in batches))
 
 
-def _sqrt_checked(value: float, what: str) -> float:
-    if value < _RADICAND_FLOOR:
-        raise NumericsError(f"{what} radicand {value!r} negative beyond round-off")
-    return math.sqrt(max(value, 0.0))
+def _scalar_verdict(relation_id: str, values: tuple, tol: float = HOLDS_TOL) -> RelationVerdict:
+    # The verdict of a shared function's (lhs, rhs, checks) on one
+    # sample, which raises the first check that does not hold.
+    lhs, rhs, checks = values
+    raise_first(checks)
+    return _verdict(relation_id, float(lhs), float(rhs), tol)
 
 
-def _wedge_norm2(u: np.ndarray, v: np.ndarray) -> float:
-    """|u|²|v|² - (u·v)² via the Lagrange identity.
+def _lane_verdicts(values: tuple) -> _LaneVerdicts:
+    # (margins, bad) of a shared function's (lhs, rhs, checks) on rows.
+    lhs, rhs, checks = values
+    return lhs - rhs, failures(checks)
+
+
+def _pure(rho, error: type, template: str) -> tuple:
+    # The check that rho's rows are pure states, printing |p|².
+    p2 = rho.purity
+    return (abs(p2 - 1.0) <= _PURITY_ATOL, error, template, p2)
+
+
+def _sqrt_radicand(value, what: str) -> tuple:
+    # The square root of a radicand floored at 0, and the check that it
+    # is not negative beyond round-off.
+    return np.sqrt(py_max(value, 0.0)), (
+        value >= _RADICAND_FLOOR, NumericsError, what + " radicand {} negative beyond round-off", value
+    )
+
+
+def _wedge_norm2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """|u|²|v|² - (u·v)² of (..., n) vectors via the Lagrange identity.
 
     The direct difference cancels catastrophically when u and v are
     nearly parallel, and the square roots downstream amplify that noise
     to ~1e-8 near saturation; the wedge form is a sum of squares, so it
     is exact to relative round-off and nonnegative by construction.
     """
-    outer = np.outer(u, v)
-    diff = outer - outer.T
-    return 0.5 * float(np.einsum("ij,ij->", diff, diff))
+    outer = u[..., :, None] * v[..., None, :]
+    diff = outer - outer.swapaxes(-1, -2)
+    return 0.5 * np.einsum("...ij,...ij->...", diff, diff)
+
+
+def _wedge_norm2_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # _wedge_norm2 a row at a time: from N = 10 on, the stacked einsum
+    # sums most rows in another order than the einsum of one row.
+    if u.ndim == 1:
+        return _wedge_norm2(u, v)
+    return np.array([_wedge_norm2(x, y) for x, y in zip(u, v)])
 
 
 @functools.cache
 def _qubit_axes() -> tuple[Observable, ...]:
     basis = basis_for(2)
     return tuple(observable_from_bloch(np.eye(3)[i], basis) for i in range(3))
+
+
+# ---------------------------------------------------------------------------
+# one function a relation: (lhs, rhs, checks) of one sample or of rows
+
+
+def _triangle(pa, pb, ab) -> tuple:
+    # (lhs, rhs) of the binding side, of the three angles.
+    upper = pa + pb - ab <= ab - abs(pa - pb)
+    return where(upper, pa + pb, ab), where(upper, ab, abs(pa - pb))
+
+
+def _theorem1(a, b, rho) -> tuple:
+    p2 = rho.purity
+    sa = row_dot(a.a, rho.p)
+    sb = row_dot(b.a, rho.p)
+    within = (sa * sa <= a.norm2 * p2 + _NORM_SLACK) & (sb * sb <= b.norm2 * p2 + _NORM_SLACK)
+    # a2*(p2-1) + dA2 == a2*p2 - sa^2 == |a ^ p|^2, evaluated in wedge
+    # form to dodge the cancellation near coplanar states.
+    root_a, radicand_a = _sqrt_radicand(_wedge_norm2(a.a, rho.p), "lhs")
+    root_b, radicand_b = _sqrt_radicand(_wedge_norm2(b.a, rho.p), "lhs")
+    # sa*sb == +-sqrt(a2-dA2) sqrt(b2-dB2); the sign implements the
+    # fold-into-first-quadrant convention without touching the inputs.
+    rhs = abs(sa * sb - row_dot(a.a, b.a) * p2)
+    return root_a * root_b, rhs, [
+        (within, NumericsError, "variance exceeds the squared coefficient norm"),
+        radicand_a,
+        radicand_b,
+    ]
+
+
+def _mixed_limit(a, b, rho, am, bm, rm) -> tuple:
+    va, checks_a = _variance_matrix(am, rm)
+    vb, checks_b = _variance_matrix(bm, rm)
+    mixed = (rho.purity <= 1e-12, ValueError, "mixed-limit check requires the completely mixed state")
+    return va + vb, a.norm2 + b.norm2, [mixed, *checks_a, *checks_b]
+
+
+def _pure_limit(a, b, rho) -> tuple:
+    sa = row_dot(a.a, rho.p)
+    sb = row_dot(b.a, rho.p)
+    # At |p| = 1 the variances are a2 - sa^2 = |a ^ p|^2 (wedge form,
+    # stable near alignment).
+    lhs = np.sqrt(_wedge_norm2(a.a, rho.p)) * np.sqrt(_wedge_norm2(b.a, rho.p))
+    rhs = abs(sa * sb - row_dot(a.a, b.a))
+    return lhs, rhs, [_pure(rho, ValueError, "pure-limit check requires |p|^2 = 1, got {}")]
+
+
+def _axis_triple(theta_ab: float, p: np.ndarray) -> tuple:
+    """u = a·p and v = b·p of the axis triple at θ_ab, and its three
+    variances [1 - u², 1 - v², 1 - w²] floored at 0, on Bloch rows ``p``
+    or one Bloch vector."""
+    u, y, w = components(p)
+    v = u * math.cos(theta_ab) + y * math.sin(theta_ab)
+    return u, v, (py_max(1.0 - u * u, 0.0), py_max(1.0 - v * v, 0.0), py_max(1.0 - w * w, 0.0))
+
+
+def _three_observable_equality(theta_ab: float, rho) -> tuple:
+    u, v, (da2, db2, dc2) = _axis_triple(theta_ab, rho.p)
+    sin2 = math.sin(theta_ab) ** 2
+    lhs = da2 + db2 + dc2 * sin2 + 2.0 * math.cos(theta_ab) * u * v
+    within = (-1e-12 <= theta_ab) & (theta_ab <= math.pi + 1e-12)  # NaN is outside
+    return lhs, 2.0, [
+        _pure(rho, ValueError, "equality requires a pure state, got |p|^2 = {}"),
+        (within, ValueError, "theta_ab = {} outside [0, pi]", theta_ab),
+    ]
+
+
+def _appendix_b(rho, rm) -> tuple:
+    (vx, cx), (vy, cy), (vz, cz) = (
+        _variance_matrix(axis.matrix.array, rm) for axis in _qubit_axes()
+    )
+    return vx + vy + vz, 3.0 - rho.purity, cx + cy + cz
+
+
+def _appendix_c(a, b, rho, am, bm, rm, n: int) -> tuple:
+    mean_a = row_dot(a.a, rho.p)
+    mean_b = row_dot(b.a, rho.p)
+    zero_means = (abs(mean_a) <= ZERO_MEAN_TOL) & (abs(mean_b) <= ZERO_MEAN_TOL)
+    va, checks_a = _variance_matrix(am, rm)
+    vb, checks_b = _variance_matrix(bm, rm)
+    x = va - 2.0 * a.norm2 / n
+    y = vb - 2.0 * b.norm2 / n
+    x_vec = row_dot(a.a_prime, rho.p)
+    y_vec = row_dot(b.a_prime, rho.p)
+    routes = (abs(x - x_vec) <= _ROUTES_ATOL) & (abs(y - y_vec) <= _ROUTES_ATOL)
+    # a'^2 p^2 - x^2 with x = a'.p is again a wedge norm; guaranteed
+    # nonnegative and cancellation-free.  The matrix-route x, y feed the
+    # right-hand side as stated.
+    root_a, radicand_a = _sqrt_radicand(_wedge_norm2_rows(a.a_prime, rho.p), "a'")
+    root_b, radicand_b = _sqrt_radicand(_wedge_norm2_rows(b.a_prime, rho.p), "b'")
+    rhs = abs(x * y - row_dot(a.a_prime, b.a_prime) * rho.purity)
+    return root_a * root_b, rhs, [
+        (zero_means, ValueError, "trade-off requires zero means, got <A> = {}, <B> = {}",
+         mean_a, mean_b),
+        *checks_a,
+        *checks_b,
+        (routes, NumericsError, "shifted variances disagree between routes: {} vs {}, {} vs {}",
+         x, x_vec, y, y_vec),
+        radicand_a,
+        radicand_b,
+    ]
+
+
+def _robertson(am, bm, rm) -> tuple:
+    va, checks_a = _variance_matrix(am, rm)
+    vb, checks_b = _variance_matrix(bm, rm)
+    comm = am @ bm
+    comm -= bm @ am
+    rhs = 0.5 * per_element(abs, np.einsum("...ab,...ba->...", comm, rm))
+    return np.sqrt(va * vb), rhs, checks_a + checks_b
+
+
+def _state_dependent(psi, am, bm, rm) -> tuple:
+    # lhs, and rhs at + and at -.  ⟨ψ|M|φ⟩ is the dot of ψ's conjugate
+    # with M times the column φ: one vector's dot and gemv, or a stack's.
+    vecs = np.linalg.eigh(rm)[1]
+    bra = vecs[..., :, -1].conj()
+    comm_expect = row_dot(bra, ((am @ bm - bm @ am) @ vecs[..., :, -1:])[..., 0])
+    va, checks_a = _variance_matrix(am, rm)
+    vb, checks_b = _variance_matrix(bm, rm)
+    rhs = []
+    for sign in (1, -1):
+        # (±i c).real is exact in any order (a product with 0, and ±Im c),
+        # so numpy's complex product gives Python's bits; |z|² does not.
+        amp = row_dot(bra, ((am + sign * 1j * bm) @ vecs[..., :, :1])[..., 0])
+        rhs.append((sign * 1j * comm_expect).real + per_element(lambda z: abs(z) ** 2, amp))
+    return va + vb, rhs, [
+        _pure(psi, NotApplicable,
+              "the bound needs a state orthogonal to the input, which no mixed state admits"),
+        (abs(comm_expect.real) <= _REAL_COMMUTATOR_ATOL, NumericsError,
+         "commutator expectation is not purely imaginary"),
+        *checks_a,
+        *checks_b,
+    ]
+
+
+def _scan_pair_point(da2, db2, margin, index) -> tuple:
+    # A pair scan's columns, and the floor on its theorem1 margin.
+    return (da2, db2, margin), [
+        (margin >= _SCAN_MARGIN_FLOOR, NumericsError,
+         "sample {} violates the qubit bound: {}", index, margin),
+    ]
+
+
+def _scan_triple_point(theta_ab: float, rho, index, residual) -> tuple:
+    # A triple scan's columns, and the bound on its residual.
+    return (*_axis_triple(theta_ab, rho.p)[2], residual), [
+        (abs(residual) <= _SURFACE_TOL, NumericsError,
+         "sample {} misses the certainty surface: {}", index, residual),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the scalar checkers
 
 
 def check_triangle(a: Observable, b: Observable, rho: QuantumState) -> RelationVerdict:
@@ -207,11 +420,7 @@ def check_triangle(a: Observable, b: Observable, rho: QuantumState) -> RelationV
     """
     _require_qubit(a.dim, b.dim, rho.dim)
     ang = angles(a, b, rho)
-    upper_slack = ang.theta_pa + ang.theta_pb - ang.theta_ab
-    lower_slack = ang.theta_ab - abs(ang.theta_pa - ang.theta_pb)
-    if upper_slack <= lower_slack:
-        return _verdict("triangle", ang.theta_pa + ang.theta_pb, ang.theta_ab)
-    return _verdict("triangle", ang.theta_ab, abs(ang.theta_pa - ang.theta_pb))
+    return _verdict("triangle", *_triangle(ang.theta_pa, ang.theta_pb, ang.theta_ab))
 
 
 def check_theorem1(a: Observable, b: Observable, rho: QuantumState) -> RelationVerdict:
@@ -222,47 +431,20 @@ def check_theorem1(a: Observable, b: Observable, rho: QuantumState) -> RelationV
     coplanar with the two coefficient vectors.
     """
     _require_qubit(a.dim, b.dim, rho.dim)
-    a2 = a.norm2
-    b2 = b.norm2
-    p2 = rho.purity
-    sa = float(a.a @ rho.p)
-    sb = float(b.a @ rho.p)
-    if sa * sa > a2 * p2 + 1e-10 or sb * sb > b2 * p2 + 1e-10:
-        raise NumericsError("variance exceeds the squared coefficient norm")
-    # a2*(p2-1) + dA2 == a2*p2 - sa^2 == |a ^ p|^2, evaluated in wedge
-    # form to dodge the cancellation near coplanar states.
-    lhs = _sqrt_checked(_wedge_norm2(a.a, rho.p), "lhs") * _sqrt_checked(
-        _wedge_norm2(b.a, rho.p), "lhs"
-    )
-    g = float(a.a @ b.a)
-    # sa*sb == +-sqrt(a2-dA2) sqrt(b2-dB2); the sign implements the
-    # fold-into-first-quadrant convention without touching the inputs.
-    rhs = abs(sa * sb - g * p2)
-    return _verdict("theorem1", lhs, rhs)
+    return _scalar_verdict("theorem1", _theorem1(a, b, rho))
 
 
 def check_mixed_limit(a: Observable, b: Observable, rho: QuantumState) -> RelationVerdict:
     """Completely mixed limit: both variances pin to the squared norms."""
     _require_qubit(a.dim, b.dim, rho.dim)
-    if rho.purity > 1e-12:
-        raise ValueError("mixed-limit check requires the completely mixed state")
-    lhs = variance_matrix(a, rho) + variance_matrix(b, rho)
-    rhs = a.norm2 + b.norm2
-    return _verdict("mixed_limit", lhs, rhs)
+    matrices = (a.matrix.array, b.matrix.array, rho.rho.array)
+    return _scalar_verdict("mixed_limit", _mixed_limit(a, b, rho, *matrices))
 
 
 def check_pure_limit(a: Observable, b: Observable, rho: QuantumState) -> RelationVerdict:
     """Pure-state form ΔAΔB >= |sqrt(a²-ΔA²) sqrt(b²-ΔB²) - g|."""
     _require_qubit(a.dim, b.dim, rho.dim)
-    if abs(rho.purity - 1.0) > 1e-9:
-        raise ValueError(f"pure-limit check requires |p|^2 = 1, got {rho.purity!r}")
-    sa = float(a.a @ rho.p)
-    sb = float(b.a @ rho.p)
-    # At |p| = 1 the variances are a2 - sa^2 = |a ^ p|^2 (wedge form,
-    # stable near alignment).
-    lhs = math.sqrt(_wedge_norm2(a.a, rho.p)) * math.sqrt(_wedge_norm2(b.a, rho.p))
-    rhs = abs(sa * sb - float(a.a @ b.a))
-    return _verdict("pure_limit", lhs, rhs)
+    return _scalar_verdict("pure_limit", _pure_limit(a, b, rho))
 
 
 def check_unit_vector_relation(theta_ab: float, da2: float, db2: float) -> RelationVerdict:
@@ -295,28 +477,13 @@ def check_three_observable_equality(theta_ab: float, rho: QuantumState) -> Relat
     is the meaningful flag for this equality.
     """
     _require_qubit(rho.dim)
-    if abs(rho.purity - 1.0) > 1e-9:
-        raise ValueError(f"equality requires a pure state, got |p|^2 = {rho.purity!r}")
-    if not -1e-12 <= theta_ab <= math.pi + 1e-12:
-        raise ValueError(f"theta_ab = {theta_ab!r} outside [0, pi]")
-    p = rho.p
-    u = float(p[0])
-    v = float(p[0] * math.cos(theta_ab) + p[1] * math.sin(theta_ab))
-    w = float(p[2])
-    da2 = max(1.0 - u * u, 0.0)
-    db2 = max(1.0 - v * v, 0.0)
-    dc2 = max(1.0 - w * w, 0.0)
-    sin2 = math.sin(theta_ab) ** 2
-    lhs = da2 + db2 + dc2 * sin2 + 2.0 * math.cos(theta_ab) * u * v
-    return _verdict("three_obs_equality", lhs, 2.0)
+    return _scalar_verdict("three_obs_equality", _three_observable_equality(theta_ab, rho))
 
 
 def check_appendix_b(rho: QuantumState) -> RelationVerdict:
     """Sum of the three axis variances equals 3 - |p|² for any qubit state."""
     _require_qubit(rho.dim)
-    x, y, z = _qubit_axes()
-    lhs = variance_matrix(x, rho) + variance_matrix(y, rho) + variance_matrix(z, rho)
-    return _verdict("appendix_b", lhs, 3.0 - rho.purity)
+    return _scalar_verdict("appendix_b", _appendix_b(rho, rho.rho.array))
 
 
 def check_appendix_c(
@@ -333,41 +500,15 @@ def check_appendix_c(
     """
     if a.dim != b.dim or a.dim != rho.dim or basis.dim != a.dim:
         raise DimensionMismatch("observables, state, and basis must share one dimension")
-    mean_a = float(a.a @ rho.p)
-    mean_b = float(b.a @ rho.p)
-    if abs(mean_a) > ZERO_MEAN_TOL or abs(mean_b) > ZERO_MEAN_TOL:
-        raise ValueError(
-            f"trade-off requires zero means, got <A> = {mean_a!r}, <B> = {mean_b!r}"
-        )
-    n = a.dim
-    x = variance_matrix(a, rho) - 2.0 * a.norm2 / n
-    y = variance_matrix(b, rho) - 2.0 * b.norm2 / n
-    x_vec = float(a.a_prime @ rho.p)
-    y_vec = float(b.a_prime @ rho.p)
-    if abs(x - x_vec) > 1e-11 or abs(y - y_vec) > 1e-11:
-        raise NumericsError(
-            f"shifted variances disagree between routes: {x!r} vs {x_vec!r}, "
-            f"{y!r} vs {y_vec!r}"
-        )
-    g_prime = float(a.a_prime @ b.a_prime)
-    # a'^2 p^2 - x^2 with x = a'.p is again a wedge norm; guaranteed
-    # nonnegative and cancellation-free.  The matrix-route x, y feed the
-    # right-hand side as stated.
-    lhs = _sqrt_checked(_wedge_norm2(a.a_prime, rho.p), "a'") * _sqrt_checked(
-        _wedge_norm2(b.a_prime, rho.p), "b'"
-    )
-    rhs = abs(x * y - g_prime * rho.purity)
-    return _verdict("appendix_c", lhs, rhs, tol=APPENDIX_C_TOL)
+    matrices = (a.matrix.array, b.matrix.array, rho.rho.array)
+    return _scalar_verdict("appendix_c", _appendix_c(a, b, rho, *matrices, a.dim), APPENDIX_C_TOL)
 
 
 def robertson_bound(a: Observable, b: Observable, rho: QuantumState) -> RelationVerdict:
     """Commutator baseline ΔAΔB >= |⟨[A, B]⟩| / 2, any dimension."""
     if a.dim != b.dim or a.dim != rho.dim:
         raise DimensionMismatch("operands must share one dimension")
-    lhs = math.sqrt(variance_matrix(a, rho) * variance_matrix(b, rho))
-    comm = a.matrix.array @ b.matrix.array - b.matrix.array @ a.matrix.array
-    rhs = 0.5 * abs(complex(np.einsum("ab,ba->", comm, rho.rho.array)))
-    return _verdict("robertson", lhs, rhs)
+    return _scalar_verdict("robertson", _robertson(a.matrix.array, b.matrix.array, rho.rho.array))
 
 
 def state_dependent_bound(
@@ -382,26 +523,10 @@ def state_dependent_bound(
     component of a mixture.
     """
     _require_qubit(a.dim, b.dim, psi.dim)
-    if abs(psi.purity - 1.0) > 1e-9:
-        raise NotApplicable(
-            "the bound needs a state orthogonal to the input, which no mixed "
-            "state admits"
-        )
-    w, vecs = np.linalg.eigh(psi.rho.array)
-    ket = vecs[:, -1]
-    ket_perp = vecs[:, 0]
-    am = a.matrix.array
-    bm = b.matrix.array
-    comm_expect = complex(ket.conj() @ ((am @ bm - bm @ am) @ ket))
-    if abs(comm_expect.real) > 1e-10:
-        raise NumericsError("commutator expectation is not purely imaginary")
-    lhs = variance_matrix(a, psi) + variance_matrix(b, psi)
-    verdicts = []
-    for sign in (1, -1):
-        term1 = (sign * 1j * comm_expect).real
-        amp = complex(ket.conj() @ ((am + sign * 1j * bm) @ ket_perp))
-        verdicts.append(_verdict("state_dependent", lhs, term1 + abs(amp) ** 2))
-    return tuple(verdicts)
+    lhs, (plus, minus), checks = _state_dependent(psi, a.matrix.array, b.matrix.array, psi.rho.array)
+    raise_first(checks)
+    lhs = float(lhs)
+    return _verdict("state_dependent", lhs, plus), _verdict("state_dependent", lhs, minus)
 
 
 def effective_axis_angle(a: Observable, b: Observable, rho: QuantumState) -> float:
@@ -446,10 +571,9 @@ def scan_pair_point(A: Observable, B: Observable, rho: QuantumState, index: int)
     """
     da2 = variance_bloch(A, rho, basis_for(2))
     db2 = variance_bloch(B, rho, basis_for(2))
-    margin = check_theorem1(A, B, rho).margin
-    if not margin >= _SCAN_MARGIN_FLOOR:  # also rejects NaN
-        raise NumericsError(f"sample {index} violates the qubit bound: {margin!r}")
-    return da2, db2, margin
+    values, checks = _scan_pair_point(da2, db2, check_theorem1(A, B, rho).margin, index)
+    raise_first(checks)
+    return values
 
 
 def scan_triple_point(theta_ab: float, rho: QuantumState, index: int) -> tuple:
@@ -460,9 +584,9 @@ def scan_triple_point(theta_ab: float, rho: QuantumState, index: int) -> tuple:
     ``NumericsError`` naming sample ``index``.
     """
     residual = check_three_observable_equality(theta_ab, rho).margin
-    if not abs(residual) <= _SURFACE_TOL:  # also rejects NaN
-        raise NumericsError(f"sample {index} misses the certainty surface: {residual!r}")
-    return (*map(float, _axis_triple(theta_ab, rho.p)[2]), residual)
+    values, checks = _scan_triple_point(theta_ab, rho, index, residual)
+    raise_first(checks)
+    return tuple(map(float, values))
 
 
 def db_span_given_da2(theta_ab: float, da2: float) -> tuple[float, float]:
@@ -513,20 +637,6 @@ def db_span_any_state(theta_ab: float) -> tuple[float, float]:
 # lanes forms (see the module docstring)
 
 
-_LaneVerdicts = tuple[np.ndarray, np.ndarray]  # (margins, bad)
-
-
-def _wedge_norm2_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    outer = u[:, :, None] * v[:, None, :]
-    diff = outer - outer.swapaxes(1, 2)
-    return 0.5 * np.einsum("nij,nij->n", diff, diff)
-
-
-def _sqrt_checked_batch(value: np.ndarray, bad: np.ndarray) -> np.ndarray:
-    bad |= value < _RADICAND_FLOOR
-    return np.sqrt(py_max(value, 0.0))
-
-
 def _outside(value, lo: float, hi: float) -> np.ndarray:
     # The negation of lo <= value <= hi, so NaN counts as outside.
     return ~((lo <= value) & (value <= hi))
@@ -536,22 +646,14 @@ def check_triangle_batch(a: ObservableBatch, b: ObservableBatch, rho: StateBatch
     """Lanes form of ``check_triangle``."""
     _require_qubit_rows(a, b, rho)
     theta_pa, theta_pb, theta_ab, bad = angles_batch(a, b, rho)
-    upper_slack = theta_pa + theta_pb - theta_ab
-    lower_slack = theta_ab - np.abs(theta_pa - theta_pb)
-    return np.where(upper_slack <= lower_slack, upper_slack, lower_slack), bad
+    lhs, rhs = _triangle(theta_pa, theta_pb, theta_ab)
+    return lhs - rhs, bad
 
 
 def check_theorem1_batch(a: ObservableBatch, b: ObservableBatch, rho: StateBatch) -> _LaneVerdicts:
     """Lanes form of ``check_theorem1``."""
     _require_qubit_rows(a, b, rho)
-    p2 = rho.purity
-    sa = row_dot(a.a, rho.p)
-    sb = row_dot(b.a, rho.p)
-    bad = (sa * sa > a.norm2 * p2 + 1e-10) | (sb * sb > b.norm2 * p2 + 1e-10)
-    lhs = _sqrt_checked_batch(_wedge_norm2_batch(a.a, rho.p), bad)
-    lhs = lhs * _sqrt_checked_batch(_wedge_norm2_batch(b.a, rho.p), bad)
-    rhs = np.abs(sa * sb - row_dot(a.a, b.a) * p2)
-    return lhs - rhs, bad
+    return _lane_verdicts(_theorem1(a, b, rho))
 
 
 def check_mixed_limit_batch(
@@ -559,9 +661,7 @@ def check_mixed_limit_batch(
 ) -> _LaneVerdicts:
     """Lanes form of ``check_mixed_limit``."""
     _require_qubit_rows(a, b, rho)
-    va, bad_a = variance_matrix_batch(a.matrix, rho.rho)
-    vb, bad_b = variance_matrix_batch(b.matrix, rho.rho)
-    return (va + vb) - (a.norm2 + b.norm2), (rho.purity > 1e-12) | bad_a | bad_b
+    return _lane_verdicts(_mixed_limit(a, b, rho, a.matrix, b.matrix, rho.rho))
 
 
 def check_pure_limit_batch(
@@ -569,12 +669,7 @@ def check_pure_limit_batch(
 ) -> _LaneVerdicts:
     """Lanes form of ``check_pure_limit``."""
     _require_qubit_rows(a, b, rho)
-    bad = np.abs(rho.purity - 1.0) > 1e-9
-    sa = row_dot(a.a, rho.p)
-    sb = row_dot(b.a, rho.p)
-    lhs = np.sqrt(_wedge_norm2_batch(a.a, rho.p)) * np.sqrt(_wedge_norm2_batch(b.a, rho.p))
-    rhs = np.abs(sa * sb - row_dot(a.a, b.a))
-    return lhs - rhs, bad
+    return _lane_verdicts(_pure_limit(a, b, rho))
 
 
 def check_unit_vector_relation_batch(
@@ -590,35 +685,16 @@ def check_unit_vector_relation_batch(
     return lhs - rhs, bad
 
 
-def _axis_triple(theta_ab: float, p: np.ndarray) -> tuple:
-    """u = a·p and v = b·p of the axis triple at θ_ab, and its three
-    variances [1 - u², 1 - v², 1 - w²] floored at 0, on Bloch rows ``p``
-    or one Bloch vector."""
-    u = p[..., 0]
-    v = p[..., 0] * math.cos(theta_ab) + p[..., 1] * math.sin(theta_ab)
-    return u, v, [py_max(1.0 - x * x, 0.0) for x in (u, v, p[..., 2])]
-
-
 def check_three_observable_equality_batch(theta_ab: float, rho: StateBatch) -> _LaneVerdicts:
     """Lanes form of ``check_three_observable_equality``."""
     _require_qubit_rows(rho)
-    bad = np.abs(rho.purity - 1.0) > 1e-9
-    if not -1e-12 <= theta_ab <= math.pi + 1e-12:
-        bad[:] = True
-    u, v, (da2, db2, dc2) = _axis_triple(theta_ab, rho.p)
-    sin2 = math.sin(theta_ab) ** 2
-    lhs = da2 + db2 + dc2 * sin2 + 2.0 * math.cos(theta_ab) * u * v
-    return lhs - 2.0, bad
+    return _lane_verdicts(_three_observable_equality(theta_ab, rho))
 
 
 def check_appendix_b_batch(rho: StateBatch) -> _LaneVerdicts:
     """Lanes form of ``check_appendix_b``."""
     _require_qubit_rows(rho)
-    (vx, bad_x), (vy, bad_y), (vz, bad_z) = (
-        variance_matrix_batch(np.broadcast_to(axis.matrix.array, rho.rho.shape), rho.rho)
-        for axis in _qubit_axes()
-    )
-    return vx + vy + vz - (3.0 - rho.purity), bad_x | bad_y | bad_z
+    return _lane_verdicts(_appendix_b(rho, rho.rho))
 
 
 def check_appendix_c_batch(
@@ -629,35 +705,14 @@ def check_appendix_c_batch(
     n = basis.dim
     if {a.matrix.shape[1], b.matrix.shape[1], rho.rho.shape[1]} != {n}:
         raise DimensionMismatch("observables, state, and basis must share one dimension")
-    bad = np.abs(row_dot(a.a, rho.p)) > ZERO_MEAN_TOL
-    bad |= np.abs(row_dot(b.a, rho.p)) > ZERO_MEAN_TOL
-    va, bad_a = variance_matrix_batch(a.matrix, rho.rho)
-    vb, bad_b = variance_matrix_batch(b.matrix, rho.rho)
-    x = va - 2.0 * a.norm2 / n
-    y = vb - 2.0 * b.norm2 / n
-    bad |= bad_a | bad_b
-    bad |= np.abs(x - row_dot(a.a_prime, rho.p)) > 1e-11
-    bad |= np.abs(y - row_dot(b.a_prime, rho.p)) > 1e-11
-    # _wedge_norm2 row by row: the stacked einsum sums in another order
-    # at N = 10.
-    wedge_a = np.array([_wedge_norm2(u, p) for u, p in zip(a.a_prime, rho.p)])
-    wedge_b = np.array([_wedge_norm2(u, p) for u, p in zip(b.a_prime, rho.p)])
-    lhs = _sqrt_checked_batch(wedge_a, bad) * _sqrt_checked_batch(wedge_b, bad)
-    rhs = np.abs(x * y - row_dot(a.a_prime, b.a_prime) * rho.purity)
-    return lhs - rhs, bad
+    return _lane_verdicts(_appendix_c(a, b, rho, a.matrix, b.matrix, rho.rho, n))
 
 
 def robertson_bound_batch(a: ObservableBatch, b: ObservableBatch, rho: StateBatch) -> _LaneVerdicts:
     """Lanes form of ``robertson_bound``, any dimension."""
     if len({a.matrix.shape[-1], b.matrix.shape[-1], rho.rho.shape[-1]}) != 1:
         raise DimensionMismatch("operands must share one dimension")
-    va, bad_a = variance_matrix_batch(a.matrix, rho.rho)
-    vb, bad_b = variance_matrix_batch(b.matrix, rho.rho)
-    lhs = np.sqrt(va * vb)
-    comm = a.matrix @ b.matrix
-    comm -= b.matrix @ a.matrix
-    rhs = 0.5 * per_element(abs, np.einsum("nab,nba->n", comm, rho.rho))
-    return lhs - rhs, bad_a | bad_b
+    return _lane_verdicts(_robertson(a.matrix, b.matrix, rho.rho))
 
 
 def state_dependent_bound_batch(
@@ -665,21 +720,8 @@ def state_dependent_bound_batch(
 ) -> _LaneVerdicts:
     """Lanes form of ``state_dependent_bound``: a column per sign."""
     _require_qubit_rows(a, b, psi)
-    vecs = np.linalg.eigh(psi.rho)[1]
-    ket = vecs[:, :, -1:]
-    bra = ket.conj().swapaxes(1, 2)
-    am = a.matrix
-    bm = b.matrix
-    comm_expect = (bra @ ((am @ bm - bm @ am) @ ket))[:, 0, 0]
-    va, bad_a = variance_matrix_batch(am, psi.rho)
-    vb, bad_b = variance_matrix_batch(bm, psi.rho)
-    bad = (np.abs(psi.purity - 1.0) > 1e-9) | (np.abs(comm_expect.real) > 1e-10) | bad_a | bad_b
-    margins = []
-    for sign in (1, -1):
-        term1 = per_element(lambda c: (sign * 1j * c).real, comm_expect)
-        amp = (bra @ ((am + sign * 1j * bm) @ vecs[:, :, :1]))[:, 0, 0]
-        margins.append((va + vb) - (term1 + per_element(lambda c: abs(c) ** 2, amp)))
-    return np.column_stack(margins), bad
+    lhs, rhs, checks = _state_dependent(psi, a.matrix, b.matrix, psi.rho)
+    return np.column_stack([lhs - side for side in rhs]), failures(checks)
 
 
 def effective_axis_angle_batch(
@@ -713,16 +755,15 @@ def scan_pair_point_batch(
     """Lanes form of ``scan_pair_point``: A and B fixed, a row of rho and
     index a sample; a column each for ΔA², ΔB² and the margin."""
     a, b = (repeat_observable(obs, rho.p.shape[0]) for obs in (A, B))
-    da2, bad_a = variance_bloch_batch(a, rho)
-    db2, bad_b = variance_bloch_batch(b, rho)
+    (da2, bad_a), (db2, bad_b) = (variance_bloch_batch(obs, rho) for obs in (a, b))
     margin, bad = check_theorem1_batch(a, b, rho)
-    bad = bad | bad_a | bad_b | ~(margin >= _SCAN_MARGIN_FLOOR)
-    return np.column_stack((da2, db2, margin)), bad
+    values, checks = _scan_pair_point(da2, db2, margin, index)
+    return np.column_stack(values), bad | bad_a | bad_b | failures(checks)
 
 
 def scan_triple_point_batch(theta_ab: float, rho: StateBatch, index: np.ndarray) -> _LaneVerdicts:
     """Lanes form of ``scan_triple_point``: a column each for ΔA², ΔB²,
     ΔC² and the residual."""
     residual, bad = check_three_observable_equality_batch(theta_ab, rho)
-    bad = bad | ~(np.abs(residual) <= _SURFACE_TOL)
-    return np.column_stack((*_axis_triple(theta_ab, rho.p)[2], residual)), bad
+    values, checks = _scan_triple_point(theta_ab, rho, index, residual)
+    return np.column_stack(values), bad | failures(checks)

@@ -20,7 +20,12 @@ makes it a basis-corruption detector as much as a convenience.
 ``variance_matrix_batch``, ``variance_bloch_batch`` and ``angles_batch``
 are the lanes forms the batched engine uses, at any N: every check runs
 per row and marks failing rows in a returned ``bad`` mask instead of
-raising.
+raising.  ``variance_matrix`` and its lanes form are one function over
+(..., N, N) matrices, ``_variance_matrix``, which returns the floored
+variance and its check as ``relations``' shared functions do, and which
+they call.  ``variance_bloch`` and ``vector_angle`` keep a body each
+beside their lanes forms: they take a few microseconds a call, and a
+shared function's fixed cost adds more than a tenth to that.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import numpy as np
 
 from .bloch import Observable, ObservableBatch, QuantumState, StateBatch
 from .errors import DimensionMismatch, NumericsError, UndefinedAngle
-from .linalg import per_element, py_max, py_min, row_dot
+from .linalg import failures, per_element, py_max, py_min, raise_first, row_dot
 from .sun_basis import GeneratorBasis
 
 __all__ = [
@@ -135,30 +140,50 @@ def _finalize(value: float) -> float:
     return max(value, 0.0)
 
 
+def _second_moment(am: np.ndarray, rm: np.ndarray) -> np.ndarray:
+    # Tr[A² rho] of (..., N, N) matrices, A broadcast against rho.  On a
+    # stack the three-operand einsum runs on blocks of rows of about
+    # 1,024 elements: above that its iterator's buffers grow to 8,192
+    # elements an operand (384 KB for three complex ones).
+    if rm.ndim == 2:
+        return _trace_a2_rho(am, rm)
+    if am.ndim == 2:
+        am = np.broadcast_to(am, rm.shape)
+    step = max(1, 1024 // rm.shape[-1] ** 3)
+    second = np.empty(len(rm))
+    for start in range(0, len(rm), step):
+        rows = slice(start, start + step)
+        second[rows] = _trace_a2_rho(am[rows], rm[rows])
+    return second
+
+
+def _trace_a2_rho(am: np.ndarray, rm: np.ndarray) -> np.ndarray:
+    return np.einsum("...ab,...bc,...ca->...", am, am, rm).real
+
+
+def _variance_matrix(am: np.ndarray, rm: np.ndarray) -> tuple:
+    # ΔA² from the defining traces, floored at 0, and its check.
+    mean = np.einsum("...ab,...ba", am, rm).real
+    value = _second_moment(am, rm) - mean * mean
+    return py_max(value, 0.0), [
+        (value >= _NEGATIVE_VARIANCE_FLOOR, NumericsError,
+         "variance {} negative beyond round-off", value),
+    ]
+
+
 def variance_matrix(a: Observable, rho: QuantumState) -> float:
     """ΔA² from the defining traces."""
     _check_dims(a, rho)
-    am = a.matrix.array
-    rm = rho.rho.array
-    second = np.einsum("ab,bc,ca->", am, am, rm).real
-    mean = np.einsum("ab,ba->", am, rm).real
-    return _finalize(float(second - mean * mean))
+    value, checks = _variance_matrix(a.matrix.array, rho.rho.array)
+    raise_first(checks)
+    return float(value)
 
 
 def variance_matrix_batch(am: np.ndarray, rm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lanes form of ``variance_matrix`` on (n, N, N) observable and state
     matrices; returns ``(variances, bad)``."""
-    # The three-operand einsum runs on blocks of rows of about 1,024
-    # elements: above that its iterator's buffers grow to 8,192 elements
-    # an operand (384 KB for three complex ones).
-    step = max(1, 1024 // am.shape[1] ** 3)
-    second = np.empty(len(am))
-    for start in range(0, len(am), step):
-        rows = slice(start, start + step)
-        second[rows] = np.einsum("nab,nbc,nca->n", am[rows], am[rows], rm[rows]).real
-    mean = np.einsum("nab,nba->n", am, rm).real
-    value = second - mean * mean
-    return py_max(value, 0.0), value < _NEGATIVE_VARIANCE_FLOOR
+    value, checks = _variance_matrix(am, rm)
+    return value, failures(checks)
 
 
 def variance_bloch(a: Observable, rho: QuantumState, basis: GeneratorBasis) -> float:
@@ -201,12 +226,16 @@ def _checked_cos(dot: float, norm_u: float, norm_v: float) -> float:
 def vector_angle(u, v) -> float:
     """Angle between two real vectors, in [0, π].
 
-    Raises ``UndefinedAngle`` for a zero-norm operand.
+    Raises ``ValueError`` for operands whose norms do not have a finite
+    product (a non-finite entry, or an overflow), and ``UndefinedAngle``
+    for a zero-norm operand.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     nu = float(np.linalg.norm(u))
     nv = float(np.linalg.norm(v))
+    if not nu * nv < math.inf:  # also catches NaN
+        raise ValueError(f"angle undefined for norms {nu!r} and {nv!r}: their product must be finite")
     if nu < _ZERO_NORM or nv < _ZERO_NORM:
         raise UndefinedAngle("angle undefined for a zero-norm vector")
     return math.acos(_checked_cos(float(u @ v), nu, nv))
@@ -236,7 +265,7 @@ def _vector_angle_batch(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.nd
     # Lanes form of vector_angle(u[i], v[i]) with _checked_cos.
     nu = np.sqrt(row_dot(u, u))
     nv = np.sqrt(row_dot(v, v))
-    bad = (nu < _ZERO_NORM) | (nv < _ZERO_NORM)
+    bad = ~(nu * nv < math.inf) | (nu < _ZERO_NORM) | (nv < _ZERO_NORM)
     c = row_dot(u, v) / (nu * nv)
     bad |= np.abs(c) > 1.0 + _COS_EXCESS
     return per_element(math.acos, py_min(1.0, py_max(-1.0, c))), bad

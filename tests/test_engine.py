@@ -185,7 +185,7 @@ def test_relation_dims_are_the_n_their_checkers_admit(dim):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # bad rows on purpose
-@pytest.mark.parametrize("dim", [2, 3, 6])
+@pytest.mark.parametrize("dim", [2, 3, 6, 10])
 def test_twins_flag_exactly_the_rows_their_scalars_reject(dim):
     # Every public (X, X_batch) pair on one chunk: both raise
     # DimensionMismatch, or the twin's bad rows are the rows where X
@@ -205,6 +205,67 @@ def test_twins_flag_exactly_the_rows_their_scalars_reject(dim):
         if not isinstance(plain, tuple):  # effective_axis_angle's angles
             plain, marked = (plain,), (marked,)
         assert [x.tobytes() for x in plain] == [x.tobytes() for x in marked], name
+
+
+# The private function that holds each pair's formula and checks, which
+# the scalar checker and its lanes twin both call, and the pairs whose
+# scalar and twin keep a body each: on one sample, a shared function's
+# per-call overhead costs those few-microsecond checkers more than 10 %.
+_SHARED = {
+    "check_triangle": "_triangle",
+    "check_theorem1": "_theorem1",
+    "check_mixed_limit": "_mixed_limit",
+    "check_pure_limit": "_pure_limit",
+    "check_three_observable_equality": "_three_observable_equality",
+    "check_appendix_b": "_appendix_b",
+    "check_appendix_c": "_appendix_c",
+    "robertson_bound": "_robertson",
+    "state_dependent_bound": "_state_dependent",
+    "scan_pair_point": "_scan_pair_point",
+    "scan_triple_point": "_scan_triple_point",
+}
+_TWINNED = {"check_unit_vector_relation", "effective_axis_angle", "check_unit_vector_state"}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # bad rows on purpose
+@pytest.mark.parametrize("name", sorted(_SHARED))
+def test_scalar_and_twin_call_one_function(monkeypatch, name):
+    # A spy on the shared function: the scalar checker, on one row's
+    # objects, and its twin, on the rows, must both reach it.
+    pairs = {n for n in relations.__all__ if n + "_batch" in relations.__all__}
+    assert set(_SHARED) | _TWINNED == pairs and not set(_SHARED) & _TWINNED
+    lanes, rows = _twin_operands(2, n=3)
+    shared = getattr(relations, _SHARED[name])
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return shared(*args)
+
+    monkeypatch.setattr(relations, _SHARED[name], spy)
+    args, key = _twin_args(name, lanes)
+    try:  # row 0 may fail a precondition after the shared call
+        getattr(relations, name)(**{p: rows[0].get(key.get(p, p), args[p]) for p in args})
+    except (ValueError, ArithmeticError):
+        pass
+    alone, calls[:] = len(calls), []
+    getattr(relations, name + "_batch")(**args)
+    assert alone and calls
+
+
+def test_variance_matrix_and_its_twin_call_one_function(monkeypatch):
+    lanes, rows = _twin_operands(3, n=3)
+    shared = variance._variance_matrix
+    calls = []
+
+    def spy(am, rm):
+        calls.append(rm.ndim)
+        return shared(am, rm)
+
+    monkeypatch.setattr(variance, "_variance_matrix", spy)
+    variance.variance_matrix(rows[0]["a"], rows[0]["rho"])
+    variance.variance_matrix_batch(lanes["a"].matrix, lanes["rho"].rho)
+    assert calls == [2, 3]
 
 
 def _nan_where_x_above(checker, x):
@@ -811,8 +872,12 @@ def test_lanes_reject_bad_seeds_and_streams():
 # Tightened tolerances make some streams fail a check: the engine must
 # raise what the per-stream loop raises, for the same stream.  A raised
 # _MIN_NORM makes observable draws fail (theorem1 draws its state first,
-# mixed-limit none).  The last entry fails every stream (in the recipe,
-# before any lane is drawn).
+# mixed-limit none).  The entries of relations' own tolerances fail the
+# checkers' checks: the purity window of the three pure-state relations
+# (ValueError, and NotApplicable for state-dependent), theorem1's slack
+# on (a·p)² <= |a|²|p|², and the real part of state-dependent's
+# commutator.  The last entry fails every stream (in the recipe, before
+# any lane is drawn).
 _FAILURES = [
     (bloch, "PSD_EIGENVALUE_FLOOR", 0.0, "pure-limit"),
     (bloch, "_CONSISTENCY_ATOL", 1e-15, "theorem1"),
@@ -821,6 +886,11 @@ _FAILURES = [
     (variance, "_ZERO_NORM", 0.3, "triangle"),
     (variance, "_COS_EXCESS", -0.01, "triangle"),
     (relations, "_RADICAND_FLOOR", 0.01, "theorem1"),
+    (relations, "_PURITY_ATOL", 1e-15, "pure-limit"),
+    (relations, "_PURITY_ATOL", 1e-15, "three-obs-equality"),
+    (relations, "_PURITY_ATOL", 1e-15, "state-dependent"),
+    (relations, "_NORM_SLACK", -0.01, "theorem1"),
+    (relations, "_REAL_COMMUTATOR_ATOL", 1e-16, "state-dependent"),
     (sampling, "_MIN_NORM", 0.6, "theorem1"),
     (sampling, "_MIN_NORM", 0.6, "mixed-limit"),
     (linalg, "HERMITICITY_ATOL", -1.0, "mixed-limit"),
@@ -860,8 +930,9 @@ def test_first_failing_stream_raises_scalar_error(module, name, value, relation)
 # observables raise ValueError, a raised _MIN_NORM makes observable
 # draws raise NumericsError, one or two tries raise RuntimeError for
 # each stream whose tries are all rejected (with two, a lane rejected in
-# round 1 has one try left in round 2), and a variance floor makes the
-# check raise after the draw.
+# round 1 has one try left in round 2), and a variance floor and a tight
+# agreement of the shifted variances' two routes make the check raise
+# after the draw.
 _QUDIT_DRAW_FAILURES = [
     (bloch, "PSD_EIGENVALUE_FLOOR", 0.01, 3),
     (bloch, "_TRACE_ATOL", 1e-16, 3),
@@ -870,7 +941,10 @@ _QUDIT_DRAW_FAILURES = [
     (engine, "_APPENDIX_C_TRIES", 1, 3),
     (engine, "_APPENDIX_C_TRIES", 2, 6),
 ]
-_QUDIT_FAILURES = _QUDIT_DRAW_FAILURES + [(variance, "_NEGATIVE_VARIANCE_FLOOR", 0.25, 6)]
+_QUDIT_FAILURES = _QUDIT_DRAW_FAILURES + [
+    (variance, "_NEGATIVE_VARIANCE_FLOOR", 0.25, 6),
+    (relations, "_ROUTES_ATOL", 3e-16, 3),
+]
 
 
 @pytest.mark.parametrize("tries", _TRIES)
@@ -1362,9 +1436,9 @@ def test_batched_einsums_are_bit_identical(inputs, basis2):
     assert np.array_equal(
         np.einsum("nab,nba->n", h, rho), _each(lambda a, r: np.einsum("ab,ba->", a, r), h, rho)
     )
-    assert np.array_equal(
-        relations._wedge_norm2_batch(u, v), _each(relations._wedge_norm2, u, v)
-    )
+    # One function on the stack and on each row: the qubit checkers'
+    # wedge, whose stacked einsum sums each row as the einsum of one.
+    assert np.array_equal(relations._wedge_norm2(u, v), _each(relations._wedge_norm2, u, v))
 
 
 def test_stacked_linalg_is_bit_identical(inputs):

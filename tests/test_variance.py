@@ -26,6 +26,7 @@ from blochvar import (
     variance_report,
     vector_angle,
 )
+from blochvar import variance
 from blochvar.sampling import OBSERVABLE, XoshiroLanes, draw_batches
 from blochvar.variance import variance_bloch_batch, variance_matrix_batch
 from conftest import random_hermitian
@@ -156,6 +157,25 @@ def test_angles_reject_completely_mixed(basis2):
 def test_vector_angle_zero_norm():
     with pytest.raises(UndefinedAngle):
         vector_angle([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+
+
+# A NaN or infinite entry, and entries whose squares overflow (the angle
+# to the x axis is pi/4): none has an angle computable in floats.
+_NON_FINITE = [[math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0], [1e300, 1e300, 0.0]]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow
+def test_vector_angle_rejects_norms_without_a_finite_product():
+    for u in _NON_FINITE:
+        with pytest.raises(ValueError, match="product must be finite") as raised:
+            vector_angle(u, [1.0, 0.0, 0.0])
+        assert type(raised.value) is ValueError
+    # The lanes form flags the same rows, and no other.
+    u = np.array(_NON_FINITE + [[1.0, 1.0, 0.0]])
+    with np.errstate(all="ignore"):
+        theta, bad = variance._vector_angle_batch(u, np.tile([1.0, 0.0, 0.0], (4, 1)))
+    assert bad.tolist() == [True, True, True, False]
+    assert theta[3] == vector_angle(u[3], [1.0, 0.0, 0.0])
 
 
 def test_pair_geometry_qubit(basis2):

@@ -8,7 +8,12 @@ the package's imports are relative, then times, in interleaved rounds:
 - ``state_from_matrix`` of that matrix;
 - ``observable_from_bloch`` of a unit vector;
 - one criterion-3 sample: a pure or mixed state, two observables and
-  ``check_theorem1``, averaged over streams 0..199 of seed 7.
+  ``check_theorem1``, averaged over streams 0..199 of seed 7;
+- each public scalar checker of ``relations``, and ``variance_matrix``,
+  ``variance_bloch`` and ``vector_angle``, on fixed operands drawn from
+  seed 7: the qubit checkers at N = 2 (a mixed state, or the pure or
+  completely mixed one the checker requires), and ``check_appendix_c``
+  (an accepted appendix-c draw) and ``robertson_bound`` at N = 3.
 
 Timings taken in separate processes drift far more between runs than
 the difference between two nearby trees, so both trees run in every
@@ -35,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-_CALLS = 1000  # calls of a constructor per round
+_CALLS = 1000  # calls of a constructor or checker per round
 _SAMPLES = 200  # criterion-3 samples per round
 
 
@@ -77,12 +82,52 @@ def workloads(bv):
             s = draw(rng, basis)
             bv.check_theorem1(bv.draw_observable(rng, basis), bv.draw_observable(rng, basis), s)
 
-    return {
+    timed = {
         "HermitianMatrix": (hermitian, _CALLS),
         "state_from_matrix": (state, _CALLS),
         "observable_from_bloch": (observable, _CALLS),
         "criterion-3 sample": (criterion3, _SAMPLES),
     }
+    for name, (fn, args) in _checker_operands(bv).items():
+        timed[name] = (_repeated(fn, args), _CALLS)
+    return timed
+
+
+def _checker_operands(bv):
+    """name -> (scalar checker, its fixed operands)."""
+    r = bv.relations
+    basis, basis3 = bv.basis_for(2), bv.basis_for(3)
+    rng = bv.Xoshiro256pp(7, stream=1)
+    a, b = bv.draw_observable(rng, basis), bv.draw_observable(rng, basis)
+    mixed, pure = bv.draw_mixed(rng, basis), bv.draw_pure(rng, basis)
+    a3, b3, zero_means = bv.engine._appendix_c_draw(bv.Xoshiro256pp(7, stream=2), basis3, 2)
+    return {
+        "check_triangle": (r.check_triangle, (a, b, mixed)),
+        "check_theorem1": (r.check_theorem1, (a, b, mixed)),
+        "check_mixed_limit": (r.check_mixed_limit, (a, b, bv.completely_mixed(basis))),
+        "check_pure_limit": (r.check_pure_limit, (a, b, pure)),
+        "check_unit_vector_relation": (r.check_unit_vector_relation, (1.1, 0.3, 0.6)),
+        "check_three_obs_equality": (r.check_three_observable_equality, (1.1, pure)),
+        "check_appendix_b": (r.check_appendix_b, (mixed,)),
+        "check_appendix_c N=3": (r.check_appendix_c, (a3, b3, zero_means, basis3)),
+        "robertson_bound N=3": (r.robertson_bound, (a3, b3, bv.draw_mixed(rng, basis3))),
+        "state_dependent_bound": (r.state_dependent_bound, (a, b, pure)),
+        "check_unit_vector_state": (r.check_unit_vector_state, (a, b, pure)),
+        "effective_axis_angle": (r.effective_axis_angle, (a, b, pure)),
+        "scan_pair_point": (r.scan_pair_point, (a, b, mixed, 0)),
+        "scan_triple_point": (r.scan_triple_point, (1.1, pure, 0)),
+        "variance_matrix": (bv.variance_matrix, (a, mixed)),
+        "variance_bloch": (bv.variance_bloch, (a, mixed, basis)),
+        "vector_angle": (bv.vector_angle, (a.a, b.a)),
+    }
+
+
+def _repeated(fn, args):
+    def run():
+        for _ in range(_CALLS):
+            fn(*args)
+
+    return run
 
 
 def _quartiles(xs):
@@ -110,13 +155,13 @@ def main(argv=None) -> int:
                 fn()
                 times[side][name].append((time.process_time() - start) / calls * 1e6)
     print(f"medians of {args.rounds} interleaved rounds, us per call")
-    print(f"{'workload':<24}{'parent':>9}{'change':>9}{'parent IQR':>16}{'paired ratio, IQR':>26}")
+    print(f"{'workload':<28}{'parent':>9}{'change':>9}{'parent IQR':>16}{'paired ratio, IQR':>26}")
     for name in trees["parent"]:
         a, b = times["parent"][name], times["change"][name]
         lo, hi = _quartiles(a)
         ratios = [y / x for x, y in zip(a, b)]
         rlo, rhi = _quartiles(ratios)
-        print(f"{name:<24}{statistics.median(a):9.2f}{statistics.median(b):9.2f}"
+        print(f"{name:<28}{statistics.median(a):9.2f}{statistics.median(b):9.2f}"
               f"{lo:8.2f}-{hi:<7.2f}{statistics.median(ratios):11.3f} {rlo:.3f}-{rhi:.3f}")
     return 0
 
