@@ -26,16 +26,24 @@ and ``observable_from_bloch_batch`` mark the rows that fail in ``bad``
 instead, and the caller replays the first bad row on the scalar path,
 which raises the scalar exception.  Rows that pass are bit-identical to
 the scalar objects, and ``batch_states`` wraps them as such without
-running the checks again.  The smallest eigenvalue takes the closed
-form at N = 2 and ``eigvalsh`` otherwise.  It and |Tr A| are numpy's
-``hypot`` and ``abs``, not libm's, which can differ in the last bit:
-they feed only the checks' flags and messages, never a margin.
+running the checks again.
+
+Two checks take a closed form at N = 2, the qubit hot path: the
+smallest eigenvalue (``eigvalsh`` otherwise), and the a' check, whose
+reference is the Pauli coefficients of A² - Tr[A²]/2 I, with t = Tr A
+(Re A01 t, -Im A01 t, (A00 - A11) t / 2), where above N = 2 it squares
+A and decomposes A² (``trace_rows`` on a stack).  The smallest
+eigenvalue and |Tr A| are numpy's ``hypot`` and ``abs``, not libm's,
+which can differ in the last bit.  These values feed only the checks'
+flags and messages, never a margin, so a closed form need only agree
+with the general route to round-off (tests/test_bloch.py pins the a'
+one against it, tests/test_oracle.py both against 50 digits).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -137,11 +145,21 @@ def _observable_checks(matrix: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, l
 
 def _prime_checks(arr: np.ndarray, a_prime: np.ndarray, dim: int, traces) -> list:
     # Independent route: a' is the coefficient vector of the traceless
-    # part of A^2.  traces(m) gives the Tr[m g_j]: the dense einsum for
-    # one matrix, which is cheaper there, and trace_rows for a stack.
-    sq = arr @ arr
-    sq -= (sq.trace(axis1=-2, axis2=-1).real / dim)[..., None, None] * _eye(dim)
-    err = np.abs(a_prime - 0.5 * traces(sq).real).max(axis=-1, initial=0.0)
+    # part of A^2.  At N = 2, with t = Tr A, that is (Re A01 t, -Im A01 t,
+    # (A00 - A11) t / 2) for Hermitian A.  Otherwise A is squared, and
+    # traces(m) gives the Tr[m g_j]: the dense einsum for one matrix,
+    # which is cheaper there, and trace_rows for a stack.
+    if dim == 2:
+        t = arr[..., 0, 0] + arr[..., 1, 1]
+        off = arr[..., 0, 1] * t
+        ref = np.empty(a_prime.shape)  # filled in place: np.stack costs more on one matrix
+        ref[..., 0], ref[..., 1] = off.real, -off.imag
+        ref[..., 2] = (0.5 * (arr[..., 0, 0] - arr[..., 1, 1]) * t).real
+    else:
+        sq = arr @ arr
+        sq -= (sq.trace(axis1=-2, axis2=-1).real / dim)[..., None, None] * _eye(dim)
+        ref = 0.5 * traces(sq).real
+    err = np.abs(a_prime - ref).max(axis=-1, initial=0.0)
     return [(err <= _CONSISTENCY_ATOL,
              "contracted vector disagrees with the A^2 decomposition by {:.3e}", err)]
 
@@ -168,7 +186,7 @@ class QuantumState:
         raise_first(_state_checks(self.rho.array, self.p, self.dim), UnphysicalState)
         object.__setattr__(self, "p", _frozen(self.p))
 
-    @property
+    @cached_property
     def purity(self) -> float:
         """Squared Bloch-vector norm |p|²."""
         return float(self.p @ self.p)
@@ -200,12 +218,12 @@ class Observable:
         object.__setattr__(self, "a", _frozen(self.a))
         object.__setattr__(self, "a_prime", _frozen(self.a_prime))
 
-    @property
+    @cached_property
     def norm2(self) -> float:
         """|a|² = Tr[A²]/2."""
         return float(self.a @ self.a)
 
-    @property
+    @cached_property
     def prime_norm2(self) -> float:
         """|a'|² = (Tr[A⁴] - Tr[A²]²/N)/2."""
         return float(self.a_prime @ self.a_prime)
@@ -369,8 +387,11 @@ def observable_from_bloch_batch(vec: np.ndarray, basis: GeneratorBasis) -> Obser
     return ObservableBatch(matrix, vec, a_prime, norm2, bad)
 
 
+@cache
 def completely_mixed(basis: GeneratorBasis) -> QuantumState:
-    """The maximally mixed state I/N."""
+    """The maximally mixed state I/N, one object per basis: it is
+    immutable, so it is built, and checked, once, when it is first
+    asked for."""
     return state_to_matrix(np.zeros(basis.n_generators), basis)
 
 

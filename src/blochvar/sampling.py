@@ -11,7 +11,13 @@ bit:
 * Stream seeding: stream ``k`` of seed ``s`` takes its four state words
   from outputs ``4k .. 4k+3`` of the **splitmix64** sequence seeded with
   ``s`` (splitmix64 state advances by 0x9E3779B97F4A7C15 per output, so
-  stream starts are O(1) and never overlap).
+  stream starts are O(1) and never overlap).  Word ``w`` is the
+  splitmix64 mix of state ``s + (4k + w + 1) * 0x9E3779B97F4A7C15``
+  (mod 2⁶⁴), computed directly, not by stepping, so ``XoshiroLanes``
+  mixes the four words of all its lanes in one pass over a (4, lanes)
+  array, and both generators share the mixer (``_sm64``).  A stream whose
+  four words are all zero, a state xoshiro cannot leave, would take
+  0x9E3779B97F4A7C15 as its first word.
 * Uniforms: ``(next_u64() >> 11) * 2**-53`` in [0, 1).
 * Gaussians: **Box-Muller** on uniform pairs ``(u1, u2)`` with
   ``r = sqrt(-2 ln(1 - u1))``, yielding ``r cos(2π u2)`` then
@@ -129,13 +135,17 @@ ENGINE_CHUNK = 2048
 _CHUNK_ENTRIES = 49_152
 
 
-def _sm64(state: int) -> tuple[int, int]:
-    """One splitmix64 step: returns (output, advanced state)."""
-    state = (state + _SM_GAMMA) & _M64
-    z = state
+# (w + 1) GAMMA, as uint64, for word w of a stream (see _sm64).
+_SM_OFFSETS = np.array([[(w + 1) * _SM_GAMMA & _M64] for w in range(4)], dtype=np.uint64)
+
+
+def _sm64(z):
+    """The splitmix64 output of state z, a Python int or a uint64 array.
+    Word w of stream k of seed s is the output of state s + (4k + w + 1)
+    GAMMA (mod 2**64): outputs 4k .. 4k + 3 of the sequence seeded with s."""
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-    return z ^ (z >> 31), state
+    return z ^ (z >> 31)
 
 
 class Xoshiro256pp:
@@ -152,11 +162,7 @@ class Xoshiro256pp:
             raise ValueError("seed must be an unsigned 64-bit integer")
         if stream < 0:
             raise ValueError("stream index must be nonnegative")
-        state = (seed + 4 * stream * _SM_GAMMA) & _M64
-        words = []
-        for _ in range(4):
-            out, state = _sm64(state)
-            words.append(out)
+        words = [_sm64((seed + (4 * stream + w + 1) * _SM_GAMMA) & _M64) for w in range(4)]
         if not any(words):
             words[0] = _SM_GAMMA  # the all-zero state is invalid for xoshiro
         self._s0, self._s1, self._s2, self._s3 = words
@@ -222,15 +228,10 @@ class XoshiroLanes:
         streams = streams.astype(np.int64, copy=False)
         if streams.size and streams.min() < 0:
             raise ValueError("stream index must be nonnegative")
-        # splitmix64 state seed + 4 k GAMMA, in wrapping uint64 arithmetic.
-        state = np.uint64(seed) + streams.astype(np.uint64) * np.uint64(4 * _SM_GAMMA & _M64)
-        words = []
-        for _ in range(4):
-            state = state + _SM_GAMMA
-            z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9
-            z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-            words.append(z ^ (z >> 31))
-        self._s = np.stack(words)
+        # The four words of every lane in one pass, in wrapping uint64
+        # arithmetic (see _sm64).
+        state = streams.astype(np.uint64) * np.uint64(4 * _SM_GAMMA & _M64) + np.uint64(seed)
+        self._s = _sm64(state + _SM_OFFSETS)
         self._s[0, ~self._s.any(axis=0)] = _SM_GAMMA  # the all-zero state is invalid
         self.streams = streams
 
@@ -523,43 +524,40 @@ def draw_batches(plan, rng: XoshiroLanes, basis: GeneratorBasis) -> list:
     builds every observable of the plan: its kernels work row by row, so
     each row is what its own call gives."""
     lanes = rng.streams.size
-    pure = {
-        i: _pure_streams(kind, rng.streams)
-        for i, kind in enumerate(plan)
-        if kind not in (OBSERVABLE, "maximally_mixed")
-    }
     widths = plan_widths(plan, basis.dim)
     runs = np.split(rng.gaussians(sum(widths)), np.cumsum(widths)[:-1], axis=1)
     n = basis.n_generators
-    norms = {
-        i: np.sqrt(row_dot(runs[i][:, :n], runs[i][:, :n]))
+    observables = [i for i, kind in enumerate(plan) if kind == OBSERVABLE]
+    vec = np.array([runs[i][:, :n] for i in observables]).reshape(-1, n)
+    norm = np.sqrt(row_dot(vec, vec))
+    vec /= norm[:, None]
+    states = {
+        i: _complex_pairs(runs[i])
         for i, kind in enumerate(plan)
-        if kind == OBSERVABLE
+        if kind not in (OBSERVABLE, "maximally_mixed")
     }
-    gaussians = {i: _complex_pairs(runs[i]) for i in pure}
-    vec = np.empty((len(norms) * lanes, n))
-    for k, (i, norm) in enumerate(norms.items()):
-        np.divide(runs[i][:, :n], norm[:, None], out=vec[k * lanes : (k + 1) * lanes])
     del runs  # freed before the checks allocate theirs
-    out = [
-        repeat_state(completely_mixed(basis), lanes) if kind == "maximally_mixed" else None
-        for kind in plan
-    ]
-    for i in pure:
-        out[i] = _state_rows(gaussians.pop(i).reshape(-1, basis.dim, basis.dim), pure[i], basis)
-    if norms:
+    out = [repeat_state(completely_mixed(basis), lanes) if kind == "maximally_mixed" else None
+           for kind in plan]
+    for i in list(states):
+        pure = _pure_streams(plan[i], rng.streams)
+        out[i] = _state_rows(states.pop(i).reshape(-1, basis.dim, basis.dim), pure, basis)
+    if observables:
         built = observable_from_bloch_batch(vec, basis)
-        for k, (i, norm) in enumerate(norms.items()):
+        built.bad[~(norm >= _MIN_NORM)] = True
+        for k, i in enumerate(observables):
             out[i] = ObservableBatch._make(f[k * lanes : (k + 1) * lanes] for f in built)
-            out[i].bad[~(norm >= _MIN_NORM)] = True
     return out
 
 
 def _state_rows(g: np.ndarray, pure: np.ndarray, basis: GeneratorBasis) -> StateBatch:
     # Stacked (k, n, n) complex Gaussian matrices -> the states drawn from
-    # them, Haar pure on the ``pure`` rows and Hilbert-Schmidt elsewhere.
+    # them, Haar pure on the ``pure`` rows and Hilbert-Schmidt elsewhere;
+    # a measure with no rows is not run (a QR of an empty stack costs
+    # what a small one does).
     rho = np.empty_like(g)
-    rho[pure] = _pure_rho(g[pure])
-    rho[~pure] = _mixed_rho(g[~pure])
+    for rows, measure in ((pure, _pure_rho), (~pure, _mixed_rho)):
+        if rows.any():
+            rho[rows] = measure(g[rows])
     del g  # freed before the checks allocate theirs
     return state_from_matrix_batch(rho, basis)

@@ -51,7 +51,9 @@ The stacked contractions (``d_contract`` on rows, ``trace_rows`` and
 nonzero terms (234 of the 9,900 entries of the N = 10 generator stack
 are nonzero), from a table built once per basis by ``_term_table``,
 each component's in the order of the call it stands for, so it is
-bit-identical to that call.
+bit-identical to that call.  At N = 2, where every generator entry
+counts, ``trace_rows`` is the dense einsum and ``combine_rows`` adds the
+einsum's three terms itself, in its order.
 """
 
 from __future__ import annotations
@@ -172,7 +174,13 @@ class GeneratorBasis:
             return np.einsum("nj,jab->nab", p[rows], self._stack)
 
         if self.dim == 2:
-            return dense(slice(None))
+            # The einsum's terms, p[:, j] (cast to complex) times g_j, added
+            # to zeros in its order: the same complex products and sums,
+            # without its per-call cost, the larger one at few rows.
+            out = np.zeros((len(p), 2, 2), dtype=np.complex128)
+            for j, g in enumerate(self._stack):
+                out += p[:, j, None, None] * g
+            return out
         out = _run_sums(p, self._combine_runs, lambda rows: dense(rows).reshape(-1, self.dim**2))
         return out.reshape(-1, self.dim, self.dim)
 

@@ -285,3 +285,123 @@ def test_scalar_and_stack_call_one_check(monkeypatch, basis3, name, scalar, stac
     alone, calls[:] = calls[:], []
     stack(basis3, m, v)
     assert alone and calls and {d + 1 for d in alone} == set(calls)
+
+
+# The a' check's failure path: a contracted vector off by 1e-6, and a
+# matrix that is not traceless, on one object and on a stack.
+
+
+@pytest.mark.parametrize("dim", [2, 3, 6])
+def test_prime_check_flags_a_corrupted_contraction(monkeypatch, dim):
+    basis = basis_for(dim)
+    vec = np.random.default_rng(dim).normal(size=(12, basis.n_generators))
+    contract = type(basis).d_contract
+
+    def off_by_1e6(self, a):
+        # 1e-6 more on the rows whose first coefficient is positive.
+        return contract(self, a) + 1e-6 * (a[..., :1] > 0)
+
+    monkeypatch.setattr(type(basis), "d_contract", off_by_1e6)
+    corrupted = vec[:, 0] > 0
+    assert 0 < corrupted.sum() < len(vec)
+    assert bloch.observable_from_bloch_batch(vec, basis).bad.tolist() == corrupted.tolist()
+    for row, bad in zip(vec, corrupted):
+        if bad:
+            with pytest.raises(ValueError, match="contracted vector disagrees with the A\\^2"):
+                observable_from_bloch(row, basis)
+        else:
+            observable_from_bloch(row, basis)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 6])
+def test_prime_check_flags_a_matrix_with_a_trace(dim):
+    # A + c I squares to A^2 + 2c A + c^2 I, whose traceless part is off
+    # by 2c A from the one a' describes.
+    basis = basis_for(dim)
+    vec = np.random.default_rng(dim).normal(size=(12, basis.n_generators))
+    shift = np.resize([0.0, 1e-3, 1e-15], 12)  # 2c A off by about 2e-3 and 2e-15
+    arr = basis.combine_rows(vec) + shift[:, None, None] * np.eye(dim)
+    a_prime = basis.d_contract(vec)
+    flagged = failures(bloch._prime_checks(arr, a_prime, dim, basis.trace_rows))
+    assert flagged.tolist() == (shift == 1e-3).tolist()
+    for i in range(12):
+        if flagged[i]:
+            with pytest.raises(ValueError, match="contracted vector disagrees with the A\\^2"):
+                bloch._observable(arr[i], vec[i], basis, 0.0)
+        else:
+            bloch._observable(arr[i], vec[i], basis, 0.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # non-finite rows on purpose
+def test_qubit_prime_closed_form_matches_the_squared_matrix(basis2):
+    # The N = 2 closed form of the a' check against squaring A and
+    # decomposing A^2 - Tr[A^2]/2 I through trace_rows, on Hermitian
+    # matrices, traceless or not, of scales 1e-150 to 1e150, with NaN and
+    # inf entries.  The check's value feeds its flag and message alone:
+    # every row must get the same flag, and a finite value must agree to
+    # a few ulp of |A|^2.
+    rows = 12_000
+    rng = np.random.default_rng(2015)
+    g = rng.normal(size=(rows, 2, 2)) + 1j * rng.normal(size=(rows, 2, 2))
+    arr = (g + g.conj().swapaxes(1, 2)) / 2.0
+    arr[::2] -= np.trace(arr[::2], axis1=1, axis2=2)[:, None, None] / 2.0 * np.eye(2)
+    scale = 10.0 ** rng.uniform(-150, 150, size=rows)
+    arr *= scale[:, None, None]
+    for k, bad in enumerate([np.nan, np.inf, -np.inf]):
+        arr[k::37, 0, 1] = arr[k::37, 1, 0] = bad
+        arr[k + 3 :: 41, k % 2, k % 2] = bad
+    sq = arr @ arr
+    sq -= (np.trace(sq, axis1=1, axis2=2).real / 2.0)[:, None, None] * np.eye(2)
+    squared = 0.5 * basis2.trace_rows(sq).real
+    # a' of the size of A^2, and a' as drawn at N = 2 (zero).
+    for a_prime in (rng.normal(size=(rows, 3)) * scale[:, None] ** 2, np.zeros((rows, 3))):
+        expected = np.abs(a_prime - squared).max(axis=-1)
+        ((holds, _, err),) = bloch._prime_checks(arr, a_prime, 2, basis2.trace_rows)
+        assert 0 < holds.sum() < rows
+        finite = np.isfinite(expected)
+        assert np.array_equal(finite, np.isfinite(err)) and not finite.all()
+        # The ulp of |A|^2, and of the value, which the subtraction rounds.
+        ulp = np.zeros(rows)
+        ulp[finite] = np.abs(arr[finite]).max(axis=(1, 2)) ** 2 + expected[finite]
+        ulp *= np.finfo(float).eps
+        assert (np.abs(err[finite] - expected[finite]) <= 4 * ulp[finite]).all()
+        # The flags: the same on every row whose value lies further than
+        # that from the tolerance.  With a' = 0 the rows within it are
+        # traceless matrices of |A|^2 above about 1e4, where either value
+        # is the rounding of a zero.
+        decided = ~(np.abs(expected - 1e-11) <= 4 * ulp)
+        assert holds[decided].tolist() == (expected[decided] <= 1e-11).tolist()
+        assert decided.all() or not a_prime.any()
+        assert not (np.flatnonzero(~decided) % 2).any()  # the even rows are the traceless ones
+        assert (np.maximum(err, expected)[~decided] <= 4 * ulp[~decided] + 1e-11).all()
+        for i in range(0, rows, 997):  # one matrix, as a scalar constructor checks it
+            ((alone, _, value),) = bloch._prime_checks(arr[i], a_prime[i], 2, None)
+            assert alone == holds[i] and np.array_equal(_bits(value), _bits(err[i]))
+
+
+def test_completely_mixed_is_one_read_only_object(basis2, basis3):
+    for basis in (basis2, basis3):
+        state = completely_mixed(basis)
+        assert completely_mixed(basis) is state
+        assert not state.p.flags.writeable and not state.rho.array.flags.writeable
+        fresh = state_to_matrix(np.zeros(basis.n_generators), basis)
+        assert np.array_equal(_bits(fresh.rho.array), _bits(state.rho.array))
+        assert np.array_equal(_bits(fresh.p), _bits(state.p))
+    with pytest.raises(AttributeError):
+        completely_mixed(basis2).p = np.ones(3)
+
+
+def test_norms_are_computed_once(basis3, np_rng):
+    vec = np_rng.normal(size=8)
+    obs = observable_from_bloch(vec, basis3)
+    state = state_to_matrix(0.1 * vec / np.linalg.norm(vec), basis3)
+    for obj, name, value in [
+        (obs, "norm2", float(obs.a @ obs.a)),
+        (obs, "prime_norm2", float(obs.a_prime @ obs.a_prime)),
+        (state, "purity", float(state.p @ state.p)),
+    ]:
+        assert name not in vars(obj)
+        assert getattr(obj, name) == value and vars(obj)[name] == value
+    batch, _ = bloch.state_to_matrix_batch(state.p[None], basis3)
+    (wrapped,) = bloch.batch_states(batch)
+    assert wrapped.purity == state.purity == batch.purity[0]

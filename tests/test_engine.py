@@ -1590,8 +1590,8 @@ def _extreme_rows(rng, shape, complex_rows):
 def test_generator_kernels_match_dense_einsum(dim):
     # trace_rows and combine_rows against the dense einsums they replace,
     # bit for bit, on one row, on 64 and on a stack that spans three row
-    # blocks; the run sums also at N = 2, where the kernels take the dense
-    # call.
+    # blocks; the run sums also at N = 2, where trace_rows takes the dense
+    # call and combine_rows adds the einsum's terms itself.
     basis = basis_for(dim)
     stack, n2 = basis.stacked(), dim * dim
     rng = np.random.default_rng(dim)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from blochvar import HermitianMatrix, Xoshiro256pp, basis_for, bloch, draw_mixed, draw_observable
-from blochvar import variance_bloch, variance_matrix
+from blochvar import observable_from_matrix, variance_bloch, variance_matrix
 
 # The margin each pinned tolerance keeps over its measured worst error.
 _HEADROOM = 1e3
@@ -85,3 +85,42 @@ def test_psd_floor_against_50_digits(n, draws):
         assert abs(exact - floor) <= 1e-9
     print(f"\nN = {n}: worst |error| of the smallest eigenvalue {worst:.2e}")
     assert worst * _HEADROOM <= abs(floor)
+
+
+def _squared_coefficients_50(a, basis):
+    """Tr[A² g_j] / 2 of a stored observable at 50 digits: the coefficient
+    vector of the traceless part of A², which a' must equal."""
+    with mpmath.workdps(50):
+        am = _exact(a.matrix.array)
+        n = len(am)
+        a2 = [[mpmath.fsum(am[i][k] * am[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        return [
+            float(mpmath.fsum(a2[i][j] * g[j][i] for i in range(n) for j in range(n)).real / 2)
+            for g in (_exact(g) for g in basis.stacked())
+        ]
+
+
+@pytest.mark.parametrize("n,draws", [(2, 1000), (3, 300), (6, 40)])
+def test_prime_check_against_50_digits(n, draws):
+    # The a' check (1e-11) by its own route (bloch._prime_checks: the
+    # closed form in Tr A at N = 2, A squared and decomposed through
+    # trace_rows above), on criterion 1's observables and on as many
+    # Hermitian matrices made traceless by observable_from_matrix, whose
+    # trace is a rounding residue rather than 0.  Given the 50-digit
+    # coefficients rounded to float64 as a', its value is the route's
+    # error to within their rounding.
+    basis = basis_for(n)
+    obs = []
+    gen = np.random.default_rng(n)
+    for i in range(draws):
+        rng = Xoshiro256pp(2024 + n, stream=i)
+        draw_mixed(rng, basis)
+        obs.append(draw_observable(rng, basis))
+        g = gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n))
+        obs.append(observable_from_matrix(HermitianMatrix((g + g.conj().T) / 2.0), basis))
+    matrices = np.array([a.matrix.array for a in obs])
+    exact = np.array([_squared_coefficients_50(a, basis) for a in obs])
+    ((holds, _, err),) = bloch._prime_checks(matrices, exact, n, basis.trace_rows)
+    worst = float(err.max())
+    print(f"\nN = {n}: worst |error| of the a' check's route {worst:.2e}")
+    assert holds.all() and worst * _HEADROOM <= 1e-11

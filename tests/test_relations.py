@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from blochvar import (
     draw_pure,
     effective_axis_angle,
     observable_from_bloch,
+    relations,
     robertson_bound,
     state_dependent_bound,
     state_from_matrix,
@@ -492,3 +494,24 @@ def test_span_matches_monte_carlo(basis2):
     assert min(hits) >= lo - 1e-9
     assert max(hits) <= hi + 0.02  # slice width widens the observed interval
     assert max(hits) >= hi - 0.05  # and the top of the interval is reached
+
+
+def test_verdicts_equal_the_dataclass_built_ones(basis2):
+    # _verdict sets the fields directly; a verdict is what the dataclass's
+    # own __init__ builds: the same class, fields, repr, equality and hash.
+    rng = Xoshiro256pp(7, stream=3)
+    a, b = draw_observable(rng, basis2), draw_observable(rng, basis2)
+    verdict = check_theorem1(a, b, draw_mixed(rng, basis2))
+    built = relations.RelationVerdict(
+        relation_id="theorem1",
+        lhs=verdict.lhs,
+        rhs=verdict.rhs,
+        margin=verdict.lhs - verdict.rhs,
+        holds=verdict.margin >= -relations.HOLDS_TOL,
+        saturated=abs(verdict.margin) <= relations.SATURATION_TOL,
+    )
+    assert type(verdict) is relations.RelationVerdict
+    assert dataclasses.asdict(verdict) == dataclasses.asdict(built)
+    assert verdict == built and hash(verdict) == hash(built) and repr(verdict) == repr(built)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        verdict.margin = 0.0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from blochvar import SampleConfig, Xoshiro256pp, completely_mixed, draw_observable, iter_states
+from blochvar import sampling
 from blochvar.sampling import XoshiroLanes, draw_batches, draw_mixed, draw_pure, draw_state
 
 
@@ -70,6 +71,25 @@ def test_lanes_take_numpy_integers_and_reject_floats():
         XoshiroLanes(11, np.array([0.0, 1.0]))
     with pytest.raises(TypeError):
         XoshiroLanes(11, [True, False])
+
+
+@pytest.mark.parametrize("zero_state", [False, True])
+def test_lanes_seed_the_words_of_each_stream(monkeypatch, zero_state):
+    # XoshiroLanes mixes the four words of every lane in one pass; each
+    # lane's state is its stream's.  With the splitmix64 mixer patched to
+    # give 0, every state is the all-zero one, which both replace.
+    if zero_state:
+        monkeypatch.setattr(sampling, "_sm64", lambda z: z * 0)
+    streams = [0, 1, 2**40, 2**62]
+    for seed in (0, 2**64 - 1):
+        lanes = XoshiroLanes(seed, streams)
+        assert lanes._s.dtype == np.uint64 and lanes._s.shape == (4, len(streams))
+        for k, stream in enumerate(streams):
+            rng = Xoshiro256pp(seed, stream)
+            words = [rng._s0, rng._s1, rng._s2, rng._s3]
+            assert lanes._s[:, k].tolist() == words
+            if zero_state:
+                assert words == [sampling._SM_GAMMA, 0, 0, 0]
 
 
 def test_gaussians_consume_whole_pairs():

@@ -15,6 +15,14 @@ the package's imports are relative, then times, in interleaved rounds:
   completely mixed one the checker requires), and ``check_appendix_c``
   (an accepted appendix-c draw) and ``robertson_bound`` at N = 3.
 
+With ``--lanes`` it times the lanes engine instead: one job of each kind
+of the bench's ``qubit-fuzz`` workload, ``engine.fuzz`` of each relation
+at N = 2 with the sample count ``bench/workloads.py`` lists for it in
+``QUBIT_SAMPLES`` (read, never written), seed 7 and the axis angle
+``verify`` defaults to.  Beside the timings it prints each tree's C
+calls and Python calls per job, counted with ``sys.setprofile`` over one
+job.
+
 Timings taken in separate processes drift far more between runs than
 the difference between two nearby trees, so both trees run in every
 round, back to back and in alternating order, and are timed in CPU time
@@ -26,22 +34,26 @@ are close enough in time to share most of the machine's drift.
 Run from the repository root, for example against a checkout of the
 parent commit made with ``git archive``:
 
-    python3 tools/ab_scalar.py PARENT_TREE CHANGE_TREE [--rounds 15]
+    python3 tools/ab_scalar.py PARENT_TREE CHANGE_TREE [--rounds 15] [--lanes]
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
+import math
 import statistics
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 _CALLS = 1000  # calls of a constructor or checker per round
 _SAMPLES = 200  # criterion-3 samples per round
+_JOBS = 20  # qubit-fuzz jobs of each kind per round, with --lanes
+_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 
 def load(tree: str, name: str):
@@ -122,31 +134,60 @@ def _checker_operands(bv):
     }
 
 
-def _repeated(fn, args):
+def _repeated(fn, args, calls=_CALLS):
     def run():
-        for _ in range(_CALLS):
+        for _ in range(calls):
             fn(*args)
 
     return run
 
 
+def lanes_workloads(bv):
+    """The timed jobs of one tree, one per ``qubit-fuzz`` job kind:
+    name -> (function, jobs per run)."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", _WORKLOADS)
+    bench = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = bench  # dataclasses look their module up
+    spec.loader.exec_module(bench)
+    return {
+        f"{relation} ({samples})": (
+            _repeated(bv.engine.fuzz, (relation, 2, samples, 7, math.pi / 4.0), _JOBS), _JOBS
+        )
+        for relation, samples in bench.QUBIT_SAMPLES.items()
+    }
+
+
+def calls_per_run(fn) -> tuple[int, int]:
+    """(C calls, Python calls) that one run of ``fn`` makes, counted by a
+    ``sys.setprofile`` hook."""
+    events = Counter()
+
+    def hook(frame, event, arg):
+        events[event] += 1
+
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return events["c_call"], events["call"]
+
+
 def _quartiles(xs):
+    if len(xs) < 2:  # one round: its value is every quartile
+        return xs[0], xs[0]
     q = statistics.quantiles(xs, n=4, method="inclusive")
     return q[0], q[2]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent", help="source tree of the parent commit")
-    parser.add_argument("change", help="source tree of the change")
-    parser.add_argument("--rounds", type=int, default=15, help="interleaved rounds (at least 5)")
-    args = parser.parse_args(argv)
-    if args.rounds < 5:
-        parser.error("--rounds must be at least 5")
-    trees = {"parent": workloads(load(args.parent, "blochvar_a")),
-             "change": workloads(load(args.change, "blochvar_b"))}
+def compare(parent: str, change: str, rounds: int, lanes: bool = False) -> None:
+    """Time both trees in ``rounds`` interleaved rounds and print the table
+    (see the module docs)."""
+    build = lanes_workloads if lanes else workloads
+    trees = {"parent": build(load(parent, "blochvar_a")),
+             "change": build(load(change, "blochvar_b"))}
     times = {side: {name: [] for name in trees[side]} for side in trees}
-    for r in range(args.rounds):
+    for r in range(rounds):
         order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
         for name in trees["parent"]:
             for side in order:
@@ -154,15 +195,33 @@ def main(argv=None) -> int:
                 start = time.process_time()
                 fn()
                 times[side][name].append((time.process_time() - start) / calls * 1e6)
-    print(f"medians of {args.rounds} interleaved rounds, us per call")
-    print(f"{'workload':<28}{'parent':>9}{'change':>9}{'parent IQR':>16}{'paired ratio, IQR':>26}")
+    unit = "job" if lanes else "call"
+    print(f"medians of {rounds} interleaved rounds, us per {unit}")
+    print(f"{'workload':<28}{'parent':>9}{'change':>9}{'parent IQR':>16}{'paired ratio, IQR':>26}"
+          + (f"{'parent C, Py calls':>22}{'change C, Py calls':>22}" if lanes else ""))
     for name in trees["parent"]:
         a, b = times["parent"][name], times["change"][name]
         lo, hi = _quartiles(a)
         ratios = [y / x for x, y in zip(a, b)]
         rlo, rhi = _quartiles(ratios)
-        print(f"{name:<28}{statistics.median(a):9.2f}{statistics.median(b):9.2f}"
-              f"{lo:8.2f}-{hi:<7.2f}{statistics.median(ratios):11.3f} {rlo:.3f}-{rhi:.3f}")
+        line = (f"{name:<28}{statistics.median(a):9.2f}{statistics.median(b):9.2f}"
+                f"{lo:8.2f}-{hi:<7.2f}{statistics.median(ratios):11.3f} {rlo:.3f}-{rhi:.3f}")
+        if lanes:
+            counts = [calls_per_run(trees[side][name][0]) for side in ("parent", "change")]
+            line += "".join(f"{f'{c // _JOBS:,}, {p // _JOBS:,}':>22}" for c, p in counts)
+        print(line)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", help="source tree of the parent commit")
+    parser.add_argument("change", help="source tree of the change")
+    parser.add_argument("--rounds", type=int, default=15, help="interleaved rounds (at least 5)")
+    parser.add_argument("--lanes", action="store_true", help="time qubit-fuzz jobs instead")
+    args = parser.parse_args(argv)
+    if args.rounds < 5:
+        parser.error("--rounds must be at least 5")
+    compare(args.parent, args.change, args.rounds, args.lanes)
     return 0
 
 
