@@ -37,7 +37,12 @@ eigenvalue and |Tr A| are numpy's ``hypot`` and ``abs``, not libm's,
 which can differ in the last bit.  These values feed only the checks'
 flags and messages, never a margin, so a closed form need only agree
 with the general route to round-off (tests/test_bloch.py pins the a'
-one against it, tests/test_oracle.py both against 50 digits).
+one against it, tests/test_oracle.py both against 50 digits).  The |a|²
+and a' checks compare residues that grow as eps·|a|² with 1e-11 of
+max(1, |a|²), and the trace check compares |Tr A|, which grows as
+eps·|a|, with 1e-12 of max(1, |a|), so that an observable of large norm is not
+rejected for its rounding; on the draws, of unit norm, they are 1e-11
+and 1e-12.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, UnphysicalState
-from .linalg import HermitianMatrix, failures, hermitian, raise_first, row_dot
+from .linalg import HermitianMatrix, failures, hermitian, py_max, raise_first, row_dot
 from .sun_basis import GeneratorBasis
 
 __all__ = [
@@ -137,18 +142,20 @@ def _observable_checks(matrix: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, l
     norm2 = row_dot(a, a)
     ref = 0.5 * np.einsum("...ab,...ba", matrix, matrix).real
     return norm2, [
-        (tr <= _TRACE_ATOL, "canonical observable must be traceless, |Tr| = {:.3e}", tr),
-        (np.abs(norm2 - ref) <= _CONSISTENCY_ATOL, "|a|^2 = {} inconsistent with Tr[A^2]/2 = {}",
-         norm2, ref),
+        (tr / py_max(1.0, np.sqrt(norm2)) <= _TRACE_ATOL,
+         "canonical observable must be traceless, |Tr| = {:.3e}", tr),
+        (np.abs(norm2 - ref) / py_max(1.0, norm2) <= _CONSISTENCY_ATOL,
+         "|a|^2 = {} inconsistent with Tr[A^2]/2 = {}", norm2, ref),
     ]
 
 
-def _prime_checks(arr: np.ndarray, a_prime: np.ndarray, dim: int, traces) -> list:
+def _prime_checks(arr: np.ndarray, a_prime: np.ndarray, dim: int, traces, norm2) -> list:
     # Independent route: a' is the coefficient vector of the traceless
     # part of A^2.  At N = 2, with t = Tr A, that is (Re A01 t, -Im A01 t,
     # (A00 - A11) t / 2) for Hermitian A.  Otherwise A is squared, and
     # traces(m) gives the Tr[m g_j]: the dense einsum for one matrix,
-    # which is cheaper there, and trace_rows for a stack.
+    # which is cheaper there, and trace_rows for a stack.  norm2 is |a|^2,
+    # the tolerance's scale.
     if dim == 2:
         t = arr[..., 0, 0] + arr[..., 1, 1]
         off = arr[..., 0, 1] * t
@@ -160,7 +167,7 @@ def _prime_checks(arr: np.ndarray, a_prime: np.ndarray, dim: int, traces) -> lis
         sq -= (sq.trace(axis1=-2, axis2=-1).real / dim)[..., None, None] * _eye(dim)
         ref = 0.5 * traces(sq).real
     err = np.abs(a_prime - ref).max(axis=-1, initial=0.0)
-    return [(err <= _CONSISTENCY_ATOL,
+    return [(err / py_max(1.0, norm2) <= _CONSISTENCY_ATOL,
              "contracted vector disagrees with the A^2 decomposition by {:.3e}", err)]
 
 
@@ -282,9 +289,9 @@ def observable_from_bloch(a_vec, basis: GeneratorBasis) -> Observable:
 
 def _observable(arr: np.ndarray, vec: np.ndarray, basis: GeneratorBasis, tr: float) -> Observable:
     a_prime = basis.d_contract(vec)
-    raise_first(
-        _prime_checks(arr, a_prime, basis.dim, lambda m: np.einsum("ab,jba->j", m, basis.stacked()))
-    )
+    raise_first(_prime_checks(
+        arr, a_prime, basis.dim, lambda m: np.einsum("ab,jba->j", m, basis.stacked()), row_dot(vec, vec)
+    ))
     return Observable(basis.dim, HermitianMatrix(arr), vec, a_prime, tr)
 
 
@@ -380,9 +387,9 @@ def observable_from_bloch_batch(vec: np.ndarray, basis: GeneratorBasis) -> Obser
     vec = np.asarray(vec, dtype=np.float64)
     arr = basis.combine_rows(vec)
     a_prime = basis.d_contract(vec)
-    checks = _prime_checks(arr, a_prime, basis.dim, basis.trace_rows)
     matrix, hermitian_checks = hermitian(arr)
     norm2, observable_checks = _observable_checks(matrix, vec)
+    checks = _prime_checks(arr, a_prime, basis.dim, basis.trace_rows, norm2)
     bad = failures(checks + hermitian_checks + observable_checks)
     return ObservableBatch(matrix, vec, a_prime, norm2, bad)
 

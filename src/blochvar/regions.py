@@ -38,7 +38,7 @@ import numpy as np
 from . import engine
 from .bloch import Observable, QuantumState, state_to_matrix
 from .errors import DimensionMismatch, NumericsError, UndefinedAngle
-from .relations import check_theorem1
+from .relations import _within, check_theorem1
 from .sampling import SampleConfig
 from .sun_basis import basis_for
 
@@ -223,7 +223,7 @@ def scan_triple(theta_ab: float, ensemble: SampleConfig, grid: float) -> RegionS
     """
     if ensemble.dim != 2 or ensemble.kind != "haar_pure":
         raise ValueError("triple scans are defined for pure qubit ensembles only")
-    if not -1e-12 <= theta_ab <= math.pi + 1e-12:
+    if not _within(theta_ab, math.pi):
         raise ValueError(f"theta_ab = {theta_ab!r} outside [0, pi]")
     return _scan(
         ensemble, grid, [1.0, 1.0, 1.0], ("scan_triple_point", "theta_ab", "state", "index"),

@@ -56,38 +56,38 @@ Each checker the verify engine fuzzes, and each scan point of the
 region scans, has a ``*_batch`` form over ``StateBatch``/
 ``ObservableBatch`` rows, at every N the checker is defined for; at any
 other N it raises ``DimensionMismatch`` once a call, where the scalar
-checker raises it for every row (the qubit-only ones,
-``effective_axis_angle``, ``check_unit_vector_state`` and the scan
-points among them, take N = 2 alone).  Every ``X_batch`` takes the
-parameters of its scalar twin ``X``, by the same names, so the engine
-calls either on the same arguments: the scan points take their fixed
-operands (A and B, or θ_ab) as they are, and ``index``, the sample's
-stream (a row's in the twin), to name in their errors.  It returns
-``(margins, bad)``: the margin of row i equals, bit for bit, the scalar
-verdict's margin on row i's objects (a scan point's twin: each of its
-values, a column each), and ``bad`` marks the rows on which the scalar
-checker raises (a check failing at the same tolerance).  A twin reads
-no input's ``bad`` flags: the engine marks the rows whose draws failed
-itself (``engine.chunks``).  Their verdicts use the scalar checker's
-tolerance (``HOLDS_TOL``, or ``APPENDIX_C_TOL`` for appendix-c) and
+checker raises it for every row (the qubit-only ones, the scan points
+among them, take N = 2 alone).  Every ``X_batch`` takes the parameters
+of its scalar twin ``X``, by the same names, so the engine calls either
+on the same arguments: the scan points take their fixed operands (A and
+B, or θ_ab) as they are, and ``index``, the sample's stream (a row's in
+the twin), to name in their errors.  It returns ``(margins, bad)``: the
+margin of row i equals, bit for bit, the scalar verdict's margin on row
+i's objects (a scan point's twin: each of its values, a column each),
+and ``bad`` marks the rows on which the scalar checker raises (a check
+failing at the same tolerance).  A twin reads no input's ``bad`` flags:
+the engine marks the rows whose draws failed itself
+(``engine.chunks``).  Their verdicts use the scalar checker's tolerance
+(``HOLDS_TOL``, or ``APPENDIX_C_TOL`` for appendix-c) and
 ``SATURATION_TOL``, as ``_verdict`` does.
 
-A pair states its relation once, in a private function (``_theorem1``,
-``_appendix_c``, ...) over one sample's objects or the rows: (..., n)
-vectors and (..., N, N) matrices.  It returns lhs, rhs and its checks,
-``(holds, error, template, *values)`` tuples (``linalg.raise_first``),
-in the order the scalar checker raises them.  ``X`` checks the
-dimensions, raises the first check that does not hold and returns a
-verdict of Python floats (``_scalar_verdict``); ``X_batch`` returns
-lhs - rhs and the rows on which a check fails (``_lane_verdicts``).
-The primitives of ``linalg`` keep one sample on Python floats, so the
-scalar path costs about what it cost written alone.  The triangle and
-the scan points compose public pairs (the angles, theorem1, the
-three-observable equality, the Bloch variances) and state their own
-parts once.  ``check_unit_vector_relation``, ``effective_axis_angle``
-and ``check_unit_vector_state`` keep a body each: they take a few
-microseconds a sample, and a shared function's fixed cost (its list of
-checks, a Python call per primitive) adds more than a tenth to that.
+Every relation is stated once, in a private function (``_theorem1``,
+``_unit_vector_relation``, ...) over one sample's objects or the rows:
+(..., n) vectors and (..., N, N) matrices.  It returns lhs, rhs and its
+checks, ``(holds, error, template, *values)`` tuples
+(``linalg.raise_first``), in the order the scalar checker raises them.
+``X`` checks the dimensions, raises the first check that does not hold
+and returns a verdict of Python floats (``_scalar_verdict``); ``X_batch``
+returns lhs - rhs and the rows on which a check fails
+(``_lane_verdicts``).  The primitives of ``linalg`` keep one sample on
+Python floats, so that a light scalar checker costs a few microseconds.
+The triangle and the scan points compose public pairs (the angles,
+theorem1, the three-observable equality, the Bloch variances) and state
+their own parts once; ``check_unit_vector_state`` composes the
+unit-vector relation with ``_effective_axis_angle``, which
+``effective_axis_angle`` raises alone.  The unit-vector relation's
+cosine is ``np.cos`` on both shapes, which equals ``math.cos`` (see
+``linalg``), so its scalar verdicts are those ``math.cos`` gave.
 """
 
 from __future__ import annotations
@@ -127,14 +127,12 @@ __all__ = [
     "check_theorem1_batch",
     "check_mixed_limit_batch",
     "check_pure_limit_batch",
-    "check_unit_vector_relation_batch",
     "check_three_observable_equality_batch",
     "check_appendix_b_batch",
     "check_appendix_c_batch",
     "robertson_bound_batch",
     "state_dependent_bound_batch",
     "check_unit_vector_state_batch",
-    "effective_axis_angle_batch",
     "scan_pair_point_batch",
     "scan_triple_point_batch",
 ]
@@ -218,6 +216,11 @@ def _lane_verdicts(values: tuple) -> _LaneVerdicts:
     # (margins, bad) of a shared function's (lhs, rhs, checks) on rows.
     lhs, rhs, checks = values
     return lhs - rhs, failures(checks)
+
+
+def _within(value, hi: float):
+    # -1e-12 <= value <= hi + 1e-12, elementwise; NaN is outside.
+    return (-1e-12 <= value) & (value <= hi + 1e-12)
 
 
 def _pure(rho, error: type, template: str) -> tuple:
@@ -320,11 +323,42 @@ def _three_observable_equality(theta_ab: float, rho) -> tuple:
     u, v, (da2, db2, dc2) = _axis_triple(theta_ab, rho.p)
     sin2 = math.sin(theta_ab) ** 2
     lhs = da2 + db2 + dc2 * sin2 + 2.0 * math.cos(theta_ab) * u * v
-    within = (-1e-12 <= theta_ab) & (theta_ab <= math.pi + 1e-12)  # NaN is outside
     return lhs, 2.0, [
         _pure(rho, ValueError, "equality requires a pure state, got |p|^2 = {}"),
-        (within, ValueError, "theta_ab = {} outside [0, pi]", theta_ab),
+        (_within(theta_ab, math.pi), ValueError, "theta_ab = {} outside [0, pi]", theta_ab),
     ]
+
+
+def _unit_vector_relation(theta_ab, da2, db2) -> tuple:
+    checks = [
+        (_within(theta_ab, math.pi), ValueError, "theta_ab = {!r} outside [0, pi]", theta_ab),
+        (_within(da2, 1.0), ValueError, "dA2 = {!r} outside [0, 1]", da2),
+        (_within(db2, 1.0), ValueError, "dB2 = {!r} outside [0, 1]", db2),
+    ]
+    da2 = py_min(py_max(da2, 0.0), 1.0)
+    db2 = py_min(py_max(db2, 0.0), 1.0)
+    # np.cos on both shapes (see the linalg docstring).
+    rhs = abs(np.sqrt((1.0 - da2) * (1.0 - db2)) - np.cos(theta_ab))
+    return np.sqrt(da2 * db2), rhs, checks
+
+
+def _effective_axis_angle(a, b, rho) -> tuple:
+    # The folded axis angle, and the check that both norms are nonzero.
+    norms = np.sqrt(a.norm2) * np.sqrt(b.norm2)
+    defined = norms != 0.0
+    cos_ab = py_min(1.0, py_max(-1.0, row_dot(a.a, b.a) / where(defined, norms, 1.0)))
+    product = row_dot(a.a, rho.p) * row_dot(b.a, rho.p)
+    theta = per_element(math.acos, where(product < 0.0, -cos_ab, cos_ab))
+    return theta, (defined, UndefinedAngle, "axis angle undefined for a zero-norm observable")
+
+
+def _unit_vector_state(a, b, rho) -> tuple:
+    theta, defined = _effective_axis_angle(a, b, rho)
+    # x**2 one element at a time: libm pow, as Python evaluates it.
+    da2 = py_max(1.0 - per_element(lambda x: x**2, row_dot(a.a, rho.p)), 0.0)
+    db2 = py_max(1.0 - per_element(lambda x: x**2, row_dot(b.a, rho.p)), 0.0)
+    lhs, rhs, checks = _unit_vector_relation(theta, da2, db2)
+    return lhs, rhs, [defined, *checks]
 
 
 def _appendix_b(rho, rm) -> tuple:
@@ -457,17 +491,10 @@ def check_unit_vector_relation(theta_ab: float, da2: float, db2: float) -> Relat
     Domain: variances in [0, 1], angle in [0, π].  For angles beyond
     π/2 callers should first fold (negate one observable), which maps
     θ_ab to π - θ_ab; ``effective_axis_angle`` does this per state.
+    Out-of-domain input raises ``ValueError``; an infinite angle first
+    draws numpy's "invalid value encountered in cos" ``RuntimeWarning``.
     """
-    if not -1e-12 <= theta_ab <= math.pi + 1e-12:
-        raise ValueError(f"theta_ab = {theta_ab!r} outside [0, pi]")
-    for name, value in (("dA2", da2), ("dB2", db2)):
-        if not -1e-12 <= value <= 1.0 + 1e-12:
-            raise ValueError(f"{name} = {value!r} outside [0, 1]")
-    da2 = min(max(da2, 0.0), 1.0)
-    db2 = min(max(db2, 0.0), 1.0)
-    lhs = math.sqrt(da2 * db2)
-    rhs = abs(math.sqrt((1.0 - da2) * (1.0 - db2)) - math.cos(theta_ab))
-    return _verdict("unit_vector", lhs, rhs)
+    return _scalar_verdict("unit_vector", _unit_vector_relation(theta_ab, da2, db2))
 
 
 def check_three_observable_equality(theta_ab: float, rho: QuantumState) -> RelationVerdict:
@@ -544,26 +571,19 @@ def effective_axis_angle(a: Observable, b: Observable, rho: QuantumState) -> flo
     qubit results.  A zero-norm observable raises ``UndefinedAngle``.
     """
     _require_qubit(a.dim, b.dim, rho.dim)
-    norms = math.sqrt(a.norm2) * math.sqrt(b.norm2)
-    if norms == 0.0:
-        raise UndefinedAngle("axis angle undefined for a zero-norm observable")
-    cos_ab = float(a.a @ b.a) / norms
-    cos_ab = min(1.0, max(-1.0, cos_ab))
-    product = float(a.a @ rho.p) * float(b.a @ rho.p)
-    if product < 0.0:
-        cos_ab = -cos_ab
-    return math.acos(cos_ab)
+    theta, defined = _effective_axis_angle(a, b, rho)
+    raise_first([defined])
+    return theta
 
 
 def check_unit_vector_state(a: Observable, b: Observable, rho: QuantumState) -> RelationVerdict:
     """The unit-vector relation on ``rho``'s variances and ``effective_axis_angle``.
 
-    Qubit operands only (``effective_axis_angle`` raises otherwise): at
-    N > 2 the variance of a unit observable is not 1 - (a·p)².
+    Qubit operands only: at N > 2 the variance of a unit observable is
+    not 1 - (a·p)².
     """
-    da2 = max(1.0 - float(a.a @ rho.p) ** 2, 0.0)
-    db2 = max(1.0 - float(b.a @ rho.p) ** 2, 0.0)
-    return check_unit_vector_relation(effective_axis_angle(a, b, rho), da2, db2)
+    _require_qubit(a.dim, b.dim, rho.dim)
+    return _scalar_verdict("unit_vector", _unit_vector_state(a, b, rho))
 
 
 def scan_pair_point(A: Observable, B: Observable, rho: QuantumState, index: int) -> tuple:
@@ -604,9 +624,9 @@ def db_span_given_da2(theta_ab: float, da2: float) -> tuple[float, float]:
     square-root cancellation at the endpoints.  Angle must already be
     folded into [0, π/2].
     """
-    if not -1e-12 <= theta_ab <= math.pi / 2.0 + 1e-12:
+    if not _within(theta_ab, math.pi / 2.0):
         raise ValueError("fold theta_ab into [0, pi/2] first")
-    if not -1e-12 <= da2 <= 1.0 + 1e-12:
+    if not _within(da2, 1.0):
         raise ValueError(f"dA2 = {da2!r} outside [0, 1]")
     da2 = min(max(da2, 0.0), 1.0)
     theta_x = math.asin(math.sqrt(da2))
@@ -641,11 +661,6 @@ def db_span_any_state(theta_ab: float) -> tuple[float, float]:
 # lanes forms (see the module docstring)
 
 
-def _outside(value, lo: float, hi: float) -> np.ndarray:
-    # The negation of lo <= value <= hi, so NaN counts as outside.
-    return ~((lo <= value) & (value <= hi))
-
-
 def check_triangle_batch(a: ObservableBatch, b: ObservableBatch, rho: StateBatch) -> _LaneVerdicts:
     """Lanes form of ``check_triangle``."""
     _require_qubit_rows(a, b, rho)
@@ -674,19 +689,6 @@ def check_pure_limit_batch(
     """Lanes form of ``check_pure_limit``."""
     _require_qubit_rows(a, b, rho)
     return _lane_verdicts(_pure_limit(a, b, rho))
-
-
-def check_unit_vector_relation_batch(
-    theta_ab: np.ndarray, da2: np.ndarray, db2: np.ndarray
-) -> _LaneVerdicts:
-    """Lanes form of ``check_unit_vector_relation``."""
-    bad = _outside(theta_ab, -1e-12, math.pi + 1e-12)
-    bad |= _outside(da2, -1e-12, 1.0 + 1e-12) | _outside(db2, -1e-12, 1.0 + 1e-12)
-    da2 = py_min(py_max(da2, 0.0), 1.0)
-    db2 = py_min(py_max(db2, 0.0), 1.0)
-    lhs = np.sqrt(da2 * db2)
-    rhs = np.abs(np.sqrt((1.0 - da2) * (1.0 - db2)) - np.cos(theta_ab))
-    return lhs - rhs, bad
 
 
 def check_three_observable_equality_batch(theta_ab: float, rho: StateBatch) -> _LaneVerdicts:
@@ -728,29 +730,12 @@ def state_dependent_bound_batch(
     return np.column_stack([lhs - side for side in rhs]), failures(checks)
 
 
-def effective_axis_angle_batch(
-    a: ObservableBatch, b: ObservableBatch, rho: StateBatch
-) -> np.ndarray:
-    """Lanes form of ``effective_axis_angle``: NaN in the rows where
-    the scalar form raises ``UndefinedAngle`` (a zero-norm observable)."""
-    _require_qubit_rows(a, b, rho)
-    norms = np.sqrt(a.norm2) * np.sqrt(b.norm2)
-    undefined = norms == 0.0
-    cos_ab = row_dot(a.a, b.a) / np.where(undefined, 1.0, norms)
-    cos_ab = py_min(1.0, py_max(-1.0, cos_ab))
-    product = row_dot(a.a, rho.p) * row_dot(b.a, rho.p)
-    theta = per_element(math.acos, np.where(product < 0.0, -cos_ab, cos_ab))
-    return np.where(undefined, np.nan, theta)
-
-
 def check_unit_vector_state_batch(
     a: ObservableBatch, b: ObservableBatch, rho: StateBatch
 ) -> _LaneVerdicts:
     """Lanes form of ``check_unit_vector_state``."""
-    # x**2 one element at a time: libm pow, as the scalar path evaluates it.
-    da2 = py_max(1.0 - per_element(lambda x: x**2, row_dot(a.a, rho.p)), 0.0)
-    db2 = py_max(1.0 - per_element(lambda x: x**2, row_dot(b.a, rho.p)), 0.0)
-    return check_unit_vector_relation_batch(effective_axis_angle_batch(a, b, rho), da2, db2)
+    _require_qubit_rows(a, b, rho)
+    return _lane_verdicts(_unit_vector_state(a, b, rho))
 
 
 def scan_pair_point_batch(

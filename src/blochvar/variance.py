@@ -17,15 +17,18 @@ traces (a · b = Tr[AB]/2, a · b' = Tr[AB²]/2, a' · b' =
 (Tr[A²B²] - Tr[A²]Tr[B²]/N)/2, ...) and insists the two agree, which
 makes it a basis-corruption detector as much as a convenience.
 
-``variance_matrix_batch``, ``variance_bloch_batch`` and ``angles_batch``
-are the lanes forms the batched engine uses, at any N: every check runs
-per row and marks failing rows in a returned ``bad`` mask instead of
-raising.  ``variance_matrix`` and its lanes form are one function over
-(..., N, N) matrices, ``_variance_matrix``, which returns the floored
-variance and its check as ``relations``' shared functions do, and which
-they call.  ``variance_bloch`` and ``vector_angle`` keep a body each
-beside their lanes forms: they take a few microseconds a call, and a
-shared function's fixed cost adds more than a tenth to that.
+``variance_bloch_batch`` and ``angles_batch`` are the lanes forms the
+batched engine uses, at any N: every check runs per row and marks
+failing rows in a returned ``bad`` mask instead of raising.  Each
+quantity is one function over one object or the rows, as ``relations``'
+checkers are: ``_variance_matrix``, ``_variance_bloch``,
+``_vector_angle`` and ``_angles`` return their values and their checks,
+``(holds, error, template, *values)`` tuples, which the scalar function
+raises (``linalg.raise_first``) and the lanes form reduces to ``bad``
+(``linalg.failures``).  ``relations`` calls ``_variance_matrix`` on
+matrices directly.  Both variances share one floor and its check,
+``_floored``, so a NaN variance raises ``NumericsError`` on either
+route.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import numpy as np
 
 from .bloch import Observable, ObservableBatch, QuantumState, StateBatch
 from .errors import DimensionMismatch, NumericsError, UndefinedAngle
-from .linalg import failures, per_element, py_max, py_min, raise_first, row_dot
+from .linalg import failures, per_element, py_max, py_min, raise_first, row_dot, where
 from .sun_basis import GeneratorBasis
 
 __all__ = [
@@ -45,7 +48,6 @@ __all__ = [
     "AngleSet",
     "PairGeometry",
     "variance_matrix",
-    "variance_matrix_batch",
     "variance_bloch",
     "variance_bloch_batch",
     "variance_report",
@@ -134,12 +136,6 @@ def _check_dims(a: Observable, rho: QuantumState) -> None:
         raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {rho.dim}")
 
 
-def _finalize(value: float) -> float:
-    if value < _NEGATIVE_VARIANCE_FLOOR:
-        raise NumericsError(f"variance {value!r} negative beyond round-off")
-    return max(value, 0.0)
-
-
 def _second_moment(am: np.ndarray, rm: np.ndarray) -> np.ndarray:
     # Tr[A² rho] of (..., N, N) matrices, A broadcast against rho.  On a
     # stack the three-operand einsum runs on blocks of rows of about
@@ -161,14 +157,25 @@ def _trace_a2_rho(am: np.ndarray, rm: np.ndarray) -> np.ndarray:
     return np.einsum("...ab,...bc,...ca->...", am, am, rm).real
 
 
-def _variance_matrix(am: np.ndarray, rm: np.ndarray) -> tuple:
-    # ΔA² from the defining traces, floored at 0, and its check.
-    mean = np.einsum("...ab,...ba", am, rm).real
-    value = _second_moment(am, rm) - mean * mean
+def _floored(value) -> tuple:
+    # A variance floored at 0, and the check that it is not negative
+    # beyond round-off (NaN fails it).
     return py_max(value, 0.0), [
         (value >= _NEGATIVE_VARIANCE_FLOOR, NumericsError,
          "variance {} negative beyond round-off", value),
     ]
+
+
+def _variance_matrix(am: np.ndarray, rm: np.ndarray) -> tuple:
+    # ΔA² from the defining traces, floored at 0, and its check.
+    mean = np.einsum("...ab,...ba", am, rm).real
+    return _floored(_second_moment(am, rm) - mean * mean)
+
+
+def _variance_bloch(a, rho, n: int) -> tuple:
+    # ΔA² from the Bloch vectors at N = n, floored at 0, and its check.
+    mean = row_dot(a.a, rho.p)
+    return _floored((2.0 / n) * a.norm2 + row_dot(a.a_prime, rho.p) - mean * mean)
 
 
 def variance_matrix(a: Observable, rho: QuantumState) -> float:
@@ -179,28 +186,20 @@ def variance_matrix(a: Observable, rho: QuantumState) -> float:
     return float(value)
 
 
-def variance_matrix_batch(am: np.ndarray, rm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lanes form of ``variance_matrix`` on (n, N, N) observable and state
-    matrices; returns ``(variances, bad)``."""
-    value, checks = _variance_matrix(am, rm)
-    return value, failures(checks)
-
-
 def variance_bloch(a: Observable, rho: QuantumState, basis: GeneratorBasis) -> float:
     """ΔA² from Bloch vectors: (2/N)|a|² + a'·p - (a·p)²."""
     _check_dims(a, rho)
     if basis.dim != a.dim:
         raise DimensionMismatch("basis dimension disagrees with operands")
-    mean = float(a.a @ rho.p)
-    value = (2.0 / a.dim) * a.norm2 + float(a.a_prime @ rho.p) - mean * mean
-    return _finalize(value)
+    value, checks = _variance_bloch(a, rho, a.dim)
+    raise_first(checks)
+    return float(value)
 
 
 def variance_bloch_batch(a: ObservableBatch, rho: StateBatch) -> tuple[np.ndarray, np.ndarray]:
     """Lanes form of ``variance_bloch``; returns ``(variances, bad)``."""
-    mean = row_dot(a.a, rho.p)
-    value = (2.0 / a.matrix.shape[1]) * a.norm2 + row_dot(a.a_prime, rho.p) - mean * mean
-    return py_max(value, 0.0), value < _NEGATIVE_VARIANCE_FLOOR
+    value, checks = _variance_bloch(a, rho, a.matrix.shape[1])
+    return value, failures(checks)
 
 
 def variance_report(a: Observable, rho: QuantumState, basis: GeneratorBasis) -> VarianceReport:
@@ -216,11 +215,28 @@ def variance_report(a: Observable, rho: QuantumState, basis: GeneratorBasis) -> 
     )
 
 
-def _checked_cos(dot: float, norm_u: float, norm_v: float) -> float:
-    c = dot / (norm_u * norm_v)
-    if abs(c) > 1.0 + _COS_EXCESS:
-        raise NumericsError(f"cosine {c!r} exceeds 1 beyond round-off")
-    return min(1.0, max(-1.0, c))
+def _vector_angle(u: np.ndarray, v: np.ndarray) -> tuple:
+    # The angle between (..., n) vectors u and v, and its checks.
+    nu = np.sqrt(row_dot(u, u))
+    nv = np.sqrt(row_dot(v, v))
+    finite = nu * nv < math.inf  # also fails NaN
+    nonzero = (nu >= _ZERO_NORM) & (nv >= _ZERO_NORM)
+    c = row_dot(u, v) / where(finite & nonzero, nu * nv, 1.0)
+    return per_element(math.acos, py_min(1.0, py_max(-1.0, c))), [
+        (finite, ValueError,
+         "angle undefined for norms {} and {}: their product must be finite", nu, nv),
+        (nonzero, UndefinedAngle, "angle undefined for a zero-norm vector"),
+        (abs(c) <= 1.0 + _COS_EXCESS, NumericsError, "cosine {} exceeds 1 beyond round-off", c),
+    ]
+
+
+def _angles(a, b, rho) -> tuple:
+    # theta_pa, theta_pb and theta_ab, each the acos of a clamped cosine
+    # (in [0, pi]), and their checks.
+    found = [_vector_angle(u, v) for u, v in ((rho.p, a.a), (rho.p, b.a), (a.a, b.a))]
+    mixed = (np.sqrt(rho.purity) >= _ZERO_NORM, UndefinedAngle,
+             "angles are undefined for the completely mixed state (|p| = 0)")
+    return *(theta for theta, _ in found), [mixed, *(c for _, checks in found for c in checks)]
 
 
 def vector_angle(u, v) -> float:
@@ -228,17 +244,15 @@ def vector_angle(u, v) -> float:
 
     Raises ``ValueError`` for operands whose norms do not have a finite
     product (a non-finite entry, or an overflow), and ``UndefinedAngle``
-    for a zero-norm operand.
+    for a zero-norm operand, and ``ValueError`` unless ``u`` and ``v`` are
+    1-D and of one length.
     """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if not nu * nv < math.inf:  # also catches NaN
-        raise ValueError(f"angle undefined for norms {nu!r} and {nv!r}: their product must be finite")
-    if nu < _ZERO_NORM or nv < _ZERO_NORM:
-        raise UndefinedAngle("angle undefined for a zero-norm vector")
-    return math.acos(_checked_cos(float(u @ v), nu, nv))
+    u, v = np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)
+    if u.ndim != 1 or u.shape != v.shape:
+        raise ValueError(f"vector_angle takes two 1-D vectors of one length, not {u.shape}, {v.shape}")
+    theta, checks = _vector_angle(u, v)
+    raise_first(checks)
+    return theta
 
 
 def angles(a: Observable, b: Observable, rho: QuantumState) -> AngleSet:
@@ -250,25 +264,9 @@ def angles(a: Observable, b: Observable, rho: QuantumState) -> AngleSet:
     """
     _check_dims(a, rho)
     _check_dims(b, rho)
-    if math.sqrt(rho.purity) < _ZERO_NORM:
-        raise UndefinedAngle(
-            "angles are undefined for the completely mixed state (|p| = 0)"
-        )
-    return AngleSet(
-        theta_pa=vector_angle(rho.p, a.a),
-        theta_pb=vector_angle(rho.p, b.a),
-        theta_ab=vector_angle(a.a, b.a),
-    )
-
-
-def _vector_angle_batch(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Lanes form of vector_angle(u[i], v[i]) with _checked_cos.
-    nu = np.sqrt(row_dot(u, u))
-    nv = np.sqrt(row_dot(v, v))
-    bad = ~(nu * nv < math.inf) | (nu < _ZERO_NORM) | (nv < _ZERO_NORM)
-    c = row_dot(u, v) / (nu * nv)
-    bad |= np.abs(c) > 1.0 + _COS_EXCESS
-    return per_element(math.acos, py_min(1.0, py_max(-1.0, c))), bad
+    theta_pa, theta_pb, theta_ab, checks = _angles(a, b, rho)
+    raise_first(checks)
+    return AngleSet(theta_pa=theta_pa, theta_pb=theta_pb, theta_ab=theta_ab)
 
 
 def angles_batch(
@@ -276,12 +274,8 @@ def angles_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Lanes form of ``angles(a, b, rho)``: returns ``(theta_pa, theta_pb,
     theta_ab, bad)``."""
-    bad = np.sqrt(rho.purity) < _ZERO_NORM
-    theta_pa, bad_pa = _vector_angle_batch(rho.p, a.a)
-    theta_pb, bad_pb = _vector_angle_batch(rho.p, b.a)
-    theta_ab, bad_ab = _vector_angle_batch(a.a, b.a)
-    bad |= bad_pa | bad_pb | bad_ab  # each angle is acos of a clamped cosine: in [0, pi]
-    return theta_pa, theta_pb, theta_ab, bad
+    theta_pa, theta_pb, theta_ab, checks = _angles(a, b, rho)
+    return theta_pa, theta_pb, theta_ab, failures(checks)
 
 
 def pair_geometry(a: Observable, b: Observable, basis: GeneratorBasis) -> PairGeometry:

@@ -17,7 +17,7 @@ from blochvar import (
     state_from_matrix,
     state_to_matrix,
 )
-from blochvar.linalg import failures, hermitian
+from blochvar.linalg import failures, hermitian, row_dot
 from conftest import random_density, random_hermitian
 
 
@@ -229,7 +229,7 @@ def test_each_row_checked_alone_equals_its_stack_row(dim):
         (bloch._state_checks, (rho, p, dim)),
         (bloch._real_components, (coeffs,)),
         (bloch._observable_checks, (matrix, vec)),
-        (bloch._prime_checks, (obs, a_prime, dim, stacked)),
+        (bloch._prime_checks, (obs, a_prime, dim, stacked, row_dot(vec, vec))),
     ]
     for fn, args in cases:
         stack = _fields(fn(*args))
@@ -287,6 +287,25 @@ def test_scalar_and_stack_call_one_check(monkeypatch, basis3, name, scalar, stac
     assert alone and calls and {d + 1 for d in alone} == set(calls)
 
 
+@pytest.mark.parametrize("scale", [1e2, 1e3, 1e4, 1e6])
+@pytest.mark.parametrize("dim", [2, 3, 6])
+def test_observables_of_large_norm_are_accepted(dim, scale):
+    # The |a|^2 and a' checks' residues grow as eps |a|^2, and so does
+    # their tolerance, 1e-11 of max(1, |a|^2); the trace check's grows as
+    # eps |a|, and so does its tolerance, 1e-12 of max(1, |a|): random
+    # Hermitian matrices with |a|^2 of about scale^2 pass, alone and on
+    # a stack.
+    basis = basis_for(dim)
+    gen = np.random.default_rng(1502)
+    vectors = []
+    for _ in range(50):
+        g = scale * (gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim)))
+        obs = observable_from_matrix(HermitianMatrix((g + g.conj().T) / 2.0), basis)
+        vectors.append(obs.a)
+        assert obs.norm2 > 1.0
+    assert not bloch.observable_from_bloch_batch(np.array(vectors), basis).bad.any()
+
+
 # The a' check's failure path: a contracted vector off by 1e-6, and a
 # matrix that is not traceless, on one object and on a stack.
 
@@ -322,7 +341,7 @@ def test_prime_check_flags_a_matrix_with_a_trace(dim):
     shift = np.resize([0.0, 1e-3, 1e-15], 12)  # 2c A off by about 2e-3 and 2e-15
     arr = basis.combine_rows(vec) + shift[:, None, None] * np.eye(dim)
     a_prime = basis.d_contract(vec)
-    flagged = failures(bloch._prime_checks(arr, a_prime, dim, basis.trace_rows))
+    flagged = failures(bloch._prime_checks(arr, a_prime, dim, basis.trace_rows, row_dot(vec, vec)))
     assert flagged.tolist() == (shift == 1e-3).tolist()
     for i in range(12):
         if flagged[i]:
@@ -353,10 +372,11 @@ def test_qubit_prime_closed_form_matches_the_squared_matrix(basis2):
     sq = arr @ arr
     sq -= (np.trace(sq, axis1=1, axis2=2).real / 2.0)[:, None, None] * np.eye(2)
     squared = 0.5 * basis2.trace_rows(sq).real
+    norm2 = 0.5 * np.einsum("...ab,...ba", arr, arr).real  # |a|^2 of a traceless A
     # a' of the size of A^2, and a' as drawn at N = 2 (zero).
     for a_prime in (rng.normal(size=(rows, 3)) * scale[:, None] ** 2, np.zeros((rows, 3))):
         expected = np.abs(a_prime - squared).max(axis=-1)
-        ((holds, _, err),) = bloch._prime_checks(arr, a_prime, 2, basis2.trace_rows)
+        ((holds, _, err),) = bloch._prime_checks(arr, a_prime, 2, basis2.trace_rows, norm2)
         assert 0 < holds.sum() < rows
         finite = np.isfinite(expected)
         assert np.array_equal(finite, np.isfinite(err)) and not finite.all()
@@ -365,17 +385,15 @@ def test_qubit_prime_closed_form_matches_the_squared_matrix(basis2):
         ulp[finite] = np.abs(arr[finite]).max(axis=(1, 2)) ** 2 + expected[finite]
         ulp *= np.finfo(float).eps
         assert (np.abs(err[finite] - expected[finite]) <= 4 * ulp[finite]).all()
-        # The flags: the same on every row whose value lies further than
-        # that from the tolerance.  With a' = 0 the rows within it are
-        # traceless matrices of |A|^2 above about 1e4, where either value
-        # is the rounding of a zero.
-        decided = ~(np.abs(expected - 1e-11) <= 4 * ulp)
-        assert holds[decided].tolist() == (expected[decided] <= 1e-11).tolist()
-        assert decided.all() or not a_prime.any()
-        assert not (np.flatnonzero(~decided) % 2).any()  # the even rows are the traceless ones
-        assert (np.maximum(err, expected)[~decided] <= 4 * ulp[~decided] + 1e-11).all()
+        # The flags: the same on every row.  The tolerance is 1e-11 of
+        # max(1, |a|^2), so no value lies within a few ulp of it: the
+        # rounding residue of a traceless matrix, of any scale, is far
+        # below it.
+        scale = np.maximum(1.0, norm2)
+        assert not (np.abs(expected - 1e-11 * scale) <= 4 * ulp).any()
+        assert holds.tolist() == (expected / scale <= 1e-11).tolist()
         for i in range(0, rows, 997):  # one matrix, as a scalar constructor checks it
-            ((alone, _, value),) = bloch._prime_checks(arr[i], a_prime[i], 2, None)
+            ((alone, _, value),) = bloch._prime_checks(arr[i], a_prime[i], 2, None, norm2[i])
             assert alone == holds[i] and np.array_equal(_bits(value), _bits(err[i]))
 
 

@@ -794,6 +794,15 @@ def test_compare_mixed_state_marks_not_applicable():
     assert rows["robertson"]["applicable"]
 
 
+def test_compare_accepts_an_observable_of_large_norm():
+    # |a|^2 is about 1e6, and its check's residue, and the a' check's,
+    # about 2e-10: rounding, within 1e-11 of max(1, |a|^2).
+    obs = {"dim": 2, "re": [2000.1, 1500.3, 1500.3, 700.9], "im": [0, -999.7, 999.7, 0]}
+    code, report = _run(["compare", "--state", "mixed", "--A", json.dumps(obs), "--B", "sigma2"])
+    assert code == 0
+    assert {row["bound"]: row for row in report["results"]}["robertson"]["holds"]
+
+
 def test_compare_json_matrix_input(tmp_path):
     path = tmp_path / "obs.json"
     path.write_text(json.dumps({"dim": 2, "re": [0.0, 1.0, 1.0, 0.0], "im": [0.0, 0.0, 0.0, 0.0]}))

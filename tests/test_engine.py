@@ -85,7 +85,7 @@ def _params(name):
 def test_every_lanes_checker_takes_its_scalar_twins_parameters():
     # The engine calls `X_batch` on the arguments it would pass `X`.
     twins = [name for name in relations.__all__ if name.endswith("_batch")]
-    assert len(twins) == 14
+    assert len(twins) == 12
     for twin in twins:
         scalar = twin.removesuffix("_batch")
         assert scalar in relations.__all__ and _params(twin) == _params(scalar)
@@ -95,8 +95,7 @@ def test_every_lanes_checker_takes_its_scalar_twins_parameters():
 _QUBIT_ONLY = {
     "check_triangle", "check_theorem1", "check_mixed_limit", "check_pure_limit",
     "check_three_observable_equality", "check_appendix_b", "state_dependent_bound",
-    "check_unit_vector_state", "effective_axis_angle",
-    "scan_pair_point", "scan_triple_point",
+    "check_unit_vector_state", "scan_pair_point", "scan_triple_point",
 }
 
 
@@ -104,19 +103,16 @@ def _twin_operands(dim, n=24):
     """Lanes operands for every parameter name of the checkers, from one
     ``draw_batches`` chunk at N = ``dim``, and row i's scalar operands.
     Mixed and pure states alternate and every third state is completely
-    mixed (p = 0, so appendix-c's means vanish); A is zero on row 1; the
-    unit-vector relation's scalars come from the Bloch rows, some
-    outside its domain.  The scan points' fixed observables, ``A`` and
-    ``B``, are row 0's, and ``index`` is the row."""
+    mixed (p = 0, so appendix-c's means vanish); A is zero on row 1.
+    The scan points' fixed observables, ``A`` and ``B``, are row 0's,
+    and ``index`` is the row."""
     basis = basis_for(dim)
     drawn, a, b = sampling.draw_batches(("alternating", _OBS, _OBS), XoshiroLanes(11, range(n)), basis)
     rho = np.where((np.arange(n) % 3 == 2)[:, None, None], np.eye(dim) / dim, drawn.rho)
     state = bloch.state_from_matrix_batch(rho, basis)
     a = bloch.observable_from_bloch_batch(np.where((np.arange(n) == 1)[:, None], 0.0, a.a), basis)
     b = bloch.observable_from_bloch_batch(b.a, basis)
-    p = state.p
-    lanes = {"a": a, "b": b, "rho": state, "psi": state, "basis": basis,
-             "theta_ab": 1.1, "angles": 4.0 * p[:, 0], "da2": p[:, 1] + 0.5, "db2": p[:, 2] + 0.5,
+    lanes = {"a": a, "b": b, "rho": state, "psi": state, "basis": basis, "theta_ab": 1.1,
              "index": np.arange(n)}
     rows = []
     for i in range(n):
@@ -124,18 +120,21 @@ def _twin_operands(dim, n=24):
         rho_i = bloch.state_from_matrix(linalg.HermitianMatrix(rho[i]), basis)
         for obj, batch in ((oa, a), (ob, b)):
             assert np.array_equal(obj.matrix.array, batch.matrix[i]) and obj.norm2 == batch.norm2[i]
-        assert np.array_equal(rho_i.rho.array, state.rho[i]) and np.array_equal(rho_i.p, p[i])
-        rows.append({"a": oa, "b": ob, "rho": rho_i, "psi": rho_i, "index": i,
-                     **{k: float(lanes[k][i]) for k in ("angles", "da2", "db2")}})
+        assert np.array_equal(rho_i.rho.array, state.rho[i]) and np.array_equal(rho_i.p, state.p[i])
+        rows.append({"a": oa, "b": ob, "rho": rho_i, "psi": rho_i, "index": i})
     lanes["A"], lanes["B"] = rows[0]["a"], rows[0]["b"]
     return lanes, rows
 
 
 def _twin_args(name, lanes):
     """The arguments of ``name``_batch, of the operands ``lanes``."""
-    # check_unit_vector_relation takes its angle a row at a time.
-    key = {"theta_ab": "angles"} if "da2" in _params(name) else {}
-    return {p: lanes[key.get(p, p)] for p in _params(name)}, key
+    return {p: lanes[p] for p in _params(name)}
+
+
+def _row_args(args, row):
+    """The scalar form of the twin arguments ``args``: ``row``'s operand
+    where it has one, else the argument all rows share."""
+    return {p: row.get(p, args[p]) for p in args}
 
 
 def _twin_raises(name, lanes, rows):
@@ -143,17 +142,15 @@ def _twin_raises(name, lanes, rows):
     ``_twin_operands``: both raise DimensionMismatch (None is returned),
     or the twin's bad rows are the rows where ``name`` raises (returned)
     and its other margins are ``name``'s, bit for bit."""
-    args, key = _twin_args(name, lanes)
-    scalar = [{p: row.get(key.get(p, p), args[p]) for p in args} for row in rows]
+    args = _twin_args(name, lanes)
+    scalar = [_row_args(args, row) for row in rows]
     try:
-        out = getattr(relations, name + "_batch")(**args)
+        margins, bad = getattr(relations, name + "_batch")(**args)
     except DimensionMismatch:
         for row_args in scalar:
             with pytest.raises(DimensionMismatch):
                 getattr(relations, name)(**row_args)
         return None
-    # effective_axis_angle's twin returns angles, NaN where undefined.
-    margins, bad = out if isinstance(out, tuple) else (out, np.isnan(out))
     margins = margins.reshape(len(rows), -1)  # a column per verdict or value
     raised = []
     for i, row_args in enumerate(scalar):
@@ -192,7 +189,7 @@ def test_twins_flag_exactly_the_rows_their_scalars_reject(dim):
     # raises and its other margins are X's, bit for bit.
     lanes, rows = _twin_operands(dim)
     pairs = [name for name in relations.__all__ if name + "_batch" in relations.__all__]
-    assert len(pairs) == 14
+    assert len(pairs) == 12
     refused = {name for name in pairs if _twin_raises(name, lanes, rows) is None}
     assert refused == (set() if dim == 2 else _QUBIT_ONLY)
     # A twin reads no input's bad flags (`engine.chunks` marks the rows
@@ -201,16 +198,32 @@ def test_twins_flag_exactly_the_rows_their_scalars_reject(dim):
                for k, v in lanes.items()}
     for name in sorted(set(pairs) - refused):
         twin = getattr(relations, name + "_batch")
-        plain, marked = (twin(**_twin_args(name, ops)[0]) for ops in (lanes, flagged))
-        if not isinstance(plain, tuple):  # effective_axis_angle's angles
-            plain, marked = (plain,), (marked,)
+        plain, marked = (twin(**_twin_args(name, ops)) for ops in (lanes, flagged))
         assert [x.tobytes() for x in plain] == [x.tobytes() for x in marked], name
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the NaN rows
+def test_unit_vector_relation_flags_the_rows_its_scalar_rejects():
+    # check_unit_vector_relation has no lanes twin: its function on rows
+    # of angles and variances, some outside its domain and some NaN,
+    # flags exactly the rows where it raises, and gives its margins.
+    p = _twin_operands(2)[0]["rho"].p
+    theta, da2, db2 = 4.0 * p[:, 0], p[:, 1] + 0.5, p[:, 2] + 0.5
+    theta[3], da2[4], db2[5] = math.nan, math.nan, math.nan
+    lhs, rhs, checks = relations._unit_vector_relation(theta, da2, db2)
+    bad, raised = linalg.failures(checks), []
+    for i, args in enumerate(zip(theta.tolist(), da2.tolist(), db2.tolist())):
+        try:
+            margin = relations.check_unit_vector_relation(*args).margin
+        except ValueError:
+            raised.append(i)
+            continue
+        assert (lhs[i] - rhs[i]).tobytes() == np.float64(margin).tobytes()
+    assert {3, 4, 5} <= set(raised) < set(range(len(p))) and np.flatnonzero(bad).tolist() == raised
+
+
 # The private function that holds each pair's formula and checks, which
-# the scalar checker and its lanes twin both call, and the pairs whose
-# scalar and twin keep a body each: on one sample, a shared function's
-# per-call overhead costs those few-microsecond checkers more than 10 %.
+# the scalar checker and its lanes twin both call.
 _SHARED = {
     "check_triangle": "_triangle",
     "check_theorem1": "_theorem1",
@@ -223,8 +236,8 @@ _SHARED = {
     "state_dependent_bound": "_state_dependent",
     "scan_pair_point": "_scan_pair_point",
     "scan_triple_point": "_scan_triple_point",
+    "check_unit_vector_state": "_unit_vector_state",
 }
-_TWINNED = {"check_unit_vector_relation", "effective_axis_angle", "check_unit_vector_state"}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # bad rows on purpose
@@ -233,7 +246,7 @@ def test_scalar_and_twin_call_one_function(monkeypatch, name):
     # A spy on the shared function: the scalar checker, on one row's
     # objects, and its twin, on the rows, must both reach it.
     pairs = {n for n in relations.__all__ if n + "_batch" in relations.__all__}
-    assert set(_SHARED) | _TWINNED == pairs and not set(_SHARED) & _TWINNED
+    assert set(_SHARED) == pairs
     lanes, rows = _twin_operands(2, n=3)
     shared = getattr(relations, _SHARED[name])
     calls = []
@@ -243,9 +256,9 @@ def test_scalar_and_twin_call_one_function(monkeypatch, name):
         return shared(*args)
 
     monkeypatch.setattr(relations, _SHARED[name], spy)
-    args, key = _twin_args(name, lanes)
+    args = _twin_args(name, lanes)
     try:  # row 0 may fail a precondition after the shared call
-        getattr(relations, name)(**{p: rows[0].get(key.get(p, p), args[p]) for p in args})
+        getattr(relations, name)(**_row_args(args, rows[0]))
     except (ValueError, ArithmeticError):
         pass
     alone, calls[:] = len(calls), []
@@ -253,19 +266,54 @@ def test_scalar_and_twin_call_one_function(monkeypatch, name):
     assert alone and calls
 
 
-def test_variance_matrix_and_its_twin_call_one_function(monkeypatch):
-    lanes, rows = _twin_operands(3, n=3)
-    shared = variance._variance_matrix
+def _spy(monkeypatch, modules, name):
+    """Replace ``name`` in each of ``modules`` by one wrapper that records,
+    a call each, the number of dimensions of its first argument (of an
+    observable's Bloch vectors)."""
+    shared = getattr(modules[0], name)
     calls = []
 
-    def spy(am, rm):
-        calls.append(rm.ndim)
-        return shared(am, rm)
+    def spy(*args):
+        calls.append(np.ndim(getattr(args[0], "a", args[0])))
+        return shared(*args)
 
-    monkeypatch.setattr(variance, "_variance_matrix", spy)
+    for module in modules:
+        assert getattr(module, name) is shared
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_variance_matrix_and_its_twin_call_one_function(monkeypatch):
+    # variance_matrix, and the lanes checkers, which call it on matrices.
+    lanes, rows = _twin_operands(3, n=3)
+    calls = _spy(monkeypatch, (variance, relations), "_variance_matrix")
     variance.variance_matrix(rows[0]["a"], rows[0]["rho"])
-    variance.variance_matrix_batch(lanes["a"].matrix, lanes["rho"].rho)
-    assert calls == [2, 3]
+    relations.robertson_bound_batch(lanes["a"], lanes["b"], lanes["rho"])
+    assert calls == [2, 3, 3]
+
+
+# Each scalar of ``variance`` with a lanes form: the function both reach,
+# the scalar's operands and the lanes form's (``vector_angle``'s rows
+# are the angles').
+_VARIANCE_SHARED = {
+    "variance_bloch": ("_variance_bloch", ("a", "rho", "basis"), "variance_bloch_batch", ("a", "rho")),
+    "angles": ("_angles", ("a", "b", "rho"), "angles_batch", ("a", "b", "rho")),
+    "vector_angle": ("_vector_angle", ("p", "a_vector"), "angles_batch", ("a", "b", "rho")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VARIANCE_SHARED))
+def test_variance_scalars_and_twins_call_one_function(monkeypatch, name):
+    # The scalar on row 0's objects, and its lanes form on the rows.
+    lanes, rows = _twin_operands(2, n=3)
+    shared, params, twin, twin_params = _VARIANCE_SHARED[name]
+    calls = _spy(monkeypatch, (variance,), shared)
+    row = {**lanes, **rows[0], "p": rows[0]["rho"].p, "a_vector": rows[0]["a"].a}
+    getattr(variance, name)(*(row[k] for k in params))
+    alone, calls[:] = calls[:], []
+    with np.errstate(all="ignore"):  # A is zero on row 1
+        getattr(variance, twin)(*(lanes[k] for k in twin_params))
+    assert alone and calls and {d + 1 for d in alone} == set(calls)
 
 
 def _nan_where_x_above(checker, x):

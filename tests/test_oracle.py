@@ -87,11 +87,11 @@ def test_psd_floor_against_50_digits(n, draws):
     assert worst * _HEADROOM <= abs(floor)
 
 
-def _squared_coefficients_50(a, basis):
-    """Tr[A² g_j] / 2 of a stored observable at 50 digits: the coefficient
+def _squared_coefficients_50(matrix, basis):
+    """Tr[A² g_j] / 2 of a stored matrix at 50 digits: the coefficient
     vector of the traceless part of A², which a' must equal."""
     with mpmath.workdps(50):
-        am = _exact(a.matrix.array)
+        am = _exact(matrix)
         n = len(am)
         a2 = [[mpmath.fsum(am[i][k] * am[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
         return [
@@ -102,25 +102,32 @@ def _squared_coefficients_50(a, basis):
 
 @pytest.mark.parametrize("n,draws", [(2, 1000), (3, 300), (6, 40)])
 def test_prime_check_against_50_digits(n, draws):
-    # The a' check (1e-11) by its own route (bloch._prime_checks: the
-    # closed form in Tr A at N = 2, A squared and decomposed through
-    # trace_rows above), on criterion 1's observables and on as many
-    # Hermitian matrices made traceless by observable_from_matrix, whose
-    # trace is a rounding residue rather than 0.  Given the 50-digit
-    # coefficients rounded to float64 as a', its value is the route's
-    # error to within their rounding.
+    # The a' check (1e-11 of max(1, |a|^2)) by its own route
+    # (bloch._prime_checks: the closed form in Tr A at N = 2, A squared
+    # and decomposed through trace_rows above), on criterion 1's
+    # observables, on as many Hermitian matrices made traceless by
+    # observable_from_matrix, whose trace is a rounding residue rather
+    # than 0, and on those matrices scaled by 1e2 to 1e6 and made
+    # traceless in the same way.  Given the 50-digit coefficients rounded
+    # to float64 as a', its value is the route's error to within their
+    # rounding.
     basis = basis_for(n)
-    obs = []
+    matrices = []
     gen = np.random.default_rng(n)
     for i in range(draws):
         rng = Xoshiro256pp(2024 + n, stream=i)
         draw_mixed(rng, basis)
-        obs.append(draw_observable(rng, basis))
+        matrices.append(draw_observable(rng, basis).matrix.array)
         g = gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n))
-        obs.append(observable_from_matrix(HermitianMatrix((g + g.conj().T) / 2.0), basis))
-    matrices = np.array([a.matrix.array for a in obs])
-    exact = np.array([_squared_coefficients_50(a, basis) for a in obs])
-    ((holds, _, err),) = bloch._prime_checks(matrices, exact, n, basis.trace_rows)
-    worst = float(err.max())
-    print(f"\nN = {n}: worst |error| of the a' check's route {worst:.2e}")
+        matrices.append(observable_from_matrix(HermitianMatrix((g + g.conj().T) / 2.0), basis).matrix.array)
+        h = HermitianMatrix(10.0 ** (2 + i % 5) * (g + g.conj().T) / 2.0).array
+        matrices.append(h - np.trace(h).real / n * np.eye(n))
+    matrices = np.array(matrices)
+    exact = np.array([_squared_coefficients_50(m, basis) for m in matrices])
+    norm2 = 0.5 * np.einsum("...ab,...ba", matrices, matrices).real
+    ((holds, _, err),) = bloch._prime_checks(matrices, exact, n, basis.trace_rows, norm2)
+    scale = np.maximum(1.0, norm2)
+    worst = float((err / scale).max())
+    print(f"\nN = {n}: worst |error| / max(1, |a|^2) of the a' check's route {worst:.2e},"
+          f" |a|^2 up to {scale.max():.1e}")
     assert holds.all() and worst * _HEADROOM <= 1e-11

@@ -27,8 +27,10 @@ from blochvar import (
     vector_angle,
 )
 from blochvar import variance
+from blochvar.bloch import repeat_observable, repeat_state
+from blochvar.linalg import failures
 from blochvar.sampling import OBSERVABLE, XoshiroLanes, draw_batches
-from blochvar.variance import variance_bloch_batch, variance_matrix_batch
+from blochvar.variance import variance_bloch_batch
 from conftest import random_hermitian
 
 KET0 = HermitianMatrix(np.diag([1.0, 0.0]).astype(complex))
@@ -154,9 +156,32 @@ def test_angles_reject_completely_mixed(basis2):
         angles(a, b, completely_mixed(basis2))
 
 
+def test_nan_bloch_variance_raises(basis3):
+    # As variance_matrix does: NaN fails the floor's check, on one object
+    # and on the rows.
+    state = draw_mixed(Xoshiro256pp(2), basis3)
+    hacked = observable_from_bloch(draw_observable(Xoshiro256pp(1), basis3).a, basis3)
+    object.__setattr__(hacked, "a_prime", np.full(8, np.nan))
+    with pytest.raises(NumericsError, match="variance nan negative beyond round-off"):
+        variance_bloch(hacked, state, basis3)
+    value, bad = variance_bloch_batch(repeat_observable(hacked, 2), repeat_state(state, 2))
+    assert np.isnan(value).all() and bad.all()
+
+
 def test_vector_angle_zero_norm():
     with pytest.raises(UndefinedAngle):
         vector_angle([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("u, v", [
+    ([[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]]),
+    ([[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]),
+    ([1.0, 0.0, 0.0], [0.0, 1.0]),
+    (1.0, 2.0),
+])
+def test_vector_angle_takes_two_vectors_of_one_length(u, v):
+    with pytest.raises(ValueError, match="two 1-D vectors of one length"):
+        vector_angle(u, v)
 
 
 # A NaN or infinite entry, and entries whose squares overflow (the angle
@@ -170,11 +195,11 @@ def test_vector_angle_rejects_norms_without_a_finite_product():
         with pytest.raises(ValueError, match="product must be finite") as raised:
             vector_angle(u, [1.0, 0.0, 0.0])
         assert type(raised.value) is ValueError
-    # The lanes form flags the same rows, and no other.
+    # The shared function flags the same rows of a stack, and no other.
     u = np.array(_NON_FINITE + [[1.0, 1.0, 0.0]])
     with np.errstate(all="ignore"):
-        theta, bad = variance._vector_angle_batch(u, np.tile([1.0, 0.0, 0.0], (4, 1)))
-    assert bad.tolist() == [True, True, True, False]
+        theta, checks = variance._vector_angle(u, np.tile([1.0, 0.0, 0.0], (4, 1)))
+    assert failures(checks).tolist() == [True, True, True, False]
     assert theta[3] == vector_angle(u[3], [1.0, 0.0, 0.0])
 
 
@@ -231,7 +256,8 @@ def test_batched_routes_match_scalar_rows(n):
     lanes = XoshiroLanes(7, range(40))
     states, obs = draw_batches(("alternating", OBSERVABLE), lanes, basis)
     via_bloch, bad_bloch = variance_bloch_batch(obs, states)
-    via_matrix, bad_matrix = variance_matrix_batch(obs.matrix, states.rho)
+    via_matrix, checks = variance._variance_matrix(obs.matrix, states.rho)
+    bad_matrix = failures(checks)
     assert not (bad_bloch | bad_matrix | states.bad | obs.bad).any()
     for i in range(40):
         rng = Xoshiro256pp(7, stream=i)
