@@ -66,7 +66,6 @@ __all__ = [
     "state_to_matrix_batch",
     "batch_states",
     "repeat_state",
-    "repeat_observable",
     "observable_from_bloch_batch",
     "state_from_matrix",
     "state_to_matrix",
@@ -372,16 +371,6 @@ def repeat_state(state: QuantumState, count: int) -> StateBatch:
     return StateBatch(rho, p, np.full(count, state.purity), np.zeros(count, dtype=bool))
 
 
-def repeat_observable(obs: Observable, count: int) -> ObservableBatch:
-    """``count`` rows of one validated observable."""
-    matrix = np.repeat(obs.matrix.array[None], count, axis=0)
-    a = np.repeat(obs.a[None], count, axis=0)
-    a_prime = np.repeat(obs.a_prime[None], count, axis=0)
-    return ObservableBatch(
-        matrix, a, a_prime, np.full(count, obs.norm2), np.zeros(count, dtype=bool)
-    )
-
-
 def observable_from_bloch_batch(vec: np.ndarray, basis: GeneratorBasis) -> ObservableBatch:
     """Lanes form of ``observable_from_bloch(vec[i], basis)``."""
     vec = np.asarray(vec, dtype=np.float64)
@@ -405,13 +394,18 @@ def completely_mixed(basis: GeneratorBasis) -> QuantumState:
 def matrix_from_json(obj: dict) -> HermitianMatrix:
     """Build a Hermitian matrix from the JSON wire format.
 
-    Expected keys: ``dim`` (int) plus row-major ``re`` and ``im`` arrays
-    of length dim².  ``im`` may be omitted for real matrices.
+    Expected keys: ``dim`` (an int of at least 1, not a bool) plus
+    row-major ``re`` and ``im`` arrays of length dim².  ``im`` may be
+    omitted for real matrices.  The lengths are checked before anything
+    of size dim² is allocated.
     """
     try:
-        dim = int(obj["dim"])
-        im = np.zeros(dim * dim) if obj.get("im") is None else obj["im"]
-        re, im = (np.asarray(x, dtype=np.float64).reshape(dim, dim) for x in (obj["re"], im))
+        dim = obj["dim"]
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+            raise ValueError(f"dim must be an integer of at least 1, got {dim!r}")
+        re = np.asarray(obj["re"], dtype=np.float64).reshape(dim, dim)
+        im = obj.get("im")
+        im = np.zeros_like(re) if im is None else np.asarray(im, dtype=np.float64).reshape(dim, dim)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
     return HermitianMatrix(re + 1.0j * im)

@@ -2,13 +2,15 @@
 draws and checks a run on lanes.
 
 Each row of ``RELATIONS`` names what a sample of its relation draws (a
-``sampling.draw_batches`` plan) and its scalar checker in ``relations``,
-whose lanes twin is the same name with ``_batch`` appended, taking the
-same arguments (``_lanes``).  ``chunks`` is the loop: on each chunk of
-streams (``sampling.lane_chunks``) it draws a row's plan, runs its lanes
-twin, replays the chunk's first bad lane through ``_sample``, and yields
-the chunk's values.  ``fuzz`` summarizes verify's margins from it
-(``_verdicts``), the region scans run their scan points of
+``sampling.draw_batches`` plan), its scalar checker in ``relations``,
+and the private function of ``relations`` that states the relation,
+which takes the checker's arguments, on one sample or on rows.
+``chunks`` is the loop: on each chunk of streams
+(``sampling.lane_chunks``) it draws a row's plan, runs the row's
+function on the rows, reduces its return to margins and bad rows
+(``_lane_values``), replays the chunk's first bad lane through
+``_sample``, and yields the chunk's values.  ``fuzz`` summarizes
+verify's margins from it (``_verdicts``), the region scans run their scan points of
 ``relations`` through it with rows of their own (``regions._scan``),
 and ``iter_states`` yields the states of a ``sampling.SampleConfig``
 from it, with a row that draws one state and checks nothing more.
@@ -32,7 +34,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import bloch, linalg, relations, sampling, sun_basis
-from .errors import NumericsError, UnphysicalState
+from .errors import DimensionMismatch, NumericsError, UnphysicalState
 
 __all__ = ["Relation", "RELATIONS", "chunks", "fuzz", "iter_states"]
 
@@ -44,68 +46,76 @@ class Relation(NamedTuple):
     takes them; the checkers see its state as ``state`` and its
     observables as ``a`` and ``b`` (``_call``).  ``plan`` None is
     appendix-c's rejection loop, whose accepted tries give them.
-    ``check`` names a function of ``relations`` and the arguments it
-    takes, of those, ``basis``, ``index`` (the sample's stream) and the
-    ``given`` ones (``theta_ab`` in ``verify``); it returns a sample's
-    verdict, or a tuple of them.  Its lanes twin, ``check``'s name with
-    ``_batch`` appended (``_lanes``), takes the same arguments as batch
-    rows and returns their (margins, bad), a column per verdict,
-    bit-identical to ``_sample``'s, with ``bad`` the rows on which
+    ``check`` names a scalar checker of ``relations`` and the arguments
+    it takes, of those, ``basis``, ``index`` (the sample's stream) and
+    the ``given`` ones (``theta_ab`` in ``verify``); it returns a
+    sample's verdict, or a tuple of them.  ``shared`` names the private
+    function of ``relations`` that states the relation, which takes the
+    same arguments, as rows on lanes, and returns (lhs, rhs, checks):
+    ``_lane_values`` reduces them to the rows' margins, a column per
+    verdict, bit-identical to ``_sample``'s, and the rows on which
     ``check`` raises; the rows whose draws failed are ``chunks``' to
     mark.  Verdicts hold at ``tol``.  ``check`` None checks nothing
     beyond the draws: a sample is its draws.  ``dims`` are the N the
-    relation is defined for (None: any N >= 2).
+    relation is defined for (None: any N >= 2), which ``chunks`` checks
+    before it draws.
     """
 
     dims: tuple[int, ...] | None
     plan: tuple[str, ...] | None
     check: tuple[str, ...] | None
+    shared: str | None = None
     tol: float = relations.HOLDS_TOL
 
 
 _OBS = sampling.OBSERVABLE
 _AB_STATE = ("a", "b", "state")
 
+_PAIR = ("alternating", _OBS, _OBS)
+_PURE_PAIR = ("haar_pure", _OBS, _OBS)
+
 RELATIONS = {
-    "triangle": Relation((2,), ("alternating", _OBS, _OBS), ("check_triangle", *_AB_STATE)),
-    "theorem1": Relation((2,), ("alternating", _OBS, _OBS), ("check_theorem1", *_AB_STATE)),
+    "triangle": Relation((2,), _PAIR, ("check_triangle", *_AB_STATE), "_triangle"),
+    "theorem1": Relation((2,), _PAIR, ("check_theorem1", *_AB_STATE), "_theorem1"),
     "mixed-limit": Relation(
-        (2,), ("maximally_mixed", _OBS, _OBS), ("check_mixed_limit", *_AB_STATE)
+        (2,), ("maximally_mixed", _OBS, _OBS), ("check_mixed_limit", *_AB_STATE), "_mixed_limit"
     ),
-    "pure-limit": Relation((2,), ("haar_pure", _OBS, _OBS), ("check_pure_limit", *_AB_STATE)),
+    "pure-limit": Relation((2,), _PURE_PAIR, ("check_pure_limit", *_AB_STATE), "_pure_limit"),
     "unit-vector": Relation(
-        (2,), ("haar_pure", _OBS, _OBS), ("check_unit_vector_state", *_AB_STATE)
+        (2,), _PURE_PAIR, ("check_unit_vector_state", *_AB_STATE), "_unit_vector_state"
     ),
     "three-obs-equality": Relation(
-        (2,), ("haar_pure",), ("check_three_observable_equality", "theta_ab", "state")
+        (2,), ("haar_pure",), ("check_three_observable_equality", "theta_ab", "state"),
+        "_three_observable_equality",
     ),
-    "appendix-b": Relation((2,), ("hs_mixed",), ("check_appendix_b", "state")),
+    "appendix-b": Relation((2,), ("hs_mixed",), ("check_appendix_b", "state"), "_appendix_b"),
     "appendix-c": Relation(
-        None, None, ("check_appendix_c", *_AB_STATE, "basis"), relations.APPENDIX_C_TOL
+        None, None, ("check_appendix_c", *_AB_STATE, "basis"), "_appendix_c",
+        relations.APPENDIX_C_TOL,
     ),
-    "robertson": Relation(None, ("alternating", _OBS, _OBS), ("robertson_bound", *_AB_STATE)),
+    "robertson": Relation(None, _PAIR, ("robertson_bound", *_AB_STATE), "_robertson"),
     "state-dependent": Relation(
-        (2,), ("haar_pure", _OBS, _OBS), ("state_dependent_bound", *_AB_STATE)
+        (2,), _PURE_PAIR, ("state_dependent_bound", *_AB_STATE), "_state_dependent"
     ),
 }
 
 
-def _lanes(named: tuple[str, ...]) -> tuple[str, ...]:
-    """The lanes twin of the checker ``named`` names: its ``_batch`` form,
-    on the same arguments."""
-    name, *params = named
-    return (name + "_batch", *params)
-
-
-def _call(named: tuple[str, ...], plan, drawn, **given):
-    """The function of ``relations`` that ``named`` names, looked up now,
-    called on the arguments it names: of ``given``, and of the draws of
+def _call(name: str, row: Relation, plan, drawn, **given):
+    """The function ``name`` of ``relations``, looked up now, called on
+    the arguments ``row.check`` names: of ``given``, and of the draws of
     ``plan``, its state as ``state`` and its observables as ``a``, ``b``."""
     names = iter(("a", "b"))
     for kind, value in zip(plan, drawn):
         given[next(names) if kind == _OBS else "state"] = value
-    name, *params = named
-    return getattr(relations, name)(*(given[param] for param in params))
+    return getattr(relations, name)(*map(given.__getitem__, row.check[1:]))
+
+
+def _lane_values(values: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """``(margins, bad)`` of a relation's ``(lhs, rhs, checks)`` on rows:
+    lhs - rhs, a column per verdict (state-dependent's two signs) or
+    value (a scan point's), and the rows on which a check fails."""
+    lhs, rhs, checks = values
+    return np.subtract(lhs, rhs).T, linalg.failures(checks)
 
 
 def _draw(plan, rng: sampling.Xoshiro256pp, basis, index: int) -> list:
@@ -191,21 +201,21 @@ def _appendix_c_draw(rng: sampling.Xoshiro256pp, basis, index: int) -> tuple:
 def _appendix_c_lanes(rng: sampling.XoshiroLanes, basis):
     """Appendix-c's draw and check on the lanes of ``rng``.
 
-    Returns ``(margins, bad)`` as a lanes checker does:
-    ``bad`` marks the lanes on which the scalar draw or check raises,
-    whose margins are unspecified.  Round 1 draws one try on every lane;
+    Returns ``(margins, bad)`` as ``_lane_values`` does: ``bad`` marks
+    the lanes on which the scalar draw or check raises, whose margins are
+    unspecified.  Round 1 draws one try on every lane;
     a later round draws ``_round_tries`` tries on each lane still
     pending, side by side: try t starts from the lane's state jumped t
     tries on (``XoshiroLanes.ahead``).  Each lane takes its first try
-    that the draw accepts or fails, and the lanes checker scores the
-    accepted ones at once; a lane left pending goes on from where its
+    that the draw accepts or fails, and ``relations._appendix_c`` scores
+    the accepted ones at once; a lane left pending goes on from where its
     last try ended.  Every try draws ``_try_steps`` u64s, a failed one
     (an observable below ``sampling._MIN_NORM``, say) too, so try t + 1
     starts where try t ends, and the lanes still pending have all spent
     the same tries.  Each lane has ``_APPENDIX_C_TRIES`` tries; one that
     spends them all is bad, as the scalar loop raises there.
     """
-    row = RELATIONS["appendix-c"]  # its checkers read no axis angle
+    row = RELATIONS["appendix-c"]  # it reads no axis angle
     margins = np.zeros(rng.streams.size)
     bad = np.zeros(rng.streams.size, dtype=bool)
     pending = np.arange(rng.streams.size)
@@ -232,7 +242,7 @@ def _appendix_c_lanes(rng: sampling.XoshiroLanes, basis):
         if accepted.size:
             rows = (drawn._make(field[accepted] for field in drawn) for drawn in (da, db, projected))
             k = pending[accepted % pending.size]
-            margins[k], bad[k] = _call(_lanes(row.check), _TRY, rows, basis=basis)
+            margins[k], bad[k] = _lane_values(_call(row.shared, row, _TRY, rows, basis=basis))
         going = rejected[taken]
         bad[pending[going & (left == 0)]] = True  # the scalar loop raises RuntimeError
         going &= left > 0
@@ -267,7 +277,9 @@ def _sample(relation, basis, seed: int, index: int, theta_ab: float = 0.0, **giv
         plan, drawn = row.plan, _draw(row.plan, rng, basis, index)
     if row.check is None:
         return drawn
-    verdicts = _call(row.check, plan, drawn, theta_ab=theta_ab, basis=basis, index=index, **given)
+    verdicts = _call(
+        row.check[0], row, plan, drawn, theta_ab=theta_ab, basis=basis, index=index, **given
+    )
     return list(verdicts) if isinstance(verdicts, tuple) else [verdicts]
 
 
@@ -275,13 +287,18 @@ def chunks(row: Relation, basis, seed: int, count: int, **given):
     """Draw and check samples 0 .. count - 1 of ``row`` on lanes, a chunk
     of streams at a time: yield each chunk's ``(rng, drawn, values)``,
     its generator, its draws of ``row.plan`` (None for appendix-c) and
-    its lanes checker's values on ``given``, ``index`` (the streams) and
-    ``basis`` (None if ``row.check`` is).  A row is bad where one of its
-    draws failed or its lanes checker flags it; appendix-c's rejection
-    loop flags its own.  The chunk's first bad row is replayed on its
-    own stream (``_sample``), which raises that stream's own exception;
-    if the replay passes, this raises ``NumericsError`` naming the
-    sample."""
+    the margins of ``row.shared`` on ``given``, ``index`` (the streams)
+    and ``basis`` (None if ``row.check`` is).  A row is bad where one of
+    its draws failed or a check of ``row.shared`` fails; appendix-c's
+    rejection loop flags its own.  The chunk's first bad row is replayed
+    on its own stream (``_sample``), which raises that stream's own
+    exception; if the replay passes, this raises ``NumericsError``
+    naming the sample.  At an N outside ``row.dims`` every row fails
+    the checker's dimension check: this raises ``DimensionMismatch``
+    before it draws."""
+    if row.dims is not None and basis.dim not in row.dims:
+        allowed = ", ".join(map(str, row.dims))
+        raise DimensionMismatch(f"this relation is defined for N = {allowed}, got dim {basis.dim}")
     for rng in sampling.lane_chunks(seed, count, basis.dim):
         with np.errstate(divide="ignore", invalid="ignore"):  # only bad rows divide by 0
             if row.plan is None:
@@ -290,9 +307,10 @@ def chunks(row: Relation, basis, seed: int, count: int, **given):
                 drawn = sampling.draw_batches(row.plan, rng, basis)
                 values, bad = None, np.logical_or.reduce([d.bad for d in drawn])
                 if row.check is not None:
-                    values, failed = _call(
-                        _lanes(row.check), row.plan, drawn, basis=basis, index=rng.streams, **given
+                    checked = _call(
+                        row.shared, row, row.plan, drawn, basis=basis, index=rng.streams, **given
                     )
+                    values, failed = _lane_values(checked)
                     bad |= failed
         if bad.any():
             first = int(rng.streams[bad.argmax()])

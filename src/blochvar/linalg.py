@@ -29,10 +29,12 @@ scalar path where a value feeds a margin: numpy's own ``log``,
 ``pow``) differ from Python's in the last bit on a fraction of inputs,
 and an elementwise or ``einsum`` dot product sums in another order than
 the BLAS dot of a 1-D ``u @ v``.  Each takes one element (one vector for
-``row_dot`` and ``components``) as well as a stack.  On one it returns
-Python numbers or its operands, never a 0-d array, on which every numpy
-call costs about a microsecond: a checker written once over one object
-or a stack runs on one object at about the cost of Python floats.
+``row_dot`` and ``components``) as well as a stack, as ``array_of``
+takes one ``HermitianMatrix`` or a stack of matrices and gives its
+array.  On one element each returns Python numbers or its operands,
+never a 0-d array, on which every numpy call costs about a
+microsecond: a checker written once over one object or a stack runs on
+one object at about the cost of Python floats.
 ``np.sqrt`` and ``np.cos`` run on both shapes: ``sqrt`` is correctly
 rounded in both libraries, and ``np.cos`` equalled ``math.cos`` on
 1.1e6 inputs in [0, π] and ±4 (numpy 2.4.6, glibc; tests/test_engine.py
@@ -55,6 +57,7 @@ __all__ = [
     "hermitian",
     "raise_first",
     "failures",
+    "array_of",
     "row_dot",
     "components",
     "per_element",
@@ -135,13 +138,20 @@ def failures(checks: list) -> np.ndarray:
     return ~functools.reduce(operator.and_, (check[0] for check in checks))
 
 
+def array_of(m) -> np.ndarray:
+    """The array of a ``HermitianMatrix``; a stack of (..., N, N)
+    matrices, as it is."""
+    return m.array if type(m) is HermitianMatrix else m
+
+
 def row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``u[i] @ v[i]`` for every row of (..., n) vectors: a stacked
     matmul runs the same BLAS dot per row as a 1-D ``u @ v`` (real or
     complex), so it is bit-identical to it, which
-    ``einsum("ij,ij->i")`` is not.  On one vector it is that dot, as a
-    Python number."""
-    if u.ndim == 1:
+    ``einsum("ij,ij->i")`` is not.  One vector is broadcast against the
+    rows of the other.  Of two vectors it is their dot, as a Python
+    number."""
+    if u.ndim == v.ndim == 1:
         dot = u @ v
         return float(dot) if isinstance(dot, float) else complex(dot)
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]

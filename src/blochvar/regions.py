@@ -10,12 +10,13 @@ Both scans are qubit-only and run on the batched engine's one loop,
 ``engine.chunks``, with a row of their own: a one-entry plan (the
 ensemble's state) and a scan point of ``relations``
 (``scan_pair_point`` with A and B, ``scan_triple_point`` with θ_ab),
-whose lanes twin gives each row's squared variances and margin and
-marks the rows that fail a check of the scalar constructors and
-checkers or the scan's floor (NaN included), bit-identical to the
-per-state path.  The engine replays a chunk's first failing row on that
-path for its own stream, which raises the stream's own exception; if
-the replay passes, the scan raises ``NumericsError`` naming the sample.
+whose function on rows (``_scan_pair_point``, ``_scan_triple_point``)
+gives each row's squared variances and margin and marks the rows that
+fail a check of the scalar constructors and checkers or the scan's
+floor (NaN included), bit-identical to the per-state path.  The engine
+replays a chunk's first failing row on that path for its own stream,
+which raises the stream's own exception; if the replay passes, the scan
+raises ``NumericsError`` naming the sample.
 
 For pair scans with unit observables the analytic boundary of the
 scalar bound is attached: with the axis angle θ_ab it is traced by
@@ -91,9 +92,12 @@ class RegionScan:
 
     def slice_span(self, axis: int, value: float) -> tuple[float, float, int]:
         """(min, max, count) of sqrt(variance) on the other axis within
-        one grid cell, ``|samples[:, axis] - value| <= grid``."""
+        one grid cell, ``|samples[:, axis] - value| <= grid``; ``axis`` is
+        0 or 1."""
         if self.samples.shape[1] != 2:
             raise ValueError("slice_span is defined for pair scans")
+        if axis not in (0, 1):
+            raise ValueError(f"axis must be 0 or 1, got {axis!r}")
         mask = np.abs(self.samples[:, axis] - value) <= self.grid
         if not mask.any():
             return math.nan, math.nan, 0
@@ -147,21 +151,22 @@ def _validate_samples(samples: np.ndarray, norms: list[float]) -> None:
 
 
 def _scan(
-    ensemble: SampleConfig, grid: float, norms: list, check: tuple, given: dict, **fields
+    ensemble: SampleConfig, grid: float, norms: list, check: tuple, shared: str, given: dict,
+    **fields,
 ) -> RegionScan:
     """The lanes loop of both scans: ``engine.chunks`` draws each chunk's
-    ``StateBatch`` and checks it with the lanes twin of ``check``, a scan
-    point of ``relations`` on ``given`` (A and B, or θ_ab), whose columns
-    are each row's squared variances (one an axis, each at most its
-    ``norms`` entry) and its margin (see the module docstring).  The grid
-    is checked before any draw.  ``fields`` are the scan's own
+    ``StateBatch`` and checks it with ``shared``, the function of the
+    scan point ``check`` of ``relations``, on ``given`` (A and B, or
+    θ_ab), whose columns are each row's squared variances (one an axis,
+    each at most its ``norms`` entry) and its margin (see the module
+    docstring).  The grid is checked before any draw.  ``fields`` are the scan's own
     ``RegionScan`` fields: axes, theta_ab and boundary."""
     n_cells = _check_grid(grid)
     count = ensemble.count
     samples = np.empty((count, len(norms)))
     purities = np.empty(count)
     margins = np.empty(count)
-    row = engine.Relation((2,), (ensemble.kind,), check)
+    row = engine.Relation((2,), (ensemble.kind,), check, shared)
     for rng, (state,), values in engine.chunks(row, basis_for(2), ensemble.seed, count, **given):
         rows = slice(rng.streams[0], rng.streams[-1] + 1)
         samples[rows] = values[:, :-1]
@@ -197,7 +202,8 @@ def scan_pair(a: Observable, b: Observable, ensemble: SampleConfig, grid: float)
         boundary = _pair_boundary(theta_ab)
     return _scan(
         ensemble, grid, [a.norm2, b.norm2], ("scan_pair_point", "A", "B", "state", "index"),
-        {"A": a, "B": b}, axes=("dA2", "dB2"), theta_ab=theta_ab, boundary=boundary,
+        "_scan_pair_point", {"A": a, "B": b},
+        axes=("dA2", "dB2"), theta_ab=theta_ab, boundary=boundary,
     )
 
 
@@ -227,7 +233,7 @@ def scan_triple(theta_ab: float, ensemble: SampleConfig, grid: float) -> RegionS
         raise ValueError(f"theta_ab = {theta_ab!r} outside [0, pi]")
     return _scan(
         ensemble, grid, [1.0, 1.0, 1.0], ("scan_triple_point", "theta_ab", "state", "index"),
-        {"theta_ab": theta_ab},
+        "_scan_triple_point", {"theta_ab": theta_ab},
         axes=("dA2", "dB2", "dC2"), theta_ab=theta_ab, boundary=_triple_surface(theta_ab),
     )
 

@@ -50,44 +50,39 @@ product of square roots with the sign of (a·p)(b·p) attached is exactly
 equivalent to folding and works for every input, so that is what the
 checkers do.
 
-Lanes forms
------------
-Each checker the verify engine fuzzes, and each scan point of the
-region scans, has a ``*_batch`` form over ``StateBatch``/
-``ObservableBatch`` rows, at every N the checker is defined for; at any
-other N it raises ``DimensionMismatch`` once a call, where the scalar
-checker raises it for every row (the qubit-only ones, the scan points
-among them, take N = 2 alone).  Every ``X_batch`` takes the parameters
-of its scalar twin ``X``, by the same names, so the engine calls either
-on the same arguments: the scan points take their fixed operands (A and
-B, or θ_ab) as they are, and ``index``, the sample's stream (a row's in
-the twin), to name in their errors.  It returns ``(margins, bad)``: the
-margin of row i equals, bit for bit, the scalar verdict's margin on row
-i's objects (a scan point's twin: each of its values, a column each),
-and ``bad`` marks the rows on which the scalar checker raises (a check
-failing at the same tolerance).  A twin reads no input's ``bad`` flags:
-the engine marks the rows whose draws failed itself
-(``engine.chunks``).  Their verdicts use the scalar checker's tolerance
-(``HOLDS_TOL``, or ``APPENDIX_C_TOL`` for appendix-c) and
-``SATURATION_TOL``, as ``_verdict`` does.
-
+One function a relation
+-----------------------
 Every relation is stated once, in a private function (``_theorem1``,
-``_unit_vector_relation``, ...) over one sample's objects or the rows:
-(..., n) vectors and (..., N, N) matrices.  It returns lhs, rhs and its
-checks, ``(holds, error, template, *values)`` tuples
-(``linalg.raise_first``), in the order the scalar checker raises them.
-``X`` checks the dimensions, raises the first check that does not hold
-and returns a verdict of Python floats (``_scalar_verdict``); ``X_batch``
-returns lhs - rhs and the rows on which a check fails
-(``_lane_verdicts``).  The primitives of ``linalg`` keep one sample on
-Python floats, so that a light scalar checker costs a few microseconds.
-The triangle and the scan points compose public pairs (the angles,
-theorem1, the three-observable equality, the Bloch variances) and state
-their own parts once; ``check_unit_vector_state`` composes the
-unit-vector relation with ``_effective_axis_angle``, which
-``effective_axis_angle`` raises alone.  The unit-vector relation's
-cosine is ``np.cos`` on both shapes, which equals ``math.cos`` (see
-``linalg``), so its scalar verdicts are those ``math.cos`` gave.
+``_unit_vector_relation``, ...) that takes the parameters of its public
+checker, by the same names, over one sample's objects or over
+``StateBatch``/``ObservableBatch`` rows: (..., n) vectors, and
+(..., N, N) matrices read through ``linalg.array_of``.  A scan point's
+fixed operands (A and B, or θ_ab) are broadcast against the rows, and
+its ``index``, the sample's stream (a row's on rows), names the sample
+in its errors.  The function returns lhs, rhs and its checks, ``(holds,
+error, template, *values)`` tuples (``linalg.raise_first``), in the
+order the public checker raises them; state-dependent returns an rhs
+per sign, and a scan point its values as lhs, against 0.  The public
+checker checks the dimensions, raises the first check that does not
+hold and returns a verdict of Python floats (``_scalar_verdict``).  The
+verify engine calls the function itself on rows, at the N its row
+admits, and reduces the return to lhs - rhs and the rows on which a
+check fails (``engine.chunks``): on row i, bit for bit the margin of
+the checker's verdict on row i's objects, and bad exactly where the
+checker raises.  The function reads no input's ``bad`` flags: the
+engine marks the rows whose draws failed itself.  Verdicts use the
+checker's tolerance (``HOLDS_TOL``, or ``APPENDIX_C_TOL`` for
+appendix-c) and ``SATURATION_TOL``, as ``_verdict`` does.
+
+The primitives of ``linalg`` keep one sample on Python floats, so that a
+light scalar checker costs a few microseconds.  The triangle and the
+scan points compose the functions of others (the angles, theorem1, the
+three-observable equality, the Bloch variance) and state their own parts
+once; ``check_unit_vector_state`` composes the unit-vector relation with
+``_effective_axis_angle``, which ``effective_axis_angle`` raises alone.
+The unit-vector relation's cosine is ``np.cos`` on both shapes, which
+equals ``math.cos`` (see ``linalg``), so its scalar verdicts are those
+``math.cos`` gave.
 """
 
 from __future__ import annotations
@@ -98,12 +93,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import Observable, ObservableBatch, QuantumState, StateBatch, observable_from_bloch
-from .bloch import repeat_observable
+from .bloch import Observable, QuantumState, observable_from_bloch
 from .errors import DimensionMismatch, NotApplicable, NumericsError, UndefinedAngle
-from .linalg import components, failures, per_element, py_max, py_min, raise_first, row_dot, where
+from .linalg import array_of, components, per_element, py_max, py_min, raise_first, row_dot, where
 from .sun_basis import GeneratorBasis, basis_for
-from .variance import _variance_matrix, angles, angles_batch, variance_bloch, variance_bloch_batch
+from .variance import _angles, _check_bloch_dims, _variance_bloch, _variance_matrix
 
 __all__ = [
     "RelationVerdict",
@@ -123,18 +117,6 @@ __all__ = [
     "scan_triple_point",
     "db_span_given_da2",
     "db_span_any_state",
-    "check_triangle_batch",
-    "check_theorem1_batch",
-    "check_mixed_limit_batch",
-    "check_pure_limit_batch",
-    "check_three_observable_equality_batch",
-    "check_appendix_b_batch",
-    "check_appendix_c_batch",
-    "robertson_bound_batch",
-    "state_dependent_bound_batch",
-    "check_unit_vector_state_batch",
-    "scan_pair_point_batch",
-    "scan_triple_point_batch",
 ]
 
 HOLDS_TOL = 1e-10
@@ -156,9 +138,6 @@ _ROUTES_ATOL = 1e-11
 _REAL_COMMUTATOR_ATOL = 1e-10
 _SCAN_MARGIN_FLOOR = -1e-9  # smallest theorem1 margin a pair scan accepts
 _SURFACE_TOL = 1e-9  # largest |residual| of a triple sample off the certainty surface
-
-
-_LaneVerdicts = tuple[np.ndarray, np.ndarray]  # (margins, bad)
 
 
 @dataclass(frozen=True)
@@ -197,13 +176,6 @@ def _require_qubit(*dims: int) -> None:
             raise DimensionMismatch(f"this relation is defined for qubits only, got dim {d}")
 
 
-def _require_qubit_rows(*batches) -> None:
-    # _require_qubit for lanes operands, once a call: the N of a
-    # StateBatch or ObservableBatch is the size of its matrices, its
-    # first field.
-    _require_qubit(*(batch[0].shape[-1] for batch in batches))
-
-
 def _scalar_verdict(relation_id: str, values: tuple, tol: float = HOLDS_TOL) -> RelationVerdict:
     # The verdict of a shared function's (lhs, rhs, checks) on one
     # sample, which raises the first check that does not hold.
@@ -212,10 +184,13 @@ def _scalar_verdict(relation_id: str, values: tuple, tol: float = HOLDS_TOL) -> 
     return _verdict(relation_id, float(lhs), float(rhs), tol)
 
 
-def _lane_verdicts(values: tuple) -> _LaneVerdicts:
-    # (margins, bad) of a shared function's (lhs, rhs, checks) on rows.
-    lhs, rhs, checks = values
-    return lhs - rhs, failures(checks)
+def _scalar_values(values: tuple) -> tuple:
+    # A scan point's values, as Python floats, of its function's
+    # (values, 0, checks) on one sample, which raises the first check
+    # that does not hold.
+    values, _, checks = values
+    raise_first(checks)
+    return tuple(map(float, values))
 
 
 def _within(value, hi: float):
@@ -268,10 +243,11 @@ def _qubit_axes() -> tuple[Observable, ...]:
 # one function a relation: (lhs, rhs, checks) of one sample or of rows
 
 
-def _triangle(pa, pb, ab) -> tuple:
-    # (lhs, rhs) of the binding side, of the three angles.
+def _triangle(a, b, rho) -> tuple:
+    # lhs and rhs of the binding side, of the three angles.
+    pa, pb, ab, checks = _angles(a, b, rho)
     upper = pa + pb - ab <= ab - abs(pa - pb)
-    return where(upper, pa + pb, ab), where(upper, ab, abs(pa - pb))
+    return where(upper, pa + pb, ab), where(upper, ab, abs(pa - pb)), checks
 
 
 def _theorem1(a, b, rho) -> tuple:
@@ -293,9 +269,10 @@ def _theorem1(a, b, rho) -> tuple:
     ]
 
 
-def _mixed_limit(a, b, rho, am, bm, rm) -> tuple:
-    va, checks_a = _variance_matrix(am, rm)
-    vb, checks_b = _variance_matrix(bm, rm)
+def _mixed_limit(a, b, rho) -> tuple:
+    rm = array_of(rho.rho)
+    va, checks_a = _variance_matrix(array_of(a.matrix), rm)
+    vb, checks_b = _variance_matrix(array_of(b.matrix), rm)
     mixed = (rho.purity <= 1e-12, ValueError, "mixed-limit check requires the completely mixed state")
     return va + vb, a.norm2 + b.norm2, [mixed, *checks_a, *checks_b]
 
@@ -361,19 +338,22 @@ def _unit_vector_state(a, b, rho) -> tuple:
     return lhs, rhs, [defined, *checks]
 
 
-def _appendix_b(rho, rm) -> tuple:
+def _appendix_b(rho) -> tuple:
+    rm = array_of(rho.rho)
     (vx, cx), (vy, cy), (vz, cz) = (
         _variance_matrix(axis.matrix.array, rm) for axis in _qubit_axes()
     )
     return vx + vy + vz, 3.0 - rho.purity, cx + cy + cz
 
 
-def _appendix_c(a, b, rho, am, bm, rm, n: int) -> tuple:
+def _appendix_c(a, b, rho, basis) -> tuple:
+    n = basis.dim
     mean_a = row_dot(a.a, rho.p)
     mean_b = row_dot(b.a, rho.p)
     zero_means = (abs(mean_a) <= ZERO_MEAN_TOL) & (abs(mean_b) <= ZERO_MEAN_TOL)
-    va, checks_a = _variance_matrix(am, rm)
-    vb, checks_b = _variance_matrix(bm, rm)
+    rm = array_of(rho.rho)
+    va, checks_a = _variance_matrix(array_of(a.matrix), rm)
+    vb, checks_b = _variance_matrix(array_of(b.matrix), rm)
     x = va - 2.0 * a.norm2 / n
     y = vb - 2.0 * b.norm2 / n
     x_vec = row_dot(a.a_prime, rho.p)
@@ -397,7 +377,8 @@ def _appendix_c(a, b, rho, am, bm, rm, n: int) -> tuple:
     ]
 
 
-def _robertson(am, bm, rm) -> tuple:
+def _robertson(a, b, rho) -> tuple:
+    am, bm, rm = array_of(a.matrix), array_of(b.matrix), array_of(rho.rho)
     va, checks_a = _variance_matrix(am, rm)
     vb, checks_b = _variance_matrix(bm, rm)
     comm = am @ bm
@@ -406,9 +387,10 @@ def _robertson(am, bm, rm) -> tuple:
     return np.sqrt(va * vb), rhs, checks_a + checks_b
 
 
-def _state_dependent(psi, am, bm, rm) -> tuple:
+def _state_dependent(a, b, psi) -> tuple:
     # lhs, and rhs at + and at -.  ⟨ψ|M|φ⟩ is the dot of ψ's conjugate
     # with M times the column φ: one vector's dot and gemv, or a stack's.
+    am, bm, rm = array_of(a.matrix), array_of(b.matrix), array_of(psi.rho)
     vecs = np.linalg.eigh(rm)[1]
     bra = vecs[..., :, -1].conj()
     comm_expect = row_dot(bra, ((am @ bm - bm @ am) @ vecs[..., :, -1:])[..., 0])
@@ -430,17 +412,29 @@ def _state_dependent(psi, am, bm, rm) -> tuple:
     ]
 
 
-def _scan_pair_point(da2, db2, margin, index) -> tuple:
-    # A pair scan's columns, and the floor on its theorem1 margin.
-    return (da2, db2, margin), [
+def _scan_pair_point(A, B, rho, index) -> tuple:
+    # ΔA², ΔB² and the theorem1 margin as lhs, against 0, and their
+    # checks, the floor on the margin last.
+    da2, checks_a = _variance_bloch(A, rho, 2)
+    db2, checks_b = _variance_bloch(B, rho, 2)
+    lhs, rhs, checks = _theorem1(A, B, rho)
+    margin = lhs - rhs
+    return (da2, db2, margin), 0.0, [
+        *checks_a,
+        *checks_b,
+        *checks,
         (margin >= _SCAN_MARGIN_FLOOR, NumericsError,
          "sample {} violates the qubit bound: {}", index, margin),
     ]
 
 
-def _scan_triple_point(theta_ab: float, rho, index, residual) -> tuple:
-    # A triple scan's columns, and the bound on its residual.
-    return (*_axis_triple(theta_ab, rho.p)[2], residual), [
+def _scan_triple_point(theta_ab: float, rho, index) -> tuple:
+    # The axis triple's three variances and the residual of its equality
+    # as lhs, against 0, and their checks, the residual's bound last.
+    lhs, rhs, checks = _three_observable_equality(theta_ab, rho)
+    residual = lhs - rhs
+    return (*_axis_triple(theta_ab, rho.p)[2], residual), 0.0, [
+        *checks,
         (abs(residual) <= _SURFACE_TOL, NumericsError,
          "sample {} misses the certainty surface: {}", index, residual),
     ]
@@ -457,8 +451,7 @@ def check_triangle(a: Observable, b: Observable, rho: QuantumState) -> RelationV
     smaller of the two slacks.  Qubit states with |p| > 0 only.
     """
     _require_qubit(a.dim, b.dim, rho.dim)
-    ang = angles(a, b, rho)
-    return _verdict("triangle", *_triangle(ang.theta_pa, ang.theta_pb, ang.theta_ab))
+    return _scalar_verdict("triangle", _triangle(a, b, rho))
 
 
 def check_theorem1(a: Observable, b: Observable, rho: QuantumState) -> RelationVerdict:
@@ -475,8 +468,7 @@ def check_theorem1(a: Observable, b: Observable, rho: QuantumState) -> RelationV
 def check_mixed_limit(a: Observable, b: Observable, rho: QuantumState) -> RelationVerdict:
     """Completely mixed limit: both variances pin to the squared norms."""
     _require_qubit(a.dim, b.dim, rho.dim)
-    matrices = (a.matrix.array, b.matrix.array, rho.rho.array)
-    return _scalar_verdict("mixed_limit", _mixed_limit(a, b, rho, *matrices))
+    return _scalar_verdict("mixed_limit", _mixed_limit(a, b, rho))
 
 
 def check_pure_limit(a: Observable, b: Observable, rho: QuantumState) -> RelationVerdict:
@@ -514,7 +506,7 @@ def check_three_observable_equality(theta_ab: float, rho: QuantumState) -> Relat
 def check_appendix_b(rho: QuantumState) -> RelationVerdict:
     """Sum of the three axis variances equals 3 - |p|² for any qubit state."""
     _require_qubit(rho.dim)
-    return _scalar_verdict("appendix_b", _appendix_b(rho, rho.rho.array))
+    return _scalar_verdict("appendix_b", _appendix_b(rho))
 
 
 def check_appendix_c(
@@ -531,15 +523,14 @@ def check_appendix_c(
     """
     if a.dim != b.dim or a.dim != rho.dim or basis.dim != a.dim:
         raise DimensionMismatch("observables, state, and basis must share one dimension")
-    matrices = (a.matrix.array, b.matrix.array, rho.rho.array)
-    return _scalar_verdict("appendix_c", _appendix_c(a, b, rho, *matrices, a.dim), APPENDIX_C_TOL)
+    return _scalar_verdict("appendix_c", _appendix_c(a, b, rho, basis), APPENDIX_C_TOL)
 
 
 def robertson_bound(a: Observable, b: Observable, rho: QuantumState) -> RelationVerdict:
     """Commutator baseline ΔAΔB >= |⟨[A, B]⟩| / 2, any dimension."""
     if a.dim != b.dim or a.dim != rho.dim:
         raise DimensionMismatch("operands must share one dimension")
-    return _scalar_verdict("robertson", _robertson(a.matrix.array, b.matrix.array, rho.rho.array))
+    return _scalar_verdict("robertson", _robertson(a, b, rho))
 
 
 def state_dependent_bound(
@@ -554,7 +545,7 @@ def state_dependent_bound(
     component of a mixture.
     """
     _require_qubit(a.dim, b.dim, psi.dim)
-    lhs, (plus, minus), checks = _state_dependent(psi, a.matrix.array, b.matrix.array, psi.rho.array)
+    lhs, (plus, minus), checks = _state_dependent(a, b, psi)
     raise_first(checks)
     lhs = float(lhs)
     return _verdict("state_dependent", lhs, plus), _verdict("state_dependent", lhs, minus)
@@ -593,11 +584,9 @@ def scan_pair_point(A: Observable, B: Observable, rho: QuantumState, index: int)
     others).  A margin below ``_SCAN_MARGIN_FLOOR`` (-1e-9), NaN
     included, raises ``NumericsError`` naming sample ``index``.
     """
-    da2 = variance_bloch(A, rho, basis_for(2))
-    db2 = variance_bloch(B, rho, basis_for(2))
-    values, checks = _scan_pair_point(da2, db2, check_theorem1(A, B, rho).margin, index)
-    raise_first(checks)
-    return values
+    for obs in (A, B):
+        _check_bloch_dims(obs, rho, basis_for(2))
+    return _scalar_values(_scan_pair_point(A, B, rho, index))
 
 
 def scan_triple_point(theta_ab: float, rho: QuantumState, index: int) -> tuple:
@@ -607,10 +596,8 @@ def scan_triple_point(theta_ab: float, rho: QuantumState, index: int) -> tuple:
     A residual beyond ``_SURFACE_TOL`` (1e-9), NaN included, raises
     ``NumericsError`` naming sample ``index``.
     """
-    residual = check_three_observable_equality(theta_ab, rho).margin
-    values, checks = _scan_triple_point(theta_ab, rho, index, residual)
-    raise_first(checks)
-    return tuple(map(float, values))
+    _require_qubit(rho.dim)
+    return _scalar_values(_scan_triple_point(theta_ab, rho, index))
 
 
 def db_span_given_da2(theta_ab: float, da2: float) -> tuple[float, float]:
@@ -656,103 +643,3 @@ def db_span_any_state(theta_ab: float) -> tuple[float, float]:
         hi = max(hi, b)
     return lo, hi
 
-
-# ---------------------------------------------------------------------------
-# lanes forms (see the module docstring)
-
-
-def check_triangle_batch(a: ObservableBatch, b: ObservableBatch, rho: StateBatch) -> _LaneVerdicts:
-    """Lanes form of ``check_triangle``."""
-    _require_qubit_rows(a, b, rho)
-    theta_pa, theta_pb, theta_ab, bad = angles_batch(a, b, rho)
-    lhs, rhs = _triangle(theta_pa, theta_pb, theta_ab)
-    return lhs - rhs, bad
-
-
-def check_theorem1_batch(a: ObservableBatch, b: ObservableBatch, rho: StateBatch) -> _LaneVerdicts:
-    """Lanes form of ``check_theorem1``."""
-    _require_qubit_rows(a, b, rho)
-    return _lane_verdicts(_theorem1(a, b, rho))
-
-
-def check_mixed_limit_batch(
-    a: ObservableBatch, b: ObservableBatch, rho: StateBatch
-) -> _LaneVerdicts:
-    """Lanes form of ``check_mixed_limit``."""
-    _require_qubit_rows(a, b, rho)
-    return _lane_verdicts(_mixed_limit(a, b, rho, a.matrix, b.matrix, rho.rho))
-
-
-def check_pure_limit_batch(
-    a: ObservableBatch, b: ObservableBatch, rho: StateBatch
-) -> _LaneVerdicts:
-    """Lanes form of ``check_pure_limit``."""
-    _require_qubit_rows(a, b, rho)
-    return _lane_verdicts(_pure_limit(a, b, rho))
-
-
-def check_three_observable_equality_batch(theta_ab: float, rho: StateBatch) -> _LaneVerdicts:
-    """Lanes form of ``check_three_observable_equality``."""
-    _require_qubit_rows(rho)
-    return _lane_verdicts(_three_observable_equality(theta_ab, rho))
-
-
-def check_appendix_b_batch(rho: StateBatch) -> _LaneVerdicts:
-    """Lanes form of ``check_appendix_b``."""
-    _require_qubit_rows(rho)
-    return _lane_verdicts(_appendix_b(rho, rho.rho))
-
-
-def check_appendix_c_batch(
-    a: ObservableBatch, b: ObservableBatch, rho: StateBatch, basis: GeneratorBasis
-) -> _LaneVerdicts:
-    """Lanes form of ``check_appendix_c``: N is ``basis.dim``, and rows
-    of another N raise ``DimensionMismatch``, as the scalar form does."""
-    n = basis.dim
-    if {a.matrix.shape[1], b.matrix.shape[1], rho.rho.shape[1]} != {n}:
-        raise DimensionMismatch("observables, state, and basis must share one dimension")
-    return _lane_verdicts(_appendix_c(a, b, rho, a.matrix, b.matrix, rho.rho, n))
-
-
-def robertson_bound_batch(a: ObservableBatch, b: ObservableBatch, rho: StateBatch) -> _LaneVerdicts:
-    """Lanes form of ``robertson_bound``, any dimension."""
-    if len({a.matrix.shape[-1], b.matrix.shape[-1], rho.rho.shape[-1]}) != 1:
-        raise DimensionMismatch("operands must share one dimension")
-    return _lane_verdicts(_robertson(a.matrix, b.matrix, rho.rho))
-
-
-def state_dependent_bound_batch(
-    a: ObservableBatch, b: ObservableBatch, psi: StateBatch
-) -> _LaneVerdicts:
-    """Lanes form of ``state_dependent_bound``: a column per sign."""
-    _require_qubit_rows(a, b, psi)
-    lhs, rhs, checks = _state_dependent(psi, a.matrix, b.matrix, psi.rho)
-    return np.column_stack([lhs - side for side in rhs]), failures(checks)
-
-
-def check_unit_vector_state_batch(
-    a: ObservableBatch, b: ObservableBatch, rho: StateBatch
-) -> _LaneVerdicts:
-    """Lanes form of ``check_unit_vector_state``."""
-    _require_qubit_rows(a, b, rho)
-    return _lane_verdicts(_unit_vector_state(a, b, rho))
-
-
-def scan_pair_point_batch(
-    A: Observable, B: Observable, rho: StateBatch, index: np.ndarray
-) -> _LaneVerdicts:
-    """Lanes form of ``scan_pair_point``: A and B fixed, a row of rho and
-    index a sample; a column each for ΔA², ΔB² and the margin."""
-    a, b = (repeat_observable(obs, rho.p.shape[0]) for obs in (A, B))
-    (da2, bad_a), (db2, bad_b) = (variance_bloch_batch(obs, rho) for obs in (a, b))
-    margin, bad = check_theorem1_batch(a, b, rho)
-    values, checks = _scan_pair_point(da2, db2, margin, index)
-    return np.column_stack(values), bad | bad_a | bad_b | failures(checks)
-
-
-def scan_triple_point_batch(theta_ab: float, rho: StateBatch, index: np.ndarray) -> _LaneVerdicts:
-    """Lanes form of ``scan_triple_point``: a column each for ΔA², ΔB²,
-    ΔC² and the residual."""
-    residual, bad = check_three_observable_equality_batch(theta_ab, rho)
-    values, checks = _scan_triple_point(theta_ab, rho, index, residual)
-    return np.column_stack(values), bad | failures(checks)

@@ -139,6 +139,16 @@ _CHUNK_ENTRIES = 49_152
 _SM_OFFSETS = np.array([[(w + 1) * _SM_GAMMA & _M64] for w in range(4)], dtype=np.uint64)
 
 
+def _seed(seed) -> int:
+    """``seed`` as a Python int, so that a numpy integer does not overflow
+    int64 in the stream arithmetic; a float raises TypeError, and a seed
+    outside [0, 2**64) ValueError."""
+    seed = operator.index(seed)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError("seed must be an unsigned 64-bit integer")
+    return seed
+
+
 def _sm64(z):
     """The splitmix64 output of state z, a Python int or a uint64 array.
     Word w of stream k of seed s is the output of state s + (4k + w + 1)
@@ -156,10 +166,8 @@ class Xoshiro256pp:
     def __init__(self, seed: int, stream: int = 0):
         # Python ints, so that numpy integers (a lane's stream, say) do not
         # overflow int64 below; floats raise TypeError.
-        seed = operator.index(seed)
+        seed = _seed(seed)
         stream = operator.index(stream)
-        if not 0 <= seed < 1 << 64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
         if stream < 0:
             raise ValueError("stream index must be nonnegative")
         words = [_sm64((seed + (4 * stream + w + 1) * _SM_GAMMA) & _M64) for w in range(4)]
@@ -219,9 +227,7 @@ class XoshiroLanes:
     __slots__ = ("_s", "streams")
 
     def __init__(self, seed: int, streams):
-        seed = operator.index(seed)  # floats raise TypeError, as in Xoshiro256pp
-        if not 0 <= seed < 1 << 64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
+        seed = _seed(seed)
         streams = np.asarray(streams)
         if streams.size and streams.dtype.kind not in "iu":  # [] reads as float
             raise TypeError("stream indices must be integers")
@@ -414,10 +420,9 @@ class SampleConfig:
 
     def __post_init__(self):
         # Floats raise TypeError here, as in Xoshiro256pp, not in a draw.
-        for value in (self.seed, self.dim, self.count):
+        _seed(self.seed)
+        for value in (self.dim, self.count):
             operator.index(value)
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
         if self.dim < 2:
             raise ValueError("dimension must be at least 2")
         if self.count < 1:

@@ -17,18 +17,17 @@ traces (a · b = Tr[AB]/2, a · b' = Tr[AB²]/2, a' · b' =
 (Tr[A²B²] - Tr[A²]Tr[B²]/N)/2, ...) and insists the two agree, which
 makes it a basis-corruption detector as much as a convenience.
 
-``variance_bloch_batch`` and ``angles_batch`` are the lanes forms the
-batched engine uses, at any N: every check runs per row and marks
-failing rows in a returned ``bad`` mask instead of raising.  Each
-quantity is one function over one object or the rows, as ``relations``'
-checkers are: ``_variance_matrix``, ``_variance_bloch``,
-``_vector_angle`` and ``_angles`` return their values and their checks,
-``(holds, error, template, *values)`` tuples, which the scalar function
-raises (``linalg.raise_first``) and the lanes form reduces to ``bad``
-(``linalg.failures``).  ``relations`` calls ``_variance_matrix`` on
-matrices directly.  Both variances share one floor and its check,
-``_floored``, so a NaN variance raises ``NumericsError`` on either
-route.
+Each quantity is one function over one object or the rows of the
+batched engine, as ``relations``' relations are: ``_variance_matrix``,
+``_variance_bloch``, ``_vector_angle`` and ``_angles`` return their
+values and their checks, ``(holds, error, template, *values)`` tuples,
+which the scalar function raises (``linalg.raise_first``).  The
+relations of ``relations`` call them on rows too, where the engine
+reduces their checks to the rows that fail one (``linalg.failures``):
+``_variance_matrix`` on matrices, ``_variance_bloch`` in the pair
+scan's point and ``_angles`` in the triangle.  Both variances share one
+floor and its check, ``_floored``, so a NaN variance raises
+``NumericsError`` on either route.
 """
 
 from __future__ import annotations
@@ -38,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import Observable, ObservableBatch, QuantumState, StateBatch
+from .bloch import Observable, QuantumState
 from .errors import DimensionMismatch, NumericsError, UndefinedAngle
-from .linalg import failures, per_element, py_max, py_min, raise_first, row_dot, where
+from .linalg import per_element, py_max, py_min, raise_first, row_dot, where
 from .sun_basis import GeneratorBasis
 
 __all__ = [
@@ -49,10 +48,8 @@ __all__ = [
     "PairGeometry",
     "variance_matrix",
     "variance_bloch",
-    "variance_bloch_batch",
     "variance_report",
     "angles",
-    "angles_batch",
     "vector_angle",
     "pair_geometry",
 ]
@@ -186,20 +183,18 @@ def variance_matrix(a: Observable, rho: QuantumState) -> float:
     return float(value)
 
 
-def variance_bloch(a: Observable, rho: QuantumState, basis: GeneratorBasis) -> float:
-    """ΔA² from Bloch vectors: (2/N)|a|² + a'·p - (a·p)²."""
+def _check_bloch_dims(a: Observable, rho: QuantumState, basis: GeneratorBasis) -> None:
     _check_dims(a, rho)
     if basis.dim != a.dim:
         raise DimensionMismatch("basis dimension disagrees with operands")
+
+
+def variance_bloch(a: Observable, rho: QuantumState, basis: GeneratorBasis) -> float:
+    """ΔA² from Bloch vectors: (2/N)|a|² + a'·p - (a·p)²."""
+    _check_bloch_dims(a, rho, basis)
     value, checks = _variance_bloch(a, rho, a.dim)
     raise_first(checks)
     return float(value)
-
-
-def variance_bloch_batch(a: ObservableBatch, rho: StateBatch) -> tuple[np.ndarray, np.ndarray]:
-    """Lanes form of ``variance_bloch``; returns ``(variances, bad)``."""
-    value, checks = _variance_bloch(a, rho, a.matrix.shape[1])
-    return value, failures(checks)
 
 
 def variance_report(a: Observable, rho: QuantumState, basis: GeneratorBasis) -> VarianceReport:
@@ -267,15 +262,6 @@ def angles(a: Observable, b: Observable, rho: QuantumState) -> AngleSet:
     theta_pa, theta_pb, theta_ab, checks = _angles(a, b, rho)
     raise_first(checks)
     return AngleSet(theta_pa=theta_pa, theta_pb=theta_pb, theta_ab=theta_ab)
-
-
-def angles_batch(
-    a: ObservableBatch, b: ObservableBatch, rho: StateBatch
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Lanes form of ``angles(a, b, rho)``: returns ``(theta_pa, theta_pb,
-    theta_ab, bad)``."""
-    theta_pa, theta_pb, theta_ab, checks = _angles(a, b, rho)
-    return theta_pa, theta_pb, theta_ab, failures(checks)
 
 
 def pair_geometry(a: Observable, b: Observable, basis: GeneratorBasis) -> PairGeometry:

@@ -150,6 +150,25 @@ def test_matrix_from_json(basis2):
         matrix_from_json({"re": [1, 0, 0, 1]})
 
 
+@pytest.mark.parametrize("obj", [
+    {"dim": 10**6, "re": [1.0]},
+    {"dim": 10**6, "re": [1.0], "im": [0.0]},
+    {"dim": 2, "re": [1.0, 0.0, 0.0, 1.0], "im": [0.0]},
+    {"dim": 2.5, "re": [1.0, 0.0, 0.0, 1.0]},
+    {"dim": 2.0, "re": [1.0, 0.0, 0.0, 1.0]},
+    {"dim": True, "re": [1.0]},
+    {"dim": "2", "re": [1.0, 0.0, 0.0, 1.0]},
+    {"dim": 0, "re": []},
+    {"dim": -1, "re": [1.0]},
+])
+def test_matrix_from_json_checks_dim_before_allocating(obj):
+    # An integer dim >= 1 that is not a bool, and re and im of exactly
+    # dim² entries, checked before an array of dim² entries is made: at
+    # dim 10**6 one takes 8 TB.
+    with pytest.raises(ValueError, match="^malformed matrix object: "):
+        matrix_from_json(obj)
+
+
 # ---------------------------------------------------------------------------
 # The check functions: one statement per invariant, for one object and for
 # a stack

@@ -733,14 +733,17 @@ def test_region_scans_are_pinned(tmp_path, args, expected):
 
 def test_region_margin_below_floor_raises_and_writes_nothing(tmp_path, monkeypatch):
     # The scans raise for any margin below -1e-9, so the CLI writes no
-    # report: here the lanes checker reports -1e-6 for sample 5 alone.
-    checker = relations.check_theorem1_batch
+    # report: here theorem1's function gives a margin of -1e-6 on lanes
+    # for sample 5 alone.
+    shared = relations._theorem1
 
     def low_at_5(a, b, state):
-        margins, bad = checker(a, b, state)
-        return np.where(np.arange(margins.size) == 5, -1e-6, margins), bad
+        lhs, rhs, checks = shared(a, b, state)
+        if state.p.ndim == 1:
+            return lhs, rhs, checks
+        return np.where(np.arange(lhs.size) == 5, rhs - 1e-6, lhs), rhs, checks
 
-    monkeypatch.setattr(relations, "check_theorem1_batch", low_at_5)
+    monkeypatch.setattr(relations, "_theorem1", low_at_5)
     out = tmp_path / "report.json"
     with pytest.raises(NumericsError, match=r"sample 5 \(stream 5\)"):
         _run(["region", "pair", "--theta-ab", "1.0", "--samples", "40", "--out", str(out)])
@@ -820,6 +823,22 @@ def test_compare_rejects_a_malformed_im(capsys, im):
         _run(["compare", "--state", state, "--A", "sigma1", "--B", "sigma3"])
     assert err.value.code == 2
     assert "malformed matrix object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "dim,message",
+    [(10**6, "cannot reshape"), (2.5, "dim must be an integer"), (True, "dim must be an integer")],
+    ids=["oversized", "fraction", "bool"],
+)
+def test_compare_rejects_a_malformed_dim(capsys, dim, message):
+    # An oversized dim is refused by its entry count before an im of
+    # dim² zeros is allocated; a fraction or a bool is not read as an int.
+    obs = json.dumps({"dim": dim, "re": [1.0, 0.0, 0.0, 1.0]})
+    with pytest.raises(SystemExit) as err:
+        _run(["compare", "--state", "mixed", "--A", obs, "--B", "sigma1"])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert f"malformed matrix object: {message}" in stderr and "Traceback" not in stderr
 
 
 def test_compare_usage_errors(tmp_path):

@@ -1,7 +1,8 @@
 """The batched engine against the scalar per-stream path.
 
 `blochvar verify` runs every relation on lanes (`XoshiroLanes`,
-`StateBatch`/`ObservableBatch`, the `*_batch` checkers) at every N,
+`StateBatch`/`ObservableBatch`, each relation's function on the rows)
+at every N,
 appendix-c's rejection draws included, their later tries side by side
 from jumped lane states; the per-stream loop over `engine._sample`, which
 replay also runs, stays as the oracle (`_scalar_only`).  These tests
@@ -20,9 +21,11 @@ pin:
 * the same exception, raised for the same first failing stream;
 * `fuzz`'s numpy reduction of the margins equal to Python's `min` and
   `max` over them in stream order;
+* each relation's function, reduced as `engine.chunks` reduces it,
+  flagging exactly the rows its scalar checker rejects, and both
+  reaching the same function;
 * the region scans on the same loop (`engine.chunks`): their scan
-  points looked up at call time, and each twin flagging exactly the
-  rows its scalar rejects, floors and NaN margins included;
+  points looked up at call time, floors and NaN margins included;
 * each numpy-vs-scalar equality the engine relies on, at N = 2 and per
   N up to the dimension cap, so that a numpy or libm upgrade that
   breaks one fails here by name.
@@ -82,16 +85,24 @@ def _params(name):
     return list(inspect.signature(getattr(relations, name)).parameters)
 
 
-def test_every_lanes_checker_takes_its_scalar_twins_parameters():
-    # The engine calls `X_batch` on the arguments it would pass `X`.
-    twins = [name for name in relations.__all__ if name.endswith("_batch")]
-    assert len(twins) == 12
-    for twin in twins:
-        scalar = twin.removesuffix("_batch")
-        assert scalar in relations.__all__ and _params(twin) == _params(scalar)
+# The private function that states each relation, which its public
+# checker (or scan point) and the engine's rows both call.
+_SHARED = {
+    "check_triangle": "_triangle",
+    "check_theorem1": "_theorem1",
+    "check_mixed_limit": "_mixed_limit",
+    "check_pure_limit": "_pure_limit",
+    "check_three_observable_equality": "_three_observable_equality",
+    "check_appendix_b": "_appendix_b",
+    "check_appendix_c": "_appendix_c",
+    "robertson_bound": "_robertson",
+    "state_dependent_bound": "_state_dependent",
+    "scan_pair_point": "_scan_pair_point",
+    "scan_triple_point": "_scan_triple_point",
+    "check_unit_vector_state": "_unit_vector_state",
+}
 
-
-# The pairs of relations.__all__ defined for qubits alone.
+# The checkers of _SHARED defined for qubits alone.
 _QUBIT_ONLY = {
     "check_triangle", "check_theorem1", "check_mixed_limit", "check_pure_limit",
     "check_three_observable_equality", "check_appendix_b", "state_dependent_bound",
@@ -99,7 +110,47 @@ _QUBIT_ONLY = {
 }
 
 
-def _twin_operands(dim, n=24):
+def _scan_rows():
+    """checker -> (row, given) of the rows the region scans run on
+    ``engine.chunks``, recorded from a scan of two samples each."""
+    rows = {}
+    chunks = engine.chunks
+
+    def record(row, basis, seed, count, **given):
+        rows[row.check[0]] = (row, given)
+        return chunks(row, basis, seed, count, **given)
+
+    with mock.patch.object(engine, "chunks", record):
+        for run, _, _ in _SCANS.values():
+            run(SampleConfig(seed=0, dim=2, count=2, kind="haar_pure"))
+    return rows
+
+
+def _engine_rows():
+    """checker -> (row, given) of every row the engine runs: verify's, at
+    the axis angle 1.1, and the region scans'."""
+    rows = {row.check[0]: (row, {"theta_ab": 1.1}) for row in engine.RELATIONS.values()}
+    return {**rows, **_scan_rows()}
+
+
+def test_every_lanes_checker_takes_its_scalar_twins_parameters():
+    # Each row of the engine, verify's and the scans', names its scalar
+    # checker and the function that states its relation, which takes the
+    # checker's parameters by the same names, so that `engine._call`
+    # passes both the same arguments; its dims are the N the checker
+    # admits.  No lanes twin is left.
+    rows = _engine_rows()
+    assert set(rows) == set(_SHARED)
+    for name, (row, _) in rows.items():
+        assert row.shared == _SHARED[name] and _params(row.shared) == _params(name), name
+        assert (row.dims == (2,)) == (name in _QUBIT_ONLY) and row.dims in {(2,), None}, name
+    for module in (relations, variance):
+        assert not [n for n in module.__all__ if n.endswith("_batch")]
+    assert not hasattr(engine, "_lanes") and not hasattr(relations, "_require_qubit_rows")
+    assert not hasattr(bloch, "repeat_observable")
+
+
+def _lane_operands(dim, n=24):
     """Lanes operands for every parameter name of the checkers, from one
     ``draw_batches`` chunk at N = ``dim``, and row i's scalar operands.
     Mixed and pure states alternate and every third state is completely
@@ -126,31 +177,33 @@ def _twin_operands(dim, n=24):
     return lanes, rows
 
 
-def _twin_args(name, lanes):
-    """The arguments of ``name``_batch, of the operands ``lanes``."""
+def _lane_args(name, lanes):
+    """The arguments of ``name``, and of its function, of the operands
+    ``lanes``."""
     return {p: lanes[p] for p in _params(name)}
 
 
 def _row_args(args, row):
-    """The scalar form of the twin arguments ``args``: ``row``'s operand
+    """The scalar form of the lanes arguments ``args``: ``row``'s operand
     where it has one, else the argument all rows share."""
     return {p: row.get(p, args[p]) for p in args}
 
 
-def _twin_raises(name, lanes, rows):
-    """Check the pair (``name``, ``name``_batch) on the operands of
-    ``_twin_operands``: both raise DimensionMismatch (None is returned),
-    or the twin's bad rows are the rows where ``name`` raises (returned)
-    and its other margins are ``name``'s, bit for bit."""
-    args = _twin_args(name, lanes)
+def _rows_raise(name, lanes, rows):
+    """Check ``name`` against its function on the operands of
+    ``_lane_operands``, reduced as the engine reduces it
+    (``engine._lane_values``): at an N that ``name`` does not admit it
+    raises DimensionMismatch on every row (None is returned); else the
+    bad rows are the rows where ``name`` raises (returned) and the other
+    margins are ``name``'s, bit for bit."""
+    args = _lane_args(name, lanes)
     scalar = [_row_args(args, row) for row in rows]
-    try:
-        margins, bad = getattr(relations, name + "_batch")(**args)
-    except DimensionMismatch:
+    if name in _QUBIT_ONLY and lanes["basis"].dim != 2:
         for row_args in scalar:
             with pytest.raises(DimensionMismatch):
                 getattr(relations, name)(**row_args)
         return None
+    margins, bad = engine._lane_values(getattr(relations, _SHARED[name])(**args))
     margins = margins.reshape(len(rows), -1)  # a column per verdict or value
     raised = []
     for i, row_args in enumerate(scalar):
@@ -181,33 +234,47 @@ def test_relation_dims_are_the_n_their_checkers_admit(dim):
             assert admitted, name
 
 
+@pytest.mark.parametrize("dim", [3, 6])
+def test_chunks_refuse_an_n_outside_dims_before_drawing(monkeypatch, dim):
+    # At an N its dims leave out, every row of a relation fails its
+    # checker's dimension check: `chunks` raises DimensionMismatch at
+    # once, for verify's rows and the scans' alike, and draws nothing.
+    rows = [entry for entry in _engine_rows().values() if entry[0].dims is not None]
+    draws = _count_calls(monkeypatch, sampling, "draw_batches")
+    for row, given in rows:
+        with pytest.raises(DimensionMismatch, match=f"defined for N = 2, got dim {dim}$"):
+            next(engine.chunks(row, basis_for(dim), 0, 5, **given))
+    assert len(rows) == 10 and not draws
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # bad rows on purpose
 @pytest.mark.parametrize("dim", [2, 3, 6, 10])
 def test_twins_flag_exactly_the_rows_their_scalars_reject(dim):
-    # Every public (X, X_batch) pair on one chunk: both raise
-    # DimensionMismatch, or the twin's bad rows are the rows where X
-    # raises and its other margins are X's, bit for bit.
-    lanes, rows = _twin_operands(dim)
-    pairs = [name for name in relations.__all__ if name + "_batch" in relations.__all__]
-    assert len(pairs) == 12
-    refused = {name for name in pairs if _twin_raises(name, lanes, rows) is None}
-    assert refused == (set() if dim == 2 else _QUBIT_ONLY)
-    # A twin reads no input's bad flags (`engine.chunks` marks the rows
-    # whose draws failed): with every flag set, its output is the same.
+    # Every checker of a row against its function on one chunk, as the
+    # engine runs it: the checker raises DimensionMismatch at an N it
+    # does not admit, and else the function's bad rows are the rows
+    # where the checker raises and its other margins are the checker's,
+    # bit for bit.
+    lanes, rows = _lane_operands(dim)
+    refused = {name for name in _SHARED if _rows_raise(name, lanes, rows) is None}
+    # A function reads no input's bad flags (`engine.chunks` marks the
+    # rows whose draws failed): with every flag set, its output is the same.
     flagged = {k: v._replace(bad=np.ones_like(v.bad)) if hasattr(v, "bad") else v
                for k, v in lanes.items()}
-    for name in sorted(set(pairs) - refused):
-        twin = getattr(relations, name + "_batch")
-        plain, marked = (twin(**_twin_args(name, ops)) for ops in (lanes, flagged))
+    for name in sorted(set(_SHARED) - refused):
+        shared = getattr(relations, _SHARED[name])
+        plain, marked = (
+            engine._lane_values(shared(**_lane_args(name, ops))) for ops in (lanes, flagged)
+        )
         assert [x.tobytes() for x in plain] == [x.tobytes() for x in marked], name
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the NaN rows
 def test_unit_vector_relation_flags_the_rows_its_scalar_rejects():
-    # check_unit_vector_relation has no lanes twin: its function on rows
-    # of angles and variances, some outside its domain and some NaN,
-    # flags exactly the rows where it raises, and gives its margins.
-    p = _twin_operands(2)[0]["rho"].p
+    # check_unit_vector_relation is no engine row's checker: its function
+    # on rows of angles and variances, some outside its domain and some
+    # NaN, flags exactly the rows where it raises, and gives its margins.
+    p = _lane_operands(2)[0]["rho"].p
     theta, da2, db2 = 4.0 * p[:, 0], p[:, 1] + 0.5, p[:, 2] + 0.5
     theta[3], da2[4], db2[5] = math.nan, math.nan, math.nan
     lhs, rhs, checks = relations._unit_vector_relation(theta, da2, db2)
@@ -222,59 +289,47 @@ def test_unit_vector_relation_flags_the_rows_its_scalar_rejects():
     assert {3, 4, 5} <= set(raised) < set(range(len(p))) and np.flatnonzero(bad).tolist() == raised
 
 
-# The private function that holds each pair's formula and checks, which
-# the scalar checker and its lanes twin both call.
-_SHARED = {
-    "check_triangle": "_triangle",
-    "check_theorem1": "_theorem1",
-    "check_mixed_limit": "_mixed_limit",
-    "check_pure_limit": "_pure_limit",
-    "check_three_observable_equality": "_three_observable_equality",
-    "check_appendix_b": "_appendix_b",
-    "check_appendix_c": "_appendix_c",
-    "robertson_bound": "_robertson",
-    "state_dependent_bound": "_state_dependent",
-    "scan_pair_point": "_scan_pair_point",
-    "scan_triple_point": "_scan_triple_point",
-    "check_unit_vector_state": "_unit_vector_state",
-}
+def _run_chunks(row, given, count=3):
+    """Run ``engine.chunks`` of ``row`` over ``count`` qubit samples."""
+    for _ in engine.chunks(row, basis_for(2), 0, count, **given):
+        pass
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # bad rows on purpose
 @pytest.mark.parametrize("name", sorted(_SHARED))
 def test_scalar_and_twin_call_one_function(monkeypatch, name):
-    # A spy on the shared function: the scalar checker, on one row's
-    # objects, and its twin, on the rows, must both reach it.
-    pairs = {n for n in relations.__all__ if n + "_batch" in relations.__all__}
-    assert set(_SHARED) == pairs
-    lanes, rows = _twin_operands(2, n=3)
-    shared = getattr(relations, _SHARED[name])
+    # A spy on the function that states the relation: the scalar checker,
+    # on one row's objects, and the engine, on a chunk of rows, must both
+    # reach it.
+    row, given = _engine_rows()[name]
+    lanes, rows = _lane_operands(2, n=3)
+    shared = getattr(relations, row.shared)
     calls = []
 
     def spy(*args):
         calls.append(args)
         return shared(*args)
 
-    monkeypatch.setattr(relations, _SHARED[name], spy)
-    args = _twin_args(name, lanes)
+    monkeypatch.setattr(relations, row.shared, spy)
+    args = _lane_args(name, lanes)
     try:  # row 0 may fail a precondition after the shared call
         getattr(relations, name)(**_row_args(args, rows[0]))
     except (ValueError, ArithmeticError):
         pass
     alone, calls[:] = len(calls), []
-    getattr(relations, name + "_batch")(**args)
+    _run_chunks(row, given)
     assert alone and calls
 
 
 def _spy(monkeypatch, modules, name):
     """Replace ``name`` in each of ``modules`` by one wrapper that records,
-    a call each, the number of dimensions of its first argument (of an
+    a call each, the most dimensions of its arguments (of a state's or an
     observable's Bloch vectors)."""
     shared = getattr(modules[0], name)
     calls = []
 
     def spy(*args):
-        calls.append(np.ndim(getattr(args[0], "a", args[0])))
+        calls.append(max(np.ndim(getattr(x, "p", getattr(x, "a", x))) for x in args))
         return shared(*args)
 
     for module in modules:
@@ -284,47 +339,46 @@ def _spy(monkeypatch, modules, name):
 
 
 def test_variance_matrix_and_its_twin_call_one_function(monkeypatch):
-    # variance_matrix, and the lanes checkers, which call it on matrices.
-    lanes, rows = _twin_operands(3, n=3)
+    # variance_matrix, and the engine's robertson rows, on matrices.
+    lanes, rows = _lane_operands(3, n=3)
     calls = _spy(monkeypatch, (variance, relations), "_variance_matrix")
     variance.variance_matrix(rows[0]["a"], rows[0]["rho"])
-    relations.robertson_bound_batch(lanes["a"], lanes["b"], lanes["rho"])
+    engine.fuzz("robertson", 3, 3, 0, 0.0)
     assert calls == [2, 3, 3]
 
 
-# Each scalar of ``variance`` with a lanes form: the function both reach,
-# the scalar's operands and the lanes form's (``vector_angle``'s rows
-# are the angles').
+# Each scalar of ``variance`` whose function an engine row reaches: the
+# function, the scalar's operands, and the checker of the row (the
+# triangle's angles, the pair scan's Bloch variances).
 _VARIANCE_SHARED = {
-    "variance_bloch": ("_variance_bloch", ("a", "rho", "basis"), "variance_bloch_batch", ("a", "rho")),
-    "angles": ("_angles", ("a", "b", "rho"), "angles_batch", ("a", "b", "rho")),
-    "vector_angle": ("_vector_angle", ("p", "a_vector"), "angles_batch", ("a", "b", "rho")),
+    "variance_bloch": ("_variance_bloch", ("a", "rho", "basis"), "scan_pair_point"),
+    "angles": ("_angles", ("a", "b", "rho"), "check_triangle"),
+    "vector_angle": ("_vector_angle", ("p", "a_vector"), "check_triangle"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_VARIANCE_SHARED))
 def test_variance_scalars_and_twins_call_one_function(monkeypatch, name):
-    # The scalar on row 0's objects, and its lanes form on the rows.
-    lanes, rows = _twin_operands(2, n=3)
-    shared, params, twin, twin_params = _VARIANCE_SHARED[name]
-    calls = _spy(monkeypatch, (variance,), shared)
-    row = {**lanes, **rows[0], "p": rows[0]["rho"].p, "a_vector": rows[0]["a"].a}
-    getattr(variance, name)(*(row[k] for k in params))
+    # The scalar on row 0's objects, and the engine on a chunk of rows.
+    lanes, rows = _lane_operands(2, n=3)
+    shared, params, checker = _VARIANCE_SHARED[name]
+    row, given = _engine_rows()[checker]
+    calls = _spy(monkeypatch, [m for m in (variance, relations) if hasattr(m, shared)], shared)
+    row_ops = {**lanes, **rows[0], "p": rows[0]["rho"].p, "a_vector": rows[0]["a"].a}
+    getattr(variance, name)(*(row_ops[k] for k in params))
     alone, calls[:] = calls[:], []
-    with np.errstate(all="ignore"):  # A is zero on row 1
-        getattr(variance, twin)(*(lanes[k] for k in twin_params))
+    _run_chunks(row, given)
     assert alone and calls and {d + 1 for d in alone} == set(calls)
 
 
-def _nan_where_x_above(checker, x):
-    """``checker`` (scalar or lanes) with a NaN margin wherever its
-    state's first Bloch coordinate is above ``x``."""
+def _nan_where_x_above(shared, x):
+    """``shared``, a relation's function, with a NaN lhs wherever its
+    state's first Bloch coordinate is above ``x``, on one sample or on
+    rows."""
 
     def patched(*args):
-        got, p = checker(*args), args[-1].p
-        if isinstance(got, tuple):
-            return np.where(p[:, 0] > x, math.nan, got[0]), got[1]
-        return dataclasses.replace(got, margin=math.nan) if p[0] > x else got
+        lhs, rhs, checks = shared(*args)
+        return np.where(args[-1].p[..., 0] > x, math.nan, lhs), rhs, checks
 
     return patched
 
@@ -339,36 +393,51 @@ def test_scan_twins_flag_exactly_the_rows_that_fail_their_floors(
     monkeypatch, name, floor, value, checker
 ):
     # The scan points' floors, moved so that some rows pass them and
-    # others fail them, with NaN margins among the failures: the twin's
-    # bad rows are still the rows where the scalar raises.
-    lanes, rows = _twin_operands(2)
-    before = set(_twin_raises(name, lanes, rows))
+    # others fail them, with NaN margins among the failures: the scan
+    # point's function flags exactly the rows where the scalar raises.
+    lanes, rows = _lane_operands(2)
+    before = set(_rows_raise(name, lanes, rows))
     monkeypatch.setattr(relations, floor, value)
-    for form in (checker, checker + "_batch"):
-        monkeypatch.setattr(relations, form, _nan_where_x_above(getattr(relations, form), 0.7))
-    raised = set(_twin_raises(name, lanes, rows))
+    shared = _SHARED[checker]
+    monkeypatch.setattr(relations, shared, _nan_where_x_above(getattr(relations, shared), 0.7))
+    raised = set(_rows_raise(name, lanes, rows))
     nan = {i for i, row in enumerate(rows) if row["rho"].p[0] > 0.7}
     # Rows newly failing the floor, NaN ones among them, and rows passing it.
     assert raised - before - nan and nan - before and before | nan <= raised < set(range(len(rows)))
 
 
+def test_pair_scan_broadcasts_its_fixed_observables():
+    # The pair scan's function takes A and B as they are, one Bloch
+    # vector against the rows of states: bit for bit what it gives on
+    # rows that repeat them.
+    lanes, _ = _lane_operands(2, n=40)
+    rho, index = lanes["rho"], lanes["index"]
+    fixed, repeated = (lanes["A"], lanes["B"]), []
+    for obs in fixed:
+        fields = (obs.matrix.array, obs.a, obs.a_prime, np.float64(obs.norm2))
+        rows = (np.repeat(np.asarray(f)[None], 40, axis=0) for f in fields)
+        repeated.append(bloch.ObservableBatch(*rows, np.zeros(40, dtype=bool)))
+    assert np.array_equal(_bits(row_dot(fixed[0].a, rho.p)), _bits(row_dot(repeated[0].a, rho.p)))
+    got, expected = (
+        engine._lane_values(relations._scan_pair_point(*pair, rho, index))
+        for pair in (fixed, repeated)
+    )
+    assert [_bits(x).tobytes() for x in got] == [_bits(x).tobytes() for x in expected]
+
+
 def test_robertson_checkers_reject_operands_of_two_dims():
-    (lanes2, rows2), (lanes3, rows3) = _twin_operands(2, n=3), _twin_operands(3, n=3)
+    rows2, rows3 = _lane_operands(2, n=3)[1], _lane_operands(3, n=3)[1]
     with pytest.raises(DimensionMismatch):
         relations.robertson_bound(rows2[0]["a"], rows3[0]["b"], rows3[0]["rho"])
-    with pytest.raises(DimensionMismatch):
-        relations.robertson_bound_batch(lanes2["a"], lanes3["b"], lanes3["rho"])
 
 
 def test_engine_covers_the_catalogue():
-    # Every row names a public checker of `relations` whose lanes twin
-    # takes the same parameters, and the arguments both take.
+    # Every row names a public checker of `relations`, the private
+    # function that states its relation, and the arguments both take.
     for entry in engine.RELATIONS.values():
         name, *params = entry.check
-        assert engine._lanes(entry.check) == (name + "_batch", *params)
-        for checker in (name, name + "_batch"):
-            assert checker in relations.__all__ and callable(getattr(relations, checker))
-        assert _params(name) == _params(name + "_batch")
+        assert name in relations.__all__ and callable(getattr(relations, name))
+        assert entry.shared not in relations.__all__ and callable(getattr(relations, entry.shared))
         assert set(params) <= {"a", "b", "state", "theta_ab", "basis"}
     assert QUDIT_RELATIONS == ["appendix-c", "robertson"]
 
@@ -389,12 +458,12 @@ def _count_calls(monkeypatch, module, name):
 @pytest.mark.parametrize("relation", RELATIONS)
 def test_engine_looks_its_calls_up_at_call_time(monkeypatch, relation):
     # A wrapper put on a module attribute after import, as the bench's
-    # tracer puts one, sees the engine's calls: the row's lanes checker
-    # and the one-pass draws through `fuzz`, its scalar checker through
+    # tracer puts one, sees the engine's calls: the row's function and
+    # the one-pass draws through `fuzz`, its scalar checker through
     # `_sample`.
     row = engine.RELATIONS[relation]
     dim = 2 if row.dims else 3
-    lanes = _count_calls(monkeypatch, relations, row.check[0] + "_batch")
+    lanes = _count_calls(monkeypatch, relations, row.shared)
     check = _count_calls(monkeypatch, relations, row.check[0])
     draws = _count_calls(monkeypatch, sampling, "draw_batches")
     engine.fuzz(relation, dim, 5, 0, math.pi / 4.0)
@@ -420,11 +489,12 @@ def _scan_pair_observables():
 @pytest.mark.parametrize("scan", sorted(_SCANS))
 def test_scans_look_their_checkers_up_at_call_time(monkeypatch, scan):
     # The scans' counterpart of the test above: a wrapper put on a scan
-    # point of `relations` after import sees its lanes form once a chunk
-    # (20 samples, chunks of 8), and its scalar form only on a replay,
-    # here forced by a floor that every sample fails.
+    # point's function after import sees a call of it once a chunk (20
+    # samples, chunks of 8), and one on the scan point itself sees it
+    # only on a replay, here forced by a floor that every sample fails;
+    # the replay reaches the function once more.
     run, floor, failing = _SCANS[scan]
-    lanes = _count_calls(monkeypatch, relations, f"scan_{scan}_point_batch")
+    lanes = _count_calls(monkeypatch, relations, f"_scan_{scan}_point")
     check = _count_calls(monkeypatch, relations, f"scan_{scan}_point")
     monkeypatch.setattr(sampling, "ENGINE_CHUNK", 8)
     cfg = SampleConfig(seed=0, dim=2, count=20, kind="haar_pure")
@@ -433,7 +503,7 @@ def test_scans_look_their_checkers_up_at_call_time(monkeypatch, scan):
     monkeypatch.setattr(relations, floor, failing)
     with pytest.raises(NumericsError, match="^sample 0 (violates|misses)"):
         run(cfg)
-    assert len(lanes) == 4 and len(check) == 1
+    assert len(lanes) == 5 and len(check) == 1
 
 
 @pytest.mark.parametrize("relation", RELATIONS)
@@ -1152,31 +1222,30 @@ def test_draws_accept_exactly_the_means_the_check_allows(monkeypatch, tries, axi
     for limit, rejects in ((means[widest], False), (np.nextafter(means[widest], 0.0), True)):
         monkeypatch.setattr(relations, "ZERO_MEAN_TOL", limit)
         assert _raises(relations.check_appendix_c, *draws[widest], basis) == rejects
-        assert relations.check_appendix_c_batch(*batch, basis)[1].tolist() == [rejects]
+        assert engine._lane_values(relations._appendix_c(*batch, basis))[1].tolist() == [rejects]
 
 
 @pytest.mark.parametrize("other", [2, 4])
 def test_appendix_c_checkers_reject_a_basis_of_another_dim(other):
-    # Both checkers raise DimensionMismatch on operands of N = 3 and a
-    # basis of another N.
+    # The checker raises DimensionMismatch on operands of N = 3 and a
+    # basis of another N; the engine draws its rows on the basis it
+    # checks them with.
     basis = basis_for(3)
-    draws = [engine._appendix_c_draw(Xoshiro256pp(5, stream=i), basis, i) for i in range(2)]
+    draw = engine._appendix_c_draw(Xoshiro256pp(5, stream=0), basis, 0)
     with pytest.raises(DimensionMismatch):
-        relations.check_appendix_c(*draws[0], basis_for(other))
-    with pytest.raises(DimensionMismatch):
-        relations.check_appendix_c_batch(*_stack_draws(draws), basis_for(other))
+        relations.check_appendix_c(*draw, basis_for(other))
 
 
 def test_appendix_c_holds_at_its_own_tolerance(monkeypatch):
     # Margins of -5e-10 hold at appendix-c's 1e-9, not at the default 1e-10.
-    # The lanes checker scores every lane.
-    lanes = relations.check_appendix_c_batch
+    # The relation's function scores every lane.
+    shared = relations._appendix_c
 
     def shifted(a, b, state, basis):
-        margins, bad = lanes(a, b, state, basis)
-        return np.full_like(margins, -5e-10), bad
+        lhs, rhs, checks = shared(a, b, state, basis)
+        return np.zeros_like(rhs), np.full_like(rhs, 5e-10), checks
 
-    monkeypatch.setattr(relations, "check_appendix_c_batch", shifted)
+    monkeypatch.setattr(relations, "_appendix_c", shifted)
     summary = engine.fuzz("appendix-c", 3, 20, 0, 0.0)
     monkeypatch.setattr(
         relations, "check_appendix_c",
@@ -1188,13 +1257,16 @@ def test_appendix_c_holds_at_its_own_tolerance(monkeypatch):
 
 
 def test_lane_only_failure_is_reported(monkeypatch):
-    checker = relations.check_theorem1_batch
+    # A check that fails on row 3 of the lanes alone.
+    shared = relations._theorem1
 
     def flag_stream_3(a, b, state):
-        margins, bad = checker(a, b, state)
-        return margins, bad | (np.arange(bad.size) == 3)
+        lhs, rhs, checks = shared(a, b, state)
+        if state.p.ndim == 1:
+            return lhs, rhs, checks
+        return lhs, rhs, [*checks, (np.arange(len(lhs)) != 3, NumericsError, "lanes only")]
 
-    monkeypatch.setattr(relations, "check_theorem1_batch", flag_stream_3)
+    monkeypatch.setattr(relations, "_theorem1", flag_stream_3)
     with pytest.raises(NumericsError, match="stream 3"):
         engine.fuzz("theorem1", 2, 10, 0, 0.0)
 
@@ -1271,7 +1343,8 @@ def test_checkers_flag_the_rows_scalar_rejects(basis2, relation):
     drawn, a, b = sampling.draw_batches(plan, XoshiroLanes(9, range(n)), basis2)
     rho = np.where((np.arange(n) % 3 == 2)[:, None, None], np.eye(2) / 2, drawn.rho)
     state = bloch.state_from_matrix_batch(rho, basis2)
-    margins, bad = engine._call(engine._lanes(row.check), plan, (state, a, b), theta_ab=1.1)
+    checked = engine._call(row.shared, row, plan, (state, a, b), theta_ab=1.1)
+    margins, bad = engine._lane_values(checked)
     margins = margins.reshape(n, -1)  # a column per verdict
     for i in range(n):
         rng = Xoshiro256pp(9, stream=i)
@@ -1279,7 +1352,7 @@ def test_checkers_flag_the_rows_scalar_rejects(basis2, relation):
         pair = (draw_observable(rng, basis2), draw_observable(rng, basis2))
         try:
             state = bloch.state_from_matrix(linalg.HermitianMatrix(rho[i]), basis2)
-            verdicts = engine._call(row.check, plan, (state, *pair), theta_ab=1.1)
+            verdicts = engine._call(row.check[0], row, plan, (state, *pair), theta_ab=1.1)
         except (ValueError, ArithmeticError):
             assert bad[i]
             continue
@@ -1291,9 +1364,9 @@ def test_theorem1_flags_variance_above_norm(basis2):
     # Validated objects cannot reach this check; shrink a stored norm.
     lanes = XoshiroLanes(2, range(50))
     state, a, b = sampling.draw_batches(("haar_pure", _OBS, _OBS), lanes, basis2)
-    assert not relations.check_theorem1_batch(a, b, state)[1].any()
+    assert not engine._lane_values(relations._theorem1(a, b, state))[1].any()
     shrunk = a._replace(norm2=0.5 * a.norm2)
-    bad = relations.check_theorem1_batch(shrunk, b, state)[1]
+    bad = engine._lane_values(relations._theorem1(shrunk, b, state))[1]
     sa = row_dot(a.a, state.p)
     assert bad.any() and bad.tolist() == (sa * sa > 0.5 * state.purity + 1e-10).tolist()
 
@@ -1411,8 +1484,8 @@ def test_qudit_checkers_flag_the_rows_scalar_rejects(relation, dim):
     for field, drawn in zip(state, mixed):
         field[swap] = drawn[swap]
     row = engine.RELATIONS[relation]
-    lanes = engine._lanes(row.check)
-    margins, flagged = engine._call(lanes, engine._TRY, (a, b, state), basis=basis)
+    checked = engine._call(row.shared, row, engine._TRY, (a, b, state), basis=basis)
+    margins, flagged = engine._lane_values(checked)
     for i in range(45):
         oa = bloch.observable_from_bloch(a.a[i], basis)
         ob = bloch.observable_from_bloch(b.a[i], basis)
@@ -1422,7 +1495,7 @@ def test_qudit_checkers_flag_the_rows_scalar_rejects(relation, dim):
             rho = bloch.state_to_matrix(state.p[i], basis)
         assert np.array_equal(rho.rho.array, state.rho[i]) and np.array_equal(rho.p, state.p[i])
         try:
-            margin = engine._call(row.check, engine._TRY, (oa, ob, rho), basis=basis).margin
+            margin = engine._call(row.check[0], row, engine._TRY, (oa, ob, rho), basis=basis).margin
         except (ValueError, ArithmeticError):
             assert flagged[i]
             continue
@@ -1516,6 +1589,10 @@ def test_row_dot_matches_1d_dot(inputs):
     strided = g.reshape(-1, 4).real  # the .real view of a complex stack
     assert np.array_equal(row_dot(strided, strided), _each(lambda x: x @ x, strided))
     assert np.array_equal(np.sqrt(row_dot(u, u)), _each(np.linalg.norm, u))
+    # One vector against the rows, on either side: the pair scan's fixed
+    # observables.
+    assert np.array_equal(_bits(row_dot(u[0], v)), _bits(_each(lambda y: u[0] @ y, v)))
+    assert np.array_equal(_bits(row_dot(v, u[0])), _bits(_each(lambda y: y @ u[0], v)))
 
 
 def test_elementwise_ufuncs_match_math(inputs):

@@ -100,14 +100,15 @@ def test_pair_scan_is_qubit_only(basis2, basis3):
             scan_pair(a, b, cfg, grid=0.01)
 
 
-def _nan_at(checker, row):
-    """``checker`` with the margin of chunk row ``row`` replaced by NaN."""
+def _nan_at(shared, row, alone):
+    """``shared``, a relation's function, with a NaN lhs on chunk row
+    ``row`` of the lanes, and on one sample if ``alone``."""
 
     def patched(*args):
-        margins, bad = checker(*args)
-        margins = margins.copy()
-        margins[row] = math.nan
-        return margins, bad
+        lhs, rhs, checks = shared(*args)
+        if np.ndim(lhs) == 0:
+            return (math.nan if alone else lhs), rhs, checks
+        return np.where(np.arange(len(lhs)) == row, math.nan, lhs), rhs, checks
 
     return patched
 
@@ -120,16 +121,18 @@ def _scan_with(checker, basis2):
 
 
 _CHECKERS = ["check_theorem1", "check_three_observable_equality"]
+_SHARED = {
+    "check_theorem1": "_theorem1",
+    "check_three_observable_equality": "_three_observable_equality",
+}
 
 
 @pytest.mark.parametrize("checker", _CHECKERS)
 def test_scans_reject_nan_margins(basis2, monkeypatch, checker):
     # NaN on lanes and on the scalar path: the replay of sample 0 raises
     # the floor's own error.
-    lanes = f"{checker}_batch"
-    monkeypatch.setattr(relations, lanes, _nan_at(getattr(relations, lanes), 0))
-    nan_verdict = mock.Mock(margin=math.nan)
-    monkeypatch.setattr(relations, checker, lambda *args: nan_verdict)
+    shared = _SHARED[checker]
+    monkeypatch.setattr(relations, shared, _nan_at(getattr(relations, shared), 0, alone=True))
     with pytest.raises(NumericsError, match="sample 0 (violates|misses).*nan"):
         _scan_with(checker, basis2)
 
@@ -138,8 +141,8 @@ def test_scans_reject_nan_margins(basis2, monkeypatch, checker):
 def test_scans_reject_lane_only_nan_margins(basis2, monkeypatch, checker):
     # NaN on lanes alone: the replay passes, and the scan still raises
     # for that sample.
-    lanes = f"{checker}_batch"
-    monkeypatch.setattr(relations, lanes, _nan_at(getattr(relations, lanes), 0))
+    shared = _SHARED[checker]
+    monkeypatch.setattr(relations, shared, _nan_at(getattr(relations, shared), 0, alone=False))
     with pytest.raises(NumericsError, match=r"sample 0 \(stream 0\): a lane check failed"):
         _scan_with(checker, basis2)
 
@@ -195,6 +198,17 @@ def test_slice_span_matches_direct_selection(basis2):
     assert count == int(mask.sum()) > 0
     assert lo == pytest.approx(float(np.sqrt(scan.samples[mask, 1]).min()))
     assert hi == pytest.approx(float(np.sqrt(scan.samples[mask, 1]).max()))
+
+
+@pytest.mark.parametrize("axis", [-1, 2, -2])
+def test_slice_span_rejects_axes_other_than_0_and_1(basis2, axis):
+    # -1 would read axis 1 and 2 would index past the pair: both raise,
+    # whether the cell at ``value`` is empty (5.0) or not (0.25).
+    cfg = SampleConfig(seed=1, dim=2, count=50, kind="haar_pure")
+    scan = scan_pair(*_axis_pair(basis2, 1.0), cfg, 0.01)
+    for value in (0.25, 5.0):
+        with pytest.raises(ValueError, match="axis must be 0 or 1"):
+            scan.slice_span(axis, value)
 
 
 # ---------------------------------------------------------------------------

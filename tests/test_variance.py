@@ -27,10 +27,9 @@ from blochvar import (
     vector_angle,
 )
 from blochvar import variance
-from blochvar.bloch import repeat_observable, repeat_state
+from blochvar.bloch import repeat_state
 from blochvar.linalg import failures
 from blochvar.sampling import OBSERVABLE, XoshiroLanes, draw_batches
-from blochvar.variance import variance_bloch_batch
 from conftest import random_hermitian
 
 KET0 = HermitianMatrix(np.diag([1.0, 0.0]).astype(complex))
@@ -164,8 +163,8 @@ def test_nan_bloch_variance_raises(basis3):
     object.__setattr__(hacked, "a_prime", np.full(8, np.nan))
     with pytest.raises(NumericsError, match="variance nan negative beyond round-off"):
         variance_bloch(hacked, state, basis3)
-    value, bad = variance_bloch_batch(repeat_observable(hacked, 2), repeat_state(state, 2))
-    assert np.isnan(value).all() and bad.all()
+    value, checks = variance._variance_bloch(hacked, repeat_state(state, 2), 3)
+    assert np.isnan(value).all() and failures(checks).all()
 
 
 def test_vector_angle_zero_norm():
@@ -250,12 +249,13 @@ def test_mean_used_by_bloch_route(basis2):
 
 @pytest.mark.parametrize("n", [3, 6, 10])
 def test_batched_routes_match_scalar_rows(n):
-    # Row i of the lanes forms is the scalar value on stream i's objects;
-    # pure and mixed states alternate.
+    # Row i of both functions on rows is the scalar value on stream i's
+    # objects; pure and mixed states alternate.
     basis = basis_for(n)
     lanes = XoshiroLanes(7, range(40))
     states, obs = draw_batches(("alternating", OBSERVABLE), lanes, basis)
-    via_bloch, bad_bloch = variance_bloch_batch(obs, states)
+    via_bloch, checks = variance._variance_bloch(obs, states, n)
+    bad_bloch = failures(checks)
     via_matrix, checks = variance._variance_matrix(obs.matrix, states.rho)
     bad_matrix = failures(checks)
     assert not (bad_bloch | bad_matrix | states.bad | obs.bad).any()

@@ -13,7 +13,9 @@ between two runs of one tree.  The matrix:
   ``--slice-da2``, and triple), each with ``--csv``, ``--json`` and
   ``--out``;
 - ``compare`` on four states and three observable pairs, with ``--da2``,
-  on an observable of norm about 1e3 and on one whose squares overflow.
+  on an observable of norm about 1e3, on one whose squares overflow, and
+  on JSON matrices whose ``dim`` is oversized (10**6 for four entries)
+  or not an integer (2.5).
 
 It prints each run that differs, with the parts that differ, and a
 summary line, and exits 1 if any run differs.  Run from the repository
@@ -87,6 +89,9 @@ def runs(tree: str, samples: int = 500) -> dict[str, list[str]]:
     matrix["compare overflowing A"] = [
         "compare", "--state", "pure:(0,0,1)", "--A", "n:(1e200,0,0)", "--B", "sigma2"
     ]
+    for name, dim in (("oversized", 10**6), ("non-integer", 2.5)):
+        obs = json.dumps({"dim": dim, "re": [1.0, 0.0, 0.0, -1.0]})
+        matrix[f"compare {name} dim"] = ["compare", "--state", "mixed", "--A", obs, "--B", "sigma1"]
     return matrix
 
 
