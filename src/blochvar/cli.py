@@ -72,6 +72,7 @@ from .regions import (
     occupancy_cells,
     scan_pair,
     scan_triple,
+    unit_pair,
 )
 from .relations import db_span_any_state, db_span_given_da2, robertson_bound, state_dependent_bound
 from .sampling import ENGINE_CHUNK, SampleConfig, Xoshiro256pp, draw_pure
@@ -472,8 +473,7 @@ def _cmd_compare(args, parser) -> tuple[int, dict]:
         rows += [{"bound": name, "applicable": False, "reason": str(exc)} for name in names]
     margins = [row["margin"] for row in rows if row["applicable"]]
 
-    unit = abs(a.norm2 - 1.0) <= 1e-9 and abs(b.norm2 - 1.0) <= 1e-9
-    if unit:
+    if unit_pair(a, b):
         theta = math.acos(min(1.0, max(-1.0, float(a.a @ b.a))))
         folded = theta > math.pi / 2.0
         theta_f = math.pi - theta if folded else theta

@@ -16,8 +16,11 @@ and ``iter_states`` yields the states of a ``sampling.SampleConfig``
 from it, with a row that draws one state and checks nothing more.
 ``_sample`` draws and checks one sample on its own stream: the oracle,
 and the replay.  Sample i always comes from stream i.  Appendix-c's
-rejection draws run in rounds on the lanes still pending
-(``_appendix_c_lanes``).
+rejection draws run in rounds on the lanes still pending, which only
+decide, on the directions of A and B and the projected state; A and B
+are built, checked and scored once a chunk, for the tries taken
+(``_appendix_c_lanes``), and the scalar draw builds them for its
+accepted try alone (``_appendix_c_draw``).
 
 Every call into the package goes through a module attribute looked up at
 call time (``sampling.draw_batches``, ``getattr(relations, name)``), never
@@ -69,6 +72,7 @@ class Relation(NamedTuple):
 
 
 _OBS = sampling.OBSERVABLE
+_DIR = sampling.DIRECTION
 _AB_STATE = ("a", "b", "state")
 
 _PAIR = ("alternating", _OBS, _OBS)
@@ -124,6 +128,8 @@ def _draw(plan, rng: sampling.Xoshiro256pp, basis, index: int) -> list:
     return [
         sampling.draw_observable(rng, basis)
         if kind == _OBS
+        else sampling.draw_direction(rng, basis)
+        if kind == _DIR
         else sampling.draw_state(kind, rng, basis, index)
         for kind in plan
     ]
@@ -140,12 +146,13 @@ _APPENDIX_C_TRIES = 200
 # ``_appendix_c_lanes``).  A lanes round costs about the same at a few
 # rows as at a few dozen, and 89%, 47% and 28% of the tries pass at
 # N = 3, 6 and 10.  A round draws its tries in one pass
-# (``sampling.draw_batches``), so each costs less, and more of them
-# pay.  Of 16, 24, 32 and 48, 24 ran one pass of the bench's 54
-# appendix-c jobs fastest (2 vCPU Xeon): best of 5 on seeds 0 and 1729,
-# 657-662 ms against 663-686 (16), 665-697 (32) and 737-783 ms (48);
-# best of 8 against 32 alone, 2-5 % ahead on seeds 0, 7 and 1729.
-# Fewer rows also hold less.
+# (``sampling.draw_batches``) and builds no observable, so each costs
+# less, and more of them pay.  One pass of the bench's 54 appendix-c
+# jobs (2 vCPU Xeon), best of 5 on seeds 0 and 1729: 455-486 ms at 24,
+# against 469-491 (16), 445-467 (32), 503-507 (48) and 633-636 ms (96);
+# 24 and 32 alone, best of 8 on seeds 0, 7 and 1729 in both orders,
+# were within the runs' noise of each other (509-645 ms).  Fewer rows
+# also hold less.
 _APPENDIX_C_ROUND_ROWS = 24
 
 
@@ -154,13 +161,17 @@ def _round_tries(pending: int) -> int:
     return max(1, _APPENDIX_C_ROUND_ROWS // pending)
 
 
-# The draws of an appendix-c try, in order.
+# The draws of an appendix-c try, in order: the directions of A and B,
+# then a mixed state.  The try decides on these alone; the objects of
+# the try taken are built after (``_TRY``).
+_TRY_DRAWS = (_DIR, _DIR, "hs_mixed")
+# The objects an accepted try gives, as ``_call`` reads them.
 _TRY = (_OBS, _OBS, "hs_mixed")
 
 
 def _try_steps(basis) -> int:
     """The u64s an appendix-c try draws, whether it passes or fails."""
-    return sum(sampling.plan_widths(_TRY, basis.dim))
+    return sum(sampling.plan_widths(_TRY_DRAWS, basis.dim))
 
 
 def _project_orthogonal_rows(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -183,18 +194,19 @@ def _appendix_c_draw(rng: sampling.Xoshiro256pp, basis, index: int) -> tuple:
     # Rejection sampling of (A, B, state) for sample ``index``: project the
     # Bloch vector onto the orthogonal complement of span{a, b}, then insist
     # the reconstruction is still physical.  Projection shrinks |p|, so
-    # acceptance is high.
+    # acceptance is high.  A try decides on the directions a and b; only
+    # the try accepted builds A and B.
     for _ in range(_APPENDIX_C_TRIES):
-        a, b, state = _draw(_TRY, rng, basis, index)
-        p = _project_orthogonal_rows(state.p[None], a.a[None], b.a[None])[0]
+        a, b, state = _draw(_TRY_DRAWS, rng, basis, index)
+        p = _project_orthogonal_rows(state.p[None], a[None], b[None])[0]
         try:
             projected = bloch.state_to_matrix(p, basis)
         except UnphysicalState:
             continue
-        mean_a, mean_b = float(a.a @ projected.p), float(b.a @ projected.p)
+        mean_a, mean_b = float(a @ projected.p), float(b @ projected.p)
         if abs(mean_a) > relations.ZERO_MEAN_TOL or abs(mean_b) > relations.ZERO_MEAN_TOL:
             continue
-        return a, b, projected
+        return bloch.observable_from_bloch(a, basis), bloch.observable_from_bloch(b, basis), projected
     raise RuntimeError("no valid zero-mean sample found; ensemble looks pathological")
 
 
@@ -203,32 +215,43 @@ def _appendix_c_lanes(rng: sampling.XoshiroLanes, basis):
 
     Returns ``(margins, bad)`` as ``_lane_values`` does: ``bad`` marks
     the lanes on which the scalar draw or check raises, whose margins are
-    unspecified.  Round 1 draws one try on every lane;
-    a later round draws ``_round_tries`` tries on each lane still
-    pending, side by side: try t starts from the lane's state jumped t
-    tries on (``XoshiroLanes.ahead``).  Each lane takes its first try
-    that the draw accepts or fails, and ``relations._appendix_c`` scores
-    the accepted ones at once; a lane left pending goes on from where its
-    last try ended.  Every try draws ``_try_steps`` u64s, a failed one
-    (an observable below ``sampling._MIN_NORM``, say) too, so try t + 1
-    starts where try t ends, and the lanes still pending have all spent
-    the same tries.  Each lane has ``_APPENDIX_C_TRIES`` tries; one that
-    spends them all is bad, as the scalar loop raises there.
+    unspecified.  The rounds only decide: round 1 draws one try on every
+    lane, the directions of A and B and a mixed state
+    (``_TRY_DRAWS``); a later round draws ``_round_tries`` tries on each
+    lane still pending, side by side: try t starts from the lane's state
+    jumped t tries on (``XoshiroLanes.ahead``).  Each lane takes its
+    first try that the draw accepts or fails, and keeps the directions
+    and the projected state of an accepted one; a lane left pending goes
+    on from where its last try ended.  Every try draws ``_try_steps``
+    u64s, a failed one (a direction below ``sampling._MIN_NORM``, say)
+    too, so try t + 1 starts where try t ends, and the lanes still
+    pending have all spent the same tries.  Each lane has
+    ``_APPENDIX_C_TRIES`` tries; one that spends them all is bad, as the
+    scalar loop raises there.  After the rounds, one
+    ``observable_from_bloch_batch`` call builds A and B of every accepted
+    lane, and ``relations._appendix_c`` scores them at once; a lane whose
+    A or B fails its checks is bad, as the scalar loop raises there.
     """
     row = RELATIONS["appendix-c"]  # it reads no axis angle
-    margins = np.zeros(rng.streams.size)
-    bad = np.zeros(rng.streams.size, dtype=bool)
-    pending = np.arange(rng.streams.size)
+    lanes, n, dim = rng.streams.size, basis.n_generators, basis.dim
+    bad = np.zeros(lanes, dtype=bool)
+    accepted = np.zeros(lanes, dtype=bool)
+    # Each lane's accepted try: its directions of A and B, and its state.
+    directions = np.empty((2, lanes, n))
+    kept = bloch.StateBatch(
+        np.empty((lanes, dim, dim), complex), np.empty((lanes, n)), np.empty(lanes), bad.copy()
+    )
+    pending = np.arange(lanes)
     left = _APPENDIX_C_TRIES
     steps = _try_steps(basis)
     tries = 1
     while pending.size:
         if tries > 1:
             rng = rng.ahead(tries, steps)
-        da, db, mixed = sampling.draw_batches(_TRY, rng, basis)
+        da, db, mixed = sampling.draw_batches(_TRY_DRAWS, rng, basis)
         failed = da.bad | db.bad | mixed.bad
         p = _project_orthogonal_rows(mixed.p, da.a, db.a)
-        del mixed  # freed before the checker allocates its temporaries
+        del mixed  # freed before the reconstruction allocates its temporaries
         projected, unphysical = bloch.state_to_matrix_batch(p, basis)
         failed |= projected.bad & ~unphysical
         tol = relations.ZERO_MEAN_TOL
@@ -238,17 +261,33 @@ def _appendix_c_lanes(rng: sampling.XoshiroLanes, basis):
         taken = _taken_tries(rejected, pending.size)
         left -= tries
         bad[pending[failed[taken]]] = True
-        accepted = taken[~(failed | rejected)[taken]]
-        if accepted.size:
-            rows = (drawn._make(field[accepted] for field in drawn) for drawn in (da, db, projected))
-            k = pending[accepted % pending.size]
-            margins[k], bad[k] = _lane_values(_call(row.shared, row, _TRY, rows, basis=basis))
+        passed = taken[~(failed | rejected)[taken]]
+        k = pending[passed % pending.size]
+        accepted[k] = True
+        directions[:, k] = da.a[passed], db.a[passed]
+        for out, field in zip(kept, projected):
+            out[k] = field[passed]
+        del da, db, p, projected  # freed before the next round draws
         going = rejected[taken]
         bad[pending[going & (left == 0)]] = True  # the scalar loop raises RuntimeError
         going &= left > 0
         rng = rng.take(taken[going])
         pending = pending[going]
         tries = min(_round_tries(pending.size or 1), left)
+    margins = np.zeros(lanes)
+    if accepted.any():
+        # One build of the accepted lanes' A rows, then B rows, and one
+        # score; the chunk-sized stores are freed before the build.
+        vec = directions[:, accepted].reshape(-1, n)
+        state = bloch.StateBatch._make(field[accepted] for field in kept)
+        del directions, kept
+        built = bloch.observable_from_bloch_batch(vec, basis)
+        half = len(state.p)
+        a, b = (bloch.ObservableBatch._make(f[rows] for f in built)
+                for rows in (slice(None, half), slice(half, None)))
+        values, failed = _lane_values(_call(row.shared, row, _TRY, (a, b, state), basis=basis))
+        margins[accepted] = values
+        bad[accepted] = failed | a.bad | b.bad
     return margins, bad
 
 

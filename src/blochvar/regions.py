@@ -49,6 +49,7 @@ __all__ = [
     "scan_pair",
     "scan_triple",
     "find_saturating_state",
+    "unit_pair",
 ]
 
 GRID_RANGE = (1e-3, 0.1)
@@ -65,6 +66,7 @@ MAX_SAMPLES = 10**7
 MAX_CELLS = 10**7
 _GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0
 _COMPASS_STEPS = (0.25, 1e-10)  # first and smallest step of the sphere search, radians
+_UNIT_ATOL = 1e-9  # largest ||a|^2 - 1| of an observable read as a unit one
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,6 +185,13 @@ def _scan(
     )
 
 
+def unit_pair(a: Observable, b: Observable) -> bool:
+    """Whether both observables are unit ones, |a|² within ``_UNIT_ATOL``
+    (1e-9) of 1, edge included: the pair the unit-vector relation and
+    its analytic boundary are stated for."""
+    return abs(a.norm2 - 1.0) <= _UNIT_ATOL and abs(b.norm2 - 1.0) <= _UNIT_ATOL
+
+
 def scan_pair(a: Observable, b: Observable, ensemble: SampleConfig, grid: float) -> RegionScan:
     """Scatter (ΔA², ΔB²) over a qubit ensemble.
 
@@ -198,7 +207,7 @@ def scan_pair(a: Observable, b: Observable, ensemble: SampleConfig, grid: float)
         raise ValueError("occupancy grid covers [0, 1]; use |a| <= 1 observables")
     theta_ab = _axis_angle(a, b)
     boundary = None
-    if ensemble.kind == "haar_pure" and abs(a.norm2 - 1.0) < 1e-9 and abs(b.norm2 - 1.0) < 1e-9:
+    if ensemble.kind == "haar_pure" and unit_pair(a, b):
         boundary = _pair_boundary(theta_ab)
     return _scan(
         ensemble, grid, [a.norm2, b.norm2], ("scan_pair_point", "A", "B", "state", "index"),

@@ -77,9 +77,12 @@ appendix-c) and ``SATURATION_TOL``, as ``_verdict`` does.
 The primitives of ``linalg`` keep one sample on Python floats, so that a
 light scalar checker costs a few microseconds.  The triangle and the
 scan points compose the functions of others (the angles, theorem1, the
-three-observable equality, the Bloch variance) and state their own parts
-once; ``check_unit_vector_state`` composes the unit-vector relation with
-``_effective_axis_angle``, which ``effective_axis_angle`` raises alone.
+Bloch variance) and state their own parts once; the three-observable
+equality and the triple scan point both take ``_axis_triple``, which
+gives the triple's variances with the equality, so a scan row computes
+them once; ``check_unit_vector_state`` composes the unit-vector
+relation with ``_effective_axis_angle``, which ``effective_axis_angle``
+raises alone.
 The unit-vector relation's cosine is ``np.cos`` on both shapes, which
 equals ``math.cos`` (see ``linalg``), so its scalar verdicts are those
 ``math.cos`` gave.
@@ -287,23 +290,25 @@ def _pure_limit(a, b, rho) -> tuple:
     return lhs, rhs, [_pure(rho, ValueError, "pure-limit check requires |p|^2 = 1, got {}")]
 
 
-def _axis_triple(theta_ab: float, p: np.ndarray) -> tuple:
-    """u = a·p and v = b·p of the axis triple at θ_ab, and its three
-    variances [1 - u², 1 - v², 1 - w²] floored at 0, on Bloch rows ``p``
-    or one Bloch vector."""
-    u, y, w = components(p)
+def _axis_triple(theta_ab: float, rho) -> tuple:
+    """The lhs, rhs and checks of the axis triple's equality at θ_ab, and
+    its three variances [1 - u², 1 - v², 1 - w²] floored at 0, with
+    u = a·p, v = b·p and w = c·p, on rows of states or one state."""
+    u, y, w = components(rho.p)
     v = u * math.cos(theta_ab) + y * math.sin(theta_ab)
-    return u, v, (py_max(1.0 - u * u, 0.0), py_max(1.0 - v * v, 0.0), py_max(1.0 - w * w, 0.0))
-
-
-def _three_observable_equality(theta_ab: float, rho) -> tuple:
-    u, v, (da2, db2, dc2) = _axis_triple(theta_ab, rho.p)
+    da2, db2, dc2 = variances = (
+        py_max(1.0 - u * u, 0.0), py_max(1.0 - v * v, 0.0), py_max(1.0 - w * w, 0.0)
+    )
     sin2 = math.sin(theta_ab) ** 2
     lhs = da2 + db2 + dc2 * sin2 + 2.0 * math.cos(theta_ab) * u * v
     return lhs, 2.0, [
         _pure(rho, ValueError, "equality requires a pure state, got |p|^2 = {}"),
         (_within(theta_ab, math.pi), ValueError, "theta_ab = {} outside [0, pi]", theta_ab),
-    ]
+    ], variances
+
+
+def _three_observable_equality(theta_ab: float, rho) -> tuple:
+    return _axis_triple(theta_ab, rho)[:3]
 
 
 def _unit_vector_relation(theta_ab, da2, db2) -> tuple:
@@ -431,9 +436,9 @@ def _scan_pair_point(A, B, rho, index) -> tuple:
 def _scan_triple_point(theta_ab: float, rho, index) -> tuple:
     # The axis triple's three variances and the residual of its equality
     # as lhs, against 0, and their checks, the residual's bound last.
-    lhs, rhs, checks = _three_observable_equality(theta_ab, rho)
+    lhs, rhs, checks, variances = _axis_triple(theta_ab, rho)
     residual = lhs - rhs
-    return (*_axis_triple(theta_ab, rho.p)[2], residual), 0.0, [
+    return (*variances, residual), 0.0, [
         *checks,
         (abs(residual) <= _SURFACE_TOL, NumericsError,
          "sample {} misses the certainty surface: {}", index, residual),

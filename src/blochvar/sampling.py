@@ -36,18 +36,23 @@ each; its ``math.log`` goes through Python per element because numpy's
 stream (``streams``), and ``take`` copies out some of its lanes.
 ``draw_batches`` is the lanes form of the draws: it draws a plan of
 them one after another, a whole sample (a state, then A and B) or
-appendix-c try (A, B, then a mixed state) in one pass, or a single draw
-as a one-entry plan: one ``gaussians`` call for the plan, whose runs are
-even-sized so that its Box-Muller pairs are those of separate calls, and
-one ``observable_from_bloch_batch`` call for all its observables, so
-every lane takes ``sum(plan_widths(plan, N))`` u64s.  An observable
+appendix-c try (the directions of A and B, then a mixed state) in one
+pass, or a single draw as a one-entry plan: one ``gaussians`` call for
+the plan, whose runs are even-sized so that its Box-Muller pairs are
+those of separate calls, and one ``observable_from_bloch_batch`` call
+for all its observables, so every lane takes
+``sum(plan_widths(plan, N))`` u64s.  An observable is a unit direction
+(``DIRECTION``, ``draw_direction``) plus its construction: the two take
+the same u64s, and a plan that needs only the direction, as an
+appendix-c try does until it is accepted, builds nothing.  A direction
 whose Gaussians fall below ``_MIN_NORM`` is a failed draw, as a failed
-check is: ``draw_observable`` raises ``NumericsError`` and
-``draw_batches`` marks the row ``bad``.  ``lane_chunks`` yields a run's
-generators, ``ENGINE_CHUNK`` streams each, fewer above N = 4 so that a
-chunk's (rows, N, N) stacks hold at most ``_CHUNK_ENTRIES`` entries,
-and a chunk's first failing lane goes back to the scalar path
-(``engine.chunks``), which raises that stream's own exception.
+check is: ``draw_direction`` raises ``NumericsError`` and
+``draw_batches`` marks the row ``bad``, and its observable's.
+``lane_chunks`` yields a run's generators, ``ENGINE_CHUNK`` streams
+each, fewer above N = 4 so that a chunk's (rows, N, N) stacks hold at
+most ``_CHUNK_ENTRIES`` entries, and a chunk's first failing lane goes
+back to the scalar path (``engine.chunks``), which raises that stream's
+own exception.
 
 ``ahead`` lays copies of each lane side by side, copy t standing t
 jumps of a fixed number of u64s further on.  A jump is exact: the
@@ -83,7 +88,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -108,18 +113,21 @@ __all__ = [
     "XoshiroLanes",
     "ENGINE_CHUNK",
     "lane_chunks",
+    "DIRECTION",
     "OBSERVABLE",
+    "Directions",
     "plan_widths",
     "draw_batches",
     "SampleConfig",
     "draw_state",
     "draw_pure",
     "draw_mixed",
+    "draw_direction",
     "draw_observable",
 ]
 
 _M64 = (1 << 64) - 1
-_MIN_NORM = 1e-12  # observable draws below this norm raise NumericsError
+_MIN_NORM = 1e-12  # direction draws below this norm raise NumericsError
 _SM_GAMMA = 0x9E3779B97F4A7C15
 _TWO_PI = 2.0 * math.pi
 
@@ -485,61 +493,80 @@ def draw_state(kind: str, rng: Xoshiro256pp, basis: GeneratorBasis, index: int) 
     return draw(rng, basis)
 
 
-def draw_observable(rng: Xoshiro256pp, basis: GeneratorBasis) -> Observable:
-    """One observable with isotropic Gaussian coefficients, normalized to
-    |a| = 1, which makes it uniform on the coefficient sphere.
+def draw_direction(rng: Xoshiro256pp, basis: GeneratorBasis) -> np.ndarray:
+    """One unit vector of N² - 1 isotropic Gaussian coefficients, uniform
+    on the coefficient sphere.
 
     Gaussians whose norm falls below ``_MIN_NORM`` (at most 2**-53
-    likely per draw at N = 2) raise ``NumericsError``.  For a Gaussian
-    observable that is not normalized, pass ``rng.gaussians`` to
-    ``observable_from_bloch``.
+    likely per draw at N = 2) raise ``NumericsError``.
     """
     g = rng.gaussians(basis.n_generators)
     norm = float(np.linalg.norm(g))
     if not norm >= _MIN_NORM:
         raise NumericsError(f"observable Gaussians of norm {norm!r} below {_MIN_NORM!r}")
-    return observable_from_bloch(g / norm, basis)
+    return g / norm
 
 
-# The entry of a draw_batches plan that draws an observable; the others
-# are draw_state kinds.
+def draw_observable(rng: Xoshiro256pp, basis: GeneratorBasis) -> Observable:
+    """The observable of ``draw_direction``'s unit vector, |a| = 1.
+
+    For a Gaussian observable that is not normalized, pass
+    ``rng.gaussians`` to ``observable_from_bloch``.
+    """
+    return observable_from_bloch(draw_direction(rng, basis), basis)
+
+
+# The entries of a draw_batches plan that draw a unit direction, and an
+# observable built on one; the others are draw_state kinds.
+DIRECTION = "direction"
 OBSERVABLE = "observable"
+
+
+class Directions(NamedTuple):
+    """Unit directions, one per row: ``a`` (n, N²-1) and ``bad`` (n,),
+    the rows below ``_MIN_NORM`` (their ``a`` is unspecified)."""
+
+    a: np.ndarray
+    bad: np.ndarray
 
 
 def plan_widths(plan, dim: int) -> list[int]:
     """The Gaussians, and so the u64s, each draw of ``plan`` takes a lane:
     2 N² for a state's N² complex ones, none for I/N, and N² - 1 in whole
-    pairs for an observable, whether it passes ``_MIN_NORM`` or not."""
+    pairs for a direction or an observable, whether it passes
+    ``_MIN_NORM`` or not."""
     n2 = dim * dim
-    sizes = {OBSERVABLE: 2 * (n2 // 2), "maximally_mixed": 0}
+    sizes = {DIRECTION: 2 * (n2 // 2), OBSERVABLE: 2 * (n2 // 2), "maximally_mixed": 0}
     return [sizes.get(kind, 2 * n2) for kind in plan]
 
 
 def draw_batches(plan, rng: XoshiroLanes, basis: GeneratorBasis) -> list:
     """The draws of ``plan`` on every lane, one after another: each entry
-    is a ``draw_state`` kind or ``OBSERVABLE``, and on lane k gives, bit
-    for bit, what ``draw_state`` (sample ``rng.streams[k]``) or
-    ``draw_observable`` gives on that lane's stream, and the lanes end
-    where those calls leave the streams.
+    is a ``draw_state`` kind, ``DIRECTION`` or ``OBSERVABLE``, and on lane
+    k gives, bit for bit, what ``draw_state`` (sample ``rng.streams[k]``),
+    ``draw_direction`` or ``draw_observable`` gives on that lane's stream,
+    and the lanes end where those calls leave the streams.
 
     One ``gaussians`` call draws the whole plan, split into each draw's
     run (even-sized, so the Box-Muller pairs are those of separate calls).
-    An observable below ``_MIN_NORM`` is a ``bad`` row, where
-    ``draw_observable`` raises.  One ``observable_from_bloch_batch`` call
-    builds every observable of the plan: its kernels work row by row, so
-    each row is what its own call gives."""
+    A direction below ``_MIN_NORM`` is a ``bad`` row, where
+    ``draw_direction`` raises, and so is its observable.  One
+    ``observable_from_bloch_batch`` call builds every observable of the
+    plan: its kernels work row by row, so each row is what its own call
+    gives."""
     lanes = rng.streams.size
     widths = plan_widths(plan, basis.dim)
     runs = np.split(rng.gaussians(sum(widths)), np.cumsum(widths)[:-1], axis=1)
     n = basis.n_generators
-    observables = [i for i, kind in enumerate(plan) if kind == OBSERVABLE]
-    vec = np.array([runs[i][:, :n] for i in observables]).reshape(-1, n)
+    units = [i for i, kind in enumerate(plan) if kind in (DIRECTION, OBSERVABLE)]
+    vec = np.array([runs[i][:, :n] for i in units]).reshape(-1, n)
     norm = np.sqrt(row_dot(vec, vec))
     vec /= norm[:, None]
+    low = ~(norm >= _MIN_NORM)
     states = {
         i: _complex_pairs(runs[i])
         for i, kind in enumerate(plan)
-        if kind not in (OBSERVABLE, "maximally_mixed")
+        if kind not in (DIRECTION, OBSERVABLE, "maximally_mixed")
     }
     del runs  # freed before the checks allocate theirs
     out = [repeat_state(completely_mixed(basis), lanes) if kind == "maximally_mixed" else None
@@ -547,9 +574,13 @@ def draw_batches(plan, rng: XoshiroLanes, basis: GeneratorBasis) -> list:
     for i in list(states):
         pure = _pure_streams(plan[i], rng.streams)
         out[i] = _state_rows(states.pop(i).reshape(-1, basis.dim, basis.dim), pure, basis)
+    for k, i in enumerate(units):
+        rows = slice(k * lanes, (k + 1) * lanes)
+        out[i] = Directions(vec[rows], low[rows])
+    observables = [i for i in units if plan[i] == OBSERVABLE]
     if observables:
-        built = observable_from_bloch_batch(vec, basis)
-        built.bad[~(norm >= _MIN_NORM)] = True
+        built = observable_from_bloch_batch(np.concatenate([out[i].a for i in observables]), basis)
+        built.bad[np.concatenate([out[i].bad for i in observables])] = True
         for k, i in enumerate(observables):
             out[i] = ObservableBatch._make(f[k * lanes : (k + 1) * lanes] for f in built)
     return out

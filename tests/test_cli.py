@@ -196,11 +196,12 @@ def test_verify_memory_at_dim_cap():
 
 def test_verify_appendix_c_memory():
     # Appendix-c at N = 6, a 1,365-row chunk and a 735-row one.  Each
-    # round keeps only its own draws, and the chunk a margin and a flag a
-    # lane; holding every accepted try in chunk-sized batches for one
-    # final check peaked at 18.2 MB in 2,048-row chunks.  The traced peak
-    # is 9.9 MB (11.4 MB before draws were fused and chunks sized by N²);
-    # the bound leaves 20 % over it.
+    # round keeps only its own draws; the chunk keeps each lane's
+    # accepted directions and state, and frees those stores, copied to
+    # the accepted lanes, before its one build and score of A and B.
+    # The traced peak is 10.65 MB (10.71 MB when each round built and
+    # scored its own tries; 18.2 MB holding whole accepted tries in
+    # 2,048-row chunks); the bound leaves 12 % over it.
     tracemalloc.start()
     try:
         code, report = _run(["verify", "appendix-c", "--dim", "6", "--samples", "2100"])

@@ -371,14 +371,20 @@ def test_variance_scalars_and_twins_call_one_function(monkeypatch, name):
     assert alone and calls and {d + 1 for d in alone} == set(calls)
 
 
+# The function a scan point composes for its checker's relation, where
+# it is not the checker's own: the triple scan takes the equality's lhs,
+# rhs and checks, and the variances with them, from `_axis_triple`.
+_COMPOSED = {"check_three_observable_equality": "_axis_triple"}
+
+
 def _nan_where_x_above(shared, x):
     """``shared``, a relation's function, with a NaN lhs wherever its
     state's first Bloch coordinate is above ``x``, on one sample or on
     rows."""
 
     def patched(*args):
-        lhs, rhs, checks = shared(*args)
-        return np.where(args[-1].p[..., 0] > x, math.nan, lhs), rhs, checks
+        lhs, *rest = shared(*args)
+        return np.where(args[-1].p[..., 0] > x, math.nan, lhs), *rest
 
     return patched
 
@@ -398,7 +404,7 @@ def test_scan_twins_flag_exactly_the_rows_that_fail_their_floors(
     lanes, rows = _lane_operands(2)
     before = set(_rows_raise(name, lanes, rows))
     monkeypatch.setattr(relations, floor, value)
-    shared = _SHARED[checker]
+    shared = _COMPOSED.get(checker, _SHARED[checker])
     monkeypatch.setattr(relations, shared, _nan_where_x_above(getattr(relations, shared), 0.7))
     raised = set(_rows_raise(name, lanes, rows))
     nan = {i for i, row in enumerate(rows) if row["rho"].p[0] > 0.7}
@@ -764,6 +770,7 @@ def test_low_norm_observable_lanes_match_scalar(dim, step, min_norm):
     rngs = [Xoshiro256pp(5, stream=k) for k in lanes.streams.tolist()]
     raised = []
     with mock.patch.object(sampling, "_MIN_NORM", min_norm):
+        (directions,) = sampling.draw_batches((_DIR,), lanes.take(np.arange(lanes.streams.size)), basis)
         (batch,) = sampling.draw_batches((_OBS,), lanes, basis)
         for k, rng in enumerate(rngs):
             try:
@@ -771,21 +778,23 @@ def test_low_norm_observable_lanes_match_scalar(dim, step, min_norm):
             except NumericsError:
                 raised.append(k)
                 continue
+            assert np.array_equal(directions.a[k], obs.a)
             assert np.array_equal(batch.a[k], obs.a) and np.array_equal(batch.a_prime[k], obs.a_prime)
             assert np.array_equal(batch.matrix[k], obs.matrix.array) and batch.norm2[k] == obs.norm2
-    assert np.flatnonzero(batch.bad).tolist() == raised
+    assert np.flatnonzero(batch.bad).tolist() == np.flatnonzero(directions.bad).tolist() == raised
     assert bool(raised) == (min_norm > 1e-12)
     assert np.array_equal(lanes.gaussians(2), [rng.gaussians(2) for rng in rngs])
 
 
-# Plans of `draw_batches`: a state and a pair, appendix-c's try, and each
-# draw alone.
+# Plans of `draw_batches`: a state and a pair, appendix-c's try and the
+# objects it builds, and each draw alone.
 _STATE_KINDS = ["haar_pure", "hs_mixed", "alternating", "maximally_mixed"]
 _OBS = sampling.OBSERVABLE
+_DIR = sampling.DIRECTION
 _PLANS = (
     [(kind, _OBS, _OBS) for kind in _STATE_KINDS]
-    + [(_OBS, _OBS, "hs_mixed")]
-    + [(kind,) for kind in _STATE_KINDS + [_OBS]]
+    + [(_DIR, _DIR, "hs_mixed"), (_OBS, _OBS, "hs_mixed")]
+    + [(kind,) for kind in _STATE_KINDS + [_DIR, _OBS]]
 )
 
 
@@ -821,7 +830,7 @@ def _assert_fused_matches_one_by_one(plan, rng, basis):
     seed=SEEDS,
     min_norm=st.sampled_from([None, 0.9, 1.0]),
 )
-@example(plan=(_OBS, _OBS, "hs_mixed"), dim=10, lanes=300, seed=0, min_norm=1.0)
+@example(plan=(_DIR, _DIR, "hs_mixed"), dim=10, lanes=300, seed=0, min_norm=1.0)
 @example(plan=("alternating", _OBS, _OBS), dim=2, lanes=1, seed=2**64 - 1, min_norm=1.0)
 def test_fused_draw_matches_draws_one_after_another(plan, dim, lanes, seed, min_norm):
     # min_norm scales sqrt(N^2 - 1), about the median norm of an
@@ -1176,6 +1185,99 @@ def test_appendix_c_budget_runs_out_as_scalar_loop(monkeypatch, tries, budget):
         for i in np.flatnonzero(~bad):
             assert margins[i] == engine._sample("appendix-c", basis, 3, int(i), 0.0)[0].margin
     assert failing and np.flatnonzero(bad).tolist() == failing
+
+
+@pytest.mark.parametrize("tries", _TRIES)
+@pytest.mark.parametrize("dim,samples", [(3, 40), (6, 40), (10, 20)])
+def test_appendix_c_builds_and_scores_only_the_taken_tries(monkeypatch, tries, dim, samples):
+    # The rounds only decide: each chunk builds A and B of its accepted
+    # lanes in one `observable_from_bloch_batch` call, 2 S rows in all
+    # however many tries its lanes reject, and scores them in one call
+    # of the relation's function.
+    built, scored, rejected = [], [], []
+    build, shared, taken_tries = bloch.observable_from_bloch_batch, relations._appendix_c, engine._taken_tries
+
+    def build_spy(vec, basis):
+        built.append(len(vec))
+        return build(vec, basis)
+
+    def score_spy(a, b, rho, basis):
+        scored.append(len(rho.p))
+        return shared(a, b, rho, basis)
+
+    def taken_spy(mask, lanes):
+        rejected.append(int(mask.sum()))
+        return taken_tries(mask, lanes)
+
+    for module in (bloch, sampling):
+        monkeypatch.setattr(module, "observable_from_bloch_batch", build_spy)
+    monkeypatch.setattr(relations, "_appendix_c", score_spy)
+    monkeypatch.setattr(engine, "_taken_tries", taken_spy)
+    with mock.patch.object(sampling, "ENGINE_CHUNK", 16), _tries_per_round(tries):
+        engine.fuzz("appendix-c", dim, samples, 0, 0.0)
+    rows = [min(16, samples - start) for start in range(0, samples, 16)]
+    assert built == [2 * n for n in rows] and sum(built) == 2 * samples
+    assert scored == rows
+    assert sum(rejected) > 0
+
+
+# A check that fails every observable whose first coefficient is above
+# this: at N = 6 some streams reject a try with such a direction before
+# the try they take, and a few take one.
+_HIGH_COEFFICIENT = 0.3
+
+
+def _strict_on_high_coefficients(monkeypatch):
+    checks = bloch._observable_checks
+
+    def stricter(matrix, a):
+        norm2, out = checks(matrix, a)
+        return norm2, [*out, (a[..., 0] <= _HIGH_COEFFICIENT, "a[0] = {} too high", a[..., 0])]
+
+    monkeypatch.setattr(bloch, "_observable_checks", stricter)
+
+
+def _try_directions(samples, seed, dim):
+    """The largest first coefficient of A and B of every try of each
+    stream on the per-stream loop, in order."""
+    basis = basis_for(dim)
+    project_rows = engine._project_orthogonal_rows
+    tries = {}
+    for i in range(samples):
+        seen = tries[i] = []
+
+        def spy(p, a, b):
+            seen.append(max(a[0, 0], b[0, 0]))
+            return project_rows(p, a, b)
+
+        with mock.patch.object(engine, "_project_orthogonal_rows", spy):
+            try:
+                engine._sample("appendix-c", basis, seed, i, 0.0)
+            except ValueError:
+                pass
+    return tries
+
+
+@pytest.mark.parametrize("tries", _TRIES)
+def test_observables_fail_only_on_the_try_taken(monkeypatch, tries):
+    # Only the try taken builds A and B, on both paths: a direction the
+    # observable checks refuse fails a stream that takes its try, with
+    # the scalar exception, and fails no stream that rejects its try.
+    dim, samples, seed = 6, 60, 3
+    _strict_on_high_coefficients(monkeypatch)
+    directions = _try_directions(samples, seed, dim)
+    high_taken = [i for i, seen in directions.items() if seen[-1] > _HIGH_COEFFICIENT]
+    high_rejected = {i for i, seen in directions.items() if max(seen[:-1], default=0.0) > _HIGH_COEFFICIENT}
+    with _tries_per_round(tries):
+        _, bad = engine._appendix_c_lanes(XoshiroLanes(seed, range(samples)), basis_for(dim))
+        failing = _failing_streams("appendix-c", samples, seed, dim)
+        with mock.patch.object(sampling, "ENGINE_CHUNK", 16), pytest.raises(ValueError) as lanes:
+            engine.fuzz("appendix-c", dim, samples, seed, 0.0)
+    assert np.flatnonzero(bad).tolist() == failing == high_taken
+    assert high_rejected - set(failing)
+    with pytest.raises(ValueError, match="too high") as scalar:
+        engine._sample("appendix-c", basis_for(dim), seed, failing[0], 0.0)
+    assert str(lanes.value) == str(scalar.value)
 
 
 def _stack_draws(draws):

@@ -25,7 +25,7 @@ from blochvar import (
     state_to_matrix,
     variance_bloch,
 )
-from blochvar import bloch, relations, sampling, variance
+from blochvar import bloch, cli, regions, relations, sampling, variance
 from conftest import failure_ids
 
 
@@ -105,10 +105,10 @@ def _nan_at(shared, row, alone):
     ``row`` of the lanes, and on one sample if ``alone``."""
 
     def patched(*args):
-        lhs, rhs, checks = shared(*args)
+        lhs, *rest = shared(*args)
         if np.ndim(lhs) == 0:
-            return (math.nan if alone else lhs), rhs, checks
-        return np.where(np.arange(len(lhs)) == row, math.nan, lhs), rhs, checks
+            return (math.nan if alone else lhs), *rest
+        return np.where(np.arange(len(lhs)) == row, math.nan, lhs), *rest
 
     return patched
 
@@ -121,9 +121,12 @@ def _scan_with(checker, basis2):
 
 
 _CHECKERS = ["check_theorem1", "check_three_observable_equality"]
+# The function of each checker's relation that its scan point composes:
+# the triple scan takes the equality's lhs, rhs and checks, and the
+# variances with them, from `_axis_triple`.
 _SHARED = {
     "check_theorem1": "_theorem1",
-    "check_three_observable_equality": "_three_observable_equality",
+    "check_three_observable_equality": "_axis_triple",
 }
 
 
@@ -145,6 +148,41 @@ def test_scans_reject_lane_only_nan_margins(basis2, monkeypatch, checker):
     monkeypatch.setattr(relations, shared, _nan_at(getattr(relations, shared), 0, alone=False))
     with pytest.raises(NumericsError, match=r"sample 0 \(stream 0\): a lane check failed"):
         _scan_with(checker, basis2)
+
+
+def _norm(norm2):
+    return mock.Mock(norm2=norm2)
+
+
+@pytest.mark.parametrize("side", [1, -1], ids=["above", "below"])
+def test_unit_pair_admits_its_edge(side):
+    # |a|^2 within 1e-9 of 1, edge included.  No double lies exactly 1e-9
+    # from 1, so the edge is the last |a|^2 within it, a whole number of
+    # ulps of 1 (2**-52 above, 2**-53 below), and the next one beyond it.
+    ulp = 2.0**-52 if side == 1 else 2.0**-53
+    inside = 1.0 + side * math.floor(1e-9 / ulp) * ulp
+    outside = inside + side * ulp
+    assert abs(inside - 1.0) <= 1e-9 < abs(outside - 1.0)
+    unit = _norm(1.0)
+    assert regions.unit_pair(_norm(inside), unit) and regions.unit_pair(unit, _norm(inside))
+    assert not regions.unit_pair(_norm(outside), unit) and not regions.unit_pair(unit, _norm(outside))
+
+
+def test_compare_and_the_pair_scan_share_the_unit_rule(basis2, monkeypatch):
+    # Compare's unit-vector rows and the pair scan's analytic boundary
+    # both follow `unit_pair`.
+    a, b = _axis_pair(basis2, math.pi / 3)
+    cfg = SampleConfig(seed=5, dim=2, count=20, kind="haar_pure")
+    args = ["compare", "--state", "pure:(1,0,0)", "--A", "sigma1", "--B", "sigma2"]
+
+    def span_applies():
+        (row,) = [row for row in cli.run(args)[1]["results"] if row["bound"] == "axis_angle_span"]
+        return row["applicable"]
+
+    assert scan_pair(a, b, cfg, grid=0.01).boundary is not None and span_applies()
+    monkeypatch.setattr(regions, "unit_pair", lambda a, b: False)
+    monkeypatch.setattr(cli, "unit_pair", lambda a, b: False)
+    assert scan_pair(a, b, cfg, grid=0.01).boundary is None and not span_applies()
 
 
 def test_triple_scan_on_certainty_surface(basis2):
