@@ -52,7 +52,7 @@ import time
 
 import numpy as np
 
-from . import engine
+from . import engine, relations
 from .bloch import (
     Observable,
     QuantumState,
@@ -150,9 +150,7 @@ def _parse_observable(spec: str, basis, parser) -> Observable:
     s = spec.strip()
     try:
         if s in ("sigma1", "sigma2", "sigma3"):
-            vec = np.zeros(3)
-            vec[int(s[-1]) - 1] = 1.0
-            return observable_from_bloch(vec, basis)
+            return relations._qubit_axes()[int(s[-1]) - 1]
         if s.startswith("n:"):
             return observable_from_bloch(_parse_triplet(s[2:], "observable", parser), basis)
         if s.startswith("@") or s.startswith("{"):
@@ -396,7 +394,7 @@ def _cmd_region(args, parser) -> tuple[int, dict]:
     basis = basis_for(2)
     start = time.perf_counter()
     if args.mode == "pair":
-        a = observable_from_bloch(np.array([1.0, 0.0, 0.0]), basis)
+        a = relations._qubit_axes()[0]
         b = observable_from_bloch(
             np.array([math.cos(args.theta_ab), math.sin(args.theta_ab), 0.0]), basis
         )

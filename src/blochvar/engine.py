@@ -18,9 +18,10 @@ from it, with a row that draws one state and checks nothing more.
 and the replay.  Sample i always comes from stream i.  Appendix-c's
 rejection draws run in rounds on the lanes still pending, which only
 decide, on the directions of A and B and the projected state; A and B
-are built, checked and scored once a chunk, for the tries taken
-(``_appendix_c_lanes``), and the scalar draw builds them for its
-accepted try alone (``_appendix_c_draw``).
+are built once a chunk, for the tries taken, and the chunk's (A, B,
+state) rows are drawn rows like any plan's, which ``chunks`` checks,
+scores and yields (``_appendix_c_lanes``).  The scalar draw builds
+them for its accepted try alone (``_appendix_c_draw``).
 
 Every call into the package goes through a module attribute looked up at
 call time (``sampling.draw_batches``, ``getattr(relations, name)``), never
@@ -48,7 +49,8 @@ class Relation(NamedTuple):
     ``plan`` lists a sample's draws in order, as ``sampling.draw_batches``
     takes them; the checkers see its state as ``state`` and its
     observables as ``a`` and ``b`` (``_call``).  ``plan`` None is
-    appendix-c's rejection loop, whose accepted tries give them.
+    appendix-c's rejection loop, whose accepted tries give them, in
+    ``_TRY`` order, on lanes as on one stream.
     ``check`` names a scalar checker of ``relations`` and the arguments
     it takes, of those, ``basis``, ``index`` (the sample's stream) and
     the ``given`` ones (``theta_ab`` in ``verify``); it returns a
@@ -210,36 +212,34 @@ def _appendix_c_draw(rng: sampling.Xoshiro256pp, basis, index: int) -> tuple:
     raise RuntimeError("no valid zero-mean sample found; ensemble looks pathological")
 
 
-def _appendix_c_lanes(rng: sampling.XoshiroLanes, basis):
-    """Appendix-c's draw and check on the lanes of ``rng``.
+def _appendix_c_lanes(rng: sampling.XoshiroLanes, basis) -> list:
+    """Appendix-c's draws on the lanes of ``rng``: A, B and the state of
+    every lane, as ``sampling.draw_batches`` gives a plan's (``_TRY``).
 
-    Returns ``(margins, bad)`` as ``_lane_values`` does: ``bad`` marks
-    the lanes on which the scalar draw or check raises, whose margins are
-    unspecified.  The rounds only decide: round 1 draws one try on every
-    lane, the directions of A and B and a mixed state
-    (``_TRY_DRAWS``); a later round draws ``_round_tries`` tries on each
-    lane still pending, side by side: try t starts from the lane's state
-    jumped t tries on (``XoshiroLanes.ahead``).  Each lane takes its
-    first try that the draw accepts or fails, and keeps the directions
-    and the projected state of an accepted one; a lane left pending goes
-    on from where its last try ended.  Every try draws ``_try_steps``
-    u64s, a failed one (a direction below ``sampling._MIN_NORM``, say)
-    too, so try t + 1 starts where try t ends, and the lanes still
-    pending have all spent the same tries.  Each lane has
-    ``_APPENDIX_C_TRIES`` tries; one that spends them all is bad, as the
-    scalar loop raises there.  After the rounds, one
-    ``observable_from_bloch_batch`` call builds A and B of every accepted
-    lane, and ``relations._appendix_c`` scores them at once; a lane whose
-    A or B fails its checks is bad, as the scalar loop raises there.
+    The rounds only decide: round 1 draws one try on every lane, the
+    directions of A and B and a mixed state (``_TRY_DRAWS``); a later
+    round draws ``_round_tries`` tries on each lane still pending, side
+    by side: try t starts from the lane's state jumped t tries on
+    (``XoshiroLanes.ahead``).  Each lane takes its first try that the
+    draw accepts or fails, and keeps the directions and the projected
+    state of an accepted one; a lane left pending goes on from where its
+    last try ended.  Every try draws ``_try_steps`` u64s, a failed one
+    (a direction below ``sampling._MIN_NORM``, say) too, so try t + 1
+    starts where try t ends, and the lanes still pending have all spent
+    the same tries.  Each lane has ``_APPENDIX_C_TRIES`` tries.  The
+    state row is bad on a lane whose taken try fails or that spends
+    them all, as the scalar loop raises there; that lane's rows are
+    unspecified.  After the rounds, one ``observable_from_bloch_batch``
+    call builds A and B of every lane, bad where the scalar loop's
+    build raises.
     """
-    row = RELATIONS["appendix-c"]  # it reads no axis angle
     lanes, n, dim = rng.streams.size, basis.n_generators, basis.dim
-    bad = np.zeros(lanes, dtype=bool)
-    accepted = np.zeros(lanes, dtype=bool)
-    # Each lane's accepted try: its directions of A and B, and its state.
-    directions = np.empty((2, lanes, n))
+    # Each lane's accepted try: its directions of A and B, and its state;
+    # zeros on the lanes that fail.
+    directions = np.zeros((2, lanes, n))
     kept = bloch.StateBatch(
-        np.empty((lanes, dim, dim), complex), np.empty((lanes, n)), np.empty(lanes), bad.copy()
+        np.zeros((lanes, dim, dim), complex), np.zeros((lanes, n)), np.zeros(lanes),
+        np.zeros(lanes, dtype=bool),
     )
     pending = np.arange(lanes)
     left = _APPENDIX_C_TRIES
@@ -260,35 +260,25 @@ def _appendix_c_lanes(rng: sampling.XoshiroLanes, basis):
         rejected &= ~failed
         taken = _taken_tries(rejected, pending.size)
         left -= tries
-        bad[pending[failed[taken]]] = True
+        kept.bad[pending[failed[taken]]] = True
         passed = taken[~(failed | rejected)[taken]]
         k = pending[passed % pending.size]
-        accepted[k] = True
         directions[:, k] = da.a[passed], db.a[passed]
         for out, field in zip(kept, projected):
             out[k] = field[passed]
         del da, db, p, projected  # freed before the next round draws
         going = rejected[taken]
-        bad[pending[going & (left == 0)]] = True  # the scalar loop raises RuntimeError
+        kept.bad[pending[going & (left == 0)]] = True  # the scalar loop raises RuntimeError
         going &= left > 0
         rng = rng.take(taken[going])
         pending = pending[going]
         tries = min(_round_tries(pending.size or 1), left)
-    margins = np.zeros(lanes)
-    if accepted.any():
-        # One build of the accepted lanes' A rows, then B rows, and one
-        # score; the chunk-sized stores are freed before the build.
-        vec = directions[:, accepted].reshape(-1, n)
-        state = bloch.StateBatch._make(field[accepted] for field in kept)
-        del directions, kept
-        built = bloch.observable_from_bloch_batch(vec, basis)
-        half = len(state.p)
-        a, b = (bloch.ObservableBatch._make(f[rows] for f in built)
-                for rows in (slice(None, half), slice(half, None)))
-        values, failed = _lane_values(_call(row.shared, row, _TRY, (a, b, state), basis=basis))
-        margins[accepted] = values
-        bad[accepted] = failed | a.bad | b.bad
-    return margins, bad
+    # One build of every lane's A row, then B row.
+    built = bloch.observable_from_bloch_batch(directions.reshape(-1, n), basis)
+    del directions
+    a, b = (bloch.ObservableBatch._make(f[rows] for f in built)
+            for rows in (slice(None, lanes), slice(lanes, None)))
+    return [a, b, kept]
 
 
 def _taken_tries(rejected: np.ndarray, lanes: int) -> np.ndarray:
@@ -325,32 +315,30 @@ def _sample(relation, basis, seed: int, index: int, theta_ab: float = 0.0, **giv
 def chunks(row: Relation, basis, seed: int, count: int, **given):
     """Draw and check samples 0 .. count - 1 of ``row`` on lanes, a chunk
     of streams at a time: yield each chunk's ``(rng, drawn, values)``,
-    its generator, its draws of ``row.plan`` (None for appendix-c) and
-    the margins of ``row.shared`` on ``given``, ``index`` (the streams)
-    and ``basis`` (None if ``row.check`` is).  A row is bad where one of
-    its draws failed or a check of ``row.shared`` fails; appendix-c's
-    rejection loop flags its own.  The chunk's first bad row is replayed
-    on its own stream (``_sample``), which raises that stream's own
-    exception; if the replay passes, this raises ``NumericsError``
-    naming the sample.  At an N outside ``row.dims`` every row fails
-    the checker's dimension check: this raises ``DimensionMismatch``
-    before it draws."""
+    its generator, its draws of ``row.plan`` (appendix-c's A, B and
+    state rows, ``_TRY``, for ``plan`` None) and the margins of
+    ``row.shared`` on ``given``, ``index`` (the streams) and ``basis``
+    (None if ``row.check`` is).  A row is bad where one of its draws
+    failed or a check of ``row.shared`` fails.  The chunk's first bad
+    row is replayed on its own stream (``_sample``), which raises that
+    stream's own exception; if the replay passes, this raises
+    ``NumericsError`` naming the sample.  At an N outside ``row.dims``
+    every row fails the checker's dimension check: this raises
+    ``DimensionMismatch`` before it draws."""
     if row.dims is not None and basis.dim not in row.dims:
         allowed = ", ".join(map(str, row.dims))
         raise DimensionMismatch(f"this relation is defined for N = {allowed}, got dim {basis.dim}")
+    plan = _TRY if row.plan is None else row.plan
     for rng in sampling.lane_chunks(seed, count, basis.dim):
         with np.errstate(divide="ignore", invalid="ignore"):  # only bad rows divide by 0
-            if row.plan is None:
-                drawn, (values, bad) = None, _appendix_c_lanes(rng, basis)
-            else:
-                drawn = sampling.draw_batches(row.plan, rng, basis)
-                values, bad = None, np.logical_or.reduce([d.bad for d in drawn])
-                if row.check is not None:
-                    checked = _call(
-                        row.shared, row, row.plan, drawn, basis=basis, index=rng.streams, **given
-                    )
-                    values, failed = _lane_values(checked)
-                    bad |= failed
+            drawn = (_appendix_c_lanes(rng, basis) if row.plan is None
+                     else sampling.draw_batches(row.plan, rng, basis))
+            values, bad = None, np.logical_or.reduce([d.bad for d in drawn])
+            if row.check is not None:
+                values, failed = _lane_values(
+                    _call(row.shared, row, plan, drawn, basis=basis, index=rng.streams, **given)
+                )
+                bad |= failed
         if bad.any():
             first = int(rng.streams[bad.argmax()])
             _sample(row, basis, seed, first, **given)
@@ -358,6 +346,7 @@ def chunks(row: Relation, basis, seed: int, count: int, **given):
                 f"sample {first} (stream {first}): a lane check failed that the scalar checks pass"
             )
         yield rng, drawn, values
+        del drawn, values  # freed before the next chunk draws
 
 
 def iter_states(cfg: sampling.SampleConfig) -> Iterator[bloch.QuantumState]:
@@ -381,6 +370,7 @@ def _verdicts(relation: str, dim: int, samples: int, seed: int, theta_ab: float)
     array, in stream order."""
     basis = sun_basis.basis_for(dim)
     for _, _, margins in chunks(RELATIONS[relation], basis, seed, samples, theta_ab=theta_ab):
+        del _  # the chunk's draws, freed before the next chunk draws
         yield margins.ravel()
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import blochvar
-from blochvar import cli, engine, regions, relations
+from blochvar import basis_for, cli, engine, regions, relations
 from blochvar.cli import run
 from blochvar.errors import NumericsError
 from blochvar.sampling import SampleConfig
@@ -182,8 +182,12 @@ def test_verify_memory_at_dim_cap():
     # Robertson at N = 16, eleven 192-row chunks (sampling.lane_chunks).
     # d_contract's temporaries are no larger than its output; a
     # contraction over all 21,833 nonzeros at once would take 358 MB a
-    # temporary.  The traced peak is 18.5 MB (71.75 MB in 2,048-row
-    # chunks); the bound leaves 30 % over it.
+    # temporary.  Nothing holds a chunk's draws while the next chunk
+    # draws.  The basis is built first, so that the peak is the run's
+    # whatever ran before.  The traced peak is 12.2 MB (16.5 MB when a
+    # chunk's draws were held while the next chunk drew; 71.75 MB in
+    # 2,048-row chunks); the bound leaves 30 % over it.
+    basis_for(16)
     tracemalloc.start()
     try:
         code, report = _run(["verify", "robertson", "--dim", "16", "--samples", "2100"])
@@ -191,17 +195,20 @@ def test_verify_memory_at_dim_cap():
     finally:
         tracemalloc.stop()
     assert code == 0 and report["results"][0]["checks"] == 2100
-    assert peak < 24e6
+    assert peak < 16e6
 
 
 def test_verify_appendix_c_memory():
     # Appendix-c at N = 6, a 1,365-row chunk and a 735-row one.  Each
     # round keeps only its own draws; the chunk keeps each lane's
-    # accepted directions and state, and frees those stores, copied to
-    # the accepted lanes, before its one build and score of A and B.
-    # The traced peak is 10.65 MB (10.71 MB when each round built and
-    # scored its own tries; 18.2 MB holding whole accepted tries in
-    # 2,048-row chunks); the bound leaves 12 % over it.
+    # accepted directions and state, builds A and B of every lane from
+    # them in one call, and hands the stores to `chunks` as the chunk's
+    # draws, not copied, which scores them and frees them before the
+    # next chunk draws.  The traced peak is 10.46 MB with the basis
+    # built in the run, 10.13 MB without (10.48 and 10.15 MB when the
+    # lanes copied the stores and scored them; 10.71 MB when each round
+    # built and scored its own tries; 18.2 MB holding whole accepted
+    # tries in 2,048-row chunks); the bound leaves 12 % over it.
     tracemalloc.start()
     try:
         code, report = _run(["verify", "appendix-c", "--dim", "6", "--samples", "2100"])

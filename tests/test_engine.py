@@ -34,6 +34,7 @@ pin:
 import dataclasses
 import inspect
 import math
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -631,6 +632,29 @@ def test_qudit_engine_matches_scalar_loop(relation, dim, draws, seed, samples, c
     assert _summary_reprs(summary) == _summary_reprs(expected)
 
 
+@pytest.mark.parametrize("relation,dim", [("theorem1", 2), ("robertson", 6), ("appendix-c", 6)])
+def test_a_chunk_is_freed_before_the_next_draws(monkeypatch, relation, dim):
+    # Nothing holds a chunk's draws, or their bases, once `fuzz` has read
+    # its margins: when the next chunk draws they are dead.  Appendix-c's
+    # draws are its rounds loop's return, not a `draw_batches` call's.
+    planned = engine.RELATIONS[relation].plan is not None
+    module, name = (sampling, "draw_batches") if planned else (engine, "_appendix_c_lanes")
+    draw = getattr(module, name)
+    held, alive = [], []
+
+    def spy(*args):
+        alive.append(sum(ref() is not None for ref in held))
+        drawn = draw(*args)
+        arrays = [field for rows in drawn for field in rows]
+        held[:] = map(weakref.ref, arrays + [x.base for x in arrays if x.base is not None])
+        return drawn
+
+    monkeypatch.setattr(module, name, spy)
+    with mock.patch.object(sampling, "ENGINE_CHUNK", 16):
+        engine.fuzz(relation, dim, 60, 0, math.pi / 4.0)
+    assert alive == [0, 0, 0, 0]
+
+
 @pytest.mark.parametrize("relation", ["theorem1", "state-dependent", "unit-vector"])
 def test_default_chunk_boundary(relation):
     samples = sampling.ENGINE_CHUNK + 3
@@ -1092,6 +1116,20 @@ def test_first_failing_appendix_c_stream_raises_scalar_error(module, name, value
     assert 0 < failing[0] and len(failing) > 1
 
 
+def _appendix_c_scored(seed, samples, dim):
+    """``(margins, bad)`` of appendix-c on streams 0 .. samples - 1: the
+    rows ``engine._appendix_c_lanes`` draws, scored and checked as
+    ``engine.chunks`` scores and checks a chunk's draws."""
+    basis = basis_for(dim)
+    row = engine.RELATIONS["appendix-c"]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        drawn = engine._appendix_c_lanes(XoshiroLanes(seed, range(samples)), basis)
+        margins, failed = engine._lane_values(
+            engine._call(row.shared, row, engine._TRY, drawn, basis=basis)
+        )
+    return margins, failed | np.logical_or.reduce([d.bad for d in drawn])
+
+
 @pytest.mark.parametrize("tries", _TRIES)
 @pytest.mark.parametrize("module,name,value,dim", _QUDIT_FAILURES, ids=failure_ids(_QUDIT_FAILURES))
 def test_appendix_c_lanes_flag_the_streams_scalar_rejects(module, name, value, dim, tries):
@@ -1099,7 +1137,7 @@ def test_appendix_c_lanes_flag_the_streams_scalar_rejects(module, name, value, d
     # does not name its stream.  The variance floor fails the check, not
     # the draw, in round 1 and in later rounds alike.
     with mock.patch.object(module, name, value), _tries_per_round(tries):
-        margins, bad = engine._appendix_c_lanes(XoshiroLanes(3, range(20)), basis_for(dim))
+        margins, bad = _appendix_c_scored(3, 20, dim)
         failing = _failing_streams("appendix-c", 20, 3, dim)
     assert failing and np.flatnonzero(bad).tolist() == failing
     assert margins.shape == bad.shape == (20,)
@@ -1158,7 +1196,7 @@ def test_low_norm_tries_match_scalar_loop(monkeypatch, tries, dim, min_norm, dra
     monkeypatch.setattr(engine, "_taken_tries", spy)
     basis = basis_for(dim)
     with mock.patch.object(sampling, "_MIN_NORM", min_norm), _tries_per_round(tries), _draws(draws):
-        margins, bad = engine._appendix_c_lanes(XoshiroLanes(5, range(60)), basis)
+        margins, bad = _appendix_c_scored(5, 60, dim)
         failing = _tries_before_failing("appendix-c", 60, 5, dim)
         for i in np.flatnonzero(~bad):
             assert margins[i] == engine._sample("appendix-c", basis, 5, int(i), 0.0)[0].margin
@@ -1180,7 +1218,7 @@ def test_appendix_c_budget_runs_out_as_scalar_loop(monkeypatch, tries, budget):
     )
     basis = basis_for(3)
     with mock.patch.object(engine, "_APPENDIX_C_TRIES", budget), _tries_per_round(tries):
-        margins, bad = engine._appendix_c_lanes(XoshiroLanes(3, range(200)), basis)
+        margins, bad = _appendix_c_scored(3, 200, 3)
         failing = _failing_streams("appendix-c", 200, 3, 3)
         for i in np.flatnonzero(~bad):
             assert margins[i] == engine._sample("appendix-c", basis, 3, int(i), 0.0)[0].margin
@@ -1219,6 +1257,27 @@ def test_appendix_c_builds_and_scores_only_the_taken_tries(monkeypatch, tries, d
     assert built == [2 * n for n in rows] and sum(built) == 2 * samples
     assert scored == rows
     assert sum(rejected) > 0
+
+
+@pytest.mark.parametrize("draws", _DRAWS)
+@pytest.mark.parametrize("dim", [3, 6, 10])
+def test_chunks_yield_appendix_c_draws_as_the_scalar_draw(dim, draws):
+    # Appendix-c's draws are rows like any plan's: each lane's A, B and
+    # state, as `chunks` yields them, are the objects the scalar draw
+    # gives on that lane's stream, bit for bit.
+    basis, seed = basis_for(dim), 11
+    with mock.patch.object(sampling, "ENGINE_CHUNK", 8), _draws(draws):
+        drawn = list(engine.chunks(engine.RELATIONS["appendix-c"], basis, seed, 20))
+    assert len(drawn) == 3
+    for rng, (a, b, state), _ in drawn:
+        for k, i in enumerate(rng.streams.tolist()):
+            oa, ob, rho = engine._appendix_c_draw(Xoshiro256pp(seed, stream=i), basis, i)
+            for rows, obj in ((a, oa), (b, ob)):
+                assert np.array_equal(_bits(rows.matrix[k]), _bits(obj.matrix.array))
+                assert np.array_equal(_bits(rows.a[k]), _bits(obj.a))
+                assert np.array_equal(_bits(rows.a_prime[k]), _bits(obj.a_prime))
+            assert np.array_equal(_bits(state.rho[k]), _bits(rho.rho.array))
+            assert np.array_equal(_bits(state.p[k]), _bits(rho.p))
 
 
 # A check that fails every observable whose first coefficient is above
@@ -1269,7 +1328,7 @@ def test_observables_fail_only_on_the_try_taken(monkeypatch, tries):
     high_taken = [i for i, seen in directions.items() if seen[-1] > _HIGH_COEFFICIENT]
     high_rejected = {i for i, seen in directions.items() if max(seen[:-1], default=0.0) > _HIGH_COEFFICIENT}
     with _tries_per_round(tries):
-        _, bad = engine._appendix_c_lanes(XoshiroLanes(seed, range(samples)), basis_for(dim))
+        _, bad = _appendix_c_scored(seed, samples, dim)
         failing = _failing_streams("appendix-c", samples, seed, dim)
         with mock.patch.object(sampling, "ENGINE_CHUNK", 16), pytest.raises(ValueError) as lanes:
             engine.fuzz("appendix-c", dim, samples, seed, 0.0)

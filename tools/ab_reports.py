@@ -13,9 +13,10 @@ between two runs of one tree.  The matrix:
   ``--slice-da2``, and triple), each with ``--csv``, ``--json`` and
   ``--out``;
 - ``compare`` on four states and three observable pairs, with ``--da2``,
-  on an observable of norm about 1e3, on one whose squares overflow, and
-  on JSON matrices whose ``dim`` is oversized (10**6 for four entries)
-  or not an integer (2.5).
+  on two unit pairs whose |a|² is not 1 in binary (the axis angle's
+  last bit shows in ``--out``), on an observable of norm about 1e3, on
+  one whose squares overflow, and on JSON matrices whose ``dim`` is
+  oversized (10**6 for four entries) or not an integer (2.5).
 
 It prints each run that differs, with the parts that differ, and a
 summary line, and exits 1 if any run differs.  Run from the repository
@@ -82,6 +83,11 @@ def runs(tree: str, samples: int = 500) -> dict[str, list[str]]:
         matrix[f"compare {state} --da2"] = [
             "compare", "--state", state, "--A", "sigma1", "--B", "sigma2", "--da2", "0.5",
             "--out", "report.json",
+        ]
+    for name, a, b in (("unit pair", "n:(0.6,0.8,0)", "n:(0.28,0.96,0)"),
+                       ("equal unit pair", "n:(0.28,0.96,0)", "n:(0.28,0.96,0)")):
+        matrix[f"compare {name}"] = [
+            "compare", "--state", "seed:3", "--A", a, "--B", b, "--out", "report.json"
         ]
     matrix["compare large-norm A"] = [
         "compare", "--state", "mixed", "--A", json.dumps(_LARGE), "--B", "sigma2"
