@@ -88,9 +88,10 @@ EXIT_VIOLATION = 1
 # Largest --dim of basis and verify: the largest N the sparse su(N) build,
 # its sparse closure check and verify's batched eigensolves are tested at.
 # At N = 16 a process takes about 0.3 s and 48 MB for 20 appendix-c
-# samples; 2,100 samples, eleven 192-row chunks, take 1.2-1.4 s and 55 MB
-# for robertson and 7.6-9.4 s and 55 MB for appendix-c (max RSS, 2 vCPU
-# Xeon; 109 and 129 MB in 2,048-row chunks).
+# samples; 2,100 samples, eleven 192-row chunks, take 1.0-1.2 s and 52 MB
+# for robertson and 4.1-4.8 s and 52 MB for appendix-c (import and run in
+# a fresh interpreter, max RSS, 2 vCPU Xeon; 109 and 129 MB in 2,048-row
+# chunks).
 MAX_DIM = 16
 
 

@@ -2,26 +2,28 @@
 draws and checks a run on lanes.
 
 Each row of ``RELATIONS`` names what a sample of its relation draws (a
-``sampling.draw_batches`` plan), its scalar checker in ``relations``,
-and the private function of ``relations`` that states the relation,
-which takes the checker's arguments, on one sample or on rows.
-``chunks`` is the loop: on each chunk of streams
-(``sampling.lane_chunks``) it draws a row's plan, runs the row's
-function on the rows, reduces its return to margins and bad rows
-(``_lane_values``), replays the chunk's first bad lane through
+``sampling.draw_batches`` plan of states and ``DIRECTION``s), its
+scalar checker in ``relations``, and the private function of
+``relations`` that states the relation, which takes the checker's
+arguments, on one sample or on rows.  ``chunks`` is the loop: on each
+chunk of streams (``sampling.lane_chunks``) it draws a row's plan,
+builds the observable of every direction row in one call (``_build``),
+runs the row's function on the rows, reduces its return to margins and
+bad rows (``_lane_values``), replays the chunk's first bad lane through
 ``_sample``, and yields the chunk's values.  ``fuzz`` summarizes
 verify's margins from it (``_verdicts``), the region scans run their scan points of
 ``relations`` through it with rows of their own (``regions._scan``),
 and ``iter_states`` yields the states of a ``sampling.SampleConfig``
 from it, with a row that draws one state and checks nothing more.
-``_sample`` draws and checks one sample on its own stream: the oracle,
-and the replay.  Sample i always comes from stream i.  Appendix-c's
-rejection draws run in rounds on the lanes still pending, which only
-decide, on the directions of A and B and the projected state; A and B
-are built once a chunk, for the tries taken, and the chunk's (A, B,
-state) rows are drawn rows like any plan's, which ``chunks`` checks,
-scores and yields (``_appendix_c_lanes``).  The scalar draw builds
-them for its accepted try alone (``_appendix_c_draw``).
+``_sample`` draws, builds and checks one sample on its own stream: the
+oracle, and the replay.  Each path builds observables in one place.
+Sample i always comes from stream i.  Appendix-c's rejection draws run
+in rounds on the lanes still pending, which only decide, on the
+directions of A and B and the projected state, by the relation's own
+zero-mean test (``relations._zero_means``); they return the draws of
+the try each lane takes, in the order of the one try plan ``_TRY``, on
+lanes (``_appendix_c_lanes``) as on one stream (``_appendix_c_draw``),
+and A and B are built from them as any plan's directions are.
 
 Every call into the package goes through a module attribute looked up at
 call time (``sampling.draw_batches``, ``getattr(relations, name)``), never
@@ -47,10 +49,10 @@ class Relation(NamedTuple):
     """How ``chunks`` draws and checks one relation.
 
     ``plan`` lists a sample's draws in order, as ``sampling.draw_batches``
-    takes them; the checkers see its state as ``state`` and its
-    observables as ``a`` and ``b`` (``_call``).  ``plan`` None is
-    appendix-c's rejection loop, whose accepted tries give them, in
-    ``_TRY`` order, on lanes as on one stream.
+    takes them; the checkers see its state as ``state`` and the
+    observables built on its directions as ``a`` and ``b`` (``_call``).
+    ``plan`` None is appendix-c's rejection loop, whose accepted tries
+    give the draws of ``_TRY``, on lanes as on one stream.
     ``check`` names a scalar checker of ``relations`` and the arguments
     it takes, of those, ``basis``, ``index`` (the sample's stream) and
     the ``given`` ones (``theta_ab`` in ``verify``); it returns a
@@ -73,18 +75,17 @@ class Relation(NamedTuple):
     tol: float = relations.HOLDS_TOL
 
 
-_OBS = sampling.OBSERVABLE
 _DIR = sampling.DIRECTION
 _AB_STATE = ("a", "b", "state")
 
-_PAIR = ("alternating", _OBS, _OBS)
-_PURE_PAIR = ("haar_pure", _OBS, _OBS)
+_PAIR = ("alternating", _DIR, _DIR)
+_PURE_PAIR = ("haar_pure", _DIR, _DIR)
 
 RELATIONS = {
     "triangle": Relation((2,), _PAIR, ("check_triangle", *_AB_STATE), "_triangle"),
     "theorem1": Relation((2,), _PAIR, ("check_theorem1", *_AB_STATE), "_theorem1"),
     "mixed-limit": Relation(
-        (2,), ("maximally_mixed", _OBS, _OBS), ("check_mixed_limit", *_AB_STATE), "_mixed_limit"
+        (2,), ("maximally_mixed", _DIR, _DIR), ("check_mixed_limit", *_AB_STATE), "_mixed_limit"
     ),
     "pure-limit": Relation((2,), _PURE_PAIR, ("check_pure_limit", *_AB_STATE), "_pure_limit"),
     "unit-vector": Relation(
@@ -108,11 +109,12 @@ RELATIONS = {
 
 def _call(name: str, row: Relation, plan, drawn, **given):
     """The function ``name`` of ``relations``, looked up now, called on
-    the arguments ``row.check`` names: of ``given``, and of the draws of
-    ``plan``, its state as ``state`` and its observables as ``a``, ``b``."""
+    the arguments ``row.check`` names: of ``given``, and of the built
+    draws of ``plan``, its state as ``state`` and its observables as
+    ``a``, ``b``."""
     names = iter(("a", "b"))
     for kind, value in zip(plan, drawn):
-        given[next(names) if kind == _OBS else "state"] = value
+        given[next(names) if kind == _DIR else "state"] = value
     return getattr(relations, name)(*map(given.__getitem__, row.check[1:]))
 
 
@@ -128,13 +130,31 @@ def _draw(plan, rng: sampling.Xoshiro256pp, basis, index: int) -> list:
     """The draws of ``plan`` for sample ``index``, one after another on its
     stream ``rng``: what ``sampling.draw_batches`` draws on its lane."""
     return [
-        sampling.draw_observable(rng, basis)
-        if kind == _OBS
-        else sampling.draw_direction(rng, basis)
-        if kind == _DIR
+        sampling.draw_direction(rng, basis) if kind == _DIR
         else sampling.draw_state(kind, rng, basis, index)
         for kind in plan
     ]
+
+
+def _build(plan, drawn: list, basis) -> None:
+    """Replace each direction of ``drawn``, ``plan``'s draws on lanes, by
+    the observable built on it, bad where its direction is or the build
+    fails: one ``observable_from_bloch_batch`` call builds them all (its
+    kernels work row by row, so each row is what its own build gives),
+    once the directions are dropped."""
+    units = [i for i, kind in enumerate(plan) if kind == _DIR]
+    if not units:
+        return
+    lanes = drawn[units[0]].a.shape[0]
+    vec = np.concatenate([drawn[i].a for i in units])
+    low = [drawn[i].bad for i in units]
+    for i in units:
+        drawn[i] = None  # freed before the build allocates its temporaries
+    built = bloch.observable_from_bloch_batch(vec, basis)
+    for k, (i, bad) in enumerate(zip(units, low)):
+        rows = slice(k * lanes, (k + 1) * lanes)
+        built.bad[rows] |= bad
+        drawn[i] = bloch.ObservableBatch._make(f[rows] for f in built)
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +163,8 @@ def _draw(plan, rng: sampling.Xoshiro256pp, basis, index: int) -> list:
 # Tries of appendix-c's rejection loop per sample before it gives up.
 _APPENDIX_C_TRIES = 200
 
-# Rows of a later appendix-c round: each lane still pending draws this
-# many tries over the pending count, at least one, side by side (see
+# Rows of an appendix-c round: each lane still pending draws this many
+# tries over the pending count, at least one, side by side (see
 # ``_appendix_c_lanes``).  A lanes round costs about the same at a few
 # rows as at a few dozen, and 89%, 47% and 28% of the tries pass at
 # N = 3, 6 and 10.  A round draws its tries in one pass
@@ -159,21 +179,19 @@ _APPENDIX_C_ROUND_ROWS = 24
 
 
 def _round_tries(pending: int) -> int:
-    """Tries each of ``pending`` lanes draws in a later appendix-c round."""
+    """Tries each of ``pending`` lanes draws in an appendix-c round."""
     return max(1, _APPENDIX_C_ROUND_ROWS // pending)
 
 
 # The draws of an appendix-c try, in order: the directions of A and B,
-# then a mixed state.  The try decides on these alone; the objects of
-# the try taken are built after (``_TRY``).
-_TRY_DRAWS = (_DIR, _DIR, "hs_mixed")
-# The objects an accepted try gives, as ``_call`` reads them.
-_TRY = (_OBS, _OBS, "hs_mixed")
+# then a mixed state.  The try decides on these alone, and the try taken
+# gives them with the state projected, as any plan gives its draws.
+_TRY = (_DIR, _DIR, "hs_mixed")
 
 
 def _try_steps(basis) -> int:
     """The u64s an appendix-c try draws, whether it passes or fails."""
-    return sum(sampling.plan_widths(_TRY_DRAWS, basis.dim))
+    return sum(sampling.plan_widths(_TRY, basis.dim))
 
 
 def _project_orthogonal_rows(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -192,46 +210,43 @@ def _project_orthogonal_rows(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.
     return out
 
 
-def _appendix_c_draw(rng: sampling.Xoshiro256pp, basis, index: int) -> tuple:
-    # Rejection sampling of (A, B, state) for sample ``index``: project the
-    # Bloch vector onto the orthogonal complement of span{a, b}, then insist
-    # the reconstruction is still physical.  Projection shrinks |p|, so
-    # acceptance is high.  A try decides on the directions a and b; only
-    # the try accepted builds A and B.
+def _appendix_c_draw(rng: sampling.Xoshiro256pp, basis, index: int) -> list:
+    # Rejection sampling of the draws of ``_TRY`` for sample ``index``:
+    # project the Bloch vector onto the orthogonal complement of span{a, b},
+    # then insist the reconstruction is still physical and the means vanish
+    # (``relations._zero_means``).  Projection shrinks |p|, so acceptance is
+    # high.
     for _ in range(_APPENDIX_C_TRIES):
-        a, b, state = _draw(_TRY_DRAWS, rng, basis, index)
+        a, b, state = _draw(_TRY, rng, basis, index)
         p = _project_orthogonal_rows(state.p[None], a[None], b[None])[0]
         try:
             projected = bloch.state_to_matrix(p, basis)
         except UnphysicalState:
             continue
-        mean_a, mean_b = float(a @ projected.p), float(b @ projected.p)
-        if abs(mean_a) > relations.ZERO_MEAN_TOL or abs(mean_b) > relations.ZERO_MEAN_TOL:
-            continue
-        return bloch.observable_from_bloch(a, basis), bloch.observable_from_bloch(b, basis), projected
+        if relations._zero_means(a, b, projected.p)[0]:
+            return [a, b, projected]
     raise RuntimeError("no valid zero-mean sample found; ensemble looks pathological")
 
 
 def _appendix_c_lanes(rng: sampling.XoshiroLanes, basis) -> list:
-    """Appendix-c's draws on the lanes of ``rng``: A, B and the state of
-    every lane, as ``sampling.draw_batches`` gives a plan's (``_TRY``).
+    """Appendix-c's draws on the lanes of ``rng``: the directions of A and
+    B and the state of every lane, as ``sampling.draw_batches`` gives the
+    draws of a plan (``_TRY``).
 
-    The rounds only decide: round 1 draws one try on every lane, the
-    directions of A and B and a mixed state (``_TRY_DRAWS``); a later
-    round draws ``_round_tries`` tries on each lane still pending, side
-    by side: try t starts from the lane's state jumped t tries on
-    (``XoshiroLanes.ahead``).  Each lane takes its first try that the
-    draw accepts or fails, and keeps the directions and the projected
-    state of an accepted one; a lane left pending goes on from where its
-    last try ended.  Every try draws ``_try_steps`` u64s, a failed one
-    (a direction below ``sampling._MIN_NORM``, say) too, so try t + 1
-    starts where try t ends, and the lanes still pending have all spent
-    the same tries.  Each lane has ``_APPENDIX_C_TRIES`` tries.  The
-    state row is bad on a lane whose taken try fails or that spends
-    them all, as the scalar loop raises there; that lane's rows are
-    unspecified.  After the rounds, one ``observable_from_bloch_batch``
-    call builds A and B of every lane, bad where the scalar loop's
-    build raises.
+    The rounds only decide: each round draws ``_round_tries`` tries of
+    ``_TRY`` on each lane still pending, side by side: try t starts from
+    the lane's state jumped t tries on (``XoshiroLanes.ahead``).  Each
+    lane takes its first try that the draw accepts or fails, and keeps
+    the directions and the projected state of an accepted one; a try is
+    accepted where the state is physical and ``relations._zero_means``
+    holds, as in the scalar loop.  A lane left pending goes on from
+    where its last try ended.  Every try draws ``_try_steps`` u64s, a
+    failed one (a direction below ``sampling._MIN_NORM``, say) too, so
+    try t + 1 starts where try t ends, and the lanes still pending have
+    all spent the same tries.  Each lane has ``_APPENDIX_C_TRIES`` tries.
+    Every row is bad on a lane whose taken try fails or that spends them
+    all, as the scalar loop raises there; that lane's rows are
+    unspecified (zeros).
     """
     lanes, n, dim = rng.streams.size, basis.n_generators, basis.dim
     # Each lane's accepted try: its directions of A and B, and its state;
@@ -244,19 +259,16 @@ def _appendix_c_lanes(rng: sampling.XoshiroLanes, basis) -> list:
     pending = np.arange(lanes)
     left = _APPENDIX_C_TRIES
     steps = _try_steps(basis)
-    tries = 1
     while pending.size:
-        if tries > 1:
-            rng = rng.ahead(tries, steps)
-        da, db, mixed = sampling.draw_batches(_TRY_DRAWS, rng, basis)
+        tries = min(_round_tries(pending.size), left)
+        rng = rng.ahead(tries, steps)
+        da, db, mixed = sampling.draw_batches(_TRY, rng, basis)
         failed = da.bad | db.bad | mixed.bad
         p = _project_orthogonal_rows(mixed.p, da.a, db.a)
         del mixed  # freed before the reconstruction allocates its temporaries
         projected, unphysical = bloch.state_to_matrix_batch(p, basis)
         failed |= projected.bad & ~unphysical
-        tol = relations.ZERO_MEAN_TOL
-        rejected = unphysical | (np.abs(linalg.row_dot(da.a, projected.p)) > tol)
-        rejected |= np.abs(linalg.row_dot(db.a, projected.p)) > tol
+        rejected = unphysical | ~relations._zero_means(da.a, db.a, projected.p)[0]
         rejected &= ~failed
         taken = _taken_tries(rejected, pending.size)
         left -= tries
@@ -272,13 +284,7 @@ def _appendix_c_lanes(rng: sampling.XoshiroLanes, basis) -> list:
         going &= left > 0
         rng = rng.take(taken[going])
         pending = pending[going]
-        tries = min(_round_tries(pending.size or 1), left)
-    # One build of every lane's A row, then B row.
-    built = bloch.observable_from_bloch_batch(directions.reshape(-1, n), basis)
-    del directions
-    a, b = (bloch.ObservableBatch._make(f[rows] for f in built)
-            for rows in (slice(None, lanes), slice(lanes, None)))
-    return [a, b, kept]
+    return [*(sampling.Directions(d, kept.bad) for d in directions), kept]
 
 
 def _taken_tries(rejected: np.ndarray, lanes: int) -> np.ndarray:
@@ -297,13 +303,16 @@ def _taken_tries(rejected: np.ndarray, lanes: int) -> np.ndarray:
 def _sample(relation, basis, seed: int, index: int, theta_ab: float = 0.0, **given) -> list:
     """The verdicts of sample ``index`` of ``relation``, a ``Relation`` or
     the name of a row of ``RELATIONS``, drawn from stream ``index`` and
-    checked on ``given``; its draws, if the row checks nothing."""
+    checked on ``given``; its draws, if the row checks nothing.  The
+    observable of each direction is built after the sample's draws."""
     row = RELATIONS[relation] if isinstance(relation, str) else relation
     rng = sampling.Xoshiro256pp(seed, stream=index)
     if row.plan is None:
         plan, drawn = _TRY, _appendix_c_draw(rng, basis, index)
     else:
         plan, drawn = row.plan, _draw(row.plan, rng, basis, index)
+    drawn = [bloch.observable_from_bloch(d, basis) if kind == _DIR else d
+             for kind, d in zip(plan, drawn)]
     if row.check is None:
         return drawn
     verdicts = _call(
@@ -315,10 +324,11 @@ def _sample(relation, basis, seed: int, index: int, theta_ab: float = 0.0, **giv
 def chunks(row: Relation, basis, seed: int, count: int, **given):
     """Draw and check samples 0 .. count - 1 of ``row`` on lanes, a chunk
     of streams at a time: yield each chunk's ``(rng, drawn, values)``,
-    its generator, its draws of ``row.plan`` (appendix-c's A, B and
-    state rows, ``_TRY``, for ``plan`` None) and the margins of
-    ``row.shared`` on ``given``, ``index`` (the streams) and ``basis``
-    (None if ``row.check`` is).  A row is bad where one of its draws
+    its generator, its draws of ``row.plan`` (appendix-c's rejection
+    draws of ``_TRY`` for ``plan`` None), each direction built into its
+    observable (``_build``), and the margins of ``row.shared`` on
+    ``given``, ``index`` (the streams) and ``basis`` (None if
+    ``row.check`` is).  A row is bad where one of its draws or builds
     failed or a check of ``row.shared`` fails.  The chunk's first bad
     row is replayed on its own stream (``_sample``), which raises that
     stream's own exception; if the replay passes, this raises
@@ -333,6 +343,7 @@ def chunks(row: Relation, basis, seed: int, count: int, **given):
         with np.errstate(divide="ignore", invalid="ignore"):  # only bad rows divide by 0
             drawn = (_appendix_c_lanes(rng, basis) if row.plan is None
                      else sampling.draw_batches(row.plan, rng, basis))
+            _build(plan, drawn, basis)
             values, bad = None, np.logical_or.reduce([d.bad for d in drawn])
             if row.check is not None:
                 values, failed = _lane_values(

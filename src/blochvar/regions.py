@@ -174,6 +174,7 @@ def _scan(
         samples[rows] = values[:, :-1]
         purities[rows] = state.purity
         margins[rows] = values[:, -1]
+        del state, values  # freed before the next chunk draws
     _validate_samples(samples, norms)
     return RegionScan(
         grid=grid,

@@ -125,9 +125,10 @@ __all__ = [
 HOLDS_TOL = 1e-10
 APPENDIX_C_TOL = 1e-9
 SATURATION_TOL = 1e-9
-# Largest |<A>| and |<B>| the appendix-c trade-off accepts as zero; the
-# verify engine's rejection draws accept exactly the tries that pass
-# this check.
+# Largest |<A>| and |<B>| the appendix-c trade-off accepts as zero, read
+# by ``_zero_means`` alone: the trade-off's precondition, and the test
+# the verify engine's rejection draws accept a try by, so they accept
+# exactly the tries that pass this check.
 ZERO_MEAN_TOL = 1e-9
 _RADICAND_FLOOR = -1e-10
 # Round-off slack of theorem1's (a·p)² <= |a|² |p|², and of B's.
@@ -351,11 +352,17 @@ def _appendix_b(rho) -> tuple:
     return vx + vy + vz, 3.0 - rho.purity, cx + cy + cz
 
 
+def _zero_means(a, b, p) -> tuple:
+    # Whether <A> = a.p and <B> = b.p vanish within ZERO_MEAN_TOL, and the
+    # two means: of one sample's vectors or of rows (A and B's
+    # coefficients or directions, the state's Bloch vector).
+    mean_a, mean_b = row_dot(a, p), row_dot(b, p)
+    return (abs(mean_a) <= ZERO_MEAN_TOL) & (abs(mean_b) <= ZERO_MEAN_TOL), mean_a, mean_b
+
+
 def _appendix_c(a, b, rho, basis) -> tuple:
     n = basis.dim
-    mean_a = row_dot(a.a, rho.p)
-    mean_b = row_dot(b.a, rho.p)
-    zero_means = (abs(mean_a) <= ZERO_MEAN_TOL) & (abs(mean_b) <= ZERO_MEAN_TOL)
+    zero_means, mean_a, mean_b = _zero_means(a.a, b.a, rho.p)
     rm = array_of(rho.rho)
     va, checks_a = _variance_matrix(array_of(a.matrix), rm)
     vb, checks_b = _variance_matrix(array_of(b.matrix), rm)

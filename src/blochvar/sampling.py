@@ -35,19 +35,19 @@ each; its ``math.log`` goes through Python per element because numpy's
 ``log`` differs from libm's in the last bit.  It knows each lane's
 stream (``streams``), and ``take`` copies out some of its lanes.
 ``draw_batches`` is the lanes form of the draws: it draws a plan of
-them one after another, a whole sample (a state, then A and B) or
-appendix-c try (the directions of A and B, then a mixed state) in one
-pass, or a single draw as a one-entry plan: one ``gaussians`` call for
-the plan, whose runs are even-sized so that its Box-Muller pairs are
-those of separate calls, and one ``observable_from_bloch_batch`` call
-for all its observables, so every lane takes
-``sum(plan_widths(plan, N))`` u64s.  An observable is a unit direction
-(``DIRECTION``, ``draw_direction``) plus its construction: the two take
-the same u64s, and a plan that needs only the direction, as an
-appendix-c try does until it is accepted, builds nothing.  A direction
-whose Gaussians fall below ``_MIN_NORM`` is a failed draw, as a failed
-check is: ``draw_direction`` raises ``NumericsError`` and
-``draw_batches`` marks the row ``bad``, and its observable's.
+them one after another, a whole sample (a state, then the directions of
+A and B) or appendix-c try (the directions of A and B, then a mixed
+state) in one pass, or a single draw as a one-entry plan: one
+``gaussians`` call for the plan, whose runs are even-sized so that its
+Box-Muller pairs are those of separate calls, so every lane takes
+``sum(plan_widths(plan, N))`` u64s.  A plan lists states and unit
+directions (``DIRECTION``, ``draw_direction``) alone: an observable is
+a direction plus its construction, which the engine makes, once for
+every direction of a chunk (``engine.chunks``) or of one sample
+(``engine._sample``).  A direction whose Gaussians fall below
+``_MIN_NORM`` is a failed draw, as a failed check is:
+``draw_direction`` raises ``NumericsError`` and ``draw_batches`` marks
+the row ``bad``.
 ``lane_chunks`` yields a run's generators, ``ENGINE_CHUNK`` streams
 each, fewer above N = 4 so that a chunk's (rows, N, N) stacks hold at
 most ``_CHUNK_ENTRIES`` entries, and a chunk's first failing lane goes
@@ -94,12 +94,10 @@ import numpy as np
 
 from .bloch import (
     Observable,
-    ObservableBatch,
     QuantumState,
     StateBatch,
     completely_mixed,
     observable_from_bloch,
-    observable_from_bloch_batch,
     repeat_state,
     state_from_matrix,
     state_from_matrix_batch,
@@ -114,7 +112,6 @@ __all__ = [
     "ENGINE_CHUNK",
     "lane_chunks",
     "DIRECTION",
-    "OBSERVABLE",
     "Directions",
     "plan_widths",
     "draw_batches",
@@ -310,12 +307,12 @@ class XoshiroLanes:
     def ahead(self, copies: int, steps: int) -> XoshiroLanes:
         """``copies`` copies of every lane as one generator, copy t standing
         ``t * steps`` u64s further on: its lane t * lanes + k is lane k
-        jumped t times (see ``_jump``).  A copy, so drawing from it does not
-        advance this one."""
-        table = _jump_table(steps)
+        jumped t times (see ``_jump``); the jump table is built only if
+        ``copies`` > 1.  A copy, so drawing from it does not advance this
+        one."""
         states = [self._s]
         for _ in range(copies - 1):
-            states.append(_jump(states[-1], table))
+            states.append(_jump(states[-1], _jump_table(steps)))
         rng = XoshiroLanes.__new__(XoshiroLanes)
         rng._s = np.concatenate(states, axis=1)
         rng.streams = np.tile(self.streams, copies)
@@ -516,10 +513,9 @@ def draw_observable(rng: Xoshiro256pp, basis: GeneratorBasis) -> Observable:
     return observable_from_bloch(draw_direction(rng, basis), basis)
 
 
-# The entries of a draw_batches plan that draw a unit direction, and an
-# observable built on one; the others are draw_state kinds.
+# The entry of a draw_batches plan that draws a unit direction; the
+# others are draw_state kinds.
 DIRECTION = "direction"
-OBSERVABLE = "observable"
 
 
 class Directions(NamedTuple):
@@ -533,32 +529,28 @@ class Directions(NamedTuple):
 def plan_widths(plan, dim: int) -> list[int]:
     """The Gaussians, and so the u64s, each draw of ``plan`` takes a lane:
     2 N² for a state's N² complex ones, none for I/N, and N² - 1 in whole
-    pairs for a direction or an observable, whether it passes
-    ``_MIN_NORM`` or not."""
+    pairs for a direction, whether it passes ``_MIN_NORM`` or not."""
     n2 = dim * dim
-    sizes = {DIRECTION: 2 * (n2 // 2), OBSERVABLE: 2 * (n2 // 2), "maximally_mixed": 0}
+    sizes = {DIRECTION: 2 * (n2 // 2), "maximally_mixed": 0}
     return [sizes.get(kind, 2 * n2) for kind in plan]
 
 
 def draw_batches(plan, rng: XoshiroLanes, basis: GeneratorBasis) -> list:
     """The draws of ``plan`` on every lane, one after another: each entry
-    is a ``draw_state`` kind, ``DIRECTION`` or ``OBSERVABLE``, and on lane
-    k gives, bit for bit, what ``draw_state`` (sample ``rng.streams[k]``),
-    ``draw_direction`` or ``draw_observable`` gives on that lane's stream,
-    and the lanes end where those calls leave the streams.
+    is a ``draw_state`` kind or ``DIRECTION``, and on lane k gives, bit for
+    bit, what ``draw_state`` (sample ``rng.streams[k]``) or
+    ``draw_direction`` gives on that lane's stream, and the lanes end
+    where those calls leave the streams.
 
     One ``gaussians`` call draws the whole plan, split into each draw's
     run (even-sized, so the Box-Muller pairs are those of separate calls).
     A direction below ``_MIN_NORM`` is a ``bad`` row, where
-    ``draw_direction`` raises, and so is its observable.  One
-    ``observable_from_bloch_batch`` call builds every observable of the
-    plan: its kernels work row by row, so each row is what its own call
-    gives."""
+    ``draw_direction`` raises."""
     lanes = rng.streams.size
     widths = plan_widths(plan, basis.dim)
     runs = np.split(rng.gaussians(sum(widths)), np.cumsum(widths)[:-1], axis=1)
     n = basis.n_generators
-    units = [i for i, kind in enumerate(plan) if kind in (DIRECTION, OBSERVABLE)]
+    units = [i for i, kind in enumerate(plan) if kind == DIRECTION]
     vec = np.array([runs[i][:, :n] for i in units]).reshape(-1, n)
     norm = np.sqrt(row_dot(vec, vec))
     vec /= norm[:, None]
@@ -566,7 +558,7 @@ def draw_batches(plan, rng: XoshiroLanes, basis: GeneratorBasis) -> list:
     states = {
         i: _complex_pairs(runs[i])
         for i, kind in enumerate(plan)
-        if kind not in (DIRECTION, OBSERVABLE, "maximally_mixed")
+        if kind not in (DIRECTION, "maximally_mixed")
     }
     del runs  # freed before the checks allocate theirs
     out = [repeat_state(completely_mixed(basis), lanes) if kind == "maximally_mixed" else None
@@ -577,12 +569,6 @@ def draw_batches(plan, rng: XoshiroLanes, basis: GeneratorBasis) -> list:
     for k, i in enumerate(units):
         rows = slice(k * lanes, (k + 1) * lanes)
         out[i] = Directions(vec[rows], low[rows])
-    observables = [i for i in units if plan[i] == OBSERVABLE]
-    if observables:
-        built = observable_from_bloch_batch(np.concatenate([out[i].a for i in observables]), basis)
-        built.bad[np.concatenate([out[i].bad for i in observables])] = True
-        for k, i in enumerate(observables):
-            out[i] = ObservableBatch._make(f[k * lanes : (k + 1) * lanes] for f in built)
     return out
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blochvar import basis_for
+from blochvar import basis_for, bloch, engine, sampling
 
 
 @pytest.fixture(scope="session")
@@ -41,3 +41,16 @@ def failure_ids(cases):
     constant, its value and the case, not the module, so that moving a
     constant renames no test."""
     return ["-".join(str(field) for field in case[1:]) for case in cases]
+
+
+def built(plan, drawn, basis):
+    """The draws ``drawn`` of ``plan`` with each direction built into its
+    observable, as the engine builds them: rows on lanes as
+    ``engine.chunks`` does (``engine._build``), one sample's as
+    ``engine._sample`` does."""
+    drawn = list(drawn)
+    if any(isinstance(d, sampling.Directions) for d in drawn):
+        engine._build(plan, drawn, basis)
+        return drawn
+    return [bloch.observable_from_bloch(d, basis) if kind == sampling.DIRECTION else d
+            for kind, d in zip(plan, drawn)]

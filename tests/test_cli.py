@@ -183,10 +183,12 @@ def test_verify_memory_at_dim_cap():
     # d_contract's temporaries are no larger than its output; a
     # contraction over all 21,833 nonzeros at once would take 358 MB a
     # temporary.  Nothing holds a chunk's draws while the next chunk
-    # draws.  The basis is built first, so that the peak is the run's
-    # whatever ran before.  The traced peak is 12.2 MB (16.5 MB when a
-    # chunk's draws were held while the next chunk drew; 71.75 MB in
-    # 2,048-row chunks); the bound leaves 30 % over it.
+    # draws, nor the directions while the chunk builds its observables.
+    # The basis is built first, so that the peak is the run's whatever
+    # ran before.  The traced peak is 11.4 MB (12.2 MB when the
+    # directions were held through the build; 16.5 MB when a chunk's
+    # draws were held while the next chunk drew; 71.75 MB in 2,048-row
+    # chunks); the bound leaves 30 % over it.
     basis_for(16)
     tracemalloc.start()
     try:
@@ -195,20 +197,20 @@ def test_verify_memory_at_dim_cap():
     finally:
         tracemalloc.stop()
     assert code == 0 and report["results"][0]["checks"] == 2100
-    assert peak < 16e6
+    assert peak < 15e6
 
 
 def test_verify_appendix_c_memory():
     # Appendix-c at N = 6, a 1,365-row chunk and a 735-row one.  Each
     # round keeps only its own draws; the chunk keeps each lane's
-    # accepted directions and state, builds A and B of every lane from
-    # them in one call, and hands the stores to `chunks` as the chunk's
-    # draws, not copied, which scores them and frees them before the
-    # next chunk draws.  The traced peak is 10.46 MB with the basis
-    # built in the run, 10.13 MB without (10.48 and 10.15 MB when the
-    # lanes copied the stores and scored them; 10.71 MB when each round
-    # built and scored its own tries; 18.2 MB holding whole accepted
-    # tries in 2,048-row chunks); the bound leaves 12 % over it.
+    # accepted directions and state and hands the stores to `chunks` as
+    # the chunk's draws, which builds A and B of every lane from them in
+    # one call, scores them and frees them before the next chunk draws.
+    # The traced peak, in a fresh interpreter with the basis built in the
+    # run, is 10.63 MB, as when the lanes built A and B themselves (10.71
+    # MB when each round built and scored its own tries; 18.2 MB holding
+    # whole accepted tries in 2,048-row chunks); the bound leaves 12 %
+    # over it.
     tracemalloc.start()
     try:
         code, report = _run(["verify", "appendix-c", "--dim", "6", "--samples", "2100"])

@@ -47,7 +47,7 @@ from blochvar import bloch, linalg, regions, relations, sun_basis, variance
 from blochvar.errors import DimensionMismatch, NumericsError
 from blochvar.linalg import per_element, row_dot
 from blochvar.sampling import Xoshiro256pp, XoshiroLanes, draw_observable
-from conftest import failure_ids
+from conftest import built, failure_ids
 
 RELATIONS = sorted(engine.RELATIONS)
 QUDIT_RELATIONS = sorted(r for r, entry in engine.RELATIONS.items() if entry.dims is None)
@@ -159,7 +159,7 @@ def _lane_operands(dim, n=24):
     The scan points' fixed observables, ``A`` and ``B``, are row 0's,
     and ``index`` is the row."""
     basis = basis_for(dim)
-    drawn, a, b = sampling.draw_batches(("alternating", _OBS, _OBS), XoshiroLanes(11, range(n)), basis)
+    drawn, a, b = sampling.draw_batches(("alternating", _DIR, _DIR), XoshiroLanes(11, range(n)), basis)
     rho = np.where((np.arange(n) % 3 == 2)[:, None, None], np.eye(dim) / dim, drawn.rho)
     state = bloch.state_from_matrix_batch(rho, basis)
     a = bloch.observable_from_bloch_batch(np.where((np.arange(n) == 1)[:, None], 0.0, a.a), basis)
@@ -578,13 +578,13 @@ def test_three_obs_engine_matches_at_any_angle(seed, theta_ab):
         assert np.array_equal(lanes, _margins("three-obs-equality", 30, seed, theta_ab))
 
 
-# Tries each pending lane draws in a later appendix-c round: one (every
-# round one try a lane), two, five, or the default rule.
+# Tries each pending lane draws in every appendix-c round: one, two,
+# five, or the default rule.
 _TRIES = [1, 2, 5, "default"]
 
 
 def _tries_per_round(tries):
-    """Patch that gives each pending lane ``tries`` tries a later round."""
+    """Patch that gives each pending lane ``tries`` tries every round."""
     if tries == "default":
         return mock.patch.object(engine, "_round_tries", engine._round_tries)
     return mock.patch.object(engine, "_round_tries", lambda pending: tries)
@@ -620,6 +620,7 @@ def _draws(regime):
 @example(seed=0, samples=30, chunk=16, tries=1)
 @example(seed=2**64 - 1, samples=29, chunk=16, tries="default")
 @example(seed=1729, samples=17, chunk=16, tries=5)
+@example(seed=0, samples=5, chunk=16, tries="default")  # round 1: 24 // 5 = 4 tries a lane
 def test_qudit_engine_matches_scalar_loop(relation, dim, draws, seed, samples, chunk, tries):
     with mock.patch.object(sampling, "ENGINE_CHUNK", chunk), _tries_per_round(tries), _draws(draws):
         lanes = _margins(relation, samples, seed, dim=dim)
@@ -632,26 +633,44 @@ def test_qudit_engine_matches_scalar_loop(relation, dim, draws, seed, samples, c
     assert _summary_reprs(summary) == _summary_reprs(expected)
 
 
-@pytest.mark.parametrize("relation,dim", [("theorem1", 2), ("robertson", 6), ("appendix-c", 6)])
+@pytest.mark.parametrize(
+    "relation,dim", [("theorem1", 2), ("robertson", 6), ("appendix-c", 6), ("scan_pair", 2)]
+)
 def test_a_chunk_is_freed_before_the_next_draws(monkeypatch, relation, dim):
-    # Nothing holds a chunk's draws, or their bases, once `fuzz` has read
-    # its margins: when the next chunk draws they are dead.  Appendix-c's
-    # draws are its rounds loop's return, not a `draw_batches` call's.
-    planned = engine.RELATIONS[relation].plan is not None
+    # Nothing holds a chunk's draws, the observables built on them, or
+    # their bases, once `fuzz` or a pair scan has read its values: when
+    # the next chunk draws they are dead.  Appendix-c's draws are its
+    # rounds loop's return, not a `draw_batches` call's.
+    planned = relation == "scan_pair" or engine.RELATIONS[relation].plan is not None
     module, name = (sampling, "draw_batches") if planned else (engine, "_appendix_c_lanes")
-    draw = getattr(module, name)
+    draw, build = getattr(module, name), bloch.observable_from_bloch_batch
     held, alive = [], []
+
+    def hold(rows):
+        arrays = list(rows)
+        held.extend(map(weakref.ref, arrays + [x.base for x in arrays if x.base is not None]))
 
     def spy(*args):
         alive.append(sum(ref() is not None for ref in held))
+        held.clear()
         drawn = draw(*args)
-        arrays = [field for rows in drawn for field in rows]
-        held[:] = map(weakref.ref, arrays + [x.base for x in arrays if x.base is not None])
+        for rows in drawn:
+            hold(rows)
         return drawn
 
+    def build_spy(vec, basis):
+        rows = build(vec, basis)
+        hold(rows)
+        return rows
+
     monkeypatch.setattr(module, name, spy)
+    monkeypatch.setattr(bloch, "observable_from_bloch_batch", build_spy)
     with mock.patch.object(sampling, "ENGINE_CHUNK", 16):
-        engine.fuzz(relation, dim, 60, 0, math.pi / 4.0)
+        if relation == "scan_pair":
+            cfg = SampleConfig(seed=0, dim=dim, count=60, kind="hs_mixed")
+            regions.scan_pair(*_scan_pair_observables(), cfg, 0.01)
+        else:
+            engine.fuzz(relation, dim, 60, 0, math.pi / 4.0)
     assert alive == [0, 0, 0, 0]
 
 
@@ -795,7 +814,7 @@ def test_low_norm_observable_lanes_match_scalar(dim, step, min_norm):
     raised = []
     with mock.patch.object(sampling, "_MIN_NORM", min_norm):
         (directions,) = sampling.draw_batches((_DIR,), lanes.take(np.arange(lanes.streams.size)), basis)
-        (batch,) = sampling.draw_batches((_OBS,), lanes, basis)
+        (batch,) = built((_DIR,), sampling.draw_batches((_DIR,), lanes, basis), basis)
         for k, rng in enumerate(rngs):
             try:
                 obs = draw_observable(rng, basis)
@@ -810,15 +829,14 @@ def test_low_norm_observable_lanes_match_scalar(dim, step, min_norm):
     assert np.array_equal(lanes.gaussians(2), [rng.gaussians(2) for rng in rngs])
 
 
-# Plans of `draw_batches`: a state and a pair, appendix-c's try and the
-# objects it builds, and each draw alone.
+# Plans of `draw_batches`: a state and a pair, appendix-c's try, and
+# each draw alone.
 _STATE_KINDS = ["haar_pure", "hs_mixed", "alternating", "maximally_mixed"]
-_OBS = sampling.OBSERVABLE
 _DIR = sampling.DIRECTION
 _PLANS = (
-    [(kind, _OBS, _OBS) for kind in _STATE_KINDS]
-    + [(_DIR, _DIR, "hs_mixed"), (_OBS, _OBS, "hs_mixed")]
-    + [(kind,) for kind in _STATE_KINDS + [_DIR, _OBS]]
+    [(kind, _DIR, _DIR) for kind in _STATE_KINDS]
+    + [(_DIR, _DIR, "hs_mixed")]
+    + [(kind,) for kind in _STATE_KINDS + [_DIR]]
 )
 
 
@@ -836,12 +854,17 @@ def _one_by_one(plan, rng, basis):
 
 def _assert_fused_matches_one_by_one(plan, rng, basis):
     # One call for the plan against its draws one after another, from the
-    # same lanes: every field bit for bit, and every lane's end state.
+    # same lanes: every field bit for bit, and every lane's end state;
+    # and so the observables built on the plan's directions in one call
+    # against those built on each direction alone.
     sequential = rng.take(np.arange(rng.streams.size))
     fused = sampling.draw_batches(plan, rng, basis)
     expected = _one_by_one(plan, sequential, basis)
     assert len(fused) == len(plan)
     for got, want in zip(fused, expected):
+        _assert_same_fields(got, want)
+    built_alone = [built((kind,), [draw], basis)[0] for kind, draw in zip(plan, expected)]
+    for got, want in zip(built(plan, fused, basis), built_alone):
         _assert_same_fields(got, want)
     assert np.array_equal(rng._s, sequential._s)
 
@@ -855,7 +878,7 @@ def _assert_fused_matches_one_by_one(plan, rng, basis):
     min_norm=st.sampled_from([None, 0.9, 1.0]),
 )
 @example(plan=(_DIR, _DIR, "hs_mixed"), dim=10, lanes=300, seed=0, min_norm=1.0)
-@example(plan=("alternating", _OBS, _OBS), dim=2, lanes=1, seed=2**64 - 1, min_norm=1.0)
+@example(plan=("alternating", _DIR, _DIR), dim=2, lanes=1, seed=2**64 - 1, min_norm=1.0)
 def test_fused_draw_matches_draws_one_after_another(plan, dim, lanes, seed, min_norm):
     # min_norm scales sqrt(N^2 - 1), about the median norm of an
     # observable's Gaussians: at 1.0 about half the lanes' A rows are
@@ -877,7 +900,7 @@ def _low_norms(rng, basis):
     return ~(np.sqrt(row_dot(g, g)) >= sampling._MIN_NORM)
 
 
-@pytest.mark.parametrize("plan", [("haar_pure", _OBS, _OBS), (_OBS, _OBS, "hs_mixed")])
+@pytest.mark.parametrize("plan", [("haar_pure", _DIR, _DIR), (_DIR, _DIR, "hs_mixed")])
 def test_fused_low_norms_of_a_of_b_and_of_both_match(plan):
     # Lanes whose A, B, or both fall below _MIN_NORM, each present, in
     # one plan.
@@ -887,7 +910,7 @@ def test_fused_low_norms_of_a_of_b_and_of_both_match(plan):
         walk = rng.take(np.arange(300))
         low = []
         for kind in plan:
-            if kind == _OBS:
+            if kind == _DIR:
                 low.append(_low_norms(walk, basis))
             _one_by_one((kind,), walk, basis)
         a, b = low
@@ -1074,14 +1097,29 @@ def test_first_failing_stream_raises_scalar_error(module, name, value, relation)
         assert 0 < failing[0] and len(failing) > 1
 
 
+class _NanProjection:
+    """A projection that gives NaN on the rows whose unprojected p has
+    |p[0]| > 0.2: their reconstruction fails, before any mean is read."""
+
+    project_rows = staticmethod(engine._project_orthogonal_rows)
+
+    def __call__(self, p, a, b):
+        return np.where((np.abs(p[:, 0]) > 0.2)[:, None], np.nan, self.project_rows(p, a, b))
+
+    def __str__(self):
+        return "nan-where-p0-above-0.2"
+
+
 # The same for appendix-c's rejection draws at N > 2.  A positive
 # eigenvalue floor and a tight trace tolerance make mixed draws raise
 # UnphysicalState outside the rejection loop's catch (the trace one also
 # makes observables raise), a tight consistency tolerance makes
 # observables raise ValueError, a raised _MIN_NORM makes observable
-# draws raise NumericsError, one or two tries raise RuntimeError for
-# each stream whose tries are all rejected (with two, a lane rejected in
-# round 1 has one try left in round 2), and a variance floor and a tight
+# draws raise NumericsError, a NaN projection makes the reconstruction
+# raise ValueError (a NaN mean, which the zero-mean test rejects, is
+# never read), one or two tries raise RuntimeError for each stream whose
+# tries are all rejected (with two, a lane that draws one try a round
+# has one try left in its second), and a variance floor and a tight
 # agreement of the shifted variances' two routes make the check raise
 # after the draw.
 _QUDIT_DRAW_FAILURES = [
@@ -1089,6 +1127,7 @@ _QUDIT_DRAW_FAILURES = [
     (bloch, "_TRACE_ATOL", 1e-16, 3),
     (bloch, "_CONSISTENCY_ATOL", 2e-16, 6),
     (sampling, "_MIN_NORM", 1.5, 3),
+    (engine, "_project_orthogonal_rows", _NanProjection(), 3),
     (engine, "_APPENDIX_C_TRIES", 1, 3),
     (engine, "_APPENDIX_C_TRIES", 2, 6),
 ]
@@ -1124,6 +1163,7 @@ def _appendix_c_scored(seed, samples, dim):
     row = engine.RELATIONS["appendix-c"]
     with np.errstate(divide="ignore", invalid="ignore"):
         drawn = engine._appendix_c_lanes(XoshiroLanes(seed, range(samples)), basis)
+        drawn = built(engine._TRY, drawn, basis)
         margins, failed = engine._lane_values(
             engine._call(row.shared, row, engine._TRY, drawn, basis=basis)
         )
@@ -1247,8 +1287,7 @@ def test_appendix_c_builds_and_scores_only_the_taken_tries(monkeypatch, tries, d
         rejected.append(int(mask.sum()))
         return taken_tries(mask, lanes)
 
-    for module in (bloch, sampling):
-        monkeypatch.setattr(module, "observable_from_bloch_batch", build_spy)
+    monkeypatch.setattr(bloch, "observable_from_bloch_batch", build_spy)
     monkeypatch.setattr(relations, "_appendix_c", score_spy)
     monkeypatch.setattr(engine, "_taken_tries", taken_spy)
     with mock.patch.object(sampling, "ENGINE_CHUNK", 16), _tries_per_round(tries):
@@ -1271,7 +1310,8 @@ def test_chunks_yield_appendix_c_draws_as_the_scalar_draw(dim, draws):
     assert len(drawn) == 3
     for rng, (a, b, state), _ in drawn:
         for k, i in enumerate(rng.streams.tolist()):
-            oa, ob, rho = engine._appendix_c_draw(Xoshiro256pp(seed, stream=i), basis, i)
+            draw = engine._appendix_c_draw(Xoshiro256pp(seed, stream=i), basis, i)
+            oa, ob, rho = built(engine._TRY, draw, basis)
             for rows, obj in ((a, oa), (b, ob)):
                 assert np.array_equal(_bits(rows.matrix[k]), _bits(obj.matrix.array))
                 assert np.array_equal(_bits(rows.a[k]), _bits(obj.a))
@@ -1375,7 +1415,8 @@ def test_draws_accept_exactly_the_means_the_check_allows(monkeypatch, tries, axi
     with _scalar_only():
         assert np.array_equal(lanes, _margins("appendix-c", 40, 5, dim=3))
     basis = basis_for(3)
-    draws = [engine._appendix_c_draw(Xoshiro256pp(5, stream=i), basis, i) for i in range(40)]
+    draws = [built(engine._TRY, engine._appendix_c_draw(Xoshiro256pp(5, stream=i), basis, i), basis)
+             for i in range(40)]
     means = [max(abs(float(a.a @ s.p)), abs(float(b.a @ s.p))) for a, b, s in draws]
     assert tol / 2 < max(means) <= tol
     widest = int(np.argmax(means))
@@ -1392,7 +1433,7 @@ def test_appendix_c_checkers_reject_a_basis_of_another_dim(other):
     # basis of another N; the engine draws its rows on the basis it
     # checks them with.
     basis = basis_for(3)
-    draw = engine._appendix_c_draw(Xoshiro256pp(5, stream=0), basis, 0)
+    draw = built(engine._TRY, engine._appendix_c_draw(Xoshiro256pp(5, stream=0), basis, 0), basis)
     with pytest.raises(DimensionMismatch):
         relations.check_appendix_c(*draw, basis_for(other))
 
@@ -1500,8 +1541,8 @@ def test_checkers_flag_the_rows_scalar_rejects(basis2, relation):
     # of them.
     row = engine.RELATIONS[relation]
     n = 60
-    plan = ("alternating", _OBS, _OBS)
-    drawn, a, b = sampling.draw_batches(plan, XoshiroLanes(9, range(n)), basis2)
+    plan = ("alternating", _DIR, _DIR)
+    drawn, a, b = built(plan, sampling.draw_batches(plan, XoshiroLanes(9, range(n)), basis2), basis2)
     rho = np.where((np.arange(n) % 3 == 2)[:, None, None], np.eye(2) / 2, drawn.rho)
     state = bloch.state_from_matrix_batch(rho, basis2)
     checked = engine._call(row.shared, row, plan, (state, a, b), theta_ab=1.1)
@@ -1524,7 +1565,8 @@ def test_checkers_flag_the_rows_scalar_rejects(basis2, relation):
 def test_theorem1_flags_variance_above_norm(basis2):
     # Validated objects cannot reach this check; shrink a stored norm.
     lanes = XoshiroLanes(2, range(50))
-    state, a, b = sampling.draw_batches(("haar_pure", _OBS, _OBS), lanes, basis2)
+    plan = ("haar_pure", _DIR, _DIR)
+    state, a, b = built(plan, sampling.draw_batches(plan, lanes, basis2), basis2)
     assert not engine._lane_values(relations._theorem1(a, b, state))[1].any()
     shrunk = a._replace(norm2=0.5 * a.norm2)
     bad = engine._lane_values(relations._theorem1(shrunk, b, state))[1]
@@ -1638,7 +1680,8 @@ def test_qudit_checkers_flag_the_rows_scalar_rejects(relation, dim):
     # a fresh mixed state, whose nonzero means appendix-c rejects.
     basis = basis_for(dim)
     a, b, state = _stack_draws(
-        [engine._appendix_c_draw(Xoshiro256pp(6, stream=i), basis, i) for i in range(45)]
+        [built(engine._TRY, engine._appendix_c_draw(Xoshiro256pp(6, stream=i), basis, i), basis)
+         for i in range(45)]
     )
     (mixed,) = sampling.draw_batches(("hs_mixed",), XoshiroLanes(7, range(45)), basis)
     swap = np.arange(45) % 3 == 0

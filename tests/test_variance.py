@@ -29,8 +29,8 @@ from blochvar import (
 from blochvar import variance
 from blochvar.bloch import repeat_state
 from blochvar.linalg import failures
-from blochvar.sampling import OBSERVABLE, XoshiroLanes, draw_batches
-from conftest import random_hermitian
+from blochvar.sampling import DIRECTION, XoshiroLanes, draw_batches
+from conftest import built, random_hermitian
 
 KET0 = HermitianMatrix(np.diag([1.0, 0.0]).astype(complex))
 
@@ -253,7 +253,8 @@ def test_batched_routes_match_scalar_rows(n):
     # objects; pure and mixed states alternate.
     basis = basis_for(n)
     lanes = XoshiroLanes(7, range(40))
-    states, obs = draw_batches(("alternating", OBSERVABLE), lanes, basis)
+    plan = ("alternating", DIRECTION)
+    states, obs = built(plan, draw_batches(plan, lanes, basis), basis)
     via_bloch, checks = variance._variance_bloch(obs, states, n)
     bad_bloch = failures(checks)
     via_matrix, checks = variance._variance_matrix(obs.matrix, states.rho)

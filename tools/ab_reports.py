@@ -9,6 +9,9 @@ between two runs of one tree.  The matrix:
 
 - ``verify`` of every relation on seeds 0 and 5, at each N it admits up
   to 10 (``engine.RELATIONS``, read from the change's tree);
+- ``verify appendix-c --samples 5`` at N = 3, 6 and 10 on seeds 0 and
+  5: a chunk that small draws several tries a lane in its first
+  rejection round, where 500 samples draw one;
 - the four region scans (pair on pure and on mixed states, pair with
   ``--slice-da2``, and triple), each with ``--csv``, ``--json`` and
   ``--out``;
@@ -65,6 +68,12 @@ def runs(tree: str, samples: int = 500) -> dict[str, list[str]]:
                     "verify", relation, "--dim", str(dim), "--samples", str(samples),
                     "--seed", str(seed), "--out", "report.json",
                 ]
+    for dim in (3, 6, 10):
+        for seed in (0, 5):
+            matrix[f"verify appendix-c N={dim} seed={seed} samples=5"] = [
+                "verify", "appendix-c", "--dim", str(dim), "--samples", "5",
+                "--seed", str(seed), "--out", "report.json",
+            ]
     files = ["--csv", "samples.csv", "--json", "occupancy.json", "--out", "report.json"]
     scans = {
         "pair pure": ["pair", "--theta-ab", "0.7"],

@@ -112,7 +112,8 @@ def _checker_operands(bv):
     rng = bv.Xoshiro256pp(7, stream=1)
     a, b = bv.draw_observable(rng, basis), bv.draw_observable(rng, basis)
     mixed, pure = bv.draw_mixed(rng, basis), bv.draw_pure(rng, basis)
-    a3, b3, zero_means = bv.engine._appendix_c_draw(bv.Xoshiro256pp(7, stream=2), basis3, 2)
+    # An accepted appendix-c draw, built: the draws of a row that checks nothing.
+    a3, b3, zero_means = bv.engine._sample(bv.engine.Relation(None, None, None), basis3, 7, 2)
     return {
         "check_triangle": (r.check_triangle, (a, b, mixed)),
         "check_theorem1": (r.check_theorem1, (a, b, mixed)),
