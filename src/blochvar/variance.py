@@ -11,11 +11,20 @@ variance collapses to |a|² (1 - |p|² cos² θ_pa), so the whole geometry
 lives in angles between Bloch vectors; ``angles`` exposes them, unfolded
 in [0, π].
 
-``pair_geometry`` evaluates the six inner products of the quaternary
-{a, a', b, b'} both from the coefficient vectors and from operator
-traces (a · b = Tr[AB]/2, a · b' = Tr[AB²]/2, a' · b' =
-(Tr[A²B²] - Tr[A²]Tr[B²]/N)/2, ...) and insists the two agree, which
-makes it a basis-corruption detector as much as a convenience.
+``pair_geometry`` evaluates the ten norms and inner products of the
+quaternary {a, a', b, b'} both from the coefficient vectors and from
+operator traces, and insists the two agree, which makes it a
+basis-corruption detector as much as a convenience.  One table,
+``_PAIRS``, gives each ``PairGeometry`` field as a pair (i, j) of
+indices into (a, a', b, b') and into (A, A², B, B²): the field is
+x_i · x_j and (Tr[X_i X_j] - Tr[X_i] Tr[X_j]/N)/2, where only A² and
+B² have a trace (a · b = Tr[AB]/2, a' · b' = (Tr[A²B²] -
+Tr[A²]Tr[B²]/N)/2, ...).  The same table gives the pairs that
+``PairGeometry`` checks by Cauchy-Schwarz.  Both checks scale with
+the operands, as a' grows as |a|²: the routes agree to 1e-10 of
+max(1, s_i s_j) with s = (|a|, |a|², |b|, |b|²), and |x_i · x_j|
+exceeds |x_i| |x_j| by at most 1e-10 of max(1, |x_i| |x_j|).  Every
+check here is written so that a NaN fails it.
 
 Each quantity is one function over one object or the rows of the
 batched engine, as ``relations``' relations are: ``_variance_matrix``,
@@ -72,11 +81,11 @@ class VarianceReport:
     discrepancy: float
 
     def __post_init__(self):
-        if self.discrepancy > _ROUTE_ATOL:
+        if not self.discrepancy <= _ROUTE_ATOL:
             raise NumericsError(
                 f"variance routes disagree by {self.discrepancy:.3e}"
             )
-        if self.variance < _NEGATIVE_VARIANCE_FLOOR:
+        if not self.variance >= _NEGATIVE_VARIANCE_FLOOR:
             raise NumericsError(f"negative variance {self.variance!r}")
 
 
@@ -96,6 +105,16 @@ class AngleSet:
                 raise ValueError(f"{name} = {value!r} outside [0, pi]")
 
 
+# Each PairGeometry field, in field order, as its pair of indices into
+# (a, a', b, b') and into (A, A², B, B²).  dot_b_aprime is a' · b, the
+# trace of A²B.
+_PAIRS = {
+    "a2": (0, 0), "a_prime2": (1, 1), "b2": (2, 2), "b_prime2": (3, 3),
+    "dot_ab": (0, 2), "dot_a_bprime": (0, 3), "dot_a_aprime": (0, 1),
+    "dot_b_bprime": (2, 3), "dot_b_aprime": (1, 2), "dot_aprime_bprime": (1, 3),
+}
+
+
 @dataclass(frozen=True)
 class PairGeometry:
     """Norms and inner products of the quaternary {a, a', b, b'}."""
@@ -112,19 +131,13 @@ class PairGeometry:
     dot_aprime_bprime: float
 
     def __post_init__(self):
-        pairs = [
-            (self.dot_ab, self.a2, self.b2),
-            (self.dot_a_bprime, self.a2, self.b_prime2),
-            (self.dot_a_aprime, self.a2, self.a_prime2),
-            (self.dot_b_bprime, self.b2, self.b_prime2),
-            (self.dot_b_aprime, self.b2, self.a_prime2),
-            (self.dot_aprime_bprime, self.a_prime2, self.b_prime2),
-        ]
-        for dot, n1, n2 in pairs:
-            if abs(dot) > math.sqrt(max(n1, 0.0) * max(n2, 0.0)) + _GEOMETRY_ATOL:
+        norms = (self.a2, self.a_prime2, self.b2, self.b_prime2)
+        for name, (i, j) in _PAIRS.items():
+            dot, root = getattr(self, name), math.sqrt(max(norms[i], 0.0) * max(norms[j], 0.0))
+            if i != j and not abs(dot) - root <= _GEOMETRY_ATOL * max(1.0, root):
                 raise NumericsError(
                     f"inner product {dot!r} violates Cauchy-Schwarz for norms "
-                    f"{n1!r}, {n2!r}"
+                    f"{norms[i]!r}, {norms[j]!r}"
                 )
 
 
@@ -264,57 +277,44 @@ def angles(a: Observable, b: Observable, rho: QuantumState) -> AngleSet:
     return AngleSet(theta_pa=theta_pa, theta_pb=theta_pb, theta_ab=theta_ab)
 
 
+def _trace(mat: np.ndarray) -> float:
+    return float(np.trace(mat).real)
+
+
+def _pair_routes(a: Observable, b: Observable) -> dict:
+    # Each PairGeometry field's (vector value, trace value), by its pair.
+    n = float(a.dim)
+    vectors = (a.a, a.a_prime, b.a, b.a_prime)
+    am, bm = a.matrix.array, b.matrix.array
+    mats = (am, am @ am, bm, bm @ bm)
+    traces = (0.0, _trace(mats[1]), 0.0, _trace(mats[3]))
+    return {
+        name: (float(vectors[i] @ vectors[j]), 0.5 * (_trace(mats[i] @ mats[j]) - traces[i] * traces[j] / n))
+        for name, (i, j) in _PAIRS.items()
+    }
+
+
 def pair_geometry(a: Observable, b: Observable, basis: GeneratorBasis) -> PairGeometry:
     """Quaternary norms and inner products, dual-computed.
 
     Every entry is evaluated from the coefficient vectors and from the
-    corresponding operator-trace identity; a disagreement above 1e-10
+    corresponding operator-trace identity; a disagreement above 1e-10 of
+    max(1, s_i s_j), s = (|a|, |a|², |b|, |b|²), or a NaN on either route,
     raises ``NumericsError`` since it can only mean the basis or the
-    decomposition is corrupted.  Stored values are the vector ones.
+    decomposition is corrupted, or an entry overflowed.  Stored values
+    are the vector ones.
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
     if basis.dim != a.dim:
         raise DimensionMismatch("basis dimension disagrees with operands")
-    n = float(a.dim)
-    am = a.matrix.array
-    bm = b.matrix.array
-    a2m = am @ am
-    b2m = bm @ bm
-    tr_a2 = np.trace(a2m).real
-    tr_b2 = np.trace(b2m).real
-
-    def tr(mat: np.ndarray) -> float:
-        return float(np.trace(mat).real)
-
-    vector = {
-        "a2": float(a.a @ a.a),
-        "a_prime2": float(a.a_prime @ a.a_prime),
-        "b2": float(b.a @ b.a),
-        "b_prime2": float(b.a_prime @ b.a_prime),
-        "dot_ab": float(a.a @ b.a),
-        "dot_a_bprime": float(a.a @ b.a_prime),
-        "dot_a_aprime": float(a.a @ a.a_prime),
-        "dot_b_bprime": float(b.a @ b.a_prime),
-        "dot_b_aprime": float(b.a @ a.a_prime),
-        "dot_aprime_bprime": float(a.a_prime @ b.a_prime),
-    }
-    traced = {
-        "a2": 0.5 * tr_a2,
-        "a_prime2": 0.5 * (tr(a2m @ a2m) - tr_a2 * tr_a2 / n),
-        "b2": 0.5 * tr_b2,
-        "b_prime2": 0.5 * (tr(b2m @ b2m) - tr_b2 * tr_b2 / n),
-        "dot_ab": 0.5 * tr(am @ bm),
-        "dot_a_bprime": 0.5 * tr(am @ b2m),
-        "dot_a_aprime": 0.5 * tr(am @ a2m),
-        "dot_b_bprime": 0.5 * tr(bm @ b2m),
-        "dot_b_aprime": 0.5 * tr(a2m @ bm),
-        "dot_aprime_bprime": 0.5 * (tr(a2m @ b2m) - tr_a2 * tr_b2 / n),
-    }
-    for key, value in vector.items():
-        if abs(value - traced[key]) > _GEOMETRY_ATOL:
+    scale = (math.sqrt(a.norm2), a.norm2, math.sqrt(b.norm2), b.norm2)
+    routes = _pair_routes(a, b)
+    for name, (i, j) in _PAIRS.items():
+        vector, traced = routes[name]
+        if not abs(vector - traced) <= _GEOMETRY_ATOL * max(1.0, scale[i] * scale[j]):
             raise NumericsError(
-                f"{key}: vector value {value!r} disagrees with trace value "
-                f"{traced[key]!r} (basis corruption?)"
+                f"{name}: vector value {vector!r} disagrees with trace value "
+                f"{traced!r} (basis corruption?)"
             )
-    return PairGeometry(**vector)
+    return PairGeometry(**{name: vector for name, (vector, _) in routes.items()})

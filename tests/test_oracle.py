@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from blochvar import HermitianMatrix, Xoshiro256pp, basis_for, bloch, draw_mixed, draw_observable
-from blochvar import observable_from_matrix, variance_bloch, variance_matrix
+from blochvar import observable_from_bloch, observable_from_matrix, variance, variance_bloch, variance_matrix
 
 # The margin each pinned tolerance keeps over its measured worst error.
 _HEADROOM = 1e3
@@ -131,3 +131,48 @@ def test_prime_check_against_50_digits(n, draws):
     print(f"\nN = {n}: worst |error| / max(1, |a|^2) of the a' check's route {worst:.2e},"
           f" |a|^2 up to {scale.max():.1e}")
     assert holds.all() and worst * _HEADROOM <= 1e-11
+
+
+def _pair_geometry_50(a, b):
+    """Each PairGeometry field at 50 digits from the stored matrices:
+    (Tr[XY] - Tr[X]Tr[Y]/N)/2 over its pair of (A, A², B, B²)."""
+    with mpmath.workdps(50):
+        am, bm = _exact(a.matrix.array), _exact(b.matrix.array)
+        n = len(am)
+
+        def square(m):
+            return [[mpmath.fsum(m[i][k] * m[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+        def trace_of_product(x, y):
+            return mpmath.fsum(x[i][j] * y[j][i] for i in range(n) for j in range(n)).real
+
+        mats = (am, square(am), bm, square(bm))
+        traces = [mpmath.fsum(m[i][i] for i in range(n)).real for m in mats]
+        return {
+            name: (trace_of_product(mats[i], mats[j]) - traces[i] * traces[j] / n) / 2
+            for name, (i, j) in variance._PAIRS.items()
+        }
+
+
+@pytest.mark.parametrize("n,draws", [(2, 200), (3, 60), (6, 12)])
+def test_pair_geometry_routes_against_50_digits(n, draws):
+    # pair_geometry's vector and trace routes (variance._pair_routes) on
+    # pairs of unit observables of seed 3000 + N scaled by 1, 1e2 and 1e4
+    # in turn, each error over max(1, s_i s_j) with
+    # s = (|a|, |a|^2, |b|, |b|^2), as the route check scales it.
+    basis = basis_for(n)
+    worst_vector = worst_trace = 0.0
+    for stream in range(draws):
+        rng = Xoshiro256pp(3000 + n, stream=stream)
+        a, b = (observable_from_bloch(10.0 ** (2 * (stream % 3)) * draw_observable(rng, basis).a, basis)
+                for _ in range(2))
+        exact = _pair_geometry_50(a, b)
+        scale = (np.sqrt(a.norm2), a.norm2, np.sqrt(b.norm2), b.norm2)
+        for name, (vector, traced) in variance._pair_routes(a, b).items():
+            i, j = variance._PAIRS[name]
+            size = max(1.0, scale[i] * scale[j])
+            worst_vector = max(worst_vector, float(abs(vector - exact[name])) / size)
+            worst_trace = max(worst_trace, float(abs(traced - exact[name])) / size)
+    print(f"\nN = {n}: worst |error| / max(1, s_i s_j) vector {worst_vector:.2e}, trace {worst_trace:.2e}")
+    assert worst_vector * _HEADROOM <= 1e-10
+    assert worst_trace * _HEADROOM <= 1e-10

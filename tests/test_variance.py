@@ -233,8 +233,70 @@ def test_pair_geometry_detects_corruption(basis3):
     b = draw_observable(Xoshiro256pp(2), basis3)
     hacked = observable_from_bloch(np.asarray(b.a), basis3)
     object.__setattr__(hacked, "a_prime", np.asarray(hacked.a_prime) + 1e-6)
-    with pytest.raises(NumericsError):
-        pair_geometry(a, hacked, basis3)
+    # Still caught beside |a| = 1e3, which widens the tolerance of every
+    # pair that reads a.
+    for partner in (a, observable_from_bloch(1e3 * np.asarray(a.a), basis3)):
+        with pytest.raises(NumericsError):
+            pair_geometry(partner, hacked, basis3)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 10])
+@pytest.mark.parametrize("norm", [30.0, 100.0, 1e3, 1e5])
+def test_pair_geometry_accepts_observables_of_large_norm(n, norm):
+    # a' . a' and a' . b' grow as |a|^2 |b|^2, and so does the rounding of
+    # their trace route: an absolute 1e-10 called valid pairs of norm 30
+    # corrupt.  Self-pairs included.
+    basis = basis_for(n)
+    for i in range(30):
+        rng = Xoshiro256pp(61, stream=i)
+        u, v = rng.gaussians(basis.n_generators), rng.gaussians(basis.n_generators)
+        a = observable_from_bloch(norm / np.linalg.norm(u) * u, basis)
+        b = observable_from_bloch(norm / np.linalg.norm(v) * v, basis)
+        pair_geometry(a, b, basis)
+        pair_geometry(a, a, basis)
+
+
+def test_pair_geometry_rejects_overflowed_prime(basis3):
+    # |a| = 1e80 at N = 3: a' . a' overflows to inf and its trace route to
+    # NaN, which fails the route check however wide its tolerance.
+    a = observable_from_bloch(1e80 * np.eye(8)[7], basis3)
+    with np.errstate(all="ignore"), pytest.raises(NumericsError, match="a_prime2"):
+        pair_geometry(a, a, basis3)
+
+
+# Each field's two vectors, as its name gives them.
+_FIELD_VECTORS = {
+    "a2": ("a", "a"), "a_prime2": ("a'", "a'"), "b2": ("b", "b"), "b_prime2": ("b'", "b'"),
+    "dot_ab": ("a", "b"), "dot_a_bprime": ("a", "b'"), "dot_a_aprime": ("a", "a'"),
+    "dot_b_bprime": ("b", "b'"), "dot_b_aprime": ("b", "a'"), "dot_aprime_bprime": ("a'", "b'"),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_pair_geometry_fields_read_their_own_vectors(n):
+    # Both routes read one pair of indices a field, so a wrong pair would
+    # pass the route check: pin each stored field to its own vectors.
+    basis = basis_for(n)
+    for i in range(10):
+        rng = Xoshiro256pp(62, stream=i)
+        a, b = draw_observable(rng, basis), draw_observable(rng, basis)
+        vectors = {"a": a.a, "a'": a.a_prime, "b": b.a, "b'": b.a_prime}
+        geom = pair_geometry(a, b, basis)
+        for name, (x, y) in _FIELD_VECTORS.items():
+            assert getattr(geom, name) == float(vectors[x] @ vectors[y]), name
+
+
+def test_geometry_and_report_reject_nan(basis3):
+    a = draw_observable(Xoshiro256pp(1), basis3)
+    fields = vars(pair_geometry(a, a, basis3))
+    for name in fields:
+        with pytest.raises(NumericsError):
+            variance.PairGeometry(**{**fields, name: math.nan})
+    report = dict(variance=0.5, mean=0.1, via_matrix=0.5, via_bloch=0.5, discrepancy=0.0)
+    variance.VarianceReport(**report)
+    for name in ("variance", "discrepancy"):
+        with pytest.raises(NumericsError):
+            variance.VarianceReport(**{**report, name: math.nan})
 
 
 def test_mean_used_by_bloch_route(basis2):
