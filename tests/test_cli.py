@@ -826,6 +826,22 @@ def test_compare_json_matrix_input(tmp_path):
     assert all(row.get("holds", True) for row in report["results"] if row["applicable"])
 
 
+def test_compare_reads_a_bloch_state(capsys):
+    # bloch:(x,y,z) is the state's Bloch vector as given: inside the ball
+    # it is compared, outside it is no state.
+    code, report = _run(["compare", "--state", "bloch:(0.3,0.2,0.1)", "--A", "sigma1", "--B", "sigma2"])
+    # Robertson's sides read p: ΔA ΔB = sqrt((1 - x²)(1 - y²)) and
+    # |⟨[σ1, σ2]⟩|/2 = |z|.
+    robertson = next(row for row in report["results"] if row["bound"] == "robertson")
+    assert code == 0 and report["config"]["state"] == "bloch:(0.3,0.2,0.1)"
+    assert robertson["lhs"] == pytest.approx(math.sqrt(0.91 * 0.96), abs=1e-12)
+    assert robertson["rhs"] == pytest.approx(0.1, abs=1e-12)
+    with pytest.raises(SystemExit) as err:
+        _run(["compare", "--state", "bloch:(0,0,2)", "--A", "sigma1", "--B", "sigma2"])
+    assert err.value.code == 2
+    assert "bad state 'bloch:(0,0,2)'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("im", [{"a": 1}, [0.0, 0.0, 0.0]], ids=["object", "wrong-length"])
 def test_compare_rejects_a_malformed_im(capsys, im):
     state = json.dumps({"dim": 2, "re": [0.5, 0.0, 0.0, 0.5], "im": im})

@@ -1844,12 +1844,18 @@ _EINSUMS = {
     "nab,jba->nj": lambda q: (q["sq"], q["basis"].stacked()),
     "nab,nbc,nca->n": lambda q: (q["obs"], q["obs"], q["rho"]),
     "nab,nba->n": lambda q: (q["obs"], q["rho"]),
+    # Tr[A² rho] of one A broadcast against the states, as
+    # variance._second_moment computes it on a stack.
+    "nab,nbc,nca->n A shared": lambda q: (
+        *[np.broadcast_to(q["obs"][0], q["rho"].shape)] * 2, q["rho"]
+    ),
 }
 
 
-@pytest.mark.parametrize("subscripts", sorted(_EINSUMS))
-def test_einsum_matches_1d(qudit, subscripts):
-    operands = _EINSUMS[subscripts](qudit)
+@pytest.mark.parametrize("key", sorted(_EINSUMS))
+def test_einsum_matches_1d(qudit, key):
+    operands = _EINSUMS[key](qudit)
+    subscripts = key.partition(" ")[0]
     single = subscripts.replace("n", "")
     stacked = [term.startswith("n") for term in subscripts.split("->")[0].split(",")]
 
@@ -1896,6 +1902,51 @@ def test_d_contract_rows_match_1d(qudit):
 
 def _bits(x):
     return np.ascontiguousarray(x).view(np.uint64)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # non-finite rows on purpose
+@pytest.mark.parametrize("dim", range(2, 17))
+def test_wedge_blocks_match_one_row_calls(dim):
+    # The wedge of a stack, run in blocks of rows, against its call on
+    # each row alone, bit for bit: at one block, one row either side of
+    # it, and several blocks, on random rows and on parallel, zero and
+    # non-finite ones.  At N = 2 a whole chunk is one block.
+    n = dim * dim - 1
+    block = relations._WEDGE_ENTRIES // n**2 if n**2 <= relations._EINSUM_BUFFER else 1
+    assert dim > 2 or block >= sampling.ENGINE_CHUNK
+    rng = np.random.default_rng(dim)
+    for rows in sorted({1, max(block - 1, 1), block, block + 1, 300}):
+        u = rng.normal(size=(rows, n)) * 10.0 ** rng.uniform(-3, 3, size=(rows, 1))
+        v = rng.normal(size=(rows, n))
+        parallel, zero, infinite, nan = (list(rng.permutation(rows)) * 4)[:4]
+        v[parallel] = -2.5 * u[parallel]
+        u[zero] = 0.0
+        u[infinite, rng.integers(n)] = np.inf
+        v[infinite, rng.integers(n)] = -np.inf
+        v[nan, rng.integers(n)] = np.nan
+        got = relations._wedge_norm2(u, v)
+        assert got.shape == (rows,)
+        assert np.array_equal(_bits(got), _bits(_each(relations._wedge_norm2, u, v)))
+        # One vector against the rows, as a fixed observable's.
+        got = relations._wedge_norm2(u[-1], v)
+        assert np.array_equal(_bits(got), _bits(_each(lambda y: relations._wedge_norm2(u[-1], y), v)))
+
+
+@pytest.mark.parametrize("size", [0, 1, 1023, 1024, 1025])
+def test_per_element_matches_a_python_loop(size):
+    # Blocks of per_element's fn, read by np.fromiter, against a list of
+    # fn's Python floats, bit for bit, either side of one block.
+    rng = np.random.default_rng(size)
+    z = rng.normal(size=size) + 1j * rng.normal(size=size)
+    for fn, x in ((math.log, rng.random(size)), (math.acos, rng.uniform(-1.0, 1.0, size)),
+                  (abs, z), (lambda t: t**2, rng.normal(size=size) * 1e100)):
+        got = per_element(fn, x)
+        assert got.dtype == np.float64 and got.shape == (size,)
+        assert np.array_equal(_bits(got), _bits(np.array([fn(t) for t in x.tolist()], float)))
+        assert np.array_equal(per_element(fn, x.reshape(-1, 1)), got.reshape(-1, 1))
+    # One numpy scalar gives fn's Python float.
+    for fn, x in ((math.log, np.float64(0.3)), (abs, np.complex128(3 - 4j))):
+        assert type(per_element(fn, x)) is float and per_element(fn, x) == fn(x.item())
 
 
 def _extreme_rows(rng, shape, complex_rows):

@@ -256,11 +256,12 @@ def test_pair_geometry_accepts_observables_of_large_norm(n, norm):
         pair_geometry(a, a, basis)
 
 
+@pytest.mark.filterwarnings("error")  # raised by the check, with no numpy warning first
 def test_pair_geometry_rejects_overflowed_prime(basis3):
     # |a| = 1e80 at N = 3: a' . a' overflows to inf and its trace route to
     # NaN, which fails the route check however wide its tolerance.
     a = observable_from_bloch(1e80 * np.eye(8)[7], basis3)
-    with np.errstate(all="ignore"), pytest.raises(NumericsError, match="a_prime2"):
+    with pytest.raises(NumericsError, match="a_prime2"):
         pair_geometry(a, a, basis3)
 
 

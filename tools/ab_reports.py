@@ -12,6 +12,10 @@ between two runs of one tree.  The matrix:
 - ``verify appendix-c --samples 5`` at N = 3, 6 and 10 on seeds 0 and
   5: a chunk that small draws several tries a lane in its first
   rejection round, where 500 samples draw one;
+- ``verify robertson --samples 200`` and ``verify appendix-c --samples
+  100`` at the dimension cap, N = 16, on seed 0: the stacked kernels'
+  shapes past numpy's 8,192-element iterator buffer, where a row's sum
+  can split (the wedge's one-row blocks, Tr[A²ρ] of 4,096 products);
 - the four region scans (pair on pure and on mixed states, pair with
   ``--slice-da2``, and triple), each with ``--csv``, ``--json`` and
   ``--out``;
@@ -74,6 +78,11 @@ def runs(tree: str, samples: int = 500) -> dict[str, list[str]]:
                 "verify", "appendix-c", "--dim", str(dim), "--samples", "5",
                 "--seed", str(seed), "--out", "report.json",
             ]
+    for relation, samples_at_cap in (("robertson", 200), ("appendix-c", 100)):
+        matrix[f"verify {relation} N=16 seed=0 samples={samples_at_cap}"] = [
+            "verify", relation, "--dim", "16", "--samples", str(samples_at_cap),
+            "--seed", "0", "--out", "report.json",
+        ]
     files = ["--csv", "samples.csv", "--json", "occupancy.json", "--out", "report.json"]
     scans = {
         "pair pure": ["pair", "--theta-ab", "0.7"],
