@@ -153,8 +153,9 @@ def _prime_checks(arr: np.ndarray, a_prime: np.ndarray, dim: int, traces, norm2)
     # part of A^2.  At N = 2, with t = Tr A, that is (Re A01 t, -Im A01 t,
     # (A00 - A11) t / 2) for Hermitian A.  Otherwise A is squared, and
     # traces(m) gives the Tr[m g_j]: the dense einsum for one matrix,
-    # which is cheaper there, and trace_rows for a stack.  norm2 is |a|^2,
-    # the tolerance's scale.
+    # which is cheaper there, and trace_rows for a stack.  The generators
+    # are traceless, so A^2's trace part adds nothing to Tr[A^2 g_j].
+    # norm2 is |a|^2, the tolerance's scale.
     if dim == 2:
         t = arr[..., 0, 0] + arr[..., 1, 1]
         off = arr[..., 0, 1] * t
@@ -162,9 +163,7 @@ def _prime_checks(arr: np.ndarray, a_prime: np.ndarray, dim: int, traces, norm2)
         ref[..., 0], ref[..., 1] = off.real, -off.imag
         ref[..., 2] = (0.5 * (arr[..., 0, 0] - arr[..., 1, 1]) * t).real
     else:
-        sq = arr @ arr
-        sq -= (sq.trace(axis1=-2, axis2=-1).real / dim)[..., None, None] * _eye(dim)
-        ref = 0.5 * traces(sq).real
+        ref = 0.5 * traces(arr @ arr).real
     err = np.abs(a_prime - ref).max(axis=-1, initial=0.0)
     return [(err / py_max(1.0, norm2) <= _CONSISTENCY_ATOL,
              "contracted vector disagrees with the A^2 decomposition by {:.3e}", err)]

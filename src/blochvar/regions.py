@@ -38,7 +38,7 @@ import numpy as np
 
 from . import engine
 from .bloch import Observable, QuantumState, state_to_matrix
-from .errors import DimensionMismatch, NumericsError, UndefinedAngle
+from .errors import DimensionMismatch, UndefinedAngle
 from .relations import _within, check_theorem1
 from .sampling import SampleConfig
 from .sun_basis import basis_for
@@ -143,29 +143,20 @@ def _axis_angle(a: Observable, b: Observable) -> float:
     return math.acos(min(1.0, max(-1.0, c)))
 
 
-def _validate_samples(samples: np.ndarray, norms: list[float]) -> None:
-    for k, n2 in enumerate(norms):
-        col = samples[:, k]
-        if col.min(initial=0.0) < -1e-12 or col.max(initial=0.0) > n2 + 1e-12:
-            raise NumericsError(
-                f"axis {k} sample outside [-1e-12, {n2} + 1e-12]"
-            )
-
-
 def _scan(
-    ensemble: SampleConfig, grid: float, norms: list, check: tuple, shared: str, given: dict,
+    ensemble: SampleConfig, grid: float, axes: tuple, check: tuple, shared: str, given: dict,
     **fields,
 ) -> RegionScan:
     """The lanes loop of both scans: ``engine.chunks`` draws each chunk's
     ``StateBatch`` and checks it with ``shared``, the function of the
     scan point ``check`` of ``relations``, on ``given`` (A and B, or
-    θ_ab), whose columns are each row's squared variances (one an axis,
-    each at most its ``norms`` entry) and its margin (see the module
-    docstring).  The grid is checked before any draw.  ``fields`` are the scan's own
-    ``RegionScan`` fields: axes, theta_ab and boundary."""
+    θ_ab), whose columns are each row's squared variances (one for each
+    of ``axes``) and its margin (see the module docstring).  The grid is
+    checked before any draw.  ``fields`` are the scan's other
+    ``RegionScan`` fields: theta_ab and boundary."""
     n_cells = _check_grid(grid)
     count = ensemble.count
-    samples = np.empty((count, len(norms)))
+    samples = np.empty((count, len(axes)))
     purities = np.empty(count)
     margins = np.empty(count)
     row = engine.Relation((2,), (ensemble.kind,), check, shared)
@@ -175,8 +166,8 @@ def _scan(
         purities[rows] = state.purity
         margins[rows] = values[:, -1]
         del state, values  # freed before the next chunk draws
-    _validate_samples(samples, norms)
     return RegionScan(
+        axes=axes,
         grid=grid,
         samples=samples,
         purities=purities,
@@ -211,9 +202,8 @@ def scan_pair(a: Observable, b: Observable, ensemble: SampleConfig, grid: float)
     if ensemble.kind == "haar_pure" and unit_pair(a, b):
         boundary = _pair_boundary(theta_ab)
     return _scan(
-        ensemble, grid, [a.norm2, b.norm2], ("scan_pair_point", "A", "B", "state", "index"),
-        "_scan_pair_point", {"A": a, "B": b},
-        axes=("dA2", "dB2"), theta_ab=theta_ab, boundary=boundary,
+        ensemble, grid, ("dA2", "dB2"), ("scan_pair_point", "A", "B", "state", "index"),
+        "_scan_pair_point", {"A": a, "B": b}, theta_ab=theta_ab, boundary=boundary,
     )
 
 
@@ -242,9 +232,9 @@ def scan_triple(theta_ab: float, ensemble: SampleConfig, grid: float) -> RegionS
     if not _within(theta_ab, math.pi):
         raise ValueError(f"theta_ab = {theta_ab!r} outside [0, pi]")
     return _scan(
-        ensemble, grid, [1.0, 1.0, 1.0], ("scan_triple_point", "theta_ab", "state", "index"),
+        ensemble, grid, ("dA2", "dB2", "dC2"), ("scan_triple_point", "theta_ab", "state", "index"),
         "_scan_triple_point", {"theta_ab": theta_ab},
-        axes=("dA2", "dB2", "dC2"), theta_ab=theta_ab, boundary=_triple_surface(theta_ab),
+        theta_ab=theta_ab, boundary=_triple_surface(theta_ab),
     )
 
 

@@ -299,10 +299,7 @@ def pair_geometry(a: Observable, b: Observable, basis: GeneratorBasis) -> PairGe
     decomposition is corrupted, or an entry overflowed.  Stored values
     are the vector ones.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if basis.dim != a.dim:
-        raise DimensionMismatch("basis dimension disagrees with operands")
+    _check_bloch_dims(a, b, basis)
     scale = (math.sqrt(a.norm2), a.norm2, math.sqrt(b.norm2), b.norm2)
     routes = _pair_routes(a, b)
     for name, (i, j) in _PAIRS.items():

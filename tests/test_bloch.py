@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from blochvar import (
+    DimensionMismatch,
     HermitianMatrix,
+    Observable,
     QuantumState,
     UnphysicalState,
     basis_for,
@@ -181,6 +183,38 @@ def test_nan_bloch_vector_is_rejected(basis2):
     p = np.array([[0.0, 0.0, 0.5], [np.nan, 0.0, 0.0], [0.0, 0.0, np.nan]])
     rows = np.repeat(rho.array[None], 3, axis=0)
     assert failures(bloch._state_checks(rows, p, 2)).tolist() == [False, True, True]
+
+
+_HALF_I = HermitianMatrix(np.eye(2) / 2)
+_SIGMA3 = HermitianMatrix(np.diag([1.0, -1.0]))
+
+# Operands of two dimensions: each constructor and converter, and the
+# message of its dimension check.
+_DIMENSION_MISMATCHES = {
+    "state-matrix": (lambda b2, b3: QuantumState(3, _HALF_I, np.zeros(8)),
+                     "state matrix dimension disagrees with dim"),
+    "state-vector": (lambda b2, b3: QuantumState(2, _HALF_I, np.zeros(8)),
+                     r"Bloch vector length must be dim\^2 - 1"),
+    "observable-matrix": (lambda b2, b3: Observable(3, _SIGMA3, np.zeros(8), np.zeros(8)),
+                          "observable matrix dimension disagrees with dim"),
+    "observable-vectors": (lambda b2, b3: Observable(2, _SIGMA3, np.zeros(3), np.zeros(8)),
+                           r"coefficient vectors must have length dim\^2 - 1"),
+    "state_from_matrix": (lambda b2, b3: state_from_matrix(_HALF_I, b3),
+                          "matrix and basis dimensions disagree"),
+    "observable_from_matrix": (lambda b2, b3: observable_from_matrix(_SIGMA3, b3),
+                               "matrix and basis dimensions disagree"),
+    "state_to_matrix": (lambda b2, b3: state_to_matrix(np.zeros(8), b2),
+                        "expected a Bloch vector of length 3"),
+    "observable_from_bloch": (lambda b2, b3: observable_from_bloch(np.zeros(3), b3),
+                              "expected a vector of length 8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DIMENSION_MISMATCHES))
+def test_operands_of_another_dimension_are_rejected(basis2, basis3, name):
+    build, message = _DIMENSION_MISMATCHES[name]
+    with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+        build(basis2, basis3)
 
 
 def _check_inputs(dim, rows=120):

@@ -897,6 +897,30 @@ def test_compare_usage_errors(tmp_path):
 @pytest.mark.parametrize(
     "flags,message",
     [
+        (["--A", "n:(1,2)", "--state", "mixed"],
+         "observable: expected three comma-separated numbers, got '(1,2)'"),
+        (["--A", "n:(a,b,c)", "--state", "mixed"], "observable: could not parse '(a,b,c)'"),
+        (["--A", "sigma1", "--state", "@missing.json"], "could not read JSON matrix '@missing.json'"),
+        (["--A", "sigma1", "--state", "foo"], "unrecognized state 'foo'"),
+    ],
+    ids=["triplet-length", "triplet-numbers", "unreadable-file", "unrecognized-state"],
+)
+def test_compare_rejects_unreadable_specs(tmp_path, monkeypatch, capsys, flags, message):
+    monkeypatch.chdir(tmp_path)  # where no missing.json exists
+    with pytest.raises(SystemExit) as err:
+        _run(["compare", "--B", "sigma2"] + flags)
+    assert err.value.code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_main_returns_the_exit_code(capsys):
+    assert cli.main(["verify", "theorem1", "--samples", "2"]) == 0
+    assert "-> PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
         (["--A", "n:(1e200,0,0)", "--B", "sigma2", "--state", "pure:(0,0,1)"], "bad observable"),
         (["--A", "n:(1e200,0,0)", "--B", "sigma3", "--state", "mixed"], "bad observable"),
         # Its norm overflows to inf, and dividing by it would give I/2.

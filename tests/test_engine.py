@@ -729,6 +729,30 @@ def test_iter_states_raise_what_the_first_failing_draw_raises():
     assert len(yielded) == start
 
 
+@pytest.mark.parametrize("plan", [None, ("hs_mixed",), ("haar_pure", sampling.DIRECTION)],
+                         ids=["appendix-c", "state", "state-direction"])
+def test_a_row_that_checks_nothing_replays_as_its_draws(plan):
+    # One stream's sample of a row with no check (_sample) is its draws,
+    # each direction built into its observable: (A, B, state) for
+    # appendix-c's tries (plan None), as tools/ab_scalar.py reads them.
+    # They equal that stream's row of chunks' draws bit for bit.
+    row = engine.Relation(None, plan, None)
+    basis = basis_for(3)
+    for rng, drawn, values in engine.chunks(row, basis, 7, 6):
+        assert values is None
+        for k, i in enumerate(rng.streams.tolist()):
+            alone = engine._sample(row, basis, 7, i)
+            assert len(alone) == len(drawn)
+            for one, rows in zip(alone, drawn):
+                if isinstance(one, bloch.Observable):
+                    pairs = [(one.matrix.array, rows.matrix), (one.a, rows.a),
+                             (one.a_prime, rows.a_prime)]
+                else:
+                    pairs = [(one.rho.array, rows.rho), (one.p, rows.p)]
+                for field, stack in pairs:
+                    assert np.array_equal(_bits(field), _bits(stack[k]))
+
+
 # ---------------------------------------------------------------------------
 # lane RNG
 

@@ -228,6 +228,19 @@ def test_triple_scan_rejects_mixed_ensembles():
         scan_triple(1.0, cfg, grid=0.01)
 
 
+@pytest.mark.parametrize("theta_ab", [-0.1, 3.5, math.nan])
+def test_triple_scan_rejects_theta_outside_0_pi(theta_ab):
+    cfg = SampleConfig(seed=1, dim=2, count=10, kind="haar_pure")
+    with pytest.raises(ValueError, match=r"outside \[0, pi\]"):
+        scan_triple(theta_ab, cfg, grid=0.01)
+
+
+def test_slice_span_is_for_pair_scans():
+    scan = scan_triple(1.0, SampleConfig(seed=1, dim=2, count=10, kind="haar_pure"), 0.01)
+    with pytest.raises(ValueError, match="slice_span is defined for pair scans"):
+        scan.slice_span(0, 0.25)
+
+
 def test_slice_span_matches_direct_selection(basis2):
     a, b = _axis_pair(basis2, math.pi / 6)
     scan = scan_pair(a, b, SampleConfig(seed=20, dim=2, count=20000, kind="haar_pure"), 0.01)
@@ -417,12 +430,16 @@ def test_parallel_axes_fall_back_to_common_axis(basis2):
     assert abs(abs(direction[0]) - 1.0) < 1e-9
 
 
-def test_saturation_rejects_bad_inputs(basis2):
+def test_saturation_rejects_bad_inputs(basis2, basis3):
     a, b = _axis_pair(basis2, 1.0)
     with pytest.raises(ValueError):
         find_saturating_state(a, b, 0.0)
     with pytest.raises(ValueError):
         find_saturating_state(a, b, 1.5)
+    qutrit = observable_from_bloch(np.eye(8)[0], basis3)
+    for pair in ((qutrit, b), (a, qutrit)):
+        with pytest.raises(DimensionMismatch, match="defined for qubits"):
+            find_saturating_state(*pair, 0.5)
 
 
 @pytest.mark.filterwarnings("error")  # raised before any division, with no warning

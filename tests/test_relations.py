@@ -472,6 +472,17 @@ def test_span_parallel_collapses():
     assert hi == pytest.approx(0.6, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "theta_ab,da2,message",
+    [(2.0, 0.25, "fold theta_ab into"), (math.nan, 0.25, "fold theta_ab into"),
+     (0.5, 1.5, "dA2 = 1.5 outside"), (0.5, -0.1, "dA2 = -0.1 outside"),
+     (0.5, math.nan, "dA2 = nan outside")],
+)
+def test_span_given_da2_rejects_arguments_outside_its_domain(theta_ab, da2, message):
+    with pytest.raises(ValueError, match=message):
+        db_span_given_da2(theta_ab, da2)
+
+
 def test_span_any_state_is_full_interval():
     for theta in (math.pi / 6, math.pi / 4, math.pi / 2):
         lo, hi = db_span_any_state(theta)

@@ -53,6 +53,8 @@ def test_rng_takes_numpy_integers():
         Xoshiro256pp(11.0)
     with pytest.raises(TypeError):
         Xoshiro256pp(11, stream=3.0)
+    with pytest.raises(ValueError, match="stream index must be nonnegative"):
+        Xoshiro256pp(11, stream=np.int64(-1))
 
 
 def test_lanes_take_numpy_integers_and_reject_floats():

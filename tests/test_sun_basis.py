@@ -6,6 +6,7 @@ import pytest
 
 from blochvar import (
     HermitianMatrix,
+    NumericsError,
     basis_for,
     build_basis,
     max_algebra_residual,
@@ -232,6 +233,47 @@ def test_sparse_residual_memory_at_dim_cap():
     assert peak < 64e6
 
 
+def _mixed_by_a_complex_rotation(mats):
+    # g1, g2 -> (cosh t g1 + i sinh t g2, -i sinh t g1 + cosh t g2): still
+    # traceless, with Tr[g_j g_k] = 2 δ_jk (the rotation is complex
+    # orthogonal), but no longer Hermitian, so Tr[g_j g_k g_l] and its
+    # partner are no longer conjugates.
+    c, s = np.cosh(0.5), np.sinh(0.5)
+    mats[0], mats[1] = c * mats[0] + 1j * s * mats[1], -1j * s * mats[0] + c * mats[1]
+
+
+def _shifted(mats):
+    mats[0] = mats[0] + 1e-6 * np.eye(3)
+
+
+def _scaled(mats):
+    mats[0] = 1.01 * mats[0]
+
+
+# Each corruption of the N = 3 generators, and the message of the build's
+# sanity check that catches it.
+_CORRUPTIONS = {
+    "trace": (_shifted, "generator trace residual"),
+    "orthogonality": (_scaled, "generator orthogonality residual exceeds 1e-12"),
+    "not-real": (_mixed_by_a_complex_rotation, "structure constants not real"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CORRUPTIONS))
+def test_build_basis_rejects_corrupted_generators(monkeypatch, name):
+    corrupt, message = _CORRUPTIONS[name]
+    generators = sun_basis._generator_arrays
+
+    def corrupted(n):
+        mats = generators(n)
+        corrupt(mats)
+        return mats
+
+    monkeypatch.setattr(sun_basis, "_generator_arrays", corrupted)
+    with pytest.raises(NumericsError, match=message):
+        build_basis(3)
+
+
 def test_build_basis_rejects_small_dims():
     with pytest.raises(ValueError):
         build_basis(1)
@@ -266,3 +308,14 @@ def test_d_contract_matches_brute_force(basis3):
             for k in range(1, 9):
                 brute[l - 1] += a[j - 1] * a[k - 1] * structure_d(basis3, j, k, l)
     assert np.abs(basis3.d_contract(a) - brute).max() < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (9,), (2, 2, 8), ()])
+def test_d_contract_rejects_vectors_of_another_length(basis3, shape):
+    with pytest.raises(ValueError, match="expected vectors of length 8"):
+        basis3.d_contract(np.zeros(shape))
+
+
+def test_reprs_name_the_dimension(basis3):
+    assert repr(basis3) == "GeneratorBasis(dim=3)"
+    assert repr(basis3.generators[0]) == "HermitianMatrix(dim=3)"

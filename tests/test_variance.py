@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochvar import (
+    DimensionMismatch,
     HermitianMatrix,
     NumericsError,
     UndefinedAngle,
@@ -148,6 +149,15 @@ def test_coplanar_triple_matches_planar_oracle(basis2):
         assert min(abs(ang.theta_ab - c) for c in candidates) < 1e-10
 
 
+@pytest.mark.parametrize("value", [-0.1, math.pi + 1e-9, math.nan])
+@pytest.mark.parametrize("name", ["theta_pa", "theta_pb", "theta_ab"])
+def test_angle_set_rejects_angles_outside_0_pi(name, value):
+    fields = dict(theta_pa=0.5, theta_pb=1.0, theta_ab=math.pi)
+    variance.AngleSet(**fields)
+    with pytest.raises(ValueError, match=rf"^{name} = .* outside \[0, pi\]$"):
+        variance.AngleSet(**{**fields, name: value})
+
+
 def test_angles_reject_completely_mixed(basis2):
     a = observable_from_bloch([1.0, 0, 0], basis2)
     b = observable_from_bloch([0, 1.0, 0], basis2)
@@ -285,6 +295,16 @@ def test_pair_geometry_fields_read_their_own_vectors(n):
         geom = pair_geometry(a, b, basis)
         for name, (x, y) in _FIELD_VECTORS.items():
             assert getattr(geom, name) == float(vectors[x] @ vectors[y]), name
+
+
+def test_pair_geometry_rejects_operands_of_another_dimension(basis2, basis3):
+    qubit = observable_from_bloch([0.6, 0.8, 0.0], basis2)
+    qutrit = observable_from_bloch(np.eye(8)[0], basis3)
+    for a, b in ((qutrit, qubit), (qubit, qutrit)):
+        with pytest.raises(DimensionMismatch, match=f"^dimension mismatch: {a.dim} vs {b.dim}$"):
+            pair_geometry(a, b, basis3)
+    with pytest.raises(DimensionMismatch, match="^basis dimension disagrees with operands$"):
+        pair_geometry(qubit, qubit, basis3)
 
 
 def test_geometry_and_report_reject_nan(basis3):

@@ -19,6 +19,7 @@ between two runs of one tree.  The matrix:
 - the four region scans (pair on pure and on mixed states, pair with
   ``--slice-da2``, and triple), each with ``--csv``, ``--json`` and
   ``--out``;
+- ``basis --out`` at N = 2, 3, 10 and 16, in JSON and in CSV;
 - ``compare`` on four states and three observable pairs, with ``--da2``,
   on two unit pairs whose |a|² is not 1 in binary (the axis angle's
   last bit shows in ``--out``), on an observable of norm about 1e3, on
@@ -92,6 +93,11 @@ def runs(tree: str, samples: int = 500) -> dict[str, list[str]]:
     }
     for name, args in scans.items():
         matrix[f"region {name}"] = ["region", *args, "--samples", str(4 * samples), *files]
+    for dim in (2, 3, 10, 16):
+        for fmt in ("json", "csv"):
+            matrix[f"basis N={dim} {fmt}"] = [
+                "basis", "--dim", str(dim), "--format", fmt, "--out", f"basis.{fmt}"
+            ]
     states = ["mixed", "pure:(0,0,1)", "bloch:(0.3,0.2,0.1)", "seed:3"]
     pairs = [("sigma1", "sigma2"), ("n:(1,1,0)", "sigma3"), ("n:(0.6,0,0.8)", "n:(0,1,0)")]
     for state in states:
